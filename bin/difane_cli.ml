@@ -15,6 +15,21 @@ let quick_arg =
   let doc = "Shrink workload sizes for a fast smoke run." in
   Arg.(value & flag & info [ "q"; "quick" ] ~doc)
 
+let domains_arg =
+  let doc =
+    "Worker domains for sharded runs.  Any count yields byte-identical results (the \
+     digests and fingerprints match)."
+  in
+  let at_least_one =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (Printf.sprintf "expected an integer >= 1, got %S" s)),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt at_least_one 1 & info [ "domains" ] ~docv:"N" ~doc)
+
 let metrics_arg =
   let doc =
     "After the run, dump the full telemetry snapshot (every registered counter,      gauge and histogram, deterministic order) in this format: $(b,text) or $(b,json)."
@@ -420,79 +435,27 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc) Term.(const run $ policy_arg $ output_arg)
 
-(* ---- fault experiments with CI-checkable invariants ---- *)
-
-let check_arg =
-  let doc =
-    "Exit nonzero unless the run upholds the fault-tolerance invariants: zero \
-     give-ups, zero duplicate installs and zero stale-epoch acceptances (ha), full \
-     recovery, and bit-identical seeded replay."
-  in
-  Arg.(value & flag & info [ "check" ] ~doc)
+(* ---- fault experiments ---- *)
 
 let chaos_cmd =
-  let run seed quick congestion echo_interval retx_timeout retx_backoff retx_limit check
-      metrics =
+  let run seed quick congestion echo_interval retx_timeout retx_backoff retx_limit metrics =
     with_metrics metrics @@ fun () ->
-    let rows =
-      Experiments.E_chaos.run ~seed ~quick ~congestion ?echo_interval ?retx_timeout
-        ?retx_backoff ?retx_limit ()
-    in
-    Experiments.E_chaos.print rows;
-    if check then begin
-      let failures =
-        List.concat_map
-          (fun (r : Experiments.E_chaos.row) ->
-            let at msg = Printf.sprintf "%s at %s loss" msg (Table.fmt_pct r.loss) in
-            (if r.giveups > 0 then [ at (Printf.sprintf "%d give-ups" r.giveups) ] else [])
-            @ (if not r.recovered then [ at "did not recover" ] else [])
-            @ if not r.replay_identical then [ at "replay diverged" ] else [])
-          rows
-      in
-      match failures with
-      | [] -> print_endline "chaos check: all invariants hold"
-      | fs ->
-          List.iter (fun f -> Printf.eprintf "chaos check FAILED: %s\n" f) fs;
-          exit 1
-    end
+    Experiments.E_chaos.print
+      (Experiments.E_chaos.run ~seed ~quick ~congestion ?echo_interval ?retx_timeout
+         ?retx_backoff ?retx_limit ())
   in
   let doc = "Fault-injection sweep: frame loss vs recovery." in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ seed_arg $ quick_arg $ congestion_term $ echo_interval_arg
-      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg $ check_arg $ metrics_arg)
+      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg $ metrics_arg)
 
 let ha_cmd =
-  let run seed quick congestion echo_interval retx_timeout retx_backoff retx_limit check
-      metrics =
+  let run seed quick congestion echo_interval retx_timeout retx_backoff retx_limit metrics =
     with_metrics metrics @@ fun () ->
-    let rows =
-      Experiments.E_ha.run ~seed ~quick ~congestion ?echo_interval ?retx_timeout
-        ?retx_backoff ?retx_limit ()
-    in
-    Experiments.E_ha.print rows;
-    if check then begin
-      let failures =
-        List.concat_map
-          (fun (r : Experiments.E_ha.row) ->
-            let at msg = Printf.sprintf "%s at %s loss" msg (Table.fmt_pct r.loss) in
-            (if r.giveups > 0 then [ at (Printf.sprintf "%d give-ups" r.giveups) ] else [])
-            @ (if r.dup_installs > 0 then
-                 [ at (Printf.sprintf "%d duplicate installs" r.dup_installs) ]
-               else [])
-            @ (if r.stale_accepted > 0 then
-                 [ at (Printf.sprintf "%d stale-epoch frames accepted" r.stale_accepted) ]
-               else [])
-            @ (if not r.recovered then [ at "did not recover" ] else [])
-            @ if not r.replay_identical then [ at "replay diverged" ] else [])
-          rows
-      in
-      match failures with
-      | [] -> print_endline "ha check: all invariants hold"
-      | fs ->
-          List.iter (fun f -> Printf.eprintf "ha check FAILED: %s\n" f) fs;
-          exit 1
-    end
+    Experiments.E_ha.print
+      (Experiments.E_ha.run ~seed ~quick ~congestion ?echo_interval ?retx_timeout
+         ?retx_backoff ?retx_limit ())
   in
   let doc =
     "Controller high-availability sweep: leader crash, journal-replay takeover, \
@@ -501,43 +464,7 @@ let ha_cmd =
   Cmd.v (Cmd.info "ha" ~doc)
     Term.(
       const run $ seed_arg $ quick_arg $ congestion_term $ echo_interval_arg
-      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg $ check_arg $ metrics_arg)
-
-let incast_cmd =
-  let incast_check_arg =
-    let doc =
-      "Exit nonzero unless the sweep shows graceful degradation at the top rate \
-       (drop-tail sheds, credit backpressures, credit loses a strictly smaller flow \
-       fraction and completes strictly more flows) and a seeded re-run reproduces \
-       every row exactly."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run seed quick check metrics =
-    with_metrics metrics @@ fun () ->
-    let rows = Experiments.E_incast.run ~seed ~quick () in
-    Experiments.E_incast.print rows;
-    if check then begin
-      let failures =
-        Experiments.E_incast.check rows
-        @
-        if Experiments.E_incast.run ~seed ~quick () = rows then []
-        else [ "seeded re-run diverged" ]
-      in
-      match failures with
-      | [] -> print_endline "incast check: all invariants hold"
-      | fs ->
-          List.iter (fun f -> Printf.eprintf "incast check FAILED: %s\n" f) fs;
-          exit 1
-    end
-  in
-  let doc =
-    "Incast/overload sweep on one authority switch: loss vs latency under drop-tail \
-     buffers vs credit-based flow control (the congestion model's graceful-degradation \
-     evidence)."
-  in
-  Cmd.v (Cmd.info "incast" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ incast_check_arg $ metrics_arg)
+      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg $ metrics_arg)
 
 (* adaptive-rebalancing detection knobs, shared by rebalance | monitor *)
 let hotspot_threshold_arg =
@@ -552,29 +479,10 @@ let hotspot_window_arg =
   Arg.(value & opt int 3 & info [ "hotspot-window" ] ~docv:"N" ~doc)
 
 let rebalance_cmd =
-  let rebalance_check_arg =
-    let doc =
-      "Exit nonzero unless every gate holds: no duplicate installs, no stale-epoch \
-       acceptances, no dangling migration, the journal decodes, semantic equivalence, \
-       the adaptive runs recover the tail under 2x the pre-crowd baseline (and commit \
-       at least one migration, including after the master crash), the static baseline \
-       does not recover, and the seeded adaptive run replays bit-identically."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run seed quick hotspot_threshold hotspot_window check metrics =
+  let run seed quick hotspot_threshold hotspot_window metrics =
     with_metrics metrics @@ fun () ->
-    let rows =
-      Experiments.E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ()
-    in
-    Experiments.E_rebalance.print rows;
-    if check then begin
-      match Experiments.E_rebalance.check rows with
-      | [] -> print_endline "rebalance check: all invariants hold"
-      | fs ->
-          List.iter (fun f -> Printf.eprintf "rebalance check FAILED: %s\n" f) fs;
-          exit 1
-    end
+    Experiments.E_rebalance.print
+      (Experiments.E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ())
   in
   let doc =
     "Flash-crowd adaptive repartitioning: static baseline vs the closed-loop hotspot \
@@ -584,44 +492,13 @@ let rebalance_cmd =
   Cmd.v (Cmd.info "rebalance" ~doc)
     Term.(
       const run $ seed_arg $ quick_arg $ hotspot_threshold_arg $ hotspot_window_arg
-      $ rebalance_check_arg $ metrics_arg)
+      $ metrics_arg)
 
 let scale_cmd =
-  let domains_arg =
-    let doc =
-      "Worker domains for the sharded run.  Any count yields byte-identical \
-       results (compare the digest lines)."
-    in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-  in
-  let scale_check_arg =
-    let doc =
-      "Exit nonzero unless the scale claims hold: the full spec's flow count was \
-       offered (over a million flows across at least 200 switches), no flow leaked, \
-       nonzero setup throughput, delays recorded."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run seed quick domains check metrics =
+  let run seed quick domains metrics =
     with_metrics metrics @@ fun () ->
-    if domains < 1 then begin
-      Printf.eprintf "error: --domains must be >= 1\n";
-      exit 2
-    end;
-    let spec =
-      { (if quick then Experiments.E_scale.quick_spec
-         else Experiments.E_scale.default_spec)
-        with Experiments.E_scale.domains }
-    in
-    let r = Experiments.E_scale.run ~seed spec in
-    Experiments.E_scale.print spec r;
-    if check then begin
-      match Experiments.E_scale.check ~floors:(not quick) spec r with
-      | [] -> print_endline "scale check: all invariants hold"
-      | fs ->
-          List.iter (fun f -> Printf.eprintf "scale check FAILED: %s\n" f) fs;
-          exit 1
-    end
+    let spec = Experiments.E_scale.sized ~quick ~domains in
+    Experiments.E_scale.print spec (Experiments.E_scale.run ~seed spec)
   in
   let doc =
     "Sharded ingress simulation at scale: a million-flow workload over 256 switches, \
@@ -629,18 +506,37 @@ let scale_cmd =
      that is byte-identical at any domain count."
   in
   Cmd.v (Cmd.info "scale" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ domains_arg $ scale_check_arg $ metrics_arg)
+    Term.(const run $ seed_arg $ quick_arg $ domains_arg $ metrics_arg)
+
+let scenario_doc (s : Experiments.scenario) = Printf.sprintf "$(b,%s): %s" s.name s.doc
+
+(* Scenario-table entries picked by name.  The enum maps names to names,
+   not to entries: cmdliner prints a default by comparing enum values,
+   and entries hold closures. *)
+let scenario_enum entries =
+  Arg.enum (List.map (fun (s : Experiments.scenario) -> (s.name, s.name)) entries)
+
+let scenario_named entries name =
+  List.find (fun (s : Experiments.scenario) -> String.equal s.name name) entries
+
+(* The scenario table's replay targets, as a --scenario option. *)
+let replay_scenario_arg ~default ~what =
+  let replays =
+    List.filter
+      (fun (s : Experiments.scenario) -> Option.is_some s.replay)
+      Experiments.scenarios
+  in
+  let doc = what ^ ". " ^ String.concat " " (List.map scenario_doc replays) in
+  Term.(
+    const (fun name -> Option.get (scenario_named replays name).replay)
+    $ Arg.(
+        value
+        & opt (scenario_enum replays) default
+        & info [ "scenario" ] ~docv:"NAME" ~doc))
 
 let trace_cmd =
-  let scenario_arg =
-    let doc = "Fault scenario to replay: $(b,chaos) or $(b,ha)." in
-    Arg.(
-      value
-      & opt (enum [ ("chaos", `Chaos); ("ha", `Ha) ]) `Chaos
-      & info [ "scenario" ] ~docv:"NAME" ~doc)
-  in
   let loss_arg =
-    let doc = "Control-frame loss rate for the replay (0..1)." in
+    let doc = "Control-frame loss rate for the fault scenarios' replay (0..1)." in
     Arg.(value & opt float 0.10 & info [ "loss" ] ~docv:"LOSS" ~doc)
   in
   let capacity_arg =
@@ -662,17 +558,19 @@ let trace_cmd =
     let doc = "Keep only events at or before this simulated time (seconds)." in
     Arg.(value & opt (some float) None & info [ "until" ] ~docv:"T" ~doc)
   in
-  let run seed quick scenario loss capacity filter since until echo_interval
-      retx_timeout retx_backoff retx_limit =
+  let run seed quick replay loss capacity filter since until echo_interval retx_timeout
+      retx_backoff retx_limit =
     Telemetry.reset ();
     Telemetry.Trace.enable ~capacity ();
-    (match scenario with
-    | `Chaos ->
-        Experiments.E_chaos.replay_one ~seed ~quick ~loss ?echo_interval ?retx_timeout
-          ?retx_backoff ?retx_limit ()
-    | `Ha ->
-        Experiments.E_ha.replay_one ~seed ~quick ~loss ?echo_interval ?retx_timeout
-          ?retx_backoff ?retx_limit ());
+    ignore
+      (replay
+         {
+           (Experiments.replay_args ~seed ~quick) with
+           loss;
+           reliability =
+             Experiments.reliability_config ?echo_interval ?retx_timeout ?retx_backoff
+               ?retx_limit ();
+         });
     Telemetry.Trace.disable ();
     let contains hay needle =
       let nh = String.length hay and nn = String.length needle in
@@ -699,33 +597,12 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ seed_arg $ quick_arg $ scenario_arg $ loss_arg $ capacity_arg
-      $ filter_arg $ since_arg $ until_arg $ echo_interval_arg $ retx_timeout_arg
-      $ retx_backoff_arg $ retx_limit_arg)
+      const run $ seed_arg $ quick_arg
+      $ replay_scenario_arg ~default:"chaos" ~what:"Scenario to replay"
+      $ loss_arg $ capacity_arg $ filter_arg $ since_arg $ until_arg $ echo_interval_arg
+      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg)
 
 let paths_cmd =
-  let scenario_arg =
-    let doc =
-      "Scenario to replay with postcard tracing enabled: $(b,chaos), \
-       $(b,rebalance) (adaptive run only), $(b,scale) or $(b,mon) (monitored run; \
-       provenance annotations join through the monitor)."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("chaos", `Chaos); ("rebalance", `Rebalance); ("scale", `Scale);
-               ("mon", `Mon) ])
-          `Rebalance
-      & info [ "scenario" ] ~docv:"NAME" ~doc)
-  in
-  let domains_arg =
-    let doc =
-      "Worker domains for the $(b,scale) scenario.  The reconstructed paths (and \
-       their JSON) are byte-identical at any count."
-    in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-  in
   let capacity_arg =
     let doc = "Postcard ring capacity per shard: the newest N postcards survive." in
     Arg.(value & opt int 65536 & info [ "capacity" ] ~docv:"N" ~doc)
@@ -769,40 +646,10 @@ let paths_cmd =
     let doc = "Paths spelled out in the text rendering." in
     Arg.(value & opt int 20 & info [ "limit" ] ~docv:"N" ~doc)
   in
-  let paths_check_arg =
-    let doc =
-      "Exit nonzero unless every causal invariant holds over the whole trace: one \
-       terminal per path, no forwarding loops within a tunnel leg, every cache hit \
-       preceded by a live install, every provenance-carrying install by an authority \
-       serve or controller fallback, every serve by an ingress miss, backpressured \
-       misses resolved at the controller, and queue-full drops consistent with the \
-       congestion layer."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run seed quick scenario domains capacity flow switch outcome since until json
-      limit check =
-    if domains < 1 then begin
-      Printf.eprintf "error: --domains must be >= 1\n";
-      exit 2
-    end;
+  let run seed quick replay domains capacity flow switch outcome since until json limit =
     Telemetry.reset ();
     Ptrace.enable ~capacity ();
-    let describe = ref None in
-    (match scenario with
-    | `Chaos -> Experiments.E_chaos.replay_one ~seed ~quick ()
-    | `Rebalance -> Experiments.E_rebalance.replay_one ~seed ~quick ()
-    | `Scale ->
-        let spec =
-          { (if quick then Experiments.E_scale.quick_spec
-             else Experiments.E_scale.default_spec)
-            with Experiments.E_scale.domains }
-        in
-        ignore (Experiments.E_scale.run ~seed spec)
-    | `Mon ->
-        let m, _ = Experiments.E_mon.run_monitored ~seed ~quick () in
-        describe :=
-          Some (fun ~origin ~pid -> Monitor.describe_provenance m ~origin ~pid));
+    let describe = replay { (Experiments.replay_args ~seed ~quick) with domains } in
     Ptrace.disable ();
     let t = Paths.reconstruct () in
     let q_key =
@@ -828,32 +675,24 @@ let paths_cmd =
     let sel = Paths.select q t in
     if json then (print_string (Paths.to_json ~paths:sel t); print_newline ())
     else begin
-      Paths.pp ?describe:!describe ~limit Format.std_formatter sel;
+      Paths.pp ?describe ~limit Format.std_formatter sel;
       Paths.pp_summary Format.std_formatter t;
       Format.print_flush ()
-    end;
-    if check then begin
-      (* under --json stdout is the document; the verdict goes to stderr *)
-      match Paths.check t with
-      | [] ->
-          if json then prerr_endline "paths check: all causal invariants hold"
-          else print_endline "paths check: all causal invariants hold"
-      | fs ->
-          List.iter (fun f -> Printf.eprintf "paths check FAILED: %s\n" f) fs;
-          exit 1
     end
   in
   let doc =
     "Replay one scenario with causal packet-path tracing enabled, reconstruct \
-     per-packet paths from the postcard rings, query them (by 5-tuple key, switch, \
-     outcome, time window) and check the causal invariants the DIFANE planes must \
-     uphold."
+     per-packet paths from the postcard rings and query them (by 5-tuple key, switch, \
+     outcome, time window).  $(b,difane gate paths-NAME) checks their causal \
+     invariants."
   in
   Cmd.v (Cmd.info "paths" ~doc)
     Term.(
-      const run $ seed_arg $ quick_arg $ scenario_arg $ domains_arg $ capacity_arg
-      $ flow_arg $ switch_arg $ outcome_arg $ since_arg $ until_arg $ json_arg
-      $ limit_arg $ paths_check_arg)
+      const run $ seed_arg $ quick_arg
+      $ replay_scenario_arg ~default:"rebalance"
+          ~what:"Scenario to replay with postcard tracing enabled"
+      $ domains_arg $ capacity_arg $ flow_arg $ switch_arg $ outcome_arg $ since_arg
+      $ until_arg $ json_arg $ limit_arg)
 
 let aggregate_cmd =
   let cases_arg =
@@ -864,19 +703,10 @@ let aggregate_cmd =
     let doc = "Packets compared per case." in
     Arg.(value & opt int 400 & info [ "packets" ] ~docv:"N" ~doc)
   in
-  let agg_check_arg =
-    let doc =
-      "Exit nonzero unless forwarding is bit-identical with aggregation on and \
-       off across every case (the CI aggregate-smoke gate)."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run seed quick cases packets check =
+  let run seed quick cases packets =
     let cases = if quick then min cases 4 else cases in
     let packets_per_case = if quick then min packets 200 else packets in
-    let r = Diffgate.run ~seed ~cases ~packets_per_case () in
-    Diffgate.print r;
-    if check && not (Diffgate.passed r) then exit 1
+    Diffgate.print (Diffgate.run ~seed ~cases ~packets_per_case ())
   in
   let doc =
     "Differential gate for cache-rule aggregation: twin deployments (aggregation \
@@ -884,7 +714,7 @@ let aggregate_cmd =
      cache-management interleavings must forward every packet identically."
   in
   Cmd.v (Cmd.info "aggregate" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ cases_arg $ packets_arg $ agg_check_arg)
+    Term.(const run $ seed_arg $ quick_arg $ cases_arg $ packets_arg)
 
 let monitor_cmd =
   let sample_rate_arg =
@@ -960,6 +790,36 @@ let monitor_cmd =
       $ threshold_arg $ hotspot_threshold_override_arg $ hotspot_window_arg $ top_k_arg
       $ json_arg $ flows_out_arg)
 
+let gate_cmd =
+  let gates =
+    List.filter
+      (fun (s : Experiments.scenario) -> Option.is_some s.gate)
+      Experiments.scenarios
+  in
+  let names_arg =
+    let doc = "Gates to run. " ^ String.concat " " (List.map scenario_doc gates) in
+    Arg.(non_empty & pos_all (scenario_enum gates) [] & info [] ~docv:"NAME" ~doc)
+  in
+  let run seed quick domains names =
+    let failed =
+      List.filter
+        (fun name ->
+          let fs = Experiments.run_gate (scenario_named gates name) ~seed ~quick ~domains in
+          flush stdout;
+          List.iter (fun f -> Printf.eprintf "gate %s FAILED: %s\n%!" name f) fs;
+          fs <> [])
+        names
+    in
+    if failed <> [] then exit 1
+  in
+  let doc =
+    "Run CI gates: each scenario runs at one domain and again at $(b,--domains), \
+     prints its report, and must report no violated invariant and a byte-identical \
+     fingerprint both times.  Exits 1 otherwise."
+  in
+  Cmd.v (Cmd.info "gate" ~doc)
+    Term.(const run $ seed_arg $ quick_arg $ domains_arg $ names_arg)
+
 let experiments =
   [
     experiment "table1" "Rule-set characteristics (Table 1)" (fun ~seed ~quick ->
@@ -988,7 +848,12 @@ let experiments =
         Experiments.E_cache.print (Experiments.E_cache.run ~seed ~quick ()));
     chaos_cmd;
     ha_cmd;
-    incast_cmd;
+    experiment "incast"
+      "Incast/overload sweep on one authority switch: loss vs latency under drop-tail \
+       buffers vs credit-based flow control (the congestion model's graceful-degradation \
+       evidence)."
+      (fun ~seed ~quick ->
+        Experiments.E_incast.print (Experiments.E_incast.run ~seed ~quick ()));
     rebalance_cmd;
     scale_cmd;
     trace_cmd;
@@ -999,6 +864,7 @@ let experiments =
       (fun ~seed ~quick -> Experiments.E_mon.print (Experiments.E_mon.run ~seed ~quick ()));
     experiment "all" "Run every experiment in DESIGN.md order" (fun ~seed ~quick ->
         Experiments.run_all ~seed ~quick ());
+    gate_cmd;
     check_cmd;
     deploy_cmd;
     partition_cmd;

@@ -5,7 +5,7 @@
     the ingress TCAM install, applying three transformations — each
     provably forwarding-equivalent, so a deployment with aggregation on
     and one with it off decide every packet identically (the
-    differential gate in the test suite and [difane aggregate --check]
+    differential gate in the test suite and [difane gate aggregate]
     enforce this on random policies):
 
     - {b suppression}: an install whose predicate is subsumed by a live

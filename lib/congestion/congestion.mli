@@ -10,7 +10,7 @@
 
     - a {!config} record carried by {!Deployment.config}, threaded as an
       optional argument into {!Dataplane.packet} and
-      {!Flowsim.run_difane}, and exposed as CLI flags;
+      {!Flowsim.run}, and exposed as CLI flags;
     - a {e virtual-clock} per-port queue ({!t}) for the functional
       walks ([Deployment.inject], [Dataplane.packet]), which execute one
       packet at a time: each directed port remembers how far into the

@@ -6,8 +6,8 @@
    every respect except [config.aggregation], drive both with the same
    randomized policies, packet streams and cache-management operations
    (expiry, flush, targeted invalidation), and demand bit-identical
-   forwarding actions packet by packet.  `difane aggregate --check`
-   (and the CI aggregate-smoke job) exit nonzero on any divergence. *)
+   forwarding actions packet by packet.  `difane gate aggregate` exits
+   nonzero on any divergence. *)
 
 type mismatch = {
   case : int;
@@ -155,26 +155,29 @@ let run ?(seed = 42) ?(cases = 8) ?(packets_per_case = 400) () =
     agg_installs = !agg_installs;
   }
 
-let print r =
-  Format.printf "aggregation differential gate: %d cases, %d packets@."
-    r.cases r.packets;
-  Format.printf
-    "  aggregated arm: %d installs, %d merges, %d suppressed, %d cover installs@."
+let render r =
+  let b = Buffer.create 256 in
+  let line fmt =
+    Printf.ksprintf (fun l -> Buffer.add_string b l; Buffer.add_char b '\n') fmt
+  in
+  line "aggregation differential gate: %d cases, %d packets" r.cases r.packets;
+  line "  aggregated arm: %d installs, %d merges, %d suppressed, %d cover installs"
     r.agg_installs r.merges r.suppressed r.cover_installs;
   List.iter
     (fun m ->
-      Format.printf "  MISMATCH case %d step %d: %a  plain=%s aggregated=%s@."
-        m.case m.step Header.pp m.header
+      line "  MISMATCH case %d step %d: %s  plain=%s aggregated=%s" m.case m.step
+        (Format.asprintf "%a" Header.pp m.header)
         (Action.to_string m.plain)
         (Action.to_string m.aggregated))
     r.mismatches;
   if r.mismatch_count > List.length r.mismatches then
-    Format.printf "  ... and %d more mismatches@."
-      (r.mismatch_count - List.length r.mismatches);
+    line "  ... and %d more mismatches" (r.mismatch_count - List.length r.mismatches);
   if r.semantic_failures > 0 then
-    Format.printf "  %d semantic-equivalence probe failures@." r.semantic_failures;
-  if passed r then
-    Format.printf "  PASS: forwarding is bit-identical with aggregation on@."
+    line "  %d semantic-equivalence probe failures" r.semantic_failures;
+  if passed r then line "  PASS: forwarding is bit-identical with aggregation on"
   else
-    Format.printf "  FAIL: %d mismatches, %d semantic failures@."
-      r.mismatch_count r.semantic_failures
+    line "  FAIL: %d mismatches, %d semantic failures" r.mismatch_count
+      r.semantic_failures;
+  Buffer.contents b
+
+let print r = print_string (render r)

@@ -10,8 +10,8 @@
     every packet's forwarding action, plus end-of-case
     {!Deployment.semantically_equal} probes against the warm caches.
 
-    Exposed as [difane aggregate]; [--check] exits nonzero unless
-    {!passed}, which is what the CI aggregate-smoke job runs. *)
+    Exposed as [difane aggregate]; [difane gate aggregate] exits nonzero
+    unless {!passed}. *)
 
 type mismatch = {
   case : int;
@@ -45,5 +45,8 @@ val run : ?seed:int -> ?cases:int -> ?packets_per_case:int -> unit -> report
     capacity from a small/medium/large rotation so both eviction-heavy
     and resident regimes are covered.  Defaults: 8 cases of 400 packets. *)
 
-val print : report -> unit
+val render : report -> string
 (** Human-readable summary; lists the first few mismatches if any. *)
+
+val print : report -> unit
+(** [render] to stdout. *)

@@ -1,5 +1,8 @@
 (* Shared machinery for the experiment drivers. *)
 
+(* The messages of the claims that do not hold. *)
+let unmet claims = List.filter_map (fun (ok, msg) -> if ok then None else Some msg) claims
+
 let eval_sets ~seed ~quick =
   if not quick then Policy_gen.evaluation_sets ~seed
   else
@@ -1013,6 +1016,17 @@ let reliability_config ?(echo_interval = 1.0) ?(retx_timeout = 0.05)
     retx_limit;
   }
 
+(* The per-row invariants both fault sweeps gate on: every count in
+   [zero] (give-ups first) must be zero, the final state must have
+   recovered, and the same seed must have replayed bit-identically. *)
+let fault_check ~loss ~zero ~recovered ~replay_identical =
+  let at msg = Printf.sprintf "%s at %s loss" msg (Table.fmt_pct loss) in
+  List.filter_map
+    (fun (n, what) -> if n > 0 then Some (at (Printf.sprintf "%d %s" n what)) else None)
+    zero
+  @ (if recovered then [] else [ at "did not recover" ])
+  @ if replay_identical then [] else [ at "replay diverged" ]
+
 module E_chaos = struct
   type row = {
     loss : float;
@@ -1140,18 +1154,15 @@ module E_chaos = struct
         else { row with replay_identical = true })
       rates
 
-  (* One scenario, no sweep, no replay check: what [difane trace] runs
-     with the trace ring enabled to print the causal timeline. *)
-  let replay_one ?(seed = 42) ?(quick = false) ?(loss = 0.10)
-      ?(congestion = Congestion.default) ?echo_interval ?retx_timeout ?retx_backoff
-      ?retx_limit () =
-    let cp_config =
-      reliability_config ?echo_interval ?retx_timeout ?retx_backoff ?retx_limit ()
-    in
-    ignore (scenario ~cp_config ~congestion ~seed ~quick ~loss)
+  let check rows =
+    List.concat_map
+      (fun r ->
+        fault_check ~loss:r.loss ~zero:[ (r.giveups, "give-ups") ] ~recovered:r.recovered
+          ~replay_identical:r.replay_identical)
+      rows
 
-  let print rows =
-    Table.print
+  let render rows =
+    Table.section
       ~title:
         "Supplementary: chaos sweep (frame loss vs recovery; 2 authority crashes + resync)"
       ~header:
@@ -1173,6 +1184,8 @@ module E_chaos = struct
              (if r.replay_identical then "identical" else "DIVERGED");
            ])
          rows)
+
+  let print rows = print_string (render rows)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1322,16 +1335,21 @@ module E_ha = struct
         else { row with replay_identical = true })
       rates
 
-  let replay_one ?(seed = 42) ?(quick = false) ?(loss = 0.10)
-      ?(congestion = Congestion.default) ?echo_interval ?retx_timeout ?retx_backoff
-      ?retx_limit () =
-    let cp_config =
-      reliability_config ?echo_interval ?retx_timeout ?retx_backoff ?retx_limit ()
-    in
-    ignore (scenario ~cp_config ~congestion ~seed ~quick ~loss)
+  let check rows =
+    List.concat_map
+      (fun r ->
+        fault_check ~loss:r.loss
+          ~zero:
+            [
+              (r.giveups, "give-ups");
+              (r.dup_installs, "duplicate installs");
+              (r.stale_accepted, "stale-epoch frames accepted");
+            ]
+          ~recovered:r.recovered ~replay_identical:r.replay_identical)
+      rows
 
-  let print rows =
-    Table.print
+  let render rows =
+    Table.section
       ~title:
         "Supplementary: controller HA sweep (leader crash + split brain vs frame loss)"
       ~header:
@@ -1358,6 +1376,8 @@ module E_ha = struct
              (if r.replay_identical then "identical" else "DIVERGED");
            ])
          rows)
+
+  let print rows = print_string (render rows)
 end
 
 (* E-INCAST: many ingresses fan into one authority switch over a slow
@@ -1440,16 +1460,15 @@ module E_incast = struct
     if r.Flowsim.offered_flows = 0 then 0.
     else float_of_int r.Flowsim.dropped_flows /. float_of_int r.Flowsim.offered_flows
 
-  (* The graceful-degradation claims [difane incast --check] enforces,
-     at the saturating (top) rate of the sweep. *)
+  (* The graceful-degradation claims the incast gate enforces, at the
+     saturating (top) rate of the sweep. *)
   let check rows =
     let top = List.fold_left (fun acc r -> Float.max acc r.offered_rate) 0. rows in
     let at mode =
       (List.find (fun r -> Float.equal r.offered_rate top && r.mode = mode) rows).result
     in
     let dt = at "drop-tail" and cr = at "credit" in
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
+    unmet
       [
         (dt.Flowsim.queue_drops > 0,
          "drop-tail never filled a port buffer at the top rate");
@@ -1460,8 +1479,8 @@ module E_incast = struct
          "credit mode completed no more flows than drop-tail at the top rate");
       ]
 
-  let print rows =
-    Table.print
+  let render rows =
+    Table.section
       ~title:"E-INCAST: incast on one authority — drop-tail vs credit flow control"
       ~header:
         [ "offered (flows/s)"; "mode"; "completed"; "drop%"; "queue drops"; "ECN marks";
@@ -1486,6 +1505,8 @@ module E_incast = struct
              pctl (fun (s : Summary.t) -> s.Summary.p99);
            ])
          rows)
+
+  let print rows = print_string (render rows)
 end
 
 (* E-MON: flow-level monitoring on a skewed Zipf workload.  A star of
@@ -1827,8 +1848,7 @@ module E_rebalance = struct
     let pending = Cluster.pending_requests cl in
     let dangling = Control_plane.migration_active (Cluster.leader_cp cl) in
     let violations =
-      List.filter_map
-        (fun (ok, msg) -> if ok then None else Some msg)
+      unmet
         [
           (res.Flowsim.outage_drops = 0, "packets dropped in a controller outage");
           (dup_installs = 0, "duplicate installs in a switch bank");
@@ -1841,13 +1861,9 @@ module E_rebalance = struct
         ]
       @
       match mode with
-      | `Static ->
-          List.filter_map
-            (fun (ok, msg) -> if ok then None else Some msg)
-            [ (started = 0, "static run started a migration") ]
+      | `Static -> unmet [ (started = 0, "static run started a migration") ]
       | `Adaptive | `Crash ->
-          List.filter_map
-            (fun (ok, msg) -> if ok then None else Some msg)
+          unmet
             [
               (started >= 1, "no migration was triggered");
               (committed >= 1, "no migration committed");
@@ -1884,13 +1900,6 @@ module E_rebalance = struct
       (Cluster.cluster_log cl, Bytes.to_string (Journal.encode (Cluster.journal cl)),
        res.Flowsim.flow_delays) )
 
-  (* One adaptive run, nothing else: the replay target [difane paths]
-     traces — flash crowd, hotspot detection, staged migration, cache
-     invalidation — without the static/crash/replay-gate siblings. *)
-  let replay_one ?(seed = 42) ?(quick = false) ?(hotspot_threshold = 2.0)
-      ?(hotspot_window = 3) () =
-    ignore (scenario ~seed ~quick ~hotspot_threshold ~hotspot_window ~mode:`Adaptive)
-
   let run ?(seed = 42) ?(quick = false) ?(hotspot_threshold = 2.0) ?(hotspot_window = 3)
       () =
     let scenario = scenario ~seed ~quick ~hotspot_threshold ~hotspot_window in
@@ -1903,7 +1912,7 @@ module E_rebalance = struct
     let crash, _ = scenario ~mode:`Crash in
     [ static; adaptive; { crash with replay_identical = true } ]
 
-  (* The claims [difane rebalance --check] enforces. *)
+  (* The claims the rebalance gate enforces. *)
   let check rows =
     let find l = List.find_opt (fun r -> r.label = l) rows in
     let row_violations =
@@ -1912,8 +1921,7 @@ module E_rebalance = struct
         rows
     in
     let cross =
-      List.filter_map
-        (fun (ok, msg) -> if ok then None else Some msg)
+      unmet
         [
           ((match find "static" with Some r -> not r.recovered | None -> false),
            "the static baseline recovered by itself (scenario not stressful enough)");
@@ -1923,8 +1931,8 @@ module E_rebalance = struct
     in
     row_violations @ cross
 
-  let print rows =
-    Table.print
+  let render rows =
+    Table.section
       ~title:
         "E-REBALANCE: flash crowd — static vs closed-loop adaptive repartitioning"
       ~header:
@@ -1951,6 +1959,8 @@ module E_rebalance = struct
              (if r.violations = [] then "green" else String.concat "; " r.violations);
            ])
          rows)
+
+  let print rows = print_string (render rows)
 end
 
 (* E-SCALE: multicore ingress sharding at scale.  The network decomposes
@@ -1975,6 +1985,8 @@ module E_scale = struct
   let quick_spec = { shards = 8; spokes = 3; flows_per_shard = 512; domains = 1 }
 
   let switches spec = spec.shards * (spec.spokes + 1)
+
+  let sized ~quick ~domains = { (if quick then quick_spec else default_spec) with domains }
 
   let shard_policy ~seed s = timing_policy ~seed:(seed + (7919 * (s + 1)))
 
@@ -2031,12 +2043,11 @@ module E_scale = struct
   let digest (r : Flowsim.result) =
     Digest.to_hex (Digest.string (Marshal.to_string r []))
 
-  (* The scale-experiment claims [difane scale --check] enforces.  The
+  (* The scale-experiment claims the scale gate enforces.  The
      magnitude floors only make sense for the full spec; a quick run
      ([floors:false]) still checks the conservation invariants. *)
   let check ?(floors = true) spec (r : Flowsim.result) =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
+    unmet
       ([
          (r.Flowsim.offered_flows = spec.shards * spec.flows_per_shard,
           "offered flow count does not match the spec");
@@ -2055,8 +2066,8 @@ module E_scale = struct
         ]
       else [])
 
-  let print spec (r : Flowsim.result) =
-    Table.print ~title:"E-SCALE: sharded ingress simulation"
+  let render spec (r : Flowsim.result) =
+    Table.section ~title:"E-SCALE: sharded ingress simulation"
       ~header:[ "metric"; "value" ]
       [
         [ "shards"; string_of_int spec.shards ];
@@ -2076,6 +2087,8 @@ module E_scale = struct
                 (1e6 *. s.Summary.p99) ]);
         [ "digest"; digest r ];
       ]
+
+  let print spec r = print_string (render spec r)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -2096,3 +2109,279 @@ let run_all ?(seed = 42) ?(quick = false) () =
   E_chaos.print (E_chaos.run ~seed ~quick ());
   E_ha.print (E_ha.run ~seed ~quick ());
   E_mon.print (E_mon.run ~seed ~quick ())
+
+(* ------------------------------------------------------------------ *)
+
+(* The scenario table: every CI gate and every replay target [difane
+   trace]/[difane paths] can record, in one place. *)
+
+type outcome = { report : string; failures : string list; fingerprint : string }
+
+type replay_args = {
+  seed : int;
+  quick : bool;
+  domains : int;
+  loss : float;
+  reliability : Control_plane.config;
+}
+
+type scenario = {
+  name : string;
+  doc : string;
+  gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
+  replay : (replay_args -> (origin:int -> pid:int -> string option) option) option;
+}
+
+let replay_args ~seed ~quick =
+  { seed; quick; domains = 1; loss = 0.10; reliability = reliability_config () }
+
+let fingerprint s = Digest.to_hex (Digest.string s)
+
+(* A sweep whose rendered table is its fingerprint. *)
+let sweep_gate ~run ~render ~check ~seed ~quick ~domains:_ =
+  let rows = run ~seed ~quick () in
+  let report = render rows in
+  { report; failures = check rows; fingerprint = fingerprint report }
+
+(* The incast sweep plus the registry snapshot its run leaves behind
+   (the harness resets the registry first): the congestion counters must
+   be present and show the sweep actually congested. *)
+let incast_gate ~seed ~quick ~domains:_ =
+  let rows = E_incast.run ~seed ~quick () in
+  let snap = Telemetry.snapshot () in
+  let metric name =
+    match Telemetry.find snap name with
+    | Some (Telemetry.Counter n) -> Some (float_of_int n)
+    | Some (Telemetry.Gauge g) -> Some g
+    | Some (Telemetry.Histogram _) | None -> None
+  in
+  let telemetry =
+    List.concat_map
+      (fun (name, must_be_positive) ->
+        match (metric name, must_be_positive) with
+        | None, _ -> [ "missing metric " ^ name ]
+        | Some v, Some msg when v <= 0. -> [ msg ]
+        | Some _, _ -> [])
+      [
+        ("congestion_port_transits", Some "no port transits");
+        ("congestion_queue_drops", Some "drop-tail never shed");
+        ("congestion_ecn_marks", None);
+        ("congestion_queue_peak", Some "no queue depth observed");
+        ("sim_backpressured_misses", Some "never backpressured");
+      ]
+  in
+  {
+    report = E_incast.render rows;
+    failures = E_incast.check rows @ telemetry;
+    fingerprint = fingerprint (Marshal.to_string rows [] ^ Telemetry.to_json snap);
+  }
+
+let scale_gate ~seed ~quick ~domains =
+  let spec = E_scale.sized ~quick ~domains in
+  let r = E_scale.run ~seed spec in
+  {
+    report = E_scale.render spec r;
+    failures = E_scale.check ~floors:(not quick) spec r;
+    fingerprint = E_scale.digest r;
+  }
+
+(* Twin deployments, aggregation on vs off; [quick] clamps the sweep to
+   4 cases of 200 packets. *)
+let aggregate_gate ~seed ~quick ~domains:_ =
+  let cases, packets_per_case = if quick then (4, 200) else (8, 400) in
+  let r = Diffgate.run ~seed ~cases ~packets_per_case () in
+  let report = Diffgate.render r in
+  {
+    report;
+    failures =
+      (if Diffgate.passed r then []
+       else
+         [ Printf.sprintf "%d forwarding mismatches, %d semantic-probe failures"
+             r.Diffgate.mismatch_count r.Diffgate.semantic_failures ]);
+    fingerprint = fingerprint report;
+  }
+
+(* The monitored run [difane monitor] drives by default (alpha 1.0), its
+   difane-monitor-v1 and difane-flows-v1 documents, and the shape those
+   documents must have. *)
+let monitor_gate ~seed ~quick ~domains:_ =
+  let m, _ = E_mon.run_monitored ~seed ~quick ~alpha:1.0 () in
+  let fr = Monitor.flow_records m in
+  let records = Flow_records.exports fr in
+  let heavy = Monitor.heavy_hitters m in
+  let all p l = List.for_all p l in
+  let failures =
+    unmet
+      [
+        ((Flow_records.config fr).Flow_records.sample_rate >= 1,
+         "flow sample rate below 1");
+        (records <> [], "no flow records exported");
+        (Flow_records.sampled_packets fr <= Flow_records.observed_packets fr,
+         "more packets sampled than observed");
+        (List.for_all2 (fun i (r : Flow_records.record) -> r.seq = i)
+           (List.init (List.length records) Fun.id) records,
+         "export sequence not dense");
+        (all (fun (r : Flow_records.record) -> Array.length (Header.values r.header) > 0)
+           records,
+         "a flow record has an empty key");
+        (all (fun (r : Flow_records.record) -> r.packets >= 1 && r.bytes >= 1) records,
+         "a flow record has no packets or bytes");
+        (all (fun (r : Flow_records.record) -> r.first_seen <= r.last_seen) records,
+         "a flow record was last seen before it was first seen");
+        (heavy <> [], "no heavy hitters reported");
+        (all (fun (h : Monitor.rule_report) ->
+             Int64.add h.Monitor.cache_hits h.Monitor.authority_hits > 0L) heavy,
+         "a heavy hitter has no hits");
+        (all (fun (h : Monitor.rule_report) -> h.Monitor.partitions <> []) heavy,
+         "heavy hitter without a provenance chain");
+        (Monitor.authority_series m <> [], "no authority load timeline");
+        (Monitor.hotspots m <> [], "no hotspot flagged on the skewed workload");
+      ]
+  in
+  {
+    report =
+      Format.asprintf "%a%d flow records, %d heavy hitters, %d hotspot windows@." Monitor.pp
+        m (List.length records) (List.length heavy)
+        (List.length (Monitor.hotspots m));
+    failures;
+    fingerprint = fingerprint (Monitor.to_json m ^ "\n" ^ Flow_records.to_json fr);
+  }
+
+let chaos_replay a =
+  ignore
+    (E_chaos.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
+       ~quick:a.quick ~loss:a.loss);
+  None
+
+let ha_replay a =
+  ignore
+    (E_ha.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
+       ~quick:a.quick ~loss:a.loss);
+  None
+
+let rebalance_replay a =
+  ignore
+    (E_rebalance.scenario ~seed:a.seed ~quick:a.quick ~hotspot_threshold:2.0
+       ~hotspot_window:3 ~mode:`Adaptive);
+  None
+
+let scale_replay a =
+  ignore (E_scale.run ~seed:a.seed (E_scale.sized ~quick:a.quick ~domains:a.domains));
+  None
+
+let mon_replay a =
+  let m, _ = E_mon.run_monitored ~seed:a.seed ~quick:a.quick () in
+  Some (fun ~origin ~pid -> Monitor.describe_provenance m ~origin ~pid)
+
+(* Replay [name]'s scenario with postcard tracing on, then hold the
+   reconstructed paths to every causal invariant; the difane-paths-v1
+   document is the fingerprint. *)
+let paths_gate name replay =
+  let gate ~seed ~quick ~domains =
+    Ptrace.enable ();
+    let describe = replay { (replay_args ~seed ~quick) with domains } in
+    Ptrace.disable ();
+    let t = Paths.reconstruct () in
+    let delivered =
+      List.exists
+        (fun p -> match Paths.outcome p with Paths.Delivered -> true | _ -> false)
+        t.Paths.paths
+    in
+    {
+      report =
+        Format.asprintf "%a%a@?" (Paths.pp ?describe ~limit:20) t.Paths.paths
+          Paths.pp_summary t;
+      failures =
+        Paths.check t
+        @ unmet
+            [
+              (t.Paths.emitted > 0 && t.Paths.paths <> [], "the run emitted no paths");
+              (delivered, "no path was delivered");
+            ];
+      fingerprint = fingerprint (Paths.to_json t);
+    }
+  in
+  {
+    name = "paths-" ^ name;
+    doc = "Causal packet-path invariants over the " ^ name ^ " replay.";
+    gate = Some gate;
+    replay = None;
+  }
+
+let scenarios =
+  [
+    { name = "chaos";
+      doc = "Two authority crashes under lossy control channels; gated: zero give-ups, \
+             full recovery, bit-identical replay.";
+      gate = Some (sweep_gate ~run:(fun ~seed ~quick () -> E_chaos.run ~seed ~quick ())
+                     ~render:E_chaos.render ~check:E_chaos.check);
+      replay = Some chaos_replay };
+    { name = "ha";
+      doc = "Leader crash and split brain in a 3-replica controller cluster; gated: as \
+             chaos, plus zero duplicate installs and stale-epoch acceptances.";
+      gate = Some (sweep_gate ~run:(fun ~seed ~quick () -> E_ha.run ~seed ~quick ())
+                     ~render:E_ha.render ~check:E_ha.check);
+      replay = Some ha_replay };
+    { name = "incast";
+      doc = "Eight ingresses fan misses into one authority; gated: graceful degradation \
+             of credit vs drop-tail flow control, congestion telemetry.";
+      gate = Some incast_gate; replay = None };
+    { name = "rebalance";
+      doc = "Flash crowd vs adaptive repartitioning (replayed: the adaptive run alone); \
+             gated: the adaptive runs recover and commit a migration, the static \
+             baseline does not.";
+      gate = Some (sweep_gate ~run:(fun ~seed ~quick () -> E_rebalance.run ~seed ~quick ())
+                     ~render:E_rebalance.render ~check:E_rebalance.check);
+      replay = Some rebalance_replay };
+    { name = "scale";
+      doc = "Sharded million-flow run; gated: flow conservation and scale floors, digest \
+             identical at any domain count.";
+      gate = Some scale_gate; replay = Some scale_replay };
+    { name = "mon";
+      doc = "The monitored skewed-Zipf run; path provenance joins through the monitor.";
+      gate = None; replay = Some mon_replay };
+    paths_gate "chaos" chaos_replay;
+    paths_gate "rebalance" rebalance_replay;
+    paths_gate "scale" scale_replay;
+    { name = "aggregate";
+      doc = "Twin deployments, aggregation on vs off; gated: every packet forwarded \
+             identically.";
+      gate = Some aggregate_gate; replay = None };
+    { name = "monitor";
+      doc = "The monitored run at Zipf alpha 1.0; gated: well-formed difane-monitor-v1 and \
+             difane-flows-v1 documents.";
+      gate = Some monitor_gate; replay = None };
+  ]
+
+let run_gate ?(print = print_string) s ~seed ~quick ~domains =
+  let gate =
+    match s.gate with
+    | Some g -> g
+    | None -> invalid_arg (Printf.sprintf "Experiments.run_gate: %s is not a gate" s.name)
+  in
+  (* each run starts from a fresh registry, so its snapshot is its own *)
+  let run domains =
+    Telemetry.reset ();
+    gate ~seed ~quick ~domains
+  in
+  let first = run 1 in
+  print first.report;
+  let second = run domains in
+  let failures =
+    first.failures
+    @ List.filter
+        (fun f -> not (List.exists (String.equal f) first.failures))
+        second.failures
+    @
+    if String.equal first.fingerprint second.fingerprint then []
+    else
+      [ Printf.sprintf "fingerprint diverged: %s at domains 1, %s at domains %d"
+          first.fingerprint second.fingerprint domains ]
+  in
+  (match failures with
+  | [] ->
+      print
+        (Printf.sprintf "gate %s: ok (fingerprint %s at domains 1 and %d)\n" s.name
+           first.fingerprint domains)
+  | fs -> print (Printf.sprintf "gate %s: FAILED (%d)\n" s.name (List.length fs)));
+  failures

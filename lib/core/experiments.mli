@@ -235,21 +235,12 @@ module E_chaos : sig
       re-runs the scenario on a finite-buffer data plane — the published
       numbers assume the legacy infinite-buffer plane. *)
 
-  val replay_one :
-    ?seed:int ->
-    ?quick:bool ->
-    ?loss:float ->
-    ?congestion:Congestion.config ->
-    ?echo_interval:float ->
-    ?retx_timeout:float ->
-    ?retx_backoff:float ->
-    ?retx_limit:int ->
-    unit ->
-    unit
-  (** Run a single scenario (default: the 10% loss point) for its side
-      effects on the telemetry registry and trace ring — what
-      [difane trace] calls with {!Telemetry.Trace} enabled. *)
+  val check : row list -> string list
+  (** Violated fault-tolerance invariants, [[]] when all hold: per row,
+      zero give-ups, full recovery and (at the replayed point) a
+      bit-identical seeded replay. *)
 
+  val render : row list -> string
   val print : row list -> unit
 end
 
@@ -297,19 +288,13 @@ module E_ha : sig
     unit ->
     row list
 
-  val replay_one :
-    ?seed:int ->
-    ?quick:bool ->
-    ?loss:float ->
-    ?congestion:Congestion.config ->
-    ?echo_interval:float ->
-    ?retx_timeout:float ->
-    ?retx_backoff:float ->
-    ?retx_limit:int ->
-    unit ->
-    unit
-  (** Run a single HA scenario for its trace/registry side effects. *)
+  val check : row list -> string list
+  (** Violated HA invariants, [[]] when all hold: per row, zero
+      give-ups, zero duplicate installs, zero stale-epoch acceptances,
+      full recovery and (at the replayed point) a bit-identical seeded
+      replay. *)
 
+  val render : row list -> string
   val print : row list -> unit
 end
 
@@ -323,7 +308,7 @@ end
     backpressures the ingresses, which defer re-splicing and take the
     slower lossless controller path).  The loss-vs-latency curves are
     the tentpole's graceful-degradation evidence; [check] encodes the
-    claims the CLI's [--check] flag enforces.  Not part of {!run_all} —
+    claims the [incast] gate enforces.  Not part of {!run_all} —
     it exercises the congestion model that every legacy experiment must
     run without. *)
 module E_incast : sig
@@ -342,6 +327,7 @@ module E_incast : sig
       smaller fraction of flows and completed strictly more than
       drop-tail.  Returns the violated claims, [[]] when all hold. *)
 
+  val render : row list -> string
   val print : row list -> unit
 end
 
@@ -397,7 +383,7 @@ end
     a master-crash run (the leader dies between the migration's flip and
     commit; the elected replica replays the journal and finishes the
     retirement with every gate still green).  [check] encodes the claims
-    [difane rebalance --check] enforces.  Not part of {!run_all}. *)
+    the [rebalance] gate enforces.  Not part of {!run_all}. *)
 module E_rebalance : sig
   type row = {
     label : string;  (** ["static"], ["adaptive"] or ["adaptive+crash"] *)
@@ -431,22 +417,12 @@ module E_rebalance : sig
       are the adaptive controller's detection knobs
       ({!Control_plane.config}). *)
 
-  val replay_one :
-    ?seed:int ->
-    ?quick:bool ->
-    ?hotspot_threshold:float ->
-    ?hotspot_window:int ->
-    unit ->
-    unit
-  (** Run just the adaptive scenario once — the tracing target
-      [difane paths --scenario rebalance] replays with postcard
-      recording enabled. *)
-
   val check : row list -> string list
   (** Violated claims across the three rows ([[]] when all hold): every
       per-run invariant, the static baseline {e not} recovering, and the
       adaptive run replaying bit-identically. *)
 
+  val render : row list -> string
   val print : row list -> unit
 end
 
@@ -458,7 +434,7 @@ end
     of the shard index alone and shards merge in index order, so the
     merged result — and hence {!E_scale.digest} — is byte-identical at
     any domain count.  Not part of {!run_all}; driven by [difane scale]
-    and the CI scale-smoke job. *)
+    and the [scale] gate. *)
 module E_scale : sig
   type spec = {
     shards : int;
@@ -477,6 +453,9 @@ module E_scale : sig
 
   val switches : spec -> int
 
+  val sized : quick:bool -> domains:int -> spec
+  (** {!quick_spec} or {!default_spec}, run on [domains] workers. *)
+
   val run : ?seed:int -> spec -> Flowsim.result
   (** @raise Invalid_argument if [spec.spokes < 3] (a shard needs a hub,
       an authority and at least one ingress). *)
@@ -491,8 +470,73 @@ module E_scale : sig
       plus, with [floors] (the default), at least one million flows and
       200 switches.  Pass [~floors:false] for quick-spec runs. *)
 
+  val render : spec -> Flowsim.result -> string
   val print : spec -> Flowsim.result -> unit
 end
 
 val run_all : ?seed:int -> ?quick:bool -> unit -> unit
 (** Run and print every experiment in DESIGN.md order. *)
+
+(** {1 The scenario table}
+
+    Every CI gate and every replay target of [difane trace] and
+    [difane paths], in one list. *)
+
+type outcome = {
+  report : string;  (** what the run prints *)
+  failures : string list;  (** violated invariants; [[]] when all hold *)
+  fingerprint : string;
+      (** hex digest of the run's deterministic output; two runs agree iff
+          it is byte-identical *)
+}
+
+(** One seeded run of a scenario, recorded by whichever tracing is on. *)
+type replay_args = {
+  seed : int;
+  quick : bool;
+  domains : int;  (** worker domains, for the sharded scenario *)
+  loss : float;  (** control-frame loss, for the fault scenarios *)
+  reliability : Control_plane.config;  (** reliable-channel timers, likewise *)
+}
+
+type scenario = {
+  name : string;
+  doc : string;
+  gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
+      (** the CI gate; scenarios that do not shard ignore [domains] *)
+  replay : (replay_args -> (origin:int -> pid:int -> string option) option) option;
+      (** one traced run; may return the provenance join for path rendering *)
+}
+
+val scenarios : scenario list
+(** Gates: [chaos], [ha], [incast], [rebalance], [scale], [paths-chaos],
+    [paths-rebalance], [paths-scale], [aggregate], [monitor].  Replays:
+    [chaos], [ha], [rebalance], [scale], [mon]. *)
+
+val reliability_config :
+  ?echo_interval:float ->
+  ?retx_timeout:float ->
+  ?retx_backoff:float ->
+  ?retx_limit:int ->
+  unit ->
+  Control_plane.config
+(** The fault sweeps' reliable-channel timers: 1 s echoes, retransmit
+    after 50 ms doubling up to 8 attempts, unless overridden. *)
+
+val replay_args : seed:int -> quick:bool -> replay_args
+(** One domain, the 10% loss point, {!reliability_config} defaults. *)
+
+val run_gate :
+  ?print:(string -> unit) ->
+  scenario ->
+  seed:int ->
+  quick:bool ->
+  domains:int ->
+  string list
+(** Run [s]'s gate twice, at one domain and then at [domains] (for a
+    scenario that does not shard, a plain seeded replay), each from a
+    reset telemetry registry.  [print]s (default stdout) the first run's
+    report and a one-line verdict, and returns every failure either run
+    reported plus a fingerprint divergence between them; [[]] means the
+    gate holds.
+    @raise Invalid_argument if [s] has no gate. *)

@@ -33,7 +33,7 @@ val lossy_link :
 
 (** Scheduled control-plane events, applied by {!Control_plane.tick}
     (crash/restart also drive the data-plane reachability model when a
-    plan is given to [Flowsim.run_difane]). *)
+    plan is carried by a run's [Flowsim.Config.t]). *)
 type event =
   | Crash of { switch : int; at : float }
       (** the device powers off: loses all switch state, stops

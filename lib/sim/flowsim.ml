@@ -706,13 +706,6 @@ let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
   in
   merge_raws raws ~offered:(Array.fold_left ( + ) 0 offered)
 
-let run_difane ?(timing = default_timing) ?faults ?monitor ?controller
-    ?(controller_interval = 0.01) d flows =
-  run
-    { Config.timing; faults; monitor; congestion = None; controller;
-      controller_interval; domains = 1 }
-    d flows
-
 let run_nox ?(timing = default_timing) n flows =
   let engine = Engine.create () in
   let acc = fresh_acc () in

@@ -176,19 +176,6 @@ val run_sharded :
     faults, a monitor, or a controller hook — those are cross-shard
     global state and require a single-domain {!run}. *)
 
-val run_difane :
-  ?timing:timing ->
-  ?faults:Fault.plan ->
-  ?monitor:Monitor.t ->
-  ?controller:(now:float -> unit) ->
-  ?controller_interval:float ->
-  Deployment.t ->
-  Traffic.flow list -> result
-(** @deprecated Thin wrapper over {!run} kept for one release: builds a
-    {!Config.t} from the optional arguments ([controller_interval]
-    defaults to 10 ms) and runs single-domain.  New code should build a
-    config value. *)
-
 val run_nox : ?timing:timing -> Nox.t -> Traffic.flow list -> result
 (** Replay against the reactive baseline. *)
 

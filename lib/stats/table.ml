@@ -31,8 +31,10 @@ let render ?align ~header rows =
   let rule = String.concat "  " (List.map (fun w -> String.make w '-') widths) in
   String.concat "\n" (line header :: rule :: List.map line rows)
 
-let print ?align ~title ~header rows =
-  Printf.printf "\n== %s ==\n%s\n" title (render ?align ~header rows)
+let section ?align ~title ~header rows =
+  Printf.sprintf "\n== %s ==\n%s\n" title (render ?align ~header rows)
+
+let print ?align ~title ~header rows = print_string (section ?align ~title ~header rows)
 
 let fmt_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 let fmt_pct v = Printf.sprintf "%.1f%%" (100. *. v)

@@ -9,8 +9,12 @@ val render : ?align:align list -> header:string list -> string list list -> stri
     content.  Missing cells render empty; [align] defaults to [Left] for
     the first column and [Right] elsewhere. *)
 
+val section :
+  ?align:align list -> title:string -> header:string list -> string list list -> string
+(** [render] under a [== title ==] banner, newline-framed. *)
+
 val print : ?align:align list -> title:string -> header:string list -> string list list -> unit
-(** [render] to stdout under a [== title ==] banner. *)
+(** [section] to stdout. *)
 
 val fmt_float : ?decimals:int -> float -> string
 val fmt_pct : float -> string

@@ -306,12 +306,12 @@ let incast_timing = { Flowsim.default_timing with authority_service = 1e-4 }
 
 let test_flowsim_differential () =
   let r1 =
-    Flowsim.run_difane ~timing:incast_timing
+    Flowsim.run { Flowsim.Config.default with timing = incast_timing }
       (incast_deployment Congestion.default)
       (incast_flows ())
   in
   let r2 =
-    Flowsim.run_difane ~timing:incast_timing
+    Flowsim.run { Flowsim.Config.default with timing = incast_timing }
       (incast_deployment { Congestion.default with ecn_threshold = Some max_int })
       (incast_flows ())
   in
@@ -329,7 +329,7 @@ let test_credit_vs_drop_tail () =
     }
   in
   let run mode =
-    Flowsim.run_difane ~timing:incast_timing
+    Flowsim.run { Flowsim.Config.default with timing = incast_timing }
       (incast_deployment { base with Congestion.mode })
       (incast_flows ())
   in

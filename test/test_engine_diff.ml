@@ -96,8 +96,7 @@ let test_resume_after_until () =
     (Alcotest.list (Alcotest.pair (Alcotest.float 0.) Alcotest.int))
     "split run equals unbroken legacy run" (legacy_trace evs) split
 
-(* --- Config API: the deprecated wrapper and the config record are the
-   same simulation --- *)
+(* --- Config API: [run] is the single-domain entry point --- *)
 
 let equiv_policy =
   Classifier.of_specs Schema.tiny2
@@ -115,19 +114,6 @@ let equiv_flows n =
         packets = 2;
         interval = 0.0001;
       })
-
-let fingerprint (r : Flowsim.result) = Digest.string (Marshal.to_string r [])
-
-let test_config_wrapper_equiv () =
-  let build () =
-    Deployment.build ~policy:equiv_policy ~topology:(Topology.line 3 ())
-      ~authority_ids:[ 1 ] ()
-  in
-  let flows = equiv_flows 200 in
-  let via_wrapper = Flowsim.run_difane (build ()) flows in
-  let via_config = Flowsim.run Flowsim.Config.default (build ()) flows in
-  check Alcotest.string "wrapper and config runs byte-identical"
-    (fingerprint via_wrapper) (fingerprint via_config)
 
 let test_run_rejects_multi_domain () =
   let d =
@@ -176,7 +162,6 @@ let suite =
       ] );
     ( "config-api",
       [
-        tc "wrapper equals config run" test_config_wrapper_equiv;
         tc "run rejects domains > 1" test_run_rejects_multi_domain;
       ] );
     ( "scale-determinism",

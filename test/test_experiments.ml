@@ -191,8 +191,153 @@ let test_cache_sweep () =
       check (Alcotest.float 1e-9) "hit + authority = 1" 1. (p.hit_rate +. p.authority_load))
     points
 
+(* --- the gate rules that used to live in the CLI, one crafted row per
+   rule: each broken invariant must yield exactly its own failure --- *)
+
+let chaos_green =
+  {
+    Experiments.E_chaos.loss = 0.10;
+    dropped = 40;
+    corrupted = 5;
+    decode_errors = 5;
+    retransmissions = 26;
+    giveups = 0;
+    detect_time = 2.0;
+    converge_time = 0.5;
+    degraded = 35;
+    recovered = true;
+    replay_identical = true;
+  }
+
+let ha_green =
+  {
+    Experiments.E_ha.loss = 0.10;
+    dropped = 92;
+    retransmissions = 210;
+    giveups = 0;
+    takeover1 = 0.38;
+    takeover2 = 0.38;
+    replayed = 16;
+    snapshots = 1;
+    dup_installs = 0;
+    stale_rejected = 6;
+    stale_accepted = 0;
+    fenced_appends = 0;
+    degraded = 96;
+    recovered = true;
+    replay_identical = true;
+  }
+
+let failures = Alcotest.(list string)
+
+let test_chaos_check_rules () =
+  let c = Experiments.E_chaos.check in
+  check failures "green row" [] (c [ chaos_green ]);
+  check failures "give-ups" [ "2 give-ups at 10.0% loss" ]
+    (c [ { chaos_green with giveups = 2 } ]);
+  check failures "not recovered" [ "did not recover at 10.0% loss" ]
+    (c [ { chaos_green with recovered = false } ]);
+  check failures "replay diverged" [ "replay diverged at 10.0% loss" ]
+    (c [ { chaos_green with replay_identical = false } ]);
+  check failures "one failure per broken row" [ "did not recover at 20.0% loss" ]
+    (c [ chaos_green; { chaos_green with loss = 0.20; recovered = false } ])
+
+let test_ha_check_rules () =
+  let c = Experiments.E_ha.check in
+  check failures "green row" [] (c [ ha_green ]);
+  check failures "give-ups" [ "1 give-ups at 10.0% loss" ]
+    (c [ { ha_green with giveups = 1 } ]);
+  check failures "duplicate installs" [ "3 duplicate installs at 10.0% loss" ]
+    (c [ { ha_green with dup_installs = 3 } ]);
+  check failures "stale-epoch acceptances" [ "2 stale-epoch frames accepted at 10.0% loss" ]
+    (c [ { ha_green with stale_accepted = 2 } ]);
+  check failures "not recovered" [ "did not recover at 10.0% loss" ]
+    (c [ { ha_green with recovered = false } ]);
+  check failures "replay diverged" [ "replay diverged at 10.0% loss" ]
+    (c [ { ha_green with replay_identical = false } ])
+
+(* --- the gate harness --- *)
+
+let fake_gate run =
+  { Experiments.name = "fake"; doc = "crafted"; gate = Some run; replay = None }
+
+let run_fake run =
+  Experiments.run_gate ~print:ignore (fake_gate run) ~seed ~quick:true ~domains:4
+
+let test_harness_passes_green () =
+  let calls = ref [] in
+  let fs =
+    run_fake (fun ~seed:_ ~quick:_ ~domains ->
+        calls := domains :: !calls;
+        { Experiments.report = ""; failures = []; fingerprint = "same" })
+  in
+  check failures "green gate" [] fs;
+  check Alcotest.(list int) "runs at one domain, then at --domains" [ 1; 4 ]
+    (List.rev !calls)
+
+let test_harness_fingerprint_divergence () =
+  let fs =
+    run_fake (fun ~seed:_ ~quick:_ ~domains ->
+        { Experiments.report = ""; failures = []; fingerprint = string_of_int domains })
+  in
+  check failures "divergence is a failure"
+    [ "fingerprint diverged: 1 at domains 1, 4 at domains 4" ] fs
+
+let test_harness_reports_failures () =
+  let fs =
+    run_fake (fun ~seed:_ ~quick:_ ~domains ->
+        {
+          Experiments.report = "";
+          failures = (if domains = 1 then [ "broken" ] else [ "broken"; "sharded only" ]);
+          fingerprint = "same";
+        })
+  in
+  check failures "both runs' failures, once each" [ "broken"; "sharded only" ] fs
+
+let test_harness_rejects_non_gate () =
+  let mon =
+    List.find (fun (s : Experiments.scenario) -> s.name = "mon") Experiments.scenarios
+  in
+  match Experiments.run_gate ~print:ignore mon ~seed ~quick:true ~domains:1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "ran a scenario without a gate"
+
+let gate_names () =
+  List.filter_map
+    (fun (s : Experiments.scenario) -> Option.map (fun _ -> s.name) s.gate)
+    Experiments.scenarios
+
+let test_gate_table () =
+  check Alcotest.(list string) "the CI matrix"
+    [ "chaos"; "ha"; "incast"; "rebalance"; "scale"; "paths-chaos"; "paths-rebalance";
+      "paths-scale"; "aggregate"; "monitor" ]
+    (gate_names ());
+  let names = List.map (fun (s : Experiments.scenario) -> s.name) Experiments.scenarios in
+  check Alcotest.int "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+(* Every gate holds at quick size, sharded scenarios across two domains. *)
+let test_every_gate_holds_quick () =
+  List.iter
+    (fun (s : Experiments.scenario) ->
+      if Option.is_some s.gate then
+        check failures s.name []
+          (Experiments.run_gate ~print:ignore s ~seed:42 ~quick:true ~domains:2))
+    Experiments.scenarios
+
 let suite =
   [
+    ( "gates",
+      [
+        tc "chaos rules" test_chaos_check_rules;
+        tc "ha rules" test_ha_check_rules;
+        tc "harness passes a green gate" test_harness_passes_green;
+        tc "harness fails on fingerprint divergence" test_harness_fingerprint_divergence;
+        tc "harness fails on reported failures" test_harness_reports_failures;
+        tc "harness rejects a replay-only scenario" test_harness_rejects_non_gate;
+        tc "gate table" test_gate_table;
+        tc "every gate holds at quick size" test_every_gate_holds_quick;
+      ] );
     ( "experiments",
       [
         tc "table 1" test_t1;

@@ -61,7 +61,7 @@ let test_lifecycle () =
     }
   in
   let flows = Traffic.generate (Prng.split rng) policy profile in
-  let r = Flowsim.run_difane !d flows in
+  let r = Flowsim.run Flowsim.Config.default !d flows in
   check Alcotest.int "all flows complete" 5000 r.Flowsim.completed_flows;
   check Alcotest.bool "caches warmed" true (r.Flowsim.cache_hit_packets > 0);
   let loads = Deployment.measured_partition_loads !d in

@@ -247,7 +247,7 @@ let prop_flowsim_respects_policy =
               start = float_of_int i *. 1e-3; packets = 2; interval = 1e-4 })
           headers
       in
-      let r = Flowsim.run_difane d flows in
+      let r = Flowsim.run Flowsim.Config.default d flows in
       (* all flows complete (low load, total policy), and the switch
          counters attribute every delivered packet *)
       r.Flowsim.completed_flows = List.length headers

@@ -204,7 +204,7 @@ let monitored_run seed =
       ~config:{ Monitor.default_config with Monitor.interval = 0.01 }
       d
   in
-  let r = Flowsim.run_difane ~monitor:m d flows in
+  let r = Flowsim.run { Flowsim.Config.default with monitor = Some m } d flows in
   (d, m, r)
 
 let test_monitored_sim_provenance () =

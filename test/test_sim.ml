@@ -144,7 +144,7 @@ let test_flowsim_difane_counts () =
       ~authority_ids:[ 1 ] ()
   in
   let flows = mk_flows 100 in
-  let r = Flowsim.run_difane d flows in
+  let r = Flowsim.run Flowsim.Config.default d flows in
   check Alcotest.int "offered" 100 r.Flowsim.offered_flows;
   check Alcotest.int "all complete at low load" 100 r.Flowsim.completed_flows;
   check Alcotest.int "no drops" 0 r.Flowsim.dropped_flows;
@@ -172,7 +172,7 @@ let test_flowsim_difane_saturation () =
         })
   in
   let timing = { Flowsim.default_timing with authority_service = 1e-6; queue_capacity = 100 } in
-  let r = Flowsim.run_difane ~timing d flows in
+  let r = Flowsim.run { Flowsim.Config.default with timing } d flows in
   check Alcotest.bool "drops under overload" true (r.Flowsim.dropped_flows > 0);
   let capacity = 1e6 in
   check Alcotest.bool "throughput near capacity" true
@@ -201,7 +201,7 @@ let test_flowsim_difane_faster_than_nox () =
     Deployment.build ~policy:small_policy ~topology:(Topology.line 3 ())
       ~authority_ids:[ 1 ] ()
   in
-  let rd = Flowsim.run_difane d flows in
+  let rd = Flowsim.run Flowsim.Config.default d flows in
   let n = Nox.build ~policy:small_policy ~topology:(Topology.line 3 ()) () in
   let rn = Flowsim.run_nox n flows in
   let med a = (Summary.of_array a).Summary.p50 in
@@ -228,7 +228,7 @@ let test_install_latency_window () =
       };
     ]
   in
-  let r = Flowsim.run_difane ~timing d flows in
+  let r = Flowsim.run { Flowsim.Config.default with timing } d flows in
   check Alcotest.int "all packets delivered" 20 r.Flowsim.delivered_packets;
   (* packets before the install completes (~5) miss; the rest hit *)
   check Alcotest.bool "some packets in the install window missed" true
@@ -257,7 +257,7 @@ let test_authority_stats_balanced () =
           interval = 1e-4;
         })
   in
-  let r = Flowsim.run_difane d flows in
+  let r = Flowsim.run Flowsim.Config.default d flows in
   match r.Flowsim.authority_stats with
   | [ { Flowsim.switch_id = a1; misses_served = c1; _ };
       { Flowsim.switch_id = a2; misses_served = c2; _ } ] ->

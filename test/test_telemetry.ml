@@ -222,7 +222,7 @@ let test_flowsim_agrees_with_registry () =
           interval = 1e-4;
         })
   in
-  let r = Flowsim.run_difane d flows in
+  let r = Flowsim.run Flowsim.Config.default d flows in
   let snap = Telemetry.snapshot () in
   let total name = Telemetry.counter_total snap name in
   check Alcotest.int "delivered packets" r.Flowsim.delivered_packets
