@@ -192,13 +192,17 @@ let prefix_policy =
 
 let prefix_headers = Traffic.headers_for (Prng.create (seed + 3)) prefix_policy 256
 
+(* A single sub-microsecond lookup is too short for a stable OLS fit, so
+   the gated lookup kernels time a batch of 1k lookups per run. *)
+let batch = 1000
+
 let index_kernel =
   let idx = Indexed.of_classifier prefix_policy in
-  let i = ref 0 in
-  Test.make ~name:"substrate: indexed lookup (2k prefixes)"
+  Test.make ~name:"substrate: indexed lookup (2k prefixes, 1k lookups)"
     (Staged.stage (fun () ->
-         i := (!i + 1) land 255;
-         ignore (Indexed.first_match idx prefix_headers.(!i))))
+         for i = 0 to batch - 1 do
+           ignore (Indexed.first_match idx prefix_headers.(i land 255))
+         done))
 
 let linear_kernel =
   let i = ref 0 in
@@ -209,8 +213,8 @@ let linear_kernel =
 
 (* The TCAM's own tuple-space fast path against the linear-scan
    reference at growing table sizes — the sub-linear claim this kernel
-   family regresses.  Prefix rules share mask vectors (one group per
-   prefix length), so the index stays non-degenerate. *)
+   family regresses.  Prefix rules share lane masks (one group per
+   prefix length), so the kernel probes rather than scans. *)
 let tcam_lookup_kernels =
   List.concat_map
     (fun n ->
@@ -227,18 +231,50 @@ let tcam_lookup_kernels =
       in
       let indexed = load (Tcam.create ~capacity:(2 * n)) in
       let linear = load (Tcam.create_linear ~capacity:(2 * n)) in
-      let kernel name t =
-        let i = ref 0 in
-        Test.make ~name
+      let i = ref 0 in
+      [
+        Test.make ~name:(Printf.sprintf "tcam-lookup: indexed %d (1k lookups)" n)
+          (Staged.stage (fun () ->
+               for k = 0 to batch - 1 do
+                 ignore (Tcam.lookup indexed ~now:1. headers.(k land 255))
+               done));
+        Test.make ~name:(Printf.sprintf "tcam-lookup: linear %d" n)
           (Staged.stage (fun () ->
                i := (!i + 1) land 255;
-               ignore (Tcam.lookup t ~now:1. headers.(!i))))
-      in
-      [
-        kernel (Printf.sprintf "tcam-lookup: indexed %d" n) indexed;
-        kernel (Printf.sprintf "tcam-lookup: linear %d" n) linear;
+               ignore (Tcam.lookup linear ~now:1. headers.(!i))));
       ])
     [ 64; 256; 1024; 4096 ]
+
+(* The shape an ingress cache takes under spliced misses: 1024 fragments
+   of a 1000-rule random-mask ACL with about one lane mask per three
+   entries, far past the probe/scan crossover, so the kernel scans every
+   entry's packed lanes.  Each lookup hits. *)
+let tcam_degenerate_kernel =
+  let policy =
+    Policy_gen.acl (Prng.create (seed + 6)) { Policy_gen.default_acl with rules = 1000 }
+  in
+  let tcam = Tcam.create ~capacity:1024 in
+  let seen = Hashtbl.create 1024 and hits = ref [] and next = ref 0 in
+  Array.iter
+    (fun h ->
+      match Splice.for_header policy h with
+      | Some piece when Tcam.occupancy tcam < 1024 ->
+          let key = Pred.to_string piece.Splice.pred in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            let next_id () = incr next; !next in
+            ignore (Tcam.insert tcam ~now:0. (Splice.cache_rule ~next_id policy piece));
+            hits := h :: !hits
+          end
+      | _ -> ())
+    (Traffic.headers_for (Prng.create (seed + 7)) policy 16384);
+  let hits = Array.of_list (List.rev !hits) in
+  let n = Array.length hits in
+  Test.make ~name:(Printf.sprintf "tcam-lookup: degenerate %d fragments (1k lookups)" n)
+    (Staged.stage (fun () ->
+         for i = 0 to batch - 1 do
+           ignore (Tcam.lookup tcam ~now:1. hits.(i mod n))
+         done))
 
 let incast_kernel =
   (* E-INCAST's hot path: booking the virtual-clock port queue.  1k
@@ -324,6 +360,7 @@ let all_kernels =
     t1_kernel; tput_kernel; scale_kernel; delay_kernel; part_kernel; miss_kernel;
     stretch_kernel; dyn_kernel; cut_kernel; splice_kernel; agg_kernel; algebra_kernel;
     index_kernel; linear_kernel; incast_kernel; codec_kernel; ptrace_kernel;
+    tcam_degenerate_kernel;
   ]
   @ tcam_lookup_kernels
 

@@ -74,12 +74,10 @@ let config t = t.config
    instead is semantically inert: same predicate, same rank, same
    action, so whichever copy the TCAM picks the verdict is identical. *)
 let subsumed_by_live sw (rule : Rule.t) =
-  List.exists
-    (fun (e : Tcam.entry) ->
+  Tcam.exists (Switch.cache sw) (fun (e : Tcam.entry) ->
       e.Tcam.rule.Rule.priority >= rule.Rule.priority
       && Action.equal e.Tcam.rule.Rule.action rule.Rule.action
       && Pred.subsumes e.Tcam.rule.Rule.pred rule.Rule.pred)
-    (Tcam.entries (Switch.cache sw))
 
 let kind_mergeable config (k : Switch.cache_kind) =
   match k with

@@ -470,14 +470,11 @@ let invalidate_origins ?(now = 0.) d ~origins =
     (fun acc sw ->
       let cache = Switch.cache sw in
       let victims =
-        List.filter
-          (fun (e : Tcam.entry) ->
+        Tcam.select cache (fun (e : Tcam.entry) ->
             (* a merged entry stands for several policy rules: it must go
                if ANY of its absorbed origins changed — the conservative
                direction; survivors re-splice on their next miss *)
-            List.exists origins
-              (Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id))
-          (Tcam.entries cache)
+            List.exists origins (Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id))
       in
       List.iter (fun (e : Tcam.entry) -> ignore (Tcam.remove cache e.Tcam.rule.Rule.id)) victims;
       (* removing one cover-set member must take its whole group: the

@@ -1,90 +1,30 @@
-(* One group per distinct mask vector.  Keys are the header values ANDed
-   with the group's masks; rules whose predicate shares the mask vector
-   and key collide into a priority-sorted bucket (overlaps with identical
-   predicates, e.g. equal-priority duplicates). *)
-
-type group = {
-  masks : int64 array; (* per field *)
-  best_priority : int; (* highest priority in the group *)
-  table : (int64 array, Rule.t list) Hashtbl.t; (* bucket in table order *)
-}
-
+(* The packed kernel, payloads pre-wrapped in [Some] so a hit returns
+   without allocating.  Rules arrive in table order, so the kernel's
+   first-match and early-exit shortcuts hold. *)
 type t = {
   source : Classifier.t;
-  groups : group array; (* best_priority desc *)
-  degenerate : bool; (* too many groups: linear scan is cheaper *)
+  index : Rule.t option Tuple_space.t option;  (* [None]: schema over 126 bits *)
 }
 
-let mask_vector (r : Rule.t) =
-  Array.map Ternary.mask (Array.of_list (List.init (Pred.arity r.pred) (Pred.field r.pred)))
-
-let key_of_values masks values = Array.map2 Int64.logand masks values
-let key_of_rule masks (r : Rule.t) =
-  Array.init (Array.length masks) (fun i -> Ternary.value (Pred.field r.pred i))
-
 let of_classifier source =
-  let by_mask : (int64 array, Rule.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let mv = mask_vector r in
-      match Hashtbl.find_opt by_mask mv with
-      | Some l -> l := r :: !l
-      | None -> Hashtbl.add by_mask mv (ref [ r ]))
-    (Classifier.rules source);
-  let groups =
-    Hashtbl.fold
-      (fun masks rules acc ->
-        let rules = List.sort Rule.compare_priority !rules in
-        let table = Hashtbl.create (2 * List.length rules) in
-        List.iter
-          (fun r ->
-            let key = key_of_rule masks r in
-            let bucket = Option.value ~default:[] (Hashtbl.find_opt table key) in
-            Hashtbl.replace table key (bucket @ [ r ]))
-          rules;
-        let best_priority =
-          match rules with r :: _ -> r.Rule.priority | [] -> min_int
-        in
-        { masks; best_priority; table } :: acc)
-      by_mask []
-    |> List.sort (fun a b -> Int.compare b.best_priority a.best_priority)
-    |> Array.of_list
+  let index =
+    if not (Header.lanes_exact (Classifier.schema source)) then None
+    else begin
+      let ts = Tuple_space.create () in
+      List.iter (fun r -> ignore (Tuple_space.add ts r (Some r))) (Classifier.rules source);
+      Some ts
+    end
   in
-  (* A hash probe costs roughly as much as scanning a handful of rules;
-     with nearly one group per rule, tuple search only adds overhead. *)
-  let degenerate =
-    Array.length groups > 8 && 4 * Array.length groups > 3 * Classifier.length source
-  in
-  { source; groups; degenerate }
+  { source; index }
 
 let length t = Classifier.length t.source
-let groups t = Array.length t.groups
-let degenerate t = t.degenerate
+let groups t = match t.index with Some ts -> Tuple_space.groups ts | None -> 0
+let degenerate t = match t.index with Some ts -> Tuple_space.degenerate ts | None -> true
 let classifier t = t.source
 
-let first_match_tss t h =
-  let values = Header.values h in
-  let best = ref None in
-  let beats_best (r : Rule.t) =
-    match !best with None -> true | Some b -> Rule.beats r b
-  in
-  (try
-     Array.iter
-       (fun g ->
-         (* groups are sorted by best priority: once the current winner
-            outranks everything a group could hold, stop *)
-         (match !best with
-         | Some (b : Rule.t) when b.priority > g.best_priority -> raise Exit
-         | _ -> ());
-         match Hashtbl.find_opt g.table (key_of_values g.masks values) with
-         | None -> ()
-         | Some bucket -> (
-             match List.find_opt (fun r -> beats_best r) bucket with
-             | Some r -> best := Some r
-             | None -> ()))
-       t.groups
-   with Exit -> ());
-  !best
-
 let first_match t h =
-  if t.degenerate then Classifier.first_match t.source h else first_match_tss t h
+  match t.index with
+  | None -> Classifier.first_match t.source h
+  | Some ts ->
+      let i = Tuple_space.find ts ~lo:(Header.key_lo h) ~hi:(Header.key_hi h) in
+      if i < 0 then None else Tuple_space.get ts i

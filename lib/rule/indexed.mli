@@ -1,20 +1,18 @@
-(** Indexed classifiers: tuple-space-search lookup.
+(** Indexed classifiers: packed tuple-space lookup.
 
     A linear scan over a big rule table is fine for semantics but not for
-    a hot data-plane path.  Tuple space search (Srinivasan et al.) groups
-    rules by their {e mask vector} — which bits of which fields they
-    specify — so that within a group a lookup is a single hash probe on
-    the masked header.  A full lookup probes one hash table per distinct
-    mask vector, visiting groups in decreasing best-priority order and
-    stopping as soon as no remaining group can beat the current winner.
+    a hot data-plane path.  [of_classifier] loads the table into the
+    packed tuple-space kernel ({!Tuple_space}): rules are grouped by lane
+    mask, so a lookup is one hash probe per group, visiting groups in
+    table order and stopping as soon as no remaining group can beat the
+    current winner.
 
-    Tuple space search only pays off when rules {e share} mask vectors
-    (as in multi-length prefix tables with few distinct lengths, or
-    microflow tables).  On rule sets where nearly every rule has a unique
-    mask vector — e.g. ClassBench-style ACLs with random prefix lengths —
-    it degenerates to one hash probe per rule and loses to a plain linear
-    scan, so [of_classifier] detects that shape and falls back to the
-    scan internally ({!degenerate}).
+    Tuple space search only pays off when rules {e share} masks (as in
+    multi-length prefix tables with few distinct lengths, or microflow
+    tables).  On rule sets where nearly every rule has its own mask —
+    e.g. ClassBench-style ACLs with random prefix lengths — the kernel
+    scans the rules' packed lanes instead ({!degenerate}).  Schemas over
+    126 bits cannot be packed; their lookups use {!Classifier.first_match}.
 
     Semantics are identical to {!Classifier.first_match} (property-tested
     against it); authority switches build one index per partition table. *)
@@ -25,11 +23,12 @@ val of_classifier : Classifier.t -> t
 val length : t -> int
 
 val groups : t -> int
-(** Number of distinct mask vectors — the probe count upper bound. *)
+(** Number of distinct lane masks — the probe count; [0] for a schema
+    over 126 bits. *)
 
 val degenerate : t -> bool
-(** True when the index decided a linear scan is cheaper (too many
-    distinct mask vectors for tuple search to win). *)
+(** True when a lookup scans rather than probes: too many distinct lane
+    masks for tuple search to win, or a schema over 126 bits. *)
 
 val first_match : t -> Header.t -> Rule.t option
 (** Exactly {!Classifier.first_match} on the underlying table. *)

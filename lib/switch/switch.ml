@@ -216,13 +216,11 @@ let notify_removed t ~now reason (e : Tcam.entry) =
    next miss simply re-serves. *)
 let drop_cover_orphans t ~now =
   let doomed =
-    List.filter
-      (fun (e : Tcam.entry) ->
+    Tcam.select t.cache (fun (e : Tcam.entry) ->
         match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
         | Some { group = Some (_, members); _ } ->
             not (List.for_all (Tcam.mem t.cache) members)
         | _ -> false)
-      (Tcam.entries t.cache)
   in
   List.iter
     (fun (e : Tcam.entry) ->
@@ -643,10 +641,7 @@ let install_cache_rule ?idle_timeout ?hard_timeout ?origin_id ?(pid = -1) t ~now
    the same provenance-remap signal a same-id reinstall emits — so
    nothing downstream loses attribution when installed rules coalesce. *)
 let absorb_cache_rule t ~now cid =
-  match
-    List.find_opt (fun (e : Tcam.entry) -> e.Tcam.rule.Rule.id = cid)
-      (Tcam.entries t.cache)
-  with
+  match Tcam.find t.cache cid with
   | None -> false
   | Some e ->
       Ptrace.emit ~at:now Ptrace.Replace ~switch:t.id ~rule:cid
@@ -663,12 +658,10 @@ let absorb_cache_rule t ~now cid =
    machinery remaps them; the next miss re-splices under the live pid. *)
 let invalidate_cache_pids t ~now pids =
   let doomed =
-    List.filter
-      (fun (e : Tcam.entry) ->
+    Tcam.select t.cache (fun (e : Tcam.entry) ->
         match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
         | Some m -> List.mem m.pid pids
         | None -> false)
-      (Tcam.entries t.cache)
   in
   List.iter
     (fun (e : Tcam.entry) ->

@@ -16,11 +16,14 @@ type entry = {
   hard_timeout : float option;
 }
 
-(* Internal wrapper: the public entry plus the intrusive LRU links and
-   the liveness bit the lazy expiry heap checks.  A node leaves every
-   structure through [detach]; heap records outlive it and are skipped. *)
+(* Internal wrapper: the public entry plus its place in the lookup
+   kernel, the intrusive LRU links and the liveness bit the lazy expiry
+   heap checks.  A node leaves every structure through [detach]; heap
+   records outlive it and are skipped. *)
 type node = {
   e : entry;
+  found : Rule.t option;  (* [Some e.rule], built once: a hit allocates nothing *)
+  mutable slot : node Tuple_space.slot option;  (* [None]: not in the kernel *)
   mutable prev : node option;  (* towards the LRU end *)
   mutable next : node option;  (* towards the MRU end *)
   mutable live : bool;
@@ -81,15 +84,6 @@ module Heap = struct
     top
 end
 
-(* One tuple-space group per distinct mask vector: rules whose predicate
-   shares masks and masked values collide into a priority-sorted bucket,
-   so a lookup is one hash probe per group. *)
-type group = {
-  masks : int64 array;  (* per field *)
-  buckets : (int64 array, node list) Hashtbl.t;  (* priority order *)
-  mutable members : int;
-}
-
 type stats = {
   hits : int64;
   misses : int64;
@@ -102,13 +96,14 @@ type t = {
   cap : int;
   use_index : bool;
   by_id : (int, node) Hashtbl.t;
-  groups : (int64 array, group) Hashtbl.t;
+  index : node Tuple_space.t;
+  mutable unpacked : int;  (* entries outside [index]: linear table or wide schema *)
   mutable lru_head : node option;  (* least recently touched *)
   mutable lru_tail : node option;  (* most recently touched *)
   heap : Heap.t;
   mutable size : int;
-  mutable hits : int64;
-  mutable misses : int64;
+  mutable hits : int;
+  mutable misses : int;
   mutable inserts : int64;
   mutable evictions : int64;
   mutable expirations : int64;
@@ -120,13 +115,14 @@ let make_tcam ~index ~capacity =
     cap = capacity;
     use_index = index;
     by_id = Hashtbl.create 64;
-    groups = Hashtbl.create 16;
+    index = Tuple_space.create ();
+    unpacked = 0;
     lru_head = None;
     lru_tail = None;
     heap = Heap.create ();
     size = 0;
-    hits = 0L;
-    misses = 0L;
+    hits = 0;
+    misses = 0;
     inserts = 0L;
     evictions = 0L;
     expirations = 0L;
@@ -145,9 +141,15 @@ let fold_nodes t f acc =
   let rec go acc = function None -> acc | Some n -> go (f acc n) n.next in
   go acc t.lru_head
 
-let entries t =
-  fold_nodes t (fun acc n -> n.e :: acc) []
-  |> List.sort (fun a b -> Rule.compare_priority a.rule b.rule)
+let by_priority a b = Rule.compare_priority a.rule b.rule
+let entries t = List.sort by_priority (fold_nodes t (fun acc n -> n.e :: acc) [])
+
+let select t f =
+  List.sort by_priority (fold_nodes t (fun acc n -> if f n.e then n.e :: acc else acc) [])
+
+let exists t f =
+  let rec go = function None -> false | Some n -> f n.e || go n.next in
+  go t.lru_head
 
 (* ---- LRU list ---- *)
 
@@ -170,67 +172,15 @@ let lru_touch t n =
       lru_unlink t n;
       lru_append t n
 
-(* ---- tuple-space index ---- *)
+(* ---- lookup kernel ---- *)
 
-let mask_vector (r : Rule.t) =
-  Array.init (Pred.arity r.pred) (fun i -> Ternary.mask (Pred.field r.pred i))
+(* Every lookup goes through the packed kernel unless some entry could
+   not enter it: the linear reference table, or a schema over 126 bits,
+   which keep the per-field scan. *)
+let packed t = t.use_index && t.unpacked = 0
 
-(* Ternary.value reads wildcard positions as 0, so a rule's value vector
-   is already its own masked key. *)
-let value_vector (r : Rule.t) =
-  Array.init (Pred.arity r.pred) (fun i -> Ternary.value (Pred.field r.pred i))
-
-let masked_key masks h =
-  Array.init (Array.length masks) (fun i -> Int64.logand masks.(i) (Header.field h i))
-
-let bucket_insert n bucket =
-  let rec go = function
-    | [] -> [ n ]
-    | x :: rest ->
-        if Rule.compare_priority n.e.rule x.e.rule <= 0 then n :: x :: rest
-        else x :: go rest
-  in
-  go bucket
-
-let index_add t n =
-  let mv = mask_vector n.e.rule in
-  let g =
-    match Hashtbl.find_opt t.groups mv with
-    | Some g -> g
-    | None ->
-        let g = { masks = mv; buckets = Hashtbl.create 8; members = 0 } in
-        Hashtbl.add t.groups mv g;
-        g
-  in
-  let key = value_vector n.e.rule in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt g.buckets key) in
-  Hashtbl.replace g.buckets key (bucket_insert n bucket);
-  g.members <- g.members + 1
-
-let index_remove t n =
-  let mv = mask_vector n.e.rule in
-  match Hashtbl.find_opt t.groups mv with
-  | None -> ()
-  | Some g ->
-      let key = value_vector n.e.rule in
-      (match Hashtbl.find_opt g.buckets key with
-      | None -> ()
-      | Some bucket -> (
-          match List.filter (fun x -> x != n) bucket with
-          | [] -> Hashtbl.remove g.buckets key
-          | b -> Hashtbl.replace g.buckets key b));
-      g.members <- g.members - 1;
-      if g.members = 0 then Hashtbl.remove t.groups mv
-
-let index_groups t = Hashtbl.length t.groups
-
-(* A hash probe costs roughly as much as scanning a handful of rules;
-   with nearly one group per entry, tuple search only adds overhead. *)
-let index_degenerate t =
-  (not t.use_index)
-  ||
-  let g = Hashtbl.length t.groups in
-  g > 8 && 4 * g > 3 * t.size
+let index_groups t = Tuple_space.groups t.index
+let index_degenerate t = (not (packed t)) || Tuple_space.degenerate t.index
 
 (* ---- expiry deadlines ---- *)
 
@@ -250,7 +200,9 @@ let expired e ~now =
 let attach t n =
   Hashtbl.replace t.by_id n.e.rule.Rule.id n;
   lru_append t n;
-  index_add t n;
+  if t.use_index && Header.lanes_exact (Pred.schema n.e.rule.Rule.pred) then
+    n.slot <- Some (Tuple_space.add t.index n.e.rule n)
+  else t.unpacked <- t.unpacked + 1;
   t.size <- t.size + 1;
   match deadline_of n.e with Some d -> Heap.push t.heap d n | None -> ()
 
@@ -258,7 +210,9 @@ let detach t n =
   n.live <- false;
   Hashtbl.remove t.by_id n.e.rule.Rule.id;
   lru_unlink t n;
-  index_remove t n;
+  (match n.slot with
+  | Some s -> Tuple_space.remove t.index s
+  | None -> t.unpacked <- t.unpacked - 1);
   t.size <- t.size - 1
 
 (* ---- mutation ---- *)
@@ -274,7 +228,8 @@ let make_entry ?idle_timeout ?hard_timeout ~now rule =
     hard_timeout;
   }
 
-let make_node e = { e; prev = None; next = None; live = true }
+let make_node e =
+  { e; found = Some e.rule; slot = None; prev = None; next = None; live = true }
 
 let insert ?idle_timeout ?hard_timeout t ~now rule =
   let displaced =
@@ -340,7 +295,8 @@ let remove_where t f =
 let clear t =
   fold_nodes t (fun () n -> n.live <- false) ();
   Hashtbl.reset t.by_id;
-  Hashtbl.reset t.groups;
+  Tuple_space.clear t.index;
+  t.unpacked <- 0;
   t.lru_head <- None;
   t.lru_tail <- None;
   Heap.clear t.heap;
@@ -386,41 +342,33 @@ let best_match_linear t h =
       else best)
     None
 
-let best_match_tss t h =
-  let best = ref None in
-  Hashtbl.iter
-    (fun _ g ->
-      match Hashtbl.find_opt g.buckets (masked_key g.masks h) with
-      | Some (n :: _) -> (
-          (* the bucket holds every entry whose predicate matches exactly
-             the headers with this masked key, best priority first *)
-          match !best with
-          | Some (b : node) when not (Rule.beats n.e.rule b.e.rule) -> ()
-          | _ -> best := Some n)
-      | _ -> ())
-    t.groups;
-  !best
+let hit t ~now ~bytes n =
+  let e = n.e in
+  e.last_hit <- now;
+  e.packets <- Int64.add e.packets 1L;
+  e.bytes <- Int64.add e.bytes (Int64.of_int bytes);
+  lru_touch t n;
+  t.hits <- t.hits + 1;
+  Telemetry.incr m_hits;
+  n.found
 
-let best_match t h =
-  if index_degenerate t then best_match_linear t h else best_match_tss t h
+let miss t =
+  t.misses <- t.misses + 1;
+  Telemetry.incr m_misses;
+  None
 
 let lookup t ~now ?(bytes = 64) h =
-  match best_match t h with
-  | Some n ->
-      let e = n.e in
-      e.last_hit <- now;
-      e.packets <- Int64.add e.packets 1L;
-      e.bytes <- Int64.add e.bytes (Int64.of_int bytes);
-      lru_touch t n;
-      t.hits <- Int64.add t.hits 1L;
-      Telemetry.incr m_hits;
-      Some e.rule
-  | None ->
-      t.misses <- Int64.add t.misses 1L;
-      Telemetry.incr m_misses;
-      None
+  if packed t then
+    let i = Tuple_space.find t.index ~lo:(Header.key_lo h) ~hi:(Header.key_hi h) in
+    if i < 0 then miss t else hit t ~now ~bytes (Tuple_space.get t.index i)
+  else
+    match best_match_linear t h with Some n -> hit t ~now ~bytes n | None -> miss t
 
-let peek t h = Option.map (fun n -> n.e.rule) (best_match t h)
+let peek t h =
+  if packed t then
+    let i = Tuple_space.find t.index ~lo:(Header.key_lo h) ~hi:(Header.key_hi h) in
+    if i < 0 then None else (Tuple_space.get t.index i).found
+  else match best_match_linear t h with Some n -> n.found | None -> None
 
 (* Liveness refresh without a hit: push the idle deadline forward and
    move the entry to MRU, but leave the hit/packet counters alone.  The
@@ -440,24 +388,23 @@ let touch t ~now id =
 
 let stats t =
   {
-    hits = t.hits;
-    misses = t.misses;
+    hits = Int64.of_int t.hits;
+    misses = Int64.of_int t.misses;
     inserts = t.inserts;
     evictions = t.evictions;
     expirations = t.expirations;
   }
 
 let reset_stats t =
-  t.hits <- 0L;
-  t.misses <- 0L;
+  t.hits <- 0;
+  t.misses <- 0;
   t.inserts <- 0L;
   t.evictions <- 0L;
   t.expirations <- 0L
 
 let hit_rate t =
-  let total = Int64.add t.hits t.misses in
-  if Int64.equal total 0L then Float.nan
-  else Int64.to_float t.hits /. Int64.to_float total
+  let total = t.hits + t.misses in
+  if total = 0 then Float.nan else float_of_int t.hits /. float_of_int total
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>TCAM %d/%d@,%a@]" (occupancy t) t.cap

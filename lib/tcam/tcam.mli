@@ -6,16 +6,17 @@
     is mutable (a switch's table is inherently stateful) but confined:
     all observation goes through the accessors below.
 
-    The per-packet path is sub-linear: entries are indexed by tuple space
-    search (Srinivasan et al.) — one hash group per distinct mask vector,
-    maintained incrementally across insert/remove/expire — so a lookup
-    costs one hash probe per distinct mask shape instead of a scan of the
-    whole bank.  On rule sets where nearly every entry has its own mask
-    vector the index degenerates to one probe per entry, so the table
-    falls back to a plain linear scan ({!index_degenerate}); semantics
-    are identical either way (property-tested).  Eviction keeps an
-    intrusive LRU list (O(1) per touch) and expiry a lazy min-heap on
-    each entry's next deadline, so neither walks the bank.
+    The per-packet path is the packed tuple-space kernel
+    ({!Tuple_space}): each entry's predicate is reduced to lane masks and
+    values over the header's two-lane key when it is installed, and a
+    lookup probes one hash chain per distinct lane mask — or, when nearly
+    every entry has its own mask, scans the packed lanes of every entry
+    ({!index_degenerate}).  Neither allocates.  Entries of schemas over
+    126 bits cannot be packed; a table holding one matches field by
+    field.  Semantics are identical on every path (property-tested
+    against {!create_linear}).  Eviction keeps an intrusive LRU list
+    (O(1) per touch) and expiry a lazy min-heap on each entry's next
+    deadline, so neither walks the bank.
 
     Time is a [float] of seconds supplied by the caller (the simulator's
     clock); the TCAM never reads a wall clock. *)
@@ -37,16 +38,25 @@ val create : capacity:int -> t
     switch with no TCAM (everything misses). *)
 
 val create_linear : capacity:int -> t
-(** Like {!create} but with the tuple-space index disabled: every lookup
-    takes the linear-scan path — the reference semantics, kept for
-    benchmarking and differential testing; results are identical to an
-    indexed table's on any operation sequence. *)
+(** Like {!create} but with the packed kernel disabled: every lookup
+    scans the entries with {!Rule.matches} — the reference semantics,
+    kept for benchmarking and differential testing; results are identical
+    to an indexed table's on any operation sequence. *)
 
 val capacity : t -> int
 val occupancy : t -> int
 val is_full : t -> bool
 val entries : t -> entry list
-(** In table (priority) order. *)
+(** In table (priority) order.  Sorts the whole bank: prefer {!find},
+    {!exists} or {!select} for questions about some entries. *)
+
+val select : t -> (entry -> bool) -> entry list
+(** The entries satisfying the predicate, in table order; only the
+    selected entries are sorted. *)
+
+val exists : t -> (entry -> bool) -> bool
+(** Whether some entry satisfies the predicate, visiting entries in no
+    particular order. *)
 
 val find : t -> int -> entry option
 (** Entry by rule id. *)
@@ -56,13 +66,14 @@ val mem : t -> int -> bool
 (** {1 Index introspection} *)
 
 val index_groups : t -> int
-(** Number of distinct mask vectors currently held — the tuple-space
-    probe count upper bound. *)
+(** Number of distinct lane masks currently held — the tuple-space probe
+    count. *)
 
 val index_degenerate : t -> bool
-(** True when the index would currently fall back to the linear scan
-    (too many distinct mask vectors for tuple search to win, or the
-    index was disabled at {!create}). *)
+(** True when a lookup would currently scan rather than probe: too many
+    distinct lane masks for tuple search to win ({!Tuple_space.degenerate}),
+    an entry of a schema over 126 bits, or a table from
+    {!create_linear}. *)
 
 (** {1 Mutation} *)
 

@@ -227,15 +227,14 @@ let begin_packet_key at ~lo ~hi =
 let begin_packet at h =
   if not (Atomic.get on) then -1
   else
-    begin_packet_key at ~lo:(Int64.to_int (Header.key_lo h))
-      ~hi:(Int64.to_int (Header.key_hi h))
+    begin_packet_key at ~lo:(Header.key_lo h) ~hi:(Header.key_hi h)
 
 let resume_packet ~pkt h =
   if Atomic.get on then begin
     let r = cur_ring () in
     r.cur_pkt <- pkt;
-    r.cur_lo <- Int64.to_int (Header.key_lo h);
-    r.cur_hi <- Int64.to_int (Header.key_hi h)
+    r.cur_lo <- Header.key_lo h;
+    r.cur_hi <- Header.key_hi h
   end
 
 let push r ~at kind ~switch ~rule ~aux ~pkt ~lo ~hi =

@@ -102,6 +102,27 @@ let test_remove_where () =
   check Alcotest.int "removed drops" 2 n;
   check Alcotest.int "left" 1 (Tcam.occupancy t)
 
+(* [select] and [exists] walk the bank unsorted (LRU order); [select]
+   must still hand back the survivors in table order, as [entries]
+   does. *)
+let test_select_exists () =
+  let t = Tcam.create ~capacity:8 in
+  List.iter
+    (fun (id, priority) ->
+      ignore (Tcam.insert t ~now:0. (rule ~priority id [ ("f2", "0000_0000") ] Action.Drop)))
+    [ (4, 1); (2, 5); (7, 3); (1, 5); (9, 0) ];
+  ignore (Tcam.lookup t ~now:1. (h 0 0));
+  let ids = List.map (fun (e : Tcam.entry) -> e.Tcam.rule.Rule.id) in
+  let odd (e : Tcam.entry) = e.Tcam.rule.Rule.id mod 2 = 1 in
+  check (Alcotest.list Alcotest.int) "table order" [ 1; 7; 9 ] (ids (Tcam.select t odd));
+  check (Alcotest.list Alcotest.int) "= filtered entries"
+    (ids (List.filter odd (Tcam.entries t)))
+    (ids (Tcam.select t odd));
+  check Alcotest.bool "exists" true
+    (Tcam.exists t (fun e -> e.Tcam.rule.Rule.priority = 3));
+  check Alcotest.bool "not exists" false
+    (Tcam.exists t (fun e -> e.Tcam.rule.Rule.priority = 2))
+
 (* --- properties --- *)
 
 let prop_never_exceeds_capacity =
@@ -147,6 +168,7 @@ let suite =
         tc "hard timeout" test_hard_timeout;
         tc "counters and stats" test_counters;
         tc "remove_where" test_remove_where;
+        tc "select and exists" test_select_exists;
         prop_never_exceeds_capacity;
         prop_lookup_agrees_with_classifier;
       ] );

@@ -1,63 +1,106 @@
-(* Differential testing of the TCAM's tuple-space fast path: every
+(* Differential testing of the TCAM's packed lookup kernel: every
    operation sequence is executed against an indexed table and a
-   linear-scan table ([Tcam.create_linear]); both must agree on every
-   observable — the rule each lookup chooses (including priority ties and
-   replace/evict/expire interleavings), the displaced sets, occupancy,
-   stats, and the per-entry counters.  The linear table IS the reference
-   semantics, so any divergence is an index-maintenance bug. *)
+   linear-scan table ([Tcam.create_linear], which matches with
+   [Rule.matches]); both must agree on every observable — the rule each
+   lookup chooses (including priority ties and replace/evict/expire
+   interleavings), the displaced sets, occupancy, stats, and the
+   per-entry counters.  The linear table IS the reference semantics, so
+   any divergence is a packing or index-maintenance bug.
+
+   The properties run on three schemas: [tiny2] (16 bits, low lane
+   only), [acl_5tuple] (104 bits; [dst_ip] straddles bit 63, so its
+   prefix bits spill into the high lane) and [openflow_basic] (136 bits,
+   too wide to pack: the per-field fallback). *)
 
 open Test_util
 
 let s2 = Schema.tiny2
 
-(* Predicates drawn from a small pool of mask SHAPES (per-field prefix
-   lengths) so mask vectors collide and the tuple-space index actually
-   groups — the non-degenerate regime where the fast path runs. *)
-let gen_prefix_pred =
+(* One case's vocabulary: per field, three values every predicate and
+   header is built from, and one to three prefix-length shapes.  Few
+   shapes keep groups shared, so a table of 24 entries spends part of
+   each case probing and part scanning; shared values make predicates
+   collide and headers land inside them.  Length 1 specifies only a
+   field's top bit — for [dst_ip], the bit that spills. *)
+type vocab = { values : int64 array array; shapes : int array list }
+
+let widths schema = Array.init (Schema.arity schema) (Schema.field_bits schema)
+
+let gen_vocab schema =
   let open QCheck2.Gen in
-  let field =
-    let* len = oneofl [ 0; 2; 4; 8 ] in
-    let* v = int_bound 255 in
-    return
-      (Ternary.of_string
-         (String.init 8 (fun i ->
-              if i < len then if (v lsr (7 - i)) land 1 = 1 then '1' else '0'
-              else 'x')))
+  let ws = widths schema in
+  let* values =
+    flatten_a
+      (Array.map
+         (fun w -> array_repeat 3 (map Int64.of_int (int_bound ((1 lsl w) - 1))))
+         ws)
   in
-  let* a = field in
-  let* b = field in
-  return (Pred.make s2 [ a; b ])
+  let* shapes =
+    list_size (int_range 1 3) (flatten_a (Array.map (fun w -> oneofl [ 0; 1; w / 2; w ]) ws))
+  in
+  return { values; shapes }
+
+let gen_pred schema v =
+  let open QCheck2.Gen in
+  let ws = widths schema in
+  let* shape = oneofl v.shapes in
+  let* picks = flatten_a (Array.map (fun vs -> oneofa vs) v.values) in
+  return
+    (Pred.make schema
+       (List.init (Array.length ws) (fun i ->
+            Ternary.prefix ~width:ws.(i) picks.(i) shape.(i))))
+
+(* A pooled value, its low half sometimes perturbed: still inside every
+   prefix of at most half the width. *)
+let gen_header schema v =
+  let open QCheck2.Gen in
+  let ws = widths schema in
+  let* fields =
+    flatten_a
+      (Array.mapi
+         (fun i w ->
+           let* b = oneofa v.values.(i) in
+           let* noise = oneof [ return 0; int_bound ((1 lsl (w / 2)) - 1) ] in
+           return (Int64.logxor b (Int64.of_int noise)))
+         ws)
+  in
+  return (Header.make schema fields)
 
 type op =
   | Insert of int * int * Pred.t * bool * bool  (* id, prio, pred, idle?, hard? *)
   | Insert_or_evict of int * int * Pred.t
-  | Lookup of int * int
+  | Lookup of Header.t
   | Expire
   | Remove of int
   | Advance of float
 
-let gen_op =
+let gen_op schema v =
   let open QCheck2.Gen in
-  oneof
+  frequency
     [
-      (let* id = int_bound 20 in
-       let* pr = int_bound 3 in
-       (* small range => frequent priority ties, broken by rule id *)
-       let* pd = gen_prefix_pred in
-       let* idle = bool in
-       let* hard = bool in
-       return (Insert (id, pr, pd, idle, hard)));
-      (let* id = int_bound 20 in
-       let* pr = int_bound 3 in
-       let* pd = gen_prefix_pred in
-       return (Insert_or_evict (id, pr, pd)));
-      (let* a = int_bound 255 in
-       let* b = int_bound 255 in
-       return (Lookup (a, b)));
-      return Expire;
-      (int_bound 20 >|= fun id -> Remove id);
-      (float_bound_inclusive 2. >|= fun dt -> Advance dt);
+      ( 2,
+        let* id = int_bound 30 in
+        let* pr = int_bound 3 in
+        (* small range => frequent priority ties, broken by rule id *)
+        let* pd = gen_pred schema v in
+        let* idle = bool in
+        let* hard = bool in
+        return (Insert (id, pr, pd, idle, hard)) );
+      ( 2,
+        let* id = int_bound 30 in
+        let* pr = int_bound 3 in
+        let* pd = gen_pred schema v in
+        return (Insert_or_evict (id, pr, pd)) );
+      (3, gen_header schema v >|= fun h -> Lookup h);
+      (1, return Expire);
+      (1, int_bound 30 >|= fun id -> Remove id);
+      (1, float_bound_inclusive 2. >|= fun dt -> Advance dt);
     ]
+
+let gen_ops schema =
+  let open QCheck2.Gen in
+  let* v = gen_vocab schema in
+  list_size (int_range 1 100) (gen_op schema v)
 
 let entry_sig (e : Tcam.entry) = (e.Tcam.rule.Rule.id, e.Tcam.packets, e.Tcam.bytes)
 let displ_sig (d : Tcam.displaced) =
@@ -75,9 +118,9 @@ let stats_sig (s : Tcam.stats) =
 
 let table_sig t = List.map entry_sig (Tcam.entries t)
 
-let run_ops ops =
-  let a = Tcam.create ~capacity:8 in
-  let b = Tcam.create_linear ~capacity:8 in
+let run_ops schema ops =
+  let a = Tcam.create ~capacity:24 in
+  let b = Tcam.create_linear ~capacity:24 in
   let clock = ref 0. in
   List.for_all
     (fun op ->
@@ -101,12 +144,12 @@ let run_ops ops =
               displ_sig (Tcam.insert_or_evict_entries ~idle_timeout:1.0 t ~now:!clock rule)
             in
             ins a = ins b
-        | Lookup (x, y) ->
-            let h = Header.make s2 [| Int64.of_int x; Int64.of_int y |] in
-            let look t =
-              Option.map (fun (r : Rule.t) -> r.id) (Tcam.lookup t ~now:!clock h)
-            in
-            look a = look b
+        | Lookup h ->
+            let id = Option.map (fun (r : Rule.t) -> r.id) in
+            let peeked = id (Tcam.peek a h) in
+            let look t = id (Tcam.lookup t ~now:!clock h) in
+            let la = look a in
+            la = look b && peeked = la
         | Expire ->
             let exp t =
               List.map (fun (r : Rule.t) -> r.id) (Tcam.expire t ~now:!clock)
@@ -117,13 +160,91 @@ let run_ops ops =
       step_agrees
       && Tcam.occupancy a = Tcam.occupancy b
       && stats_sig (Tcam.stats a) = stats_sig (Tcam.stats b)
-      && table_sig a = table_sig b)
+      && table_sig a = table_sig b
+      (* a schema too wide to pack must never reach the kernel *)
+      && (Header.lanes_exact schema || Tcam.occupancy a = 0 || Tcam.index_degenerate a))
     ops
 
 let prop_index_equals_linear =
-  qt ~count:400 "indexed TCAM = linear TCAM on random op sequences"
-    QCheck2.Gen.(list_size (int_range 1 80) gen_op)
-    run_ops
+  qt ~count:400 "indexed TCAM = linear TCAM on random op sequences" (gen_ops s2) (run_ops s2)
+
+let prop_index_equals_linear_5tuple =
+  qt ~count:400 "5-tuple TCAM = linear TCAM (high lane)"
+    (gen_ops Schema.acl_5tuple) (run_ops Schema.acl_5tuple)
+
+let prop_index_equals_linear_wide =
+  qt ~count:400 "wide TCAM = linear TCAM (openflow_basic)"
+    (gen_ops Schema.openflow_basic) (run_ops Schema.openflow_basic)
+
+(* The classifier index against [Classifier.first_match], over the same
+   vocabularies: up to 40 rules, so tables both probe and scan. *)
+let prop_indexed_equals_first_match schema name =
+  qt ~count:400 name
+    QCheck2.Gen.(
+      let* v = gen_vocab schema in
+      let* specs = list_size (int_range 1 40) (pair (int_bound 5) (gen_pred schema v)) in
+      let* headers = list_repeat 20 (gen_header schema v) in
+      return (specs, headers))
+    (fun (specs, headers) ->
+      let rules =
+        List.mapi (fun i (pr, pd) -> Rule.make ~id:i ~priority:pr pd Action.Drop) specs
+      in
+      let c = Classifier.create schema rules in
+      let idx = Indexed.of_classifier c in
+      let id = Option.map (fun (r : Rule.t) -> r.id) in
+      (Header.lanes_exact schema || Indexed.degenerate idx)
+      && List.for_all
+           (fun h -> id (Indexed.first_match idx h) = id (Classifier.first_match c h))
+           headers)
+
+(* Every rule of a group shares one lane mask, and a group keeps at most
+   two members per hash chain: 64 exact rules on [f1] sit in at most 32
+   chains, so some chains hold rules with different masked values.  Each
+   header must still get the rule whose own values it matches. *)
+let test_colliding_chains () =
+  let ts = Tuple_space.create () in
+  let exact v = Ternary.exact ~width:8 (Int64.of_int v) in
+  for i = 0 to 63 do
+    ignore
+      (Tuple_space.add ts
+         (Rule.make ~id:i ~priority:(i mod 5) (Pred.make s2 [ exact i; Ternary.any 8 ])
+            Action.Drop)
+         i)
+  done;
+  check Alcotest.int "one group" 1 (Tuple_space.groups ts);
+  check Alcotest.bool "probing" false (Tuple_space.degenerate ts);
+  for v = 0 to 255 do
+    let h = Header.make s2 [| Int64.of_int v; 7L |] in
+    let i = Tuple_space.find ts ~lo:(Header.key_lo h) ~hi:(Header.key_hi h) in
+    let got = if i < 0 then None else Some (Tuple_space.get ts i) in
+    check (Alcotest.option Alcotest.int) (Printf.sprintf "f1=%d" v)
+      (if v < 64 then Some v else None)
+      got
+  done
+
+(* [dst_ip] occupies bits 32..63 of the 5-tuple key: its top bit — the
+   first bit of every prefix — is bit 0 of the high lane. *)
+let test_high_lane_spill () =
+  let schema = Schema.acl_5tuple in
+  let dst_ip = Schema.index schema "dst_ip" in
+  check
+    (Alcotest.pair Alcotest.int Alcotest.int)
+    "dst_ip top bit" (0, 1)
+    (Header.pack_lanes schema (fun i -> if i = dst_ip then 0x8000_0000L else 0L));
+  let rule id p =
+    Rule.make ~id ~priority:1 (Pred.of_fields schema [ ("dst_ip", Ternary.of_ipv4 p) ]) Action.Drop
+  in
+  let c = Classifier.create schema [ rule 1 "128.0.0.0/1"; rule 2 "0.0.0.0/1" ] in
+  let t = Tcam.create ~capacity:4 in
+  List.iter (fun r -> ignore (Tcam.insert t ~now:0. r)) (Classifier.rules c);
+  let idx = Indexed.of_classifier c in
+  List.iter
+    (fun (ip, want) ->
+      let h = Header.of_fields schema [ ("dst_ip", ip) ] in
+      let id = Option.map (fun (r : Rule.t) -> r.id) in
+      check (Alcotest.option Alcotest.int) "tcam" (Some want) (id (Tcam.peek t h));
+      check (Alcotest.option Alcotest.int) "indexed" (Some want) (id (Indexed.first_match idx h)))
+    [ (0x8000_0001L, 1); (0x7fff_ffffL, 2); (0xffff_ffffL, 1); (0L, 2) ]
 
 (* A same-shape rule pool keeps the group count tiny; the heuristic must
    keep the fast path on.  All-distinct exact predicates (one group per
@@ -214,6 +335,14 @@ let suite =
     ( "tcam index",
       [
         prop_index_equals_linear;
+        prop_index_equals_linear_5tuple;
+        prop_index_equals_linear_wide;
+        prop_indexed_equals_first_match s2 "indexed = first_match, tiny2";
+        prop_indexed_equals_first_match Schema.acl_5tuple "indexed = first_match, acl_5tuple";
+        prop_indexed_equals_first_match Schema.openflow_basic
+          "indexed = first_match, openflow_basic";
+        tc "colliding chains keep the right rule" test_colliding_chains;
+        tc "dst_ip spills into the high lane" test_high_lane_spill;
         tc "degenerate-case heuristic" test_degenerate_heuristic;
         tc "expirations split from evictions" test_expirations_split_from_evictions;
         tc "replace returns final counters" test_replace_returns_final_counters;
