@@ -19,8 +19,8 @@ let s2 = Schema.tiny2
 (* One case's vocabulary: per field, three values every predicate and
    header is built from, and one to three prefix-length shapes.  Few
    shapes keep groups shared, so a table of 24 entries spends part of
-   each case probing and part scanning; shared values make predicates
-   collide and headers land inside them.  Length 1 specifies only a
+   each case probing and part scanning (a table of 8 always scans);
+   shared values make predicates collide and headers land inside them.  Length 1 specifies only a
    field's top bit — for [dst_ip], the bit that spills. *)
 type vocab = { values : int64 array array; shapes : int array list }
 
@@ -74,12 +74,14 @@ type op =
   | Remove of int
   | Advance of float
 
-let gen_op schema v =
+(* Rule ids are drawn from [0..ids]: about three times the capacity, so
+   tables fill and evict rather than replace in place. *)
+let gen_op ~ids schema v =
   let open QCheck2.Gen in
   frequency
     [
       ( 2,
-        let* id = int_bound 30 in
+        let* id = int_bound ids in
         let* pr = int_bound 3 in
         (* small range => frequent priority ties, broken by rule id *)
         let* pd = gen_pred schema v in
@@ -87,20 +89,31 @@ let gen_op schema v =
         let* hard = bool in
         return (Insert (id, pr, pd, idle, hard)) );
       ( 2,
-        let* id = int_bound 30 in
+        let* id = int_bound ids in
         let* pr = int_bound 3 in
         let* pd = gen_pred schema v in
         return (Insert_or_evict (id, pr, pd)) );
       (3, gen_header schema v >|= fun h -> Lookup h);
       (1, return Expire);
-      (1, int_bound 30 >|= fun id -> Remove id);
+      (1, int_bound ids >|= fun id -> Remove id);
       (1, float_bound_inclusive 2. >|= fun dt -> Advance dt);
     ]
 
-let gen_ops schema =
+(* Two table sizes.  Capacity 8 is always past the probe/scan crossover,
+   so it scans, and it fills within a few inserts: its cases compare
+   [`Full] and LRU eviction — whose order depends on which rule each
+   lookup touched — on most sequences.  Capacity 24 reaches the
+   probe path; its longer sequences let idle-free entries pile up until
+   it fills and evicts too.  [test_op_coverage] pins both. *)
+type size = { capacity : int; ids : int; ops : int * int }
+
+let small = { capacity = 8; ids = 20; ops = (1, 100) }
+let large = { capacity = 24; ids = 72; ops = (200, 400) }
+
+let gen_ops size schema =
   let open QCheck2.Gen in
   let* v = gen_vocab schema in
-  list_size (int_range 1 100) (gen_op schema v)
+  list_size (int_range (fst size.ops) (snd size.ops)) (gen_op ~ids:size.ids schema v)
 
 let entry_sig (e : Tcam.entry) = (e.Tcam.rule.Rule.id, e.Tcam.packets, e.Tcam.bytes)
 let displ_sig (d : Tcam.displaced) =
@@ -118,9 +131,13 @@ let stats_sig (s : Tcam.stats) =
 
 let table_sig t = List.map entry_sig (Tcam.entries t)
 
-let run_ops schema ops =
-  let a = Tcam.create ~capacity:24 in
-  let b = Tcam.create_linear ~capacity:24 in
+(* What one case exercised: a lookup answered by probing, and an insert
+   that met a full table ([`Full], or LRU victims). *)
+type coverage = { mutable probed : bool; mutable evicted : bool }
+
+let run_ops ?(cov = { probed = false; evicted = false }) size schema ops =
+  let a = Tcam.create ~capacity:size.capacity in
+  let b = Tcam.create_linear ~capacity:size.capacity in
   let clock = ref 0. in
   List.for_all
     (fun op ->
@@ -137,15 +154,20 @@ let run_ops schema ops =
               insert_sig
                 (Tcam.insert ?idle_timeout:idle ?hard_timeout:hard t ~now:!clock rule)
             in
-            ins a = ins b
+            let ia = ins a in
+            if ia = `Full then cov.evicted <- true;
+            ia = ins b
         | Insert_or_evict (id, priority, pd) ->
             let rule = Rule.make ~id ~priority pd Action.Drop in
             let ins t =
               displ_sig (Tcam.insert_or_evict_entries ~idle_timeout:1.0 t ~now:!clock rule)
             in
-            ins a = ins b
+            let ((evicted, _, bounced) as da) = ins a in
+            if evicted <> [] || bounced then cov.evicted <- true;
+            da = ins b
         | Lookup h ->
             let id = Option.map (fun (r : Rule.t) -> r.id) in
+            if Tcam.occupancy a > 0 && not (Tcam.index_degenerate a) then cov.probed <- true;
             let peeked = id (Tcam.peek a h) in
             let look t = id (Tcam.lookup t ~now:!clock h) in
             let la = look a in
@@ -165,16 +187,40 @@ let run_ops schema ops =
       && (Header.lanes_exact schema || Tcam.occupancy a = 0 || Tcam.index_degenerate a))
     ops
 
+let prop_tcam_equals_linear ?(size = small) schema name =
+  qt ~count:400 name (gen_ops size schema) (run_ops size schema)
+
 let prop_index_equals_linear =
-  qt ~count:400 "indexed TCAM = linear TCAM on random op sequences" (gen_ops s2) (run_ops s2)
+  prop_tcam_equals_linear s2 "indexed TCAM = linear TCAM on random op sequences"
 
-let prop_index_equals_linear_5tuple =
-  qt ~count:400 "5-tuple TCAM = linear TCAM (high lane)"
-    (gen_ops Schema.acl_5tuple) (run_ops Schema.acl_5tuple)
-
-let prop_index_equals_linear_wide =
-  qt ~count:400 "wide TCAM = linear TCAM (openflow_basic)"
-    (gen_ops Schema.openflow_basic) (run_ops Schema.openflow_basic)
+(* The share of 400 generated cases (fixed seed) that evict or bounce,
+   and that probe, must stay high enough for the differential properties
+   above to compare those paths: a generator change that starves them
+   fails here rather than silently thinning the properties. *)
+let test_op_coverage () =
+  let share size schema =
+    let cases =
+      QCheck2.Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:400 (gen_ops size schema)
+    in
+    let evicted = ref 0 and probed = ref 0 in
+    List.iter
+      (fun ops ->
+        let cov = { probed = false; evicted = false } in
+        check Alcotest.bool "agrees" true (run_ops ~cov size schema ops);
+        if cov.evicted then incr evicted;
+        if cov.probed then incr probed)
+      cases;
+    (!evicted * 100 / 400, !probed * 100 / 400)
+  in
+  List.iter
+    (fun (schema, name) ->
+      let ev8, pr8 = share small schema and ev24, pr24 = share large schema in
+      let at what = Printf.sprintf "%s, %s" name what in
+      check Alcotest.bool (at "capacity 8 evicts in half the cases") true (ev8 >= 50);
+      check Alcotest.int (at "capacity 8 never probes") 0 pr8;
+      check Alcotest.bool (at "capacity 24 evicts") true (ev24 >= 40);
+      check Alcotest.bool (at "capacity 24 probes") (Header.lanes_exact schema) (pr24 >= 50))
+    [ (s2, "tiny2"); (Schema.acl_5tuple, "acl_5tuple"); (Schema.openflow_basic, "openflow_basic") ]
 
 (* The classifier index against [Classifier.first_match], over the same
    vocabularies: up to 40 rules, so tables both probe and scan. *)
@@ -335,8 +381,14 @@ let suite =
     ( "tcam index",
       [
         prop_index_equals_linear;
-        prop_index_equals_linear_5tuple;
-        prop_index_equals_linear_wide;
+        prop_tcam_equals_linear ~size:large s2 "indexed TCAM = linear TCAM, capacity 24";
+        prop_tcam_equals_linear Schema.acl_5tuple "5-tuple TCAM = linear TCAM (high lane)";
+        prop_tcam_equals_linear ~size:large Schema.acl_5tuple
+          "5-tuple TCAM = linear TCAM (high lane), capacity 24";
+        prop_tcam_equals_linear Schema.openflow_basic "wide TCAM = linear TCAM (openflow_basic)";
+        prop_tcam_equals_linear ~size:large Schema.openflow_basic
+          "wide TCAM = linear TCAM (openflow_basic), capacity 24";
+        tc "op sequences evict and probe" test_op_coverage;
         prop_indexed_equals_first_match s2 "indexed = first_match, tiny2";
         prop_indexed_equals_first_match Schema.acl_5tuple "indexed = first_match, acl_5tuple";
         prop_indexed_equals_first_match Schema.openflow_basic
