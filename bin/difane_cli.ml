@@ -534,74 +534,6 @@ let replay_scenario_arg ~default ~what =
         & opt (scenario_enum replays) default
         & info [ "scenario" ] ~docv:"NAME" ~doc))
 
-let trace_cmd =
-  let loss_arg =
-    let doc = "Control-frame loss rate for the fault scenarios' replay (0..1)." in
-    Arg.(value & opt float 0.10 & info [ "loss" ] ~docv:"LOSS" ~doc)
-  in
-  let capacity_arg =
-    let doc = "Trace ring capacity: the newest N events survive (per lane)." in
-    Arg.(value & opt int 4096 & info [ "capacity" ] ~docv:"N" ~doc)
-  in
-  let filter_arg =
-    let doc =
-      "Keep only events whose name or detail contains $(docv) (a switch id, a flow \
-       key, an event class like $(b,takeover) — any substring)."
-    in
-    Arg.(value & opt (some string) None & info [ "filter" ] ~docv:"STR" ~doc)
-  in
-  let since_arg =
-    let doc = "Keep only events at or after this simulated time (seconds)." in
-    Arg.(value & opt (some float) None & info [ "since" ] ~docv:"T" ~doc)
-  in
-  let until_arg =
-    let doc = "Keep only events at or before this simulated time (seconds)." in
-    Arg.(value & opt (some float) None & info [ "until" ] ~docv:"T" ~doc)
-  in
-  let run seed quick replay loss capacity filter since until echo_interval retx_timeout
-      retx_backoff retx_limit =
-    Telemetry.reset ();
-    Telemetry.Trace.enable ~capacity ();
-    ignore
-      (replay
-         {
-           (Experiments.replay_args ~seed ~quick) with
-           loss;
-           reliability =
-             Experiments.reliability_config ?echo_interval ?retx_timeout ?retx_backoff
-               ?retx_limit ();
-         });
-    Telemetry.Trace.disable ();
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      nn = 0 || go 0
-    in
-    let keep =
-      match (filter, since, until) with
-      | None, None, None -> None
-      | _ ->
-          Some
-            (fun (e : Telemetry.Trace.event) ->
-              (match filter with
-              | Some s -> contains e.Telemetry.Trace.name s || contains e.Telemetry.Trace.detail s
-              | None -> true)
-              && (match since with Some t -> e.Telemetry.Trace.at >= t | None -> true)
-              && match until with Some t -> e.Telemetry.Trace.at <= t | None -> true)
-    in
-    Telemetry.Trace.pp_timeline ?filter:keep Format.std_formatter ();
-    Format.print_flush ()
-  in
-  let doc =
-    "Replay one seeded fault scenario with event tracing enabled and print the      timeline of control-plane, cluster and takeover events (simulated time)."
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const run $ seed_arg $ quick_arg
-      $ replay_scenario_arg ~default:"chaos" ~what:"Scenario to replay"
-      $ loss_arg $ capacity_arg $ filter_arg $ since_arg $ until_arg $ echo_interval_arg
-      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg)
-
 let paths_cmd =
   let capacity_arg =
     let doc = "Postcard ring capacity per shard: the newest N postcards survive." in
@@ -631,12 +563,22 @@ let paths_cmd =
       & info [ "outcome" ] ~docv:"O" ~doc)
   in
   let since_arg =
-    let doc = "Keep only paths starting at or after this simulated time (seconds)." in
+    let doc =
+      "Keep only timeline events and paths starting at or after this simulated time \
+       (seconds)."
+    in
     Arg.(value & opt (some float) None & info [ "since" ] ~docv:"T" ~doc)
   in
   let until_arg =
-    let doc = "Keep only paths starting at or before this simulated time (seconds)." in
+    let doc =
+      "Keep only timeline events and paths starting at or before this simulated time \
+       (seconds)."
+    in
     Arg.(value & opt (some float) None & info [ "until" ] ~docv:"T" ~doc)
+  in
+  let loss_arg =
+    let doc = "Control-frame loss rate for the fault scenarios' replay (0..1)." in
+    Arg.(value & opt float 0.10 & info [ "loss" ] ~docv:"LOSS" ~doc)
   in
   let json_arg =
     let doc = "Print the selected paths as a difane-paths-v1 JSON document." in
@@ -646,10 +588,21 @@ let paths_cmd =
     let doc = "Paths spelled out in the text rendering." in
     Arg.(value & opt int 20 & info [ "limit" ] ~docv:"N" ~doc)
   in
-  let run seed quick replay domains capacity flow switch outcome since until json limit =
+  let run seed quick replay domains capacity flow switch outcome since until json limit
+      loss echo_interval retx_timeout retx_backoff retx_limit =
     Telemetry.reset ();
     Ptrace.enable ~capacity ();
-    let describe = replay { (Experiments.replay_args ~seed ~quick) with domains } in
+    let { Experiments.describe; timeline } =
+      replay
+        {
+          (Experiments.replay_args ~seed ~quick) with
+          domains;
+          loss;
+          reliability =
+            Experiments.reliability_config ?echo_interval ?retx_timeout ?retx_backoff
+              ?retx_limit ();
+        }
+    in
     Ptrace.disable ();
     let t = Paths.reconstruct () in
     let q_key =
@@ -675,6 +628,14 @@ let paths_cmd =
     let sel = Paths.select q t in
     if json then (print_string (Paths.to_json ~paths:sel t); print_newline ())
     else begin
+      let within at =
+        Option.fold ~none:true ~some:(fun t -> at >= t) since
+        && Option.fold ~none:true ~some:(fun t -> at <= t) until
+      in
+      List.iter
+        (fun (at, source, detail) ->
+          if within at then Format.printf "%10.3f  %-10s %s@\n" at source detail)
+        timeline;
       Paths.pp ?describe ~limit Format.std_formatter sel;
       Paths.pp_summary Format.std_formatter t;
       Format.print_flush ()
@@ -683,8 +644,9 @@ let paths_cmd =
   let doc =
     "Replay one scenario with causal packet-path tracing enabled, reconstruct \
      per-packet paths from the postcard rings and query them (by 5-tuple key, switch, \
-     outcome, time window).  $(b,difane gate paths-NAME) checks their causal \
-     invariants."
+     outcome, time window).  The text rendering opens with the replay's control-plane \
+     timeline (simulated time, source, event).  $(b,difane gate paths-NAME) checks \
+     the paths' causal invariants."
   in
   Cmd.v (Cmd.info "paths" ~doc)
     Term.(
@@ -692,7 +654,8 @@ let paths_cmd =
       $ replay_scenario_arg ~default:"rebalance"
           ~what:"Scenario to replay with postcard tracing enabled"
       $ domains_arg $ capacity_arg $ flow_arg $ switch_arg $ outcome_arg $ since_arg
-      $ until_arg $ json_arg $ limit_arg)
+      $ until_arg $ json_arg $ limit_arg $ loss_arg $ echo_interval_arg $ retx_timeout_arg
+      $ retx_backoff_arg $ retx_limit_arg)
 
 let aggregate_cmd =
   let cases_arg =
@@ -856,7 +819,6 @@ let experiments =
         Experiments.E_incast.print (Experiments.E_incast.run ~seed ~quick ()));
     rebalance_cmd;
     scale_cmd;
-    trace_cmd;
     paths_cmd;
     aggregate_cmd;
     monitor_cmd;

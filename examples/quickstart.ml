@@ -75,19 +75,6 @@ let () =
     (fun sw -> printf "  %s\n" (Format.asprintf "%a" Switch.pp sw))
     (Deployment.switches d);
 
-  (* The same packets executed hop by hop on the underlay's next-hop
-     tables, with explicit encapsulation — the faithful data plane. *)
-  let routing = Routing.compute topology in
-  Deployment.flush_caches d;
-  let walk = Dataplane.packet ~routing ~switch:(Deployment.switch d) ~now:1.0 ~ingress:0 pkt in
-  printf "\nHop-by-hop replay of the first packet:\n";
-  printf "  trace     : %s\n"
-    (String.concat " -> " (List.map string_of_int walk.Dataplane.trace));
-  printf "  tunnels   : %d (ingress->authority, authority->egress)\n"
-    walk.Dataplane.encapsulations;
-  printf "  latency   : %.0f us (matches the shortcut above)\n"
-    (1e6 *. walk.Dataplane.latency);
-
   (* And the whole thing stays faithful to the original classifier. *)
   let rng = Prng.create 1 in
   let probes =

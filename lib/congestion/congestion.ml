@@ -133,6 +133,22 @@ let transit t ~now ~from (l : Topology.link) =
       p.busy_until <- Float.max now p.busy_until +. ser;
       `Forward (wait +. ser, marked)
 
+(* Each hop is offered when the packet reaches it: after the queueing
+   and propagation of every hop before. *)
+let transit_path t topo ~now path =
+  let rec go extra elapsed = function
+    | [] | [ _ ] -> `Ok extra
+    | a :: (b :: _ as rest) -> (
+        match Topology.link_between topo a b with
+        | None -> invalid_arg "Congestion.transit_path: non-adjacent hop"
+        | Some l -> (
+            match transit t ~now:(now +. elapsed) ~from:a l with
+            | `Drop -> `Queue_full
+            | `Forward (delay, _marked) ->
+                go (extra +. delay) (elapsed +. delay +. l.Topology.latency) rest))
+  in
+  go 0. 0. path
+
 let stats (t : t) =
   { transits = t.transits; drops = t.drops; marks = t.marks; peak_depth = t.peak_depth }
 

@@ -8,20 +8,18 @@
     purely as latency.  This module gives the data-plane stack a shared
     vocabulary for finite resources:
 
-    - a {!config} record carried by {!Deployment.config}, threaded as an
-      optional argument into {!Dataplane.packet} and
-      {!Flowsim.run}, and exposed as CLI flags;
-    - a {e virtual-clock} per-port queue ({!t}) for the functional
-      walks ([Deployment.inject], [Dataplane.packet]), which execute one
-      packet at a time: each directed port remembers how far into the
-      future its transmitter is booked, so back-to-back packets see each
-      other's backlog without a discrete-event engine;
+    - a {!config} record carried by {!Deployment.config}, overridable
+      in {!Flowsim.Config}, and exposed as CLI flags;
+    - a {e virtual-clock} per-port queue ({!t}): each directed port
+      remembers how far into the future its transmitter is booked, so
+      back-to-back packets see each other's backlog without a
+      discrete-event engine;
     - drop-tail and ECN accounting counters mirrored into the telemetry
       registry.
 
-    The discrete-event simulator ({!Flowsim}) builds its own per-port
-    queues from {!Server} instances — real queued events — but reads the
-    same {!config}.
+    The functional walk ([Deployment.inject]) and the discrete-event
+    simulator ({!Flowsim}) both book their routed legs through
+    {!transit_path}.
 
     With {!default} (unbounded buffers, bandwidth ignored) every code
     path is bit-identical to the pre-congestion behaviour; that
@@ -101,6 +99,14 @@ val transit :
     wait plus serialization time (0 when bandwidth is not modelled) —
     propagation latency is {e not} included, callers add [link.latency]
     themselves.  [`Drop] means the buffer was full (drop-tail). *)
+
+val transit_path :
+  t -> Topology.t -> now:float -> int list -> [ `Ok of float | `Queue_full ]
+(** {!transit} at every hop of a node path whose first node sends at
+    [now]; each later hop is offered when the packet arrives there.
+    [`Ok extra] is the queueing delay to add on top of the path's
+    propagation latency; [`Queue_full] means some hop shed the packet.
+    @raise Invalid_argument if two consecutive nodes are not adjacent. *)
 
 val depth : t -> now:float -> from:int -> to_:int -> int
 (** Packets currently queued on a directed port (0 for an unknown or

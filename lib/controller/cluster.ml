@@ -65,7 +65,6 @@ let record t ~now fmt =
   Printf.ksprintf
     (fun s ->
       t.log <- (now, s) :: t.log;
-      Telemetry.Trace.event ~at:now ~name:"cluster" s;
       Log.info (fun m -> m "t=%.3f %s" now s))
     fmt
 
@@ -164,6 +163,11 @@ let controller_up t c = t.replicas.(c).up
 let cluster_log t = List.rev t.log
 
 let all_cps t = t.cp :: t.retired_cps
+
+let timeline t =
+  List.map (fun (at, s) -> (at, "cluster", s)) (cluster_log t)
+  @ List.concat_map Control_plane.timeline (List.rev (all_cps t))
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
 
 let retransmissions t =
   List.fold_left (fun acc cp -> acc + Control_plane.retransmissions cp) 0 (all_cps t)
@@ -404,8 +408,6 @@ let elect t ~now ~detector =
         in
         t.leader_lost_at <- None;
         t.takeover_latencies <- latency :: t.takeover_latencies;
-        Telemetry.Trace.span ~at:(now -. latency) ~dur:latency ~name:"takeover"
-          (Printf.sprintf "controller %d seated at epoch %d" winner new_epoch);
         record t ~now
           "controller %d elected leader at epoch %d (detector %d, %d entries replayed, \
            takeover %.3fs)"

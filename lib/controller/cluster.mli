@@ -121,3 +121,8 @@ val cluster_log : t -> (float * string) list
 (** Timestamped elections, crashes, snapshots and fencing records, in
     time order — with the leader's {!Control_plane.fault_log}, the
     replayable trace a seeded run reproduces exactly. *)
+
+val timeline : t -> (float * string * string) list
+(** {!cluster_log} (source ["cluster"]) merged with the
+    {!Control_plane.timeline} of every control plane this cluster ever
+    seated, retired masters included, stably sorted by simulated time. *)

@@ -128,7 +128,6 @@ let record t ~now fmt =
   Printf.ksprintf
     (fun s ->
       t.log <- (now, s) :: t.log;
-      Telemetry.Trace.event ~at:now ~name:"control" s;
       Log.info (fun m -> m "t=%.3f %s" now s))
     fmt
 
@@ -991,6 +990,7 @@ let in_flight t =
     0 t.ports
 let degraded_handled t = t.degraded_handled
 let fault_log t = List.rev t.log
+let timeline t = List.map (fun (at, s) -> (at, "control", s)) (fault_log t)
 
 (* Test hook: make a switch stop responding (device death). *)
 let kill_switch t i = t.ports.(i).alive <- false

@@ -224,6 +224,10 @@ val fault_log : t -> (float * string) list
     recoveries, in time order — the replayable event sequence a seeded
     run reproduces exactly. *)
 
+val timeline : t -> (float * string * string) list
+(** {!fault_log} as [(simulated time, "control", detail)] entries, the
+    form replay timelines print. *)
+
 val crash_switch : t -> now:float -> int -> unit
 (** The device dies losing all state ({!Switch.reset}); tunnelled misses
     to it start failing immediately.  Failure detection will declare it

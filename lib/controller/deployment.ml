@@ -285,26 +285,8 @@ let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
   { action; path; latency; cache_hit = false; authority = None;
     installed = Some rule; degraded = true }
 
-(* Pay the congestion model along a node path starting at [now]: book
-   each hop's egress port in arrival order.  Returns the queueing delay
-   to add on top of the path's propagation latency, or [`Queue_full] when
-   a finite buffer sheds the packet. *)
 let congested_leg cong topo ~now path =
-  match cong with
-  | None -> `Ok 0.
-  | Some c ->
-      let rec go extra elapsed = function
-        | [] | [ _ ] -> `Ok extra
-        | a :: (b :: _ as rest) -> (
-            match Topology.link_between topo a b with
-            | None -> invalid_arg "Deployment: non-adjacent leg"
-            | Some l -> (
-                match Congestion.transit c ~now:(now +. elapsed) ~from:a l with
-                | `Drop -> `Queue_full
-                | `Forward (delay, _marked) ->
-                    go (extra +. delay) (elapsed +. delay +. l.Topology.latency) rest))
-      in
-      go 0. 0. path
+  match cong with None -> `Ok 0. | Some c -> Congestion.transit_path c topo ~now path
 
 (* Credit-mode backpressure signal for the walk-based plane: the shared
    pool bounds misses queued into the authority, so an ingress defers
@@ -351,7 +333,7 @@ let inject_impl ?pkt ~cong d ~now ~ingress h =
      path for the same packet *)
   (match pkt with
   | Some p -> Ptrace.resume_packet ~pkt:p h
-  | None -> ignore (Ptrace.begin_packet now h));
+  | None -> ignore (Ptrace.begin_packet h));
   let sw = d.switches.(ingress) in
   match Switch.process sw ~now h with
   | Switch.Local (action, bank) -> (

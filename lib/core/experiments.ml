@@ -1134,7 +1134,7 @@ module E_chaos = struct
         recovered;
         replay_identical = false;
       },
-      Control_plane.fault_log cp )
+      Control_plane.timeline cp )
 
   let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default) ?echo_interval
       ?retx_timeout ?retx_backoff ?retx_limit () =
@@ -1315,7 +1315,7 @@ module E_ha = struct
         recovered;
         replay_identical = false;
       },
-      (Cluster.cluster_log cl, Bytes.to_string (Journal.encode (Cluster.journal cl))) )
+      (Cluster.timeline cl, Bytes.to_string (Journal.encode (Cluster.journal cl))) )
 
   let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default) ?echo_interval
       ?retx_timeout ?retx_backoff ?retx_limit () =
@@ -1327,7 +1327,7 @@ module E_ha = struct
       (fun loss ->
         let row, trace1 = scenario ~cp_config ~congestion ~seed ~quick ~loss in
         (* the acceptance criterion: the same seed must replay the whole
-           run bit-identically — cluster event log and journal bytes *)
+           run bit-identically — event timeline and journal bytes *)
         if Float.equal loss 0.10 then begin
           let _, trace2 = scenario ~cp_config ~congestion ~seed ~quick ~loss in
           { row with replay_identical = trace1 = trace2 }
@@ -1897,7 +1897,7 @@ module E_rebalance = struct
         violations;
         replay_identical = false;
       },
-      (Cluster.cluster_log cl, Bytes.to_string (Journal.encode (Cluster.journal cl)),
+      (Cluster.timeline cl, Bytes.to_string (Journal.encode (Cluster.journal cl)),
        res.Flowsim.flow_delays) )
 
   let run ?(seed = 42) ?(quick = false) ?(hotspot_threshold = 2.0) ?(hotspot_window = 3)
@@ -1906,7 +1906,7 @@ module E_rebalance = struct
     let static, _ = scenario ~mode:`Static in
     let adaptive, trace1 = scenario ~mode:`Adaptive in
     (* determinism gate: the same seed must replay the adaptive run
-       bit-identically — cluster log, journal bytes and per-flow delays *)
+       bit-identically — event timeline, journal bytes and per-flow delays *)
     let _, trace2 = scenario ~mode:`Adaptive in
     let adaptive = { adaptive with replay_identical = trace1 = trace2 } in
     let crash, _ = scenario ~mode:`Crash in
@@ -2113,7 +2113,7 @@ let run_all ?(seed = 42) ?(quick = false) () =
 (* ------------------------------------------------------------------ *)
 
 (* The scenario table: every CI gate and every replay target [difane
-   trace]/[difane paths] can record, in one place. *)
+   paths] can record, in one place. *)
 
 type outcome = { report : string; failures : string list; fingerprint : string }
 
@@ -2125,11 +2125,16 @@ type replay_args = {
   reliability : Control_plane.config;
 }
 
+type replay = {
+  describe : (origin:int -> pid:int -> string option) option;
+  timeline : (float * string * string) list;
+}
+
 type scenario = {
   name : string;
   doc : string;
   gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
-  replay : (replay_args -> (origin:int -> pid:int -> string option) option) option;
+  replay : (replay_args -> replay) option;
 }
 
 let replay_args ~seed ~quick =
@@ -2248,30 +2253,34 @@ let monitor_gate ~seed ~quick ~domains:_ =
   }
 
 let chaos_replay a =
-  ignore
-    (E_chaos.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
-       ~quick:a.quick ~loss:a.loss);
-  None
+  let _, timeline =
+    E_chaos.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
+      ~quick:a.quick ~loss:a.loss
+  in
+  { describe = None; timeline }
 
 let ha_replay a =
-  ignore
-    (E_ha.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
-       ~quick:a.quick ~loss:a.loss);
-  None
+  let _, (timeline, _) =
+    E_ha.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
+      ~quick:a.quick ~loss:a.loss
+  in
+  { describe = None; timeline }
 
 let rebalance_replay a =
-  ignore
-    (E_rebalance.scenario ~seed:a.seed ~quick:a.quick ~hotspot_threshold:2.0
-       ~hotspot_window:3 ~mode:`Adaptive);
-  None
+  let _, (timeline, _, _) =
+    E_rebalance.scenario ~seed:a.seed ~quick:a.quick ~hotspot_threshold:2.0
+      ~hotspot_window:3 ~mode:`Adaptive
+  in
+  { describe = None; timeline }
 
 let scale_replay a =
   ignore (E_scale.run ~seed:a.seed (E_scale.sized ~quick:a.quick ~domains:a.domains));
-  None
+  { describe = None; timeline = [] }
 
 let mon_replay a =
   let m, _ = E_mon.run_monitored ~seed:a.seed ~quick:a.quick () in
-  Some (fun ~origin ~pid -> Monitor.describe_provenance m ~origin ~pid)
+  { describe = Some (fun ~origin ~pid -> Monitor.describe_provenance m ~origin ~pid);
+    timeline = [] }
 
 (* Replay [name]'s scenario with postcard tracing on, then hold the
    reconstructed paths to every causal invariant; the difane-paths-v1
@@ -2279,7 +2288,7 @@ let mon_replay a =
 let paths_gate name replay =
   let gate ~seed ~quick ~domains =
     Ptrace.enable ();
-    let describe = replay { (replay_args ~seed ~quick) with domains } in
+    let { describe; timeline = _ } = replay { (replay_args ~seed ~quick) with domains } in
     Ptrace.disable ();
     let t = Paths.reconstruct () in
     let delivered =

@@ -479,8 +479,8 @@ val run_all : ?seed:int -> ?quick:bool -> unit -> unit
 
 (** {1 The scenario table}
 
-    Every CI gate and every replay target of [difane trace] and
-    [difane paths], in one list. *)
+    Every CI gate and every replay target of [difane paths], in one
+    list. *)
 
 type outcome = {
   report : string;  (** what the run prints *)
@@ -499,13 +499,21 @@ type replay_args = {
   reliability : Control_plane.config;  (** reliable-channel timers, likewise *)
 }
 
+(** What one replay leaves for rendering beside the postcard rings. *)
+type replay = {
+  describe : (origin:int -> pid:int -> string option) option;
+      (** the provenance join for path rendering, if the run has one *)
+  timeline : (float * string * string) list;
+      (** (simulated time, source, detail) control-plane events, in
+          non-decreasing time; [[]] for a run without a control plane *)
+}
+
 type scenario = {
   name : string;
   doc : string;
   gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
       (** the CI gate; scenarios that do not shard ignore [domains] *)
-  replay : (replay_args -> (origin:int -> pid:int -> string option) option) option;
-      (** one traced run; may return the provenance join for path rendering *)
+  replay : (replay_args -> replay) option;  (** one traced run *)
 }
 
 val scenarios : scenario list

@@ -301,7 +301,7 @@ let run_keys kind ~cache_size { keys; attr_keys; origin_of } =
     Array.iteri
       (fun i k ->
         let at = float_of_int i in
-        ignore (Ptrace.begin_packet_key at ~lo:k ~hi:0);
+        ignore (Ptrace.begin_packet_key ~lo:k ~hi:0);
         if Lru.access lru k then begin
           let a = Array.unsafe_get attr_keys i in
           Array.unsafe_set hit_counts a (1 + Array.unsafe_get hit_counts a);

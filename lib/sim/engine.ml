@@ -28,8 +28,9 @@
 
    [run] repeatedly takes the smaller of (run head, heap top) — so the
    merged order is exactly the (time, seq) order a single heap would
-   produce (the differential test against [Engine_legacy] proves it),
-   but the common event costs O(1) instead of O(log pending). *)
+   produce (the differential test against the closure-heap reference
+   engine proves it), but the common event costs O(1) instead of
+   O(log pending). *)
 
 type kind = int
 

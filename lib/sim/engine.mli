@@ -18,8 +18,8 @@
     Both forms interleave in one queue and share the FIFO guarantee.
     Equal-timestamp events are dispatched as one batch: the clock is
     written once and the batch drains before the [until] horizon is
-    reconsidered.  [Engine_legacy] keeps the original closure-heap
-    implementation as the reference semantics for the differential test.
+    reconsidered.  The original closure-heap implementation lives on in
+    the test suite as the reference semantics for a differential test.
 
     Engines are single-domain values; a sharded simulation runs one
     engine per domain.  Per-engine tallies ({!stats}) are mirrored into

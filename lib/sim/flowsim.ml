@@ -235,6 +235,27 @@ let prop topo a b = Option.value ~default:0. (Topology.distance topo a b)
 let egress_latency topo ~from action =
   match Action.egress action with Some e -> prop topo from e | None -> 0.
 
+(* Packet arrivals are packed events: the payload carries the flow's
+   index and the first-packet bit, so a million-flow schedule costs four
+   scalar lanes per event and no closures. *)
+let post_arrivals engine acc flows process_packet =
+  let flows_arr = Array.of_list flows in
+  let k_packet =
+    Engine.kind engine (fun payload ->
+        process_packet flows_arr.(payload lsr 1) ~is_first:(payload land 1 = 1))
+  in
+  Array.iteri
+    (fun idx (flow : Traffic.flow) ->
+      if flow.start < acc.first_arrival then acc.first_arrival <- flow.start;
+      if flow.start > acc.last_arrival then acc.last_arrival <- flow.start;
+      Engine.post engine ~at:flow.start k_packet ((idx lsl 1) lor 1);
+      for i = 1 to flow.packets - 1 do
+        Engine.post engine
+          ~at:(flow.start +. (float_of_int i *. flow.interval))
+          k_packet (idx lsl 1)
+      done)
+    flows_arr
+
 (* One single-engine run: the core every entry point (and every shard of
    a sharded run) executes.  Returns the raw tallies; [finish] renders
    them (or a shard-ordered merge of several) into a [result]. *)
@@ -248,12 +269,10 @@ type raw = {
 let run_core ?(shard = 0) (cfg : Config.t) d flows =
   let timing = cfg.timing in
   let engine = Engine.create () in
-  (* Tracing rails: this shard's postcards (and Trace events) go to the
-     shard's own ring/lane, so the read side's shard-index-ordered merge
-     is byte-identical at any domain count.  Both binds are no-ops when
-     the facility is off. *)
+  (* Tracing rail: this shard's postcards go to the shard's own ring, so
+     the read side's shard-index-ordered merge is byte-identical at any
+     domain count.  The bind is a no-op when tracing is off. *)
   Ptrace.bind ~shard;
-  Telemetry.Trace.bind ~lane:shard;
   let acc = fresh_acc () in
   let live = cfg.monitor <> None || cfg.controller <> None in
   (* Live-controller co-simulation: before each packet event, run the
@@ -356,30 +375,19 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
      [`Queue_full] a drop-tail shed at some hop's port buffer. *)
   let congested_path ~now a b =
     match cong with
-    | None -> `Ok 0.
-    | Some c -> (
-        if a = b then `Ok 0.
-        else
-          match Topology.shortest_path topo a b with
-          | None -> `Ok 0.
-          | Some path ->
-              let rec go extra elapsed = function
-                | [] | [ _ ] -> `Ok extra
-                | x :: (y :: _ as rest) -> (
-                    match Topology.link_between topo x y with
-                    | None -> `Ok extra
-                    | Some l -> (
-                        match Congestion.transit c ~now:(now +. elapsed) ~from:x l with
-                        | `Drop -> `Queue_full
-                        | `Forward (delay, _marked) ->
-                            go (extra +. delay) (elapsed +. delay +. l.Topology.latency) rest))
-              in
-              go 0. 0. path)
+    | Some c when a <> b -> (
+        match Topology.shortest_path topo a b with
+        | Some path -> Congestion.transit_path c topo ~now path
+        | None -> `Ok 0.)
+    | _ -> `Ok 0.
   in
   let deliver_leg ~now ~from action =
     match Action.egress action with None -> `Ok 0. | Some e -> congested_path ~now from e
   in
-  let flow_dropped ~is_first =
+  (* A terminal drop: the packet's last postcard, and a dropped flow if
+     it was the flow's first packet. *)
+  let drop ~at ~switch reason ~is_first =
+    Ptrace.emit ~at Ptrace.Drop ~switch ~rule:(-1) ~aux:reason;
     if is_first then begin
       acc.dropped <- acc.dropped + 1;
       if live then Telemetry.incr m_dropped
@@ -398,9 +406,7 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
          has nowhere to go — the one genuinely fatal combination *)
       acc.outage <- acc.outage + 1;
       if live then Telemetry.incr m_outage_drops;
-      Ptrace.emit ~at:(Engine.now engine) Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-        ~aux:Ptrace.drop_outage;
-      flow_dropped ~is_first
+      drop ~at:(Engine.now engine) ~switch:flow.ingress Ptrace.drop_outage ~is_first
     end
     else
     Engine.after engine ~delay:(timing.controller_rtt /. 2.) (fun () ->
@@ -432,9 +438,7 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
                 ~cache_hit:false)
         in
         if not accepted then begin
-          Ptrace.emit ~at:(Engine.now engine) Ptrace.Drop ~switch:flow.ingress
-            ~rule:(-1) ~aux:Ptrace.drop_rejected;
-          flow_dropped ~is_first
+          drop ~at:(Engine.now engine) ~switch:flow.ingress Ptrace.drop_rejected ~is_first
         end)
   in
   let serve_degraded = serve_via_controller ~cause:`Failure in
@@ -444,7 +448,7 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
     (* opened after [catch_up], so controller ticks never inherit a
        packet context; the packet id rides into every deferred
        continuation below via [resume_packet] *)
-    let pkt = Ptrace.begin_packet now flow.header in
+    let pkt = Ptrace.begin_packet flow.header in
     (match cfg.monitor with
     | Some m -> Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header
     | None -> ());
@@ -453,9 +457,7 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
     | Switch.Local (action, bank) -> (
         match deliver_leg ~now ~from:flow.ingress action with
         | `Queue_full ->
-            Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-              ~aux:Ptrace.drop_queue_full;
-            flow_dropped ~is_first
+            drop ~at:now ~switch:flow.ingress Ptrace.drop_queue_full ~is_first
         | `Ok extra ->
             let lat = egress_latency topo ~from:flow.ingress action +. extra in
             Ptrace.emit ~at:(now +. lat) Ptrace.Deliver
@@ -466,13 +468,9 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
             deliver ~live acc engine ~is_first ~arrival:now ~extra_latency:lat
               ~cache_hit:(bank = Switch.Cache_bank))
     | Switch.Unmatched ->
-        Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-          ~aux:Ptrace.drop_unmatched;
-        flow_dropped ~is_first
+        drop ~at:now ~switch:flow.ingress Ptrace.drop_unmatched ~is_first
     | Switch.Misconfigured ->
-        Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-          ~aux:Ptrace.drop_misconfigured;
-        flow_dropped ~is_first
+        drop ~at:now ~switch:flow.ingress Ptrace.drop_misconfigured ~is_first
     | Switch.Tunnel nominal -> (
         match Deployment.resolve_authority d ~ingress:flow.ingress flow.header ~nominal with
         | None -> serve_degraded flow ~is_first ~pkt
@@ -491,9 +489,7 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
         match congested_path ~now flow.ingress auth with
         | `Queue_full ->
             return_credit ();
-            Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-              ~aux:Ptrace.drop_queue_full;
-            flow_dropped ~is_first
+            drop ~at:now ~switch:flow.ingress Ptrace.drop_queue_full ~is_first
         | `Ok tunnel_extra ->
         let tunnel_latency = prop topo flow.ingress auth +. tunnel_extra in
         (* the miss packet reaches the authority, then queues for a
@@ -515,9 +511,8 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
                       (Deployment.switch d auth) ~now flow.header
                   with
                   | None ->
-                      Ptrace.emit ~at:now Ptrace.Drop ~switch:auth ~rule:(-1)
-                        ~aux:Ptrace.drop_no_authority;
-                      flow_dropped ~is_first
+                      drop ~at:now ~switch:auth Ptrace.drop_no_authority
+                        ~is_first
                   | Some { Switch.action; cache_rule = _; origin_id = _; pid = _; installs } -> (
                       (* the install message travels back to the ingress
                          and updates its table off the packet's critical
@@ -543,9 +538,8 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
                       | None -> ());
                       match deliver_leg ~now:(Engine.now engine) ~from:auth action with
                       | `Queue_full ->
-                          Ptrace.emit ~at:(Engine.now engine) Ptrace.Drop ~switch:auth
-                            ~rule:(-1) ~aux:Ptrace.drop_queue_full;
-                          flow_dropped ~is_first
+                          drop ~at:(Engine.now engine) ~switch:auth
+                            Ptrace.drop_queue_full ~is_first
                       | `Ok extra ->
                           let lat = egress_latency topo ~from:auth action +. extra in
                           Ptrace.emit ~at:(Engine.now engine +. lat) Ptrace.Deliver
@@ -559,31 +553,11 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
             in
             if not accepted then begin
               return_credit ();
-              Ptrace.emit ~at:(Engine.now engine) Ptrace.Drop ~switch:auth ~rule:(-1)
-                ~aux:Ptrace.drop_rejected;
-              flow_dropped ~is_first
+              drop ~at:(Engine.now engine) ~switch:auth Ptrace.drop_rejected ~is_first
             end)
         end)
   in
-  (* Packet arrivals are packed events: the payload carries the flow's
-     index and the first-packet bit, so a million-flow schedule costs four
-     scalar lanes per event and no closures. *)
-  let flows_arr = Array.of_list flows in
-  let k_packet =
-    Engine.kind engine (fun payload ->
-        process_packet flows_arr.(payload lsr 1) ~is_first:(payload land 1 = 1))
-  in
-  Array.iteri
-    (fun idx (flow : Traffic.flow) ->
-      if flow.start < acc.first_arrival then acc.first_arrival <- flow.start;
-      if flow.start > acc.last_arrival then acc.last_arrival <- flow.start;
-      Engine.post engine ~at:flow.start k_packet ((idx lsl 1) lor 1);
-      for i = 1 to flow.packets - 1 do
-        Engine.post engine
-          ~at:(flow.start +. (float_of_int i *. flow.interval))
-          k_packet (idx lsl 1)
-      done)
-    flows_arr;
+  post_arrivals engine acc flows process_packet;
   Engine.run engine;
   catch_up (Engine.now engine);
   (match cfg.monitor with
@@ -739,22 +713,7 @@ let run_nox ?(timing = default_timing) n flows =
             in
             if (not accepted) && is_first then acc.dropped <- acc.dropped + 1)
   in
-  let flows_arr = Array.of_list flows in
-  let k_packet =
-    Engine.kind engine (fun payload ->
-        process_packet flows_arr.(payload lsr 1) ~is_first:(payload land 1 = 1))
-  in
-  Array.iteri
-    (fun idx (flow : Traffic.flow) ->
-      if flow.start < acc.first_arrival then acc.first_arrival <- flow.start;
-      if flow.start > acc.last_arrival then acc.last_arrival <- flow.start;
-      Engine.post engine ~at:flow.start k_packet ((idx lsl 1) lor 1);
-      for i = 1 to flow.packets - 1 do
-        Engine.post engine
-          ~at:(flow.start +. (float_of_int i *. flow.interval))
-          k_packet (idx lsl 1)
-      done)
-    flows_arr;
+  post_arrivals engine acc flows process_packet;
   Engine.run engine;
   mirror_registry acc;
   finish acc ~offered:(List.length flows)

@@ -26,8 +26,7 @@ type verdict =
       (** a partition rule claimed the header but cannot tunnel it (its
           action is not [To_authority]) — a broken partition bank, kept
           distinct from genuinely uncovered flowspace so drop reporting
-          upstream ({!Dataplane.result.drop_reason}) can tell operator
-          error from policy gaps *)
+          upstream can tell operator error from policy gaps *)
 
 val create : id:int -> cache_capacity:int -> t
 val id : t -> int

@@ -185,138 +185,18 @@ let find samples ?labels name =
       else None)
     samples
 
-(* ---- trace ring buffer ---- *)
-
-module Trace = struct
-  type event = { at : float; dur : float; name : string; detail : string }
-
-  let dummy = { at = 0.; dur = 0.; name = ""; detail = "" }
-
-  (* One ring per lane, one writer per lane: a sharded simulator binds
-     each worker domain to its shard's lane, so emission stays a plain
-     store and the read side concatenates lanes in lane-id order — the
-     same deterministic merge rule as the engine's shard merge.  The
-     single-domain default is lane 0, bound to the enabling domain. *)
-  type lane = {
-    lane_id : int;
-    ring : event array;
-    mutable next : int;  (* total emitted; next slot = next mod capacity *)
-  }
-
-  type state = {
-    mutable on : bool;
-    mutable capacity : int;
-    mutable lanes : lane list;
-  }
-
-  let st = { on = false; capacity = 0; lanes = [] }
-  let lock = Mutex.create ()
-
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-  let lane_for id =
-    locked @@ fun () ->
-    match List.find_opt (fun l -> l.lane_id = id) st.lanes with
-    | Some l -> l
-    | None ->
-        let l = { lane_id = id; ring = Array.make st.capacity dummy; next = 0 } in
-        st.lanes <- l :: st.lanes;
-        l
-
-  let dls : lane option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let bind ~lane = if st.on then Domain.DLS.set dls (Some (lane_for lane))
-  let unbind () = Domain.DLS.set dls None
-
-  (* An emitting domain nobody bound still gets its own private lane
-     (far above any shard index), never a data race on someone else's. *)
-  let cur_lane () =
-    match Domain.DLS.get dls with
-    | Some l -> l
-    | None ->
-        let l = lane_for (1_000_000 + (Domain.self () :> int)) in
-        Domain.DLS.set dls (Some l);
-        l
-
-  let enable ?(capacity = 4096) () =
-    if capacity < 1 then invalid_arg "Telemetry.Trace.enable: capacity < 1";
-    locked (fun () ->
-        st.capacity <- capacity;
-        st.lanes <- []);
-    st.on <- true;
-    Domain.DLS.set dls None;
-    bind ~lane:0
-
-  let disable () = st.on <- false
-  let enabled () = st.on
-
-  let clear () =
-    locked @@ fun () ->
-    List.iter
-      (fun l ->
-        Array.fill l.ring 0 (Array.length l.ring) dummy;
-        l.next <- 0)
-      st.lanes
-
-  let span ~at ~dur ~name detail =
-    if st.on then begin
-      let l = cur_lane () in
-      l.ring.(l.next mod Array.length l.ring) <- { at; dur; name; detail };
-      l.next <- l.next + 1
-    end
-
-  let event ~at ~name detail = span ~at ~dur:0. ~name detail
-
-  let sorted_lanes () =
-    locked (fun () ->
-        List.sort (fun a b -> Int.compare a.lane_id b.lane_id) st.lanes)
-
-  let emitted () = List.fold_left (fun acc l -> acc + l.next) 0 (sorted_lanes ())
-
-  let lane_events l =
-    let cap = Array.length l.ring in
-    if cap = 0 then []
-    else begin
-      let n = min l.next cap in
-      let first = if l.next <= cap then 0 else l.next mod cap in
-      List.init n (fun i -> l.ring.((first + i) mod cap))
-    end
-
-  let events () = List.concat_map lane_events (sorted_lanes ())
-
-  let pp_timeline ?filter ppf () =
-    let evs = events () in
-    let dropped = emitted () - List.length evs in
-    let evs =
-      match filter with None -> evs | Some keep -> List.filter keep evs
-    in
-    if evs = [] then Format.fprintf ppf "(trace empty)@."
-    else begin
-      if dropped > 0 then Format.fprintf ppf "... %d earlier events overwritten@." dropped;
-      List.iter
-        (fun e ->
-          if e.dur > 0. then
-            Format.fprintf ppf "%10.3f  %-10s %s [%.3fs]@." e.at e.name e.detail e.dur
-          else Format.fprintf ppf "%10.3f  %-10s %s@." e.at e.name e.detail)
-        evs
-    end
-end
-
 let reset () =
-  (locked @@ fun () ->
-   Hashtbl.iter
-     (fun _ r ->
-       match r.cell with
-       | C c -> Atomic.set c 0
-       | G g -> Atomic.set g 0.
-       | H h ->
-           Array.iter (fun c -> Atomic.set c 0) h.counts;
-           Atomic.set h.sum 0.;
-           Atomic.set h.hcount 0)
-     registry);
-  Trace.clear ()
+  locked @@ fun () ->
+  Hashtbl.iter
+    (fun _ r ->
+      match r.cell with
+      | C c -> Atomic.set c 0
+      | G g -> Atomic.set g 0.
+      | H h ->
+          Array.iter (fun c -> Atomic.set c 0) h.counts;
+          Atomic.set h.sum 0.;
+          Atomic.set h.hcount 0)
+    registry
 
 (* ---- rendering ---- *)
 

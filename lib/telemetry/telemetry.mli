@@ -1,4 +1,4 @@
-(** Process-wide metrics registry and event-trace ring buffer.
+(** Process-wide metrics registry.
 
     DIFANE's evaluation is measurement-driven — flow-setup throughput,
     cache behaviour, loss under faults — so measurement is part of the
@@ -20,13 +20,11 @@
       [(name, labels)], so two runs that did the same work render
       byte-identical text/JSON — the property the seeded-replay
       experiments extend to their telemetry;
-    - {b bounded memory}: the trace buffer is a fixed-capacity ring,
-      disabled by default; when off, an emit is one load and a branch;
     - {b domain safety}: instrument cells are atomic and every mutation is
       a commutative monoid operation (add, max), so worker domains of a
       sharded simulation can bump shared instruments and the final
       snapshot is independent of interleaving.  Registration and
-      snapshots take a lock; the trace ring remains single-domain.
+      snapshots take a lock.
 
     The registry is process-wide and cumulative: instruments created
     twice under the same name and labels share one cell, and values
@@ -95,8 +93,7 @@ val snapshot : unit -> sample list
     deterministic whole-system view. *)
 
 val reset : unit -> unit
-(** Zero every instrument (registration survives; handles stay valid)
-    and clear the trace buffer. *)
+(** Zero every instrument (registration survives; handles stay valid). *)
 
 val counter_total : sample list -> string -> int
 (** Sum of every counter sample with this name across its label sets;
@@ -118,61 +115,3 @@ val json_float : float -> string
     whole document unparseable.  Every JSON renderer in the tree must
     route floats that can be undefined (e.g. {!Tcam.hit_rate} before any
     lookup) through this. *)
-
-(** {1 Event tracing} *)
-
-module Trace : sig
-  (** A bounded ring of typed, simulated-time-stamped events.  Disabled
-      by default; the fault-injection paths emit into it when enabled, so
-      [difane trace] can print the causal timeline of a chaos run
-      without the string log paying for it when nobody is looking. *)
-
-  type event = {
-    at : float;  (** simulated seconds *)
-    dur : float;  (** span length; 0 for point events *)
-    name : string;  (** event class, e.g. "control", "cluster", "takeover" *)
-    detail : string;
-  }
-
-  val enable : ?capacity:int -> unit -> unit
-  (** Start recording into fresh lanes ([capacity] events per lane,
-      default 4096) and bind the calling domain to lane 0 — the
-      single-domain default.
-      @raise Invalid_argument if [capacity < 1]. *)
-
-  val disable : unit -> unit
-  val enabled : unit -> bool
-
-  val clear : unit -> unit
-  (** Empty every lane (bindings and capacity survive). *)
-
-  val bind : lane:int -> unit
-  (** Route this domain's events to [lane]'s ring (created on first
-      use).  A sharded simulator binds each worker to its shard index —
-      one writer per lane — so a multi-domain run records safely and
-      {!events} stays deterministic.  No-op when disabled. *)
-
-  val unbind : unit -> unit
-  (** Drop this domain's lane binding.  An unbound domain that emits
-      anyway gets a private high-numbered lane, never a shared ring. *)
-
-  val event : at:float -> name:string -> string -> unit
-  (** Record a point event; no-op (one branch) when disabled. *)
-
-  val span : at:float -> dur:float -> name:string -> string -> unit
-  (** Record a span that started at [at] and lasted [dur] seconds. *)
-
-  val emitted : unit -> int
-  (** Events emitted since enable/clear, including any the ring has
-      since overwritten. *)
-
-  val events : unit -> event list
-  (** Lanes in lane-id order, each lane oldest first, at most
-      [capacity] events per lane (the newest survive wraparound) — the
-      deterministic merge: the same run emits the same list at any
-      domain count. *)
-
-  val pp_timeline : ?filter:(event -> bool) -> Format.formatter -> unit -> unit
-  (** The buffer as a timeline, one line per event surviving [filter]
-      (default: all). *)
-end

@@ -211,8 +211,7 @@ let unbind () =
   (match Domain.DLS.get dls with Some r -> locked (fun () -> mirror r) | None -> ());
   Domain.DLS.set dls None
 
-let begin_packet_key at ~lo ~hi =
-  ignore at;
+let begin_packet_key ~lo ~hi =
   if not (Atomic.get on) then -1
   else begin
     let r = cur_ring () in
@@ -224,10 +223,9 @@ let begin_packet_key at ~lo ~hi =
     id
   end
 
-let begin_packet at h =
+let begin_packet h =
   if not (Atomic.get on) then -1
-  else
-    begin_packet_key at ~lo:(Header.key_lo h) ~hi:(Header.key_hi h)
+  else begin_packet_key ~lo:(Header.key_lo h) ~hi:(Header.key_hi h)
 
 let resume_packet ~pkt h =
   if Atomic.get on then begin

@@ -129,14 +129,13 @@ val unbind : unit -> unit
 
 (** {1 Emission} *)
 
-val begin_packet : float -> Header.t -> int
-(** [begin_packet at h]: allocate the next packet id in the bound ring
+val begin_packet : Header.t -> int
+(** [begin_packet h]: allocate the next packet id in the bound ring
     and stamp the context (packet id + packed 5-tuple key) subsequent
     {!emit}s attribute to.  Returns the id ([-1] when disabled) for
-    {!resume_packet}.  [at] is accepted for symmetry and future use;
-    postcards carry their own times. *)
+    {!resume_packet}.  Postcards carry their own times. *)
 
-val begin_packet_key : float -> lo:int -> hi:int -> int
+val begin_packet_key : lo:int -> hi:int -> int
 (** {!begin_packet} for callers that identify packets by a bare packed
     key instead of a {!Header.t} (the standalone cache simulator keys
     its stream by small ints). *)

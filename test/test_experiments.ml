@@ -325,6 +325,81 @@ let test_every_gate_holds_quick () =
           (Experiments.run_gate ~print:ignore s ~seed:42 ~quick:true ~domains:2))
     Experiments.scenarios
 
+(* --- replay timelines, read from the controllers' own logs --- *)
+
+let replay_timeline name =
+  let s =
+    List.find (fun (s : Experiments.scenario) -> s.name = name) Experiments.scenarios
+  in
+  (Option.get s.replay (Experiments.replay_args ~seed:42 ~quick:true)).Experiments.timeline
+
+let rec non_decreasing = function
+  | (a, _, _) :: ((b, _, _) :: _ as rest) -> a <= b && non_decreasing rest
+  | _ -> true
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* Both elections come from the cluster log; the fencing line comes from
+   controller 1's control plane, retired by the second election. *)
+let test_ha_timeline () =
+  let tl = replay_timeline "ha" in
+  let has source needle =
+    List.exists (fun (_, src, detail) -> src = source && contains detail needle) tl
+  in
+  check Alcotest.bool "epoch 2 election" true (has "cluster" "elected leader at epoch 2");
+  check Alcotest.bool "epoch 3 election" true (has "cluster" "elected leader at epoch 3");
+  check Alcotest.bool "the retired controller is fenced" true
+    (has "control" "fenced: observed epoch 3 above own 2");
+  check Alcotest.bool "non-decreasing time" true (non_decreasing tl)
+
+(* Every [Control_plane] record also goes to the difane.control log
+   source; captured during the replay, it is an independent copy of the
+   control plane's fault log. *)
+let test_chaos_timeline_is_fault_log () =
+  let src =
+    List.find (fun s -> Logs.Src.name s = "difane.control") (Logs.Src.list ())
+  in
+  let logged = ref [] in
+  let report s _level ~over k msgf =
+    if Logs.Src.equal s src then
+      msgf (fun ?header:_ ?tags:_ fmt ->
+          Format.kasprintf
+            (fun m ->
+              logged := m :: !logged;
+              over ();
+              k ())
+            fmt)
+    else begin
+      over ();
+      k ()
+    end
+  in
+  let old_reporter = Logs.reporter () and old_level = Logs.Src.level src in
+  Logs.set_reporter { Logs.report };
+  Logs.Src.set_level src (Some Logs.Info);
+  let tl =
+    Fun.protect
+      ~finally:(fun () ->
+        Logs.set_reporter old_reporter;
+        Logs.Src.set_level src old_level)
+      (fun () -> replay_timeline "chaos")
+  in
+  check Alcotest.bool "the run recorded events" true (tl <> []);
+  check
+    Alcotest.(list string)
+    "the control plane's records, in order"
+    (List.rev !logged)
+    (List.map (fun (at, _, detail) -> Printf.sprintf "t=%.3f %s" at detail) tl);
+  check Alcotest.bool "every entry is a control-plane event" true
+    (List.for_all (fun (_, src, _) -> src = "control") tl)
+
+let test_scale_timeline_empty () =
+  check Alcotest.int "no control plane, no timeline" 0
+    (List.length (replay_timeline "scale"))
+
 let suite =
   [
     ( "gates",
@@ -337,6 +412,12 @@ let suite =
         tc "harness rejects a replay-only scenario" test_harness_rejects_non_gate;
         tc "gate table" test_gate_table;
         tc "every gate holds at quick size" test_every_gate_holds_quick;
+      ] );
+    ( "timeline",
+      [
+        tc "ha: both elections and the retired controller's fencing" test_ha_timeline;
+        tc "chaos: the control plane's fault log" test_chaos_timeline_is_fault_log;
+        tc "scale: empty without a control plane" test_scale_timeline_empty;
       ] );
     ( "experiments",
       [

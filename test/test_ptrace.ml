@@ -66,7 +66,7 @@ let test_wraparound () =
   Ptrace.bind ~shard:0;
   for i = 0 to 4 do
     let t = float_of_int i in
-    ignore (Ptrace.begin_packet_key t ~lo:i ~hi:0);
+    ignore (Ptrace.begin_packet_key ~lo:i ~hi:0);
     Ptrace.emit ~at:t Ptrace.Miss ~switch:0 ~rule:(-1) ~aux:1;
     Ptrace.emit ~at:(t +. 0.1) Ptrace.Transit ~switch:1 ~rule:(-1) ~aux:0;
     Ptrace.emit ~at:(t +. 0.2) Ptrace.Deliver ~switch:1 ~rule:(-1) ~aux:0
@@ -100,7 +100,7 @@ let test_disabled_noop () =
   Telemetry.reset ();
   if Ptrace.enabled () then Ptrace.disable ();
   check Alcotest.int "begin_packet_key returns -1" (-1)
-    (Ptrace.begin_packet_key 0. ~lo:1 ~hi:2);
+    (Ptrace.begin_packet_key ~lo:1 ~hi:2);
   Ptrace.emit ~at:0. Ptrace.Deliver ~switch:0 ~rule:(-1) ~aux:0;
   check Alcotest.int "nothing recorded" 0 (Array.length (Ptrace.postcards ()))
 
@@ -284,29 +284,6 @@ let test_tracing_noninterference () =
   Ptrace.clear ();
   check Alcotest.string "tracing does not perturb the digest" off traced
 
-(* ---- Telemetry.Trace lanes: deterministic multi-domain merge ---- *)
-
-let test_trace_lane_merge () =
-  Telemetry.reset ();
-  Telemetry.Trace.enable ~capacity:16 ();
-  (* enable binds this domain to lane 0 *)
-  Telemetry.Trace.event ~at:5. ~name:"a" "lane0-first";
-  Telemetry.Trace.bind ~lane:2;
-  Telemetry.Trace.event ~at:1. ~name:"c" "lane2";
-  Telemetry.Trace.bind ~lane:1;
-  Telemetry.Trace.event ~at:9. ~name:"b" "lane1";
-  Telemetry.Trace.bind ~lane:0;
-  Telemetry.Trace.event ~at:6. ~name:"a" "lane0-second";
-  let details = List.map (fun e -> e.Telemetry.Trace.detail) (Telemetry.Trace.events ()) in
-  check
-    Alcotest.(list string)
-    "lane-id order, oldest-first within a lane — not time order"
-    [ "lane0-first"; "lane0-second"; "lane1"; "lane2" ]
-    details;
-  check Alcotest.int "emitted sums lanes" 4 (Telemetry.Trace.emitted ());
-  Telemetry.Trace.disable ();
-  Telemetry.reset ()
-
 (* ---- sub-microsecond histogram ladder ---- *)
 
 let test_sub_us_buckets () =
@@ -352,7 +329,6 @@ let suite =
       tc "path queries" test_select;
       tc "shard merge: domains 1 vs 4 byte-identical" test_shard_merge_determinism;
       tc "tracing never perturbs the digest" test_tracing_noninterference;
-      tc "telemetry trace lanes merge deterministically" test_trace_lane_merge;
       tc "sub-microsecond histogram ladder" test_sub_us_buckets;
       ] );
   ]

@@ -1,4 +1,4 @@
-(* The telemetry registry and trace ring, plus the no-drift contract:
+(* The telemetry registry, plus the no-drift contract:
    the process-wide registry must agree with the legacy per-module
    accessors it mirrors, because both are bumped on the same line. *)
 
@@ -144,58 +144,6 @@ let test_json_nan_safety () =
   check Alcotest.bool "nan gauge -> null in --metrics json" true
     (contains {|{"name":"t_undefined_gauge","type":"gauge","value":null}|});
   check Alcotest.bool "no bare nan token" false (contains "nan")
-
-(* --- trace ring --- *)
-
-let test_trace_wraparound () =
-  Telemetry.reset ();
-  Telemetry.Trace.enable ~capacity:4 ();
-  for i = 1 to 7 do
-    Telemetry.Trace.event ~at:(float_of_int i) ~name:"tick" (string_of_int i)
-  done;
-  check Alcotest.int "emitted counts overwrites" 7 (Telemetry.Trace.emitted ());
-  let evs = Telemetry.Trace.events () in
-  check Alcotest.int "ring keeps capacity" 4 (List.length evs);
-  check Alcotest.bool "newest survive, oldest first" true
-    (List.map (fun (e : Telemetry.Trace.event) -> e.Telemetry.Trace.at) evs
-    = [ 4.; 5.; 6.; 7. ]);
-  Telemetry.Trace.disable ();
-  Telemetry.Trace.event ~at:99. ~name:"tick" "ignored";
-  check Alcotest.int "disabled emit is a no-op" 7 (Telemetry.Trace.emitted ())
-
-let test_trace_deep_wraparound () =
-  (* many times around the ring: the newest [capacity] survive, in
-     order, and the emitted total keeps counting the overwritten ones *)
-  Telemetry.reset ();
-  Telemetry.Trace.enable ~capacity:16 ();
-  let total = 1000 in
-  for i = 1 to total do
-    if i mod 3 = 0 then
-      Telemetry.Trace.span ~at:(float_of_int i) ~dur:0.5 ~name:"span" (string_of_int i)
-    else Telemetry.Trace.event ~at:(float_of_int i) ~name:"tick" (string_of_int i)
-  done;
-  check Alcotest.int "emitted counts all" total (Telemetry.Trace.emitted ());
-  let evs = Telemetry.Trace.events () in
-  check Alcotest.int "ring holds capacity" 16 (List.length evs);
-  check Alcotest.bool "exactly the newest, oldest first" true
-    (List.map (fun (e : Telemetry.Trace.event) -> e.Telemetry.Trace.at) evs
-    = List.init 16 (fun i -> float_of_int (total - 15 + i)));
-  (* span metadata survives the wraparound *)
-  check Alcotest.bool "spans keep their duration" true
-    (List.for_all
-       (fun (e : Telemetry.Trace.event) ->
-         if e.Telemetry.Trace.name = "span" then e.Telemetry.Trace.dur = 0.5
-         else e.Telemetry.Trace.dur = 0.)
-       evs);
-  Telemetry.Trace.clear ();
-  check Alcotest.int "clear resets emitted" 0 (Telemetry.Trace.emitted ());
-  check Alcotest.int "clear empties the ring" 0 (List.length (Telemetry.Trace.events ()));
-  Telemetry.Trace.disable ()
-
-let test_trace_disabled_by_default () =
-  (* fresh state after reset: tracing must be opt-in *)
-  Telemetry.reset ();
-  check Alcotest.bool "off by default" false (Telemetry.Trace.enabled ())
 
 (* --- integration: registry vs the legacy accessors it mirrors --- *)
 
@@ -386,9 +334,6 @@ let suite =
           test_reset_zeroes_but_keeps_registration;
         Alcotest.test_case "json shape" `Quick test_json_shape;
         Alcotest.test_case "json nan safety" `Quick test_json_nan_safety;
-        Alcotest.test_case "trace ring wraparound" `Quick test_trace_wraparound;
-        Alcotest.test_case "trace ring deep wraparound" `Quick test_trace_deep_wraparound;
-        Alcotest.test_case "trace disabled by default" `Quick test_trace_disabled_by_default;
       ] );
     ( "telemetry-integration",
       [
