@@ -222,12 +222,9 @@ let leg topo a b =
 let join path next = path @ List.tl next
 
 let deliver topo ~from action =
-  match Action.egress action with
-  | None -> ([ from ], 0.) (* dropped (or counted-and-dropped) at [from] *)
-  | Some egress -> (
-      match leg topo from egress with
-      | Some (p, l) -> (p, l)
-      | None -> ([ from ], 0.))
+  (* no egress: dropped (or counted-and-dropped) at [from] *)
+  Option.bind (Action.egress action) (leg topo from)
+  |> Option.value ~default:([ from ], 0.)
 
 let exact_pred schema h =
   Pred.make schema

@@ -51,19 +51,11 @@ let microflow_rule t ~id h action =
   in
   Rule.make ~id ~priority:1 pred action
 
-let deliver topo ~from action =
-  match Action.egress action with
-  | None -> ([ from ], 0.)
-  | Some egress -> (
-      match Topology.shortest_path topo from egress with
-      | Some p -> (p, Topology.path_latency topo p)
-      | None -> ([ from ], 0.))
-
 let inject t ~now ~ingress h =
   let sw = t.switches.(ingress) in
   match Tcam.lookup (Switch.cache sw) ~now h with
   | Some r ->
-      let path, latency = deliver t.topology ~from:ingress r.Rule.action in
+      let path, latency = Deployment.deliver t.topology ~from:ingress r.Rule.action in
       { action = r.Rule.action; punted = false; path; latency; installed = None }
   | None ->
       t.packet_ins <- Int64.add t.packet_ins 1L;
@@ -73,7 +65,7 @@ let inject t ~now ~ingress h =
       let rule = microflow_rule t ~id h action in
       ignore
         (Tcam.insert_or_evict ?idle_timeout:t.config.idle_timeout (Switch.cache sw) ~now rule);
-      let path, dlat = deliver t.topology ~from:ingress action in
+      let path, dlat = Deployment.deliver t.topology ~from:ingress action in
       {
         action;
         punted = true;

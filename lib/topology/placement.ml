@@ -22,12 +22,9 @@ let by_degree topo ~k =
   |> List.sort (fun a b -> Int.compare (Topology.degree topo b) (Topology.degree topo a))
   |> List.filteri (fun i _ -> i < k)
 
-let distance_matrix topo =
-  Array.init (Topology.nodes topo) (fun i -> Topology.all_distances topo i)
-
 let centroid topo ~k =
   check_k topo k;
-  let dist = distance_matrix topo in
+  let dist = Array.init (Topology.nodes topo) (Topology.all_distances topo) in
   let avg v = Array.fold_left ( +. ) 0. dist.(v) /. float_of_int (Topology.nodes topo) in
   List.init (Topology.nodes topo) (fun i -> i)
   |> List.sort (fun a b -> Float.compare (avg a) (avg b))
@@ -36,7 +33,7 @@ let centroid topo ~k =
 let k_median topo ~k =
   check_k topo k;
   let n = Topology.nodes topo in
-  let dist = distance_matrix topo in
+  let dist = Array.init n (Topology.all_distances topo) in
   (* nearest.(v): distance from v to its closest chosen authority *)
   let nearest = Array.make n infinity in
   let chosen = ref [] in
@@ -70,7 +67,7 @@ let k_median topo ~k =
 let mean_nearest_distance topo authorities =
   if authorities = [] then invalid_arg "Placement.mean_nearest_distance: empty placement";
   let n = Topology.nodes topo in
-  let dist = List.map (fun a -> Topology.all_distances topo a) authorities in
+  let dist = List.map (Topology.all_distances topo) authorities in
   let total = ref 0. in
   for v = 0 to n - 1 do
     total := !total +. List.fold_left (fun acc d -> Float.min acc d.(v)) infinity dist

@@ -4,37 +4,13 @@ type t = {
   n : int;
   links : link list;
   adj : (int * link) list array; (* neighbour, connecting link *)
+  dist : float array; (* dist.(src * n + dst); infinity when unreachable *)
+  prev : int array; (* prev.(src * n + dst): dst's predecessor on src's tree, or -1 *)
 }
 
-let create ~nodes links =
-  if nodes < 1 then invalid_arg "Topology.create: need at least one node";
-  let adj = Array.make nodes [] in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun l ->
-      if l.src < 0 || l.src >= nodes || l.dst < 0 || l.dst >= nodes then
-        invalid_arg "Topology.create: endpoint out of range";
-      if l.src = l.dst then invalid_arg "Topology.create: self loop";
-      if not (l.bandwidth > 0.) then
-        invalid_arg "Topology.create: nonpositive bandwidth";
-      let key = (min l.src l.dst, max l.src l.dst) in
-      if Hashtbl.mem seen key then invalid_arg "Topology.create: duplicate link";
-      Hashtbl.add seen key ();
-      adj.(l.src) <- (l.dst, l) :: adj.(l.src);
-      adj.(l.dst) <- (l.src, l) :: adj.(l.dst))
-    links;
-  { n = nodes; links; adj }
-
-let nodes t = t.n
-let links t = t.links
-let degree t v = List.length t.adj.(v)
-let neighbors t v = List.map fst t.adj.(v)
-
-let link_between t a b =
-  List.find_opt (fun (v, _) -> v = b) t.adj.(a) |> Option.map snd
-
 (* Dijkstra over latency with a simple leftist-ish pairing via sorted
-   list insertion; fine for the network sizes simulated here. *)
+   list insertion; fine for the network sizes simulated here.  Pop order
+   among equal priorities decides ties, so every path depends on it. *)
 module Pq = struct
   let create () = ref []
 
@@ -53,10 +29,9 @@ module Pq = struct
         Some (p, v)
 end
 
-let dijkstra t src =
-  if src < 0 || src >= t.n then invalid_arg "Topology: node out of range";
-  let dist = Array.make t.n infinity in
-  let prev = Array.make t.n (-1) in
+let dijkstra n adj src =
+  let dist = Array.make n infinity in
+  let prev = Array.make n (-1) in
   dist.(src) <- 0.;
   let q = Pq.create () in
   Pq.push q 0. src;
@@ -73,24 +48,62 @@ let dijkstra t src =
                 prev.(v) <- u;
                 Pq.push q nd v
               end)
-            t.adj.(u);
+            adj.(u);
         loop ()
   in
   loop ();
   (dist, prev)
 
-let all_distances t src = fst (dijkstra t src)
+let create ~nodes links =
+  if nodes < 1 then invalid_arg "Topology.create: need at least one node";
+  let adj = Array.make nodes [] in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      if l.src < 0 || l.src >= nodes || l.dst < 0 || l.dst >= nodes then
+        invalid_arg "Topology.create: endpoint out of range";
+      if l.src = l.dst then invalid_arg "Topology.create: self loop";
+      if not (l.bandwidth > 0.) then
+        invalid_arg "Topology.create: nonpositive bandwidth";
+      let key = (min l.src l.dst, max l.src l.dst) in
+      if Hashtbl.mem seen key then invalid_arg "Topology.create: duplicate link";
+      Hashtbl.add seen key ();
+      adj.(l.src) <- (l.dst, l) :: adj.(l.src);
+      adj.(l.dst) <- (l.src, l) :: adj.(l.dst))
+    links;
+  (* The all-pairs table: one single-source run per node, row-major. *)
+  let dist = Array.make (nodes * nodes) infinity in
+  let prev = Array.make (nodes * nodes) (-1) in
+  for src = 0 to nodes - 1 do
+    let d, p = dijkstra nodes adj src in
+    Array.blit d 0 dist (src * nodes) nodes;
+    Array.blit p 0 prev (src * nodes) nodes
+  done;
+  { n = nodes; links; adj; dist; prev }
+
+let nodes t = t.n
+let links t = t.links
+let degree t v = List.length t.adj.(v)
+let neighbors t v = List.map fst t.adj.(v)
+
+let link_between t a b =
+  List.find_opt (fun (v, _) -> v = b) t.adj.(a) |> Option.map snd
+
+let check_node t v = if v < 0 || v >= t.n then invalid_arg "Topology: node out of range"
+
+let all_distances t src =
+  check_node t src;
+  Array.sub t.dist (src * t.n) t.n
 
 let shortest_path t src dst =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-    invalid_arg "Topology: node out of range";
+  check_node t src;
+  check_node t dst;
+  let row = src * t.n in
   if src = dst then Some [ src ]
+  else if t.dist.(row + dst) = infinity then None
   else
-    let dist, prev = dijkstra t src in
-    if dist.(dst) = infinity then None
-    else
-      let rec build acc v = if v = src then src :: acc else build (v :: acc) prev.(v) in
-      Some (build [] dst)
+    let rec build acc v = if v = src then src :: acc else build (v :: acc) t.prev.(row + v) in
+    Some (build [] dst)
 
 let serialization_delay (l : link) ~bits =
   if bits < 0 then invalid_arg "Topology.serialization_delay: negative bits";
@@ -107,15 +120,16 @@ let path_latency t path =
   go 0. path
 
 let distance t src dst =
-  if dst < 0 || dst >= t.n then invalid_arg "Topology: node out of range";
-  let d = (all_distances t src).(dst) in
+  check_node t src;
+  check_node t dst;
+  let d = t.dist.((src * t.n) + dst) in
   if d = infinity then None else Some d
 
 let hop_count t src dst = Option.map (fun p -> List.length p - 1) (shortest_path t src dst)
 
 let is_connected t =
-  let dist = all_distances t 0 in
-  Array.for_all (fun d -> d < infinity) dist
+  let rec go v = v >= t.n || (t.dist.(v) < infinity && go (v + 1)) in
+  go 0
 
 let stretch t ~src ~via ~dst =
   if src = dst then 1.0

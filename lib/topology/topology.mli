@@ -12,7 +12,9 @@ type link = { src : int; dst : int; latency : float; bandwidth : float }
     symmetric. *)
 
 val create : nodes:int -> link list -> t
-(** @raise Invalid_argument on endpoints outside [0..nodes-1], self-loops,
+(** Builds the graph and its all-pairs shortest-path table ({!section-paths}):
+    one single-source Dijkstra run per node.
+    @raise Invalid_argument on endpoints outside [0..nodes-1], self-loops,
     duplicate links, or a non-positive (or NaN) [bandwidth] — the field
     feeds {!serialization_delay}, so a link that cannot serialize a
     packet is a construction bug, not a runtime surprise. *)
@@ -29,7 +31,22 @@ val neighbors : t -> int -> int list
 val link_between : t -> int -> int -> link option
 val is_connected : t -> bool
 
-(** {1 Paths} *)
+(** {1:paths Paths}
+
+    The network's link-state underlay: DIFANE adds no routing of its
+    own, and partition rules tunnel misses to authority switches over
+    these paths.  Every reader below looks up one table that {!create}
+    computes once, so a topology is immutable and cheap to query from
+    any number of domains; {!without_link} and {!without_node} build a
+    new topology, i.e. the IGP reconverging.
+
+    Paths are deterministic.  Each source's row comes from one Dijkstra
+    run over latency; equal-latency ties resolve the same way on every
+    call.  Consecutive nodes of a path are adjacent, the path to any
+    node's predecessor is a prefix of the node's path, and
+    [path_latency (shortest_path a b)] equals [distance a b] bitwise.
+    All readers raise [Invalid_argument] on a node outside
+    [0..nodes-1]. *)
 
 val shortest_path : t -> int -> int -> int list option
 (** Minimum-latency path as a node list including both endpoints;
@@ -46,7 +63,8 @@ val hop_count : t -> int -> int -> int option
 (** Hops (links) on the minimum-latency path. *)
 
 val all_distances : t -> int -> float array
-(** Single-source latencies; [infinity] where unreachable. *)
+(** Single-source latencies; [infinity] where unreachable.  A fresh copy
+    of the source's row. *)
 
 val stretch : t -> src:int -> via:int -> dst:int -> float
 (** [distance src via + distance via dst) / distance src dst] — the paper's

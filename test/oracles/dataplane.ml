@@ -31,7 +31,7 @@ type result = {
    remaining TTL, accumulated latency (propagation + queueing when the
    congestion model is on) and ECN mark. *)
 type walk = {
-  routing : Routing.t;
+  topology : Topology.t;
   congestion : Congestion.t option;
   mutable at : int;
   mutable rev_trace : int list;
@@ -44,7 +44,7 @@ type walk = {
 (* One hop: queue at the egress port of the current switch (finite
    buffers can shed the packet here), then pay propagation. *)
 let hop w ~now next =
-  match Topology.link_between (Routing.topology w.routing) w.at next with
+  match Topology.link_between w.topology w.at next with
   | None -> invalid_arg "Dataplane: next hop is not adjacent"
   | Some l -> (
       let queueing =
@@ -64,20 +64,20 @@ let hop w ~now next =
             ~aux:(if marked then 1 else 0);
           `Forwarded)
 
-(* Carry an encapsulated packet to its tunnel endpoint.  Transit switches
-   forward on the underlay tables only — no flow-table lookups. *)
+(* Carry an encapsulated packet to its tunnel endpoint along the
+   underlay's shortest path.  Transit switches forward on it only — no
+   flow-table lookups. *)
 let tunnel_to w ~now dst =
   w.encaps <- w.encaps + 1;
-  let rec go () =
-    if w.at = dst then `Arrived
-    else if w.ttl <= 0 then `Ttl_exceeded
-    else
-      match Routing.next_hop w.routing ~from:w.at ~dst with
-      | None -> `Unreachable
-      | Some next -> (
-          match hop w ~now next with `Dropped -> `Queue_full | `Forwarded -> go ())
+  let rec go = function
+    | [] -> `Arrived
+    | next :: rest ->
+        if w.ttl <= 0 then `Ttl_exceeded
+        else (match hop w ~now next with `Dropped -> `Queue_full | `Forwarded -> go rest)
   in
-  go ()
+  match Topology.shortest_path w.topology w.at dst with
+  | None -> `Unreachable
+  | Some path -> go (List.tl path)
 
 let finish w ~action ~delivered ~drop_reason =
   {
@@ -122,9 +122,9 @@ let deliver_action w ~now action =
         | `Unreachable -> dropped w ~now Unreachable
         | `Queue_full -> dropped w ~now Queue_full)
 
-let packet ?(config = default_config) ?congestion ~routing ~switch ~now ~ingress header =
+let packet ?(config = default_config) ?congestion ~topology ~switch ~now ~ingress header =
   let w =
-    { routing; congestion; at = ingress; rev_trace = [ ingress ]; ttl = config.max_ttl;
+    { topology; congestion; at = ingress; rev_trace = [ ingress ]; ttl = config.max_ttl;
       latency = 0.; encaps = 0; marked = false }
   in
   ignore (Ptrace.begin_packet header);

@@ -6,7 +6,8 @@
 
     + the ingress switch runs its three-bank lookup;
     + a miss is {e encapsulated} toward its authority switch and carried
-      there hop by hop on the underlay's next-hop tables ({!Routing}),
+      there hop by hop along the underlay's shortest path
+      ({!Topology.shortest_path}),
       bypassing flow tables at transit switches (tunnelled packets are
       only decapsulated at their tunnel endpoint);
     + the authority switch decapsulates, serves the miss (splice +
@@ -58,7 +59,7 @@ type result = {
 val packet :
   ?config:config ->
   ?congestion:Congestion.t ->
-  routing:Routing.t ->
+  topology:Topology.t ->
   switch:(int -> Switch.t) ->
   now:float ->
   ingress:int ->

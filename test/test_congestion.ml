@@ -209,10 +209,10 @@ let build ?(congestion = Congestion.default) () =
       ~config:{ Deployment.default_config with k = 4; congestion }
       ~policy ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
   in
-  (d, Routing.compute (Deployment.topology d))
+  (d, Deployment.topology d)
 
 let test_walk_queue_full () =
-  let d, routing = build () in
+  let d, topology = build () in
   let switch = Deployment.switch d in
   (* zero buffers: any busy port sheds.  The first packet books every
      port on its path; the second, walked at the same instant, dies at
@@ -221,24 +221,24 @@ let test_walk_queue_full () =
     Congestion.create
       { Congestion.default with model_bandwidth = true; buffer_capacity = Some 0 }
   in
-  let r1 = Dataplane.packet ~congestion:c ~routing ~switch ~now:0. ~ingress:0 (h 2 0) in
+  let r1 = Dataplane.packet ~congestion:c ~topology ~switch ~now:0. ~ingress:0 (h 2 0) in
   check Alcotest.bool "first delivered" true r1.Dataplane.delivered;
   check (Alcotest.option Alcotest.reject) "no drop reason" None
     (Option.map (fun _ -> ()) r1.Dataplane.drop_reason);
-  let r2 = Dataplane.packet ~congestion:c ~routing ~switch ~now:0. ~ingress:0 (h 3 0) in
+  let r2 = Dataplane.packet ~congestion:c ~topology ~switch ~now:0. ~ingress:0 (h 3 0) in
   check Alcotest.bool "second shed" false r2.Dataplane.delivered;
   check Alcotest.bool "blames the buffer" true
     (r2.Dataplane.drop_reason = Some Dataplane.Queue_full)
 
 let test_walk_queueing_latency_and_marks () =
-  let d, routing = build () in
+  let d, topology = build () in
   let switch = Deployment.switch d in
   let c =
     Congestion.create
       { Congestion.default with model_bandwidth = true; ecn_threshold = Some 0 }
   in
-  let r1 = Dataplane.packet ~congestion:c ~routing ~switch ~now:0. ~ingress:0 (h 2 0) in
-  let r2 = Dataplane.packet ~congestion:c ~routing ~switch ~now:0. ~ingress:0 (h 3 0) in
+  let r1 = Dataplane.packet ~congestion:c ~topology ~switch ~now:0. ~ingress:0 (h 2 0) in
+  let r2 = Dataplane.packet ~congestion:c ~topology ~switch ~now:0. ~ingress:0 (h 3 0) in
   check Alcotest.bool "first sees idle ports, unmarked" false r1.Dataplane.marked;
   check Alcotest.bool "second queues behind it, marked" true r2.Dataplane.marked;
   check Alcotest.bool "queueing shows up in latency" true
@@ -247,11 +247,11 @@ let test_walk_queueing_latency_and_marks () =
     (r1.Dataplane.delivered && r2.Dataplane.delivered)
 
 let test_walk_ttl_reason () =
-  let d, routing = build () in
+  let d, topology = build () in
   let r =
     Dataplane.packet
       ~config:{ Dataplane.default_config with max_ttl = 1 }
-      ~routing ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 2 0)
+      ~topology ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 2 0)
   in
   check Alcotest.bool "not delivered" false r.Dataplane.delivered;
   check Alcotest.bool "blames the hop budget" true
@@ -266,12 +266,12 @@ let test_walk_differential () =
   let rng = Prng.create 7 in
   for _ = 1 to 40 do
     let hdr = h (Prng.int rng 256) (Prng.int rng 256) in
-    let d1, routing = build () in
+    let d1, topology = build () in
     let d2, _ = build () in
-    let plain = Dataplane.packet ~routing ~switch:(Deployment.switch d1) ~now:0. ~ingress:0 hdr in
+    let plain = Dataplane.packet ~topology ~switch:(Deployment.switch d1) ~now:0. ~ingress:0 hdr in
     let c = Congestion.create unbounded in
     let cong =
-      Dataplane.packet ~congestion:c ~routing ~switch:(Deployment.switch d2) ~now:0.
+      Dataplane.packet ~congestion:c ~topology ~switch:(Deployment.switch d2) ~now:0.
         ~ingress:0 hdr
     in
     if plain <> cong then Alcotest.fail "unbounded congestion changed the walk"

@@ -1,64 +1,12 @@
-(* Link-state routing and the hop-by-hop data plane. *)
+(* The hop-by-hop data plane. *)
 
 open Test_util
-
-(* --- routing --- *)
 
 let mk ~nodes links =
   Topology.create ~nodes
     (List.map
        (fun (a, b, lat) -> { Topology.src = a; dst = b; latency = lat; bandwidth = 1e9 })
        links)
-
-let diamond = mk ~nodes:4 [ (0, 1, 3.); (1, 3, 3.); (0, 2, 1.); (2, 3, 1.); (1, 2, 1.) ]
-
-let test_next_hops () =
-  let r = Routing.compute diamond in
-  check (Alcotest.option Alcotest.int) "0 -> 3 via 2" (Some 2) (Routing.next_hop r ~from:0 ~dst:3);
-  check (Alcotest.option Alcotest.int) "1 -> 3 via 2 (cheaper)" (Some 2)
-    (Routing.next_hop r ~from:1 ~dst:3);
-  check (Alcotest.option Alcotest.int) "self" None (Routing.next_hop r ~from:1 ~dst:1)
-
-let test_paths_match_shortest () =
-  let rng = Prng.create 31 in
-  let topo = Topology.waxman ~rand:(fun () -> Prng.float rng) ~nodes:25 () in
-  let r = Routing.compute topo in
-  for from = 0 to 24 do
-    for dst = 0 to 24 do
-      match (Routing.distance r ~from ~dst, Topology.distance topo from dst) with
-      | Some a, Some b ->
-          if Float.abs (a -. b) > 1e-9 then
-            Alcotest.failf "table path %d->%d costs %f, shortest is %f" from dst a b
-      | None, None -> ()
-      | _ -> Alcotest.failf "reachability disagrees for %d->%d" from dst
-    done
-  done
-
-let test_unreachable () =
-  let g = mk ~nodes:3 [ (0, 1, 1.) ] in
-  let r = Routing.compute g in
-  check (Alcotest.option Alcotest.int) "no route" None (Routing.next_hop r ~from:0 ~dst:2);
-  check Alcotest.bool "reachable" true (Routing.reachable r ~from:0 ~dst:1);
-  check Alcotest.bool "not reachable" false (Routing.reachable r ~from:0 ~dst:2)
-
-let test_reconvergence () =
-  let r = Routing.compute diamond in
-  (* best 0->3 is 0-2-3; break link 2-3: reroute via 2-1-3 or 0-1-3 *)
-  let r' = Routing.after_link_failure r 2 3 in
-  (match Routing.path r' ~from:0 ~dst:3 with
-  | Some p ->
-      check Alcotest.bool "avoids dead link" true
-        (not
-           (List.exists2
-              (fun a b -> (a = 2 && b = 3) || (a = 3 && b = 2))
-              (List.filteri (fun i _ -> i < List.length p - 1) p)
-              (List.tl p)))
-  | None -> Alcotest.fail "diamond stays connected");
-  (* kill node 2 entirely: 0->3 must go 0-1-3 *)
-  let r'' = Routing.after_node_failure r 2 in
-  check (Alcotest.option (Alcotest.list Alcotest.int)) "reroute around dead node"
-    (Some [ 0; 1; 3 ])
-    (Routing.path r'' ~from:0 ~dst:3)
 
 (* --- dataplane walk --- *)
 
@@ -79,12 +27,12 @@ let build () =
       ~config:{ Deployment.default_config with k = 4 }
       ~policy ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
   in
-  (d, Routing.compute (Deployment.topology d))
+  (d, Deployment.topology d)
 
 let test_walk_miss_then_hit () =
-  let d, routing = build () in
+  let d, topology = build () in
   let switch = Deployment.switch d in
-  let r1 = Dataplane.packet ~routing ~switch ~now:0. ~ingress:0 (h 2 0) in
+  let r1 = Dataplane.packet ~topology ~switch ~now:0. ~ingress:0 (h 2 0) in
   check action "delivered with policy action" (Action.Forward 4) r1.Dataplane.action;
   check Alcotest.bool "delivered" true r1.Dataplane.delivered;
   check Alcotest.int "two tunnels: to authority, to egress" 2 r1.Dataplane.encapsulations;
@@ -95,13 +43,13 @@ let test_walk_miss_then_hit () =
   check Alcotest.int "ends at egress" 4
     (List.nth r1.Dataplane.trace (List.length r1.Dataplane.trace - 1));
   (* second packet: cache hit, single tunnel straight to egress *)
-  let r2 = Dataplane.packet ~routing ~switch ~now:0.1 ~ingress:0 (h 2 0) in
+  let r2 = Dataplane.packet ~topology ~switch ~now:0.1 ~ingress:0 (h 2 0) in
   check Alcotest.int "one tunnel after caching" 1 r2.Dataplane.encapsulations;
   check (Alcotest.list Alcotest.int) "direct trace" [ 0; 1; 2; 3; 4 ] r2.Dataplane.trace
 
 let test_walk_drop_local () =
-  let d, routing = build () in
-  let r = Dataplane.packet ~routing ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 1 0) in
+  let d, topology = build () in
+  let r = Dataplane.packet ~topology ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 1 0) in
   check action "dropped" Action.Drop r.Dataplane.action;
   check Alcotest.bool "a drop verdict is a delivery" true r.Dataplane.delivered;
   check Alcotest.bool "no egress tunnel" true (r.Dataplane.encapsulations <= 1)
@@ -112,9 +60,9 @@ let test_walk_agrees_with_inject () =
   let rng = Prng.create 5 in
   for _ = 1 to 50 do
     let hdr = h (Prng.int rng 256) (Prng.int rng 256) in
-    let d1, routing = build () in
+    let d1, topology = build () in
     let d2, _ = build () in
-    let w = Dataplane.packet ~routing ~switch:(Deployment.switch d1) ~now:0. ~ingress:0 hdr in
+    let w = Dataplane.packet ~topology ~switch:(Deployment.switch d1) ~now:0. ~ingress:0 hdr in
     let o = Deployment.inject d2 ~now:0. ~ingress:0 hdr in
     if not (Action.equal w.Dataplane.action o.Deployment.action) then
       Alcotest.fail "walk and inject disagree on action";
@@ -134,12 +82,13 @@ let test_walk_survives_reroute () =
       ~config:{ Deployment.default_config with k = 2 }
       ~policy ~topology:topo ~authority_ids:[ 1 ] ()
   in
-  let routing = Routing.compute topo in
-  let before = Dataplane.packet ~routing ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 9 9) in
+  let before = Dataplane.packet ~topology:topo ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 9 9) in
   check Alcotest.bool "delivered before" true before.Dataplane.delivered;
   Deployment.flush_caches d;
-  let routing' = Routing.after_link_failure routing 0 1 in
-  let after = Dataplane.packet ~routing:routing' ~switch:(Deployment.switch d) ~now:1. ~ingress:0 (h 9 9) in
+  let after =
+    Dataplane.packet ~topology:(Topology.without_link topo 0 1) ~switch:(Deployment.switch d)
+      ~now:1. ~ingress:0 (h 9 9)
+  in
   check Alcotest.bool "delivered after reroute" true after.Dataplane.delivered;
   check action "same action" before.Dataplane.action after.Dataplane.action;
   check Alcotest.bool "path got longer" true
@@ -154,21 +103,14 @@ let test_walk_unreachable_authority () =
       ~policy ~topology:topo ~authority_ids:[ 1 ] ()
   in
   (* IGP state where the authority became unreachable *)
-  let routing = Routing.after_node_failure (Routing.compute topo) 1 in
-  let r = Dataplane.packet ~routing ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 0 0) in
+  let topology = Topology.without_node topo 1 in
+  let r = Dataplane.packet ~topology ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 0 0) in
   check Alcotest.bool "not delivered" false r.Dataplane.delivered;
   check Alcotest.bool "blames reachability, not ttl" true
     (r.Dataplane.drop_reason = Some Dataplane.Unreachable)
 
 let suite =
   [
-    ( "routing",
-      [
-        tc "next hops" test_next_hops;
-        tc "table paths are shortest" test_paths_match_shortest;
-        tc "unreachable" test_unreachable;
-        tc "reconvergence after failures" test_reconvergence;
-      ] );
     ( "dataplane",
       [
         tc "miss tunnels then cache cut-through" test_walk_miss_then_hit;

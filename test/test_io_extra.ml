@@ -1,47 +1,8 @@
-(* Histograms, policy files, and codec robustness. *)
+(* Policy files and codec robustness. *)
 
 open Test_util
 
 let s2 = Schema.tiny2
-
-(* --- histogram --- *)
-
-let test_histogram_linear () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~buckets:5 () in
-  Histogram.add_all h [ 0.; 1.9; 2.; 5.5; 9.99; -1.; 10.; 42. ];
-  check Alcotest.int "total" 8 (Histogram.total h);
-  check Alcotest.int "underflow" 1 (Histogram.underflow h);
-  check Alcotest.int "overflow" 2 (Histogram.overflow h);
-  let counts = List.map (fun (_, _, c) -> c) (Histogram.buckets h) in
-  check (Alcotest.list Alcotest.int) "bucket counts" [ 2; 1; 1; 0; 1 ] counts
-
-let test_histogram_log () =
-  let h = Histogram.create ~log_scale:true ~lo:1e-6 ~hi:1. ~buckets:6 () in
-  Histogram.add h 1e-5;
-  Histogram.add h 1e-2;
-  let hits =
-    Histogram.buckets h |> List.filter (fun (_, _, c) -> c > 0) |> List.length
-  in
-  check Alcotest.int "spread over log buckets" 2 hits;
-  (* bucket edges are geometric: first edge pair ratio = overall^(1/6) *)
-  match Histogram.buckets h with
-  | (lo0, hi0, _) :: _ ->
-      check (Alcotest.float 1e-6) "geometric edge" (Float.pow 1e6 (1. /. 6.)) (hi0 /. lo0)
-  | [] -> Alcotest.fail "no buckets"
-
-let test_histogram_mean_and_errors () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~buckets:2 () in
-  check Alcotest.bool "empty mean nan" true (Float.is_nan (Histogram.mean h));
-  Histogram.add_all h [ 1.; 2.; 3. ];
-  check (Alcotest.float 1e-9) "mean exact despite overflow" 2. (Histogram.mean h);
-  (try
-     ignore (Histogram.create ~lo:1. ~hi:0. ~buckets:3 ());
-     Alcotest.fail "inverted range accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Histogram.create ~log_scale:true ~lo:0. ~hi:1. ~buckets:3 ());
-    Alcotest.fail "log scale with lo=0 accepted"
-  with Invalid_argument _ -> ()
 
 (* --- policy io --- *)
 
@@ -263,12 +224,6 @@ let prop_flowsim_respects_policy =
 
 let suite =
   [
-    ( "histogram",
-      [
-        tc "linear buckets" test_histogram_linear;
-        tc "log buckets" test_histogram_log;
-        tc "mean and validation" test_histogram_mean_and_errors;
-      ] );
     ( "policy io",
       [
         tc "roundtrip" test_policy_roundtrip;

@@ -391,6 +391,48 @@ let prop_miss_rate_monotone_in_size =
       let b = Cachesim.run Cachesim.Microflow policy ~cache_size:(size + 5) stream in
       b.Cachesim.misses <= a.Cachesim.misses)
 
+(* Pins the hit path's allocation.  A cache-warm, hit-only replay on a
+   campus with the congestion model on: every packet reads its route
+   from the topology's table and books port queues hop by hop.  About
+   170 minor words per packet today; recomputing routes per packet
+   costs ten times that. *)
+let test_hit_path_allocation () =
+  let topo_rng = Prng.create 7 in
+  let topology = Topology.campus ~rand:(fun () -> Prng.float topo_rng) ~edge_switches:12 () in
+  let policy =
+    Classifier.of_specs s2
+      [
+        (20, [ ("f1", "00xxxxxx") ], Action.Forward 16);
+        (10, [ ("f1", "01xxxxxx") ], Action.Forward 9);
+        (0, [], Action.Forward 5);
+      ]
+  in
+  let d =
+    Deployment.build
+      ~config:
+        { Deployment.default_config with
+          k = 4; congestion = { Congestion.default with model_bandwidth = true } }
+      ~policy ~topology ~authority_ids:[ 0; 1; 2; 3 ] ()
+  in
+  let headers = Array.init 64 (fun i -> Header.make s2 [| Int64.of_int (i * 4); Int64.of_int i |]) in
+  let flows =
+    List.init 400 (fun i ->
+        { Traffic.flow_id = i; header = headers.(i mod 64); ingress = 5 + (i mod 12);
+          start = float_of_int i *. 1e-4; packets = 50; interval = 1e-3 })
+  in
+  (* warm every (ingress, header) cache entry the replay will read *)
+  List.iter
+    (fun (f : Traffic.flow) -> ignore (Deployment.inject d ~now:0. ~ingress:f.ingress f.header))
+    flows;
+  let before = Gc.minor_words () in
+  let r = Flowsim.run Flowsim.Config.default d flows in
+  let per_packet = (Gc.minor_words () -. before) /. float_of_int r.Flowsim.delivered_packets in
+  check Alcotest.int "packets" 20_000 r.Flowsim.delivered_packets;
+  check Alcotest.int "every packet a cache hit" r.Flowsim.delivered_packets
+    r.Flowsim.cache_hit_packets;
+  if per_packet > 340. then
+    Alcotest.failf "hit path allocates %.0f minor words/packet (bound 340)" per_packet
+
 let suite =
   [
     ( "engine",
@@ -418,6 +460,7 @@ let suite =
         tc "install latency window" test_install_latency_window;
         tc "bursty arrivals" test_bursty_arrivals;
         tc "authority load balance" test_authority_stats_balanced;
+        tc "hit path allocation bound" test_hit_path_allocation;
       ] );
     ( "cachesim",
       [

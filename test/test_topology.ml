@@ -139,6 +139,153 @@ let prop_dijkstra_symmetric =
     QCheck2.Gen.(pair (int_bound 3) (int_bound 3))
     (fun (a, b) -> Topology.distance diamond a b = Topology.distance diamond b a)
 
+(* --- routing: the link-state underlay the table provides --- *)
+
+let test_next_hops () =
+  let next_hop a b = Option.map (fun p -> List.nth_opt p 1) (Topology.shortest_path diamond a b) in
+  check (Alcotest.option (Alcotest.option Alcotest.int)) "0 -> 3 via 2" (Some (Some 2))
+    (next_hop 0 3);
+  check (Alcotest.option (Alcotest.option Alcotest.int)) "1 -> 3 via 2 (cheaper)" (Some (Some 2))
+    (next_hop 1 3);
+  check (Alcotest.option (Alcotest.option Alcotest.int)) "self" (Some None) (next_hop 1 1)
+
+let test_paths_are_shortest () =
+  (* Bellman's condition: no link offers a cheaper way to any node, and
+     the path realises the distance bit for bit *)
+  let rng = Prng.create 31 in
+  let topo = Topology.waxman ~rand:(fun () -> Prng.float rng) ~nodes:25 () in
+  for src = 0 to 24 do
+    for dst = 0 to 24 do
+      match (Topology.shortest_path topo src dst, Topology.distance topo src dst) with
+      | Some p, Some d ->
+          if not (Float.equal (Topology.path_latency topo p) d) then
+            Alcotest.failf "path %d->%d costs %h, distance is %h" src dst
+              (Topology.path_latency topo p) d
+      | None, None -> ()
+      | _ -> Alcotest.failf "reachability disagrees for %d->%d" src dst
+    done;
+    let dist = Topology.all_distances topo src in
+    List.iter
+      (fun (l : Topology.link) ->
+        if dist.(l.dst) > dist.(l.src) +. l.latency +. 1e-12
+           || dist.(l.src) > dist.(l.dst) +. l.latency +. 1e-12
+        then Alcotest.failf "link %d-%d shortens a path from %d" l.src l.dst src)
+      (Topology.links topo)
+  done
+
+let test_unreachable () =
+  let g = mk ~nodes:3 [ (0, 1, 1.) ] in
+  check (Alcotest.option (Alcotest.list Alcotest.int)) "no route" None
+    (Topology.shortest_path g 0 2);
+  check Alcotest.bool "reachable" true (Topology.distance g 0 1 <> None);
+  check Alcotest.bool "not reachable" true (Topology.distance g 0 2 = None)
+
+let test_reconvergence () =
+  (* best 0->3 is 0-2-3; break link 2-3: reroute via 2-1-3 or 0-1-3 *)
+  (match Topology.shortest_path (Topology.without_link diamond 2 3) 0 3 with
+  | Some p ->
+      check Alcotest.bool "avoids dead link" true
+        (not
+           (List.exists2
+              (fun a b -> (a = 2 && b = 3) || (a = 3 && b = 2))
+              (List.filteri (fun i _ -> i < List.length p - 1) p)
+              (List.tl p)))
+  | None -> Alcotest.fail "diamond stays connected");
+  (* kill node 2 entirely: 0->3 must go 0-1-3 *)
+  check (Alcotest.option (Alcotest.list Alcotest.int)) "reroute around dead node"
+    (Some [ 0; 1; 3 ])
+    (Topology.shortest_path (Topology.without_node diamond 2) 0 3)
+
+(* A random graph of 2-30 nodes whose link latencies are drawn from
+   {1, 2}: equal-cost paths abound, so tie-breaking shows in every path,
+   and integer sums make every float comparison exact. *)
+let tied_topology seed =
+  let rng = Prng.create seed in
+  let n = 2 + Prng.int rng 29 in
+  let density = 0.1 +. (0.3 *. Prng.float rng) in
+  let links = ref [] in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      if Prng.float rng < density then
+        links := (a, b, float_of_int (1 + Prng.int rng 2)) :: !links
+    done
+  done;
+  mk ~nodes:n (List.rev !links)
+
+let floyd_warshall topo =
+  let n = Topology.nodes topo in
+  let d = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else infinity)) in
+  List.iter
+    (fun (l : Topology.link) ->
+      d.(l.src).(l.dst) <- l.latency;
+      d.(l.dst).(l.src) <- l.latency)
+    (Topology.links topo);
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if d.(i).(k) +. d.(k).(j) < d.(i).(j) then d.(i).(j) <- d.(i).(k) +. d.(k).(j)
+      done
+    done
+  done;
+  d
+
+let rec adjacent_chain topo = function
+  | a :: (b :: _ as rest) -> Topology.link_between topo a b <> None && adjacent_chain topo rest
+  | _ -> true
+
+(* Every path the table hands out is exact: right endpoints, adjacent
+   hops, latency bitwise equal to [distance], distance equal to an
+   independent Floyd-Warshall, and the path to a node's predecessor a
+   prefix of the node's own path: a source's paths form one tree, as
+   the congestion model's hop-by-hop queue booking assumes. *)
+let prop_paths_exact =
+  qt ~count:100 "table paths are exact on tied latencies" QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let topo = tied_topology seed in
+      let n = Topology.nodes topo in
+      let fw = floyd_warshall topo in
+      let ok = ref true in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          match (Topology.shortest_path topo src dst, Topology.distance topo src dst) with
+          | None, None -> if fw.(src).(dst) <> infinity then ok := false
+          | Some p, Some d ->
+              let rev = List.rev p in
+              let prefix_ok =
+                src = dst
+                || Topology.shortest_path topo src (List.nth rev 1) = Some (List.rev (List.tl rev))
+              in
+              if not
+                   (List.hd p = src && List.hd rev = dst && adjacent_chain topo p
+                   && Float.equal (Topology.path_latency topo p) d
+                   && Float.equal d fw.(src).(dst)
+                   && prefix_ok)
+              then ok := false
+          | _ -> ok := false
+        done
+      done;
+      !ok)
+
+(* Pins tie-breaking: the all-pairs paths over a fixed set of tie-heavy
+   topologies.  Any change to which equal-cost path wins changes this
+   digest (and with it the congestion model's per-hop bookings). *)
+let test_tie_breaking_pinned () =
+  let buf = Buffer.create 4096 in
+  for seed = 1 to 40 do
+    let topo = tied_topology seed in
+    let n = Topology.nodes topo in
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        (match Topology.shortest_path topo src dst with
+        | None -> Buffer.add_char buf '-'
+        | Some p -> List.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) p);
+        Buffer.add_char buf '\n'
+      done
+    done
+  done;
+  check Alcotest.string "all-pairs paths digest" "82b6f673d432d97367b4120b52548968"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ( "topology",
@@ -156,5 +303,14 @@ let suite =
         prop_triangle_inequality;
         prop_waxman_connected;
         prop_dijkstra_symmetric;
+        prop_paths_exact;
+        tc "tie-breaking pinned" test_tie_breaking_pinned;
+      ] );
+    ( "routing",
+      [
+        tc "next hops" test_next_hops;
+        tc "table paths are shortest" test_paths_are_shortest;
+        tc "unreachable" test_unreachable;
+        tc "reconvergence after failures" test_reconvergence;
       ] );
   ]
