@@ -53,15 +53,14 @@ let () =
     (Array.length stream) profile.Traffic.distinct_headers;
 
   let sizes = [ 25; 50; 100; 200; 400; 800 ] in
-  let results = Cachesim.sweep policy ~cache_sizes:sizes stream in
+  let results = Cachesim.sweep_with_opt policy ~cache_sizes:sizes stream in
   Table.print
     ~title:"miss rate vs cache size (same trace; OPT = clairvoyant floor)"
     ~header:
       [ "cache entries"; "wildcard (DIFANE)"; "wildcard OPT"; "microflow (Ethane)";
         "advantage" ]
     (List.map
-       (fun (size, (w : Cachesim.result), (m : Cachesim.result)) ->
-         let opt = Cachesim.run_opt Cachesim.Wildcard_splice policy ~cache_size:size stream in
+       (fun (size, (w : Cachesim.result), (opt : Cachesim.result), (m : Cachesim.result)) ->
          [
            string_of_int size;
            Table.fmt_pct w.Cachesim.miss_rate;
@@ -73,7 +72,7 @@ let () =
          ])
        results);
 
-  let _, w, m = List.nth results (List.length results - 1) in
+  let _, w, _, m = List.nth results (List.length results - 1) in
   printf "\nworking sets: %d spliced pieces vs %d exact headers\n"
     w.Cachesim.distinct_keys m.Cachesim.distinct_keys;
   printf "(aggregation is why DIFANE's wildcard cache wins at equal TCAM budget)\n"

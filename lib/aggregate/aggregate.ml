@@ -1,23 +1,12 @@
-type config = {
-  enabled : bool;
-  cover_limit : int option;
-  merge_fragments : bool;
-  merge_exact : bool;
-  merge_covers : bool;
-}
+type config = { enabled : bool }
 
-let default =
-  {
-    enabled = false;
-    cover_limit = None;
-    merge_fragments = true;
-    merge_exact = true;
-    merge_covers = true;
-  }
+let default = { enabled = false }
+let enabled_default = { enabled = true }
 
-let enabled_default = { default with enabled = true; cover_limit = Some 4 }
+(* the dependent-set size up to which a rule is cached as a cover set *)
+let cover_set_limit = 4
 
-let cover_limit c = if c.enabled then c.cover_limit else None
+let cover_limit c = if c.enabled then Some cover_set_limit else None
 
 type stats = {
   installs : int;
@@ -79,12 +68,6 @@ let subsumed_by_live sw (rule : Rule.t) =
       && Action.equal e.Tcam.rule.Rule.action rule.Rule.action
       && Pred.subsumes e.Tcam.rule.Rule.pred rule.Rule.pred)
 
-let kind_mergeable config (k : Switch.cache_kind) =
-  match k with
-  | Switch.Fragment -> config.merge_fragments
-  | Switch.Exact -> config.merge_exact
-  | Switch.Cover -> config.merge_covers
-
 (* Merge legality for two entries of the same kind and partition,
    already known to carry the same action:
 
@@ -143,12 +126,6 @@ let install_one ?idle_timeout ?hard_timeout t sw ~now
     t.n_suppressed <- t.n_suppressed + 1;
     Telemetry.incr t.m_suppressed;
     []
-  end
-  else if not (kind_mergeable t.config meta.Switch.kind) then begin
-    t.n_installs <- t.n_installs + 1;
-    if meta.Switch.kind = Switch.Cover then
-      t.n_cover_installs <- t.n_cover_installs + 1;
-    Switch.install_cache_meta ?idle_timeout ?hard_timeout sw ~now rule (Some meta)
   end
   else begin
     (* widen to fixpoint: each absorbed neighbour may expose another

@@ -17,7 +17,7 @@
       exact union, iterated to fixpoint.  Multi-part provenance
       ({!Switch.cache_meta}) keeps per-origin hit attribution exact
       across merges;
-    - {b cover sets} (configured via {!cover_limit} and threaded to
+    - {b cover sets} ({!cover_limit}, threaded to
       {!Switch.serve_miss}): a rule with a small CacheFlow dependent set
       is cached whole, together with its higher-priority dependencies at
       correct relative ranks, instead of per-packet clipped fragments.
@@ -27,25 +27,18 @@
     (reordering would invert a dependency), exact entries at their
     shared priority 0. *)
 
-type config = {
-  enabled : bool;  (** master switch; [false] reproduces seed behaviour *)
-  cover_limit : int option;
-      (** install the whole cover set when the dependent set has at most
-          this many members; [None] never covers *)
-  merge_fragments : bool;
-  merge_exact : bool;
-  merge_covers : bool;
-}
+type config = { enabled : bool  (** [false] reproduces seed behaviour *) }
 
 val default : config
 (** Disabled — bit-identical to the un-aggregated cache path. *)
 
 val enabled_default : config
-(** Aggregation on, all merges on, [cover_limit = Some 4]. *)
+(** Aggregation on: suppression, buddy merging of every cache kind, and
+    cover sets for rules with at most 4 dependents. *)
 
 val cover_limit : config -> int option
-(** The [?cover_limit] to pass to {!Switch.serve_miss}: the configured
-    limit when enabled, [None] otherwise. *)
+(** The [?cover_limit] to pass to {!Switch.serve_miss}: [Some 4] when
+    enabled, [None] otherwise. *)
 
 type stats = {
   installs : int;  (** entries actually written to a TCAM *)

@@ -4,8 +4,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   controllers : int;
-  heartbeat_interval : float;
-  heartbeat_miss_limit : int;
   snapshot_every : int;
   cp : Control_plane.config;
 }
@@ -13,11 +11,14 @@ type config = {
 let default_config =
   {
     controllers = 3;
-    heartbeat_interval = 0.15;
-    heartbeat_miss_limit = 3;
     snapshot_every = 64;
     cp = Control_plane.default_config;
   }
+
+let heartbeat_interval = 0.15
+
+(* missed heartbeats before a standby starts an election *)
+let heartbeat_miss_limit = 3
 
 type replica = {
   rid : int;
@@ -120,7 +121,7 @@ let create ?(config = default_config) ?faults ?(dconfig = Deployment.default_con
                   (fun p -> Fault.injector p ~channel:(hb_base + (i * nc) + j))
                   faults
               in
-              Some (Channel.create ?fault schema ~latency:config.cp.Control_plane.channel_latency)))
+              Some (Channel.create ?fault schema ~latency:Control_plane.channel_latency)))
   in
   {
     config;
@@ -197,8 +198,6 @@ let stats t =
       link_dropped = 0;
     }
     (all_cps t)
-
-let reset_stats t = List.iter Control_plane.reset_stats (all_cps t)
 
 let stale_rejected t =
   Array.fold_left
@@ -460,7 +459,7 @@ let apply_events t ~now =
 (* ---- heartbeats and failure detection ---- *)
 
 let heartbeats t ~now =
-  (if now -. t.last_hb >= t.config.heartbeat_interval then begin
+  (if now -. t.last_hb >= heartbeat_interval then begin
      t.last_hb <- now;
      let l = t.replicas.(t.leader_) in
      if l.up && (not l.isolated) && not (Control_plane.deposed t.cp) then
@@ -498,7 +497,7 @@ let heartbeats t ~now =
 
 let detect t ~now =
   let timeout =
-    float_of_int t.config.heartbeat_miss_limit *. t.config.heartbeat_interval
+    float_of_int heartbeat_miss_limit *. heartbeat_interval
   in
   let detector =
     Array.to_list t.replicas

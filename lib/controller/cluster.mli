@@ -29,17 +29,15 @@ type t
 
 type config = {
   controllers : int;  (** replicas (>= 1); replica 0 leads initially *)
-  heartbeat_interval : float;
-  heartbeat_miss_limit : int;
-      (** missed heartbeats before a standby starts an election *)
   snapshot_every : int;
       (** compact the journal when its tail grows past this many entries *)
   cp : Control_plane.config;
 }
 
 val default_config : config
-(** 3 controllers, 150 ms heartbeats, 3 misses, snapshot every 64
-    entries, {!Control_plane.default_config} underneath. *)
+(** 3 controllers, snapshot every 64 entries,
+    {!Control_plane.default_config} underneath.  Replicas heartbeat every
+    150 ms; a standby that misses 3 in a row starts an election. *)
 
 val create :
   ?config:config ->
@@ -112,10 +110,6 @@ val pending_requests : t -> int
 val stats : t -> Control_plane.stats
 (** Loss counters aggregated over every control plane this cluster has
     seated (current leader and retired masters alike). *)
-
-val reset_stats : t -> unit
-(** Reset the loss/retransmission counters of every seated control
-    plane (election, takeover and journal history survive). *)
 
 val cluster_log : t -> (float * string) list
 (** Timestamped elections, crashes, snapshots and fencing records, in

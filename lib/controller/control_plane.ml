@@ -3,15 +3,12 @@ let log_src = Logs.Src.create "difane.control" ~doc:"DIFANE control-plane events
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
-  channel_latency : float;
   echo_interval : float;
-  echo_miss_limit : int;
   stats_interval : float;
   rebalance_interval : float option;
   retx_timeout : float;
   retx_backoff : float;
   retx_limit : int;
-  adaptive : bool;
   hotspot_threshold : float;
   hotspot_window : int;
   migration_step : float;
@@ -19,19 +16,21 @@ type config = {
 
 let default_config =
   {
-    channel_latency = 1e-3;
     echo_interval = 1.0;
-    echo_miss_limit = 3;
     stats_interval = 5.0;
     rebalance_interval = None;
     retx_timeout = 0.1;
     retx_backoff = 2.0;
     retx_limit = 6;
-    adaptive = false;
     hotspot_threshold = 2.0;
     hotspot_window = 3;
     migration_step = 0.05;
   }
+
+let channel_latency = 1e-3
+
+(* missed echoes before a switch is declared dead *)
+let echo_miss_limit = 3
 
 type port = {
   to_switch : Channel.t;
@@ -99,7 +98,6 @@ type t = {
   mutable last_echo : float;
   mutable last_stats : float;
   mutable last_rebalance : float;
-  mutable rebalances : int;
   mutable active_migration : (Journal.migration * migration_stage * float) option;
       (* in-flight staged migration: spec, stage reached, stage time *)
   mutable next_mid : int;
@@ -153,10 +151,10 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
           {
             to_switch =
               Channel.create ?fault:(injector (2 * i)) schema
-                ~latency:config.channel_latency;
+                ~latency:channel_latency;
             to_controller =
               Channel.create ?fault:(injector ((2 * i) + 1)) schema
-                ~latency:config.channel_latency;
+                ~latency:channel_latency;
             alive = true;
             link_up = true;
             outstanding_echo = false;
@@ -171,7 +169,6 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
     last_echo = neg_infinity;
     last_stats = neg_infinity;
     last_rebalance = neg_infinity;
-    rebalances = 0;
     active_migration = None;
     next_mid;
     last_auth_cum = [];
@@ -334,7 +331,7 @@ let declare_dead t ~now i =
     port.declared_dead <- true;
     t.failed <- i :: t.failed;
     Telemetry.incr m_switch_deaths;
-    record t ~now "switch %d missed %d echoes; declared dead" i t.config.echo_miss_limit;
+    record t ~now "switch %d missed %d echoes; declared dead" i echo_miss_limit;
     journal_entry t ~now (Journal.Declared_dead i);
     (* a dead device cannot serve tunnelled misses either *)
     Deployment.mark_unreachable t.deployment i;
@@ -495,9 +492,8 @@ let authority_cumulative t =
           (Switch.stats (Deployment.switch t.deployment a)).Switch.authority_hits ))
     (List.sort Int.compare (Deployment.authority_ids t.deployment))
 
-let legacy_rebalance t ~now ~loads =
+let rebalance_partitions t ~now ~loads =
   t.deployment <- Deployment.rebalance t.deployment ~loads;
-  t.rebalances <- t.rebalances + 1;
   Telemetry.incr m_rebalances;
   journal_entry t ~now (Journal.Rebalance loads)
 
@@ -527,7 +523,7 @@ let begin_migration t ~now ~src_auth ~dst =
             "hotspot at authority %d but p%d has no productive cut; \
              falling back to load rebalance"
             src_auth src_pid;
-          legacy_rebalance t ~now ~loads;
+          rebalance_partitions t ~now ~loads;
           t.streaks <- List.map (fun (a, _) -> (a, 0)) t.streaks
       | Some ((lo_pid, lo_region), (hi_pid, hi_region)) ->
           let src_replicas = Assignment.replicas_of assignment src_pid in
@@ -790,7 +786,7 @@ let tick t ~now =
         else begin
           if port.outstanding_echo then begin
             port.missed_echoes <- port.missed_echoes + 1;
-            if port.missed_echoes >= t.config.echo_miss_limit then declare_dead t ~now i
+            if port.missed_echoes >= echo_miss_limit then declare_dead t ~now i
           end;
           if not port.declared_dead then begin
             port.outstanding_echo <- true;
@@ -809,21 +805,17 @@ let tick t ~now =
             (Message.Stats_request { Message.table_bank = Message.Cache; cookie = i }))
       t.ports
   end;
-  (* 2b. periodic load management.  Legacy mode re-places whole partitions
-        on measured load; adaptive mode closes the hotspot loop — detect
-        over a window, then re-cut and migrate in staged steps. *)
+  (* 2b. adaptive load management: detect a hotspot over a window, then
+        re-cut and migrate in staged steps *)
   (match t.config.rebalance_interval with
-  | Some interval when now -. t.last_rebalance >= interval ->
-      t.last_rebalance <- now;
-      if t.config.adaptive then adaptive_window t ~now
-      else begin
-        let loads = Deployment.measured_partition_loads t.deployment in
-        if List.exists (fun (_, l) -> l > 0.) loads then
-          legacy_rebalance t ~now ~loads
-      end
-  | _ -> ());
-  (* 2c. advance an in-flight staged migration *)
-  if t.config.adaptive then advance_migration t ~now;
+  | Some interval ->
+      if now -. t.last_rebalance >= interval then begin
+        t.last_rebalance <- now;
+        adaptive_window t ~now
+      end;
+      (* 2c. advance an in-flight staged migration *)
+      advance_migration t ~now
+  | None -> ());
   (* 3. deliver controller->switch frames; collect switch responses and
         any queued asynchronous notifications (flow-removed).  A downed
         link kills arriving frames on the wire in both directions. *)
@@ -848,7 +840,6 @@ let tick t ~now =
   retransmit_due t ~now
   end
 
-let rebalances t = t.rebalances
 let migration_active t = t.active_migration <> None
 let migrations_started t = t.migrations_started
 let migrations_committed t = t.migrations_committed

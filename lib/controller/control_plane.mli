@@ -26,25 +26,25 @@
 
 type t
 
+val channel_latency : float
+(** One-way controller↔switch latency (1 ms), also used for the
+    inter-controller channels of a {!Cluster}. *)
+
 type config = {
-  channel_latency : float;  (** one-way controller↔switch latency *)
   echo_interval : float;
-  echo_miss_limit : int;  (** missed echoes before a switch is declared dead *)
   stats_interval : float;
   rebalance_interval : float option;
-      (** when set, the controller periodically re-places partitions on
-          the authorities using the measured per-partition miss load
-          (paper §5's load rebalancing, automated) *)
+      (** when set, adaptive load rebalancing (paper §5, automated):
+          each window of this length runs the hotspot detector over the
+          measured miss load, and a persistent hotspot triggers a staged,
+          journaled sub-region migration (re-cut the hot region, move the
+          split-off half to the least-loaded authority; when the hot
+          region has no productive cut, re-place whole partitions on
+          measured load instead).  [None] (the default) never
+          rebalances. *)
   retx_timeout : float;  (** first retransmission after this long unacked *)
   retx_backoff : float;  (** interval multiplier per retransmission *)
   retx_limit : int;  (** retransmissions before giving a request up *)
-  adaptive : bool;
-      (** close the loop: instead of the legacy whole-partition
-          re-placement, each [rebalance_interval] window runs the hotspot
-          detector, and a persistent hotspot triggers a staged, journaled
-          sub-region migration (re-cut the hot region, move the split-off
-          half to the least-loaded authority).  Default [false] — the
-          legacy behaviour is untouched. *)
   hotspot_threshold : float;
       (** an authority is hot in a window when its miss load exceeds this
           multiple of fair share (> 1.0; default 2.0) *)
@@ -57,12 +57,9 @@ type config = {
 }
 
 val default_config : config
-(** 1 ms channels, 1 s echoes, 3 misses, 5 s stats, no auto-rebalance,
-    retransmit after 100 ms doubling up to 6 attempts; adaptive
-    rebalancing off (threshold 2.0, window 3, 50 ms stages when on). *)
-
-val rebalances : t -> int
-(** Automatic rebalances performed so far. *)
+(** 1 s echoes, 5 s stats, retransmit after 100 ms doubling up to 6
+    attempts; rebalancing off (threshold 2.0, window 3, 50 ms stages
+    when on). *)
 
 val migration_active : t -> bool
 (** A staged migration is in flight (begun, not yet committed/aborted).
@@ -231,8 +228,8 @@ val timeline : t -> (float * string * string) list
 val crash_switch : t -> now:float -> int -> unit
 (** The device dies losing all state ({!Switch.reset}); tunnelled misses
     to it start failing immediately.  Failure detection will declare it
-    dead after [echo_miss_limit] missed echoes (triggering authority
-    failover) unless it restarts first. *)
+    dead after 3 missed echoes (triggering authority failover) unless it
+    restarts first. *)
 
 val restart_switch : t -> now:float -> int -> unit
 (** The device comes back blank: liveness state clears, it rejoins the
@@ -247,7 +244,7 @@ val set_link : t -> now:float -> int -> bool -> unit
 val kill_switch : t -> int -> unit
 (** Test hook: the device stops responding to control messages (its
     data plane may keep running on stale state).  Failure detection will
-    notice after [echo_miss_limit] missed echoes. *)
+    notice after 3 missed echoes. *)
 
 val inject_packet_in : t -> now:float -> int -> Message.t -> unit
 (** Test hook: enqueue a message on switch [i]'s switch→controller

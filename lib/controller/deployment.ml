@@ -522,7 +522,6 @@ let adopt ~model ~network =
 
 let degraded_misses d = !(d.degraded_count)
 let backpressured_misses d = !(d.backpressured_count)
-let congestion_state d = d.cong
 let aggregator d = d.agg
 let aggregate_stats d = Aggregate.stats d.agg
 

@@ -59,7 +59,7 @@ type config = {
           enabled, miss installs flow through {!Aggregate.install}
           (subsumption suppression + buddy merging) and rules with small
           dependent sets are cached as CacheFlow cover sets
-          ([cover_limit]) — fewer, wider TCAM entries deciding every
+          ({!Aggregate.cover_limit}) — fewer, wider TCAM entries deciding every
           packet identically. *)
 }
 
@@ -217,11 +217,6 @@ val backpressured_misses : t -> int
     saturated authority inbound port) since [build] — graceful
     degradation under overload, counted apart from {!degraded_misses}
     (failure) so the two causes stay distinguishable. *)
-
-val congestion_state : t -> Congestion.t option
-(** The live port-queue state, when the congestion model is enabled —
-    lets callers read {!Congestion.stats} (drops, marks, peak depth) for
-    a finished run. *)
 
 val aggregator : t -> Aggregate.t
 (** The deployment's aggregation engine — the DES install path routes

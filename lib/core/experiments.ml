@@ -1378,6 +1378,13 @@ module E_ha = struct
          rows)
 
   let print rows = print_string (render rows)
+
+  let journal ~seed ~quick ~loss =
+    let _, (_, journal) =
+      scenario ~cp_config:(reliability_config ()) ~congestion:Congestion.default ~seed
+        ~quick ~loss
+    in
+    journal
 end
 
 (* E-INCAST: many ingresses fan into one authority switch over a slow
@@ -1736,7 +1743,6 @@ module E_rebalance = struct
       {
         Control_plane.default_config with
         rebalance_interval = (if mode = `Static then None else Some 0.25);
-        adaptive = mode <> `Static;
         hotspot_threshold;
         hotspot_window;
         (* the crash run stretches the stages so the master dies with the
@@ -1813,8 +1819,7 @@ module E_rebalance = struct
     let res =
       Flowsim.run
         { Flowsim.Config.default with timing;
-          controller = Some (fun ~now -> Cluster.tick cl ~now);
-          controller_interval = 0.01 }
+          controller = Some (fun ~now -> Cluster.tick cl ~now) }
         d flows
     in
     (* let retransmissions and any tail migration stage settle *)

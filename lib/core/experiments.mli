@@ -296,6 +296,9 @@ module E_ha : sig
 
   val render : row list -> string
   val print : row list -> unit
+
+  val journal : seed:int -> quick:bool -> loss:float -> string
+  (** The encoded journal one run at frame loss [loss] leaves behind. *)
 end
 
 (** Supplementary: the incast/overload sweep behind the congestion

@@ -40,16 +40,6 @@ let event_time = function
   | Controller_crash { at; _ } | Controller_restart { at; _ } ->
       at
 
-let pp_event ppf = function
-  | Crash { switch; at } -> Format.fprintf ppf "t=%.3f crash(sw%d)" at switch
-  | Restart { switch; at } -> Format.fprintf ppf "t=%.3f restart(sw%d)" at switch
-  | Link_down { switch; at } -> Format.fprintf ppf "t=%.3f link_down(sw%d)" at switch
-  | Link_up { switch; at } -> Format.fprintf ppf "t=%.3f link_up(sw%d)" at switch
-  | Controller_crash { controller; at } ->
-      Format.fprintf ppf "t=%.3f controller_crash(c%d)" at controller
-  | Controller_restart { controller; at } ->
-      Format.fprintf ppf "t=%.3f controller_restart(c%d)" at controller
-
 type plan = { seed : int; link : link; events : event list; controllers : int }
 
 let plan ?(seed = 42) ?(link = ideal_link) ?(events = []) ?(controllers = 1) () =

@@ -53,7 +53,6 @@ type event =
       (** the replica rejoins as a standby (snapshot-load + replay) *)
 
 val event_time : event -> float
-val pp_event : Format.formatter -> event -> unit
 
 type plan = {
   seed : int;

@@ -71,8 +71,6 @@ let compare a b =
   in
   go 0
 
-let hash t = Hashtbl.hash (Array.map Ternary.hash t.fields)
-
 let matches t h =
   let rec go i =
     i >= Array.length t.fields

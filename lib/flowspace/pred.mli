@@ -39,7 +39,6 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val matches : t -> Header.t -> bool
 val is_any : t -> bool

@@ -126,8 +126,6 @@ let compare a b =
     let c = Int64.compare a.mask b.mask in
     if c <> 0 then c else Int64.compare a.value b.value
 
-let hash t = Hashtbl.hash (t.width, t.value, t.mask)
-
 let matches t v = (v ^: t.value) &: t.mask = 0L
 let is_any t = t.mask = 0L
 let is_exact t = Int64.equal t.mask (ones t.width)

@@ -76,7 +76,6 @@ val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val matches : t -> int64 -> bool
 (** [matches t v] is true iff the concrete value [v] is in the set

@@ -176,12 +176,8 @@ let magic = 0xd1
 let header_len = 1 + 1 + 1 + 4 + 4 + 8 + 8
 let checksum_off = 1 + 1 + 1 + 4 + 4 + 8
 
-module W = struct
-  let u8 b v = Buffer.add_uint8 b (v land 0xff)
-  let u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-  let u64 b v = Buffer.add_int64_be b v
-  let f64 b v = u64 b (Int64.bits_of_float v)
-end
+module W = Message.W
+module R = Message.R
 
 let kind_code = function
   | Build _ -> 0
@@ -280,181 +276,150 @@ let encode t =
 
 let ( let* ) = Result.bind
 
-(* positioned reads over the whole buffer *)
-let need buf pos n =
-  if pos + n > Bytes.length buf then Error "truncated journal" else Ok ()
-
-let read_u8 buf pos =
-  let* () = need buf pos 1 in
-  Ok (Bytes.get_uint8 buf pos)
-
-let read_u32 buf pos =
-  let* () = need buf pos 4 in
-  Ok (Int32.to_int (Bytes.get_int32_be buf pos) land 0xffffffff)
-
-let read_f64 buf pos =
-  let* () = need buf pos 8 in
-  Ok (Int64.float_of_bits (Bytes.get_int64_be buf pos))
-
-let read_u32_list buf pos n =
+let read_u32_list r n =
   let rec go i acc =
-    if i >= n then Ok (List.rev acc, pos + (4 * n))
+    if i >= n then Ok (List.rev acc)
     else
-      let* v = read_u32 buf (pos + (4 * i)) in
+      let* v = R.u32 r in
       go (i + 1) (v :: acc)
   in
   go 0 []
 
-let read_region schema buf pos =
-  let* blob_len = read_u32 buf pos in
-  let* () = need buf (pos + 4) blob_len in
-  let blob = Bytes.sub buf (pos + 4) blob_len in
+let read_rules schema r body =
+  let* rest = R.bytes r (Bytes.length body - R.pos r) in
+  Message.rules_of_bytes schema rest
+
+let read_region schema r =
+  let* blob_len = R.u32 r in
+  let* blob = R.bytes r blob_len in
   let* rules = Message.rules_of_bytes schema blob in
-  match rules with
-  | [ r ] -> Ok (r.Rule.pred, pos + 4 + blob_len)
-  | _ -> Error "bad region encoding"
+  match rules with [ x ] -> Ok x.Rule.pred | _ -> Error "bad region encoding"
 
-let read_placement schema buf pos =
-  let* pid = read_u32 buf pos in
-  let* n = read_u32 buf (pos + 4) in
-  let* replicas, pos = read_u32_list buf (pos + 8) n in
-  let* region, pos = read_region schema buf pos in
-  Ok ((pid, region, replicas), pos)
+let read_placement schema r =
+  let* pid = R.u32 r in
+  let* n = R.u32 r in
+  let* replicas = read_u32_list r n in
+  let* region = read_region schema r in
+  Ok (pid, region, replicas)
 
-let decode_body schema kind body =
+let read_entry schema kind r body =
   match kind with
   | 0 ->
-      let* n = read_u32 body 0 in
-      let rec ids i acc =
-        if i >= n then Ok (List.rev acc)
-        else
-          let* v = read_u32 body (4 + (4 * i)) in
-          ids (i + 1) (v :: acc)
-      in
-      let* authority_ids = ids 0 [] in
-      let off = 4 + (4 * n) in
-      let* () = need body off 0 in
-      let rest = Bytes.sub body off (Bytes.length body - off) in
-      let* policy = Message.rules_of_bytes schema rest in
+      let* n = R.u32 r in
+      let* authority_ids = read_u32_list r n in
+      let* policy = read_rules schema r body in
       Ok (Build { policy; authority_ids })
   | 1 ->
-      let* s = read_u8 body 0 in
-      let rest = Bytes.sub body 1 (Bytes.length body - 1) in
-      let* rules = Message.rules_of_bytes schema rest in
+      let* s = R.u8 r in
+      let* rules = read_rules schema r body in
       Ok (Policy_update { rules; strict = s <> 0 })
   | 2 | 3 | 4 | 5 ->
-      let* s = read_u32 body 0 in
-      if Bytes.length body <> 4 then Error "bad switch-entry length"
-      else
-        Ok
-          (match kind with
-          | 2 -> Fail_authority s
-          | 3 -> Restore_authority s
-          | 4 -> Declared_dead s
-          | _ -> Recovered s)
+      let* s = R.u32 r in
+      Ok
+        (match kind with
+        | 2 -> Fail_authority s
+        | 3 -> Restore_authority s
+        | 4 -> Declared_dead s
+        | _ -> Recovered s)
   | 6 ->
-      let* n = read_u32 body 0 in
+      let* n = R.u32 r in
       if Bytes.length body <> 4 + (12 * n) then Error "bad rebalance length"
       else
         let rec loads i acc =
           if i >= n then Ok (Rebalance (List.rev acc))
           else
-            let off = 4 + (12 * i) in
-            let* pid = read_u32 body off in
-            let* w = read_f64 body (off + 4) in
+            let* pid = R.u32 r in
+            let* w = R.f64 r in
             loads (i + 1) ((pid, w) :: acc)
         in
         loads 0 []
   | 7 ->
-      let* epoch = read_u32 body 0 in
-      let* leader = read_u32 body 4 in
-      if Bytes.length body <> 8 then Error "bad epoch-entry length"
-      else Ok (Epoch { epoch; leader })
+      let* epoch = R.u32 r in
+      let* leader = R.u32 r in
+      Ok (Epoch { epoch; leader })
   | 8 ->
-      let* mid = read_u32 body 0 in
-      let* (src_pid, src_region, src_replicas), pos =
-        read_placement schema body 4
-      in
-      let* (lo_pid, lo_region, lo_replicas), pos =
-        read_placement schema body pos
-      in
-      let* (hi_pid, hi_region, hi_replicas), pos =
-        read_placement schema body pos
-      in
-      if Bytes.length body <> pos then Error "bad migration length"
-      else
-        Ok
-          (Migration_begin
-             {
-               mid;
-               src_pid;
-               src_region;
-               src_replicas;
-               lo_pid;
-               lo_region;
-               lo_replicas;
-               hi_pid;
-               hi_region;
-               hi_replicas;
-             })
+      let* mid = R.u32 r in
+      let* src_pid, src_region, src_replicas = read_placement schema r in
+      let* lo_pid, lo_region, lo_replicas = read_placement schema r in
+      let* hi_pid, hi_region, hi_replicas = read_placement schema r in
+      Ok
+        (Migration_begin
+           {
+             mid;
+             src_pid;
+             src_region;
+             src_replicas;
+             lo_pid;
+             lo_region;
+             lo_replicas;
+             hi_pid;
+             hi_region;
+             hi_replicas;
+           })
   | 9 | 10 | 11 ->
-      let* mid = read_u32 body 0 in
-      if Bytes.length body <> 4 then Error "bad migration-ref length"
-      else
-        Ok
-          (match kind with
-          | 9 -> Migration_flip mid
-          | 10 -> Migration_commit mid
-          | _ -> Migration_abort mid)
+      let* mid = R.u32 r in
+      Ok
+        (match kind with
+        | 9 -> Migration_flip mid
+        | 10 -> Migration_commit mid
+        | _ -> Migration_abort mid)
   | 12 ->
-      let* nr = read_u32 body 0 in
-      let rec regions i pos acc =
-        if i >= nr then Ok (List.rev acc, pos)
+      let* nr = R.u32 r in
+      let rec regions i acc =
+        if i >= nr then Ok (List.rev acc)
         else
-          let* pid = read_u32 body pos in
-          let* region, pos = read_region schema body (pos + 4) in
-          regions (i + 1) pos ((pid, region) :: acc)
+          let* pid = R.u32 r in
+          let* region = read_region schema r in
+          regions (i + 1) ((pid, region) :: acc)
       in
-      let* regions, pos = regions 0 4 [] in
-      let* np = read_u32 body pos in
-      let rec placements i pos acc =
-        if i >= np then Ok (List.rev acc, pos)
+      let* regions = regions 0 [] in
+      let* np = R.u32 r in
+      let rec placements i acc =
+        if i >= np then Ok (List.rev acc)
         else
-          let* pid = read_u32 body pos in
-          let* n = read_u32 body (pos + 4) in
-          let* switches, pos = read_u32_list body (pos + 8) n in
-          placements (i + 1) pos ((pid, switches) :: acc)
+          let* pid = R.u32 r in
+          let* n = R.u32 r in
+          let* switches = read_u32_list r n in
+          placements (i + 1) ((pid, switches) :: acc)
       in
-      let* replicas, pos = placements 0 (pos + 4) [] in
-      if Bytes.length body <> pos then Error "bad partition-layout length"
-      else Ok (Partition_layout { regions; replicas })
+      let* replicas = placements 0 [] in
+      Ok (Partition_layout { regions; replicas })
   | _ -> Error "unknown journal entry kind"
 
+(* an entry must account for its whole body *)
+let decode_body schema kind body =
+  let r = R.create body in
+  let* entry = read_entry schema kind r body in
+  if R.pos r <> Bytes.length body then Error "bad journal entry length" else Ok entry
+
 let decode schema buf =
-  let rec go pos acc =
-    if pos = Bytes.length buf then Ok (List.rev acc)
+  let r = R.create buf in
+  let rec go acc =
+    let start = R.pos r in
+    if start = Bytes.length buf then Ok (List.rev acc)
     else
-      let* m = read_u8 buf pos in
+      let* m = R.u8 r in
       if m <> magic then Error "bad journal magic"
       else
-        let* kind = read_u8 buf (pos + 1) in
-        let* flags = read_u8 buf (pos + 2) in
-        let* len = read_u32 buf (pos + 3) in
+        let* kind = R.u8 r in
+        let* flags = R.u8 r in
+        let* len = R.u32 r in
         if len < header_len then Error "bad record length"
         else
-          let* () = need buf pos len in
-          let record = Bytes.sub buf pos len in
-          let stored = Bytes.get_int64_be record checksum_off in
-          if not (Int64.equal stored (Message.fnv1a ~hole:(checksum_off, 8) record))
+          let* seq = R.u32 r in
+          let* at = R.f64 r in
+          let* stored = R.u64 r in
+          let* body = R.bytes r (len - header_len) in
+          if
+            not
+              (Int64.equal stored
+                 (Message.fnv1a ~hole:(checksum_off, 8) (Bytes.sub buf start len)))
           then Error "journal checksum mismatch"
           else
-            let* seq = read_u32 record 7 in
-            let* at = read_f64 record 11 in
-            let body = Bytes.sub record header_len (len - header_len) in
             let* entry = decode_body schema kind body in
-            go (pos + len) ({ seq; at; snap = flags land 1 = 1; entry } :: acc)
+            go ({ seq; at; snap = flags land 1 = 1; entry } :: acc)
   in
-  let* rs = go 0 [] in
+  let* rs = go [] in
   let t = create () in
   let base, tail = List.partition (fun r -> r.snap) rs in
   t.base <- base;

@@ -114,40 +114,6 @@ let describe_provenance t ~origin ~pid =
     Some (rule_part ^ part_part)
   end
 
-(* Provenance of a live cache entry, full origin set included: a merged
-   (aggregated) entry stands for several policy rules, each contributing
-   a sub-region.  Per-hit counters are already exact — the switch
-   attributes each packet to the part whose region it fell in — so this
-   is the human-readable join for operators asking "what is this TCAM
-   entry, and whose packets does it absorb?" *)
-let describe_cache_entry t ~switch ~cache_rule =
-  let sw = Deployment.switch t.d switch in
-  match Switch.cache_meta_of_rule sw cache_rule with
-  | None -> None
-  | Some m ->
-      let kind =
-        match m.Switch.kind with
-        | Switch.Fragment -> "fragment"
-        | Switch.Cover -> "cover"
-        | Switch.Exact -> "exact"
-      in
-      let parts =
-        m.Switch.parts
-        |> List.map (fun (p : Switch.cache_part) ->
-               match describe_provenance t ~origin:p.Switch.part_origin ~pid:(-1) with
-               | Some s -> Printf.sprintf "%s (rank %d)" s p.Switch.part_rank
-               | None -> Printf.sprintf "rule ? (rank %d)" p.Switch.part_rank)
-        |> String.concat " + "
-      in
-      let pid_part =
-        if m.Switch.pid < 0 then ""
-        else
-          match Assignment.switch_for (Deployment.assignment t.d) m.Switch.pid with
-          | auth -> Printf.sprintf " -> pid %d @ authority %d" m.Switch.pid auth
-          | exception Not_found -> Printf.sprintf " -> pid %d (retired)" m.Switch.pid
-      in
-      Some (Printf.sprintf "%s%s: %s" kind pid_part parts)
-
 let rule_reports t =
   let cache = Hashtbl.create 64 and auth = Hashtbl.create 64 in
   let bump tbl k v =

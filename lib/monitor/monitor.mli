@@ -72,16 +72,6 @@ val describe_provenance : t -> origin:int -> pid:int -> string option
     both components are unknown ([-1]); retired pids and deleted rules
     are marked rather than dropped. *)
 
-val describe_cache_entry : t -> switch:int -> cache_rule:int -> string option
-(** Provenance of a live cache entry, {e full origin set} included: an
-    aggregated (buddy-merged) entry stands for several policy rules, and
-    this lists every one with its rank — e.g.
-    [fragment -> pid 2 @ authority 5: rule 3 prio 20 (rank 4) + rule 7
-    prio 10 (rank 2)].  Per-rule hit counters stay exact regardless (the
-    switch attributes each packet to the merged part whose sub-region it
-    fell in); [None] when the entry is unknown or carries no recorded
-    provenance. *)
-
 val heavy_hitters : ?k:int -> t -> rule_report list
 (** Policy rules by descending total hits (ties: ascending id), top [k]
     (default [config.top_k]); zero-hit rules excluded. *)

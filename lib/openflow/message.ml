@@ -151,9 +151,10 @@ module R = struct
   type t = { buf : Bytes.t; mutable pos : int }
 
   let create buf = { buf; pos = 0 }
+  let pos r = r.pos
 
   let need r n =
-    if r.pos + n > Bytes.length r.buf then Error "truncated frame" else Ok ()
+    if n < 0 || r.pos + n > Bytes.length r.buf then Error "truncated frame" else Ok ()
 
   let u8 r =
     match need r 1 with
@@ -188,6 +189,14 @@ module R = struct
         Ok v
 
   let f64 r = Result.map Int64.float_of_bits (u64 r)
+
+  let bytes r n =
+    match need r n with
+    | Error e -> Error e
+    | Ok () ->
+        let v = Bytes.sub r.buf r.pos n in
+        r.pos <- r.pos + n;
+        Ok v
 end
 
 let ( let* ) = Result.bind
@@ -365,13 +374,21 @@ let fnv1a ?hole buf =
 
 let checksum buf = fnv1a ~hole:(12, 8) buf
 
+(* the largest frame the u16 length field can describe *)
+let max_frame = 0xffff
+
 let encode ~xid ?(epoch = 0) t =
   let body = Buffer.create 64 in
   encode_body body t;
-  let frame = Buffer.create (Buffer.length body + 20) in
+  let len = Buffer.length body + 20 in
+  if len > max_frame then
+    invalid_arg
+      (Printf.sprintf "Message.encode: %d-byte frame exceeds the %d-byte frame limit" len
+         max_frame);
+  let frame = Buffer.create len in
   W.u8 frame version;
   W.u8 frame (type_code t);
-  W.u16 frame (Buffer.length body + 20);
+  W.u16 frame len;
   W.u32 frame xid;
   W.u32 frame epoch;
   (* 8 bytes of checksum to reach a 20-byte header; filled in below *)
@@ -491,7 +508,10 @@ let decode schema buf =
                 go (i + 1) (rule :: acc)
             in
             let* table_rules = go 0 [] in
-            Ok (Install_partition { pid; region; table_rules })
+            let ids = List.map (fun (rule : Rule.t) -> rule.id) table_rules in
+            if List.compare_lengths (List.sort_uniq Int.compare ids) ids <> 0 then
+              Error "duplicate rule ids in partition table"
+            else Ok (Install_partition { pid; region; table_rules })
         | 31 ->
             let* pid = R.u32 r in
             Ok (Drop_partition pid)
@@ -500,7 +520,7 @@ let decode schema buf =
             Ok (Ack x)
         | _ -> Error "unknown message type"
       in
-      if r.R.pos <> Bytes.length buf then Error "trailing bytes"
+      if R.pos r <> Bytes.length buf then Error "trailing bytes"
       else Ok (xid, epoch, msg)
 
 let wire_size ~xid ?epoch t = Bytes.length (encode ~xid ?epoch t)
@@ -523,4 +543,4 @@ let rules_of_bytes schema buf =
       go (i + 1) (rule :: acc)
   in
   let* rules = go 0 [] in
-  if r.R.pos <> Bytes.length buf then Error "trailing bytes" else Ok rules
+  if R.pos r <> Bytes.length buf then Error "trailing bytes" else Ok rules

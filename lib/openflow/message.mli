@@ -105,12 +105,16 @@ val pp : Format.formatter -> t -> unit
     "unfenced" (single-controller deployments never reject). *)
 
 val encode : xid:int -> ?epoch:int -> t -> Bytes.t
-(** [epoch] defaults to [0] (unfenced). *)
+(** [epoch] defaults to [0] (unfenced).
+    @raise Invalid_argument if the frame is over 65,535 bytes, the most
+    its 16-bit length field can describe (an [Install_partition] of
+    about 670 five-tuple rules). *)
 
 val decode : Schema.t -> Bytes.t -> (int * int * t, string) result
 (** Returns [(xid, epoch, message)].  The schema is needed to rebuild
-    predicates and headers.  Errors on truncated or corrupt frames rather
-    than raising. *)
+    predicates and headers.  Errors on truncated or corrupt frames, and
+    on an [Install_partition] table that repeats a rule id, rather than
+    raising. *)
 
 val wire_size : xid:int -> ?epoch:int -> t -> int
 (** [Bytes.length (encode ~xid ?epoch t)]. *)
@@ -119,6 +123,35 @@ val fnv1a : ?hole:int * int -> Bytes.t -> int64
 (** FNV-1a hash of a buffer, with an optional [(offset, length)] window
     treated as zero (where the checksum itself is stored).  Shared with
     the journal's record framing. *)
+
+(** {1 Byte codec}
+
+    The big-endian writer and bounds-checked reader every frame is built
+    from, shared with the journal so one reader decodes every external
+    byte. *)
+
+module W : sig
+  val u8 : Buffer.t -> int -> unit
+  val u32 : Buffer.t -> int -> unit
+  val u64 : Buffer.t -> int64 -> unit
+  val f64 : Buffer.t -> float -> unit
+end
+
+module R : sig
+  type t
+  (** A cursor over a buffer.  Every read advances it, or returns [Error]
+      without moving it when fewer bytes remain than the read needs. *)
+
+  val create : Bytes.t -> t
+  val pos : t -> int
+  val u8 : t -> (int, string) result
+  val u32 : t -> (int, string) result
+  val u64 : t -> (int64, string) result
+  val f64 : t -> (float, string) result
+
+  val bytes : t -> int -> (Bytes.t, string) result
+  (** The next [n] bytes, copied. *)
+end
 
 val rules_to_bytes : Rule.t list -> Bytes.t
 

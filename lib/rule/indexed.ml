@@ -20,8 +20,6 @@ let of_classifier source =
 let length t = Classifier.length t.source
 let groups t = match t.index with Some ts -> Tuple_space.groups ts | None -> 0
 let degenerate t = match t.index with Some ts -> Tuple_space.degenerate ts | None -> true
-let classifier t = t.source
-
 let first_match t h =
   match t.index with
   | None -> Classifier.first_match t.source h

@@ -32,6 +32,3 @@ val degenerate : t -> bool
 
 val first_match : t -> Header.t -> Rule.t option
 (** Exactly {!Classifier.first_match} on the underlying table. *)
-
-val classifier : t -> Classifier.t
-(** The table this index was built from. *)

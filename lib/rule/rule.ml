@@ -3,7 +3,6 @@ type t = { id : int; priority : int; pred : Pred.t; action : Action.t }
 let make ~id ~priority pred action = { id; priority; pred; action }
 let with_pred t pred = { t with pred }
 let with_action t action = { t with action }
-let with_priority t priority = { t with priority }
 let with_id t id = { t with id }
 let matches t h = Pred.matches t.pred h
 

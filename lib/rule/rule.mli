@@ -9,7 +9,6 @@ type t = private { id : int; priority : int; pred : Pred.t; action : Action.t }
 val make : id:int -> priority:int -> Pred.t -> Action.t -> t
 val with_pred : t -> Pred.t -> t
 val with_action : t -> Action.t -> t
-val with_priority : t -> int -> t
 val with_id : t -> int -> t
 
 val matches : t -> Header.t -> bool

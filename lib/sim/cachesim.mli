@@ -13,15 +13,6 @@
 type kind =
   | Wildcard_splice  (** DIFANE: one entry per independent rule piece *)
   | Microflow  (** Ethane/NOX: one exact-match entry per header *)
-  | Aggregated
-      (** DIFANE + cache-rule aggregation: spliced pieces with the same
-          action whose predicates are adjacent (exact buddy unions) are
-          statically merged to fixpoint, so several pieces share one
-          resident entry — the trace-driven model of {!Aggregate}'s
-          buddy merging.  Hit attribution stays per pre-merge piece, so
-          [origin_hits] is exactly as fine-grained as the other kinds;
-          [distinct_keys] reports the {e merged} working set (the
-          installed-entry count a TCAM would hold). *)
 
 type result = {
   kind : kind;
@@ -30,11 +21,6 @@ type result = {
   misses : int;
   miss_rate : float;
   distinct_keys : int;  (** working-set size under this caching scheme *)
-  origin_hits : (int * int) list;
-      (** cache hits attributed to the policy rule each key was derived
-          from (the spliced piece's origin, or the microflow header's
-          first match), ascending rule id — the trace-driven face of the
-          provenance attribution the live switches keep *)
 }
 
 val packet_stream : Traffic.flow list -> Header.t array
@@ -50,15 +36,11 @@ val run_opt : kind -> Classifier.t -> cache_size:int -> Header.t array -> result
     future) — unrealisable online, but the floor any replacement policy
     is measured against.  Same keys as {!run}. *)
 
-val sweep :
-  Classifier.t -> cache_sizes:int list -> Header.t array -> (int * result * result) list
-(** For each cache size: [(size, wildcard result, microflow result)].
-    Spliced keys are computed once and shared across sizes. *)
-
 val sweep_with_opt :
   Classifier.t ->
   cache_sizes:int list ->
   Header.t array ->
   (int * result * result * result) list
-(** Like {!sweep} plus Belady-OPT replacement on the wildcard keys:
-    [(size, wildcard LRU, wildcard OPT, microflow LRU)]. *)
+(** For each cache size: [(size, wildcard LRU, wildcard OPT, microflow
+    LRU)], the OPT run using Belady replacement on the wildcard keys.
+    Each kind's keys are computed once and shared across sizes. *)

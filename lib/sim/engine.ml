@@ -462,8 +462,3 @@ type stats = { processed : int; pending : int; queue_peak : int }
 
 let stats (t : t) =
   { processed = t.processed; pending = pending t; queue_peak = t.queue_peak }
-
-let reset_stats (t : t) =
-  t.processed <- 0;
-  t.mirrored <- 0;
-  t.queue_peak <- pending t

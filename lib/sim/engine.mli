@@ -87,7 +87,3 @@ val stats : t -> stats
 (** Per-engine dispatch tallies.  [queue_peak] is this engine's own
     high-water mark (not the process-wide gauge), so it is race-free
     under domains. *)
-
-val reset_stats : t -> unit
-(** Zero the processed count and re-arm the queue-peak high-water mark at
-    the current queue depth (queued events survive). *)

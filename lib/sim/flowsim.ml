@@ -20,9 +20,7 @@ module Config = struct
     timing : timing;
     faults : Fault.plan option;
     monitor : Monitor.t option;
-    congestion : Congestion.config option;
     controller : (now:float -> unit) option;
-    controller_interval : float;
     domains : int;
   }
 
@@ -31,12 +29,13 @@ module Config = struct
       timing = default_timing;
       faults = None;
       monitor = None;
-      congestion = None;
       controller = None;
-      controller_interval = 0.01;
       domains = 1;
     }
 end
+
+(* controller-hook tick period, seconds *)
+let controller_interval = 0.01
 
 type authority_stat = {
   switch_id : int;
@@ -280,14 +279,14 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
      the boundary time, so the controller's own clocks stay exact).  The
      controller mutates the same deployment the packets walk — this is
      how the adaptive rebalancer closes the loop on live traffic. *)
-  let next_tick = ref cfg.controller_interval in
+  let next_tick = ref controller_interval in
   let catch_up now =
     match cfg.controller with
     | None -> ()
     | Some tick ->
         while !next_tick <= now do
           tick ~now:!next_tick;
-          next_tick := !next_tick +. cfg.controller_interval
+          next_tick := !next_tick +. controller_interval
         done
   in
   let topo = Deployment.topology d in
@@ -347,15 +346,10 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
   let idle_timeout = (Deployment.config d).Deployment.cache_idle_timeout in
   let hard_timeout = (Deployment.config d).Deployment.cache_hard_timeout in
   (* Congestion model: per-port virtual-clock queues shared with the
-     deployment walk's semantics.  The config override (if any) wins over
-     the deployment's; a disabled config is the legacy plane — infinite
-     buffers, zero serialization — and every congestion hook below
-     degenerates to a no-op, keeping legacy runs bit-identical. *)
-  let ccfg =
-    match cfg.congestion with
-    | Some c -> c
-    | None -> (Deployment.config d).Deployment.congestion
-  in
+     deployment walk's semantics.  A disabled config is the legacy plane —
+     infinite buffers, zero serialization — and every congestion hook
+     below degenerates to a no-op, keeping legacy runs bit-identical. *)
+  let ccfg = (Deployment.config d).Deployment.congestion in
   let cong = if Congestion.enabled ccfg then Some (Congestion.create ccfg) else None in
   let credit_mode = cong <> None && ccfg.Congestion.mode = Congestion.Credit in
   (* Credit-based flow control: one shared pool per authority bounds its
@@ -680,7 +674,8 @@ let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
   in
   merge_raws raws ~offered:(Array.fold_left ( + ) 0 offered)
 
-let run_nox ?(timing = default_timing) n flows =
+let run_nox n flows =
+  let timing = default_timing in
   let engine = Engine.create () in
   let acc = fresh_acc () in
   let controller =
@@ -717,16 +712,3 @@ let run_nox ?(timing = default_timing) n flows =
   Engine.run engine;
   mirror_registry acc;
   finish acc ~offered:(List.length flows)
-
-let saturation_throughput ?(timing = default_timing) ~mode ~workload ~rates () =
-  List.map
-    (fun rate ->
-      let flows = workload ~rate in
-      let result =
-        match mode with
-        | `Difane mk ->
-            run { Config.default with Config.timing } (mk ()) flows
-        | `Nox mk -> run_nox ~timing (mk ()) flows
-      in
-      (rate, result))
-    rates

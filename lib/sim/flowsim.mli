@@ -36,11 +36,9 @@ val default_timing : timing
 (** 1.25 µs authority service, 20 µs controller service, 10 ms RTT,
     queue 2000, instantaneous installs. *)
 
-(** One typed value for everything that parameterises a simulation run —
-    the single argument surface replacing the sprawl of optional
-    arguments ([?timing ?faults ?monitor ?controller ...]) plus the
-    congestion config that used to ride in on the deployment alone.
-    Build with record update on {!Config.default}:
+(** One typed value for everything that parameterises a simulation run
+    beyond the deployment itself (whose config carries the congestion
+    model).  Build with record update on {!Config.default}:
     [{ Config.default with timing; domains = 4 }]. *)
 module Config : sig
   type t = {
@@ -49,19 +47,15 @@ module Config : sig
         (** scheduled crash/flap events + lossy install fabric *)
     monitor : Monitor.t option;
         (** offered every packet at simulated time; finished at drain *)
-    congestion : Congestion.config option;
-        (** [Some c] overrides the deployment's congestion config for
-            this run; [None] uses the deployment's own *)
     controller : (now:float -> unit) option;
-        (** live control-loop co-simulation hook *)
-    controller_interval : float;  (** tick period, seconds *)
+        (** live control-loop co-simulation hook, ticked every 10 ms *)
     domains : int;
         (** worker domains for {!run_sharded}; {!run} requires [1] *)
   }
 
   val default : t
-  (** [default_timing], no faults, no monitor, deployment's congestion,
-      no controller (10 ms interval), one domain. *)
+  (** [default_timing], no faults, no monitor, no controller, one
+      domain. *)
 end
 
 type authority_stat = {
@@ -141,12 +135,11 @@ val run : Config.t -> Deployment.t -> Traffic.flow list -> result
     [controllers] replicas are up: while none is, degraded misses are
     dropped and counted in [outage_drops].
 
-    With a controller hook, the callback runs at every
-    [controller_interval] boundary the simulation clock crosses, called
-    with the boundary time — the deterministic co-simulation hook that
-    lets a live {!Control_plane} (or {!Cluster}) tick against the same
-    deployment the packets are walking, e.g. for closed-loop adaptive
-    rebalancing.  Boundaries are caught up lazily at the next packet
+    With a controller hook, the callback runs at every 10 ms boundary
+    the simulation clock crosses, called with the boundary time — the
+    deterministic co-simulation hook that lets a live {!Control_plane}
+    (or {!Cluster}) tick against the same deployment the packets are
+    walking, e.g. for closed-loop adaptive rebalancing.  Boundaries are caught up lazily at the next packet
     event, and once more when the event queue drains.
 
     @raise Invalid_argument if [domains <> 1] — parallel execution needs
@@ -176,16 +169,5 @@ val run_sharded :
     faults, a monitor, or a controller hook — those are cross-shard
     global state and require a single-domain {!run}. *)
 
-val run_nox : ?timing:timing -> Nox.t -> Traffic.flow list -> result
-(** Replay against the reactive baseline. *)
-
-val saturation_throughput :
-  ?timing:timing ->
-  mode:[ `Difane of unit -> Deployment.t | `Nox of unit -> Nox.t ] ->
-  workload:(rate:float -> Traffic.flow list) ->
-  rates:float list ->
-  unit ->
-  (float * result) list
-(** Sweep offered flow-arrival rates and report the achieved setup
-    throughput at each — the paper's throughput-vs-sending-rate curve.
-    Fresh network state is built for every rate via the thunks. *)
+val run_nox : Nox.t -> Traffic.flow list -> result
+(** Replay against the reactive baseline, under [default_timing]. *)

@@ -7,8 +7,6 @@ let of_array arr =
   a
 
 let of_list l = of_array (Array.of_list l)
-let count t = Array.length t
-
 let at t x =
   (* number of samples <= x, binary search for upper bound *)
   let n = Array.length t in
@@ -30,6 +28,3 @@ let series ?(points = 20) t =
   List.init points (fun i ->
       let q = float_of_int (i + 1) /. float_of_int points in
       (inverse t q, q))
-
-let pp_series ?points ppf t =
-  List.iter (fun (v, q) -> Format.fprintf ppf "%.6g\t%.3f@." v q) (series ?points t)

@@ -7,7 +7,6 @@ val of_list : float list -> t
 (** @raise Invalid_argument on an empty list. *)
 
 val of_array : float array -> t
-val count : t -> int
 
 val at : t -> float -> float
 (** [at t x]: fraction of samples [<= x]. *)
@@ -18,5 +17,3 @@ val inverse : t -> float -> float
 val series : ?points:int -> t -> (float * float) list
 (** Evenly spaced quantile series for plotting/printing,
     [(value, cumulative fraction)], default 20 points ending at the max. *)
-
-val pp_series : ?points:int -> Format.formatter -> t -> unit

@@ -46,8 +46,3 @@ let of_array arr =
   }
 
 let of_list l = of_array (Array.of_list l)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g p90=%.4g p95=%.4g p99=%.4g max=%.4g"
-    t.count t.mean t.stddev t.min t.p50 t.p90 t.p95 t.p99 t.max

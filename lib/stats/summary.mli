@@ -20,5 +20,3 @@ val of_array : float array -> t
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [0..1], linear interpolation.  The
     array must already be sorted ascending. *)
-
-val pp : Format.formatter -> t -> unit

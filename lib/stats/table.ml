@@ -36,7 +36,6 @@ let section ?align ~title ~header rows =
 
 let print ?align ~title ~header rows = print_string (section ?align ~title ~header rows)
 
-let fmt_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 let fmt_pct v = Printf.sprintf "%.1f%%" (100. *. v)
 
 let fmt_si v =

@@ -16,7 +16,6 @@ val section :
 val print : ?align:align list -> title:string -> header:string list -> string list list -> unit
 (** [section] to stdout. *)
 
-val fmt_float : ?decimals:int -> float -> string
 val fmt_pct : float -> string
 (** [fmt_pct 0.873] is ["87.3%"]. *)
 

@@ -84,8 +84,6 @@ let create ~nodes links =
 let nodes t = t.n
 let links t = t.links
 let degree t v = List.length t.adj.(v)
-let neighbors t v = List.map fst t.adj.(v)
-
 let link_between t a b =
   List.find_opt (fun (v, _) -> v = b) t.adj.(a) |> Option.map snd
 

@@ -27,7 +27,6 @@ val serialization_delay : link -> bits:int -> float
 val nodes : t -> int
 val links : t -> link list
 val degree : t -> int -> int
-val neighbors : t -> int -> int list
 val link_between : t -> int -> int -> link option
 val is_connected : t -> bool
 

@@ -346,45 +346,6 @@ let test_degraded_packet_in_answered () =
   check Alcotest.int64 "controller answered the miss" 1L
     (Control_plane.degraded_handled cp)
 
-let test_auto_rebalance () =
-  let policy =
-    Classifier.of_specs s2
-      [
-        (10, [ ("f1", "0xxxxxxx") ], Action.Forward 3);
-        (10, [ ("f1", "1xxxxxxx") ], Action.Forward 3);
-        (0, [], Action.Drop);
-      ]
-  in
-  let d =
-    Deployment.build
-      ~config:{ Deployment.default_config with k = 4; cache_capacity = 0 }
-      ~policy ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
-  in
-  let cp =
-    Control_plane.create
-      ~config:{ Control_plane.default_config with rebalance_interval = Some 1.0 }
-      d
-  in
-  (* skewed traffic into one flowspace corner *)
-  for i = 0 to 199 do
-    ignore (Deployment.inject d ~now:0. ~ingress:0 (h (i mod 16) (i mod 8)))
-  done;
-  drive cp ~from:0. ~until:3. ~step:0.25;
-  check Alcotest.bool "rebalanced at least once" true (Control_plane.rebalances cp >= 1);
-  let d' = Control_plane.deployment cp in
-  (* the hottest partition now sits alone on its authority *)
-  let loads = Deployment.measured_partition_loads d' in
-  let hot_pid, _ =
-    List.fold_left (fun (bp, bl) (p, l) -> if l > bl then (p, l) else (bp, bl)) (-1, -1.) loads
-  in
-  let host = Assignment.switch_for (Deployment.assignment d') hot_pid in
-  check (Alcotest.list Alcotest.int) "hot partition isolated" [ hot_pid ]
-    (Assignment.partitions_of (Deployment.assignment d') host);
-  (* semantics intact after the automated move *)
-  let rng = Prng.create 8 in
-  let probes = List.init 150 (fun _ -> h (Prng.int rng 256) (Prng.int rng 256)) in
-  check Alcotest.bool "still faithful" true (Deployment.semantically_equal d' probes)
-
 let suite =
   [
     ( "channel",
@@ -409,7 +370,6 @@ let suite =
         tc "control overhead counted" test_control_overhead_counted;
         tc "push deployment over channels" test_push_deployment;
         tc "partition transfer codec" test_partition_transfer_codec;
-        tc "automatic load rebalance" test_auto_rebalance;
       ] );
     ( "reliability",
       [

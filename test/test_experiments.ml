@@ -316,13 +316,46 @@ let test_gate_table () =
   check Alcotest.int "names unique" (List.length names)
     (List.length (List.sort_uniq String.compare names))
 
-(* Every gate holds at quick size, sharded scenarios across two domains. *)
+(* Seed-42 quick fingerprints.  A change that moves one on purpose
+   updates it here and says why in CHANGES.md.  The incast fingerprint
+   folds in the whole telemetry registry, whose metric names depend on
+   what else this process has registered, so incast pins the MD5 of its
+   report instead. *)
+let pinned =
+  [
+    ("chaos", `Fingerprint "03d11dc727cfe2307fabf2db5e0f762d");
+    ("ha", `Fingerprint "6c5b6a9af66bc4c655ac57c194f4d7d7");
+    ("incast", `Report "050aedeeda27c7a50499eda703afb0c4");
+    ("rebalance", `Fingerprint "bb42cbe741b81a6fb1196650213037a5");
+    ("scale", `Fingerprint "271a0757d16f7b0114e7d27e7e7aff55");
+    ("paths-chaos", `Fingerprint "c555d74b005e65c61928d4aa6347cbe3");
+    ("paths-rebalance", `Fingerprint "e9871d50be508e200776af88d0e5803a");
+    ("paths-scale", `Fingerprint "aa38f3884953ca55e1dd158c306fee22");
+    ("aggregate", `Fingerprint "f78cc27e8d198abca42fcac3866de4db");
+    ("monitor", `Fingerprint "0fcb6dbb908ccd54b1cab4a12078ebb9");
+  ]
+
+(* Every gate holds at quick size, sharded scenarios across two domains,
+   and matches its pin: the harness prints the report, then a verdict
+   line naming the fingerprint. *)
 let test_every_gate_holds_quick () =
   List.iter
     (fun (s : Experiments.scenario) ->
-      if Option.is_some s.gate then
+      if Option.is_some s.gate then begin
+        let printed = ref [] in
         check failures s.name []
-          (Experiments.run_gate ~print:ignore s ~seed:42 ~quick:true ~domains:2))
+          (Experiments.run_gate
+             ~print:(fun p -> printed := p :: !printed)
+             s ~seed:42 ~quick:true ~domains:2);
+        match (List.assoc s.name pinned, !printed) with
+        | `Fingerprint fp, verdict :: _ ->
+            check Alcotest.string (s.name ^ " fingerprint")
+              (Printf.sprintf "gate %s: ok (fingerprint %s at domains 1 and 2)\n" s.name fp)
+              verdict
+        | `Report md5, [ _; report ] ->
+            check Alcotest.string (s.name ^ " report") md5 (Digest.to_hex (Digest.string report))
+        | _ -> Alcotest.failf "%s: unexpected harness output" s.name
+      end)
     Experiments.scenarios
 
 (* --- replay timelines, read from the controllers' own logs --- *)

@@ -227,6 +227,17 @@ let test_truncation_detected () =
             Alcotest.failf "truncation by %d bytes went undetected" cut
   done
 
+(* The codec's bytes are part of the format: a journal written by one
+   build must decode in the next.  Pinned for one record of every kind
+   and for the journal the seeded quick E-HA run leaves behind. *)
+let test_encoding_pinned () =
+  let md5 b = Digest.to_hex (Digest.bytes b) in
+  check Alcotest.string "every entry kind" "c738a698c48b39494d8f3d50bdd642bf"
+    (md5 (Journal.encode (filled ())));
+  check Alcotest.string "E-HA quick journal, seed 42, 10% loss"
+    "4683ed399a96f6d2c9f2af0e5dee6645"
+    (md5 (Bytes.of_string (Experiments.E_ha.journal ~seed:42 ~quick:true ~loss:0.10)))
+
 let suite =
   [
     ( "journal",
@@ -238,5 +249,6 @@ let suite =
         tc "any single-bit corruption detected" test_any_corruption_detected;
         tc "inflated rebalance count rejected" test_rebalance_bad_count_rejected;
         tc "truncation detected" test_truncation_detected;
+        tc "encoding pinned" test_encoding_pinned;
       ] );
   ]

@@ -75,6 +75,56 @@ let test_wire_size () =
     (Message.wire_size ~xid:0 msg);
   check Alcotest.bool "frames have 20-byte header" true (Message.wire_size ~xid:0 Message.Hello = 20)
 
+(* An exact-match rule on tiny2 with a forward action encodes in 48
+   bytes, and an Install_partition frame is 63 bytes before its rules, so
+   1,364 rules fill the u16 length field exactly. *)
+let partition_of_size n =
+  let rule i =
+    Rule.make ~id:i ~priority:i
+      (Pred.make s2
+         [ Ternary.exact ~width:8 (Int64.of_int (i land 0xff));
+           Ternary.exact ~width:8 (Int64.of_int (i lsr 8)) ])
+      (Action.Forward 1)
+  in
+  Message.Install_partition
+    { pid = 0; region = Pred.any s2; table_rules = List.init n rule }
+
+let test_frame_size_limit () =
+  let largest = partition_of_size 1364 in
+  check Alcotest.int "largest frame fills the length field" 0xffff
+    (Message.wire_size ~xid:1 largest);
+  roundtrip largest;
+  match Message.encode ~xid:1 (partition_of_size 1365) with
+  | _ -> Alcotest.fail "a 65,583-byte frame was encoded"
+  | exception Invalid_argument e ->
+      check Alcotest.string "names the size and the limit"
+        "Message.encode: 65583-byte frame exceeds the 65535-byte frame limit" e
+
+(* A partition table that repeats a rule id cannot become a classifier,
+   so the frame must fail to decode rather than reach the switch. *)
+let test_duplicate_id_table_rejected () =
+  let rule id priority v =
+    Rule.make ~id ~priority (Pred.of_strings s2 [ ("f1", v) ]) (Action.Forward 1)
+  in
+  let msg =
+    Message.Install_partition
+      { pid = 3; region = Pred.any s2;
+        table_rules = [ rule 1 30 "0xxxxxxx"; rule 2 20 "10xxxxxx"; rule 1 10 "11xxxxxx" ] }
+  in
+  (match Message.decode s2 (Message.encode ~xid:9 msg) with
+  | Ok _ -> Alcotest.fail "table with a repeated rule id decoded"
+  | Error _ -> ());
+  let ch = Channel.create s2 ~latency:0.001 in
+  let sw = Switch.create ~id:0 ~cache_capacity:8 in
+  Channel.send ch ~now:0. ~xid:9 msg;
+  List.iter
+    (fun (xid, epoch, m) -> ignore (Switch.handle_control ~xid ~epoch sw ~now:1. m))
+    (Channel.poll ch ~now:1.);
+  check Alcotest.int "frame counted as a decode error" 1
+    (Channel.stats ch).Channel.decode_errors;
+  check Alcotest.int "switch installed no partition" 0
+    (List.length (Switch.authority_partitions sw))
+
 let gen_message =
   let open QCheck2.Gen in
   let gen_rule =
@@ -112,6 +162,8 @@ let suite =
         tc "stats roundtrips" test_stats_roundtrips;
         tc "garbage rejection" test_decode_garbage;
         tc "wire size" test_wire_size;
+        tc "frame size limit" test_frame_size_limit;
+        tc "duplicate-id partition table rejected" test_duplicate_id_table_rejected;
         prop_roundtrip;
       ] );
   ]

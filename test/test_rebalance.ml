@@ -180,7 +180,6 @@ let adaptive_cp_config =
     retx_timeout = 0.05;
     retx_limit = 8;
     rebalance_interval = Some 0.1;
-    adaptive = true;
     hotspot_threshold = 1.5;
     hotspot_window = 2;
     migration_step = 0.05;

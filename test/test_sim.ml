@@ -341,14 +341,16 @@ let test_lru_behaviour () =
 let test_sweep_consistent () =
   let policy = Classifier.of_specs s2 [ (1, [], Action.Forward 1) ] in
   let stream = Array.init 200 (fun i -> Header.make s2 [| Int64.of_int (i mod 16); 0L |]) in
-  let results = Cachesim.sweep policy ~cache_sizes:[ 4; 16 ] stream in
+  let results = Cachesim.sweep_with_opt policy ~cache_sizes:[ 4; 16 ] stream in
   check Alcotest.int "two sizes" 2 (List.length results);
   List.iter
-    (fun (size, (w : Cachesim.result), (m : Cachesim.result)) ->
+    (fun (size, (w : Cachesim.result), (o : Cachesim.result), (m : Cachesim.result)) ->
       check Alcotest.int "size matches w" size w.Cachesim.cache_size;
+      check Alcotest.int "size matches o" size o.Cachesim.cache_size;
       check Alcotest.int "size matches m" size m.Cachesim.cache_size;
       check Alcotest.bool "wildcard <= microflow misses" true
-        (w.Cachesim.misses <= m.Cachesim.misses))
+        (w.Cachesim.misses <= m.Cachesim.misses);
+      check Alcotest.bool "opt <= lru misses" true (o.Cachesim.misses <= w.Cachesim.misses))
     results
 
 let test_opt_bounds_lru () =

@@ -274,7 +274,6 @@ let test_rebalance_counters_shape () =
           Control_plane.default_config with
           retx_timeout = 0.05;
           rebalance_interval = Some 0.1;
-          adaptive = true;
           hotspot_threshold = 1.5;
           hotspot_window = 2;
           migration_step = 0.05;
