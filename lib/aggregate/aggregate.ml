@@ -98,23 +98,26 @@ let merge_parts a b =
    predicate exactly.  Cover-set members additionally require the same
    group: cross-group merging would entangle two atomically-evicted sets
    (and within one group ranks are distinct, so cover merges never fire
-   in practice — the group machinery stays simple). *)
+   in practice — the group machinery stays simple).
+
+   The candidates come from the switch's cache index, one probe per
+   specified bit of [pred]; among the legal ones the victim is the entry
+   [Rule.compare_priority] ranks first — the one a walk of the bank in
+   [Tcam.entries] order would meet first. *)
 let find_merge sw ~pid ~kind ~group ~priority ~action pred =
-  List.find_map
-    (fun (e : Tcam.entry) ->
-      let r = e.Tcam.rule in
-      if not (Action.equal r.Rule.action action) then None
-      else
-        match Switch.cache_meta_of_rule sw r.Rule.id with
-        | Some m
-          when m.Switch.pid = pid && m.Switch.kind = kind
-               && m.Switch.group = group
-               && ranks_compatible kind r.Rule.priority priority -> (
-            match Pred.buddy_union pred r.Rule.pred with
-            | Some u -> Some (r, m, u)
-            | None -> None)
-        | Some _ | None -> None)
-    (Tcam.entries (Switch.cache sw))
+  Cache_index.fold_buddies (Switch.cache_index sw) pred
+    (fun best (r : Rule.t) (m : Switch.cache_meta) ->
+      if
+        Action.equal r.Rule.action action
+        && m.Switch.pid = pid && m.Switch.kind = kind && m.Switch.group = group
+        && ranks_compatible kind r.Rule.priority priority
+        && match best with Some (b, _, _) -> Rule.beats r b | None -> true
+      then
+        match Pred.buddy_union pred r.Rule.pred with
+        | Some u -> Some (r, m, u)
+        | None -> best
+      else best)
+    None
 
 let install_one ?idle_timeout ?hard_timeout t sw ~now
     ((rule : Rule.t), (meta : Switch.cache_meta)) =
@@ -163,23 +166,21 @@ let install_one ?idle_timeout ?hard_timeout t sw ~now
 (* An exactly-equivalent live cover entry: same predicate, rank, action
    and partition.  Reusing it (below) instead of installing a duplicate
    is what lets overlapping cover sets share their common dependencies —
-   the compression the cover path is for. *)
+   the compression the cover path is for.  One index probe; ties go to
+   the entry [Rule.compare_priority] ranks first, as in [find_merge]. *)
 let equivalent_live_cover sw (rule : Rule.t) (meta : Switch.cache_meta) =
-  List.find_map
-    (fun (e : Tcam.entry) ->
-      let r = e.Tcam.rule in
+  Cache_index.fold_equal (Switch.cache_index sw) rule.Rule.pred
+    (fun best (r : Rule.t) (m : Switch.cache_meta) ->
       if
         r.Rule.priority = rule.Rule.priority
         && Action.equal r.Rule.action rule.Rule.action
         && Pred.equal r.Rule.pred rule.Rule.pred
-      then
-        match Switch.cache_meta_of_rule sw r.Rule.id with
-        | Some m when m.Switch.kind = Switch.Cover && m.Switch.pid = meta.Switch.pid
-          ->
-            Some r.Rule.id
-        | _ -> None
-      else None)
-    (Tcam.entries (Switch.cache sw))
+        && m.Switch.kind = Switch.Cover && m.Switch.pid = meta.Switch.pid
+        && match best with Some b -> Rule.beats r b | None -> true
+      then Some r
+      else best)
+    None
+  |> Option.map (fun (r : Rule.t) -> r.Rule.id)
 
 let install ?idle_timeout ?hard_timeout t sw ~now installs =
   (* Cover-set sharing: overlapping origins' cover sets carry the same

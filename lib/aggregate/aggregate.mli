@@ -56,6 +56,22 @@ val create : config -> t
 val config : t -> config
 val stats : t -> stats
 
+val find_merge :
+  Switch.t -> pid:int -> kind:Switch.cache_kind -> group:(int * int list) option ->
+  priority:int -> action:Action.t -> Pred.t ->
+  (Rule.t * Switch.cache_meta * Pred.t) option
+(** One buddy-merge step: the live entry legal to merge with an install
+    of [pred] (same action, partition, kind and group, compatible rank,
+    and a buddy of [pred]), with its provenance and the exact union.
+    Among several, the one {!Rule.compare_priority} ranks first.  Probes
+    {!Switch.cache_index} once per specified bit of [pred]. *)
+
+val equivalent_live_cover : Switch.t -> Rule.t -> Switch.cache_meta -> int option
+(** The id of a live cover entry with the rule's predicate, priority,
+    action and the meta's partition — the entry a cover-set member is
+    shared with instead of being installed again.  One index probe; ties
+    go to the entry {!Rule.compare_priority} ranks first. *)
+
 val install :
   ?idle_timeout:float -> ?hard_timeout:float -> t -> Switch.t -> now:float ->
   (Rule.t * Switch.cache_meta) list -> Rule.t list

@@ -425,7 +425,7 @@ let controller_serve ?cause d ~now ~ingress h = controller_fallback ?cause d ~no
 let expire_caches d ~now =
   Array.fold_left (fun acc sw -> acc + List.length (Switch.expire_cache sw ~now)) 0 d.switches
 
-let flush_caches d = Array.iter (fun sw -> Tcam.clear (Switch.cache sw)) d.switches
+let flush_caches d = Array.iter Switch.flush_cache d.switches
 
 let update_policy ?(flush = true) d ~now new_policy =
   ignore now;
@@ -445,33 +445,25 @@ let update_policy ?(flush = true) d ~now new_policy =
   d'
 
 let invalidate_origins ?(now = 0.) d ~origins =
-  Array.fold_left
-    (fun acc sw ->
-      let cache = Switch.cache sw in
-      let victims =
-        Tcam.select cache (fun (e : Tcam.entry) ->
-            (* a merged entry stands for several policy rules: it must go
-               if ANY of its absorbed origins changed — the conservative
-               direction; survivors re-splice on their next miss *)
-            List.exists origins (Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id))
-      in
-      List.iter (fun (e : Tcam.entry) -> ignore (Tcam.remove cache e.Tcam.rule.Rule.id)) victims;
-      (* removing one cover-set member must take its whole group: the
-         broad member alone would answer packets its dependencies own *)
-      let orphans = Switch.drop_cover_orphans sw ~now in
-      acc + List.length victims + orphans)
-    0 d.switches
+  Array.fold_left (fun acc sw -> acc + Switch.invalidate_origins sw ~now origins) 0 d.switches
 
+(* A merge of the two policies' id-sorted rule lists, O(n log n).  Ids
+   are unique within a classifier, so each step consumes one id. *)
 let changed_rule_ids ~old_policy new_policy =
-  let ids c = List.map (fun (r : Rule.t) -> r.id) (Classifier.rules c) in
-  let all = List.sort_uniq Int.compare (ids old_policy @ ids new_policy) in
-  List.filter
-    (fun id ->
-      match (Classifier.find old_policy id, Classifier.find new_policy id) with
-      | None, None -> false
-      | Some _, None | None, Some _ -> true
-      | Some a, Some b -> not (Rule.equal a b))
-    all
+  let by_id c =
+    List.sort (fun (a : Rule.t) (b : Rule.t) -> Int.compare a.id b.id) (Classifier.rules c)
+  in
+  let rec diff acc olds news =
+    match (olds, news) with
+    | [], [] -> List.rev acc
+    | (o : Rule.t) :: os, [] -> diff (o.id :: acc) os []
+    | [], (n : Rule.t) :: ns -> diff (n.id :: acc) [] ns
+    | o :: os, n :: ns ->
+        if o.id < n.id then diff (o.id :: acc) os news
+        else if n.id < o.id then diff (n.id :: acc) olds ns
+        else diff (if Rule.equal o n then acc else o.id :: acc) os ns
+  in
+  diff [] (by_id old_policy) (by_id new_policy)
 
 let fail_authority d failed =
   Log.info (fun m -> m "authority %d failed; promoting backups" failed);

@@ -169,8 +169,8 @@ val invalidate_origins : ?now:float -> t -> origins:(int -> bool) -> int
 
 val changed_rule_ids : old_policy:Classifier.t -> Classifier.t -> int list
 (** Rule ids whose definition differs between two policies (changed
-    predicate/action/priority, or present in only one) — what a
-    controller invalidates on an incremental update. *)
+    predicate/action/priority, or present in only one), ascending — what
+    a controller invalidates on an incremental update.  O(n log n). *)
 
 val fail_authority : t -> int -> t
 (** Authority-switch failover: promote backups for the failed switch's

@@ -67,6 +67,18 @@ type t = {
          installer didn't know it — degraded exact-match fallbacks),
          entry kind, and the origin set threaded from policy rule through
          authority table to installed cache entry *)
+  mutable cache_index : cache_meta Cache_index.t option;
+      (* the live entries of [cache_origin], keyed by predicate, for
+         aggregation's probes; built on the first query, so a switch
+         that never aggregates pays nothing for it *)
+  group_entries : (int, Rule.t) Hashtbl.t;
+      (* cover-group id -> its live entries, one binding each *)
+  foreign_listers : (int, int) Hashtbl.t;
+      (* cache rule id -> ids of the groups that list it as a foreign
+         member: a cover entry of another group they share *)
+  dirty_groups : (int, unit) Hashtbl.t;
+      (* groups that may have become incomplete since the last
+         [drop_cover_orphans] *)
   origin_cache_hits : (int, int64) Hashtbl.t; (* origin rule id -> cache-bank packets *)
   origin_auth_hits : (int, int64) Hashtbl.t; (* origin rule id -> authority-bank packets *)
   partition_hits : (int, int64) Hashtbl.t; (* partition id -> misses served *)
@@ -99,44 +111,110 @@ type t = {
 
 let cache_rule_base = 2_000_000
 
+(* Cover-group bookkeeping for [drop_cover_orphans].  A group is dirty
+   from the moment something could have made it incomplete — one of its
+   entries left, a foreign member left, or an entry of it was installed
+   (a sibling may have bounced) — until the next scrub checks it; every
+   other group is known whole.  Foreign members are the entries of
+   other groups that a group shares ([Aggregate]'s cover-set sharing).
+   The scrub registers them when it finds the group whole, which is
+   early enough: until then the group is dirty anyway. *)
+let mark_dirty t gid = Hashtbl.replace t.dirty_groups gid ()
+
+let remove_binding tbl k gone =
+  let vs = Hashtbl.find_all tbl k in
+  if List.exists gone vs then begin
+    List.iter (fun _ -> Hashtbl.remove tbl k) vs;
+    List.iter (fun v -> if not (gone v) then Hashtbl.add tbl k v) (List.rev vs)
+  end
+
+let index_entry t rule meta =
+  Option.iter (fun idx -> Cache_index.add idx rule meta) t.cache_index;
+  match meta.group with
+  | Some (gid, _) ->
+      Hashtbl.add t.group_entries gid rule;
+      mark_dirty t gid
+  | None -> ()
+
+let register_foreign t gid members =
+  List.iter
+    (fun m ->
+      let own =
+        match Hashtbl.find_opt t.cache_origin m with
+        | Some { group = Some (g, _); _ } -> g = gid
+        | _ -> false
+      in
+      if not (own || List.mem gid (Hashtbl.find_all t.foreign_listers m)) then
+        Hashtbl.add t.foreign_listers m gid)
+    members
+
+(* The cache bank's detach hook: every entry leaving the TCAM, by any
+   path, leaves the index here and marks dirty its own group and every
+   group that lists it as a foreign member.  Runs before the removal
+   site drops the entry's provenance. *)
+let forget t (e : Tcam.entry) =
+  let r = e.Tcam.rule in
+  Option.iter (fun idx -> Cache_index.remove idx r) t.cache_index;
+  (match Hashtbl.find_opt t.cache_origin r.Rule.id with
+  | Some { group = Some (gid, _); _ } ->
+      remove_binding t.group_entries gid (fun (x : Rule.t) -> x.Rule.id = r.Rule.id);
+      mark_dirty t gid
+  | _ -> ());
+  match Hashtbl.find_all t.foreign_listers r.Rule.id with
+  | [] -> ()
+  | gids ->
+      List.iter
+        (fun gid ->
+          mark_dirty t gid;
+          Hashtbl.remove t.foreign_listers r.Rule.id)
+        gids
+
 let create ~id ~cache_capacity =
   let labels = [ ("switch", string_of_int id) ] in
-  {
-    id;
-    cache = Tcam.create ~capacity:cache_capacity;
-    authority = [];
-    partition_bank = [];
-    partition_index = None;
-    cache_origin = Hashtbl.create 64;
-    origin_cache_hits = Hashtbl.create 64;
-    origin_auth_hits = Hashtbl.create 64;
-    partition_hits = Hashtbl.create 16;
-    pid_cache_hits = Hashtbl.create 16;
-    next_cache_id = cache_rule_base + (id * 100_000);
-    notifications = [];
-    pending_partition = [];
-    partition_committed = false;
-    seen_xids = Hashtbl.create 64;
-    seen_order = Queue.create ();
-    epoch = 0;
-    stale_rejected = 0;
-    stale_accepted = 0;
-    cache_hits = 0L;
-    authority_hits = 0L;
-    tunnelled = 0L;
-    unmatched = 0L;
-    misconfigured = 0L;
-    tele =
-      {
-        m_cache_hits = Telemetry.counter ~labels "switch_cache_hits";
-        m_authority_hits = Telemetry.counter ~labels "switch_authority_hits";
-        m_tunnelled = Telemetry.counter ~labels "switch_tunnelled";
-        m_unmatched = Telemetry.counter ~labels "switch_unmatched";
-        m_misconfigured = Telemetry.counter ~labels "switch_misconfigured";
-        m_stale_rejected = Telemetry.counter ~labels "switch_stale_rejected";
-        m_cache_occupancy = Telemetry.gauge ~labels "switch_cache_occupancy";
-      };
-  }
+  let t =
+    {
+      id;
+      cache = Tcam.create ~capacity:cache_capacity;
+      authority = [];
+      partition_bank = [];
+      partition_index = None;
+      cache_origin = Hashtbl.create 64;
+      cache_index = None;
+      group_entries = Hashtbl.create 16;
+      foreign_listers = Hashtbl.create 16;
+      dirty_groups = Hashtbl.create 16;
+      origin_cache_hits = Hashtbl.create 64;
+      origin_auth_hits = Hashtbl.create 64;
+      partition_hits = Hashtbl.create 16;
+      pid_cache_hits = Hashtbl.create 16;
+      next_cache_id = cache_rule_base + (id * 100_000);
+      notifications = [];
+      pending_partition = [];
+      partition_committed = false;
+      seen_xids = Hashtbl.create 64;
+      seen_order = Queue.create ();
+      epoch = 0;
+      stale_rejected = 0;
+      stale_accepted = 0;
+      cache_hits = 0L;
+      authority_hits = 0L;
+      tunnelled = 0L;
+      unmatched = 0L;
+      misconfigured = 0L;
+      tele =
+        {
+          m_cache_hits = Telemetry.counter ~labels "switch_cache_hits";
+          m_authority_hits = Telemetry.counter ~labels "switch_authority_hits";
+          m_tunnelled = Telemetry.counter ~labels "switch_tunnelled";
+          m_unmatched = Telemetry.counter ~labels "switch_unmatched";
+          m_misconfigured = Telemetry.counter ~labels "switch_misconfigured";
+          m_stale_rejected = Telemetry.counter ~labels "switch_stale_rejected";
+          m_cache_occupancy = Telemetry.gauge ~labels "switch_cache_occupancy";
+        };
+    }
+  in
+  Tcam.on_detach t.cache (forget t);
+  t
 
 (* The occupancy gauge tracks the cache TCAM level through installs,
    evictions and expiry, so the monitor's sampler can turn it into a
@@ -212,23 +290,41 @@ let notify_removed t ~now reason (e : Tcam.entry) =
    delete) can take one member out from under the rest, so after each
    such removal — and after every install batch, whose evictions can
    break a group mid-install — the survivors of any incomplete group are
-   scrubbed.  They report [Replaced] like other displacement paths; the
-   next miss simply re-serves. *)
+   scrubbed.  Only dirty groups can be incomplete, so only they are
+   checked; the doomed entries go in [Rule.compare_priority] order.
+   They report [Replaced] like other displacement paths; the next miss
+   simply re-serves. *)
 let drop_cover_orphans t ~now =
+  let dirty = Hashtbl.fold (fun gid () acc -> gid :: acc) t.dirty_groups [] in
+  if dirty <> [] then Hashtbl.reset t.dirty_groups;
   let doomed =
-    Tcam.select t.cache (fun (e : Tcam.entry) ->
-        match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
-        | Some { group = Some (_, members); _ } ->
-            not (List.for_all (Tcam.mem t.cache) members)
-        | _ -> false)
+    List.fold_left
+      (fun acc gid ->
+        List.fold_left
+          (fun acc (r : Rule.t) ->
+            match Hashtbl.find_opt t.cache_origin r.Rule.id with
+            | Some { group = Some (_, members); _ } ->
+                if List.for_all (Tcam.mem t.cache) members then begin
+                  register_foreign t gid members;
+                  acc
+                end
+                else r :: acc
+            | _ -> acc)
+          acc
+          (Hashtbl.find_all t.group_entries gid))
+      [] dirty
+    |> List.sort Rule.compare_priority
   in
   List.iter
-    (fun (e : Tcam.entry) ->
-      Ptrace.emit_control ~at:now Ptrace.Invalidate ~switch:t.id
-        ~rule:e.Tcam.rule.Rule.id ~aux:Ptrace.invalidate_cover_orphan;
-      notify_removed t ~now Message.Replaced e;
-      ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
-      Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
+    (fun (r : Rule.t) ->
+      match Tcam.find t.cache r.Rule.id with
+      | None -> ()
+      | Some e ->
+          Ptrace.emit_control ~at:now Ptrace.Invalidate ~switch:t.id ~rule:r.Rule.id
+            ~aux:Ptrace.invalidate_cover_orphan;
+          notify_removed t ~now Message.Replaced e;
+          ignore (Tcam.remove t.cache r.Rule.id);
+          Hashtbl.remove t.cache_origin r.Rule.id)
     doomed;
   if doomed <> [] then sync_occupancy t;
   List.length doomed
@@ -236,9 +332,14 @@ let drop_cover_orphans t ~now =
 let apply_flow_mod t ~now (fm : Message.flow_mod) =
   match (fm.bank, fm.command) with
   | Message.Cache, Message.Add ->
-      ignore
-        (Tcam.insert ?idle_timeout:fm.idle_timeout ?hard_timeout:fm.hard_timeout t.cache
-           ~now fm.rule);
+      (* a controller install carries no splice provenance: the
+         provenance of a same-id entry it replaces goes with that entry *)
+      (match
+         Tcam.insert ?idle_timeout:fm.idle_timeout ?hard_timeout:fm.hard_timeout t.cache
+           ~now fm.rule
+       with
+      | `Replaced _ -> Hashtbl.remove t.cache_origin fm.rule.Rule.id
+      | `Ok | `Full -> ());
       Ptrace.emit_control ~at:now Ptrace.Install ~switch:t.id ~rule:fm.rule.Rule.id
         ~aux:0;
       sync_occupancy t
@@ -601,7 +702,8 @@ let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
     | Some m ->
         Ptrace.emit ~at:now Ptrace.Install ~switch:t.id ~rule:rule.Rule.id
           ~aux:(Ptrace.pack_provenance ~origin:(meta_primary_origin m) ~pid:m.pid);
-        Hashtbl.replace t.cache_origin rule.Rule.id m
+        Hashtbl.replace t.cache_origin rule.Rule.id m;
+        index_entry t rule m
     | None ->
         Ptrace.emit ~at:now Ptrace.Install ~switch:t.id ~rule:rule.Rule.id
           ~aux:(Ptrace.pack_provenance ~origin:(-1) ~pid:(-1)))
@@ -699,17 +801,22 @@ let expire_cache t ~now =
   if rules <> [] then ignore (drop_cover_orphans t ~now);
   rules
 
+(* The bank's detach hook unindexes every entry; the provenance goes
+   with them. *)
+let flush_cache t =
+  Tcam.clear t.cache;
+  Hashtbl.reset t.cache_origin
+
 (* Crash semantics: the device reboots blank.  Every bank, staged update,
    counter and the xid replay memory are gone; the id and cache capacity
    (hardware) survive.  The controller is expected to resync afterwards. *)
 let reset t =
-  Tcam.clear t.cache;
+  flush_cache t;
   t.authority <- [];
   t.partition_bank <- [];
   t.partition_index <- None;
   t.pending_partition <- [];
   t.partition_committed <- false;
-  Hashtbl.reset t.cache_origin;
   Hashtbl.reset t.origin_cache_hits;
   Hashtbl.reset t.origin_auth_hits;
   Hashtbl.reset t.partition_hits;
@@ -743,6 +850,18 @@ let stale_accepted t = t.stale_accepted
 let cache t = t.cache
 let cache_occupancy t = Tcam.occupancy t.cache
 let cache_meta_of_rule t cid = Hashtbl.find_opt t.cache_origin cid
+let cache_index t =
+  match t.cache_index with
+  | Some idx -> idx
+  | None ->
+      let idx = Cache_index.create () in
+      Hashtbl.iter
+        (fun id m ->
+          Option.iter (fun (e : Tcam.entry) -> Cache_index.add idx e.Tcam.rule m)
+            (Tcam.find t.cache id))
+        t.cache_origin;
+      t.cache_index <- Some idx;
+      idx
 
 let origin_of_cache_rule t cid =
   Option.map meta_primary_origin (Hashtbl.find_opt t.cache_origin cid)
@@ -752,6 +871,24 @@ let origins_of_cache_rule t cid =
   | None -> []
   | Some m ->
       List.sort_uniq Int.compare (List.map (fun p -> p.part_origin) m.parts)
+
+(* Targeted invalidation: a merged entry stands for several policy
+   rules, so it goes if ANY of its absorbed origins matches — the
+   conservative direction; survivors re-splice on their next miss.
+   Removing one cover-set member must take its whole group: the broad
+   member alone would answer packets its dependencies own. *)
+let invalidate_origins t ~now origins =
+  let victims =
+    Tcam.select t.cache (fun (e : Tcam.entry) ->
+        List.exists origins (origins_of_cache_rule t e.Tcam.rule.Rule.id))
+  in
+  List.iter
+    (fun (e : Tcam.entry) ->
+      ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
+      Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
+    victims;
+  let orphans = drop_cover_orphans t ~now in
+  List.length victims + orphans
 
 let provenance_of_cache_rule t cid =
   Option.map (fun m -> (meta_primary_origin m, m.pid)) (Hashtbl.find_opt t.cache_origin cid)

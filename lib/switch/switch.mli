@@ -227,7 +227,23 @@ val drop_cover_orphans : t -> now:float -> int
     batch installers ({!Aggregate.install}, the dataplane miss path)
     call it at batch boundaries, where a mid-batch eviction may have
     broken a group.  Scrubbed entries report [Replaced] with final
-    counters, like other displacements.  Returns entries removed. *)
+    counters, like other displacements, in {!Rule.compare_priority}
+    order.  Returns entries removed.
+
+    Only groups touched since the last scrub are checked: a removal
+    marks the entry's own group and every group listing it as a member,
+    and an install marks its own group.  The cost is that of the touched
+    groups, not of the bank. *)
+
+val invalidate_origins : t -> now:float -> (int -> bool) -> int
+(** Remove every cache entry whose origin set ({!origins_of_cache_rule})
+    meets the selector, with its provenance, then
+    {!drop_cover_orphans}.  No notification is queued for the selected
+    entries.  Returns entries removed, orphans included. *)
+
+val flush_cache : t -> unit
+(** Empty the cache bank and drop all of its provenance; counters and
+    the other banks are kept. *)
 
 val invalidate_cache_pids : t -> now:float -> int list -> int
 (** Evict every cache entry whose provenance pid is in the list — the
@@ -248,6 +264,14 @@ val drain_notifications : t -> Message.t list
 
 val cache : t -> Tcam.t
 val cache_occupancy : t -> int
+
+val cache_index : t -> cache_meta Cache_index.t
+(** The live cache entries that carry provenance, indexed by predicate —
+    what aggregation's exact-match and buddy queries probe.  Built from
+    the bank on the first call, so a switch that never aggregates holds
+    no index; from then on the switch keeps it current through every
+    install and removal path (the bank's {!Tcam.on_detach} hook).
+    Callers only read it. *)
 
 val origin_of_cache_rule : t -> int -> int option
 (** Map a cache-rule id back to the policy rule it was spliced from —

@@ -107,6 +107,7 @@ type t = {
   mutable inserts : int64;
   mutable evictions : int64;
   mutable expirations : int64;
+  mutable on_detach : entry -> unit;
 }
 
 let make_tcam ~index ~capacity =
@@ -126,6 +127,7 @@ let make_tcam ~index ~capacity =
     inserts = 0L;
     evictions = 0L;
     expirations = 0L;
+    on_detach = ignore;
   }
 
 let create ~capacity = make_tcam ~index:true ~capacity
@@ -206,6 +208,9 @@ let attach t n =
   t.size <- t.size + 1;
   match deadline_of n.e with Some d -> Heap.push t.heap d n | None -> ()
 
+(* Every removal path — eviction, expiry, [remove], same-id replacement
+   — ends here, and [clear] runs the same hook on each entry, so the
+   owner's [on_detach] sees every entry that leaves the bank once. *)
 let detach t n =
   n.live <- false;
   Hashtbl.remove t.by_id n.e.rule.Rule.id;
@@ -213,7 +218,10 @@ let detach t n =
   (match n.slot with
   | Some s -> Tuple_space.remove t.index s
   | None -> t.unpacked <- t.unpacked - 1);
-  t.size <- t.size - 1
+  t.size <- t.size - 1;
+  t.on_detach n.e
+
+let on_detach t f = t.on_detach <- f
 
 (* ---- mutation ---- *)
 
@@ -293,14 +301,15 @@ let remove_where t f =
   List.length victims
 
 let clear t =
-  fold_nodes t (fun () n -> n.live <- false) ();
+  let gone = fold_nodes t (fun acc n -> n.live <- false; n.e :: acc) [] in
   Hashtbl.reset t.by_id;
   Tuple_space.clear t.index;
   t.unpacked <- 0;
   t.lru_head <- None;
   t.lru_tail <- None;
   Heap.clear t.heap;
-  t.size <- 0
+  t.size <- 0;
+  List.iter t.on_detach gone
 
 let expire_entries t ~now =
   let gone = ref [] in

@@ -116,6 +116,14 @@ val remove_where : t -> (Rule.t -> bool) -> int
 
 val clear : t -> unit
 
+val on_detach : t -> (entry -> unit) -> unit
+(** [on_detach t f] makes [f] run on every entry that leaves the bank —
+    LRU eviction, expiry, {!remove}, {!remove_where}, a same-id
+    replacement and {!clear} — once per entry, after the bank no longer
+    holds it.  Replaces any earlier hook; the default does nothing.  The
+    owner of the bank keeps side tables (provenance indexes) current
+    from this one place. *)
+
 val expire : t -> now:float -> Rule.t list
 (** Remove every entry whose idle or hard timeout has elapsed at [now];
     returns the removed rules.  Counted as {e expirations}, not

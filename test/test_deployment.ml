@@ -158,6 +158,93 @@ let prop_end_to_end_equivalence =
           | None -> false)
         headers)
 
+(* Invalidation and flushes remove cache entries wholesale; the entries'
+   provenance must go with them, or [Switch.cache_meta_of_rule] keeps
+   answering for rules no bank holds and the table grows with every
+   round.  Microflow entries on a 3-switch line with 64-entry caches:
+   every ingress fills its bank, then one targeted invalidation of every
+   origin and two flushes each empty the caches. *)
+let test_removal_drops_provenance () =
+  let config = { Deployment.default_config with cache_capacity = 64; cache_mode = `Microflow } in
+  let policy =
+    Classifier.of_specs s2
+      [ (10, [ ("f1", "0xxxxxxx") ], Action.Forward 2); (0, [], Action.Forward 1) ]
+  in
+  let d = Deployment.build ~config ~policy ~topology:(Topology.line 3 ()) ~authority_ids:[ 1 ] () in
+  let fill round =
+    List.iter
+      (fun ingress ->
+        for i = 0 to 63 do
+          ignore (Deployment.inject d ~now:(float_of_int round) ~ingress (h i (round * 16)))
+        done)
+      [ 0; 2 ]
+  in
+  let cached () =
+    Array.to_list (Deployment.switches d)
+    |> List.concat_map (fun sw ->
+           List.map (fun (e : Tcam.entry) -> (sw, e.Tcam.rule.Rule.id)) (Tcam.entries (Switch.cache sw)))
+  in
+  let leaked = ref 0 and removed = ref 0 in
+  let round i clear =
+    fill i;
+    let before = cached () in
+    check Alcotest.bool "caches filled" true (List.length before >= 128);
+    clear ();
+    check Alcotest.int "caches emptied" 0 (Deployment.total_cache_entries d);
+    List.iter
+      (fun (sw, id) ->
+        incr removed;
+        if Switch.cache_meta_of_rule sw id <> None || Switch.origins_of_cache_rule sw id <> []
+        then incr leaked)
+      before
+  in
+  round 0 (fun () -> ignore (Deployment.invalidate_origins d ~origins:(fun _ -> true)));
+  round 1 (fun () -> Deployment.flush_caches d);
+  round 2 (fun () -> Deployment.flush_caches d);
+  check Alcotest.bool "entries were removed" true (!removed >= 384);
+  check Alcotest.int "removed entries still carrying provenance" 0 !leaked
+
+(* [changed_rule_ids] against its definition — a [Classifier.find] of
+   every id in either policy — on random policies and edits: rules
+   dropped, re-prioritised, re-actioned and added under fresh ids. *)
+let prop_changed_rule_ids =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = int_range 1 30 in
+    let* specs = list_repeat n (triple gen_pred_tiny2 (int_bound 20) (int_bound 4)) in
+    let* edits = list_repeat (n + 5) (int_bound 5) in
+    return (specs, edits)
+  in
+  qt ~count:300 "changed_rule_ids = per-id find" gen (fun (specs, edits) ->
+      let act k = if k = 0 then Action.Drop else Action.Forward k in
+      let old_rules = List.mapi (fun id (pd, pr, a) -> Rule.make ~id ~priority:pr pd (act a)) specs in
+      let new_rules =
+        List.concat
+          (List.mapi
+             (fun i e ->
+               match (List.nth_opt old_rules i, e) with
+               | Some _, 0 -> []
+               | Some r, 1 -> [ Rule.make ~id:r.Rule.id ~priority:(r.Rule.priority + 1) r.Rule.pred r.Rule.action ]
+               | Some r, 2 -> [ Rule.make ~id:r.Rule.id ~priority:r.Rule.priority r.Rule.pred Action.Drop ]
+               | Some r, _ -> [ r ]
+               | None, e when e < 3 -> [ Rule.make ~id:(100 + i) ~priority:e (Pred.any s2) (act e) ]
+               | None, _ -> [])
+             edits)
+      in
+      let old_policy = Classifier.create s2 old_rules in
+      let new_policy = Classifier.create s2 (List.rev new_rules) in
+      let ids c = List.map (fun (r : Rule.t) -> r.Rule.id) (Classifier.rules c) in
+      let expected =
+        List.filter
+          (fun id ->
+            match (Classifier.find old_policy id, Classifier.find new_policy id) with
+            | None, None -> false
+            | Some a, Some b -> not (Rule.equal a b)
+            | _ -> true)
+          (List.sort_uniq Int.compare (ids old_policy @ ids new_policy))
+      in
+      Deployment.changed_rule_ids ~old_policy new_policy = expected)
+
 let suite =
   [
     ( "deployment",
@@ -172,6 +259,8 @@ let suite =
         tc "authority failover" test_failover;
         tc "authority TCAM budget" test_authority_tcam_budget;
         tc "build validation" test_bad_build;
+        tc "invalidation and flush drop provenance" test_removal_drops_provenance;
+        prop_changed_rule_ids;
         prop_end_to_end_equivalence;
       ] );
   ]

@@ -116,6 +116,28 @@ let test_flow_mod_banks () =
     Alcotest.fail "authority flow-mod accepted"
   with Invalid_argument _ -> ()
 
+(* A controller Add over a spliced entry's id replaces the entry, and
+   the spliced provenance must go with it: the new rule is not a cover
+   member, and aggregation's index must not offer it as one. *)
+let test_flow_mod_add_drops_provenance () =
+  let sw = Switch.create ~id:0 ~cache_capacity:4 in
+  let pred = Pred.of_strings s2 [ ("f1", "00000000") ] in
+  let meta =
+    { Switch.pid = 0; kind = Switch.Cover; group = None;
+      parts = [ { Switch.part_origin = 3; part_rank = 1; part_pred = pred } ] }
+  in
+  let spliced = Rule.make ~id:5 ~priority:1 pred Action.Drop in
+  ignore (Switch.install_cache_meta sw ~now:0. spliced (Some meta));
+  check (Alcotest.option Alcotest.int) "indexed" (Some 5)
+    (Aggregate.equivalent_live_cover sw spliced meta);
+  Switch.apply_flow_mod sw ~now:0.
+    { Message.command = Message.Add; bank = Message.Cache; rule = spliced;
+      idle_timeout = None; hard_timeout = None };
+  check Alcotest.int "same-id add replaced the entry" 1 (Switch.cache_occupancy sw);
+  check Alcotest.bool "provenance dropped" true (Switch.cache_meta_of_rule sw 5 = None);
+  check (Alcotest.option Alcotest.int) "unindexed" None
+    (Aggregate.equivalent_live_cover sw spliced meta)
+
 let test_partition_load_counting () =
   let _, auth = setup () in
   ignore (Switch.serve_miss auth ~now:0. (h 2 0));
@@ -226,6 +248,7 @@ let suite =
         tc "cache expiry" test_cache_expiry;
         tc "partition bank validation" test_partition_bank_validation;
         tc "flow-mod bank handling" test_flow_mod_banks;
+        tc "controller add drops spliced provenance" test_flow_mod_add_drops_provenance;
         tc "partition load counting" test_partition_load_counting;
         tc "replace emits flow-removed" test_replace_notification;
         tc "misconfigured partition rule" test_misconfigured_partition_rule;
