@@ -100,23 +100,25 @@ let merge_parts a b =
    (and within one group ranks are distinct, so cover merges never fire
    in practice — the group machinery stays simple).
 
-   The candidates come from the switch's cache index, one probe per
-   specified bit of [pred]; among the legal ones the victim is the entry
-   [Rule.compare_priority] ranks first — the one a walk of the bank in
-   [Tcam.entries] order would meet first. *)
+   The candidates come from the cache bank's tuple-space group for
+   [pred]'s masks, one chain per specified bit ([Tcam.fold_buddies]);
+   among the legal ones the victim is the entry [Rule.compare_priority]
+   ranks first — the one a walk of the bank in [Tcam.entries] order
+   would meet first. *)
 let find_merge sw ~pid ~kind ~group ~priority ~action pred =
-  Cache_index.fold_buddies (Switch.cache_index sw) pred
-    (fun best (r : Rule.t) (m : Switch.cache_meta) ->
-      if
-        Action.equal r.Rule.action action
-        && m.Switch.pid = pid && m.Switch.kind = kind && m.Switch.group = group
-        && ranks_compatible kind r.Rule.priority priority
-        && match best with Some (b, _, _) -> Rule.beats r b | None -> true
-      then
-        match Pred.buddy_union pred r.Rule.pred with
-        | Some u -> Some (r, m, u)
-        | None -> best
-      else best)
+  Tcam.fold_buddies (Switch.cache sw) pred
+    (fun best (e : Tcam.entry) ->
+      let r = e.Tcam.rule in
+      match Switch.cache_meta_of_rule sw r.Rule.id with
+      | Some m
+        when Action.equal r.Rule.action action
+             && m.Switch.pid = pid && m.Switch.kind = kind && m.Switch.group = group
+             && ranks_compatible kind r.Rule.priority priority
+             && (match best with Some (b, _, _) -> Rule.beats r b | None -> true) -> (
+          match Pred.buddy_union pred r.Rule.pred with
+          | Some u -> Some (r, m, u)
+          | None -> best)
+      | Some _ | None -> best)
     None
 
 let install_one ?idle_timeout ?hard_timeout t sw ~now
@@ -166,19 +168,22 @@ let install_one ?idle_timeout ?hard_timeout t sw ~now
 (* An exactly-equivalent live cover entry: same predicate, rank, action
    and partition.  Reusing it (below) instead of installing a duplicate
    is what lets overlapping cover sets share their common dependencies —
-   the compression the cover path is for.  One index probe; ties go to
-   the entry [Rule.compare_priority] ranks first, as in [find_merge]. *)
+   the compression the cover path is for.  One chain of the bank's
+   tuple-space kernel ([Tcam.fold_equal]); ties go to the entry
+   [Rule.compare_priority] ranks first, as in [find_merge]. *)
 let equivalent_live_cover sw (rule : Rule.t) (meta : Switch.cache_meta) =
-  Cache_index.fold_equal (Switch.cache_index sw) rule.Rule.pred
-    (fun best (r : Rule.t) (m : Switch.cache_meta) ->
-      if
-        r.Rule.priority = rule.Rule.priority
-        && Action.equal r.Rule.action rule.Rule.action
-        && Pred.equal r.Rule.pred rule.Rule.pred
-        && m.Switch.kind = Switch.Cover && m.Switch.pid = meta.Switch.pid
-        && match best with Some b -> Rule.beats r b | None -> true
-      then Some r
-      else best)
+  Tcam.fold_equal (Switch.cache sw) rule.Rule.pred
+    (fun best (e : Tcam.entry) ->
+      let r = e.Tcam.rule in
+      match Switch.cache_meta_of_rule sw r.Rule.id with
+      | Some m
+        when r.Rule.priority = rule.Rule.priority
+             && Action.equal r.Rule.action rule.Rule.action
+             && Pred.equal r.Rule.pred rule.Rule.pred
+             && m.Switch.kind = Switch.Cover && m.Switch.pid = meta.Switch.pid
+             && (match best with Some b -> Rule.beats r b | None -> true) ->
+          Some r
+      | Some _ | None -> best)
     None
   |> Option.map (fun (r : Rule.t) -> r.Rule.id)
 

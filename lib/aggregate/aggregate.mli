@@ -64,13 +64,15 @@ val find_merge :
     of [pred] (same action, partition, kind and group, compatible rank,
     and a buddy of [pred]), with its provenance and the exact union.
     Among several, the one {!Rule.compare_priority} ranks first.  Probes
-    {!Switch.cache_index} once per specified bit of [pred]. *)
+    the cache bank ({!Tcam.fold_buddies}) once per specified bit of
+    [pred]. *)
 
 val equivalent_live_cover : Switch.t -> Rule.t -> Switch.cache_meta -> int option
 (** The id of a live cover entry with the rule's predicate, priority,
     action and the meta's partition — the entry a cover-set member is
-    shared with instead of being installed again.  One index probe; ties
-    go to the entry {!Rule.compare_priority} ranks first. *)
+    shared with instead of being installed again.  One probe of the bank
+    ({!Tcam.fold_equal}); ties go to the entry {!Rule.compare_priority}
+    ranks first. *)
 
 val install :
   ?idle_timeout:float -> ?hard_timeout:float -> t -> Switch.t -> now:float ->

@@ -113,7 +113,7 @@ val stats : t -> Control_plane.stats
 
 val cluster_log : t -> (float * string) list
 (** Timestamped elections, crashes, snapshots and fencing records, in
-    time order — with the leader's {!Control_plane.fault_log}, the
+    time order — with the leader's {!Control_plane.timeline}, the
     replayable trace a seeded run reproduces exactly. *)
 
 val timeline : t -> (float * string * string) list

@@ -116,7 +116,6 @@ type t = {
   mutable next_xid : int;
   mutable retransmissions : int;
   mutable giveups : int;
-  mutable cancelled : int;
   mutable link_dropped : int;
   mutable degraded_handled : int64; (* packet-in misses served while degraded *)
   mutable log : (float * string) list; (* reverse order *)
@@ -183,14 +182,12 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
     next_xid = 1;
     retransmissions = 0;
     giveups = 0;
-    cancelled = 0;
     link_dropped = 0;
     degraded_handled = 0L;
     log = [];
   }
 
 let deployment t = t.deployment
-let epoch t = t.epoch
 let deposed t = t.deposed
 
 let demoted_authorities t =
@@ -233,7 +230,6 @@ let cancel_pending t i =
     Hashtbl.fold (fun (j, x) _ acc -> if j = i then (j, x) :: acc else acc) t.pending []
   in
   List.iter (fun k -> Hashtbl.remove t.pending k) victims;
-  t.cancelled <- t.cancelled + List.length victims;
   Telemetry.add m_cancelled (List.length victims);
   List.length victims
 
@@ -281,7 +277,6 @@ let cancel_pending_installs t pids =
       t.pending []
   in
   List.iter (Hashtbl.remove t.pending) victims;
-  t.cancelled <- t.cancelled + List.length victims;
   Telemetry.add m_cancelled (List.length victims)
 
 let migration_refs (m : Journal.migration) =
@@ -689,7 +684,6 @@ let retransmit_due t ~now =
       let port = t.ports.(i) in
       if port.declared_dead then begin
         Hashtbl.remove t.pending (i, x);
-        t.cancelled <- t.cancelled + 1;
         Telemetry.incr m_cancelled
       end
       else if req.retries >= t.config.retx_limit then begin
@@ -744,7 +738,6 @@ let depose t ~now observed =
     t.deposed <- true;
     let dropped = Hashtbl.length t.pending in
     Hashtbl.reset t.pending;
-    t.cancelled <- t.cancelled + dropped;
     Telemetry.add m_cancelled dropped;
     record t ~now "fenced: observed epoch %d above own %d; deposed (dropped %d pending)"
       observed t.epoch dropped
@@ -758,7 +751,6 @@ let halt t ~now =
     t.deposed <- true;
     let dropped = Hashtbl.length t.pending in
     Hashtbl.reset t.pending;
-    t.cancelled <- t.cancelled + dropped;
     Telemetry.add m_cancelled dropped;
     record t ~now "controller process stopped (%d pending dropped)" dropped
   end
@@ -961,7 +953,6 @@ let stats t =
 let reset_stats t =
   t.retransmissions <- 0;
   t.giveups <- 0;
-  t.cancelled <- 0;
   t.link_dropped <- 0;
   t.degraded_handled <- 0L;
   Array.iter
@@ -972,7 +963,6 @@ let reset_stats t =
 
 let retransmissions t = t.retransmissions
 let giveups t = t.giveups
-let cancelled t = t.cancelled
 let pending_requests t = Hashtbl.length t.pending
 
 let in_flight t =
@@ -980,8 +970,7 @@ let in_flight t =
     (fun acc p -> acc + Channel.pending p.to_switch + Channel.pending p.to_controller)
     0 t.ports
 let degraded_handled t = t.degraded_handled
-let fault_log t = List.rev t.log
-let timeline t = List.map (fun (at, s) -> (at, "control", s)) (fault_log t)
+let timeline t = List.rev_map (fun (at, s) -> (at, "control", s)) t.log
 
 (* Test hook: make a switch stop responding (device death). *)
 let kill_switch t i = t.ports.(i).alive <- false

@@ -113,8 +113,6 @@ val create :
     - [next_mid] seeds migration-id allocation above every mid the
       journal already holds, keeping mids unique across takeovers. *)
 
-val epoch : t -> int
-
 val deposed : t -> bool
 (** A reply frame carried an epoch above our own: a newer master exists.
     A deposed control plane stops mastering — {!tick} only drains
@@ -202,9 +200,6 @@ val retransmissions : t -> int
 val giveups : t -> int
 (** Requests abandoned after [retx_limit] retransmissions. *)
 
-val cancelled : t -> int
-(** In-flight requests dropped because their switch was declared dead. *)
-
 val pending_requests : t -> int
 (** Requests still awaiting acknowledgement — 0 once installs converge. *)
 
@@ -216,14 +211,11 @@ val degraded_handled : t -> int64
 (** Packet-in misses the controller answered NOX-style because every
     replica of the packet's partition was dead (degraded mode). *)
 
-val fault_log : t -> (float * string) list
+val timeline : t -> (float * string * string) list
 (** Timestamped record of fault events, failovers, give-ups and
     recoveries, in time order — the replayable event sequence a seeded
-    run reproduces exactly. *)
-
-val timeline : t -> (float * string * string) list
-(** {!fault_log} as [(simulated time, "control", detail)] entries, the
-    form replay timelines print. *)
+    run reproduces exactly — as [(simulated time, "control", detail)]
+    entries, the form replay timelines print. *)
 
 val crash_switch : t -> now:float -> int -> unit
 (** The device dies losing all state ({!Switch.reset}); tunnelled misses

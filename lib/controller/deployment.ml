@@ -221,15 +221,13 @@ let leg topo a b =
 (* Append [next] to [path] without repeating the junction node. *)
 let join path next = path @ List.tl next
 
+(* The last leg of a verdict: the shortest path from [from] to the
+   action's egress switch and its latency. *)
 let deliver topo ~from action =
-  (* no egress: dropped (or counted-and-dropped) at [from] *)
+  (* no egress, or an unreachable one: dropped (or counted-and-dropped)
+     at [from] *)
   Option.bind (Action.egress action) (leg topo from)
   |> Option.value ~default:([ from ], 0.)
-
-let exact_pred schema h =
-  Pred.make schema
-    (List.init (Schema.arity schema) (fun i ->
-         Ternary.exact ~width:(Schema.field_bits schema i) (Header.field h i)))
 
 (* Degraded mode: every replica of the header's partition is dead, so the
    miss falls back to the controller (NOX-style reactive setup).  The
@@ -253,7 +251,7 @@ let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
     ~aux:(match cause with `Failure -> 0 | `Backpressure -> 1);
   let rule =
     Rule.make ~id:(Switch.fresh_cache_id sw) ~priority:0
-      (exact_pred (Classifier.schema d.policy) h)
+      (Pred.exact (Classifier.schema d.policy) h)
       action
   in
   (* the controller still knows which region the header falls in, so even

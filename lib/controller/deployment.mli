@@ -110,11 +110,6 @@ type outcome = {
           deferred the miss ({!backpressured_misses}) *)
 }
 
-val deliver : Topology.t -> from:int -> Action.t -> int list * float
-(** The last leg of a verdict: the shortest path from [from] to the
-    action's egress switch and its latency.  [([from], 0.)] when the
-    action has no egress (a drop) or the egress is unreachable. *)
-
 val inject : ?pkt:int -> t -> now:float -> ingress:int -> Header.t -> outcome
 (** Walk one packet through the network, mutating switch state (cache
     counters and reactive installs) exactly as DIFANE would.  When every

@@ -8,33 +8,28 @@
     control-channel round trip.
 
     Functional behaviour lives here; the timing model (controller service
-    rate, control-channel RTT) is applied by the simulator. *)
+    rate, control-channel RTT) is the simulator's
+    ({!Flowsim.default_timing}, applied by {!Flowsim.run_nox}). *)
 
 type t
 
 type config = {
   cache_capacity : int;  (** ingress microflow-table entries *)
   idle_timeout : float option;
-  rtt : float;  (** switch-controller round-trip, seconds *)
-  service_time : float;  (** controller CPU per packet-in, seconds *)
 }
 
 val default_config : config
-(** 10_000 entries, 10 s idle timeout, 10 ms RTT, 50 µs service. *)
+(** 10_000 entries, 10 s idle timeout. *)
 
 val build :
   ?config:config -> policy:Classifier.t -> topology:Topology.t -> unit -> t
 
-val policy : t -> Classifier.t
 val topology : t -> Topology.t
-val config : t -> config
 val switch : t -> int -> Switch.t
 
 type outcome = {
   action : Action.t;
   punted : bool;  (** the packet went to the controller *)
-  path : int list;
-  latency : float;  (** data-plane propagation + (if punted) RTT + service *)
   installed : Rule.t option;
 }
 
@@ -43,6 +38,3 @@ val inject : t -> now:float -> ingress:int -> Header.t -> outcome
 
 val packet_ins : t -> int64
 (** Total packets punted to the controller so far. *)
-
-val microflow_rule : t -> id:int -> Header.t -> Action.t -> Rule.t
-(** The exact-match rule the controller installs for a header. *)

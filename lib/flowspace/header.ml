@@ -94,7 +94,6 @@ let get t name = t.values.(Schema.index t.schema name)
 let values t = Array.copy t.values
 let key_lo t = t.key_lo
 let key_hi t = t.key_hi
-let key_exact t = t.key_exact
 
 let equal a b =
   a.khash = b.khash

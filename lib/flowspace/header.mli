@@ -27,8 +27,8 @@ val hash : t -> int
 (** {2 Int-packed key}
 
     [make] packs the header's fields, little-endian by schema position,
-    into two 63-bit lanes held as native ints.  When {!key_exact} is
-    [true] (schemas up to 126 total bits, including the ACL 5-tuple's
+    into two 63-bit lanes held as native ints.  When {!lanes_exact}
+    holds for the schema (up to 126 total bits, including the ACL 5-tuple's
     104), the packing is injective: two headers of the same schema are
     equal iff their [(key_lo, key_hi)] pairs are, so hot paths can key
     hash tables on two ints with no per-packet allocation.  Wider schemas
@@ -37,7 +37,6 @@ val hash : t -> int
 
 val key_lo : t -> int
 val key_hi : t -> int
-val key_exact : t -> bool
 
 val lanes_exact : Schema.t -> bool
 (** [Schema.total_bits schema <= 126]: headers of [schema] have exact

@@ -18,6 +18,14 @@ let any schema =
     fields = Array.init (Schema.arity schema) (fun i -> Ternary.any (Schema.field_bits schema i));
   }
 
+let exact schema h =
+  {
+    schema;
+    fields =
+      Array.init (Schema.arity schema) (fun i ->
+          Ternary.exact ~width:(Schema.field_bits schema i) (Header.field h i));
+  }
+
 let make schema l =
   let fields = Array.of_list l in
   check schema fields;
@@ -62,15 +70,6 @@ let to_string t = Format.asprintf "%a" pp t
 let equal a b =
   Schema.equal a.schema b.schema && Array.for_all2 Ternary.equal a.fields b.fields
 
-let compare a b =
-  let rec go i =
-    if i >= Array.length a.fields then 0
-    else
-      let c = Ternary.compare a.fields.(i) b.fields.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
 let matches t h =
   let rec go i =
     i >= Array.length t.fields
@@ -79,9 +78,6 @@ let matches t h =
   go 0
 
 let is_any t = Array.for_all Ternary.is_any t.fields
-
-let specified_bits t =
-  Array.fold_left (fun acc f -> acc + Ternary.specified_bits f) 0 t.fields
 
 let size_log2 t = Array.fold_left (fun acc f -> acc + Ternary.wildcard_bits f) 0 t.fields
 let size t = Float.pow 2. (float_of_int (size_log2 t))

@@ -12,6 +12,10 @@ type t
 val any : Schema.t -> t
 (** The whole flowspace. *)
 
+val exact : Schema.t -> Header.t -> t
+(** The exact-match predicate of a header: every field pinned to the
+    header's value — a microflow entry. *)
+
 val make : Schema.t -> Ternary.t list -> t
 (** One ternary value per field, in schema order.
     @raise Invalid_argument on arity or width mismatch. *)
@@ -38,13 +42,9 @@ val to_string : t -> string
 (** {1 Predicates} *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val matches : t -> Header.t -> bool
 val is_any : t -> bool
-
-val specified_bits : t -> int
-(** Total non-wildcard bits over all fields — the "TCAM specificity". *)
 
 val size : t -> float
 (** Number of concrete headers denoted (product of field sizes). *)

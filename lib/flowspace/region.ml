@@ -4,7 +4,6 @@ let empty schema = { schema; preds = [] }
 let full schema = { schema; preds = [ Pred.any schema ] }
 let of_pred p = { schema = Pred.schema p; preds = [ p ] }
 let of_preds schema preds = { schema; preds }
-let schema t = t.schema
 let preds t = t.preds
 let is_empty t = t.preds = []
 let matches t h = List.exists (fun p -> Pred.matches p h) t.preds
@@ -50,8 +49,3 @@ let compact t =
   in
   let preds = dedup t.preds in
   { t with preds = List.filter (fun p -> keep p preds) preds }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Pred.pp)
-    t.preds

@@ -13,7 +13,6 @@ val full : Schema.t -> t
 val of_pred : Pred.t -> t
 val of_preds : Schema.t -> Pred.t list -> t
 
-val schema : t -> Schema.t
 val preds : t -> Pred.t list
 (** The current representation; pairwise disjointness is {e not}
     guaranteed unless stated by the producing operation. *)
@@ -47,4 +46,3 @@ val disjointify : t -> t
 val compact : t -> t
 (** Remove predicates subsumed by another predicate of the region. *)
 
-val pp : Format.formatter -> t -> unit

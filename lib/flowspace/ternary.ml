@@ -119,13 +119,6 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let equal a b = a.width = b.width && Int64.equal a.value b.value && Int64.equal a.mask b.mask
 
-let compare a b =
-  let c = Int.compare a.width b.width in
-  if c <> 0 then c
-  else
-    let c = Int64.compare a.mask b.mask in
-    if c <> 0 then c else Int64.compare a.value b.value
-
 let matches t v = (v ^: t.value) &: t.mask = 0L
 let is_any t = t.mask = 0L
 let is_exact t = Int64.equal t.mask (ones t.width)

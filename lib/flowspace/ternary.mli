@@ -75,7 +75,6 @@ val pp : Format.formatter -> t -> unit
 (** {1 Predicates} *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val matches : t -> int64 -> bool
 (** [matches t v] is true iff the concrete value [v] is in the set

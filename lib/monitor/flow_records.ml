@@ -221,11 +221,3 @@ let to_json t =
     (exports t);
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let pp ppf t =
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "#%d ingress=%d %a pkts=%d bytes=%d [%s..%s] %s@." r.seq
-        r.ingress Header.pp r.header r.packets r.bytes (fl r.first_seen)
-        (fl r.last_seen) (reason_name r.reason))
-    (exports t)

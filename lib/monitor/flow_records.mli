@@ -71,13 +71,8 @@ val active_entries : t -> int
 val exports : t -> record list
 (** All exported records in sequence order. *)
 
-val reason_name : reason -> string
-
 val to_json : t -> string
 (** The export stream as a self-contained [difane-flows-v1] document:
     [{"schema":"difane-flows-v1","sample_rate":N,...,"records":[...]}].
     Header fields are rendered by name; floats with [%.9g] — the output
     is bit-identical across runs that sampled the same packets. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per exported record, sequence order. *)

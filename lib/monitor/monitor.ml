@@ -49,9 +49,7 @@ let create ?(config = default_config) d =
     last_sweep = 0.;
   }
 
-let config t = t.cfg
 let flow_records t = t.flows
-let sampler t = t.sampler
 
 let observe_packet t ~now ~ingress header =
   Flow_records.observe t.flows ~now ~ingress header;

@@ -40,9 +40,7 @@ val create : ?config:config -> Deployment.t -> t
     [Telemetry.reset ()] (or rely on counter baselining) for a per-run
     view. *)
 
-val config : t -> config
 val flow_records : t -> Flow_records.t
-val sampler : t -> Sampler.t
 
 val observe_packet : t -> now:float -> ingress:int -> Header.t -> unit
 (** Feed one packet: samples it into the flow cache and lets the

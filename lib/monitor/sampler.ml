@@ -34,7 +34,6 @@ let create ?(capacity = 1024) ~interval () =
   if capacity < 1 then invalid_arg "Sampler.create: capacity < 1";
   { ivl = interval; capacity; tracks = []; next_boundary = interval }
 
-let interval t = t.ivl
 
 let add_track t ~name ~labels source =
   t.tracks <-

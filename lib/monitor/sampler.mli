@@ -36,8 +36,6 @@ val create : ?capacity:int -> interval:float -> unit -> t
 (** [capacity] points per series, default 1024.
     @raise Invalid_argument if [interval <= 0] or [capacity < 1]. *)
 
-val interval : t -> float
-
 val track_counter : t -> ?labels:(string * string) list -> string -> unit
 (** Snapshot this counter (get-or-created in the registry) at every
     boundary, baselined to its value now. *)

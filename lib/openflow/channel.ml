@@ -123,7 +123,6 @@ let poll t ~now =
 let pending t = List.length t.queue
 let frames_carried t = t.frames
 let bytes_carried t = t.carried
-let latency t = t.latency
 let stats t = t.stats
 let reset_stats t =
   t.frames <- 0;

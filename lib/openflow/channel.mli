@@ -43,7 +43,6 @@ val pending : t -> int
 
 val frames_carried : t -> int
 val bytes_carried : t -> int
-val latency : t -> float
 
 val stats : t -> stats
 (** Fault counters; all zero on a reliable channel.  Every increment

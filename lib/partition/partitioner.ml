@@ -195,18 +195,3 @@ let partition_rules t ~assignment =
         ~priority:0 p.region
         (Action.To_authority (assignment p.pid)))
     t.partitions
-
-let balance t =
-  let k = List.length t.partitions in
-  if k = 0 then 1.0
-  else
-    let avg = float_of_int t.total_entries /. float_of_int k in
-    if avg = 0. then 1.0 else float_of_int t.max_entries /. avg
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%d partitions, %d->%d entries (x%.2f), max %d@,%a@]"
-    (List.length t.partitions) t.source_rules t.total_entries t.duplication t.max_entries
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (p : partition) ->
-         Format.fprintf ppf "P%d %a : %d rules" p.pid Pred.pp p.region
-           (Classifier.length p.table)))
-    t.partitions

@@ -76,8 +76,3 @@ val partition_rules : t -> assignment:(int -> int) -> Rule.t list
 (** The low-priority partition rules every switch carries: region [pid]
     maps to [To_authority (assignment pid)].  Rule ids are fresh
     (>= 1_000_000), priorities all equal (regions are disjoint). *)
-
-val balance : t -> float
-(** [max_entries / (total_entries / k)]: 1.0 is perfectly balanced. *)
-
-val pp : Format.formatter -> t -> unit

@@ -118,14 +118,14 @@ let group_for t rule ~mask_lo ~mask_hi =
       Hashtbl.add t.by_mask (mask_lo, mask_hi) g;
       g
 
+(* A predicate's lane masks and lane values.  Ternary values are zero
+   outside their mask: the value lanes are already masked. *)
+let pack_pred p =
+  let lanes get = Header.pack_lanes (Pred.schema p) (fun i -> get (Pred.field p i)) in
+  (lanes Ternary.mask, lanes Ternary.value)
+
 let add t (rule : Rule.t) data =
-  let p = rule.pred in
-  let schema = Pred.schema p in
-  let mask_lo, mask_hi = Header.pack_lanes schema (fun i -> Ternary.mask (Pred.field p i)) in
-  (* Ternary values are zero outside their mask: already masked lanes *)
-  let value_lo, value_hi =
-    Header.pack_lanes schema (fun i -> Ternary.value (Pred.field p i))
-  in
+  let (mask_lo, mask_hi), (value_lo, value_hi) = pack_pred rule.pred in
   if t.len > 0 && Rule.beats rule t.slots.(t.len - 1).rule then t.sorted <- false;
   let g = group_for t rule ~mask_lo ~mask_hi in
   let s = { value_lo; value_hi; rule; data; group = g; pos = t.len } in
@@ -210,3 +210,36 @@ let scan_cost = 27
 let degenerate t = probe_cost * t.ngroups > scan_cost * t.len
 
 let find t ~lo ~hi = if degenerate t then scan t lo hi else probe t lo hi
+
+(* ---- probes by predicate ---- *)
+
+let rec fold_chain vlo vhi f acc = function
+  | [] -> acc
+  | s :: rest ->
+      let acc = if s.value_lo = vlo && s.value_hi = vhi then f acc s.data else acc in
+      fold_chain vlo vhi f acc rest
+
+let fold_at g vlo vhi f acc = fold_chain vlo vhi f acc g.chains.(chain_of g vlo vhi)
+
+let fold_equal t p f acc =
+  let (mlo, mhi), (vlo, vhi) = pack_pred p in
+  match Hashtbl.find_opt t.by_mask (mlo, mhi) with
+  | Some g -> fold_at g vlo vhi f acc
+  | None -> acc
+
+(* A buddy has the same masks, so it sits in the same group, at the
+   values with one masked bit flipped: one chain per masked bit. *)
+let fold_buddies t p f acc =
+  let (mlo, mhi), (vlo, vhi) = pack_pred p in
+  match Hashtbl.find_opt t.by_mask (mlo, mhi) with
+  | None -> acc
+  | Some g ->
+      (* [probe] each set bit of [mask], lowest first *)
+      let rec flips mask probe acc =
+        if mask = 0 then acc
+        else
+          let b = mask land -mask in
+          flips (mask lxor b) probe (probe b acc)
+      in
+      flips mhi (fun b acc -> fold_at g vlo (vhi lxor b) f acc)
+        (flips mlo (fun b acc -> fold_at g (vlo lxor b) vhi f acc) acc)

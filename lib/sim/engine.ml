@@ -457,8 +457,3 @@ let run ?(until = infinity) t =
   mirror t
 
 let processed t = t.processed
-
-type stats = { processed : int; pending : int; queue_peak : int }
-
-let stats (t : t) =
-  { processed = t.processed; pending = pending t; queue_peak = t.queue_peak }

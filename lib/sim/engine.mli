@@ -22,7 +22,7 @@
     the test suite as the reference semantics for a differential test.
 
     Engines are single-domain values; a sharded simulation runs one
-    engine per domain.  Per-engine tallies ({!stats}) are mirrored into
+    engine per domain.  Per-engine tallies are mirrored into
     the process-wide registry once per {!run} — the registry cells are
     atomic and the mirroring operations commutative, so concurrent
     engines yield deterministic final registry values. *)
@@ -47,10 +47,6 @@ val post : t -> at:float -> kind -> int -> unit
 (** Schedule a packed event: at [at], the handler registered for [kind]
     is called with the int argument.  Allocation-free.
     @raise Invalid_argument if [at] is in the past. *)
-
-val post_after : t -> delay:float -> kind -> int -> unit
-(** [post t ~at:(now t +. delay)].  @raise Invalid_argument on a
-    negative delay. *)
 
 val invoke : t -> kind -> int -> unit
 (** Call [kind]'s handler with the argument right now, bypassing the
@@ -80,10 +76,3 @@ val pending : t -> int
 
 val processed : t -> int
 (** Events executed so far. *)
-
-type stats = { processed : int; pending : int; queue_peak : int }
-
-val stats : t -> stats
-(** Per-engine dispatch tallies.  [queue_peak] is this engine's own
-    high-water mark (not the process-wide gauge), so it is race-free
-    under domains. *)

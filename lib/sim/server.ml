@@ -50,7 +50,7 @@ let start_next t =
     end
     else if t.cur_f != no_thunk then t.cur_f <- no_thunk;
     (* service_time is validated positive at create, so this bypasses
-       post_after's per-call delay check *)
+       the per-call delay check of a delayed post *)
     Engine.post t.engine ~at:(Engine.now t.engine +. t.service_time) t.k_done 0
   end
 

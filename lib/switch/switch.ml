@@ -67,10 +67,6 @@ type t = {
          installer didn't know it — degraded exact-match fallbacks),
          entry kind, and the origin set threaded from policy rule through
          authority table to installed cache entry *)
-  mutable cache_index : cache_meta Cache_index.t option;
-      (* the live entries of [cache_origin], keyed by predicate, for
-         aggregation's probes; built on the first query, so a switch
-         that never aggregates pays nothing for it *)
   group_entries : (int, Rule.t) Hashtbl.t;
       (* cover-group id -> its live entries, one binding each *)
   foreign_listers : (int, int) Hashtbl.t;
@@ -129,7 +125,6 @@ let remove_binding tbl k gone =
   end
 
 let index_entry t rule meta =
-  Option.iter (fun idx -> Cache_index.add idx rule meta) t.cache_index;
   match meta.group with
   | Some (gid, _) ->
       Hashtbl.add t.group_entries gid rule;
@@ -149,12 +144,11 @@ let register_foreign t gid members =
     members
 
 (* The cache bank's detach hook: every entry leaving the TCAM, by any
-   path, leaves the index here and marks dirty its own group and every
-   group that lists it as a foreign member.  Runs before the removal
-   site drops the entry's provenance. *)
+   path, leaves its group's entry list here and marks dirty its own
+   group and every group that lists it as a foreign member.  Runs
+   before the removal site drops the entry's provenance. *)
 let forget t (e : Tcam.entry) =
   let r = e.Tcam.rule in
-  Option.iter (fun idx -> Cache_index.remove idx r) t.cache_index;
   (match Hashtbl.find_opt t.cache_origin r.Rule.id with
   | Some { group = Some (gid, _); _ } ->
       remove_binding t.group_entries gid (fun (x : Rule.t) -> x.Rule.id = r.Rule.id);
@@ -179,7 +173,6 @@ let create ~id ~cache_capacity =
       partition_bank = [];
       partition_index = None;
       cache_origin = Hashtbl.create 64;
-      cache_index = None;
       group_entries = Hashtbl.create 16;
       foreign_listers = Hashtbl.create 16;
       dirty_groups = Hashtbl.create 16;
@@ -568,11 +561,6 @@ type miss_reply = {
   installs : (Rule.t * cache_meta) list;
 }
 
-let exact_pred schema h =
-  Pred.make schema
-    (List.init (Schema.arity schema) (fun i ->
-         Ternary.exact ~width:(Schema.field_bits schema i) (Header.field h i)))
-
 let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
   match
     List.find_opt
@@ -659,7 +647,7 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
                 (* exact match on the packet's own header: always safe,
                    and under aggregation adjacent microflows merge into
                    wider exact-union blocks *)
-                let pr = exact_pred (Classifier.schema p.table) h in
+                let pr = Pred.exact (Classifier.schema p.table) h in
                 let r =
                   Rule.make ~id:(next_id ()) ~priority:0 pr
                     piece.origin.Rule.action
@@ -850,18 +838,6 @@ let stale_accepted t = t.stale_accepted
 let cache t = t.cache
 let cache_occupancy t = Tcam.occupancy t.cache
 let cache_meta_of_rule t cid = Hashtbl.find_opt t.cache_origin cid
-let cache_index t =
-  match t.cache_index with
-  | Some idx -> idx
-  | None ->
-      let idx = Cache_index.create () in
-      Hashtbl.iter
-        (fun id m ->
-          Option.iter (fun (e : Tcam.entry) -> Cache_index.add idx e.Tcam.rule m)
-            (Tcam.find t.cache id))
-        t.cache_origin;
-      t.cache_index <- Some idx;
-      idx
 
 let origin_of_cache_rule t cid =
   Option.map meta_primary_origin (Hashtbl.find_opt t.cache_origin cid)

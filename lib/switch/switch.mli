@@ -265,14 +265,6 @@ val drain_notifications : t -> Message.t list
 val cache : t -> Tcam.t
 val cache_occupancy : t -> int
 
-val cache_index : t -> cache_meta Cache_index.t
-(** The live cache entries that carry provenance, indexed by predicate —
-    what aggregation's exact-match and buddy queries probe.  Built from
-    the bank on the first call, so a switch that never aggregates holds
-    no index; from then on the switch keeps it current through every
-    install and removal path (the bank's {!Tcam.on_detach} hook).
-    Callers only read it. *)
-
 val origin_of_cache_rule : t -> int -> int option
 (** Map a cache-rule id back to the policy rule it was spliced from —
     how flow counters stay attributable to original rules

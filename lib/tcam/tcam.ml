@@ -181,6 +181,18 @@ let lru_touch t n =
    which keep the per-field scan. *)
 let packed t = t.use_index && t.unpacked = 0
 
+(* Aggregation's probes ask the kernel's groups for a predicate's equal
+   entries and buddies.  An unpacked bank makes every entry a candidate,
+   as lookup scans them; so does a predicate the kernel cannot pack,
+   which an empty bank (still packed) meets on its first wide install. *)
+let fold_probe probe t pred f acc =
+  if packed t && Header.lanes_exact (Pred.schema pred) then
+    probe t.index pred (fun acc n -> f acc n.e) acc
+  else fold_nodes t (fun acc n -> f acc n.e) acc
+
+let fold_equal t = fold_probe Tuple_space.fold_equal t
+let fold_buddies t = fold_probe Tuple_space.fold_buddies t
+
 let index_groups t = Tuple_space.groups t.index
 let index_degenerate t = (not (packed t)) || Tuple_space.degenerate t.index
 
@@ -414,9 +426,3 @@ let reset_stats t =
 let hit_rate t =
   let total = t.hits + t.misses in
   if total = 0 then Float.nan else float_of_int t.hits /. float_of_int total
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>TCAM %d/%d@,%a@]" (occupancy t) t.cap
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf e ->
-         Format.fprintf ppf "%a (pkts=%Ld)" Rule.pp e.rule e.packets))
-    (entries t)

@@ -63,6 +63,20 @@ val find : t -> int -> entry option
 
 val mem : t -> int -> bool
 
+val fold_equal : t -> Pred.t -> ('a -> entry -> 'a) -> 'a -> 'a
+(** Fold over the entries whose predicate packs to the given one's lanes
+    ({!Tuple_space.fold_equal}), in no particular order: every entry
+    with an equal predicate, and perhaps others, so callers keep their
+    {!Pred.equal} check.  When some entry or the predicate cannot be
+    packed (a schema over 126 bits, or a table from {!create_linear}),
+    every entry. *)
+
+val fold_buddies : t -> Pred.t -> ('a -> entry -> 'a) -> 'a -> 'a
+(** Fold over the entries whose lanes differ from the given predicate's
+    in one masked bit ({!Tuple_space.fold_buddies}), in no particular
+    order: every buddy ({!Pred.buddy_union}), and perhaps others.  When
+    the bank or the predicate is not packed, every entry. *)
+
 (** {1 Index introspection} *)
 
 val index_groups : t -> int
@@ -167,5 +181,3 @@ val hit_rate : t -> float
 (** Hits over lookups since the last reset; [nan] before any lookup —
     renderers must map it to [null]/omission, never print it raw into
     JSON. *)
-
-val pp : Format.formatter -> t -> unit

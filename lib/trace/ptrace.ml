@@ -207,10 +207,6 @@ let disable () =
 let bind ~shard =
   if Atomic.get on then Domain.DLS.set dls (Some (ring_for shard))
 
-let unbind () =
-  (match Domain.DLS.get dls with Some r -> locked (fun () -> mirror r) | None -> ());
-  Domain.DLS.set dls None
-
 let begin_packet_key ~lo ~hi =
   if not (Atomic.get on) then -1
   else begin

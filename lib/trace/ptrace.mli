@@ -123,10 +123,6 @@ val bind : shard:int -> unit
     top of each shard's run; shard indices must be distinct across
     concurrent binds — one writer per ring. *)
 
-val unbind : unit -> unit
-(** Drop this domain's binding and mirror the bound ring's tallies into
-    the registry counters. *)
-
 (** {1 Emission} *)
 
 val begin_packet : Header.t -> int

@@ -1,4 +1,4 @@
-type t = { n : int; alpha : float; cum : float array (* cum.(k-1) = cdf k *) }
+type t = { n : int; cum : float array (* cum.(k-1) = cdf k *) }
 
 let create ~n ~alpha =
   if n < 1 then invalid_arg "Zipf.create: n must be positive";
@@ -13,10 +13,8 @@ let create ~n ~alpha =
     cum.(k) <- cum.(k) /. !total
   done;
   cum.(n - 1) <- 1.0;
-  { n; alpha; cum }
+  { n; cum }
 
-let n t = t.n
-let alpha t = t.alpha
 
 let search t target =
   (* least index with cum >= target *)

@@ -11,9 +11,6 @@ val create : n:int -> alpha:float -> t
 (** Support [1..n]; [alpha >= 0] ([alpha = 0] is uniform).
     @raise Invalid_argument otherwise.  O(n) setup, O(log n) draws. *)
 
-val n : t -> int
-val alpha : t -> float
-
 val draw : t -> Prng.t -> int
 (** A rank in [1..n]. *)
 

@@ -339,15 +339,15 @@ let prop_aggregation_preserves_forwarding =
       && Deployment.semantically_equal plain probes
       && Deployment.semantically_equal agg probes)
 
-(* ---- the cache-bank index against the scan oracles ---- *)
+(* ---- the cache-bank probes against the scan oracles ---- *)
 
 (* Predicates from a small pool so that equal predicates and buddies
    are common: field 1 takes three masks — exact, a middle-wildcard
    (bits 3 and 4 free) and a /4 prefix — over values that differ in bit
    1 or bit 5, so buddies differ in a middle bit, not only as prefix
    siblings; field 2 is one of two exact values a bit-5 flip apart, or
-   a wildcard. *)
-let gen_pool_pred =
+   a wildcard.  All 16 bits sit in the low lane. *)
+let gen_pool_pred_tiny2 =
   let open QCheck2.Gen in
   let* mask = oneofl [ 0xff; 0xe7; 0xf0 ] in
   let* flips = oneofl [ 0x00; 0x02; 0x20; 0x22 ] in
@@ -358,11 +358,60 @@ let gen_pool_pred =
   in
   return (Pred.make s2 [ t1; t2 ])
 
+(* The same kind of pool over the named fields of a wide schema.  Each
+   shape fixes its fields and lets each one take one of two buddy
+   values.  In acl_5tuple, dst_ip's top bit is bit 0 of the high lane,
+   and the ports and proto lie wholly in the high lane, so these buddies
+   differ in a high-lane bit; 10.0.0.0/32 and 10.0.0.128/32 differ in a
+   middle bit.  An openflow_basic bank (136 bits) cannot be packed, so
+   its probes fall back to every entry. *)
+let gen_pool_pred_wide schema =
+  let open QCheck2.Gen in
+  let ip = Ternary.of_ipv4 in
+  let port v = Ternary.exact ~width:16 (Int64.of_int v) in
+  let proto v = Ternary.exact ~width:8 (Int64.of_int v) in
+  let* shape =
+    oneofl
+      [
+        [ ("dst_ip", [ ip "0.0.0.0/1"; ip "128.0.0.0/1" ]); ("proto", [ proto 6; proto 7 ]) ];
+        [ ("dst_ip", [ ip "10.0.0.0"; ip "10.0.0.128" ]); ("dst_port", [ port 80; port 81 ]) ];
+        [ ("src_port", [ port 1024; port 1025 ]); ("proto", [ proto 6 ]) ];
+      ]
+  in
+  let* fields =
+    flatten_l (List.map (fun (name, opts) -> map (fun t -> (name, t)) (oneofl opts)) shape)
+  in
+  return (Pred.of_fields schema fields)
+
+(* Headers that land in the wide pool's predicates, and beside them. *)
+let gen_header_wide schema =
+  let open QCheck2.Gen in
+  let* dst_ip = oneofl [ 0x00000001L; 0x80000001L; 0x0A000000L; 0x0A000080L ] in
+  let* dst_port = oneofl [ 80L; 81L; 443L ] in
+  let* src_port = oneofl [ 1024L; 1025L; 5000L ] in
+  let* proto = oneofl [ 6L; 7L; 17L ] in
+  let values =
+    Array.init (Schema.arity schema) (fun i ->
+        match Schema.field_name schema i with
+        | "dst_ip" -> dst_ip
+        | "dst_port" -> dst_port
+        | "src_port" -> src_port
+        | "proto" -> proto
+        | _ -> 0L)
+  in
+  return (Header.make schema values)
+
+let gen_bank_pred schema =
+  if Schema.equal schema s2 then gen_pool_pred_tiny2 else gen_pool_pred_wide schema
+
+let gen_bank_header schema =
+  if Schema.equal schema s2 then gen_header_tiny2 else gen_header_wide schema
+
 type spec = { sp_pred : Pred.t; sp_prio : int; sp_drop : bool; sp_origin : int }
 
-let gen_spec =
+let gen_spec schema =
   let open QCheck2.Gen in
-  let* sp_pred = gen_pool_pred in
+  let* sp_pred = gen_bank_pred schema in
   let* sp_prio = int_range 1 3 in
   let* sp_drop = frequencyl [ (4, false); (1, true) ] in
   let* sp_origin = int_bound 5 in
@@ -378,12 +427,12 @@ type op =
   | Delete of int  (* controller Delete flow-mod of the n-th live entry *)
   | Hit of Header.t
 
-let gen_index_op =
+let gen_index_op schema =
   let open QCheck2.Gen in
   frequency
     [
       ( 8,
-        let* specs = list_size (int_range 1 4) gen_spec in
+        let* specs = list_size (int_range 1 4) (gen_spec schema) in
         let* cover = frequencyl [ (2, true); (1, false) ] in
         let* exact = bool in
         let* pid = frequencyl [ (4, 0); (1, 1) ] in
@@ -395,11 +444,13 @@ let gen_index_op =
       (1, map (fun n -> Invalidate n) (int_bound 2));
       (1, return Flush);
       (1, map (fun n -> Delete n) nat);
-      (2, map (fun h -> Hit h) gen_header_tiny2);
+      (2, map (fun h -> Hit h) (gen_bank_header schema));
     ]
 
 let gen_index_case =
-  QCheck2.Gen.(pair (int_range 4 16) (list_size (int_range 5 30) gen_index_op))
+  let open QCheck2.Gen in
+  let* schema = frequencyl [ (2, s2); (1, Schema.acl_5tuple); (1, Schema.openflow_basic) ] in
+  triple (return schema) (int_range 4 16) (list_size (int_range 5 30) (gen_index_op schema))
 
 (* What a case exercised, for the coverage floor below. *)
 type index_cov = {
@@ -419,10 +470,16 @@ let removed_ids msgs =
     (function Message.Flow_removed f -> Some f.Message.removed_rule | _ -> None)
     msgs
 
+(* Every (field, bit) position of a predicate's schema. *)
+let field_bits pred =
+  List.concat
+    (List.init (Pred.arity pred) (fun f ->
+         List.init (Ternary.width (Pred.field pred f)) (fun b -> (f, b))))
+
 (* After every step: each live entry's exact and one-bit-flipped
    predicates, queried with its own provenance, get the same answer from
-   the index as from the scan; then the orphan scrub removes exactly the
-   entries the scan finds incomplete, in its order. *)
+   the bank's probes as from the scan; then the orphan scrub removes
+   exactly the entries the scan finds incomplete, in its order. *)
 let index_agrees_with_scan cov sw ~now =
   let merge_sig = Option.map (fun ((r : Rule.t), _, u) -> (r.Rule.id, Pred.to_string u)) in
   let queries_agree =
@@ -436,14 +493,13 @@ let index_agrees_with_scan cov sw ~now =
             if eq <> None && eq <> Some r.Rule.id then cov.duplicates <- cov.duplicates + 1;
             eq = Aggregate_scan.equivalent_live_cover sw r m
             && List.for_all
-                 (fun bit ->
-                   let f = bit / 8 and b = bit mod 8 in
+                 (fun (f, b) ->
                    let t = Pred.field r.Rule.pred f in
                    match Ternary.bit t b with
                    | `Any -> true
                    | `Zero | `One ->
                        let flipped =
-                         Ternary.make ~width:8
+                         Ternary.make ~width:(Ternary.width t)
                            ~value:(Int64.logxor (Ternary.value t) (Int64.shift_left 1L b))
                            ~mask:(Ternary.mask t)
                        in
@@ -455,7 +511,7 @@ let index_agrees_with_scan cov sw ~now =
                        let got = merge_sig (ask Aggregate.find_merge) in
                        if got <> None then cov.merge_hits <- cov.merge_hits + 1;
                        got = merge_sig (ask Aggregate_scan.find_merge))
-                 (List.init 16 Fun.id))
+                 (field_bits r.Rule.pred))
       (Tcam.entries (Switch.cache sw))
   in
   let expected = Aggregate_scan.cover_orphans sw in
@@ -467,7 +523,7 @@ let index_agrees_with_scan cov sw ~now =
 
 let fresh_cov () = { merge_hits = 0; duplicates = 0; orphans = 0; shared = false }
 
-let run_index_case ?(cov = fresh_cov ()) (capacity, ops) =
+let run_index_case ?(cov = fresh_cov ()) (_schema, capacity, ops) =
   let sw = Switch.create ~id:0 ~cache_capacity:capacity in
   let agg = Aggregate.create Aggregate.enabled_default in
   let plain = Aggregate.create Aggregate.default in
@@ -532,24 +588,33 @@ let prop_index_matches_scan =
     (fun case -> run_index_case case)
 
 (* Of 300 generated cases (fixed seed), enough must reach each path the
-   property compares — buddy hits, a second live cover entry with an
-   equal predicate (the tie rule), orphan scrubs and cover members
-   shared through subst — that a generator change starving one fails
-   here instead of thinning the property. *)
+   property compares — buddy hits on every kind of bank, a second live
+   cover entry with an equal predicate (the tie rule), orphan scrubs and
+   cover members shared through subst — that a generator change starving
+   one fails here instead of thinning the property. *)
 let test_index_case_coverage () =
   let cases =
     QCheck2.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:300 gen_index_case
   in
   let covs =
     List.map
-      (fun c ->
+      (fun ((schema, _, _) as c) ->
         let cov = fresh_cov () in
-        (run_index_case ~cov c, cov))
+        (run_index_case ~cov c, schema, cov))
       cases
   in
-  check Alcotest.bool "index agrees with scan" true (List.for_all fst covs);
-  let share f = List.length (List.filter (fun (_, c) -> f c) covs) * 100 / 300 in
+  check Alcotest.bool "index agrees with scan" true (List.for_all (fun (ok, _, _) -> ok) covs);
+  let share_of covs f =
+    List.length (List.filter (fun (_, _, c) -> f c) covs) * 100 / max 1 (List.length covs)
+  in
+  let share = share_of covs in
   check Alcotest.bool "buddy hits" true (share (fun c -> c.merge_hits > 0) >= 80);
+  List.iter
+    (fun schema ->
+      let own = List.filter (fun (_, s, _) -> Schema.equal s schema) covs in
+      check Alcotest.bool "buddy hits on each bank" true
+        (List.length own >= 50 && share_of own (fun c -> c.merge_hits > 0) >= 80))
+    [ s2; Schema.acl_5tuple; Schema.openflow_basic ];
   check Alcotest.bool "duplicate covers" true (share (fun c -> c.duplicates > 0) >= 10);
   check Alcotest.bool "orphan scrubs" true (share (fun c -> c.orphans > 0) >= 20);
   check Alcotest.bool "shared members" true (share (fun c -> c.shared) >= 8)
