@@ -876,49 +876,39 @@ let rule_counters t =
 
 let failed_switches t = List.rev t.failed
 
-let delete_cached_origin t ~now ~origin_id =
-  let deleted = ref 0 in
-  Array.iteri
-    (fun i port ->
-      if not port.declared_dead then begin
-        let sw = Deployment.switch t.deployment i in
-        List.iter
-          (fun (e : Tcam.entry) ->
-            (* membership in the entry's full origin set, not just its
-               primary: a merged entry standing for several policy rules
-               must be deleted when ANY of them changes *)
-            if List.mem origin_id (Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id)
-            then begin
-              incr deleted;
-              send_reliable t i ~now
-                (Message.Flow_mod
-                   {
-                     Message.command = Message.Delete;
-                     bank = Message.Cache;
-                     rule = e.Tcam.rule;
-                     idle_timeout = None;
-                     hard_timeout = None;
-                   })
-            end)
-          (Tcam.entries (Switch.cache sw))
-      end)
-    t.ports;
-  !deleted
+let delete_cached_origins t ~now ids =
+  let victims =
+    Deployment.cache_entries_of_origins t.deployment
+      ~live:(fun i -> not t.ports.(i).declared_dead)
+      ids
+  in
+  List.iter
+    (fun (i, rule) ->
+      send_reliable t i ~now
+        (Message.Flow_mod
+           {
+             Message.command = Message.Delete;
+             bank = Message.Cache;
+             rule;
+             idle_timeout = None;
+             hard_timeout = None;
+           }))
+    victims;
+  List.length victims
 
 (* A policy change driven through the control plane: the deployment
-   re-partitions and reinstalls its tables, and every cache entry spliced
+   patches or re-partitions its tables, and every cache entry spliced
    from a changed rule is deleted with reliable flow-mods — strict
    consistency that survives lossy channels and failovers racing the
-   deletions. *)
+   deletions.  The deployment's id diff names the changed rules. *)
 let update_policy t ~now ?(strict = true) policy =
-  let old_policy = Deployment.policy t.deployment in
-  let changed = Deployment.changed_rule_ids ~old_policy policy in
   journal_entry t ~now (Journal.Policy_update { rules = Classifier.rules policy; strict });
   t.deployment <- Deployment.update_policy ~flush:false t.deployment ~now policy;
+  let { Deployment.changed; kept_layout } = Deployment.last_update t.deployment in
   Telemetry.incr m_policy_updates;
-  if strict then
-    List.iter (fun id -> ignore (delete_cached_origin t ~now ~origin_id:id)) changed;
-  record t ~now "policy updated: %d rules changed%s" (List.length changed)
+  if strict then ignore (delete_cached_origins t ~now changed);
+  record t ~now "policy updated: %d rules changed, %s%s" (List.length changed)
+    (if kept_layout then "layout kept" else "re-partitioned")
     (if strict then ", strict deletions sent" else "")
 
 let control_frames t =

@@ -160,16 +160,24 @@ val failed_switches : t -> int list
 (** Switches declared dead so far (in failure order). *)
 
 val update_policy : t -> now:float -> ?strict:bool -> Classifier.t -> unit
-(** Install a new policy: the deployment re-partitions and the tables
-    move in place; with [strict] (default) every cache entry spliced
-    from a changed rule is then deleted via reliable flow-mods, so the
-    strict-consistency guarantee holds even when the deletions race a
-    lossy channel or an authority failover. *)
+(** Install a new policy through {!Deployment.update_policy}: the layout
+    is kept and the changed tables patched in place when no predicate
+    changed, and re-partitioned otherwise.  With [strict] (default)
+    every cache entry spliced from a changed rule (the deployment's id
+    diff, {!Deployment.last_update}) is then deleted via reliable
+    flow-mods ({!delete_cached_origins}), so the strict-consistency
+    guarantee holds even when the deletions race a lossy channel or an
+    authority failover.  The timeline records the number of changed
+    rules and the path taken. *)
 
-val delete_cached_origin : t -> now:float -> origin_id:int -> int
-(** Send cache-bank deletions for every cached piece spliced from this
-    policy rule, across all switches; returns entries deleted.  This is
-    the targeted invalidation used by strict policy updates. *)
+val delete_cached_origins : t -> now:float -> int list -> int
+(** Send cache-bank deletions for every cached piece spliced from any of
+    these distinct policy rule ids, to every switch not declared dead;
+    returns deletions sent.  One pass over each bank finds them
+    ({!Deployment.cache_entries_of_origins}); they go out by id, then
+    switch, then table order, and a merged entry standing for several
+    of the ids is deleted once for each.  This is the targeted
+    invalidation used by strict policy updates. *)
 
 val control_frames : t -> int
 val control_bytes : t -> int

@@ -33,6 +33,8 @@ let default_config =
     aggregation = Aggregate.default;
   }
 
+type update = { changed : int list; kept_layout : bool }
+
 type t = {
   policy : Classifier.t;
   topology : Topology.t;
@@ -55,6 +57,11 @@ type t = {
   agg : Aggregate.t;
       (* aggregation engine + counters; with [config.aggregation]
          disabled it degenerates to plain provenance installs *)
+  computed_layout : bool;
+      (* the layout is [Partitioner.compute]'s for the policy: set by
+         [build] and [update_policy], cleared by a refit (migration,
+         snapshot restore), which [compute] would not reproduce *)
+  last_update : update;
   mutable last_new_installs : int;
   mutable last_new_primary_installs : int;
 }
@@ -141,6 +148,7 @@ let build ?(config = default_config) ?(install : bool = true) ~policy ~topology
         (if Congestion.enabled config.congestion then Some (Congestion.create config.congestion)
          else None);
       agg = Aggregate.create config.aggregation;
+      computed_layout = true; last_update = { changed = []; kept_layout = false };
       last_new_installs = 0; last_new_primary_installs = 0 }
   in
   (match config.authority_tcam with
@@ -425,43 +433,162 @@ let expire_caches d ~now =
 
 let flush_caches d = Array.iter Switch.flush_cache d.switches
 
+(* The id diff of two policies, computed once per update by a merge of
+   their id-sorted rule lists, O(n log n): the changed ids, ascending,
+   and — when every id is in both policies with an equal predicate —
+   each changed rule's (old, new) definitions. *)
+type diff = { ids : int list; edits : (Rule.t * Rule.t) list option }
+
+let diff_policies old_policy new_policy =
+  let same_pred (a : Rule.t) (b : Rule.t) = a.pred == b.pred || Pred.equal a.pred b.pred in
+  let by_id c =
+    List.sort (fun (a : Rule.t) (b : Rule.t) -> Int.compare a.id b.id) (Classifier.rules c)
+  in
+  (* ids are unique within a classifier, so each step consumes one id *)
+  let rec merge ids pairs local olds news =
+    match (olds, news) with
+    | [], [] -> { ids = List.rev ids; edits = (if local then Some pairs else None) }
+    | (o : Rule.t) :: os, [] -> merge (o.id :: ids) pairs false os []
+    | [], (n : Rule.t) :: ns -> merge (n.id :: ids) pairs false [] ns
+    | o :: os, n :: ns ->
+        if o.id < n.id then merge (o.id :: ids) pairs false os news
+        else if n.id < o.id then merge (n.id :: ids) pairs false olds ns
+        else if o == n || Rule.equal o n then merge ids pairs local os ns
+        else merge (o.id :: ids) ((o, n) :: pairs) (local && same_pred o n) os ns
+  in
+  merge [] [] true (by_id old_policy) (by_id new_policy)
+
+let changed_rule_ids ~old_policy new_policy = (diff_policies old_policy new_policy).ids
+
+let same_table (a : Partitioner.partition) (b : Partitioner.partition) =
+  a == b
+  || a.pid = b.pid && Pred.equal a.region b.region
+     && List.equal Rule.equal (Classifier.rules a.table) (Classifier.rules b.table)
+
+(* Install a layout-kept update: [before] is the old partitioner (same
+   pids and regions, in the same order), [patched] the partitions whose
+   tables changed with their swapped rules, [moved] the ids whose
+   priority changed.  A replica that holds the old table gets the swap
+   in place, or a rebuilt index for a table where a priority moved; one
+   that does not hold it gets the table afresh, which is all that counts
+   as a new install.  Tables no replica list places at a switch are
+   dropped, and each partition bank is replaced only where it differs. *)
+let install_patched d ~(before : Partitioner.t) ~patched ~moved =
+  let hosts pid = try Assignment.replicas_of d.assignment pid with Not_found -> [] in
+  let prules =
+    Partitioner.partition_rules d.partitioner
+      ~assignment:(Assignment.switch_for d.assignment)
+  in
+  Array.iteri
+    (fun i sw ->
+      Switch.install_partition_rules sw prules;
+      List.iter
+        (fun (p : Partitioner.partition) ->
+          if not (List.mem i (hosts p.pid)) then Switch.drop_authority sw p.pid)
+        (Switch.authority_partitions sw))
+    d.switches;
+  let new_installs = ref 0 and new_primary_installs = ref 0 in
+  List.iter2
+    (fun (old_p : Partitioner.partition) (p : Partitioner.partition) ->
+      let swapped = List.assq_opt p patched in
+      List.iteri
+        (fun rank host ->
+          let sw = d.switches.(host) in
+          match (Switch.authority_table sw p.pid, swapped) with
+          | Some (held, _), None when same_table held old_p -> ()
+          | Some (held, _), Some rules when same_table held old_p ->
+              if List.exists (fun (r : Rule.t) -> Hashtbl.mem moved r.id) rules then
+                Switch.install_authority sw p
+              else Switch.patch_authority sw p rules
+          | _ ->
+              incr new_installs;
+              if rank = 0 then incr new_primary_installs;
+              Switch.install_authority sw p)
+        (hosts p.pid))
+    before.Partitioner.partitions d.partitioner.Partitioner.partitions;
+  d.last_new_installs <- !new_installs;
+  d.last_new_primary_installs <- !new_primary_installs
+
 let update_policy ?(flush = true) d ~now new_policy =
   ignore now;
-  let partitioner =
-    Partitioner.compute ~heuristic:d.config.heuristic new_policy ~k:d.config.k
-  in
-  let assignment =
+  let diff = diff_policies d.policy new_policy in
+  let assign partitioner =
     Assignment.greedy ?weights:(assignment_weights d.config partitioner)
       ~replication:d.config.replication partitioner ~authority_switches:d.authority_ids
   in
-  let d' = { d with policy = new_policy; partitioner; assignment } in
-  install_all d';
+  let d' =
+    match diff.edits with
+    | Some edits when d.computed_layout ->
+        (* [compute] reads only predicates, and none changed: the layout
+           it would return is the current one *)
+        let edit = Hashtbl.create 64 and moved = Hashtbl.create 8 in
+        List.iter
+          (fun ((o : Rule.t), (n : Rule.t)) ->
+            Hashtbl.replace edit n.id n;
+            if o.priority <> n.priority then Hashtbl.replace moved n.id ())
+          edits;
+        let partitioner, patched = Partitioner.patch d.partitioner (Hashtbl.find_opt edit) in
+        let d' =
+          { d with policy = new_policy; partitioner; assignment = assign partitioner;
+                   last_update = { changed = diff.ids; kept_layout = true } }
+        in
+        install_patched d' ~before:d.partitioner ~patched ~moved;
+        Log.info (fun m ->
+            m "policy update: %d rules changed; layout kept, %d tables patched"
+              (List.length diff.ids) (List.length patched));
+        d'
+    | _ ->
+        let partitioner =
+          Partitioner.compute ~heuristic:d.config.heuristic new_policy ~k:d.config.k
+        in
+        let d' =
+          { d with policy = new_policy; partitioner; assignment = assign partitioner;
+                   computed_layout = true;
+                   last_update = { changed = diff.ids; kept_layout = false } }
+        in
+        install_all d';
+        Log.info (fun m ->
+            m "policy update: %d rules changed; re-partitioned" (List.length diff.ids));
+        d'
+  in
   (* Strict consistency drops every reactive cache entry — stale spliced
      pieces may disagree with the new policy.  Lazy mode leaves them to
      their idle timeouts (experiment F-DYN measures the exposure). *)
   if flush then flush_caches d';
   d'
 
+let last_update d = d.last_update
+
 let invalidate_origins ?(now = 0.) d ~origins =
   Array.fold_left (fun acc sw -> acc + Switch.invalidate_origins sw ~now origins) 0 d.switches
 
-(* A merge of the two policies' id-sorted rule lists, O(n log n).  Ids
-   are unique within a classifier, so each step consumes one id. *)
-let changed_rule_ids ~old_policy new_policy =
-  let by_id c =
-    List.sort (fun (a : Rule.t) (b : Rule.t) -> Int.compare a.id b.id) (Classifier.rules c)
-  in
-  let rec diff acc olds news =
-    match (olds, news) with
-    | [], [] -> List.rev acc
-    | (o : Rule.t) :: os, [] -> diff (o.id :: acc) os []
-    | [], (n : Rule.t) :: ns -> diff (n.id :: acc) [] ns
-    | o :: os, n :: ns ->
-        if o.id < n.id then diff (o.id :: acc) os news
-        else if n.id < o.id then diff (n.id :: acc) olds ns
-        else diff (if Rule.equal o n then acc else o.id :: acc) os ns
-  in
-  diff [] (by_id old_policy) (by_id new_policy)
+(* One pass over each live switch's bank collects the entries standing
+   for any of [ids]; bucketing them by id restores the per-id order. *)
+let cache_entries_of_origins d ~live ids =
+  let slot = Hashtbl.create 64 in
+  List.iteri (fun k id -> Hashtbl.replace slot id k) ids;
+  let buckets = Array.make (List.length ids) [] in
+  Array.iteri
+    (fun i sw ->
+      if live i then
+        List.iter
+          (fun (e : Tcam.entry) ->
+            let r = e.Tcam.rule in
+            match Switch.cache_meta_of_rule sw r.Rule.id with
+            | None -> ()
+            | Some m ->
+                List.iter
+                  (fun (part : Switch.cache_part) ->
+                    match Hashtbl.find_opt slot part.Switch.part_origin with
+                    | None -> ()
+                    | Some k -> (
+                        match buckets.(k) with
+                        | (j, r') :: _ when j = i && r' == r -> () (* a repeated origin *)
+                        | b -> buckets.(k) <- (i, r) :: b))
+                  m.Switch.parts)
+          (Switch.entries_of_origins sw (Hashtbl.mem slot)))
+    d.switches;
+  Array.fold_right List.rev_append buckets []
 
 let fail_authority d failed =
   Log.info (fun m -> m "authority %d failed; promoting backups" failed);
@@ -572,7 +699,7 @@ let apply_split d (m : Journal.migration) =
       ~lo:(m.lo_pid, m.lo_replicas)
       ~hi:(m.hi_pid, m.hi_replicas)
   in
-  let d' = { d with partitioner; assignment } in
+  let d' = { d with partitioner; assignment; computed_layout = false } in
   (* Install the sub-region tables at their replicas.  Ingress partition
      banks still point at the source, whose table stays in place — at no
      instant is a miss without a live authority holding its rules. *)
@@ -614,7 +741,7 @@ let unsplit d (m : Journal.migration) =
       ~lo:m.lo_pid ~hi:m.hi_pid
   in
   Log.info (fun f -> f "migration m%d: rolled back to p%d" m.mid m.src_pid);
-  { d with partitioner; assignment }
+  { d with partitioner; assignment; computed_layout = false }
 
 let scrub_split d ~now (m : Journal.migration) ~aborted =
   let dead_pids = if aborted then [ m.lo_pid; m.hi_pid ] else [ m.src_pid ] in
@@ -646,7 +773,7 @@ let apply_layout d ~regions ~replicas =
     Assignment.of_replicas ~replicas ~weights ~authorities:d.authority_ids
       ~replication:d.config.replication
   in
-  let d' = { d with partitioner; assignment } in
+  let d' = { d with partitioner; assignment; computed_layout = false } in
   install_all d';
   d'
 

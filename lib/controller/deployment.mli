@@ -130,12 +130,38 @@ val flush_caches : t -> unit
 (** {1 Dynamics} *)
 
 val update_policy : ?flush:bool -> t -> now:float -> Classifier.t -> t
-(** Re-partition for a new policy and reinstall authority tables and
-    partition rules everywhere.  With [flush = true] (default) every
-    reactive cache entry is dropped too — strict consistency.  With
-    [flush = false] stale spliced entries linger until their idle timeout
-    (the paper's lazy-expiry mode, measured by experiment F-DYN).  Switch
-    identities and statistics carry over. *)
+(** Install a new policy, doing only the work the change needs.  The two
+    policies are diffed by rule id once ({!last_update} keeps the
+    result).
+    - When every rule id is in both policies with an equal predicate
+      (only actions and priorities changed) and the current layout is
+      {!Partitioner.compute}'s, the layout is kept: [compute] reads only
+      predicates, so it would return the same pids and regions.  Each
+      table holding a changed rule is patched ({!Partitioner.patch}),
+      and every replica holding the old table swaps the changed rules
+      into its index in place ({!Switch.patch_authority}); a table in
+      which a priority moved has only its own index rebuilt.  Partition
+      banks are left alone where they already hold the new rules.
+    - Any other change (a predicate edit, an added or removed rule), or
+      a layout a migration or snapshot restore refitted, re-partitions
+      with [compute] and reinstalls every authority table and partition
+      bank.
+    Either way the partitioner, assignment and tables are exactly those
+    of a from-scratch re-partition; the path taken is logged.  With
+    [flush = true] (default) every reactive cache entry is dropped too —
+    strict consistency.  With [flush = false] stale spliced entries
+    linger until their idle timeout (the paper's lazy-expiry mode,
+    measured by experiment F-DYN).  Switch identities and statistics
+    carry over. *)
+
+type update = {
+  changed : int list;  (** {!changed_rule_ids} of the update, ascending *)
+  kept_layout : bool;  (** the layout was kept and the tables patched *)
+}
+
+val last_update : t -> update
+(** What the most recent {!update_policy} changed and which path it
+    took; [{ changed = []; kept_layout = false }] before any update. *)
 
 val mark_unreachable : t -> int -> unit
 (** Data-plane failure model: tunnels to this switch stop working (link or
@@ -161,6 +187,16 @@ val invalidate_origins : ?now:float -> t -> origins:(int -> bool) -> int
     {!Switch.drop_cover_orphans}).  The targeted-invalidation
     consistency mode: after a policy change only the affected rules'
     cache entries need to go. *)
+
+val cache_entries_of_origins :
+  t -> live:(int -> bool) -> int list -> (int * Rule.t) list
+(** [cache_entries_of_origins d ~live ids] lists, as [(switch, cache
+    rule)], the entries of the [live] switches' cache banks that stand
+    for any of the distinct policy rule ids [ids] (a merged entry stands
+    for every origin it absorbed).  The order is that of a walk per id:
+    by position in [ids], then by switch, then in table order; an entry
+    standing for several of the ids appears once for each.  One pass
+    over each bank builds it.  This is what a strict update deletes. *)
 
 val changed_rule_ids : old_policy:Classifier.t -> Classifier.t -> int list
 (** Rule ids whose definition differs between two policies (changed
@@ -224,7 +260,10 @@ val aggregate_stats : t -> Aggregate.stats
 val last_new_authority_installs : t -> int
 (** Authority tables newly pushed to a switch by the most recent
     [build]/[update_policy]/[fail_authority], including background backup
-    replenishment. *)
+    replenishment.  A re-partitioning update pushes every table afresh;
+    a layout-kept update counts only the replicas that did not hold the
+    old table.  A table patched in place, or re-indexed after a priority
+    moved, is not a new install. *)
 
 val measured_partition_loads : t -> (int * float) list
 (** Misses served per partition id, aggregated over every authority

@@ -620,15 +620,16 @@ module F_dyn = struct
     List.iter
       (fun (t, h) ->
         if (not !updated) && t >= t_update then begin
-          let old_policy = Deployment.policy !d in
           d :=
             Deployment.update_policy
               ~flush:(mode = Strict_flush)
               !d ~now:t new_policy;
           (if mode = Targeted then begin
-             let changed = Deployment.changed_rule_ids ~old_policy new_policy in
-             invalidated :=
-               Deployment.invalidate_origins !d ~origins:(fun o -> List.mem o changed);
+             let changed = Hashtbl.create 64 in
+             List.iter
+               (fun id -> Hashtbl.replace changed id ())
+               (Deployment.last_update !d).Deployment.changed;
+             invalidated := Deployment.invalidate_origins !d ~origins:(Hashtbl.mem changed);
              preserved := Deployment.total_cache_entries !d
            end);
           updated := true

@@ -164,6 +164,34 @@ let refit t classifier ~regions =
     duplication = float_of_int total_entries /. float_of_int source_rules;
   }
 
+let patch t edit =
+  let swapped = ref [] in
+  let partitions =
+    List.map
+      (fun (p : partition) ->
+        let rules = Classifier.rules p.table in
+        if not (List.exists (fun (r : Rule.t) -> Option.is_some (edit r.Rule.id)) rules) then p
+        else begin
+          let mine = ref [] in
+          let rules =
+            List.map
+              (fun (r : Rule.t) ->
+                match edit r.id with
+                | None -> r
+                | Some n ->
+                    let c = Rule.with_pred n r.pred in
+                    mine := c :: !mine;
+                    c)
+              rules
+          in
+          let p = { p with table = Classifier.create (Classifier.schema p.table) rules } in
+          swapped := (p, List.rev !mine) :: !swapped;
+          p
+        end)
+      t.partitions
+  in
+  ({ t with partitions }, List.rev !swapped)
+
 let max_pid t =
   List.fold_left (fun m (p : partition) -> max m p.pid) (-1) t.partitions
 

@@ -2,7 +2,7 @@
    without allocating.  Rules arrive in table order, so the kernel's
    first-match and early-exit shortcuts hold. *)
 type t = {
-  source : Classifier.t;
+  mutable source : Classifier.t;
   index : Rule.t option Tuple_space.t option;  (* [None]: schema over 126 bits *)
 }
 
@@ -16,6 +16,18 @@ let of_classifier source =
     end
   in
   { source; index }
+
+let swap t table rules =
+  (match t.index with
+  | Some ts -> List.iter (fun (r : Rule.t) -> Tuple_space.swap ts r (Some r)) rules
+  | None ->
+      List.iter
+        (fun (r : Rule.t) ->
+          match Classifier.find t.source r.id with
+          | Some o when o.priority = r.priority && Pred.equal o.pred r.pred -> ()
+          | _ -> invalid_arg "Indexed.swap: no rule with this id, predicate and priority")
+        rules);
+  t.source <- table
 
 let length t = Classifier.length t.source
 let groups t = match t.index with Some ts -> Tuple_space.groups ts | None -> 0

@@ -22,6 +22,15 @@ type t
 val of_classifier : Classifier.t -> t
 val length : t -> int
 
+val swap : t -> Classifier.t -> Rule.t list -> unit
+(** [swap t table rules] makes [t] the index of [table], in place.
+    [table] must be [t]'s table with each of [rules] replacing the rule
+    of its id at an equal predicate and priority: only actions change,
+    so each rule is swapped into its slot ({!Tuple_space.swap}) and no
+    other slot moves.
+    @raise Invalid_argument when some rule has no slot of its id,
+    predicate and priority; [t] is then unusable. *)
+
 val groups : t -> int
 (** Number of distinct lane masks — the probe count; [0] for a schema
     over 126 bits. *)

@@ -6,8 +6,8 @@
 type 'a slot = {
   value_lo : int;
   value_hi : int;
-  rule : Rule.t;
-  data : 'a;
+  mutable rule : Rule.t;  (* [swap] changes its action, never its lanes or rank *)
+  mutable data : 'a;
   group : 'a group;
   mutable pos : int;  (* index in [slots]; lanes at [4 * pos] *)
 }
@@ -15,7 +15,9 @@ type 'a slot = {
 and 'a group = {
   mask_lo : int;
   mask_hi : int;
-  top : Rule.t;  (* the first member; the group's best while [sorted] *)
+  top : Rule.t;
+      (* the first member; the group's best while [sorted].  Only its
+         priority and id are read, which [swap] keeps. *)
   mutable chains : 'a slot list array;  (* power-of-two length, chains in table order *)
   mutable members : int;
   mutable gpos : int;  (* index in [groups] *)
@@ -157,6 +159,25 @@ let remove t s =
   t.slots.(last) <- t.slots.(0);
   t.len <- last;
   t.sorted <- false
+
+(* The slot of the rule with [rule]'s id, found through the chain of
+   [rule]'s own lanes: an equal predicate packs to the same group and
+   chain, so no id map is needed. *)
+let swap t (rule : Rule.t) data =
+  let (mask_lo, mask_hi), (value_lo, value_hi) = pack_pred rule.pred in
+  let rec slot_of = function
+    | [] -> invalid_arg "Tuple_space.swap: no rule with this id and predicate"
+    | s :: rest -> if s.rule.Rule.id = rule.id then s else slot_of rest
+  in
+  match Hashtbl.find_opt t.by_mask (mask_lo, mask_hi) with
+  | None -> invalid_arg "Tuple_space.swap: no rule with this id and predicate"
+  | Some g ->
+      let s = slot_of g.chains.(chain_of g value_lo value_hi) in
+      if not (Pred.equal s.rule.pred rule.pred) then
+        invalid_arg "Tuple_space.swap: predicate differs";
+      if s.rule.priority <> rule.priority then invalid_arg "Tuple_space.swap: priority differs";
+      s.rule <- rule;
+      s.data <- data
 
 (* ---- lookup ---- *)
 

@@ -36,6 +36,15 @@ val remove : 'a t -> 'a slot -> unit
 
 val clear : 'a t -> unit
 
+val swap : 'a t -> Rule.t -> 'a -> unit
+(** [swap t r x] makes [r] and [x] the rule and payload of the slot
+    holding [r]'s id, in place: the OpenFlow modify-exact-flow of a rule
+    whose action changed.  The old rule's predicate and priority must
+    equal [r]'s, so the slot's group, chain, position and table order
+    all stay valid.  The slot is found through the chain of [r]'s lanes.
+    @raise Invalid_argument when no slot at [r]'s lanes holds [r]'s id,
+    or that slot's predicate or priority differs from [r]'s. *)
+
 val find : 'a t -> lo:int -> hi:int -> int
 (** [find t ~lo ~hi] is the position of the highest-priority rule
     matching the header with lanes [(lo, hi)], or [-1] if none does.  The

@@ -241,12 +241,28 @@ let install_partition_rules t rules =
       | Action.To_authority _ -> ()
       | _ -> invalid_arg "Switch.install_partition_rules: non-partition action")
     rules;
-  set_partition_bank t rules
+  (* the committed bank already holds exactly these rules: its index
+     stands *)
+  if not (t.partition_committed && List.equal Rule.equal t.partition_bank rules) then
+    set_partition_bank t rules
 
 let install_authority t (p : Partitioner.partition) =
   t.authority <-
     (p, Indexed.of_classifier p.table)
     :: List.filter (fun ((q : Partitioner.partition), _) -> q.pid <> p.pid) t.authority
+
+let authority_table t pid =
+  List.find_opt (fun ((q : Partitioner.partition), _) -> q.pid = pid) t.authority
+
+let patch_authority t (p : Partitioner.partition) swapped =
+  match authority_table t p.pid with
+  | None -> invalid_arg "Switch.patch_authority: no table held for the partition"
+  | Some (_, idx) ->
+      Indexed.swap idx p.table swapped;
+      t.authority <-
+        List.map
+          (fun (((q : Partitioner.partition), _) as e) -> if q.pid = p.pid then (p, idx) else e)
+          t.authority
 
 let drop_authority t pid =
   t.authority <- List.filter (fun ((q : Partitioner.partition), _) -> q.pid <> pid) t.authority
@@ -848,16 +864,26 @@ let origins_of_cache_rule t cid =
   | Some m ->
       List.sort_uniq Int.compare (List.map (fun p -> p.part_origin) m.parts)
 
+let rec parts_meet sel = function
+  | [] -> false
+  | p :: rest -> sel p.part_origin || parts_meet sel rest
+
+(* Whether a cache entry stands for an origin [sel] picks: a merged
+   entry stands for every origin it absorbed.  Allocates nothing. *)
+let stands_for t sel (e : Tcam.entry) =
+  match Hashtbl.find t.cache_origin e.Tcam.rule.Rule.id with
+  | m -> parts_meet sel m.parts
+  | exception Not_found -> false
+
+let entries_of_origins t sel = Tcam.select t.cache (stands_for t sel)
+
 (* Targeted invalidation: a merged entry stands for several policy
    rules, so it goes if ANY of its absorbed origins matches — the
    conservative direction; survivors re-splice on their next miss.
    Removing one cover-set member must take its whole group: the broad
    member alone would answer packets its dependencies own. *)
 let invalidate_origins t ~now origins =
-  let victims =
-    Tcam.select t.cache (fun (e : Tcam.entry) ->
-        List.exists origins (origins_of_cache_rule t e.Tcam.rule.Rule.id))
-  in
+  let victims = entries_of_origins t origins in
   List.iter
     (fun (e : Tcam.entry) ->
       ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);

@@ -35,10 +35,25 @@ val id : t -> int
 
 val install_partition_rules : t -> Rule.t list -> unit
 (** Replace the partition bank.  Every rule's action must be
-    [To_authority]; @raise Invalid_argument otherwise. *)
+    [To_authority]; @raise Invalid_argument otherwise.  A no-op when
+    the committed bank already holds exactly these rules, in this
+    order. *)
 
 val install_authority : t -> Partitioner.partition -> unit
-(** Add (or replace, by partition id) an authority table. *)
+(** Add (or replace, by partition id) an authority table, indexing it
+    afresh. *)
+
+val authority_table : t -> int -> (Partitioner.partition * Indexed.t) option
+(** The authority table held for a partition id, with the index the
+    data plane looks it up through. *)
+
+val patch_authority : t -> Partitioner.partition -> Rule.t list -> unit
+(** [patch_authority t p rules] replaces the table held for [p.pid] by
+    [p], whose table is the held one with each of [rules] swapped in at
+    an equal predicate and priority.  The held index is patched in place
+    ({!Indexed.swap}), not rebuilt.
+    @raise Invalid_argument when no table for [p.pid] is held, or as
+    {!Indexed.swap} does. *)
 
 val drop_authority : t -> int -> unit
 (** Remove the authority table for a partition id. *)
@@ -234,6 +249,11 @@ val drop_cover_orphans : t -> now:float -> int
     marks the entry's own group and every group listing it as a member,
     and an install marks its own group.  The cost is that of the touched
     groups, not of the bank. *)
+
+val entries_of_origins : t -> (int -> bool) -> Tcam.entry list
+(** The live cache entries standing for some origin the selector picks
+    (a merged entry stands for every origin it absorbed), in table
+    order.  The provenance test allocates nothing per entry. *)
 
 val invalidate_origins : t -> now:float -> (int -> bool) -> int
 (** Remove every cache entry whose origin set ({!origins_of_cache_rule})

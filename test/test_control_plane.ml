@@ -192,7 +192,7 @@ let test_targeted_invalidation () =
   let d, cp = build_cp () in
   ignore (Deployment.inject d ~now:0. ~ingress:0 (h 2 0));
   check Alcotest.bool "entry cached" true (Deployment.total_cache_entries d > 0);
-  let sent = Control_plane.delete_cached_origin cp ~now:1. ~origin_id:1 in
+  let sent = Control_plane.delete_cached_origins cp ~now:1. [ 1 ] in
   check Alcotest.bool "deletions sent" true (sent > 0);
   (* deliver the deletions *)
   drive cp ~from:1.001 ~until:1.1 ~step:0.01;
@@ -346,6 +346,88 @@ let test_degraded_packet_in_answered () =
   check Alcotest.int64 "controller answered the miss" 1L
     (Control_plane.degraded_handled cp)
 
+(* One-pass invalidation against the per-id walk it replaced
+   ([Invalidate_scan]), on random cache states with aggregation on.
+   Traffic over a few narrow blocks makes microflow entries buddy-merge
+   across origins, and extra installs carry two or three origins each,
+   so merged entries standing for several changed ids are common.  The
+   changed ids come in random order and some switches are dead; the
+   (switch, rule id) delete sequences must be identical, and the control
+   plane must send one delete per element. *)
+let test_one_pass_invalidation () =
+  let multi = ref 0 in
+  let gen =
+    let open QCheck2.Gen in
+    let* specs = list_size (int_range 1 8) (pair gen_pred_tiny2 (int_range 1 20)) in
+    let* microflow = bool in
+    let* packets = list_size (int_range 10 80) (triple (int_bound 4) (int_bound 15) (int_bound 3)) in
+    let* extra = list_size (int_range 0 6) (pair (int_bound 4) (list_size (int_range 2 3) (int_bound 9))) in
+    let* changed = list_size (int_range 1 6) (int_bound 9) in
+    let* dead = list_size (int_range 0 2) (int_bound 4) in
+    return (specs, microflow, packets, extra, changed, dead)
+  in
+  let prop (specs, microflow, packets, extra, changed, dead) =
+    let rules =
+      Rule.make ~id:0 ~priority:0 (Pred.any s2) (Action.Forward 1)
+      :: List.mapi
+           (fun i (pd, p) -> Rule.make ~id:(i + 1) ~priority:p pd (Action.Forward (1 + (i mod 2))))
+           specs
+    in
+    let config =
+      { Deployment.default_config with
+        k = 2;
+        cache_mode = (if microflow then `Microflow else `Spliced);
+        aggregation = Aggregate.enabled_default }
+    in
+    let d =
+      Deployment.build ~config ~policy:(Classifier.create s2 rules)
+        ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
+    in
+    List.iteri
+      (fun i (ingress, lo, block) ->
+        ignore
+          (Deployment.inject d ~now:(float_of_int i *. 1e-3) ~ingress (h ((block * 64) + lo) 0)))
+      packets;
+    List.iteri
+      (fun i (sw, origins) ->
+        let s = Deployment.switch d sw in
+        let rule =
+          Rule.make ~id:(Switch.fresh_cache_id s) ~priority:0 (Pred.exact s2 (h (200 + i) 9))
+            (Action.Forward 1)
+        in
+        let parts =
+          List.map
+            (fun o -> { Switch.part_origin = o; part_rank = 0; part_pred = rule.Rule.pred })
+            origins
+        in
+        ignore
+          (Switch.install_cache_meta s ~now:1. rule
+             (Some { Switch.pid = -1; kind = Switch.Exact; group = None; parts })))
+      extra;
+    let ids = List.fold_left (fun acc id -> if List.mem id acc then acc else acc @ [ id ]) [] changed in
+    let live i = not (List.mem i dead) in
+    let switches = Deployment.switches d in
+    Array.iter
+      (fun sw ->
+        List.iter
+          (fun (e : Tcam.entry) ->
+            let os = Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id in
+            if List.length (List.filter (fun o -> List.mem o ids) os) >= 2 then incr multi)
+          (Tcam.entries (Switch.cache sw)))
+      switches;
+    let expected = Invalidate_scan.deletes switches ~live ids in
+    let got =
+      List.map (fun (i, (r : Rule.t)) -> (i, r.Rule.id)) (Deployment.cache_entries_of_origins d ~live ids)
+    in
+    let cp = Control_plane.create d in
+    got = expected
+    && Control_plane.delete_cached_origins cp ~now:2. ids
+       = List.length (Invalidate_scan.deletes switches ~live:(fun _ -> true) ids)
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 7 |])
+    (QCheck2.Test.make ~count:300 ~name:"one-pass deletes = per-id walk" gen prop);
+  if !multi < 50 then Alcotest.failf "coverage: only %d entries carried two changed origins" !multi
+
 let suite =
   [
     ( "channel",
@@ -367,6 +449,7 @@ let suite =
         tc "failure detection triggers failover" test_failure_detection_and_failover;
         tc "stats aggregate to origin rules" test_stats_aggregation;
         tc "targeted cache invalidation" test_targeted_invalidation;
+        tc "one-pass invalidation = per-id walk" test_one_pass_invalidation;
         tc "control overhead counted" test_control_overhead_counted;
         tc "push deployment over channels" test_push_deployment;
         tc "partition transfer codec" test_partition_transfer_codec;

@@ -245,6 +245,211 @@ let prop_changed_rule_ids =
       in
       Deployment.changed_rule_ids ~old_policy new_policy = expected)
 
+(* ---- incremental updates against from-scratch ones ----
+
+   Random small policies take random change sequences.  A step is an
+   update, or a disturbance the next update must repair: a load-driven
+   rebalance (the assignment moves away from the greedy one), a switch
+   reset (a blank switch), a stale table at a replica (an outdated copy
+   a late transfer re-installed) or a region split (a migration's
+   refitted layout, which [compute] would not return).  An update step
+   either only re-actions and re-prioritises rules (the layout-kept
+   path) or mixes in predicate edits, adds and deletes (the
+   re-partitioning path).  After each update the deployment must hold
+   what a from-scratch re-partition gives. *)
+
+type edit =
+  | Set_action of int * int
+  | Set_priority of int * int
+  | Set_pred of int * Pred.t
+  | Add of Pred.t * int * int
+  | Delete of int
+
+type step =
+  | Update of edit list
+  | Rebalance of int list
+  | Reset of int
+  | Stale of int * int
+  | Split of int
+
+let act k = if k = 0 then Action.Drop else Action.Forward k
+
+let gen_edit ~local =
+  let open QCheck2.Gen in
+  let* i = int_bound 50 in
+  let action = map (fun a -> Set_action (i, a)) (int_bound 4) in
+  let priority = map (fun p -> Set_priority (i, p)) (int_range 1 20) in
+  if local then oneof [ action; priority ]
+  else
+    oneof
+      [ action; priority;
+        map (fun pd -> Set_pred (i, pd)) gen_pred_tiny2;
+        map3 (fun pd p a -> Add (pd, p, a)) gen_pred_tiny2 (int_range 1 20) (int_bound 4);
+        return (Delete i) ]
+
+let gen_step =
+  let open QCheck2.Gen in
+  frequency
+    [ ( 8,
+        bool >>= fun local ->
+        map (fun es -> Update es) (list_size (int_range 1 4) (gen_edit ~local)) );
+      (1, map (fun ls -> Rebalance ls) (list_repeat 8 (int_bound 100)));
+      (1, map (fun i -> Reset i) (int_bound 4));
+      (1, map2 (fun i j -> Stale (i, j)) (int_bound 4) (int_bound 8));
+      (1, map (fun i -> Split i) (int_bound 8)) ]
+
+let gen_history =
+  let open QCheck2.Gen in
+  let* specs = list_size (int_range 1 10) (triple gen_pred_tiny2 (int_range 1 20) (int_bound 4)) in
+  let* k = int_range 1 5 in
+  let* replication = int_range 1 2 in
+  let* steps = list_size (int_range 1 6) gen_step in
+  let* probes = list_repeat 40 gen_header_tiny2 in
+  return (specs, k, replication, steps, probes)
+
+(* Rule 0 is a lowest-priority catch-all no edit touches, so every
+   policy stays total and non-empty. *)
+let apply_edit (rules, next_id) e =
+  let edited = List.filter (fun (r : Rule.t) -> r.id <> 0) rules in
+  let pick i = List.nth edited (i mod List.length edited) in
+  let replace (r : Rule.t) r' = List.map (fun (x : Rule.t) -> if x.id = r.id then r' else x) rules in
+  match e with
+  | Add (pd, p, a) -> (Rule.make ~id:next_id ~priority:p pd (act a) :: rules, next_id + 1)
+  | _ when edited = [] -> (rules, next_id)
+  | Set_action (i, a) ->
+      let r = pick i in
+      (replace r (Rule.with_action r (act a)), next_id)
+  | Set_priority (i, p) ->
+      let r = pick i in
+      (replace r (Rule.make ~id:r.id ~priority:p r.pred r.action), next_id)
+  | Set_pred (i, pd) ->
+      let r = pick i in
+      (replace r (Rule.with_pred r pd), next_id)
+  | Delete i ->
+      let r = pick i in
+      (List.filter (fun (x : Rule.t) -> x.id <> r.id) rules, next_id)
+
+let same_partition (a : Partitioner.partition) (b : Partitioner.partition) =
+  a.pid = b.pid && Pred.equal a.region b.region
+  && List.equal Rule.equal (Classifier.rules a.table) (Classifier.rules b.table)
+
+(* Everything a from-scratch re-partition of [policy] would leave: its
+   partitioner, greedy assignment, tables at exactly the replicas, and
+   partition banks; each table agrees with the policy in its region
+   (exactly), and each replica's index answers as its table. *)
+let matches_scratch d policy probes =
+  let config = Deployment.config d in
+  let fresh = Partitioner.compute ~heuristic:config.heuristic policy ~k:config.k in
+  let part = Deployment.partitioner d in
+  let assignment = Deployment.assignment d in
+  let greedy =
+    Assignment.greedy ~replication:config.replication fresh
+      ~authority_switches:(Deployment.authority_ids d)
+  in
+  let prules = Partitioner.partition_rules fresh ~assignment:(Assignment.switch_for greedy) in
+  let first_match_equal a b =
+    match (a, b) with Some a, Some b -> Rule.equal a b | None, None -> true | _ -> false
+  in
+  List.equal same_partition part.partitions fresh.partitions
+  && part.total_entries = fresh.total_entries
+  && part.max_entries = fresh.max_entries
+  && List.for_all
+       (fun (p : Partitioner.partition) ->
+         Equiv.agree_on p.table policy p.region
+         && Assignment.replicas_of assignment p.pid = Assignment.replicas_of greedy p.pid)
+       part.partitions
+  && Array.for_all
+       (fun sw ->
+         List.equal Rule.equal (Switch.partition_rules sw) prules
+         && List.sort Int.compare
+              (List.map (fun (p : Partitioner.partition) -> p.pid) (Switch.authority_partitions sw))
+            = List.sort Int.compare (Assignment.hosted_by greedy (Switch.id sw)))
+       (Deployment.switches d)
+  && List.for_all
+       (fun hd ->
+         let p = Partitioner.find part hd in
+         List.for_all
+           (fun host ->
+             match Switch.authority_table (Deployment.switch d host) p.pid with
+             | Some (held, idx) ->
+                 same_partition held p
+                 && first_match_equal (Indexed.first_match idx hd) (Classifier.first_match p.table hd)
+             | None -> false)
+           (Assignment.replicas_of assignment p.pid))
+       probes
+
+let test_incremental_equals_scratch () =
+  let kept = ref 0 and recomputed = ref 0 in
+  let prop (specs, k, replication, steps, probes) =
+    let rules =
+      Rule.make ~id:0 ~priority:0 (Pred.any s2) Action.Drop
+      :: List.mapi (fun i (pd, p, a) -> Rule.make ~id:(i + 1) ~priority:p pd (act a)) specs
+    in
+    let config = { Deployment.default_config with k; replication } in
+    let d =
+      ref
+        (Deployment.build ~config ~policy:(Classifier.create s2 rules)
+           ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ())
+    in
+    let state = ref (rules, List.length rules) in
+    List.for_all
+      (function
+        | Stale (i, j) ->
+            let part = Deployment.partitioner !d in
+            let p = List.nth part.partitions (j mod List.length part.partitions) in
+            let hosts = Assignment.replicas_of (Deployment.assignment !d) p.pid in
+            let outdated =
+              Classifier.create (Classifier.schema p.table)
+                (List.map
+                   (fun r -> Rule.with_action r (Action.Forward 9))
+                   (Classifier.rules p.table))
+            in
+            Switch.install_authority
+              (Deployment.switch !d (List.nth hosts (i mod List.length hosts)))
+              { p with table = outdated };
+            true
+        | Split i -> (
+            let part = Deployment.partitioner !d in
+            let src = List.nth part.partitions (i mod List.length part.partitions) in
+            match Partitioner.split_region part (Deployment.policy !d) ~pid:src.pid with
+            | None -> true
+            | Some ((lo_pid, lo_region), (hi_pid, hi_region)) ->
+                let replicas = Assignment.replicas_of (Deployment.assignment !d) src.pid in
+                d :=
+                  Deployment.apply_split !d
+                    { Journal.mid = 0; src_pid = src.pid; src_region = src.region;
+                      src_replicas = replicas; lo_pid; lo_region; lo_replicas = replicas;
+                      hi_pid; hi_region; hi_replicas = replicas };
+                Deployment.flip_split !d;
+                true)
+        | Rebalance loads ->
+            let part = Deployment.partitioner !d in
+            d :=
+              Deployment.rebalance !d
+                ~loads:
+                  (List.mapi
+                     (fun i (p : Partitioner.partition) ->
+                       (p.pid, float_of_int (List.nth loads (i mod 8))))
+                     part.partitions);
+            true
+        | Reset i ->
+            Switch.reset (Deployment.switch !d i);
+            true
+        | Update edits ->
+            state := List.fold_left apply_edit !state edits;
+            let policy = Classifier.create s2 (fst !state) in
+            d := Deployment.update_policy !d ~now:1. policy;
+            incr (if (Deployment.last_update !d).kept_layout then kept else recomputed);
+            matches_scratch !d policy probes)
+      steps
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 20 |])
+    (QCheck2.Test.make ~count:250 ~name:"incremental update = from-scratch update" gen_history
+       prop);
+  (* both paths are exercised, each many times over *)
+  if !kept < 100 || !recomputed < 100 then
+    Alcotest.failf "coverage: %d layout-kept and %d re-partitioning updates" !kept !recomputed
+
 let suite =
   [
     ( "deployment",
@@ -261,6 +466,7 @@ let suite =
         tc "build validation" test_bad_build;
         tc "invalidation and flush drop provenance" test_removal_drops_provenance;
         prop_changed_rule_ids;
+        tc "incremental update = from-scratch update" test_incremental_equals_scratch;
         prop_end_to_end_equivalence;
       ] );
   ]

@@ -243,6 +243,85 @@ let prop_indexed_equals_first_match schema name =
            (fun h -> id (Indexed.first_match idx h) = id (Classifier.first_match c h))
            headers)
 
+(* [Indexed.swap] patches actions in place: after each round of swaps the
+   index must answer exactly as [Classifier.first_match] on the patched
+   table, with the group count and the probe/scan choice unchanged. *)
+let swap_rounds name c =
+  let rng = Prng.create 11 in
+  let idx = Indexed.of_classifier c in
+  let groups = Indexed.groups idx and degenerate = Indexed.degenerate idx in
+  let headers = Array.to_list (Traffic.headers_for (Prng.create 5) c 300) in
+  let table = ref c in
+  for round = 1 to 8 do
+    let swapped = ref [] in
+    let next =
+      Classifier.create (Classifier.schema !table)
+        (List.map
+           (fun (r : Rule.t) ->
+             if Prng.int rng 8 <> 0 then r
+             else begin
+               let r' = Rule.with_action r (Action.Forward (round + Prng.int rng 4)) in
+               swapped := r' :: !swapped;
+               r'
+             end)
+           (Classifier.rules !table))
+    in
+    Indexed.swap idx next !swapped;
+    table := next;
+    List.iter
+      (fun h ->
+        let same =
+          match (Indexed.first_match idx h, Classifier.first_match next h) with
+          | Some a, Some b -> Rule.equal a b
+          | None, None -> true
+          | _ -> false
+        in
+        if not same then Alcotest.failf "%s: round %d, a header disagrees" name round)
+      headers
+  done;
+  check Alcotest.int (name ^ ": groups kept") groups (Indexed.groups idx);
+  check Alcotest.bool (name ^ ": scan/probe choice kept") degenerate (Indexed.degenerate idx);
+  degenerate
+
+(* A swap whose id, predicate or priority does not match a slot is
+   refused. *)
+let swap_mismatches name c =
+  let ts = Tuple_space.create () in
+  List.iter (fun r -> ignore (Tuple_space.add ts r r)) (Classifier.rules c);
+  let r = List.nth (Classifier.rules c) (Classifier.length c / 2) in
+  let other = List.find (fun (o : Rule.t) -> not (Pred.equal o.pred r.pred)) (Classifier.rules c) in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: a swap with a different %s was accepted" name what
+    | exception Invalid_argument _ -> ()
+  in
+  let swap r' () = Tuple_space.swap ts r' r' in
+  raises "id" (swap (Rule.with_id r 1_000_000));
+  raises "predicate" (swap (Rule.with_pred r other.pred));
+  (* the same lanes under a schema of other field names *)
+  let schema = Pred.schema r.pred in
+  let renamed =
+    Schema.fields schema |> Array.to_list
+    |> List.map (fun (f : Schema.field) -> { f with name = f.name ^ "'" })
+    |> Schema.create
+  in
+  let fields = List.init (Schema.arity schema) (Pred.field r.pred) in
+  raises "schema" (swap (Rule.with_pred r (Pred.make renamed fields)));
+  raises "priority"
+    (swap (Rule.make ~id:r.id ~priority:(r.priority + 1) r.pred r.action));
+  (* and the matching swap goes through *)
+  swap (Rule.with_action r (Action.Forward 9)) ()
+
+let test_swap () =
+  let prefixes =
+    Policy_gen.prefix_table (Prng.create 3) { Policy_gen.default_prefixes with prefixes = 500 }
+  in
+  let acl = Policy_gen.acl (Prng.create 3) { Policy_gen.default_acl with rules = 200 } in
+  check Alcotest.bool "prefix table probes" false (swap_rounds "prefixes" prefixes);
+  check Alcotest.bool "acl scans" true (swap_rounds "acl" acl);
+  swap_mismatches "prefixes" prefixes;
+  swap_mismatches "acl" acl
+
 (* Every rule of a group shares one lane mask, and a group keeps at most
    two members per hash chain: 64 exact rules on [f1] sit in at most 32
    chains, so some chains hold rules with different masked values.  Each
@@ -394,6 +473,7 @@ let suite =
         prop_indexed_equals_first_match Schema.openflow_basic
           "indexed = first_match, openflow_basic";
         tc "colliding chains keep the right rule" test_colliding_chains;
+        tc "swap patches actions in place" test_swap;
         tc "dst_ip spills into the high lane" test_high_lane_spill;
         tc "degenerate-case heuristic" test_degenerate_heuristic;
         tc "expirations split from evictions" test_expirations_split_from_evictions;
