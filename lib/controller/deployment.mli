@@ -140,7 +140,9 @@ val update_policy : ?flush:bool -> t -> now:float -> Classifier.t -> t
       table holding a changed rule is patched ({!Partitioner.patch}),
       and every replica holding the old table swaps the changed rules
       into its index in place ({!Switch.patch_authority}); a table in
-      which a priority moved has only its own index rebuilt.  Partition
+      which a priority moved has only its own index rebuilt.  Swapped
+      tables keep their splice plans (see {!Switch.patch_authority});
+      rebuilt ones start new plans on their next miss.  Partition
       banks are left alone where they already hold the new rules.
     - Any other change (a predicate edit, an added or removed rule), or
       a layout a migration or snapshot restore refitted, re-partitions

@@ -70,6 +70,9 @@ let to_string t = Format.asprintf "%a" pp t
 let equal a b =
   Schema.equal a.schema b.schema && Array.for_all2 Ternary.equal a.fields b.fields
 
+(* The local closure allocates per call, unlike [overlaps_from]; it is
+   kept because removing it shifts minor-GC pacing into policy updates
+   (DESIGN.md §11). *)
 let matches t h =
   let rec go i =
     i >= Array.length t.fields
@@ -96,7 +99,15 @@ let inter a b =
   in
   go 0
 
-let overlaps a b = Option.is_some (inter a b)
+(* [inter a b <> None], field by field, allocating nothing (a local
+   [go] closing over [a] and [b] would allocate its closure per call); a
+   width mismatch raises as in [inter], up to the first disjoint field. *)
+let rec overlaps_from a b i =
+  i >= Array.length a.fields
+  || (Ternary.overlaps a.fields.(i) b.fields.(i) && overlaps_from a b (i + 1))
+
+let overlaps a b = overlaps_from a b 0
+
 let subsumes a b = Array.for_all2 Ternary.subsumes a.fields b.fields
 
 (* Exact-union merge of hyper-rectangles: all fields equal except one,
@@ -167,12 +178,30 @@ let diff_nonempty a bs =
   in
   go a bs
 
+(* the first field where [h] leaves [b] *)
+let rec leaves b h i =
+  if Ternary.matches b.fields.(i) (Header.field h i) then leaves b h (i + 1) else i
+
+(* The piece of [subtract a b] holding [h], built alone.  In
+   [subtract]'s cover the piece for field [i] holds [h] exactly when [i]
+   is the first field where [h] leaves [b]: its fields before [i] are
+   [a]'s clipped to [b], field [i] is the ternary piece holding [h]'s
+   value, and the fields after [i] are [a]'s own. *)
+
 let clip_to_holder a h b =
   if not (matches a h) then invalid_arg "Pred.clip_to_holder: header outside a";
   if matches b h then invalid_arg "Pred.clip_to_holder: header inside b";
-  match List.find_opt (fun q -> matches q h) (subtract a b) with
-  | Some q -> q
-  | None -> invalid_arg "Pred.clip_to_holder: no piece holds the header"
+  if not (overlaps a b) then a
+  else begin
+    let i = leaves b h 0 in
+    let fields = Array.copy a.fields in
+    for j = 0 to i - 1 do
+      let aj = a.fields.(j) and bj = b.fields.(j) in
+      if not (Ternary.subsumes bj aj) then fields.(j) <- Option.get (Ternary.inter aj bj)
+    done;
+    fields.(i) <- Ternary.piece_holding a.fields.(i) b.fields.(i) (Header.field h i);
+    { a with fields }
+  end
 
 let split p fi bit =
   match Ternary.split p.fields.(fi) bit with

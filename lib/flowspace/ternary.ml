@@ -137,7 +137,12 @@ let inter a b =
   if (a.value ^: b.value) &: common <> 0L then None
   else Some { width = a.width; value = a.value |: b.value; mask = a.mask |: b.mask }
 
-let overlaps a b = Option.is_some (inter a b)
+(* [inter a b <> None] without building the intersection: a pure bit
+   test, so overlap checks on the splicing and partitioning paths
+   allocate nothing. *)
+let overlaps a b =
+  if a.width <> b.width then invalid_arg "Ternary.overlaps: width mismatch";
+  (a.value ^: b.value) &: a.mask &: b.mask = 0L
 
 (* Buddy merge: two values with the same mask whose specified bits differ
    in exactly one position denote adjacent blocks, and wildcarding that
@@ -182,6 +187,38 @@ let subtract a b =
           go (j - 1) (fixed_mask |: bitj) (fixed_value |: (b.value &: bitj)) (piece :: acc)
     in
     go (a.width - 1) 0L 0L []
+
+(* The one piece of [subtract a b] holding [v], built directly: the
+   pieces are cut at the free bits (specified in [b], wildcard in [a])
+   from the most significant down, and [v] lands in the piece of the
+   first free bit where it leaves [b].  That piece agrees with [b] on
+   the free bits above, and with [v] at the cut.  Disjoint operands
+   leave [a] whole. *)
+let piece_holding a b v =
+  if a.width <> b.width then invalid_arg "Ternary.piece_holding: width mismatch";
+  if matches b v || not (matches a v) then
+    invalid_arg "Ternary.piece_holding: value not in a - b";
+  if not (overlaps a b) then a
+  else
+    (* [v] agrees with [a], and so with [b], on the bits both specify: it
+       leaves [b] at some free bit *)
+    let free = b.mask &: lnot64 a.mask in
+    let d = (v ^: b.value) &: free in
+    (* smear the highest set bit of [d] downwards: [low] is that bit and
+       every bit below it *)
+    let low = d |: Int64.shift_right_logical d 1 in
+    let low = low |: Int64.shift_right_logical low 2 in
+    let low = low |: Int64.shift_right_logical low 4 in
+    let low = low |: Int64.shift_right_logical low 8 in
+    let low = low |: Int64.shift_right_logical low 16 in
+    let low = low |: Int64.shift_right_logical low 32 in
+    let cut = low ^: Int64.shift_right_logical low 1 in
+    let above = free &: lnot64 low in
+    {
+      width = a.width;
+      mask = a.mask |: above |: cut;
+      value = a.value |: (b.value &: above) |: (v &: cut);
+    }
 
 let split t i =
   if i < 0 || i >= t.width then invalid_arg "Ternary.split: bit out of range";

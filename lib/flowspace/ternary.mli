@@ -100,7 +100,8 @@ val inter : t -> t -> t option
     ternary values is always itself ternary. *)
 
 val overlaps : t -> t -> bool
-(** [overlaps a b] iff [inter a b <> None]. *)
+(** [overlaps a b] iff [inter a b <> None], decided without allocating.
+    @raise Invalid_argument on width mismatch. *)
 
 val subsumes : t -> t -> bool
 (** [subsumes a b] iff the set of [a] contains the set of [b]. *)
@@ -119,6 +120,12 @@ val subtract : t -> t -> t list
     union is exactly the set difference [a - b].  Returns [[a]] when the
     operands are disjoint and [[]] when [b] subsumes [a].  The list has at
     most [width a] elements. *)
+
+val piece_holding : t -> t -> int64 -> t
+(** [piece_holding a b v]: the element of [subtract a b] that contains
+    [v], built without the others.
+    @raise Invalid_argument unless [v] lies in [a] and not in [b], or on
+    width mismatch. *)
 
 val split : t -> int -> (t * t) option
 (** [split t i] refines the wildcard at bit [i] into the two halves with

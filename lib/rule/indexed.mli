@@ -22,6 +22,10 @@ type t
 val of_classifier : Classifier.t -> t
 val length : t -> int
 
+val table : t -> Classifier.t
+(** The table [t] indexes: the one it was built from, or the last
+    {!swap}ped in. *)
+
 val swap : t -> Classifier.t -> Rule.t list -> unit
 (** [swap t table rules] makes [t] the index of [table], in place.
     [table] must be [t]'s table with each of [rules] replacing the rule

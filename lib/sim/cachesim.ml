@@ -46,16 +46,17 @@ let keys_for kind classifier stream =
     k
   in
   (* Wildcard key identity is the spliced piece: splicing is memoized per
-     distinct header, and a piece is interned through its predicate
-     rendering once per distinct header.  Each unmatched header is its
-     own key. *)
+     distinct header, through one splice plan of the whole policy, and a
+     piece is interned through its predicate rendering once per distinct
+     header.  Each unmatched header is its own key. *)
   let key_of =
     match kind with
     | Microflow -> fun _ -> fresh ()
     | Wildcard_splice -> (
         let pieces : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+        let plan = Splice.plan (Indexed.of_classifier classifier) in
         fun h ->
-          match Splice.for_header classifier h with
+          match Splice.for_header plan h with
           | Some piece -> (
               let repr = Pred.to_string piece.Splice.pred in
               match Hashtbl.find_opt pieces repr with

@@ -50,11 +50,21 @@ type cache_meta = {
 let meta_primary_origin m =
   match m.parts with p :: _ -> p.part_origin | [] -> -1
 
+(* One held authority table: the partition, the tuple-space index the
+   data plane looks it up through, and the splice plan misses are served
+   from.  Index and plan live in one entry so that nothing replaces or
+   patches one without the other: an install makes a fresh entry, a
+   patch swaps both in place. *)
+type authority = {
+  mutable part : Partitioner.partition;
+  index : Indexed.t;
+  mutable plan : Splice.plan option; (* built on the table's first miss *)
+}
+
 type t = {
   id : int;
   cache : Tcam.t;
-  mutable authority : (Partitioner.partition * Indexed.t) list;
-      (* each partition table carries a tuple-space index for the hot path *)
+  mutable authority : authority list;
   mutable partition_bank : Rule.t list; (* disjoint regions; order irrelevant *)
   mutable partition_index : Indexed.t option;
       (* tuple-space index over the committed bank, rebuilt on each
@@ -246,28 +256,28 @@ let install_partition_rules t rules =
   if not (t.partition_committed && List.equal Rule.equal t.partition_bank rules) then
     set_partition_bank t rules
 
-let install_authority t (p : Partitioner.partition) =
-  t.authority <-
-    (p, Indexed.of_classifier p.table)
-    :: List.filter (fun ((q : Partitioner.partition), _) -> q.pid <> p.pid) t.authority
-
-let authority_table t pid =
-  List.find_opt (fun ((q : Partitioner.partition), _) -> q.pid = pid) t.authority
-
-let patch_authority t (p : Partitioner.partition) swapped =
-  match authority_table t p.pid with
-  | None -> invalid_arg "Switch.patch_authority: no table held for the partition"
-  | Some (_, idx) ->
-      Indexed.swap idx p.table swapped;
-      t.authority <-
-        List.map
-          (fun (((q : Partitioner.partition), _) as e) -> if q.pid = p.pid then (p, idx) else e)
-          t.authority
-
 let drop_authority t pid =
-  t.authority <- List.filter (fun ((q : Partitioner.partition), _) -> q.pid <> pid) t.authority
+  t.authority <- List.filter (fun e -> e.part.Partitioner.pid <> pid) t.authority
 
-let authority_partitions t = List.map fst t.authority
+let install_authority t (p : Partitioner.partition) =
+  drop_authority t p.pid;
+  t.authority <- { part = p; index = Indexed.of_classifier p.table; plan = None } :: t.authority
+
+let held t pid = List.find_opt (fun e -> e.part.Partitioner.pid = pid) t.authority
+let authority_table t pid = Option.map (fun e -> (e.part, e.index)) (held t pid)
+
+(* An action-only swap keeps every predicate, priority and slot, so the
+   plan's blockers, edges and cover sets stand; only its rule array
+   takes the new actions. *)
+let patch_authority t (p : Partitioner.partition) swapped =
+  match held t p.pid with
+  | None -> invalid_arg "Switch.patch_authority: no table held for the partition"
+  | Some e ->
+      Indexed.swap e.index p.table swapped;
+      Option.iter (fun plan -> Splice.swap plan swapped) e.plan;
+      e.part <- p
+
+let authority_partitions t = List.map (fun e -> e.part) t.authority
 let partition_rules t = t.partition_bank
 
 let bump tbl key n =
@@ -497,9 +507,8 @@ let partition_lookup t h =
 
 let authority_lookup t h =
   List.find_map
-    (fun ((p : Partitioner.partition), idx) ->
-      if Pred.matches p.region h then
-        Option.map (fun r -> (p, r)) (Indexed.first_match idx h)
+    (fun e ->
+      if Pred.matches e.part.Partitioner.region h then Indexed.first_match e.index h
       else None)
     t.authority
 
@@ -545,7 +554,7 @@ let process t ~now h =
       Local (r.Rule.action, Cache_bank)
   | None -> (
       match authority_lookup t h with
-      | Some (_, r) ->
+      | Some r ->
           t.authority_hits <- Int64.add t.authority_hits 1L;
           Telemetry.incr t.tele.m_authority_hits;
           bump t.origin_auth_hits r.Rule.id 1L;
@@ -577,111 +586,99 @@ type miss_reply = {
   installs : (Rule.t * cache_meta) list;
 }
 
+let fresh_cache_id t =
+  let i = t.next_cache_id in
+  t.next_cache_id <- i + 1;
+  i
+
+(* [List.find_opt] over the regions, without a closure per miss *)
+let rec region_holder h = function
+  | [] -> None
+  | e :: rest -> if Pred.matches e.part.Partitioner.region h then Some e else region_holder h rest
+
+let plan_of e =
+  match e.plan with
+  | Some plan -> plan
+  | None ->
+      let plan = Splice.plan e.index in
+      e.plan <- Some plan;
+      plan
+
 let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
-  match
-    List.find_opt
-      (fun ((p : Partitioner.partition), _) -> Pred.matches p.region h)
-      t.authority
-  with
+  match region_holder h t.authority with
   | None -> None
-  | Some (p, _) -> (
-      match Splice.for_header p.table h with
+  | Some e -> (
+      match Indexed.first_match e.index h with
       | None -> None
-      | Some piece ->
+      | Some origin ->
+          let pid = e.part.Partitioner.pid in
           (* the authority switch forwards this packet itself: count it
              against the origin rule like any other hit, and against the
              partition for load rebalancing *)
           t.authority_hits <- Int64.add t.authority_hits 1L;
           Telemetry.incr t.tele.m_authority_hits;
-          bump t.origin_auth_hits piece.origin.Rule.id 1L;
-          bump t.partition_hits p.Partitioner.pid 1L;
-          Ptrace.emit ~at:now Ptrace.Authority_serve ~switch:t.id
-            ~rule:piece.origin.Rule.id ~aux:p.Partitioner.pid;
-          let next_id () =
-            let i = t.next_cache_id in
-            t.next_cache_id <- i + 1;
-            i
-          in
-          let pid = p.Partitioner.pid in
-          let part_of (r : Rule.t) rank =
-            { part_origin = r.id; part_rank = rank; part_pred = r.pred }
-          in
-          let fragment () =
-            let r = Splice.cache_rule ~next_id p.table piece in
-            ( r,
-              [ (r, { pid; kind = Fragment; group = None;
-                      parts = [ { (part_of piece.origin r.Rule.priority) with
-                                  part_pred = piece.pred } ] }) ] )
-          in
+          bump t.origin_auth_hits origin.Rule.id 1L;
+          bump t.partition_hits pid 1L;
+          Ptrace.emit ~at:now Ptrace.Authority_serve ~switch:t.id ~rule:origin.Rule.id
+            ~aux:pid;
           let cache_rule, installs =
             match mode with
             | `Spliced -> (
+                let plan = plan_of e in
                 match cover_limit with
-                | Some limit
-                  when Splice.dependent_set_cost p.table piece.origin <= limit ->
+                | Some limit when Splice.closure_size plan origin <= limit ->
                     (* the whole dependency closure fits the budget:
                        install the rule and its covers at their ranks
                        instead of a per-packet clipped fragment — broader
                        entries, and later misses on the same rule are
-                       already covered *)
-                    let members =
-                      List.map
-                        (fun (r : Rule.t) ->
-                          let rank = Splice.cache_priority p.table r in
-                          ( Rule.make ~id:(next_id ()) ~priority:rank r.pred
-                              r.action,
-                            r, rank ))
-                        (Splice.cover_set p.table piece.origin)
-                    in
-                    (* one atomic group per serve, tagged with every
-                       member's cache-rule id: if any member is later
-                       evicted or expired the whole set goes with it,
-                       and a hit on any member keeps all of them warm *)
-                    let group =
-                      Some
-                        ( next_id (),
-                          List.map (fun (cr, _, _) -> cr.Rule.id) members )
-                    in
+                       already covered.  One atomic group per serve,
+                       tagged with every member's cache-rule id: if any
+                       member is later evicted or expired the whole set
+                       goes with it, and a hit on any member keeps all of
+                       them warm.  Members take the next ids in table
+                       order, the group the one after. *)
+                    let size = Splice.closure_size plan origin in
+                    let base = t.next_cache_id in
+                    t.next_cache_id <- base + size + 1;
+                    let group = Some (base + size, List.init size (fun k -> base + k)) in
                     let covers =
-                      List.map
-                        (fun (cr, r, rank) ->
-                          ( cr,
+                      Splice.fold_cover plan origin
+                        (fun k (r : Rule.t) rank acc ->
+                          ( Rule.make ~id:(base + k) ~priority:rank r.pred r.action,
                             { pid; kind = Cover; group;
-                              parts = [ part_of r rank ] } ))
-                        members
+                              parts = [ { part_origin = r.id; part_rank = rank;
+                                          part_pred = r.pred } ] } )
+                          :: acc)
+                        []
                     in
-                    let primary =
-                      (* the entry standing for the origin rule itself:
-                         the last of the table-ordered cover set *)
-                      match List.rev covers with
-                      | (r, _) :: _ -> r
+                    (* the entry standing for the origin rule itself: the
+                       last of the table-ordered cover set *)
+                    let rec last = function
+                      | [ (r, _) ] -> r
+                      | _ :: rest -> last rest
                       | [] -> assert false
                     in
-                    (primary, covers)
-                | Some _ | None -> fragment ())
+                    (last covers, covers)
+                | Some _ | None ->
+                    let piece = Splice.piece plan origin h in
+                    let r = Splice.cache_rule ~next_id:(fun () -> fresh_cache_id t) plan piece in
+                    ( r,
+                      [ (r, { pid; kind = Fragment; group = None;
+                              parts = [ { part_origin = origin.Rule.id;
+                                          part_rank = r.Rule.priority;
+                                          part_pred = piece.pred } ] }) ] ))
             | `Microflow ->
                 (* exact match on the packet's own header: always safe,
                    and under aggregation adjacent microflows merge into
                    wider exact-union blocks *)
-                let pr = Pred.exact (Classifier.schema p.table) h in
-                let r =
-                  Rule.make ~id:(next_id ()) ~priority:0 pr
-                    piece.origin.Rule.action
-                in
+                let pr = Pred.exact (Classifier.schema e.part.Partitioner.table) h in
+                let r = Rule.make ~id:(fresh_cache_id t) ~priority:0 pr origin.Rule.action in
                 ( r,
                   [ (r, { pid; kind = Exact; group = None;
-                          parts = [ { part_origin = piece.origin.Rule.id;
+                          parts = [ { part_origin = origin.Rule.id;
                                       part_rank = 0; part_pred = pr } ] }) ] )
           in
-          Some
-            {
-              action = piece.origin.Rule.action;
-              cache_rule;
-              origin_id = piece.origin.Rule.id;
-              pid;
-              installs;
-            })
-
+          Some { action = origin.Rule.action; cache_rule; origin_id = origin.Rule.id; pid; installs })
 
 let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
   let d = Tcam.insert_or_evict_entries ?idle_timeout ?hard_timeout t.cache ~now rule in
@@ -837,11 +834,6 @@ let reset t =
   t.unmatched <- 0L;
   t.misconfigured <- 0L;
   sync_occupancy t
-
-let fresh_cache_id t =
-  let i = t.next_cache_id in
-  t.next_cache_id <- i + 1;
-  i
 
 let drain_notifications t =
   let n = List.rev t.notifications in

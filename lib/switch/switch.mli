@@ -39,9 +39,16 @@ val install_partition_rules : t -> Rule.t list -> unit
     the committed bank already holds exactly these rules, in this
     order. *)
 
+(** Each held authority table comes with two structures over it, kept
+    in one entry so they cannot drift apart: the tuple-space index
+    ({!Indexed}) that packets and misses look the table up through, and
+    the splice plan ({!Splice.plan}) that {!serve_miss} builds its cache
+    rules from.  The plan is made on the table's first miss, not at
+    install, and grows per rule as misses reach it. *)
+
 val install_authority : t -> Partitioner.partition -> unit
 (** Add (or replace, by partition id) an authority table, indexing it
-    afresh. *)
+    afresh.  Any plan held for the replaced table goes with it. *)
 
 val authority_table : t -> int -> (Partitioner.partition * Indexed.t) option
 (** The authority table held for a partition id, with the index the
@@ -51,12 +58,16 @@ val patch_authority : t -> Partitioner.partition -> Rule.t list -> unit
 (** [patch_authority t p rules] replaces the table held for [p.pid] by
     [p], whose table is the held one with each of [rules] swapped in at
     an equal predicate and priority.  The held index is patched in place
-    ({!Indexed.swap}), not rebuilt.
+    ({!Indexed.swap}), not rebuilt, and so is the table's splice plan
+    ({!Splice.swap}): predicates, priorities and order are unchanged, so
+    every blocker, dependency edge and cover set it memoised stays
+    valid, and only the actions it hands out change.
     @raise Invalid_argument when no table for [p.pid] is held, or as
     {!Indexed.swap} does. *)
 
 val drop_authority : t -> int -> unit
-(** Remove the authority table for a partition id. *)
+(** Remove the authority table for a partition id, with its index and
+    plan. *)
 
 val authority_partitions : t -> Partitioner.partition list
 
@@ -148,7 +159,7 @@ type cache_kind =
 
 type cache_part = {
   part_origin : int;  (** policy rule id *)
-  part_rank : int;  (** that rule's cache priority ({!Splice.cache_priority}) *)
+  part_rank : int;  (** that rule's cache priority ({!Splice.rank}) *)
   part_pred : Pred.t;  (** the sub-region this origin contributed *)
 }
 
@@ -196,10 +207,16 @@ val serve_miss :
     [~cover_limit:n] (spliced mode only), a rule whose CacheFlow
     dependent set has at most [n] members is cached as its whole cover
     set instead of a clipped fragment: every member installs at its own
-    {!Splice.cache_priority} rank, reproducing the authority table's
+    {!Splice.rank}, reproducing the authority table's
     overlap resolution inside the cache while covering the rule's entire
     predicate.  [None] if this switch is not authority for the header (a
-    misrouted packet). *)
+    misrouted packet).
+
+    One {!Indexed.first_match} finds the origin rule; everything else is
+    read from the table's splice plan: the origin's blockers to clip
+    against, its cover set and size, and every rank.  The plan builds
+    what a miss needs on first use and keeps it, so a warm table serves
+    a miss without walking the table. *)
 
 val install_cache_rule :
   ?idle_timeout:float -> ?hard_timeout:float -> ?origin_id:int -> ?pid:int -> t ->

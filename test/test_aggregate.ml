@@ -141,8 +141,9 @@ let test_rank_priorities_pick_the_winner () =
      regardless of install order. *)
   let top = Option.get (Classifier.find chained 0) in
   let broad = Option.get (Classifier.find chained 2) in
-  let rank_top = Splice.cache_priority chained top in
-  let rank_broad = Splice.cache_priority chained broad in
+  let plan = Splice.plan (Indexed.of_classifier chained) in
+  let rank_top = Splice.rank plan top in
+  let rank_broad = Splice.rank plan broad in
   check Alcotest.int "top rank (4-rule table)" 4 rank_top;
   check Alcotest.int "broad rank" 2 rank_broad;
   let sw = Switch.create ~id:0 ~cache_capacity:8 in

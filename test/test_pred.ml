@@ -119,6 +119,55 @@ let prop_subsumes_definition =
     (fun (a, b, pt) ->
       (not (Pred.subsumes a b)) || (not (Pred.matches b pt)) || Pred.matches a pt)
 
+(* [a], a header inside it, and a [b] that, field by field, holds a
+   value of [a] or a random one: operands that overlap often, which
+   random tiny2 pairs rarely do. *)
+let gen_clip_case =
+  let open QCheck2.Gen in
+  let field_case a =
+    let inside =
+      map
+        (fun r ->
+          Int64.logor (Ternary.value a) (Int64.logand (Int64.of_int r) (Int64.lognot (Ternary.mask a))))
+        (int_bound 255)
+    in
+    let* v = inside in
+    let* w = inside in
+    let* mask = gen_point 8 in
+    let* near = frequency [ (4, return true); (1, return false) ] in
+    let* far = gen_point 8 in
+    return (v, Ternary.make ~width:8 ~value:(if near then w else far) ~mask)
+  in
+  let* a = gen_pred_tiny2 in
+  let* f1 = field_case (Pred.field a 0) in
+  let* f2 = field_case (Pred.field a 1) in
+  return
+    ( a,
+      Pred.make Schema.tiny2 [ snd f1; snd f2 ],
+      Header.make Schema.tiny2 [| fst f1; fst f2 |] )
+
+let prop_overlaps_is_inter =
+  qt "pred overlaps = inter <> None"
+    QCheck2.Gen.(oneof [ pair gen_pred_tiny2 gen_pred_tiny2; map (fun (a, b, _) -> (a, b)) gen_clip_case ])
+    (fun (a, b) -> Pred.overlaps a b = Option.is_some (Pred.inter a b))
+
+let prop_clip_is_subtract_piece =
+  qt "clip_to_holder = the subtract piece holding the header" gen_clip_case (fun (a, b, h) ->
+      Pred.matches b h
+      || Pred.equal (Pred.clip_to_holder a h b)
+           (List.find (fun q -> Pred.matches q h) (Pred.subtract a b)))
+
+let test_clip_preconditions () =
+  let a = p [ ("f1", "0000xxxx") ] and b = p [ ("f1", "00000xxx") ] in
+  let raises h b =
+    match Pred.clip_to_holder a h b with _ -> false | exception Invalid_argument _ -> true
+  in
+  let h1 v = Header.make Schema.tiny2 [| Int64.of_int v; 0L |] in
+  check Alcotest.bool "header outside a" true (raises (h1 200) b);
+  check Alcotest.bool "header inside b" true (raises (h1 3) b);
+  check Alcotest.bool "disjoint blocker leaves a whole" true
+    (Pred.equal a (Pred.clip_to_holder a (h1 3) (p [ ("f1", "1xxxxxxx") ])))
+
 let suite =
   [
     ( "pred",
@@ -137,5 +186,8 @@ let suite =
         prop_diff_nonempty_agrees;
         prop_clip_to_holder;
         prop_subsumes_definition;
+        tc "clip_to_holder preconditions" test_clip_preconditions;
+        prop_overlaps_is_inter;
+        prop_clip_is_subtract_piece;
       ] );
   ]

@@ -35,10 +35,15 @@ let prop_splice_correct_5tuple =
   qt ~count:60 "splice on 5-tuple: piece holds header, independent, same action"
     gen_acl_and_header
     (fun (policy, h) ->
-      match Splice.for_header policy h with
-      | None -> false
-      | Some piece ->
-          Pred.matches piece.Splice.pred h
+      match
+        ( Splice.for_header (Splice.plan (Indexed.of_classifier policy)) h,
+          Splice_scan.for_header policy h )
+      with
+      | None, _ | _, None -> false
+      | Some piece, Some scratch ->
+          Pred.equal piece.Splice.pred scratch.Splice.pred
+          && Rule.equal piece.Splice.origin scratch.Splice.origin
+          && Pred.matches piece.Splice.pred h
           && List.for_all
                (fun (r : Rule.t) ->
                  (not (Rule.beats r piece.Splice.origin))

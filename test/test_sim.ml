@@ -435,6 +435,37 @@ let test_hit_path_allocation () =
   if per_packet > 340. then
     Alcotest.failf "hit path allocates %.0f minor words/packet (bound 340)" per_packet
 
+(* Pins the miss path's allocation.  An authority holding every
+   partition table of a 1000-rule ACL (k = 16) serves a fixed set of
+   headers twice; the second pass, on warm splice plans, is measured
+   under aggregation's cover budget and as plain clipped fragments.
+   About 115 and 100 minor words per serve today; rebuilding the
+   dependency structure from the table on every miss costs about 2,400
+   and 900. *)
+let test_miss_path_allocation () =
+  let policy = Policy_gen.acl (Prng.create 11) { Policy_gen.default_acl with rules = 1000 } in
+  let d =
+    Deployment.build
+      ~config:{ Deployment.default_config with k = 16 }
+      ~policy ~topology:(Topology.star 4 ()) ~authority_ids:[ 1 ] ()
+  in
+  let auth = Deployment.switch d 1 in
+  let headers = Traffic.headers_for (Prng.create 12) policy 2000 in
+  let per_serve cover_limit =
+    Array.iter (fun h -> ignore (Switch.serve_miss ?cover_limit auth ~now:0. h)) headers;
+    let before = Gc.minor_words () in
+    Array.iter
+      (fun h -> if Switch.serve_miss ?cover_limit auth ~now:0. h = None then Alcotest.fail "no reply")
+      headers;
+    (Gc.minor_words () -. before) /. float_of_int (Array.length headers)
+  in
+  let covers = per_serve (Aggregate.cover_limit Aggregate.enabled_default) in
+  let fragments = per_serve None in
+  if covers > 200. then
+    Alcotest.failf "miss path allocates %.0f minor words/serve with covers (bound 200)" covers;
+  if fragments > 200. then
+    Alcotest.failf "miss path allocates %.0f minor words/serve as fragments (bound 200)" fragments
+
 let suite =
   [
     ( "engine",
@@ -463,6 +494,7 @@ let suite =
         tc "bursty arrivals" test_bursty_arrivals;
         tc "authority load balance" test_authority_stats_balanced;
         tc "hit path allocation bound" test_hit_path_allocation;
+        tc "miss path allocation bound" test_miss_path_allocation;
       ] );
     ( "cachesim",
       [

@@ -14,9 +14,12 @@ let chained =
       (0, [], Action.Drop);
     ]
 
+let plan_of c = Splice.plan (Indexed.of_classifier c)
+let chained_plan = plan_of chained
+
 let test_piece_contains_header () =
   let hdr = h 2 0 in
-  match Splice.for_header chained hdr with
+  match Splice.for_header chained_plan hdr with
   | None -> Alcotest.fail "no piece"
   | Some piece ->
       check Alcotest.bool "contains header" true (Pred.matches piece.pred hdr);
@@ -25,7 +28,7 @@ let test_piece_contains_header () =
 let test_piece_is_independent () =
   (* The spliced piece of the broad accept must avoid f1=1 (drop rule) and
      the f2>=128 slice (forward-9 rule). *)
-  match Splice.for_header chained (h 2 0) with
+  match Splice.for_header chained_plan (h 2 0) with
   | None -> Alcotest.fail "no piece"
   | Some piece ->
       check Alcotest.bool "avoids top drop" false (Pred.matches piece.pred (h 1 0));
@@ -38,21 +41,21 @@ let test_piece_is_independent () =
         (Pred.enumerate ~limit:64 piece.pred)
 
 let test_cache_rule () =
-  let piece = Option.get (Splice.for_header chained (h 2 0)) in
+  let piece = Option.get (Splice.for_header chained_plan (h 2 0)) in
   let counter = ref 100 in
   let next_id () = incr counter; !counter in
-  let r = Splice.cache_rule ~next_id chained piece in
+  let r = Splice.cache_rule ~next_id chained_plan piece in
   check Alcotest.int "fresh id" 101 r.Rule.id;
   check action "origin action" (Action.Forward 1) r.Rule.action;
   check pred "piece pred" piece.pred r.Rule.pred;
   (* the cache priority is the origin's bottom-up table rank *)
-  check Alcotest.int "rank priority" (Splice.cache_priority chained piece.origin)
+  check Alcotest.int "rank priority" (Splice.rank chained_plan piece.origin)
     r.Rule.priority;
   check Alcotest.int "broad accept ranks 2nd from bottom" 2 r.Rule.priority
 
 let test_no_match () =
   let partial = Classifier.of_specs s2 [ (1, [ ("f1", "00000001") ], Action.Drop) ] in
-  check Alcotest.bool "none" true (Option.is_none (Splice.for_header partial (h 2 0)))
+  check Alcotest.bool "none" true (Option.is_none (Splice.for_header (plan_of partial) (h 2 0)))
 
 let test_pieces_of_rule () =
   let broad = Option.get (Classifier.find chained 2) in
@@ -75,7 +78,39 @@ let test_dependent_set_cost () =
   let broad = Option.get (Classifier.find chained 2) in
   check Alcotest.int "dependent set" 3 (Splice.dependent_set_cost chained broad);
   let top = Option.get (Classifier.find chained 0) in
-  check Alcotest.int "top rule independent" 1 (Splice.dependent_set_cost chained top)
+  check Alcotest.int "top rule independent" 1 (Splice.dependent_set_cost chained top);
+  check Alcotest.int "plan closure" 3 (Splice.closure_size chained_plan broad);
+  check Alcotest.int "plan closure of top" 1 (Splice.closure_size chained_plan top)
+
+let cover_of plan r = Splice.fold_cover plan r (fun k r rank acc -> (k, r, rank) :: acc) []
+
+let test_plan_cover () =
+  (* the broad accept's cover set: both rules above it, best first, each
+     at its bottom-up rank *)
+  let broad = Option.get (Classifier.find chained 2) in
+  check
+    Alcotest.(list (triple int int int))
+    "members and ranks"
+    [ (0, 0, 4); (1, 1, 3); (2, 2, 2) ]
+    (List.map (fun (k, (r : Rule.t), rank) -> (k, r.id, rank)) (cover_of chained_plan broad));
+  (* a swap refreshes the members' actions and keeps the structure *)
+  let plan = plan_of chained in
+  let top = Option.get (Classifier.find chained 0) in
+  ignore (cover_of plan broad);
+  Splice.swap plan [ Rule.with_action top (Action.Forward 7) ];
+  check
+    Alcotest.(list action)
+    "swapped action"
+    [ Action.Forward 7; Action.Forward 9; Action.Forward 1 ]
+    (List.map (fun (_, (r : Rule.t), _) -> r.action) (cover_of plan broad))
+
+(* The plan's piece, held to the from-scratch oracle's. *)
+let piece_of c hdr =
+  let got = Splice.for_header (plan_of c) hdr in
+  match (got, Splice_scan.for_header c hdr) with
+  | Some g, Some w when Rule.equal g.origin w.origin && Pred.equal g.pred w.pred -> got
+  | None, None -> None
+  | _ -> QCheck2.Test.fail_report "plan piece differs from the from-scratch piece"
 
 (* --- properties: the DIFANE independence invariant --- *)
 
@@ -97,7 +132,7 @@ let prop_piece_semantics =
   qt "every header of a spliced piece gets the origin action"
     QCheck2.Gen.(pair gen_chain_policy gen_header_tiny2)
     (fun (c, hdr) ->
-      match Splice.for_header c hdr with
+      match piece_of c hdr with
       | None -> false (* policy is total *)
       | Some piece ->
           List.for_all
@@ -111,7 +146,7 @@ let prop_piece_independent =
   qt "spliced piece overlaps no higher-priority rule"
     QCheck2.Gen.(pair gen_chain_policy gen_header_tiny2)
     (fun (c, hdr) ->
-      match Splice.for_header c hdr with
+      match piece_of c hdr with
       | None -> false
       | Some piece ->
           List.for_all
@@ -140,6 +175,7 @@ let suite =
         tc "no match -> no piece" test_no_match;
         tc "all pieces of a rule" test_pieces_of_rule;
         tc "dependent-set cost" test_dependent_set_cost;
+        tc "plan cover set and swap" test_plan_cover;
         prop_piece_semantics;
         prop_piece_independent;
         prop_pieces_cover_effective_region;

@@ -236,6 +236,141 @@ let prop_cache_never_lies =
                   Action.equal reply.Switch.action expected))
         headers)
 
+(* ---- plan-served misses against from-scratch splicing ---- *)
+
+let part_equal (a : Switch.cache_part) (b : Switch.cache_part) =
+  a.part_origin = b.part_origin && a.part_rank = b.part_rank && Pred.equal a.part_pred b.part_pred
+
+let meta_equal (a : Switch.cache_meta) (b : Switch.cache_meta) =
+  a.pid = b.pid && a.kind = b.kind && a.group = b.group && List.equal part_equal a.parts b.parts
+
+(* action, origin, pid, the primary rule, and every install's rule and
+   meta — the group tag carries the member ids in install order *)
+let reply_equal (a : Switch.miss_reply) (b : Switch.miss_reply) =
+  Action.equal a.action b.action && a.origin_id = b.origin_id && a.pid = b.pid
+  && Rule.equal a.cache_rule b.cache_rule
+  && List.equal (fun (r, m) (r', m') -> Rule.equal r r' && meta_equal m m') a.installs b.installs
+
+let modes = [ (`Spliced, None); (`Spliced, Some 4); (`Microflow, None) ]
+
+(* Every switch serves every header under every mode; each reply must be
+   the one the oracle splices from scratch out of the tables the switch
+   holds, cache-rule ids included. *)
+let serves_match_scratch d headers =
+  Array.for_all
+    (fun sw ->
+      List.for_all
+        (fun hd ->
+          List.for_all
+            (fun (mode, cover_limit) ->
+              let c = ref (Switch.fresh_cache_id sw) in
+              let next_id () = incr c; !c in
+              let want =
+                Splice_scan.serve_miss ~mode ?cover_limit ~next_id (Switch.authority_partitions sw) hd
+              in
+              match (Switch.serve_miss ~mode ?cover_limit sw ~now:0. hd, want) with
+              | Some got, Some want -> reply_equal got want
+              | None, None -> true
+              | _ -> false)
+            modes)
+        headers)
+    (Deployment.switches d)
+
+type plan_case = {
+  policy : Classifier.t;
+  k : int;
+  headers : Header.t list;
+  recoloured : int list; (* rule positions whose action changes *)
+  moved : int list; (* rule positions whose priority changes *)
+}
+
+let gen_tiny2_policy =
+  let open QCheck2.Gen in
+  let* n = int_range 2 10 in
+  let* specs = list_repeat n (pair (int_bound 10) gen_pred_tiny2) in
+  let rules =
+    Rule.make ~id:n ~priority:(-1) (Pred.any s2) (Action.Forward 0)
+    :: List.mapi
+         (fun i (pr, pd) ->
+           Rule.make ~id:i ~priority:pr pd (if i mod 2 = 0 then Action.Drop else Action.Forward i))
+         specs
+  in
+  let* headers = list_size (int_range 4 12) gen_header_tiny2 in
+  return (Classifier.create s2 rules, headers)
+
+let gen_acl_policy =
+  let open QCheck2.Gen in
+  let* seed = int_bound 10_000 in
+  let* rules = int_range 15 40 in
+  let* salt = int_bound 1_000_000 in
+  let policy =
+    Policy_gen.acl (Prng.create seed)
+      { Policy_gen.default_acl with rules; chains = 4; chain_depth = 4 }
+  in
+  return (policy, Array.to_list (Traffic.headers_for (Prng.create salt) policy 10))
+
+let gen_plan_case =
+  let open QCheck2.Gen in
+  let* policy, headers = oneof [ gen_tiny2_policy; gen_acl_policy ] in
+  let* k = int_range 1 4 in
+  let* recoloured = list_size (int_range 1 6) (int_bound 1000) in
+  let* moved = list_size (int_bound 2) (int_bound 1000) in
+  return { policy; k; headers; recoloured; moved }
+
+(* The policy with the picked rules' actions changed and the other picks'
+   priorities raised: no predicate changes, so the update keeps the
+   layout and patches or rebuilds tables in place. *)
+let edited c =
+  let rules = Classifier.rules c.policy in
+  let n = List.length rules in
+  let picked l i = List.exists (fun j -> j mod n = i) l in
+  Classifier.create (Classifier.schema c.policy)
+    (List.mapi
+       (fun i (r : Rule.t) ->
+         let r = if picked c.recoloured i then Rule.with_action r (Action.Forward (100 + i)) else r in
+         if picked c.moved i then Rule.make ~id:r.id ~priority:(r.priority + 3) r.pred r.action
+         else r)
+       rules)
+
+let test_plan_equals_scratch () =
+  let swapped_warm = ref 0 and rebuilt = ref 0 in
+  let prop c =
+    let d =
+      Deployment.build
+        ~config:{ Deployment.default_config with k = c.k }
+        ~policy:c.policy ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
+    in
+    (* the first round of serves builds the plans the update must keep *)
+    let before_ok = serves_match_scratch d c.headers in
+    let held =
+      Array.map
+        (fun sw ->
+          List.map
+            (fun (p : Partitioner.partition) -> (p, snd (Option.get (Switch.authority_table sw p.pid))))
+            (Switch.authority_partitions sw))
+        (Deployment.switches d)
+    in
+    let d = Deployment.update_policy d ~now:1. (edited c) in
+    Array.iteri
+      (fun i sw ->
+        List.iter
+          (fun ((p : Partitioner.partition), idx) ->
+            match Switch.authority_table sw p.pid with
+            | Some (p', idx')
+              when not (List.equal Rule.equal (Classifier.rules p.table) (Classifier.rules p'.table)) ->
+                if idx' != idx then incr rebuilt
+                else if List.exists (Pred.matches p.region) c.headers then incr swapped_warm
+            | Some _ | None -> ())
+          held.(i))
+      (Deployment.switches d);
+    before_ok && serves_match_scratch d c.headers
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 21 |])
+    (QCheck2.Test.make ~count:250 ~name:"plan-served miss = from-scratch splice" gen_plan_case prop);
+  (* both update paths ran on tables with plans, many times over *)
+  if !swapped_warm < 50 || !rebuilt < 50 then
+    Alcotest.failf "coverage: %d swapped tables with warm plans, %d rebuilt" !swapped_warm !rebuilt
+
 let suite =
   [
     ( "switch",
@@ -253,5 +388,6 @@ let suite =
         tc "replace emits flow-removed" test_replace_notification;
         tc "misconfigured partition rule" test_misconfigured_partition_rule;
         prop_cache_never_lies;
+        tc "plan-served miss = from-scratch splice" test_plan_equals_scratch;
       ] );
   ]

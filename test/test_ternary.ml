@@ -142,6 +142,45 @@ let prop_size_counts =
   qt "size = number of enumerated points" (gen_ternary ())
     (fun a -> int_of_float (Ternary.size a) = List.length (Ternary.enumerate ~limit:4096 a))
 
+(* A value inside [a], and an operand [b] that contains a value of [a]
+   (so overlaps it) or not, as the coin says: random pairs of 8-bit
+   ternaries overlap only about one time in eight. *)
+let gen_point_in a =
+  QCheck2.Gen.map
+    (fun r -> Int64.logor (Ternary.value a) (Int64.logand (Int64.of_int r) (Int64.lognot (Ternary.mask a))))
+    (QCheck2.Gen.int_bound 255)
+
+let gen_clip_case =
+  let open QCheck2.Gen in
+  let* a = gen_ternary () in
+  let* v = gen_point_in a in
+  let* inside = gen_point_in a in
+  let* mask = gen_point 8 in
+  let* near = bool in
+  let* far = gen_point 8 in
+  let b = Ternary.make ~width:8 ~value:(if near then inside else far) ~mask in
+  return (a, b, v)
+
+let prop_overlaps_is_inter =
+  qt "overlaps = inter <> None"
+    QCheck2.Gen.(oneof [ pair (gen_ternary ()) (gen_ternary ()); map (fun (a, b, _) -> (a, b)) gen_clip_case ])
+    (fun (a, b) -> Ternary.overlaps a b = Option.is_some (Ternary.inter a b))
+
+let prop_piece_holding =
+  qt "piece_holding = the subtract piece holding the value" gen_clip_case (fun (a, b, v) ->
+      if Ternary.matches b v then
+        match Ternary.piece_holding a b v with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      else
+        Ternary.equal (Ternary.piece_holding a b v)
+          (List.find (fun q -> Ternary.matches q v) (Ternary.subtract a b)))
+
+let test_overlaps_width_mismatch () =
+  match Ternary.overlaps (Ternary.any 8) (Ternary.any 4) with
+  | _ -> Alcotest.fail "width mismatch accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "ternary",
@@ -166,5 +205,8 @@ let suite =
         prop_subsumes_iff_subtract_empty;
         prop_split_partitions;
         prop_size_counts;
+        tc "overlaps rejects a width mismatch" test_overlaps_width_mismatch;
+        prop_overlaps_is_inter;
+        prop_piece_holding;
       ] );
   ]
