@@ -85,20 +85,6 @@ let is_any t = Array.for_all Ternary.is_any t.fields
 let size_log2 t = Array.fold_left (fun acc f -> acc + Ternary.wildcard_bits f) 0 t.fields
 let size t = Float.pow 2. (float_of_int (size_log2 t))
 
-let inter a b =
-  let n = Array.length a.fields in
-  let out = Array.make n a.fields.(0) in
-  let rec go i =
-    if i >= n then Some { a with fields = out }
-    else
-      match Ternary.inter a.fields.(i) b.fields.(i) with
-      | None -> None
-      | Some f ->
-          out.(i) <- f;
-          go (i + 1)
-  in
-  go 0
-
 (* [inter a b <> None], field by field, allocating nothing (a local
    [go] closing over [a] and [b] would allocate its closure per call); a
    width mismatch raises as in [inter], up to the first disjoint field. *)
@@ -107,6 +93,14 @@ let rec overlaps_from a b i =
   || (Ternary.overlaps a.fields.(i) b.fields.(i) && overlaps_from a b (i + 1))
 
 let overlaps a b = overlaps_from a b 0
+
+(* The overlap test runs first, so a disjoint pair (most pairs when a
+   policy is clipped to many regions) returns [None] without allocating;
+   once it passes, every field's intersection exists. *)
+let inter a b =
+  if not (overlaps_from a b 0) then None
+  else
+    Some { a with fields = Array.mapi (fun i f -> Option.get (Ternary.inter f b.fields.(i))) a.fields }
 
 let subsumes a b = Array.for_all2 Ternary.subsumes a.fields b.fields
 

@@ -14,54 +14,87 @@ type t = {
    overlapping it (unclipped — clipping happens once at the end). *)
 type leaf = { region : Pred.t; rules : Rule.t list; count : int }
 
-let leaf_of region rules =
-  let rules = List.filter (fun (r : Rule.t) -> Pred.overlaps r.pred region) rules in
-  { region; rules; count = List.length rules }
+(* Cut scoring by bit tests (see the interface).  Every rule of a leaf
+   overlaps the leaf's region, so it reaches the child on one side of a
+   cut exactly when its own bit at the cut is a wildcard or that side's
+   value.  [scores] holds three slots per field: the candidate's bit (the
+   field's most significant wildcard bit, or -1 when the field is not
+   cut), and the rules reaching the low and the high child. *)
+let bit_slot fi = 3 * fi
+let lo_slot fi = (3 * fi) + 1
+let hi_slot fi = (3 * fi) + 2
 
-(* Candidate cuts of a region: for each field, the most significant
-   wildcard bit.  Cutting at the MSB wildcard halves the region along the
-   coarsest granularity, mirroring the paper's top-down splitting. *)
-let candidate_cuts region =
-  List.filter_map
-    (fun fi ->
-      match Ternary.first_wildcard_msb (Pred.field region fi) with
-      | Some bit -> Some (fi, bit)
-      | None -> None)
-    (List.init (Pred.arity region) (fun i -> i))
+let rec count_sides scores n = function
+  | [] -> ()
+  | (r : Rule.t) :: rest ->
+      for fi = 0 to n - 1 do
+        let bit = scores.(bit_slot fi) in
+        if bit >= 0 then
+          match Ternary.bit (Pred.field r.pred fi) bit with
+          | `Any ->
+              scores.(lo_slot fi) <- scores.(lo_slot fi) + 1;
+              scores.(hi_slot fi) <- scores.(hi_slot fi) + 1
+          | `Zero -> scores.(lo_slot fi) <- scores.(lo_slot fi) + 1
+          | `One -> scores.(hi_slot fi) <- scores.(hi_slot fi) + 1
+      done;
+      count_sides scores n rest
 
-(* Cost of a cut: (max child size, total size).  Lexicographic: balance
-   first, duplication second. *)
-let cut_cost leaf (fi, bit) =
-  match Pred.split leaf.region fi bit with
-  | None -> None
-  | Some (lo, hi) ->
-      let n_lo =
-        List.length (List.filter (fun (r : Rule.t) -> Pred.overlaps r.pred lo) leaf.rules)
-      in
-      let n_hi =
-        List.length (List.filter (fun (r : Rule.t) -> Pred.overlaps r.pred hi) leaf.rules)
-      in
-      Some ((max n_lo n_hi, n_lo + n_hi), (lo, hi))
+type cut = { fi : int; bit : int; n_lo : int; n_hi : int }
 
+(* The best cut of a leaf: lexicographically least (max child size,
+   total size) — balance first, duplication second — and the first
+   candidate (lowest field) on a tie. *)
 let best_cut heuristic leaf =
-  let cuts =
-    match heuristic with
-    | Best_cut -> candidate_cuts leaf.region
-    | Fixed_dimension fi -> (
-        match Ternary.first_wildcard_msb (Pred.field leaf.region fi) with
-        | Some bit -> [ (fi, bit) ]
-        | None -> [])
+  let n = Pred.arity leaf.region in
+  let scores = Array.make (3 * n) (-1) in
+  let consider fi =
+    match Ternary.first_wildcard_msb (Pred.field leaf.region fi) with
+    | Some bit ->
+        scores.(bit_slot fi) <- bit;
+        scores.(lo_slot fi) <- 0;
+        scores.(hi_slot fi) <- 0
+    | None -> ()
   in
-  let scored = List.filter_map (cut_cost leaf) cuts in
-  match scored with
-  | [] -> None
-  | first :: rest ->
-      let better (c1, _) (c2, _) = compare c1 c2 < 0 in
-      Some (snd (List.fold_left (fun acc x -> if better x acc then x else acc) first rest))
+  (match heuristic with
+  | Best_cut -> for fi = 0 to n - 1 do consider fi done
+  | Fixed_dimension fi -> consider fi);
+  count_sides scores n leaf.rules;
+  let best = ref (-1) and best_max = ref 0 and best_total = ref 0 in
+  for fi = 0 to n - 1 do
+    if scores.(bit_slot fi) >= 0 then begin
+      let n_lo = scores.(lo_slot fi) and n_hi = scores.(hi_slot fi) in
+      let m = max n_lo n_hi and total = n_lo + n_hi in
+      if !best < 0 || m < !best_max || (m = !best_max && total < !best_total) then begin
+        best := fi;
+        best_max := m;
+        best_total := total
+      end
+    end
+  done;
+  if !best < 0 then None
+  else
+    let fi = !best in
+    Some { fi; bit = scores.(bit_slot fi); n_lo = scores.(lo_slot fi); n_hi = scores.(hi_slot fi) }
 
-(* Greedy growth: repeatedly split the leaf chosen by [pick] until [stop]
-   says the forest is good enough or nothing productive is left to cut.
-   [pick] only considers leaves for which [eligible] holds. *)
+(* The two halves of [region] at [c], whose bit is a wildcard of it. *)
+let halves region c = Option.get (Pred.split region c.fi c.bit)
+
+(* The two children of a leaf cut at [c], each keeping the leaf's rule
+   order: a rule reaches the side its bit names, or both on a wildcard. *)
+let split_leaf leaf c =
+  let reaches one (r : Rule.t) =
+    match Ternary.bit (Pred.field r.pred c.fi) c.bit with
+    | `Any -> true
+    | `Zero -> not one
+    | `One -> one
+  in
+  let lo, hi = halves leaf.region c in
+  ( { region = lo; rules = List.filter (reaches false) leaf.rules; count = c.n_lo },
+    { region = hi; rules = List.filter (reaches true) leaf.rules; count = c.n_hi } )
+
+(* Greedy growth: repeatedly split the fullest leaf with a cut left until
+   [stop] says the forest is good enough or nothing is left to cut.  Only
+   leaves for which [eligible] holds are split. *)
 let grow_until ~heuristic ~stop ~eligible start =
   let rec grow leaves n_leaves =
     if stop leaves n_leaves then leaves
@@ -75,8 +108,9 @@ let grow_until ~heuristic ~stop ~eligible start =
         | [] -> None (* nothing splittable *)
         | leaf :: rest -> (
             match best_cut heuristic leaf with
-            | Some (lo, hi) ->
-                Some (leaf_of lo leaf.rules :: leaf_of hi leaf.rules :: (tried @ rest))
+            | Some c ->
+                let lo, hi = split_leaf leaf c in
+                Some (lo :: hi :: (tried @ rest))
             | None -> try_split (leaf :: tried) rest)
       in
       match try_split [] sorted with
@@ -85,29 +119,19 @@ let grow_until ~heuristic ~stop ~eligible start =
   in
   grow start (List.length start)
 
-let compute_generic ~heuristic classifier ~stop ~eligible =
-  let rules = Classifier.rules classifier in
-  if rules = [] then invalid_arg "Partitioner.compute: empty classifier";
-  let schema = Classifier.schema classifier in
-  let leaves =
-    grow_until ~heuristic ~stop ~eligible [ leaf_of (Pred.any schema) rules ]
+let clip_table schema rules region =
+  let clipped =
+    List.filter_map
+      (fun (r : Rule.t) ->
+        Option.map (Rule.with_pred r) (Pred.inter r.pred region))
+      rules
   in
-  let partitions =
-    List.mapi
-      (fun pid leaf ->
-        let clipped =
-          List.filter_map
-            (fun (r : Rule.t) ->
-              Option.map (Rule.with_pred r) (Pred.inter r.pred leaf.region))
-            leaf.rules
-        in
-        { pid; region = leaf.region; table = Classifier.create schema clipped })
-      leaves
-  in
+  Classifier.create schema clipped
+
+let of_partitions heuristic ~source_rules partitions =
   let sizes = List.map (fun (p : partition) -> Classifier.length p.table) partitions in
   let total_entries = List.fold_left ( + ) 0 sizes in
   let max_entries = List.fold_left max 0 sizes in
-  let source_rules = List.length rules in
   {
     partitions;
     heuristic;
@@ -116,6 +140,19 @@ let compute_generic ~heuristic classifier ~stop ~eligible =
     max_entries;
     duplication = float_of_int total_entries /. float_of_int source_rules;
   }
+
+let compute_generic ~heuristic classifier ~stop ~eligible =
+  let rules = Classifier.rules classifier in
+  if rules = [] then invalid_arg "Partitioner.compute: empty classifier";
+  let schema = Classifier.schema classifier in
+  (* every rule overlaps the whole flowspace *)
+  let root = { region = Pred.any schema; rules; count = List.length rules } in
+  let leaves = grow_until ~heuristic ~stop ~eligible [ root ] in
+  of_partitions heuristic ~source_rules:root.count
+    (List.mapi
+       (fun pid leaf ->
+         { pid; region = leaf.region; table = clip_table schema leaf.rules leaf.region })
+       leaves)
 
 let compute ?(heuristic = Best_cut) classifier ~k =
   if k < 1 then invalid_arg "Partitioner.compute: k must be >= 1";
@@ -131,38 +168,15 @@ let compute_bounded ?(heuristic = Best_cut) ?(max_partitions = 4096) classifier
       n >= max_partitions || List.for_all (fun l -> l.count <= max_entries) leaves)
     ~eligible:(fun l -> l.count > max_entries)
 
-let clip_table schema rules region =
-  let clipped =
-    List.filter_map
-      (fun (r : Rule.t) ->
-        Option.map (Rule.with_pred r) (Pred.inter r.pred region))
-      rules
-  in
-  Classifier.create schema clipped
-
 let refit t classifier ~regions =
   let rules = Classifier.rules classifier in
   if rules = [] then invalid_arg "Partitioner.refit: empty classifier";
   if regions = [] then invalid_arg "Partitioner.refit: no regions";
   let schema = Classifier.schema classifier in
-  let partitions =
-    List.map
-      (fun (pid, region) ->
-        { pid; region; table = clip_table schema rules region })
-      regions
-  in
-  let sizes = List.map (fun (p : partition) -> Classifier.length p.table) partitions in
-  let total_entries = List.fold_left ( + ) 0 sizes in
-  let max_entries = List.fold_left max 0 sizes in
-  let source_rules = List.length rules in
-  {
-    partitions;
-    heuristic = t.heuristic;
-    source_rules;
-    total_entries;
-    max_entries;
-    duplication = float_of_int total_entries /. float_of_int source_rules;
-  }
+  of_partitions t.heuristic ~source_rules:(List.length rules)
+    (List.map
+       (fun (pid, region) -> { pid; region; table = clip_table schema rules region })
+       regions)
 
 let patch t edit =
   let swapped = ref [] in
@@ -199,10 +213,16 @@ let split_region t classifier ~pid =
   match List.find_opt (fun (p : partition) -> p.pid = pid) t.partitions with
   | None -> None
   | Some p -> (
-      let leaf = leaf_of p.region (Classifier.rules classifier) in
+      let rules =
+        List.filter
+          (fun (r : Rule.t) -> Pred.overlaps r.pred p.region)
+          (Classifier.rules classifier)
+      in
+      let leaf = { region = p.region; rules; count = List.length rules } in
       match best_cut t.heuristic leaf with
       | None -> None
-      | Some (lo, hi) ->
+      | Some c ->
+          let lo, hi = halves p.region c in
           let base = max_pid t in
           Some ((base + 1, lo), (base + 2, hi)))
 

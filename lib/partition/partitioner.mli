@@ -9,6 +9,16 @@
     HiCuts): it repeatedly splits the fullest region along the cut that
     best balances the two halves while duplicating the fewest rules.
 
+    The cut search counts by bit tests.  A leaf's candidate cuts are each
+    field's most significant wildcard bit.  Every rule of a leaf overlaps
+    the leaf's region, and ternary overlap is independent per bit, so a
+    rule overlaps the child on one side of a cut exactly when its own bit
+    at the cut is a wildcard or equals that side's value.  One pass over
+    the leaf's rules counts both children of every candidate at once; the
+    cut with the least (max child, total) wins, the lowest field on a
+    tie, and the chosen leaf's rules are split into its two children
+    keeping their order.  No child region is built to score a cut.
+
     Invariants (property-tested):
     {ul
     {- regions are pairwise disjoint and cover the whole flowspace;}

@@ -329,10 +329,6 @@ let apply_edit (rules, next_id) e =
       let r = pick i in
       (List.filter (fun (x : Rule.t) -> x.id <> r.id) rules, next_id)
 
-let same_partition (a : Partitioner.partition) (b : Partitioner.partition) =
-  a.pid = b.pid && Pred.equal a.region b.region
-  && List.equal Rule.equal (Classifier.rules a.table) (Classifier.rules b.table)
-
 (* Everything a from-scratch re-partition of [policy] would leave: its
    partitioner, greedy assignment, tables at exactly the replicas, and
    partition banks; each table agrees with the policy in its region

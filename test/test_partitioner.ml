@@ -134,6 +134,128 @@ let prop_total_entries_consistent =
       r.total_entries = List.fold_left ( + ) 0 sizes
       && r.max_entries = List.fold_left max 0 sizes)
 
+(* --- the bit-test cut search against the list-based oracle --- *)
+
+let same_result (a : Partitioner.t) (b : Partitioner.t) =
+  List.equal same_partition a.partitions b.partitions
+  && a.heuristic = b.heuristic && a.source_rules = b.source_rules
+  && a.total_entries = b.total_entries && a.max_entries = b.max_entries
+  && Float.equal a.duplication b.duplication
+
+let same_split a b =
+  match (a, b) with
+  | None, None -> true
+  | Some ((l, lo), (h, hi)), Some ((l', lo'), (h', hi')) ->
+      l = l' && h = h' && Pred.equal lo lo' && Pred.equal hi hi'
+  | _ -> false
+
+(* Every [split_region] of [t], plus an unknown pid. *)
+let splits_agree t c =
+  List.for_all
+    (fun pid ->
+      same_split (Partitioner.split_region t c ~pid) (Partition_scan.split_region t c ~pid))
+    (-1 :: List.map (fun (p : Partitioner.partition) -> p.pid) t.partitions)
+
+(* Fields mixing wildcards, prefixes and scattered bits, so cuts at the
+   top wildcard bit see rules on either side and on both. *)
+let gen_field width =
+  let open QCheck2.Gen in
+  let* value = int64 in
+  let* mask = int64 in
+  frequency
+    [
+      (3, return (Ternary.any width));
+      (4, map (fun len -> Ternary.prefix ~width value len) (int_bound width));
+      (2, return (Ternary.make ~width ~value ~mask));
+    ]
+
+type call =
+  | Compute of int  (* k *)
+  | Bounded of int * int  (* max_entries, max_partitions *)
+  | Split of int  (* every region of the k-way partition *)
+
+type oracle_case = { policy : Classifier.t; heuristic : Partitioner.heuristic; call : call }
+
+let gen_oracle_case =
+  let open QCheck2.Gen in
+  let* schema = oneofl [ s2; Schema.acl_5tuple; Schema.openflow_basic ] in
+  let arity = Schema.arity schema in
+  let gen_pred =
+    map (Pred.make schema)
+      (flatten_l (List.init arity (fun i -> gen_field (Schema.field_bits schema i))))
+  in
+  let* n = int_range 1 40 in
+  let* specs = list_repeat n (pair (int_bound 10) gen_pred) in
+  let policy =
+    Classifier.create schema
+      (List.mapi (fun i (pr, pd) -> Rule.make ~id:i ~priority:pr pd (Action.Forward i)) specs)
+  in
+  let* heuristic =
+    frequency
+      [
+        (3, return Partitioner.Best_cut);
+        (1, map (fun fi -> Partitioner.Fixed_dimension fi) (int_bound (arity - 1)));
+      ]
+  in
+  let* call =
+    oneof
+      [
+        map (fun k -> Compute k) (int_range 1 32);
+        map2 (fun m p -> Bounded (m, p)) (int_range 1 8) (int_range 1 64);
+        map (fun k -> Split k) (int_range 1 16);
+      ]
+  in
+  return { policy; heuristic; call }
+
+let print_oracle_case c =
+  Format.asprintf "%s %s@.%a"
+    (match c.heuristic with
+    | Partitioner.Best_cut -> "best-cut"
+    | Partitioner.Fixed_dimension fi -> Printf.sprintf "fixed %d" fi)
+    (match c.call with
+    | Compute k -> Printf.sprintf "compute k=%d" k
+    | Bounded (m, p) -> Printf.sprintf "bounded max_entries=%d max_partitions=%d" m p
+    | Split k -> Printf.sprintf "split_region over k=%d" k)
+    (Format.pp_print_list Rule.pp) (Classifier.rules c.policy)
+
+let matches_oracle { policy; heuristic; call } =
+  match call with
+  | Compute k ->
+      same_result (Partitioner.compute ~heuristic policy ~k)
+        (Partition_scan.compute ~heuristic policy ~k)
+  | Bounded (max_entries, max_partitions) ->
+      same_result
+        (Partitioner.compute_bounded ~heuristic ~max_partitions policy ~max_entries)
+        (Partition_scan.compute_bounded ~heuristic ~max_partitions policy ~max_entries)
+  | Split k -> splits_agree (Partitioner.compute ~heuristic policy ~k) policy
+
+let test_oracle_property () =
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 22 |])
+    (QCheck2.Test.make ~count:400 ~name:"bit-test cut search = list-based oracle"
+       ~print:print_oracle_case gen_oracle_case matches_oracle)
+
+(* policy-churn's rule set: the 2,000-rule ACL at k = 16 *)
+let acl_2000 = lazy (Policy_gen.acl (Prng.create 2010) { Policy_gen.default_acl with rules = 2000 })
+
+let test_oracle_acl () =
+  let c = Lazy.force acl_2000 in
+  let t = Partitioner.compute c ~k:16 in
+  check Alcotest.bool "compute = oracle" true (same_result t (Partition_scan.compute c ~k:16));
+  check Alcotest.bool "split_region = oracle" true (splits_agree t c)
+
+(* Pins [compute]'s allocation on that ACL.  About 330k minor words
+   today, most of it clipping and building the tables; building both
+   child regions and filtering the rules through them for every
+   candidate cut made it 533k. *)
+let test_compute_allocation () =
+  let c = Lazy.force acl_2000 in
+  ignore (Partitioner.compute c ~k:16);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Partitioner.compute c ~k:16));
+  let words = Gc.minor_words () -. before in
+  if words > 420_000. then
+    Alcotest.failf "compute allocates %.0f minor words (bound 420,000)" words
+
 let suite =
   [
     ( "partitioner",
@@ -149,5 +271,8 @@ let suite =
         prop_disjoint_cover;
         prop_semantics_preserved;
         prop_total_entries_consistent;
+        tc "bit-test cut search = list-based oracle" test_oracle_property;
+        tc "2,000-rule ACL at k=16 = oracle" test_oracle_acl;
+        tc "compute allocation bound" test_compute_allocation;
       ] );
   ]

@@ -168,6 +168,30 @@ let test_clip_preconditions () =
   check Alcotest.bool "disjoint blocker leaves a whole" true
     (Pred.equal a (Pred.clip_to_holder a (h1 3) (p [ ("f1", "1xxxxxxx") ])))
 
+(* A disjoint pair is told apart by the overlap test alone: [inter]
+   builds no field array for it.  These two differ only in their last
+   field, so the test walks every field first. *)
+let test_inter_disjoint_allocates_nothing () =
+  let s5 = Schema.acl_5tuple in
+  let a = Pred.of_fields s5 [ ("src_ip", Ternary.of_ipv4 "10.0.0.0/8"); ("proto", Ternary.exact ~width:8 6L) ]
+  and b = Pred.of_fields s5 [ ("src_ip", Ternary.of_ipv4 "10.1.0.0/16"); ("proto", Ternary.exact ~width:8 17L) ] in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    match Pred.inter a b with None -> () | Some _ -> Alcotest.fail "disjoint pair intersects"
+  done;
+  check (Alcotest.float 0.) "minor words" 0. (Gc.minor_words () -. before);
+  (* an overlapping pair still intersects *)
+  check Alcotest.bool "overlapping pair" true
+    (Option.is_some (Pred.inter a (Pred.of_fields s5 [ ("dst_port", Ternary.exact ~width:16 80L) ])));
+  (* a width mismatch raises whichever operand is the wider *)
+  let t = p [ ("f1", "1xxxxxxx") ] in
+  List.iter
+    (fun (x, y) ->
+      match Pred.inter x y with
+      | _ -> Alcotest.fail "width mismatch accepted"
+      | exception Invalid_argument _ -> ())
+    [ (t, a); (a, t) ]
+
 let suite =
   [
     ( "pred",
@@ -176,6 +200,7 @@ let suite =
         tc "named fields default to wildcard" test_of_fields_default_wild;
         tc "named construction errors" test_named_errors;
         tc "inter / subsumes" test_inter_subsumes;
+        tc "disjoint inter allocates nothing" test_inter_disjoint_allocates_nothing;
         tc "tuple subtraction" test_subtract_tuple;
         tc "split" test_split;
         tc "enumerate" test_enumerate;

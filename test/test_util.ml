@@ -44,3 +44,8 @@ let ternary = Alcotest.testable Ternary.pp Ternary.equal
 let pred = Alcotest.testable Pred.pp Pred.equal
 let header = Alcotest.testable Header.pp Header.equal
 let action = Alcotest.testable Action.pp Action.equal
+
+(* Partitions equal pid, region and table rule for rule. *)
+let same_partition (a : Partitioner.partition) (b : Partitioner.partition) =
+  a.pid = b.pid && Pred.equal a.region b.region
+  && List.equal Rule.equal (Classifier.rules a.table) (Classifier.rules b.table)
