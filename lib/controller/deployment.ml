@@ -12,7 +12,6 @@ type config = {
   replication : int;
   cache_mode : [ `Spliced | `Microflow ];
   tunnel_to : [ `Primary | `Nearest_replica ];
-  authority_tcam : int option;
   congestion : Congestion.config;
   aggregation : Aggregate.config;
 }
@@ -28,7 +27,6 @@ let default_config =
     replication = 1;
     cache_mode = `Spliced;
     tunnel_to = `Primary;
-    authority_tcam = None;
     congestion = Congestion.default;
     aggregation = Aggregate.default;
   }
@@ -151,29 +149,6 @@ let build ?(config = default_config) ?(install : bool = true) ~policy ~topology
       computed_layout = true; last_update = { changed = []; kept_layout = false };
       last_new_installs = 0; last_new_primary_installs = 0 }
   in
-  (match config.authority_tcam with
-  | None -> ()
-  | Some budget ->
-      List.iter
-        (fun a ->
-          let usage =
-            List.fold_left
-              (fun acc pid ->
-                let p =
-                  List.find
-                    (fun (p : Partitioner.partition) -> p.pid = pid)
-                    partitioner.Partitioner.partitions
-                in
-                acc + Classifier.length p.table)
-              0 (Assignment.hosted_by assignment a)
-          in
-          if usage > budget then
-            invalid_arg
-              (Printf.sprintf
-                 "Deployment.build: authority %d needs %d TCAM entries (budget %d); \
-                  raise k or use Partitioner.compute_bounded"
-                 a usage budget))
-        authority_ids);
   if install then install_all d;
   d
 

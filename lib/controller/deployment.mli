@@ -38,12 +38,6 @@ type config = {
           installs per-ingress partition rules; with replication >= 2
           this converts authority placement spread into shorter
           detours) *)
-  authority_tcam : int option;
-      (** per-authority-switch TCAM budget for authority tables.  When
-          set, [build] verifies the partitioning fits (every switch's
-          hosted tables sum within budget) and raises otherwise —
-          undersized budgets should be fixed with a larger [k] or
-          {!Partitioner.compute_bounded}, not discovered in production. *)
   congestion : Congestion.config;
       (** the data-plane congestion model ({!Congestion.default} = off:
           infinite buffers, zero serialization — the legacy walk,

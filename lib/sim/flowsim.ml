@@ -96,12 +96,10 @@ module Fvec = struct
 
   let to_array t = Array.sub t.a 0 t.n
 
-  let iter f t =
-    for i = 0 to t.n - 1 do
-      f t.a.(i)
+  let append dst src =
+    for i = 0 to src.n - 1 do
+      push dst src.a.(i)
     done
-
-  let append dst src = iter (push dst) src
 end
 
 type acc = {
@@ -114,14 +112,18 @@ type acc = {
   mutable first_delivery : float;
   mutable last_delivery : float;
   delays : Fvec.t;
-  fd_starts : Fvec.t;  (* flow_delays, split into parallel lanes *)
-  fd_delays : Fvec.t;
+  starts : Fvec.t;  (* the flow start of each [delays] entry *)
   miss_delays : Fvec.t;
   stretches : Fvec.t;
   mutable degraded : int;
   mutable install_drops : int;
   mutable outage : int;
   mutable backpressured : int;
+  mutable queue_drops : int;
+  mutable ecn_marks : int;
+  mutable authority_stats : authority_stat list;
+  mirrored : int array;  (* each registry counter's value at the last [mirror] *)
+  mutable observed : int;  (* [delays] entries the histogram has seen *)
 }
 
 let fresh_acc () =
@@ -135,33 +137,46 @@ let fresh_acc () =
     first_delivery = infinity;
     last_delivery = 0.;
     delays = Fvec.create ();
-    fd_starts = Fvec.create ();
-    fd_delays = Fvec.create ();
+    starts = Fvec.create ();
     miss_delays = Fvec.create ();
     stretches = Fvec.create ();
     degraded = 0;
     install_drops = 0;
     outage = 0;
     backpressured = 0;
+    queue_drops = 0;
+    ecn_marks = 0;
+    authority_stats = [];
+    mirrored = Array.make 8 0;
+    observed = 0;
   }
 
-(* Fold one run's (or shard's) tallies into the registry, once, after the
-   event loop drains.  Every operation is a commutative atomic add, so
-   worker domains mirroring concurrently produce the same final registry
-   values as any serial order — and the packet hot path pays nothing. *)
-let mirror_registry acc =
-  Telemetry.add m_delivered acc.delivered;
-  Telemetry.add m_cache_hits acc.cache_hits;
-  Telemetry.add m_completed acc.completed;
-  Telemetry.add m_dropped acc.dropped;
-  Telemetry.add m_degraded acc.degraded;
-  Telemetry.add m_install_drops acc.install_drops;
-  Telemetry.add m_outage_drops acc.outage;
-  Telemetry.add m_backpressured acc.backpressured;
-  Fvec.iter (Telemetry.observe h_first_packet) acc.delays
+(* Add to the registry what it has not yet seen of [acc].  The packet
+   path only bumps [acc]; a run mirrors where the registry can be read
+   mid-run (before the monitor observes a packet, before each controller
+   tick) and once when it drains, so every read sees the tallies so far.
+   Every operation is a commutative atomic add, so worker domains
+   mirroring concurrently produce the same final registry values as any
+   serial order. *)
+let mirror acc =
+  let sync i c v =
+    Telemetry.add c (v - acc.mirrored.(i));
+    acc.mirrored.(i) <- v
+  in
+  sync 0 m_delivered acc.delivered;
+  sync 1 m_cache_hits acc.cache_hits;
+  sync 2 m_completed acc.completed;
+  sync 3 m_dropped acc.dropped;
+  sync 4 m_degraded acc.degraded;
+  sync 5 m_install_drops acc.install_drops;
+  sync 6 m_outage_drops acc.outage;
+  sync 7 m_backpressured acc.backpressured;
+  for i = acc.observed to acc.delays.Fvec.n - 1 do
+    Telemetry.observe h_first_packet acc.delays.Fvec.a.(i)
+  done;
+  acc.observed <- acc.delays.Fvec.n
 
-let finish ?(authority_stats = []) ?(queue_drops = 0) ?(ecn_marks = 0)
-    acc ~offered =
+let finish acc ~offered =
   let duration =
     if acc.last_delivery > acc.first_arrival then acc.last_delivery -. acc.first_arrival
     else 0.
@@ -177,8 +192,6 @@ let finish ?(authority_stats = []) ?(queue_drops = 0) ?(ecn_marks = 0)
   in
   let window = Float.max arrival_window completion_span in
   let delays = Fvec.to_array acc.delays in
-  let starts = Fvec.to_array acc.fd_starts in
-  let fdelays = Fvec.to_array acc.fd_delays in
   {
     offered_flows = offered;
     completed_flows = acc.completed;
@@ -192,40 +205,29 @@ let finish ?(authority_stats = []) ?(queue_drops = 0) ?(ecn_marks = 0)
       (if Array.length delays = 0 then None
        else Some (Summary.of_list (Array.to_list delays)));
     delays;
-    flow_delays = Array.init (Array.length starts) (fun i -> (starts.(i), fdelays.(i)));
+    flow_delays = Array.map2 (fun s d -> (s, d)) (Fvec.to_array acc.starts) delays;
     miss_delays = Fvec.to_array acc.miss_delays;
     stretches = Fvec.to_array acc.stretches;
-    authority_stats;
+    authority_stats = acc.authority_stats;
     degraded_packets = acc.degraded;
     install_drops = acc.install_drops;
     outage_drops = acc.outage;
-    queue_drops;
-    ecn_marks;
+    queue_drops = acc.queue_drops;
+    ecn_marks = acc.ecn_marks;
     backpressured = acc.backpressured;
   }
 
-(* [live] keeps the registry bumped per event instead of batched at the
-   end of the run: required when a monitor or a live controller co-runs,
-   because both can snapshot registry counters at simulated times. *)
-let deliver ?(was_miss = false) ~live acc engine ~is_first ~arrival ~extra_latency
-    ~cache_hit =
-  let t = Engine.now engine +. extra_latency in
+(* One delivered packet, reaching its egress at [at]. *)
+let deliver acc ~was_miss ~is_first ~arrival ~at ~cache_hit =
   acc.delivered <- acc.delivered + 1;
-  if live then Telemetry.incr m_delivered;
-  if cache_hit then begin
-    acc.cache_hits <- acc.cache_hits + 1;
-    if live then Telemetry.incr m_cache_hits
-  end;
-  if t > acc.last_delivery then acc.last_delivery <- t;
-  if t < acc.first_delivery then acc.first_delivery <- t;
+  if cache_hit then acc.cache_hits <- acc.cache_hits + 1;
+  if at > acc.last_delivery then acc.last_delivery <- at;
+  if at < acc.first_delivery then acc.first_delivery <- at;
   if is_first then begin
     acc.completed <- acc.completed + 1;
-    if live then Telemetry.incr m_completed;
-    let delay = t -. arrival in
+    let delay = at -. arrival in
     Fvec.push acc.delays delay;
-    Fvec.push acc.fd_starts arrival;
-    Fvec.push acc.fd_delays delay;
-    if live then Telemetry.observe h_first_packet delay;
+    Fvec.push acc.starts arrival;
     if was_miss then Fvec.push acc.miss_delays delay
   end
 
@@ -255,159 +257,143 @@ let post_arrivals engine acc flows process_packet =
       done)
     flows_arr
 
-(* One single-engine run: the core every entry point (and every shard of
-   a sharded run) executes.  Returns the raw tallies; [finish] renders
-   them (or a shard-ordered merge of several) into a [result]. *)
-type raw = {
-  racc : acc;
-  rastats : authority_stat list;
-  rqueue_drops : int;
-  recn_marks : int;
+(* One single-engine run's state: the core every entry point (and every
+   shard of a sharded run) executes.  The stages below share it; per-switch
+   tables are arrays indexed by switch id. *)
+type state = {
+  cfg : Config.t;
+  d : Deployment.t;
+  dcfg : Deployment.config;
+  topo : Topology.t;
+  engine : Engine.t;
+  acc : acc;
+  servers : Server.t Lazy.t array;
+      (* each authority's flow-setup server, created at its first miss, so
+         [authority_stats] lists only authorities that were sent one *)
+  controller : Server.t Lazy.t;
+      (* the degraded path's controller, created only if a miss needs it *)
+  mutable controllers_up : int;
+      (* live controller replicas: while none is, the degraded (NOX-style
+         fallback) path has no one to answer it *)
+  mutable next_tick : float;
+  install_rng : Prng.t;
+  install_drop : float;
+  cong : Congestion.t option;
+      (* per-port virtual-clock queues shared with the deployment walk's
+         semantics; [None] is the legacy plane — infinite buffers, zero
+         serialization — and keeps legacy runs bit-identical *)
+  credit_mode : bool;
+  credits : int array;
+      (* credit-based flow control: one shared pool per authority bounds
+         its misses in flight (tunnelled or queued for a setup slot);
+         credits return when the authority finishes — or sheds — the miss *)
 }
 
-let run_core ?(shard = 0) (cfg : Config.t) d flows =
-  let timing = cfg.timing in
-  let engine = Engine.create () in
-  (* Tracing rail: this shard's postcards go to the shard's own ring, so
-     the read side's shard-index-ordered merge is byte-identical at any
-     domain count.  The bind is a no-op when tracing is off. *)
-  Ptrace.bind ~shard;
-  let acc = fresh_acc () in
-  let live = cfg.monitor <> None || cfg.controller <> None in
-  (* Live-controller co-simulation: before each packet event, run the
-     caller's control-loop callback at every crossed tick boundary (with
-     the boundary time, so the controller's own clocks stay exact).  The
-     controller mutates the same deployment the packets walk — this is
-     how the adaptive rebalancer closes the loop on live traffic. *)
-  let next_tick = ref controller_interval in
-  let catch_up now =
-    match cfg.controller with
-    | None -> ()
-    | Some tick ->
-        while !next_tick <= now do
-          tick ~now:!next_tick;
-          next_tick := !next_tick +. controller_interval
-        done
-  in
-  let topo = Deployment.topology d in
-  let servers = Hashtbl.create 8 in
-  let server_for auth =
-    match Hashtbl.find_opt servers auth with
-    | Some s -> s
-    | None ->
-        let s =
-          Server.create engine ~service_time:timing.authority_service
-            ~queue_capacity:timing.queue_capacity
-        in
-        Hashtbl.add servers auth s;
-        s
-  in
-  (* the degraded path's controller, created only if a miss ever needs it *)
-  let controller = ref None in
-  let controller_server () =
-    match !controller with
-    | Some s -> s
-    | None ->
-        let s =
-          Server.create engine ~service_time:timing.controller_service
-            ~queue_capacity:timing.queue_capacity
-        in
-        controller := Some s;
-        s
-  in
-  (* Fault plan hooks: install messages cross the same lossy fabric as
-     the control plane, so each draws an independent Bernoulli from the
-     plan's seed; scheduled crash/restart and link flaps drive the
-     data-plane reachability model. *)
-  let install_rng, install_drop =
-    match cfg.faults with
-    | None -> (Prng.create 0, 0.)
-    | Some (p : Fault.plan) -> (Prng.create (p.Fault.seed lxor 0x51ab), p.Fault.link.Fault.drop)
-  in
-  (* Live controller replicas: while every one is down, the degraded
-     (NOX-style fallback) path has no one to answer it. *)
-  let controllers_up =
-    ref (match cfg.faults with None -> 1 | Some (p : Fault.plan) -> p.Fault.controllers)
-  in
-  (match cfg.faults with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun ev ->
-          Engine.schedule engine ~at:(Fault.event_time ev) (fun () ->
-              match ev with
-              | Fault.Crash { switch; _ } | Fault.Link_down { switch; _ } ->
-                  Deployment.mark_unreachable d switch
-              | Fault.Restart { switch; _ } | Fault.Link_up { switch; _ } ->
-                  Deployment.mark_reachable d switch
-              | Fault.Controller_crash _ -> decr controllers_up
-              | Fault.Controller_restart _ -> incr controllers_up))
-        p.Fault.events);
-  let idle_timeout = (Deployment.config d).Deployment.cache_idle_timeout in
-  let hard_timeout = (Deployment.config d).Deployment.cache_hard_timeout in
-  (* Congestion model: per-port virtual-clock queues shared with the
-     deployment walk's semantics.  A disabled config is the legacy plane —
-     infinite buffers, zero serialization — and every congestion hook
-     below degenerates to a no-op, keeping legacy runs bit-identical. *)
-  let ccfg = (Deployment.config d).Deployment.congestion in
+let create (cfg : Config.t) d engine =
+  let dcfg = Deployment.config d in
+  let ccfg = dcfg.Deployment.congestion in
   let cong = if Congestion.enabled ccfg then Some (Congestion.create ccfg) else None in
-  let credit_mode = cong <> None && ccfg.Congestion.mode = Congestion.Credit in
-  (* Credit-based flow control: one shared pool per authority bounds its
-     misses in flight (tunnelled or queued for a setup slot).  Credits
-     return when the authority finishes — or sheds — the miss. *)
-  let credits = Hashtbl.create 8 in
-  let credit_for auth =
-    match Hashtbl.find_opt credits auth with
-    | Some r -> r
-    | None ->
-        let r = ref ccfg.Congestion.credit_pool in
-        Hashtbl.add credits auth r;
-        r
+  let n = Array.length (Deployment.switches d) in
+  (* install messages cross the same lossy fabric as the control plane,
+     so each draws an independent Bernoulli from the plan's seed *)
+  let install_rng, install_drop, controllers_up =
+    match cfg.faults with
+    | None -> (Prng.create 0, 0., 1)
+    | Some p ->
+        (Prng.create (p.Fault.seed lxor 0x51ab), p.Fault.link.Fault.drop, p.Fault.controllers)
   in
-  (* Book the congestion model along the shortest path [a -> b] starting
-     at [now]: [`Ok extra] is queueing delay on top of propagation,
-     [`Queue_full] a drop-tail shed at some hop's port buffer. *)
-  let congested_path ~now a b =
-    match cong with
-    | Some c when a <> b -> (
-        match Topology.shortest_path topo a b with
-        | Some path -> Congestion.transit_path c topo ~now path
-        | None -> `Ok 0.)
-    | _ -> `Ok 0.
+  let server service_time =
+    lazy (Server.create engine ~service_time ~queue_capacity:cfg.timing.queue_capacity)
   in
-  let deliver_leg ~now ~from action =
-    match Action.egress action with None -> `Ok 0. | Some e -> congested_path ~now from e
-  in
-  (* A terminal drop: the packet's last postcard, and a dropped flow if
-     it was the flow's first packet. *)
-  let drop ~at ~switch reason ~is_first =
-    Ptrace.emit ~at Ptrace.Drop ~switch ~rule:(-1) ~aux:reason;
-    if is_first then begin
-      acc.dropped <- acc.dropped + 1;
-      if live then Telemetry.incr m_dropped
-    end
-  in
-  (* Controller path, NOX-style: half an RTT up, a controller service
-     slot, half an RTT back.  Reached for [`Failure] (no live replica for
-     the header's partition — [Deployment.inject] then answers from the
-     policy and installs the reactive microflow at the ingress) and for
-     [`Backpressure] (credit mode found the authority saturated, so the
-     ingress defers re-splicing; the replicas are alive, so the
-     controller is asked directly and the accounting stays separate). *)
-  let serve_via_controller ~cause (flow : Traffic.flow) ~is_first ~pkt =
-    if !controllers_up <= 0 then begin
-      (* total controller outage on top of total replica loss: the packet
-         has nowhere to go — the one genuinely fatal combination *)
-      acc.outage <- acc.outage + 1;
-      if live then Telemetry.incr m_outage_drops;
-      drop ~at:(Engine.now engine) ~switch:flow.ingress Ptrace.drop_outage ~is_first
-    end
-    else
-    Engine.after engine ~delay:(timing.controller_rtt /. 2.) (fun () ->
+  {
+    cfg; d; dcfg; topo = Deployment.topology d; engine; acc = fresh_acc ();
+    servers = Array.init n (fun _ -> server cfg.timing.authority_service);
+    controller = server cfg.timing.controller_service; controllers_up;
+    next_tick = controller_interval; install_rng; install_drop; cong;
+    credit_mode = cong <> None && ccfg.Congestion.mode = Congestion.Credit;
+    credits = Array.make n ccfg.Congestion.credit_pool;
+  }
+
+(* Live-controller co-simulation: run the caller's control-loop callback
+   at every tick boundary up to [now] (with the boundary time, so the
+   controller's own clocks stay exact).  The controller mutates the same
+   deployment the packets walk — this is how the adaptive rebalancer
+   closes the loop on live traffic. *)
+let tick_to st now =
+  match st.cfg.controller with
+  | None -> ()
+  | Some tick ->
+      while st.next_tick <= now do
+        mirror st.acc;
+        tick ~now:st.next_tick;
+        st.next_tick <- st.next_tick +. controller_interval
+      done
+
+(* Scheduled crash/restart and link flaps drive the data-plane
+   reachability model; controller crashes the replica count. *)
+let fault st = function
+  | Fault.Crash { switch; _ } | Fault.Link_down { switch; _ } ->
+      Deployment.mark_unreachable st.d switch
+  | Fault.Restart { switch; _ } | Fault.Link_up { switch; _ } ->
+      Deployment.mark_reachable st.d switch
+  | Fault.Controller_crash _ -> st.controllers_up <- st.controllers_up - 1
+  | Fault.Controller_restart _ -> st.controllers_up <- st.controllers_up + 1
+
+let return_credit st auth = if st.credit_mode then st.credits.(auth) <- st.credits.(auth) + 1
+
+(* Book the congestion model along the shortest path [a -> b] starting
+   at [now]: [`Ok extra] is queueing delay on top of propagation,
+   [`Queue_full] a drop-tail shed at some hop's port buffer. *)
+let congested_path st ~now a b =
+  match st.cong with
+  | Some c when a <> b -> (
+      match Topology.shortest_path st.topo a b with
+      | Some path -> Congestion.transit_path c st.topo ~now path
+      | None -> `Ok 0.)
+  | _ -> `Ok 0.
+
+(* A terminal drop: the packet's last postcard, and a dropped flow if
+   it was the flow's first packet. *)
+let drop st ~at ~switch reason ~is_first =
+  Ptrace.emit ~at Ptrace.Drop ~switch ~rule:(-1) ~aux:reason;
+  if is_first then st.acc.dropped <- st.acc.dropped + 1
+
+(* The delivering terminal: the egress leg from [from] (the ingress, or
+   the authority that served the miss), its postcard and the tally. *)
+let forward st (flow : Traffic.flow) ~is_first ~now ~from ~was_miss ~cache_hit action =
+  match
+    match Action.egress action with None -> `Ok 0. | Some e -> congested_path st ~now from e
+  with
+  | `Queue_full -> drop st ~at:now ~switch:from Ptrace.drop_queue_full ~is_first
+  | `Ok extra ->
+      let lat = egress_latency st.topo ~from action +. extra in
+      Ptrace.emit ~at:(now +. lat) Ptrace.Deliver
+        ~switch:(match Action.egress action with Some e -> e | None -> from)
+        ~rule:(-1)
+        ~aux:(if cache_hit then 1 else 0);
+      deliver st.acc ~was_miss ~is_first ~arrival:flow.start ~at:(now +. lat) ~cache_hit
+
+(* Controller path, NOX-style: half an RTT up, a controller service
+   slot, half an RTT back.  Reached for [`Failure] (no live replica for
+   the header's partition — [Deployment.inject] then answers from the
+   policy and installs the reactive microflow at the ingress) and for
+   [`Backpressure] (credit mode found the authority saturated, so the
+   ingress defers re-splicing; the replicas are alive, so the
+   controller is asked directly and the accounting stays separate). *)
+let via_controller st cause (flow : Traffic.flow) ~is_first ~pkt =
+  let timing = st.cfg.timing in
+  if st.controllers_up <= 0 then begin
+    (* total controller outage on top of total replica loss: the packet
+       has nowhere to go — the one genuinely fatal combination *)
+    st.acc.outage <- st.acc.outage + 1;
+    drop st ~at:(Engine.now st.engine) ~switch:flow.ingress Ptrace.drop_outage ~is_first
+  end
+  else
+    Engine.after st.engine ~delay:(timing.controller_rtt /. 2.) (fun () ->
         Ptrace.resume_packet ~pkt flow.header;
         let accepted =
-          Server.submit (controller_server ()) (fun () ->
-              let now = Engine.now engine in
+          Server.submit (Lazy.force st.controller) (fun () ->
+              let now = Engine.now st.engine in
               Ptrace.resume_packet ~pkt flow.header;
               (* the Deployment walk emits this packet's remaining
                  postcards (controller verdict, install, terminal) on the
@@ -415,223 +401,204 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
               let o =
                 match cause with
                 | `Failure ->
-                    let o =
-                      Deployment.inject ~pkt d ~now ~ingress:flow.ingress flow.header
-                    in
-                    acc.degraded <- acc.degraded + 1;
-                    if live then Telemetry.incr m_degraded;
+                    let o = Deployment.inject ~pkt st.d ~now ~ingress:flow.ingress flow.header in
+                    st.acc.degraded <- st.acc.degraded + 1;
                     o
                 | `Backpressure ->
-                    Deployment.controller_serve ~cause:`Backpressure d ~now
+                    Deployment.controller_serve ~cause:`Backpressure st.d ~now
                       ~ingress:flow.ingress flow.header
               in
-              deliver ~was_miss:true ~live acc engine ~is_first ~arrival:flow.start
-                ~extra_latency:
-                  ((timing.controller_rtt /. 2.)
-                  +. egress_latency topo ~from:flow.ingress o.Deployment.action)
+              deliver st.acc ~was_miss:true ~is_first ~arrival:flow.start
+                ~at:
+                  (now
+                  +. ((timing.controller_rtt /. 2.)
+                     +. egress_latency st.topo ~from:flow.ingress o.Deployment.action))
                 ~cache_hit:false)
         in
-        if not accepted then begin
-          drop ~at:(Engine.now engine) ~switch:flow.ingress Ptrace.drop_rejected ~is_first
-        end)
-  in
-  let serve_degraded = serve_via_controller ~cause:`Failure in
-  let process_packet (flow : Traffic.flow) ~is_first =
-    let now = Engine.now engine in
-    catch_up now;
-    (* opened after [catch_up], so controller ticks never inherit a
-       packet context; the packet id rides into every deferred
-       continuation below via [resume_packet] *)
-    let pkt = Ptrace.begin_packet flow.header in
-    (match cfg.monitor with
-    | Some m -> Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header
-    | None -> ());
-    let ingress_sw = Deployment.switch d flow.ingress in
-    match Switch.process ingress_sw ~now flow.header with
-    | Switch.Local (action, bank) -> (
-        match deliver_leg ~now ~from:flow.ingress action with
-        | `Queue_full ->
-            drop ~at:now ~switch:flow.ingress Ptrace.drop_queue_full ~is_first
-        | `Ok extra ->
-            let lat = egress_latency topo ~from:flow.ingress action +. extra in
-            Ptrace.emit ~at:(now +. lat) Ptrace.Deliver
-              ~switch:
-                (match Action.egress action with Some e -> e | None -> flow.ingress)
-              ~rule:(-1)
-              ~aux:(if bank = Switch.Cache_bank then 1 else 0);
-            deliver ~live acc engine ~is_first ~arrival:now ~extra_latency:lat
-              ~cache_hit:(bank = Switch.Cache_bank))
-    | Switch.Unmatched ->
-        drop ~at:now ~switch:flow.ingress Ptrace.drop_unmatched ~is_first
-    | Switch.Misconfigured ->
-        drop ~at:now ~switch:flow.ingress Ptrace.drop_misconfigured ~is_first
-    | Switch.Tunnel nominal -> (
-        match Deployment.resolve_authority d ~ingress:flow.ingress flow.header ~nominal with
-        | None -> serve_degraded flow ~is_first ~pkt
-        | Some auth ->
-        if credit_mode && !(credit_for auth) <= ccfg.Congestion.credit_low_water then begin
-          (* the pool is drained to the low-water mark: the authority is
-             saturated, so defer re-splicing instead of piling on *)
-          acc.backpressured <- acc.backpressured + 1;
-          if live then Telemetry.incr m_backpressured;
-          Ptrace.emit ~at:now Ptrace.Backpressure ~switch:auth ~rule:(-1) ~aux:0;
-          serve_via_controller ~cause:`Backpressure flow ~is_first ~pkt
-        end
-        else begin
-        if credit_mode then decr (credit_for auth);
-        let return_credit () = if credit_mode then incr (credit_for auth) in
-        match congested_path ~now flow.ingress auth with
-        | `Queue_full ->
-            return_credit ();
-            drop ~at:now ~switch:flow.ingress Ptrace.drop_queue_full ~is_first
-        | `Ok tunnel_extra ->
-        let tunnel_latency = prop topo flow.ingress auth +. tunnel_extra in
-        (* the miss packet reaches the authority, then queues for a
-           flow-setup slot *)
-        Engine.after engine ~delay:tunnel_latency (fun () ->
+        if not accepted then
+          drop st ~at:(Engine.now st.engine) ~switch:flow.ingress Ptrace.drop_rejected ~is_first)
+
+(* The authority's flow-setup slot: splice the miss, send the install
+   back to the ingress off the packet's critical path, and forward the
+   packet from the authority. *)
+let serve st (flow : Traffic.flow) ~is_first ~pkt auth () =
+  return_credit st auth;
+  let now = Engine.now st.engine in
+  Ptrace.resume_packet ~pkt flow.header;
+  match
+    Switch.serve_miss ~mode:st.dcfg.Deployment.cache_mode
+      ?cover_limit:(Aggregate.cover_limit st.dcfg.Deployment.aggregation)
+      (Deployment.switch st.d auth) ~now flow.header
+  with
+  | None -> drop st ~at:now ~switch:auth Ptrace.drop_no_authority ~is_first
+  | Some { Switch.action; installs; _ } ->
+      (* unless the lossy fabric eats the install message — then later
+         packets of the flow miss again and retrigger it (the recovery
+         path) *)
+      if st.install_drop > 0. && Prng.float st.install_rng < st.install_drop then
+        st.acc.install_drops <- st.acc.install_drops + 1
+      else
+        Engine.after st.engine ~delay:st.cfg.timing.install_latency (fun () ->
             Ptrace.resume_packet ~pkt flow.header;
-            Ptrace.emit ~at:(Engine.now engine) Ptrace.Transit ~switch:auth ~rule:(-1)
-              ~aux:0;
-            let accepted =
-              Server.submit (server_for auth) (fun () ->
-                  return_credit ();
-                  let now = Engine.now engine in
-                  Ptrace.resume_packet ~pkt flow.header;
-                  match
-                    Switch.serve_miss ~mode:(Deployment.config d).Deployment.cache_mode
-                      ?cover_limit:
-                        (Aggregate.cover_limit
-                           (Deployment.config d).Deployment.aggregation)
-                      (Deployment.switch d auth) ~now flow.header
-                  with
-                  | None ->
-                      drop ~at:now ~switch:auth Ptrace.drop_no_authority
-                        ~is_first
-                  | Some { Switch.action; cache_rule = _; origin_id = _; pid = _; installs } -> (
-                      (* the install message travels back to the ingress
-                         and updates its table off the packet's critical
-                         path — unless the lossy fabric eats it, in which
-                         case later packets of the flow miss again and
-                         retrigger the install (the recovery path) *)
-                      if install_drop > 0. && Prng.float install_rng < install_drop then
-                        begin
-                          acc.install_drops <- acc.install_drops + 1;
-                          if live then Telemetry.incr m_install_drops
-                        end
-                      else
-                        Engine.after engine ~delay:timing.install_latency (fun () ->
-                            Ptrace.resume_packet ~pkt flow.header;
-                            ignore
-                              (Aggregate.install ?idle_timeout ?hard_timeout
-                                 (Deployment.aggregator d) ingress_sw
-                                 ~now:(Engine.now engine) installs));
-                      (match Action.egress action with
-                      | Some e ->
-                          Fvec.push acc.stretches
-                            (Topology.stretch topo ~src:flow.ingress ~via:auth ~dst:e)
-                      | None -> ());
-                      match deliver_leg ~now:(Engine.now engine) ~from:auth action with
-                      | `Queue_full ->
-                          drop ~at:(Engine.now engine) ~switch:auth
-                            Ptrace.drop_queue_full ~is_first
-                      | `Ok extra ->
-                          let lat = egress_latency topo ~from:auth action +. extra in
-                          Ptrace.emit ~at:(Engine.now engine +. lat) Ptrace.Deliver
-                            ~switch:
-                              (match Action.egress action with
-                              | Some e -> e
-                              | None -> auth)
-                            ~rule:(-1) ~aux:0;
-                          deliver ~was_miss:true ~live acc engine ~is_first
-                            ~arrival:flow.start ~extra_latency:lat ~cache_hit:false))
-            in
-            if not accepted then begin
-              return_credit ();
-              drop ~at:(Engine.now engine) ~switch:auth Ptrace.drop_rejected ~is_first
-            end)
-        end)
+            ignore
+              (Aggregate.install ?idle_timeout:st.dcfg.Deployment.cache_idle_timeout
+                 ?hard_timeout:st.dcfg.Deployment.cache_hard_timeout
+                 (Deployment.aggregator st.d)
+                 (Deployment.switch st.d flow.ingress)
+                 ~now:(Engine.now st.engine) installs));
+      (match Action.egress action with
+      | Some e ->
+          Fvec.push st.acc.stretches
+            (Topology.stretch st.topo ~src:flow.ingress ~via:auth ~dst:e)
+      | None -> ());
+      forward st flow ~is_first ~now ~from:auth ~was_miss:true ~cache_hit:false action
+
+(* The miss packet reaches the authority, then queues for a flow-setup
+   slot. *)
+let arrive st (flow : Traffic.flow) ~is_first ~pkt auth () =
+  Ptrace.resume_packet ~pkt flow.header;
+  Ptrace.emit ~at:(Engine.now st.engine) Ptrace.Transit ~switch:auth ~rule:(-1) ~aux:0;
+  let accepted =
+    Server.submit (Lazy.force st.servers.(auth)) (serve st flow ~is_first ~pkt auth)
   in
-  post_arrivals engine acc flows process_packet;
-  Engine.run engine;
-  catch_up (Engine.now engine);
-  (match cfg.monitor with
-  | Some m -> Monitor.finish m ~now:(Engine.now engine)
+  if not accepted then begin
+    return_credit st auth;
+    drop st ~at:(Engine.now st.engine) ~switch:auth Ptrace.drop_rejected ~is_first
+  end
+
+(* A miss resolved to a live authority: take a credit (or back off to
+   the controller when the pool is drained to the low-water mark, as
+   the authority is saturated), then tunnel. *)
+let tunnel st (flow : Traffic.flow) ~is_first ~pkt ~now auth =
+  if
+    st.credit_mode
+    && st.credits.(auth) <= st.dcfg.Deployment.congestion.Congestion.credit_low_water
+  then begin
+    st.acc.backpressured <- st.acc.backpressured + 1;
+    Ptrace.emit ~at:now Ptrace.Backpressure ~switch:auth ~rule:(-1) ~aux:0;
+    via_controller st `Backpressure flow ~is_first ~pkt
+  end
+  else begin
+    if st.credit_mode then st.credits.(auth) <- st.credits.(auth) - 1;
+    match congested_path st ~now flow.ingress auth with
+    | `Queue_full ->
+        return_credit st auth;
+        drop st ~at:now ~switch:flow.ingress Ptrace.drop_queue_full ~is_first
+    | `Ok extra ->
+        Engine.after st.engine
+          ~delay:(prop st.topo flow.ingress auth +. extra)
+          (arrive st flow ~is_first ~pkt auth)
+  end
+
+(* The ingress verdict on a packet as it enters the network. *)
+let ingress st (flow : Traffic.flow) ~is_first =
+  let now = Engine.now st.engine in
+  tick_to st now;
+  (* opened after [tick_to], so controller ticks never inherit a
+     packet context; the packet id rides into every deferred
+     continuation via [resume_packet] *)
+  let pkt = Ptrace.begin_packet flow.header in
+  (match st.cfg.monitor with
+  | Some m ->
+      mirror st.acc;
+      Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header
   | None -> ());
-  if not live then mirror_registry acc;
-  let authority_stats =
-    Hashtbl.fold
-      (fun auth server acc ->
-        { switch_id = auth;
-          misses_served = Server.completed server;
-          misses_rejected = Server.rejected server }
-        :: acc)
-      servers []
-    |> List.sort (fun a b -> Int.compare a.switch_id b.switch_id)
-  in
-  let queue_drops, ecn_marks =
-    match cong with
-    | None -> (0, 0)
-    | Some c ->
-        let s = Congestion.stats c in
-        (s.Congestion.drops, s.Congestion.marks)
-  in
-  { racc = acc; rastats = authority_stats; rqueue_drops = queue_drops;
-    recn_marks = ecn_marks }
+  match Switch.process (Deployment.switch st.d flow.ingress) ~now flow.header with
+  | Switch.Local (action, bank) ->
+      forward st flow ~is_first ~now ~from:flow.ingress ~was_miss:false
+        ~cache_hit:(bank = Switch.Cache_bank) action
+  | Switch.Unmatched -> drop st ~at:now ~switch:flow.ingress Ptrace.drop_unmatched ~is_first
+  | Switch.Misconfigured ->
+      drop st ~at:now ~switch:flow.ingress Ptrace.drop_misconfigured ~is_first
+  | Switch.Tunnel nominal -> (
+      match Deployment.resolve_authority st.d ~ingress:flow.ingress flow.header ~nominal with
+      | None -> via_controller st `Failure flow ~is_first ~pkt
+      | Some auth -> tunnel st flow ~is_first ~pkt ~now auth)
+
+(* One single-engine run; returns its tallies, which [finish] renders
+   (or a shard-ordered [merge] of several) into a [result]. *)
+let run_core ?(shard = 0) (cfg : Config.t) d flows =
+  let engine = Engine.create () in
+  (* Tracing rail: this shard's postcards go to the shard's own ring, so
+     the read side's shard-index-ordered merge is byte-identical at any
+     domain count.  The bind is a no-op when tracing is off. *)
+  Ptrace.bind ~shard;
+  let st = create cfg d engine in
+  Option.iter
+    (fun (p : Fault.plan) ->
+      List.iter
+        (fun ev -> Engine.schedule engine ~at:(Fault.event_time ev) (fun () -> fault st ev))
+        p.Fault.events)
+    cfg.faults;
+  post_arrivals engine st.acc flows (ingress st);
+  Engine.run engine;
+  let now = Engine.now engine in
+  mirror st.acc;
+  tick_to st now;
+  Option.iter (fun m -> Monitor.finish m ~now) cfg.monitor;
+  let acc = st.acc in
+  acc.authority_stats <-
+    Array.to_seqi st.servers
+    |> Seq.filter_map (fun (switch_id, s) ->
+           if not (Lazy.is_val s) then None
+           else
+             let s = Lazy.force s in
+             Some { switch_id; misses_served = Server.completed s;
+                    misses_rejected = Server.rejected s })
+    |> List.of_seq;
+  Option.iter
+    (fun c ->
+      let s = Congestion.stats c in
+      acc.queue_drops <- s.Congestion.drops;
+      acc.ecn_marks <- s.Congestion.marks)
+    st.cong;
+  acc
 
 let run (cfg : Config.t) d flows =
   if cfg.domains <> 1 then
     invalid_arg "Flowsim.run: domains > 1 needs run_sharded (per-shard deployments)";
-  let r = run_core cfg d flows in
-  finish ~authority_stats:r.rastats ~queue_drops:r.rqueue_drops
-    ~ecn_marks:r.recn_marks r.racc ~offered:(List.length flows)
+  finish (run_core cfg d flows) ~offered:(List.length flows)
+
+(* Authority tallies of two ascending lists, summed per switch id. *)
+let rec merge_stats a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      if x.switch_id < y.switch_id then x :: merge_stats a' b
+      else if y.switch_id < x.switch_id then y :: merge_stats a b'
+      else
+        { x with misses_served = x.misses_served + y.misses_served;
+          misses_rejected = x.misses_rejected + y.misses_rejected }
+        :: merge_stats a' b'
 
 (* Deterministic cross-shard merge: always in shard-index order,
    whatever domain ran which shard — counters sum, extrema min/max,
    sample vectors concatenate, authority tallies sum per switch id. *)
-let merge_raws raws ~offered =
-  let macc = fresh_acc () in
-  let auth = Hashtbl.create 16 in
-  let queue_drops = ref 0 and ecn_marks = ref 0 in
+let merge accs ~offered =
+  let m = fresh_acc () in
   Array.iter
-    (fun { racc = a; rastats; rqueue_drops; recn_marks } ->
-      macc.completed <- macc.completed + a.completed;
-      macc.dropped <- macc.dropped + a.dropped;
-      macc.delivered <- macc.delivered + a.delivered;
-      macc.cache_hits <- macc.cache_hits + a.cache_hits;
-      macc.first_arrival <- Float.min macc.first_arrival a.first_arrival;
-      macc.last_arrival <- Float.max macc.last_arrival a.last_arrival;
-      macc.first_delivery <- Float.min macc.first_delivery a.first_delivery;
-      macc.last_delivery <- Float.max macc.last_delivery a.last_delivery;
-      Fvec.append macc.delays a.delays;
-      Fvec.append macc.fd_starts a.fd_starts;
-      Fvec.append macc.fd_delays a.fd_delays;
-      Fvec.append macc.miss_delays a.miss_delays;
-      Fvec.append macc.stretches a.stretches;
-      macc.degraded <- macc.degraded + a.degraded;
-      macc.install_drops <- macc.install_drops + a.install_drops;
-      macc.outage <- macc.outage + a.outage;
-      macc.backpressured <- macc.backpressured + a.backpressured;
-      queue_drops := !queue_drops + rqueue_drops;
-      ecn_marks := !ecn_marks + recn_marks;
-      List.iter
-        (fun s ->
-          let served, rejected =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt auth s.switch_id)
-          in
-          Hashtbl.replace auth s.switch_id
-            (served + s.misses_served, rejected + s.misses_rejected))
-        rastats)
-    raws;
-  let authority_stats =
-    Hashtbl.fold
-      (fun switch_id (misses_served, misses_rejected) l ->
-        { switch_id; misses_served; misses_rejected } :: l)
-      auth []
-    |> List.sort (fun a b -> Int.compare a.switch_id b.switch_id)
-  in
-  finish ~authority_stats ~queue_drops:!queue_drops ~ecn_marks:!ecn_marks macc
-    ~offered
-
+    (fun a ->
+      m.completed <- m.completed + a.completed;
+      m.dropped <- m.dropped + a.dropped;
+      m.delivered <- m.delivered + a.delivered;
+      m.cache_hits <- m.cache_hits + a.cache_hits;
+      m.first_arrival <- Float.min m.first_arrival a.first_arrival;
+      m.last_arrival <- Float.max m.last_arrival a.last_arrival;
+      m.first_delivery <- Float.min m.first_delivery a.first_delivery;
+      m.last_delivery <- Float.max m.last_delivery a.last_delivery;
+      Fvec.append m.delays a.delays;
+      Fvec.append m.starts a.starts;
+      Fvec.append m.miss_delays a.miss_delays;
+      Fvec.append m.stretches a.stretches;
+      m.degraded <- m.degraded + a.degraded;
+      m.install_drops <- m.install_drops + a.install_drops;
+      m.outage <- m.outage + a.outage;
+      m.backpressured <- m.backpressured + a.backpressured;
+      m.queue_drops <- m.queue_drops + a.queue_drops;
+      m.ecn_marks <- m.ecn_marks + a.ecn_marks;
+      m.authority_stats <- merge_stats m.authority_stats a.authority_stats)
+    accs;
+  finish m ~offered
 let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
   if shards < 1 then invalid_arg "Flowsim.run_sharded: shards < 1";
   if cfg.faults <> None || cfg.monitor <> None || cfg.controller <> None then
@@ -639,7 +606,7 @@ let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
       "Flowsim.run_sharded: faults/monitor/controller are cross-shard global \
        state; run them single-domain";
   let cfg1 = { cfg with Config.domains = 1 } in
-  let raws = Array.make shards None in
+  let accs = Array.make shards None in
   let offered = Array.make shards 0 in
   (* The shard decomposition and everything computed inside a shard are
      functions of the shard index alone; the domain count only decides
@@ -652,7 +619,7 @@ let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
       let d = deployment s in
       let fl = flows s in
       offered.(s) <- List.length fl;
-      raws.(s) <- Some (run_core ~shard:s cfg1 d fl);
+      accs.(s) <- Some (run_core ~shard:s cfg1 d fl);
       i := s + nd
     done
   in
@@ -665,14 +632,14 @@ let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
     work 0 nd;
     Array.iter Domain.join doms
   end;
-  let raws =
+  let accs =
     Array.map
       (function
-        | Some r -> r
+        | Some a -> a
         | None -> assert false (* every shard index is covered above *))
-      raws
+      accs
   in
-  merge_raws raws ~offered:(Array.fold_left ( + ) 0 offered)
+  merge accs ~offered:(Array.fold_left ( + ) 0 offered)
 
 let run_nox n flows =
   let timing = default_timing in
@@ -688,8 +655,8 @@ let run_nox n flows =
     let sw = Nox.switch n flow.ingress in
     match Tcam.lookup (Switch.cache sw) ~now flow.header with
     | Some r ->
-        deliver ~live:false acc engine ~is_first ~arrival:now
-          ~extra_latency:(egress_latency topo ~from:flow.ingress r.Rule.action)
+        deliver acc ~was_miss:false ~is_first ~arrival:now
+          ~at:(now +. egress_latency topo ~from:flow.ingress r.Rule.action)
           ~cache_hit:true
     | None ->
         (* packet-in: half an RTT to reach the controller, queue + service,
@@ -699,16 +666,16 @@ let run_nox n flows =
               Server.submit controller (fun () ->
                   let now = Engine.now engine in
                   let o = Nox.inject n ~now ~ingress:flow.ingress flow.header in
-                  deliver ~was_miss:true ~live:false acc engine ~is_first
-                    ~arrival:flow.start
-                    ~extra_latency:
-                      ((timing.controller_rtt /. 2.)
-                      +. egress_latency topo ~from:flow.ingress o.Nox.action)
+                  deliver acc ~was_miss:true ~is_first ~arrival:flow.start
+                    ~at:
+                      (now
+                      +. ((timing.controller_rtt /. 2.)
+                         +. egress_latency topo ~from:flow.ingress o.Nox.action))
                     ~cache_hit:false)
             in
             if (not accepted) && is_first then acc.dropped <- acc.dropped + 1)
   in
   post_arrivals engine acc flows process_packet;
   Engine.run engine;
-  mirror_registry acc;
+  mirror acc;
   finish acc ~offered:(List.length flows)

@@ -142,6 +142,15 @@ val run : Config.t -> Deployment.t -> Traffic.flow list -> result
     walking, e.g. for closed-loop adaptive rebalancing.  Boundaries are caught up lazily at the next packet
     event, and once more when the event queue drains.
 
+    Registry: the packet path tallies only the run's own result.  The
+    [sim_*] counters and the [sim_first_packet_delay] histogram receive
+    whatever they have not yet seen of those tallies right before the
+    monitor observes a packet, right before each controller tick, and
+    once when the event queue drains — so a read at any of those points
+    sees the run's tallies so far, and after the run the registry has
+    gained exactly the result's counts and one histogram observation
+    per completed flow.
+
     @raise Invalid_argument if [domains <> 1] — parallel execution needs
     per-shard deployments; use {!run_sharded}. *)
 

@@ -19,8 +19,8 @@ val submit : t -> (unit -> unit) -> bool
 val submit_packed : t -> Engine.kind -> int -> bool
 (** Like {!submit}, but the continuation is a packed engine event:
     at service completion the handler registered for the kind is invoked
-    (synchronously) with the int argument.  Allocation-free — the form
-    the simulator's hot paths use. *)
+    (synchronously) with the int argument.  Allocation-free; the F-TPUT
+    bench kernel times it.  {!Flowsim} submits closures. *)
 
 val queue_length : t -> int
 val accepted : t -> int

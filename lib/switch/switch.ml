@@ -153,10 +153,17 @@ let register_foreign t gid members =
         Hashtbl.add t.foreign_listers m gid)
     members
 
+(* The occupancy gauge tracks the cache TCAM level through installs,
+   evictions and expiry, so the monitor's sampler can turn it into a
+   timeline without polling every switch. *)
+let sync_occupancy t = Telemetry.set t.tele.m_cache_occupancy (float_of_int (Tcam.occupancy t.cache))
+
 (* The cache bank's detach hook: every entry leaving the TCAM, by any
    path, leaves its group's entry list here and marks dirty its own
    group and every group that lists it as a foreign member.  Runs
-   before the removal site drops the entry's provenance. *)
+   before the removal site drops the entry's provenance.  Being the one
+   place every removal passes through, it also keeps the occupancy
+   gauge level. *)
 let forget t (e : Tcam.entry) =
   let r = e.Tcam.rule in
   (match Hashtbl.find_opt t.cache_origin r.Rule.id with
@@ -164,14 +171,12 @@ let forget t (e : Tcam.entry) =
       remove_binding t.group_entries gid (fun (x : Rule.t) -> x.Rule.id = r.Rule.id);
       mark_dirty t gid
   | _ -> ());
-  match Hashtbl.find_all t.foreign_listers r.Rule.id with
-  | [] -> ()
-  | gids ->
-      List.iter
-        (fun gid ->
-          mark_dirty t gid;
-          Hashtbl.remove t.foreign_listers r.Rule.id)
-        gids
+  List.iter
+    (fun gid ->
+      mark_dirty t gid;
+      Hashtbl.remove t.foreign_listers r.Rule.id)
+    (Hashtbl.find_all t.foreign_listers r.Rule.id);
+  sync_occupancy t
 
 let create ~id ~cache_capacity =
   let labels = [ ("switch", string_of_int id) ] in
@@ -218,11 +223,6 @@ let create ~id ~cache_capacity =
   in
   Tcam.on_detach t.cache (forget t);
   t
-
-(* The occupancy gauge tracks the cache TCAM level through installs,
-   evictions and expiry, so the monitor's sampler can turn it into a
-   timeline without polling every switch. *)
-let sync_occupancy t = Telemetry.set t.tele.m_cache_occupancy (float_of_int (Tcam.occupancy t.cache))
 
 let id t = t.id
 
@@ -345,7 +345,6 @@ let drop_cover_orphans t ~now =
           ignore (Tcam.remove t.cache r.Rule.id);
           Hashtbl.remove t.cache_origin r.Rule.id)
     doomed;
-  if doomed <> [] then sync_occupancy t;
   List.length doomed
 
 let apply_flow_mod t ~now (fm : Message.flow_mod) =
@@ -369,8 +368,7 @@ let apply_flow_mod t ~now (fm : Message.flow_mod) =
         ~aux:Ptrace.invalidate_delete;
       (* a controller delete can take one cover-set member; the rest of
          its group must not stay behind to misdecide packets *)
-      ignore (drop_cover_orphans t ~now);
-      sync_occupancy t
+      ignore (drop_cover_orphans t ~now)
   | (Message.Authority | Message.Partition), _ ->
       invalid_arg "Switch.apply_flow_mod: authority/partition banks are replaced wholesale"
 
@@ -752,7 +750,6 @@ let absorb_cache_rule t ~now cid =
       notify_removed t ~now Message.Replaced e;
       ignore (Tcam.remove t.cache cid);
       Hashtbl.remove t.cache_origin cid;
-      sync_occupancy t;
       true
 
 (* Migration cleanup: evict cache entries spliced from a retired (or
@@ -774,7 +771,6 @@ let invalidate_cache_pids t ~now pids =
       ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
       Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
     doomed;
-  sync_occupancy t;
   ignore (drop_cover_orphans t ~now);
   List.length doomed
 
@@ -796,7 +792,6 @@ let expire_cache t ~now =
     gone;
   let rules = List.map (fun (e : Tcam.entry) -> e.Tcam.rule) gone in
   List.iter (fun (r : Rule.t) -> Hashtbl.remove t.cache_origin r.id) rules;
-  sync_occupancy t;
   (* expiring one cover-set member (an unhit high-rank dependency idles
      out first) invalidates its whole group *)
   if rules <> [] then ignore (drop_cover_orphans t ~now);
@@ -832,8 +827,7 @@ let reset t =
   t.authority_hits <- 0L;
   t.tunnelled <- 0L;
   t.unmatched <- 0L;
-  t.misconfigured <- 0L;
-  sync_occupancy t
+  t.misconfigured <- 0L
 
 let drain_notifications t =
   let n = List.rev t.notifications in

@@ -110,27 +110,6 @@ let test_failover () =
     Alcotest.fail "last authority failover accepted"
   with Invalid_argument _ -> ()
 
-let test_authority_tcam_budget () =
-  (* plenty of budget: builds fine *)
-  let generous = { Deployment.default_config with authority_tcam = Some 1000 } in
-  ignore
-    (Deployment.build ~config:generous ~policy ~topology:(Topology.line 5 ())
-       ~authority_ids:[ 1; 3 ] ());
-  (* impossible budget: rejected with guidance, not deployed broken *)
-  let tiny = { Deployment.default_config with authority_tcam = Some 1 } in
-  try
-    ignore
-      (Deployment.build ~config:tiny ~policy ~topology:(Topology.line 5 ())
-         ~authority_ids:[ 1; 3 ] ());
-    Alcotest.fail "undersized TCAM accepted"
-  with Invalid_argument msg ->
-    let contains hay needle =
-      let n = String.length needle and h = String.length hay in
-      let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-      go 0
-    in
-    check Alcotest.bool "mentions the remedy" true (contains msg "compute_bounded")
-
 let test_bad_build () =
   (try
      ignore
@@ -458,7 +437,6 @@ let suite =
         tc "cache timeout expiry" test_cache_timeout_expiry;
         tc "policy update is consistent" test_update_policy;
         tc "authority failover" test_failover;
-        tc "authority TCAM budget" test_authority_tcam_budget;
         tc "build validation" test_bad_build;
         tc "invalidation and flush drop provenance" test_removal_drops_provenance;
         prop_changed_rule_ids;

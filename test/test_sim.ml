@@ -466,6 +466,87 @@ let test_miss_path_allocation () =
   if fragments > 200. then
     Alcotest.failf "miss path allocates %.0f minor words/serve as fragments (bound 200)" fragments
 
+(* Pins the paths only a fault plan reaches, in one run: an authority
+   crash and restart and a link flap (degraded controller path), every
+   controller replica down for a window (outage drops), a lossy install
+   fabric, credit-mode congestion with finite buffers, a monitor and a
+   controller hook.  The counts prove each path ran; the digests pin
+   what it did.  After the run the registry must have gained exactly
+   the result's tallies. *)
+let test_fault_plan_pin () =
+  let policy =
+    Policy_gen.acl (Prng.create 5)
+      { Policy_gen.default_acl with rules = 120; chains = 10; chain_depth = 4; egresses = 4 }
+  in
+  (* hub 0; authorities 1 and 2; ingresses 3..9 *)
+  let topology =
+    Topology.create ~nodes:10
+      (List.init 9 (fun i ->
+           { Topology.src = 0; dst = i + 1; latency = 100e-6; bandwidth = 1.2e8 }))
+  in
+  let config =
+    { Deployment.default_config with
+      k = 8; cache_capacity = 64; cache_idle_timeout = Some 0.05; balance = `Volume;
+      congestion =
+        { Congestion.default with
+          model_bandwidth = true; buffer_capacity = Some 4; ecn_threshold = Some 2;
+          mode = Congestion.Credit; credit_pool = 16; credit_low_water = 4 } }
+  in
+  let d = Deployment.build ~config ~policy ~topology ~authority_ids:[ 1; 2 ] () in
+  let flows =
+    Traffic.generate (Prng.create 6) policy
+      { Traffic.default with
+        flows = 3000; rate = 30_000.; alpha = 1.0; distinct_headers = 1000;
+        packets_per_flow_mean = 3.0; ingresses = [ 3; 4; 5; 6; 7; 8; 9 ] }
+  in
+  let faults =
+    Fault.plan ~seed:9 ~link:(Fault.lossy_link 0.2) ~controllers:2
+      ~events:
+        [ Fault.Crash { switch = 1; at = 0.02 }; Fault.Restart { switch = 1; at = 0.06 };
+          Fault.Link_down { switch = 2; at = 0.03 }; Fault.Link_up { switch = 2; at = 0.04 };
+          Fault.Controller_crash { controller = 0; at = 0.045 };
+          Fault.Controller_crash { controller = 1; at = 0.045 };
+          Fault.Controller_restart { controller = 0; at = 0.055 };
+          Fault.Controller_restart { controller = 1; at = 0.055 } ]
+      ()
+  in
+  let timing = { Flowsim.default_timing with authority_service = 100e-6 } in
+  let monitor = Monitor.create d in
+  let ticks = ref [] in
+  let counters =
+    [ "sim_packets_delivered"; "sim_cache_hit_packets"; "sim_flows_completed";
+      "sim_flows_dropped"; "sim_degraded_packets"; "sim_install_drops";
+      "sim_outage_drops"; "sim_backpressured_misses" ]
+  in
+  let read () = List.map (fun n -> Telemetry.value (Telemetry.counter n)) counters in
+  let h = Telemetry.histogram "sim_first_packet_delay" in
+  let before = read () and observed = Telemetry.histogram_count h in
+  let r =
+    Flowsim.run
+      { Flowsim.Config.default with
+        timing; faults = Some faults; monitor = Some monitor;
+        controller = Some (fun ~now -> ticks := now :: !ticks) }
+      d flows
+  in
+  List.iter
+    (fun (name, n) -> if n <= 0 then Alcotest.failf "%s never happened" name)
+    [ ("degraded_packets", r.Flowsim.degraded_packets);
+      ("install_drops", r.Flowsim.install_drops);
+      ("outage_drops", r.Flowsim.outage_drops);
+      ("backpressured", r.Flowsim.backpressured);
+      ("queue_drops", r.Flowsim.queue_drops) ];
+  check (Alcotest.list Alcotest.int) "registry holds the run's tallies"
+    [ r.Flowsim.delivered_packets; r.Flowsim.cache_hit_packets; r.Flowsim.completed_flows;
+      r.Flowsim.dropped_flows; r.Flowsim.degraded_packets; r.Flowsim.install_drops;
+      r.Flowsim.outage_drops; r.Flowsim.backpressured ]
+    (List.map2 ( - ) (read ()) before);
+  check Alcotest.int "one histogram observation per completed flow"
+    (Array.length r.Flowsim.delays) (Telemetry.histogram_count h - observed);
+  let md5 s = Digest.to_hex (Digest.string s) in
+  check Alcotest.string "result" "14ad27c918562c7c3ad3447b93a91180" (md5 (Marshal.to_string r []));
+  check Alcotest.string "monitor" "3832f977dc65881db90bffa1f7807fdb" (md5 (Monitor.to_json monitor));
+  check Alcotest.string "ticks" "e567b3131d530a2c378206ff2f22bce4" (md5 (Marshal.to_string (List.rev !ticks) []))
+
 let suite =
   [
     ( "engine",
@@ -495,6 +576,7 @@ let suite =
         tc "authority load balance" test_authority_stats_balanced;
         tc "hit path allocation bound" test_hit_path_allocation;
         tc "miss path allocation bound" test_miss_path_allocation;
+        tc "fault plan pin" test_fault_plan_pin;
       ] );
     ( "cachesim",
       [
