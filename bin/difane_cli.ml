@@ -48,14 +48,13 @@ let with_metrics metrics run =
   | Some `Text -> Format.printf "%a%!" Telemetry.pp_text (Telemetry.snapshot ())
   | Some `Json -> print_endline (Telemetry.to_json (Telemetry.snapshot ()))
 
-let experiment name summary run =
-  let doc = summary in
-  let term =
+(* An experiment subcommand: --seed, --quick and --metrics around [run],
+   a term for whatever options the experiment takes beyond them. *)
+let experiment name doc run =
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun seed quick metrics -> with_metrics metrics (fun () -> run ~seed ~quick))
-      $ seed_arg $ quick_arg $ metrics_arg)
-  in
-  Cmd.v (Cmd.info name ~doc) term
+      const (fun run seed quick metrics -> with_metrics metrics (fun () -> run ~seed ~quick))
+      $ run $ seed_arg $ quick_arg $ metrics_arg)
 
 (* ---- operator commands over policy files ---- *)
 
@@ -153,33 +152,29 @@ let faults_arg =
   in
   Arg.(value & opt (some float) None & info [ "faults" ] ~docv:"LOSS" ~doc)
 
-(* reliable-channel timers (PR-1 machinery), threaded into Control_plane *)
-let echo_interval_arg =
-  let doc = "Controller echo-probe interval in seconds (liveness detection)." in
-  Arg.(value & opt (some float) None & info [ "echo-interval" ] ~docv:"S" ~doc)
-
-let retx_timeout_arg =
-  let doc = "Seconds before the first retransmission of an unacked request." in
-  Arg.(value & opt (some float) None & info [ "retx-timeout" ] ~docv:"S" ~doc)
-
-let retx_backoff_arg =
-  let doc = "Retransmission interval multiplier (exponential backoff factor)." in
-  Arg.(value & opt (some float) None & info [ "retx-backoff" ] ~docv:"X" ~doc)
-
-let retx_limit_arg =
-  let doc = "Retransmissions before a request is given up." in
-  Arg.(value & opt (some int) None & info [ "retx-limit" ] ~docv:"N" ~doc)
-
-let cp_config_of_flags echo_interval retx_timeout retx_backoff retx_limit =
-  let d = Control_plane.default_config in
-  {
-    d with
-    Control_plane.echo_interval =
-      Option.value ~default:d.Control_plane.echo_interval echo_interval;
-    retx_timeout = Option.value ~default:d.Control_plane.retx_timeout retx_timeout;
-    retx_backoff = Option.value ~default:d.Control_plane.retx_backoff retx_backoff;
-    retx_limit = Option.value ~default:d.Control_plane.retx_limit retx_limit;
-  }
+(* The reliable-channel timers: --echo-interval and the --retx flags,
+   each overriding its field of [base]. *)
+let reliability_term (base : Control_plane.config) =
+  let flag kind name docv doc = Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc) in
+  let mk echo_interval retx_timeout retx_backoff retx_limit =
+    let ( |? ) flag default = Option.value ~default flag in
+    {
+      base with
+      Control_plane.echo_interval = echo_interval |? base.echo_interval;
+      retx_timeout = retx_timeout |? base.retx_timeout;
+      retx_backoff = retx_backoff |? base.retx_backoff;
+      retx_limit = retx_limit |? base.retx_limit;
+    }
+  in
+  Term.(
+    const mk
+    $ flag Arg.float "echo-interval" "S"
+        "Controller echo-probe interval in seconds (liveness detection)."
+    $ flag Arg.float "retx-timeout" "S"
+        "Seconds before the first retransmission of an unacked request."
+    $ flag Arg.float "retx-backoff" "X"
+        "Retransmission interval multiplier (exponential backoff factor)."
+    $ flag Arg.int "retx-limit" "N" "Retransmissions before a request is given up.")
 
 (* ---- congestion-model flags (finite buffers / backpressure), shared by
    chaos | ha | deploy.  All off by default: the default Congestion.config
@@ -249,8 +244,8 @@ let congestion_term =
     $ credit_low_water_arg $ packet_bits_arg)
 
 let deploy_cmd =
-  let run policy_file topo_spec auths k cache flows alpha faults congestion seed
-      echo_interval retx_timeout retx_backoff retx_limit metrics =
+  let run policy_file topo_spec auths k cache flows alpha faults congestion seed cp_config
+      metrics =
     with_metrics metrics @@ fun () ->
     let policy = load_policy_or_die policy_file in
     try
@@ -306,9 +301,6 @@ let deploy_cmd =
          lossy channels before traffic starts, and report that work *)
       Option.iter
         (fun plan ->
-          let cp_config =
-            cp_config_of_flags echo_interval retx_timeout retx_backoff retx_limit
-          in
           let cp =
             Control_plane.create ~config:cp_config
               ~faults:{ plan with Fault.events = [] }
@@ -378,8 +370,7 @@ let deploy_cmd =
     Term.(
       const run $ policy_arg $ topology_arg $ authorities_arg $ k_arg $ cache_arg
       $ flows_arg $ alpha_arg $ faults_arg $ congestion_term $ seed_arg
-      $ echo_interval_arg $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg
-      $ metrics_arg)
+      $ reliability_term Control_plane.default_config $ metrics_arg)
 
 let partition_cmd =
   let run policy_file k max_entries =
@@ -435,37 +426,6 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc) Term.(const run $ policy_arg $ output_arg)
 
-(* ---- fault experiments ---- *)
-
-let chaos_cmd =
-  let run seed quick congestion echo_interval retx_timeout retx_backoff retx_limit metrics =
-    with_metrics metrics @@ fun () ->
-    Experiments.E_chaos.print
-      (Experiments.E_chaos.run ~seed ~quick ~congestion ?echo_interval ?retx_timeout
-         ?retx_backoff ?retx_limit ())
-  in
-  let doc = "Fault-injection sweep: frame loss vs recovery." in
-  Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(
-      const run $ seed_arg $ quick_arg $ congestion_term $ echo_interval_arg
-      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg $ metrics_arg)
-
-let ha_cmd =
-  let run seed quick congestion echo_interval retx_timeout retx_backoff retx_limit metrics =
-    with_metrics metrics @@ fun () ->
-    Experiments.E_ha.print
-      (Experiments.E_ha.run ~seed ~quick ~congestion ?echo_interval ?retx_timeout
-         ?retx_backoff ?retx_limit ())
-  in
-  let doc =
-    "Controller high-availability sweep: leader crash, journal-replay takeover, \
-     split-brain fencing."
-  in
-  Cmd.v (Cmd.info "ha" ~doc)
-    Term.(
-      const run $ seed_arg $ quick_arg $ congestion_term $ echo_interval_arg
-      $ retx_timeout_arg $ retx_backoff_arg $ retx_limit_arg $ metrics_arg)
-
 (* adaptive-rebalancing detection knobs, shared by rebalance | monitor *)
 let hotspot_threshold_arg =
   let doc =
@@ -478,37 +438,33 @@ let hotspot_window_arg =
   let doc = "Consecutive hot windows before a hotspot counts as persistent." in
   Arg.(value & opt int 3 & info [ "hotspot-window" ] ~docv:"N" ~doc)
 
-let rebalance_cmd =
-  let run seed quick hotspot_threshold hotspot_window metrics =
-    with_metrics metrics @@ fun () ->
-    Experiments.E_rebalance.print
-      (Experiments.E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ())
-  in
-  let doc =
-    "Flash-crowd adaptive repartitioning: static baseline vs the closed-loop hotspot \
-     detector driving staged, journaled sub-region migrations, plus a master-crash \
-     run resolved by journal replay at takeover."
-  in
-  Cmd.v (Cmd.info "rebalance" ~doc)
-    Term.(
-      const run $ seed_arg $ quick_arg $ hotspot_threshold_arg $ hotspot_window_arg
-      $ metrics_arg)
+(* An experiment of the scenario table as a subcommand, with the options
+   its report takes. *)
+let report_cmd (s : Experiments.scenario) =
+  let print f ~seed ~quick = print_string (f ~seed ~quick) in
+  Option.map
+    (fun (render : Experiments.render) ->
+      experiment s.name s.doc
+        (match render with
+        | Plain f -> Term.const (print f)
+        | Faults f ->
+            Term.(
+              const (fun congestion cp_config -> print (f ~congestion ~cp_config))
+              $ congestion_term $ reliability_term Experiments.fault_cp_config)
+        | Sharded f ->
+            Term.(const (fun domains -> print (f ~domains)) $ domains_arg)
+        | Hotspot f ->
+            Term.(
+              const (fun hotspot_threshold hotspot_window ->
+                  print (f ~hotspot_threshold ~hotspot_window))
+              $ hotspot_threshold_arg $ hotspot_window_arg)))
+    s.render
 
-let scale_cmd =
-  let run seed quick domains metrics =
-    with_metrics metrics @@ fun () ->
-    let spec = Experiments.E_scale.sized ~quick ~domains in
-    Experiments.E_scale.print spec (Experiments.E_scale.run ~seed spec)
-  in
-  let doc =
-    "Sharded ingress simulation at scale: a million-flow workload over 256 switches, \
-     split into independent shards spread across OCaml domains, with a result digest \
-     that is byte-identical at any domain count."
-  in
-  Cmd.v (Cmd.info "scale" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ domains_arg $ metrics_arg)
-
-let scenario_doc (s : Experiments.scenario) = Printf.sprintf "$(b,%s): %s" s.name s.doc
+(* The scenario-table entries [keep] selects, and a doc listing them. *)
+let entries keep =
+  let es = List.filter keep Experiments.scenarios in
+  let doc (s : Experiments.scenario) = Printf.sprintf "$(b,%s): %s" s.name s.doc in
+  (es, String.concat " " (List.map doc es))
 
 (* Scenario-table entries picked by name.  The enum maps names to names,
    not to entries: cmdliner prints a default by comparing enum values,
@@ -519,22 +475,17 @@ let scenario_enum entries =
 let scenario_named entries name =
   List.find (fun (s : Experiments.scenario) -> String.equal s.name name) entries
 
-(* The scenario table's replay targets, as a --scenario option. *)
-let replay_scenario_arg ~default ~what =
-  let replays =
-    List.filter
-      (fun (s : Experiments.scenario) -> Option.is_some s.replay)
-      Experiments.scenarios
-  in
-  let doc = what ^ ". " ^ String.concat " " (List.map scenario_doc replays) in
-  Term.(
-    const (fun name -> Option.get (scenario_named replays name).replay)
-    $ Arg.(
-        value
-        & opt (scenario_enum replays) default
-        & info [ "scenario" ] ~docv:"NAME" ~doc))
-
 let paths_cmd =
+  let scenario_arg =
+    let replays, listed = entries (fun s -> Option.is_some s.replay) in
+    let doc = "Scenario to replay with postcard tracing enabled. " ^ listed in
+    Term.(
+      const (fun name -> Option.get (scenario_named replays name).replay)
+      $ Arg.(
+          value
+          & opt (scenario_enum replays) "rebalance"
+          & info [ "scenario" ] ~docv:"NAME" ~doc))
+  in
   let capacity_arg =
     let doc = "Postcard ring capacity per shard: the newest N postcards survive." in
     Arg.(value & opt int 65536 & info [ "capacity" ] ~docv:"N" ~doc)
@@ -589,19 +540,11 @@ let paths_cmd =
     Arg.(value & opt int 20 & info [ "limit" ] ~docv:"N" ~doc)
   in
   let run seed quick replay domains capacity flow switch outcome since until json limit
-      loss echo_interval retx_timeout retx_backoff retx_limit =
+      loss reliability =
     Telemetry.reset ();
     Ptrace.enable ~capacity ();
     let { Experiments.describe; timeline } =
-      replay
-        {
-          (Experiments.replay_args ~seed ~quick) with
-          domains;
-          loss;
-          reliability =
-            Experiments.reliability_config ?echo_interval ?retx_timeout ?retx_backoff
-              ?retx_limit ();
-        }
+      replay { (Experiments.replay_args ~seed ~quick) with domains; loss; reliability }
     in
     Ptrace.disable ();
     let t = Paths.reconstruct () in
@@ -651,11 +594,9 @@ let paths_cmd =
   Cmd.v (Cmd.info "paths" ~doc)
     Term.(
       const run $ seed_arg $ quick_arg
-      $ replay_scenario_arg ~default:"rebalance"
-          ~what:"Scenario to replay with postcard tracing enabled"
-      $ domains_arg $ capacity_arg $ flow_arg $ switch_arg $ outcome_arg $ since_arg
-      $ until_arg $ json_arg $ limit_arg $ loss_arg $ echo_interval_arg $ retx_timeout_arg
-      $ retx_backoff_arg $ retx_limit_arg)
+      $ scenario_arg $ domains_arg $ capacity_arg $ flow_arg $ switch_arg $ outcome_arg
+      $ since_arg $ until_arg $ json_arg $ limit_arg $ loss_arg
+      $ reliability_term Experiments.fault_cp_config)
 
 let aggregate_cmd =
   let cases_arg =
@@ -669,7 +610,7 @@ let aggregate_cmd =
   let run seed quick cases packets =
     let cases = if quick then min cases 4 else cases in
     let packets_per_case = if quick then min packets 200 else packets in
-    Diffgate.print (Diffgate.run ~seed ~cases ~packets_per_case ())
+    print_string (Diffgate.render (Diffgate.run ~seed ~cases ~packets_per_case ()))
   in
   let doc =
     "Differential gate for cache-rule aggregation: twin deployments (aggregation \
@@ -754,13 +695,9 @@ let monitor_cmd =
       $ json_arg $ flows_out_arg)
 
 let gate_cmd =
-  let gates =
-    List.filter
-      (fun (s : Experiments.scenario) -> Option.is_some s.gate)
-      Experiments.scenarios
-  in
+  let gates, listed = entries (fun s -> Option.is_some s.gate) in
   let names_arg =
-    let doc = "Gates to run. " ^ String.concat " " (List.map scenario_doc gates) in
+    let doc = "Gates to run. " ^ listed in
     Arg.(non_empty & pos_all (scenario_enum gates) [] & info [] ~docv:"NAME" ~doc)
   in
   let run seed quick domains names =
@@ -783,58 +720,17 @@ let gate_cmd =
   Cmd.v (Cmd.info "gate" ~doc)
     Term.(const run $ seed_arg $ quick_arg $ domains_arg $ names_arg)
 
-let experiments =
-  [
-    experiment "table1" "Rule-set characteristics (Table 1)" (fun ~seed ~quick ->
-        Experiments.T1.print (Experiments.T1.run ~seed ~quick ()));
-    experiment "throughput" "Flow-setup throughput, DIFANE vs NOX" (fun ~seed ~quick ->
-        Experiments.F_tput.print (Experiments.F_tput.run ~seed ~quick ()));
-    experiment "scaling" "Throughput vs number of authority switches" (fun ~seed ~quick ->
-        Experiments.F_scale.print (Experiments.F_scale.run ~seed ~quick ()));
-    experiment "delay" "First-packet delay CDFs" (fun ~seed ~quick ->
-        Experiments.F_delay.print (Experiments.F_delay.run ~seed ~quick ()));
-    experiment "partition-sweep" "TCAM entries vs number of partitions" (fun ~seed ~quick ->
-        Experiments.F_part.print (Experiments.F_part.run ~seed ~quick ()));
-    experiment "missrate" "Cache miss rate vs cache size" (fun ~seed ~quick ->
-        Experiments.F_miss.print (Experiments.F_miss.run ~seed ~quick ()));
-    experiment "stretch" "Stretch CDF by authority placement" (fun ~seed ~quick ->
-        Experiments.F_stretch.print (Experiments.F_stretch.run ~seed ~quick ()));
-    experiment "dynamics" "Policy-update consistency vs cache timeout" (fun ~seed ~quick ->
-        Experiments.F_dyn.print (Experiments.F_dyn.run ~seed ~quick ()));
-    experiment "ablation-cut" "Best-cut vs fixed-dimension partitioning" (fun ~seed ~quick ->
-        Experiments.A_cut.print (Experiments.A_cut.run ~seed ~quick ()));
-    experiment "ablation-splice" "Splice vs dependent-set cache cost" (fun ~seed ~quick ->
-        Experiments.A_splice.print (Experiments.A_splice.run ~seed ~quick ()));
-    experiment "control-overhead" "Control-plane frames and bytes" (fun ~seed ~quick ->
-        Experiments.E_ctrl.print (Experiments.E_ctrl.run ~seed ~quick ()));
-    experiment "cache-sweep" "Ingress cache size vs authority load" (fun ~seed ~quick ->
-        Experiments.E_cache.print (Experiments.E_cache.run ~seed ~quick ()));
-    chaos_cmd;
-    ha_cmd;
-    experiment "incast"
-      "Incast/overload sweep on one authority switch: loss vs latency under drop-tail \
-       buffers vs credit-based flow control (the congestion model's graceful-degradation \
-       evidence)."
-      (fun ~seed ~quick ->
-        Experiments.E_incast.print (Experiments.E_incast.run ~seed ~quick ()));
-    rebalance_cmd;
-    scale_cmd;
-    paths_cmd;
-    aggregate_cmd;
-    monitor_cmd;
-    experiment "monitor-report" "Flow monitoring: heavy hitters, hotspots, determinism"
-      (fun ~seed ~quick -> Experiments.E_mon.print (Experiments.E_mon.run ~seed ~quick ()));
-    experiment "all" "Run every experiment in DESIGN.md order" (fun ~seed ~quick ->
-        Experiments.run_all ~seed ~quick ());
-    gate_cmd;
-    check_cmd;
-    deploy_cmd;
-    partition_cmd;
-    optimize_cmd;
-  ]
+let all_cmd =
+  experiment "all" "Run every experiment in DESIGN.md order"
+    (Term.const (fun ~seed ~quick -> Experiments.run_all ~seed ~quick print_string))
+
+let commands =
+  List.filter_map report_cmd Experiments.scenarios
+  @ [ all_cmd; paths_cmd; aggregate_cmd; monitor_cmd; gate_cmd; check_cmd; deploy_cmd;
+      partition_cmd; optimize_cmd ]
 
 let main =
   let doc = "reproduce the DIFANE (SIGCOMM 2010) evaluation" in
-  Cmd.group (Cmd.info "difane" ~version:"1.0.0" ~doc) experiments
+  Cmd.group (Cmd.info "difane" ~version:"1.0.0" ~doc) commands
 
 let () = exit (Cmd.eval main)

@@ -179,5 +179,3 @@ let render r =
     line "  FAIL: %d mismatches, %d semantic failures" r.mismatch_count
       r.semantic_failures;
   Buffer.contents b
-
-let print r = print_string (render r)

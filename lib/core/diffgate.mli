@@ -47,6 +47,3 @@ val run : ?seed:int -> ?cases:int -> ?packets_per_case:int -> unit -> report
 
 val render : report -> string
 (** Human-readable summary; lists the first few mismatches if any. *)
-
-val print : report -> unit
-(** [render] to stdout. *)

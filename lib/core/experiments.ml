@@ -27,15 +27,20 @@ let eval_sets ~seed ~quick =
            { Policy_gen.default_prefixes with prefixes = 800 });
     ]
 
+(* An ACL of [rules] rules in [chains] chains, drawn from a split of
+   [rng]. *)
+let acl rng ~rules ~chains =
+  Policy_gen.acl (Prng.split rng) { Policy_gen.default_acl with rules; chains }
+
+(* [n] probe headers of [policy], drawn from a split of [rng]. *)
+let probes rng policy n = Array.to_list (Traffic.headers_for (Prng.split rng) policy n)
+
 (* A small total policy for the timing experiments: the saturation points
    depend on service rates, not on rule-set size, so a compact table keeps
    data-plane lookups cheap inside the event loop. *)
 let timing_policy ~seed =
   Policy_gen.acl (Prng.create seed)
     { Policy_gen.default_acl with rules = 120; chains = 10; chain_depth = 4; egresses = 4 }
-
-(* Distinct single-packet flows at a Poisson rate — the paper's worst-case
-   flow-setup workload (every flow misses). *)
 
 (* splitmix64 finaliser: uniform and uncorrelated in every bit, so header
    fields are independent — correlated fields would skew traffic across
@@ -45,82 +50,95 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let distinct_flows ~rng ~schema ~rate ~duration ~ingresses =
+(* Distinct single-packet flows with Poisson arrivals at [rate] — the
+   paper's worst-case flow-setup workload (every flow misses): at most
+   [count] of them, none starting after [duration].  Flow [i]'s five-tuple
+   (the schema of every generated ACL) is splitmix-mixed from id
+   [offset + i], so disjoint id ranges draw independent headers. *)
+let distinct_flows ~rng ~rate ~duration ~ingresses ~offset ~count =
   let ingresses = Array.of_list ingresses in
+  let schema = Schema.acl_5tuple in
   let arity = Schema.arity schema in
   let rec gen acc now flow_id =
-    let now = now +. Prng.exponential rng ~rate in
-    if now > duration then List.rev acc
+    if flow_id >= count then List.rev acc
     else
-      let header =
-        Header.make schema
-          (Array.init arity (fun f -> mix64 (Int64.of_int ((flow_id * arity) + f + 1))))
-      in
-      let flow =
-        {
-          Traffic.flow_id;
-          header;
-          ingress = ingresses.(flow_id mod Array.length ingresses);
-          start = now;
-          packets = 1;
-          interval = 1e-4;
-        }
-      in
-      gen (flow :: acc) now (flow_id + 1)
+      let now = now +. Prng.exponential rng ~rate in
+      if now > duration then List.rev acc
+      else
+        let header =
+          Header.make schema
+            (Array.init arity (fun f ->
+                 mix64 (Int64.of_int (((offset + flow_id) * arity) + f + 1))))
+        in
+        let flow =
+          {
+            Traffic.flow_id;
+            header;
+            ingress = ingresses.(flow_id mod Array.length ingresses);
+            start = now;
+            packets = 1;
+            interval = 1e-4;
+          }
+        in
+        gen (flow :: acc) now (flow_id + 1)
   in
   gen [] 0. 0
 
-(* Prefix-chain depth, specialised for destination-prefix tables: the
-   generic O(n^2) dependency analysis is wasteful when every predicate is
-   a dst_ip prefix — nesting depth is computable by hashing truncations. *)
-let prefix_chain_depth classifier =
+(* The scenarios' fixed-step clock: [tick now] at [from], [from + step],
+   ... while [now <= until] (times accumulate by addition, as replays
+   expect), then the action of each [timed] time the step crossed. *)
+let drive ~step ~from ~until ~timed tick =
+  let t = ref from in
+  while !t <= until do
+    let now = !t in
+    tick now;
+    List.iter (fun (at, action) -> if now -. step < at && at <= now then action now) timed;
+    t := !t +. step
+  done
+
+(* A flash crowd confined to one flowspace region: [profile]'s flows from
+   the first partition's table, ids +1,000,000, starting at [at], stably
+   merged into [background] by start time. *)
+let flash_crowd d ~seed ~at profile background =
+  let hot = List.hd (Deployment.partitioner d).Partitioner.partitions in
+  Traffic.generate (Prng.create (seed + 2)) hot.Partitioner.table profile
+  |> List.map (fun (f : Traffic.flow) ->
+         { f with flow_id = f.flow_id + 1_000_000; start = f.start +. at })
+  |> List.append background
+  |> List.stable_sort (fun (a : Traffic.flow) b -> Float.compare a.start b.start)
+
+(* Fraction of the offered flows a run dropped. *)
+let drop_rate (r : Flowsim.result) =
+  if r.offered_flows = 0 then 0.
+  else float_of_int r.dropped_flows /. float_of_int r.offered_flows
+
+(* Nesting in a destination-prefix table, by hashing truncations
+   (O(n * width)) where the generic analysis is O(n^2): for each rule
+   whose dst_ip field satisfies [keep], how many kept rules are its
+   proper ancestors.  Chain depth is one more than the most; overlapping
+   pairs are nested pairs, so their count is the sum. *)
+let prefix_ancestors ~keep classifier =
   let dst = Schema.index (Classifier.schema classifier) "dst_ip" in
-  let table = Hashtbl.create 1024 in
   let prefixes =
     List.filter_map
       (fun (r : Rule.t) ->
-        match Range.of_ternary (Pred.field r.pred dst) with
-        | Some _ ->
-            let f = Pred.field r.pred dst in
-            Some (Ternary.value f, Ternary.specified_bits f)
-        | None -> None)
-      (Classifier.rules classifier)
-  in
-  List.iter (fun (v, l) -> Hashtbl.replace table (v, l) ()) prefixes;
-  let truncate v l = Int64.logand v (Int64.shift_left Int64.minus_one (32 - l)) in
-  let depth_of (v, l) =
-    let d = ref 1 in
-    for l' = 0 to l - 1 do
-      if Hashtbl.mem table (truncate v l', l') then incr d
-    done;
-    !d
-  in
-  List.fold_left (fun acc p -> max acc (depth_of p)) 0 prefixes
-
-let is_prefix_set label = String.length label >= 6 && String.sub label 0 6 = "prefix"
-
-(* Overlapping pairs in a prefix table = nested-prefix pairs: count each
-   rule's proper ancestors by hashing truncations (O(n * width)). *)
-let prefix_overlap_count classifier =
-  let dst = Schema.index (Classifier.schema classifier) "dst_ip" in
-  let table = Hashtbl.create 1024 in
-  let prefixes =
-    List.map
-      (fun (r : Rule.t) ->
         let f = Pred.field r.pred dst in
-        (Ternary.value f, Ternary.specified_bits f))
+        if keep f then Some (Ternary.value f, Ternary.specified_bits f) else None)
       (Classifier.rules classifier)
   in
-  List.iter (fun (v, l) -> Hashtbl.replace table (v, l) ()) prefixes;
+  let table = Hashtbl.create 1024 in
+  List.iter (fun p -> Hashtbl.replace table p ()) prefixes;
   let truncate v l = if l = 0 then 0L else Int64.logand v (Int64.shift_left Int64.minus_one (32 - l)) in
-  List.fold_left
-    (fun acc (v, l) ->
+  List.map
+    (fun (v, l) ->
       let ancestors = ref 0 in
       for l' = 0 to l - 1 do
         if Hashtbl.mem table (truncate v l', l') then incr ancestors
       done;
-      acc + !ancestors)
-    0 prefixes
+      !ancestors)
+    prefixes
+
+let is_prefix_set label = String.length label >= 6 && String.sub label 0 6 = "prefix"
 
 (* ------------------------------------------------------------------ *)
 
@@ -139,7 +157,10 @@ module T1 = struct
       (fun (s : Policy_gen.named) ->
         let c = s.classifier in
         let depth =
-          if is_prefix_set s.label then prefix_chain_depth c
+          if is_prefix_set s.label then
+            (* chains of range-expressible prefixes only *)
+            List.fold_left (fun acc n -> max acc (n + 1)) 0
+              (prefix_ancestors ~keep:(fun f -> Option.is_some (Range.of_ternary f)) c)
           else if Classifier.length c > 2500 then
             (* exact dependency depth is O(n^2) subtractions; the overlap
                chain is a tight upper bound on these generated ACLs *)
@@ -147,7 +168,8 @@ module T1 = struct
           else Classifier.dependency_depth c
         in
         let overlaps =
-          if is_prefix_set s.label then prefix_overlap_count c
+          if is_prefix_set s.label then
+            List.fold_left ( + ) 0 (prefix_ancestors ~keep:(fun _ -> true) c)
           else Classifier.overlap_count c
         in
         {
@@ -160,8 +182,8 @@ module T1 = struct
         })
       (eval_sets ~seed ~quick)
 
-  let print rows =
-    Table.print ~title:"Table 1: evaluation rule sets"
+  let render rows =
+    Table.section ~title:"Table 1: evaluation rule sets"
       ~header:[ "rule set"; "rules"; "fields"; "dep. depth"; "overlap pairs"; "stands in for" ]
       (List.map
          (fun r ->
@@ -181,21 +203,19 @@ end
 let throughput_topology = Topology.star 6 ~latency:100e-6 ()
 (* hub 0 = authority candidate pool is spokes 1..4; ingresses at hub+spoke 5 *)
 
+(* The flow-setup experiments' deployment: volume-balanced partitions,
+   1 s cache idle timeout. *)
+let setup_config =
+  { Deployment.default_config with k = 8; cache_idle_timeout = Some 1.0; balance = `Volume }
+
 let throughput_deployment ~seed ~authorities () =
-  let policy = timing_policy ~seed in
   (* Worst case of the paper's throughput runs: every flow must miss, so
      ingress caches are disabled (a spliced wildcard entry would otherwise
      absorb most "distinct" headers and flatter DIFANE). *)
   let config =
-    {
-      Deployment.default_config with
-      k = max 8 (2 * List.length authorities);
-      cache_capacity = 0;
-      cache_idle_timeout = Some 1.0;
-      balance = `Volume;
-    }
+    { setup_config with k = max 8 (2 * List.length authorities); cache_capacity = 0 }
   in
-  Deployment.build ~config ~policy ~topology:throughput_topology
+  Deployment.build ~config ~policy:(timing_policy ~seed) ~topology:throughput_topology
     ~authority_ids:authorities ()
 
 module F_tput = struct
@@ -209,13 +229,12 @@ module F_tput = struct
 
   let run ?(seed = 42) ?(quick = false) () =
     let policy = timing_policy ~seed in
-    let schema = Classifier.schema policy in
     let duration = duration ~quick in
     List.map
       (fun rate ->
         let flows =
-          distinct_flows ~rng:(Prng.create (seed + int_of_float rate)) ~schema ~rate
-            ~duration ~ingresses:[ 5 ]
+          distinct_flows ~rng:(Prng.create (seed + int_of_float rate)) ~rate
+            ~duration ~ingresses:[ 5 ] ~offset:0 ~count:max_int
         in
         let difane =
           Flowsim.run Flowsim.Config.default
@@ -233,22 +252,18 @@ module F_tput = struct
         { offered_rate = rate; difane; nox })
       (rates ~quick)
 
-  let print points =
-    Table.print ~title:"Fig: flow-setup throughput, DIFANE (1 authority) vs NOX"
+  let render points =
+    Table.section ~title:"Fig: flow-setup throughput, DIFANE (1 authority) vs NOX"
       ~header:
         [ "offered (flows/s)"; "DIFANE tput"; "DIFANE drop%"; "NOX tput"; "NOX drop%" ]
       (List.map
          (fun p ->
-           let dropf (r : Flowsim.result) =
-             if r.offered_flows = 0 then 0.
-             else float_of_int r.dropped_flows /. float_of_int r.offered_flows
-           in
            [
              Table.fmt_si p.offered_rate;
              Table.fmt_si p.difane.Flowsim.setup_throughput;
-             Table.fmt_pct (dropf p.difane);
+             Table.fmt_pct (drop_rate p.difane);
              Table.fmt_si p.nox.Flowsim.setup_throughput;
-             Table.fmt_pct (dropf p.nox);
+             Table.fmt_pct (drop_rate p.nox);
            ])
          points)
 end
@@ -257,8 +272,6 @@ module F_scale = struct
   type point = { authority_switches : int; throughput : float; per_switch : float }
 
   let run ?(seed = 42) ?(quick = false) () =
-    let policy = timing_policy ~seed in
-    let schema = Classifier.schema policy in
     let timing = Flowsim.default_timing in
     let capacity_per_switch = 1. /. timing.Flowsim.authority_service in
     let duration = if quick then 0.01 else 0.05 in
@@ -268,8 +281,8 @@ module F_scale = struct
            saturates *)
         let rate = 1.5 *. capacity_per_switch *. float_of_int n_auth in
         let flows =
-          distinct_flows ~rng:(Prng.create (seed + n_auth)) ~schema ~rate ~duration
-            ~ingresses:[ 5 ]
+          distinct_flows ~rng:(Prng.create (seed + n_auth)) ~rate ~duration
+            ~ingresses:[ 5 ] ~offset:0 ~count:max_int
         in
         let authorities = List.init n_auth (fun i -> i + 1) in
         let d = throughput_deployment ~seed ~authorities () in
@@ -281,8 +294,8 @@ module F_scale = struct
         })
       (if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ])
 
-  let print points =
-    Table.print ~title:"Fig: DIFANE throughput vs number of authority switches"
+  let render points =
+    Table.section ~title:"Fig: DIFANE throughput vs number of authority switches"
       ~header:[ "authority switches"; "throughput (flows/s)"; "per switch" ]
       (List.map
          (fun p ->
@@ -305,24 +318,22 @@ module F_delay = struct
 
   let run ?(seed = 42) ?(quick = false) () =
     let policy = timing_policy ~seed in
-    let schema = Classifier.schema policy in
     let n_flows_rate = 5e3 (* far below every capacity: pure latency *) in
     let duration = if quick then 0.1 else 1.0 in
     (* a line gives a spread of ingress->authority->egress distances, so
        the CDF has the shape the paper plots rather than a step *)
     let topology = Topology.line 8 ~latency:100e-6 () in
     let ingresses = [ 0; 2; 4; 6; 7 ] in
-    let flows ~salt =
-      distinct_flows ~rng:(Prng.create (seed + salt)) ~schema ~rate:n_flows_rate ~duration
-        ~ingresses
+    let flows =
+      distinct_flows ~rng:(Prng.create (seed + 1)) ~rate:n_flows_rate ~duration
+        ~ingresses ~offset:0 ~count:max_int
     in
     let config =
       { Deployment.default_config with k = 8; cache_capacity = 0; balance = `Volume }
     in
     let d = Deployment.build ~config ~policy ~topology ~authority_ids:[ 1; 5 ] () in
-    let rd = Flowsim.run Flowsim.Config.default d (flows ~salt:1) in
-    let nox_net = Nox.build ~policy ~topology () in
-    let rn = Flowsim.run_nox nox_net (flows ~salt:1) in
+    let rd = Flowsim.run Flowsim.Config.default d flows in
+    let rn = Flowsim.run_nox (Nox.build ~policy ~topology ()) flows in
     let difane_delays = Cdf.of_array rd.Flowsim.miss_delays in
     let nox_delays = Cdf.of_array rn.Flowsim.miss_delays in
     let difane_median = Cdf.inverse difane_delays 0.5 in
@@ -330,8 +341,8 @@ module F_delay = struct
     { difane_delays; nox_delays; difane_median; nox_median;
       ratio = nox_median /. difane_median }
 
-  let print t =
-    Table.print ~title:"Fig: first-packet delay CDF (seconds)"
+  let render t =
+    Table.section ~title:"Fig: first-packet delay CDF (seconds)"
       ~header:[ "percentile"; "DIFANE"; "NOX" ]
       (List.map
          (fun q ->
@@ -340,8 +351,8 @@ module F_delay = struct
              Printf.sprintf "%.6f" (Cdf.inverse t.difane_delays q);
              Printf.sprintf "%.6f" (Cdf.inverse t.nox_delays q);
            ])
-         [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99 ]);
-    Printf.printf "median ratio (NOX / DIFANE): %.1fx\n" t.ratio
+         [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99 ])
+    ^ Printf.sprintf "median ratio (NOX / DIFANE): %.1fx\n" t.ratio
 end
 
 (* ------------------------------------------------------------------ *)
@@ -374,8 +385,8 @@ module F_part = struct
           (ks ~quick))
       sets
 
-  let print points =
-    Table.print ~title:"Fig: TCAM entries vs number of partitions"
+  let render points =
+    Table.section ~title:"Fig: TCAM entries vs number of partitions"
       ~header:[ "rule set"; "k"; "max entries/switch"; "total entries"; "duplication" ]
       (List.map
          (fun p ->
@@ -435,8 +446,8 @@ module F_miss = struct
           (Cachesim.sweep_with_opt policy ~cache_sizes:sizes stream))
       alphas
 
-  let print points =
-    Table.print ~title:"Fig: cache miss rate vs cache size (Zipf traffic)"
+  let render points =
+    Table.section ~title:"Fig: cache miss rate vs cache size (Zipf traffic)"
       ~header:
         [ "alpha"; "cache entries"; "wildcard (DIFANE) miss"; "wildcard OPT floor";
           "microflow miss" ]
@@ -515,8 +526,8 @@ module F_stretch = struct
         ("k-median+nearest", `K_median, `Nearest_replica, 4);
       ]
 
-  let print series =
-    Table.print ~title:"Fig: stretch of miss packets by authority placement"
+  let render series =
+    Table.section ~title:"Fig: stretch of miss packets by authority placement"
       ~header:[ "placement"; "p50"; "mean"; "p95"; "max" ]
       (List.map
          (fun s ->
@@ -568,10 +579,7 @@ module F_dyn = struct
 
   let run_one ~seed ~quick ~timeout ~mode =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 60 else 200); chains = 10 }
-    in
+    let policy = acl rng ~rules:(if quick then 60 else 200) ~chains:10 in
     let topo = Topology.line 6 () in
     let config =
       {
@@ -669,8 +677,8 @@ module F_dyn = struct
         run_one ~seed ~quick ~timeout:1.0 ~mode:Strict_flush;
       ]
 
-  let print points =
-    Table.print ~title:"Fig: policy-update consistency vs cache timeout"
+  let render points =
+    Table.section ~title:"Fig: policy-update consistency vs cache timeout"
       ~header:
         [ "hard timeout (s)"; "mode"; "stale packets"; "stale %"; "stale window (s)";
           "cache invalidated/kept" ]
@@ -729,8 +737,8 @@ module A_cut = struct
         })
       (if quick then [ 4; 16 ] else [ 2; 4; 8; 16; 32; 64 ])
 
-  let print points =
-    Table.print ~title:"Ablation: best-cut heuristic vs fixed-dimension cuts"
+  let render points =
+    Table.section ~title:"Ablation: best-cut heuristic vs fixed-dimension cuts"
       ~header:
         [ "k"; "best max"; "best total"; "src-only max"; "src-only total";
           "proto-only max"; "proto-only total" ]
@@ -809,17 +817,17 @@ module A_splice = struct
       worst_splice = List.fold_left max 0 fragmentation;
     }
 
-  let print t =
-    Table.print ~title:"Ablation: cache cost per flow, splicing vs dependent-set"
+  let render t =
+    Table.section ~title:"Ablation: cache cost per flow, splicing vs dependent-set"
       ~header:[ "metric"; "splice"; "dependent-set" ]
       [
         [ "mean entries per cached flow"; Printf.sprintf "%.2f" t.splice_mean;
           Printf.sprintf "%.2f" t.dependent_mean ];
         [ "p95"; Printf.sprintf "%.2f" t.splice_p95; Printf.sprintf "%.2f" t.dependent_p95 ];
         [ "worst case"; string_of_int t.worst_splice; string_of_int t.worst_dependent ];
-      ];
-    Printf.printf "(%d rules; splice worst case counts total pieces of one rule)\n"
-      t.rules_sampled
+      ]
+    ^ Printf.sprintf "(%d rules; splice worst case counts total pieces of one rule)\n"
+        t.rules_sampled
 end
 
 (* ------------------------------------------------------------------ *)
@@ -829,10 +837,7 @@ module E_ctrl = struct
 
   let run ?(seed = 42) ?(quick = false) () =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 200 else 2000); chains = 40 }
-    in
+    let policy = acl rng ~rules:(if quick then 200 else 2000) ~chains:40 in
     let topo_rng = Prng.split rng in
     let topology =
       Topology.campus ~rand:(fun () -> Prng.float topo_rng)
@@ -847,35 +852,30 @@ module E_ctrl = struct
     in
     let cp = Control_plane.create d in
     let drive ~from ~until ~step =
-      let t = ref from in
-      while !t <= until do
-        Control_plane.tick cp ~now:!t;
-        t := !t +. step
-      done
+      drive ~step ~from ~until ~timed:[] (fun now -> Control_plane.tick cp ~now)
     in
-    let measure f =
+    let measure scenario f =
       let f0 = Control_plane.control_frames cp and b0 = Control_plane.control_bytes cp in
       f ();
-      (Control_plane.control_frames cp - f0, Control_plane.control_bytes cp - b0)
+      { scenario; frames = Control_plane.control_frames cp - f0;
+        bytes = Control_plane.control_bytes cp - b0 }
     in
     (* 1. initial installation, as really transmitted *)
-    let install_frames, install_bytes =
-      measure (fun () ->
+    let install =
+      measure "initial install (partition rules + authority tables)" (fun () ->
           Control_plane.push_deployment cp ~now:0.;
           drive ~from:0.001 ~until:0.2 ~step:0.01)
     in
     (* 2. steady state: echoes + stats for a simulated minute *)
     let horizon = if quick then 10. else 60. in
-    let steady_frames, steady_bytes =
-      measure (fun () -> drive ~from:1. ~until:(1. +. horizon) ~step:0.25)
+    let steady =
+      measure (Printf.sprintf "steady state (%.0f s: echo 1 s, stats 5 s)" horizon) (fun () ->
+          drive ~from:1. ~until:(1. +. horizon) ~step:0.25)
     in
     (* 3. one full policy change, retransmitted *)
-    let policy2 =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 200 else 2000); chains = 40 }
-    in
-    let update_frames, update_bytes =
-      measure (fun () ->
+    let policy2 = acl rng ~rules:(if quick then 200 else 2000) ~chains:40 in
+    let update =
+      measure "policy update (full reinstall)" (fun () ->
           let _d' = Deployment.update_policy (Control_plane.deployment cp)
                       ~now:(2. +. horizon) policy2 in
           (* update_policy recomputes in place on the same switches; the
@@ -883,17 +883,10 @@ module E_ctrl = struct
           Control_plane.push_deployment cp ~now:(2. +. horizon);
           drive ~from:(2.001 +. horizon) ~until:(2.2 +. horizon) ~step:0.01)
     in
-    [
-      { scenario = "initial install (partition rules + authority tables)";
-        frames = install_frames; bytes = install_bytes };
-      { scenario = Printf.sprintf "steady state (%.0f s: echo 1 s, stats 5 s)" horizon;
-        frames = steady_frames; bytes = steady_bytes };
-      { scenario = "policy update (full reinstall)";
-        frames = update_frames; bytes = update_bytes };
-    ]
+    [ install; steady; update ]
 
-  let print rows =
-    Table.print ~title:"Supplementary: control-plane overhead (encoded frames on the wire)"
+  let render rows =
+    Table.section ~title:"Supplementary: control-plane overhead (encoded frames on the wire)"
       ~header:[ "scenario"; "frames"; "bytes" ]
       (List.map
          (fun r -> [ r.scenario; string_of_int r.frames; Table.fmt_si (float_of_int r.bytes) ])
@@ -919,10 +912,7 @@ module E_cache = struct
 
   let run ?(seed = 42) ?(quick = false) () =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 150 else 1000); chains = 40 }
-    in
+    let policy = acl rng ~rules:(if quick then 150 else 1000) ~chains:40 in
     let topology = Topology.line 4 () in
     let profile =
       {
@@ -954,11 +944,10 @@ module E_cache = struct
               (fun acc sw -> Int64.add acc (f (Tcam.stats (Switch.cache sw))))
               0L (Deployment.switches d)
           in
-          (d, r, sum)
+          (r, sum)
         in
-        let d0, r0, sum0 = arm Aggregate.default in
-        let _d1, r1, sum1 = arm Aggregate.enabled_default in
-        ignore d0;
+        let r0, sum0 = arm Aggregate.default in
+        let r1, sum1 = arm Aggregate.enabled_default in
         let packets = float_of_int (max 1 r0.Flowsim.delivered_packets) in
         let packets1 = float_of_int (max 1 r1.Flowsim.delivered_packets) in
         let installs = sum0 (fun (s : Tcam.stats) -> s.Tcam.inserts) in
@@ -979,8 +968,8 @@ module E_cache = struct
         })
       sizes
 
-  let print points =
-    Table.print
+  let render points =
+    Table.section
       ~title:
         "Supplementary: ingress cache size vs authority load (plain vs aggregated)"
       ~header:
@@ -1004,17 +993,15 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-(* Shared by the fault experiments: the reliable-channel timers the CLI
-   exposes (--echo-interval and the --retx flags), defaulting to the
-   tight values the chaos scenarios have always run with. *)
-let reliability_config ?(echo_interval = 1.0) ?(retx_timeout = 0.05)
-    ?(retx_backoff = 2.0) ?(retx_limit = 8) () =
+(* The fault sweeps' reliable-channel timers: the tight values the chaos
+   scenarios have always run with. *)
+let fault_cp_config =
   {
     Control_plane.default_config with
-    echo_interval;
-    retx_timeout;
-    retx_backoff;
-    retx_limit;
+    echo_interval = 1.0;
+    retx_timeout = 0.05;
+    retx_backoff = 2.0;
+    retx_limit = 8;
   }
 
 (* The per-row invariants both fault sweeps gate on: every count in
@@ -1027,6 +1014,27 @@ let fault_check ~loss ~zero ~recovered ~replay_identical =
     zero
   @ (if recovered then [] else [ at "did not recover" ])
   @ if replay_identical then [] else [ at "replay diverged" ]
+
+(* Both fault scenarios' data plane (on a 6-switch line): k = 8
+   partitions, each on two authorities, and 128-entry caches. *)
+let fault_dconfig congestion =
+  { Deployment.default_config with k = 8; replication = 2; cache_capacity = 128; congestion }
+
+(* A fault sweep: one seeded run of [scenario] per loss rate; the 10%
+   point, the acceptance scenario, is replayed end to end and
+   [replayed row ok] records whether both runs left the same trace. *)
+let loss_sweep ~quick scenario replayed =
+  List.map
+    (fun loss ->
+      let row, trace = scenario ~loss in
+      replayed row ((not (Float.equal loss 0.10)) || trace = snd (scenario ~loss)))
+    (if quick then [ 0.0; 0.10 ] else [ 0.0; 0.05; 0.10; 0.20 ])
+
+(* One batch of probe traffic: every cache flushed, then [probes] from
+   ingress 0. *)
+let inject_batch d probes ~now =
+  Deployment.flush_caches d;
+  List.iter (fun h -> ignore (Deployment.inject d ~now ~ingress:0 h)) probes
 
 module E_chaos = struct
   type row = {
@@ -1056,17 +1064,10 @@ module E_chaos = struct
 
   let scenario ~cp_config ~congestion ~seed ~quick ~loss =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 100 else 500); chains = 20 }
-    in
-    let topology = Topology.line 6 () in
-    let config =
-      { Deployment.default_config with k = 8; replication = 2; cache_capacity = 128;
-        congestion }
-    in
+    let policy = acl rng ~rules:(if quick then 100 else 500) ~chains:20 in
     let d =
-      Deployment.build ~install:false ~config ~policy ~topology ~authority_ids:[ 1; 3; 4 ] ()
+      Deployment.build ~install:false ~config:(fault_dconfig congestion) ~policy
+        ~topology:(Topology.line 6 ()) ~authority_ids:[ 1; 3; 4 ] ()
     in
     let a, b = (1, 3) in
     let faults =
@@ -1082,38 +1083,32 @@ module E_chaos = struct
         ()
     in
     let cp = Control_plane.create ~config:cp_config ~faults d in
-    let probes =
-      Array.to_list (Traffic.headers_for (Prng.split rng) policy (if quick then 100 else 400))
-    in
-    let inject_batch ~now =
-      let d = Control_plane.deployment cp in
-      Deployment.flush_caches d;
-      List.iter (fun h -> ignore (Deployment.inject d ~now ~ingress:0 h)) probes
-    in
+    let probes = probes rng policy (if quick then 100 else 400) in
+    let batch now = inject_batch (Control_plane.deployment cp) probes ~now in
     let detect = ref nan and converge = ref nan in
     let degraded_before = ref 0 in
     let step = 0.02 in
     Control_plane.push_deployment cp ~now:0.;
-    let t = ref step in
-    while !t <= horizon do
-      let now = !t in
-      Control_plane.tick cp ~now;
-      if Float.is_nan !detect && List.mem a (Control_plane.failed_switches cp) then
-        detect := now -. crash_a;
-      if now > restart_b && Float.is_nan !converge
-         && Control_plane.pending_requests cp = 0
-      then converge := now -. restart_b;
-      (* traffic batches: a warm-up, one in the double-crash window (some
-         partitions have no live replica -> degraded path), one after
-         recovery *)
-      if now -. step < 1.0 && 1.0 <= now then inject_batch ~now;
-      if now -. step < 3.0 && 3.0 <= now then begin
-        degraded_before := Deployment.degraded_misses (Control_plane.deployment cp);
-        inject_batch ~now
-      end;
-      if now -. step < 12.0 && 12.0 <= now then inject_batch ~now;
-      t := !t +. step
-    done;
+    (* traffic batches: a warm-up, one in the double-crash window (some
+       partitions have no live replica -> degraded path), one after
+       recovery *)
+    drive ~step ~from:step ~until:horizon
+      ~timed:
+        [
+          (1.0, batch);
+          ( 3.0,
+            fun now ->
+              degraded_before := Deployment.degraded_misses (Control_plane.deployment cp);
+              batch now );
+          (12.0, batch);
+        ]
+      (fun now ->
+        Control_plane.tick cp ~now;
+        if Float.is_nan !detect && List.mem a (Control_plane.failed_switches cp) then
+          detect := now -. crash_a;
+        if now > restart_b && Float.is_nan !converge
+           && Control_plane.pending_requests cp = 0
+        then converge := now -. restart_b);
     let d = Control_plane.deployment cp in
     let stats = Control_plane.stats cp in
     let recovered =
@@ -1137,23 +1132,10 @@ module E_chaos = struct
       },
       Control_plane.timeline cp )
 
-  let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default) ?echo_interval
-      ?retx_timeout ?retx_backoff ?retx_limit () =
-    let cp_config =
-      reliability_config ?echo_interval ?retx_timeout ?retx_backoff ?retx_limit ()
-    in
-    let rates = if quick then [ 0.0; 0.10 ] else [ 0.0; 0.05; 0.10; 0.20 ] in
-    List.map
-      (fun loss ->
-        let row, log1 = scenario ~cp_config ~congestion ~seed ~quick ~loss in
-        (* the reproducibility claim, checked where it matters most: the
-           acceptance scenario's 10% loss point is replayed end to end *)
-        if Float.equal loss 0.10 then begin
-          let _, log2 = scenario ~cp_config ~congestion ~seed ~quick ~loss in
-          { row with replay_identical = log1 = log2 }
-        end
-        else { row with replay_identical = true })
-      rates
+  let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default)
+      ?(cp_config = fault_cp_config) () =
+    loss_sweep ~quick (scenario ~cp_config ~congestion ~seed ~quick) (fun row ok ->
+        { row with replay_identical = ok })
 
   let check rows =
     List.concat_map
@@ -1185,8 +1167,6 @@ module E_chaos = struct
              (if r.replay_identical then "identical" else "DIVERGED");
            ])
          rows)
-
-  let print rows = print_string (render rows)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1231,16 +1211,8 @@ module E_ha = struct
 
   let scenario ~cp_config ~congestion ~seed ~quick ~loss =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 80 else 400); chains = 20 }
-    in
+    let policy = acl rng ~rules:(if quick then 80 else 400) ~chains:20 in
     let policy' = F_dyn.flipped ~select:(fun id -> id mod 4 = 0) policy in
-    let topology = Topology.line 6 () in
-    let dconfig =
-      { Deployment.default_config with k = 8; replication = 2; cache_capacity = 128;
-        congestion }
-    in
     let faults =
       Fault.plan ~seed ~controllers:3
         ~link:(if loss > 0. then Fault.lossy_link ~jitter:2e-3 loss else Fault.ideal_link)
@@ -1257,37 +1229,19 @@ module E_ha = struct
     in
     let config = { Cluster.default_config with snapshot_every = 8; cp = cp_config } in
     let cl =
-      Cluster.create ~config ~faults ~dconfig ~policy ~topology ~authority_ids:[ 1; 3; 4 ] ()
+      Cluster.create ~config ~faults ~dconfig:(fault_dconfig congestion) ~policy
+        ~topology:(Topology.line 6 ()) ~authority_ids:[ 1; 3; 4 ] ()
     in
-    let probes =
-      Array.to_list (Traffic.headers_for (Prng.split rng) policy (if quick then 100 else 300))
-    in
-    let inject_batch ~now =
-      let d = Cluster.deployment cl in
-      Deployment.flush_caches d;
-      List.iter (fun h -> ignore (Deployment.inject d ~now ~ingress:0 h)) probes
-    in
+    let probes = probes rng policy (if quick then 100 else 300) in
+    let batch now = inject_batch (Cluster.deployment cl) probes ~now in
     let step = 0.02 in
     Cluster.push_deployment cl ~now:0.;
-    let updated = ref false in
-    let isolated = ref false in
-    let t = ref step in
-    while !t <= horizon do
-      let now = !t in
-      Cluster.tick cl ~now;
-      if (not !updated) && now >= update_at then begin
-        Cluster.update_policy cl ~now policy';
-        updated := true
-      end;
-      if (not !isolated) && now >= isolate_at then begin
-        Cluster.isolate cl ~now 1 true;
-        isolated := true
-      end;
-      List.iter
-        (fun batch_at -> if now -. step < batch_at && batch_at <= now then inject_batch ~now)
-        [ 1.0; 2.5; 5.5; 13.5 ];
-      t := !t +. step
-    done;
+    drive ~step ~from:step ~until:horizon
+      ~timed:
+        ((update_at, fun now -> Cluster.update_policy cl ~now policy')
+        :: (isolate_at, fun now -> Cluster.isolate cl ~now 1 true)
+        :: List.map (fun at -> (at, batch)) [ 1.0; 2.5; 5.5; 13.5 ])
+      (fun now -> Cluster.tick cl ~now);
     let d = Cluster.deployment cl in
     let stats = Cluster.stats cl in
     let latencies = Cluster.takeover_latencies cl in
@@ -1318,23 +1272,11 @@ module E_ha = struct
       },
       (Cluster.timeline cl, Bytes.to_string (Journal.encode (Cluster.journal cl))) )
 
-  let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default) ?echo_interval
-      ?retx_timeout ?retx_backoff ?retx_limit () =
-    let cp_config =
-      reliability_config ?echo_interval ?retx_timeout ?retx_backoff ?retx_limit ()
-    in
-    let rates = if quick then [ 0.0; 0.10 ] else [ 0.0; 0.05; 0.10; 0.20 ] in
-    List.map
-      (fun loss ->
-        let row, trace1 = scenario ~cp_config ~congestion ~seed ~quick ~loss in
-        (* the acceptance criterion: the same seed must replay the whole
-           run bit-identically — event timeline and journal bytes *)
-        if Float.equal loss 0.10 then begin
-          let _, trace2 = scenario ~cp_config ~congestion ~seed ~quick ~loss in
-          { row with replay_identical = trace1 = trace2 }
-        end
-        else { row with replay_identical = true })
-      rates
+  (* the replayed trace is the event timeline and the journal bytes *)
+  let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default)
+      ?(cp_config = fault_cp_config) () =
+    loss_sweep ~quick (scenario ~cp_config ~congestion ~seed ~quick) (fun row ok ->
+        { row with replay_identical = ok })
 
   let check rows =
     List.concat_map
@@ -1378,27 +1320,18 @@ module E_ha = struct
            ])
          rows)
 
-  let print rows = print_string (render rows)
-
   let journal ~seed ~quick ~loss =
     let _, (_, journal) =
-      scenario ~cp_config:(reliability_config ()) ~congestion:Congestion.default ~seed
-        ~quick ~loss
+      scenario ~cp_config:fault_cp_config ~congestion:Congestion.default ~seed ~quick
+        ~loss
     in
     journal
 end
 
-(* E-INCAST: many ingresses fan into one authority switch over a slow
-   fabric — the incast pattern that motivates the congestion model.
-   Every link serializes a default packet in 100 µs (10k packets/s per
-   port), matched to the authority's 100 µs setup service, so past
-   ~10k flows/s the authority's inbound port and setup queue congest
-   together.  The sweep replays the identical seeded workload under
-   drop-tail and under credit-based flow control: drop-tail sheds
-   misses at the full port buffer; credit mode backpressures the
-   ingresses, which defer re-splicing and fall back to the (slower but
-   lossless) controller path — the graceful-degradation trade the
-   tentpole exists to demonstrate. *)
+(* E-INCAST: every link serializes a default packet in 100 µs (10k
+   packets/s per port), matched to the authority's 100 µs setup service,
+   so past ~10k flows/s the authority's inbound port and setup queue
+   congest together. *)
 module E_incast = struct
   type row = { offered_rate : float; mode : string; result : Flowsim.result }
 
@@ -1426,16 +1359,7 @@ module E_incast = struct
     }
 
   let deployment ~seed ~mode =
-    let config =
-      {
-        Deployment.default_config with
-        k = 8;
-        cache_capacity = 0;
-        cache_idle_timeout = Some 1.0;
-        balance = `Volume;
-        congestion = congestion mode;
-      }
-    in
+    let config = { setup_config with cache_capacity = 0; congestion = congestion mode } in
     Deployment.build ~config ~policy:(timing_policy ~seed) ~topology ~authority_ids:[ 1 ]
       ()
 
@@ -1444,7 +1368,6 @@ module E_incast = struct
   let modes = [ ("drop-tail", Congestion.Drop_tail); ("credit", Congestion.Credit) ]
 
   let run ?(seed = 42) ?(quick = false) () =
-    let schema = Classifier.schema (timing_policy ~seed) in
     let duration = duration ~quick in
     List.concat_map
       (fun rate ->
@@ -1453,8 +1376,8 @@ module E_incast = struct
             (* same seeded workload for both modes: the curves differ only
                in what the network does under pressure *)
             let flows =
-              distinct_flows ~rng:(Prng.create (seed + int_of_float rate)) ~schema ~rate
-                ~duration ~ingresses:[ 2; 3; 4; 5; 6; 7; 8; 9 ]
+              distinct_flows ~rng:(Prng.create (seed + int_of_float rate)) ~rate
+                ~duration ~ingresses:[ 2; 3; 4; 5; 6; 7; 8; 9 ] ~offset:0 ~count:max_int
             in
             { offered_rate = rate; mode = name;
               result =
@@ -1463,10 +1386,6 @@ module E_incast = struct
                   (deployment ~seed ~mode) flows })
           modes)
       (rates ~quick)
-
-  let miss_drop_rate (r : Flowsim.result) =
-    if r.Flowsim.offered_flows = 0 then 0.
-    else float_of_int r.Flowsim.dropped_flows /. float_of_int r.Flowsim.offered_flows
 
   (* The graceful-degradation claims the incast gate enforces, at the
      saturating (top) rate of the sweep. *)
@@ -1481,7 +1400,7 @@ module E_incast = struct
         (dt.Flowsim.queue_drops > 0,
          "drop-tail never filled a port buffer at the top rate");
         (cr.Flowsim.backpressured > 0, "credit mode never backpressured at the top rate");
-        (miss_drop_rate cr < miss_drop_rate dt,
+        (drop_rate cr < drop_rate dt,
          "credit mode dropped at least as large a fraction as drop-tail at the top rate");
         (cr.Flowsim.completed_flows > dt.Flowsim.completed_flows,
          "credit mode completed no more flows than drop-tail at the top rate");
@@ -1505,7 +1424,7 @@ module E_incast = struct
              Table.fmt_si r.offered_rate;
              r.mode;
              string_of_int res.Flowsim.completed_flows;
-             Table.fmt_pct (miss_drop_rate res);
+             Table.fmt_pct (drop_rate res);
              string_of_int res.Flowsim.queue_drops;
              string_of_int res.Flowsim.ecn_marks;
              string_of_int res.Flowsim.backpressured;
@@ -1513,16 +1432,8 @@ module E_incast = struct
              pctl (fun (s : Summary.t) -> s.Summary.p99);
            ])
          rows)
-
-  let print rows = print_string (render rows)
 end
 
-(* E-MON: flow-level monitoring on a skewed Zipf workload.  A star of
-   edge switches feeds three authority switches; high Zipf skew plus a
-   deliberately small ingress cache keeps the hot rules' partitions
-   missing all run, so the authority holding them runs hot — the
-   monitor's job is to see that happen, window by window, and say
-   which rules did it. *)
 module E_mon = struct
   type report = {
     packets : int;
@@ -1540,10 +1451,7 @@ module E_mon = struct
   let run_monitored ?(seed = 42) ?(quick = false) ?(alpha = 1.4) ?(sample_rate = 1)
       ?interval ?(threshold = 1.5) ?(top_k = 10) () =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 150 else 600); chains = 40 }
-    in
+    let policy = acl rng ~rules:(if quick then 150 else 600) ~chains:40 in
     let topology = Topology.star 8 () in
     let config =
       { Deployment.default_config with k = 8; cache_capacity = 64; balance = `Volume }
@@ -1563,13 +1471,9 @@ module E_mon = struct
     let flows = Traffic.generate (Prng.create (seed + 1)) policy profile in
     let span = float_of_int profile.Traffic.flows /. profile.Traffic.rate in
     (* flash crowd: halfway through, a burst of single-packet flows
-       confined to one flowspace region (headers drawn from that
-       partition's clipped table).  Steady-state Zipf misses spread
+       confined to one flowspace region.  Steady-state Zipf misses spread
        evenly over the authorities; this is the transient imbalance the
        hotspot detector exists to catch. *)
-    let hot =
-      List.hd (Deployment.partitioner d).Partitioner.partitions
-    in
     let burst_profile =
       {
         Traffic.default with
@@ -1581,17 +1485,7 @@ module E_mon = struct
         ingresses = profile.Traffic.ingresses;
       }
     in
-    let burst =
-      Traffic.generate (Prng.create (seed + 2)) hot.Partitioner.table burst_profile
-      |> List.map (fun (f : Traffic.flow) ->
-             { f with Traffic.flow_id = f.Traffic.flow_id + 1_000_000;
-               start = f.Traffic.start +. (span /. 2.) })
-    in
-    let flows =
-      List.sort
-        (fun (a : Traffic.flow) b -> Float.compare a.Traffic.start b.Traffic.start)
-        (flows @ burst)
-    in
+    let flows = flash_crowd d ~seed ~at:(span /. 2.) burst_profile flows in
     let interval = Option.value ~default:(span /. 20.) interval in
     let mon_config =
       {
@@ -1638,8 +1532,8 @@ module E_mon = struct
       replay_identical;
     }
 
-  let print (r : report) =
-    Table.print ~title:"E-MON: top heavy-hitter rules (skewed Zipf workload)"
+  let render (r : report) =
+    Table.section ~title:"E-MON: top heavy-hitter rules (skewed Zipf workload)"
       ~header:[ "rule"; "prio"; "cache hits"; "auth hits"; "provenance" ]
       (List.map
          (fun (h : Monitor.rule_report) ->
@@ -1653,40 +1547,31 @@ module E_mon = struct
                   (fun (pid, auth) -> Printf.sprintf "pid %d@sw%d" pid auth)
                   h.Monitor.partitions);
            ])
-         r.heavy);
-    Printf.printf "packets %d, cache hit rate %s; %d sampled into %d flow records\n"
-      r.packets (Table.fmt_pct r.hit_rate) r.sampled r.exported;
-    Printf.printf "dead rules: %d\n" r.dead;
-    List.iter
-      (fun (g : Monitor.region_report) ->
-        Printf.printf "  region pid %d @ sw%d: efficacy %s\n" g.Monitor.pid
-          g.Monitor.authority
-          (Table.fmt_pct g.Monitor.efficacy))
-      r.regions;
-    (match r.worst with
-    | Some e ->
-        Printf.printf "hotspots: %d windows flagged; worst %s\n" r.hotspot_windows
-          (Format.asprintf "%a" Hotspot.pp_event e)
-    | None -> Printf.printf "hotspots: none flagged\n");
-    Printf.printf "flow-record replay identical: %b\n" r.replay_identical
+         r.heavy)
+    ^ Printf.sprintf "packets %d, cache hit rate %s; %d sampled into %d flow records\n"
+        r.packets (Table.fmt_pct r.hit_rate) r.sampled r.exported
+    ^ Printf.sprintf "dead rules: %d\n" r.dead
+    ^ String.concat ""
+        (List.map
+           (fun (g : Monitor.region_report) ->
+             Printf.sprintf "  region pid %d @ sw%d: efficacy %s\n" g.Monitor.pid
+               g.Monitor.authority
+               (Table.fmt_pct g.Monitor.efficacy))
+           r.regions)
+    ^ (match r.worst with
+      | Some e ->
+          Format.asprintf "hotspots: %d windows flagged; worst %a\n" r.hotspot_windows
+            Hotspot.pp_event e
+      | None -> "hotspots: none flagged\n")
+    ^ Printf.sprintf "flow-record replay identical: %b\n" r.replay_identical
 end
 
-(* E-REBALANCE: closed-loop adaptive repartitioning under a flash
-   crowd.  A star of four ingresses feeds three authority switches; at
-   t=3 s a sustained crowd of single-packet flows confined to one
-   flowspace region overloads the authority that owns it (offered rate
-   1.5x its setup capacity), so its queue — and the region's tail
-   first-packet delay — grows without bound.  The live cluster ticks
-   against the same deployment the packets walk (the flowsim
-   [?controller] hook): with the adaptive config, the hotspot detector
-   flags the authority for [hotspot_window] consecutive windows, the
-   hot region is re-cut and the split-off half migrated (staged:
-   install -> flip -> retire) to the least-loaded authority, after
-   which each half runs below capacity and the tail drains.  The
-   static baseline replays the identical workload with the loop off
-   and never recovers.  A third run crashes the master between the
-   flip and the commit; the elected replica replays the journal,
-   finishes the retirement, and every gate still holds. *)
+(* E-REBALANCE: the live cluster ticks against the same deployment the
+   packets walk (the flowsim [?controller] hook).  With the adaptive
+   config the hotspot detector flags the hot authority for
+   [hotspot_window] consecutive windows, and the hot region is re-cut
+   and its split-off half migrated (staged: install -> flip -> retire)
+   to the least-loaded authority. *)
 module E_rebalance = struct
   type row = {
     label : string;  (** ["static"], ["adaptive"] or ["adaptive+crash"] *)
@@ -1702,9 +1587,6 @@ module E_rebalance = struct
     migrations_aborted : int;
     rules_moved : int;
     takeovers : int;
-    dup_installs : int;
-    stale_accepted : int;
-    pending : int;
     violations : string list;  (** per-run invariant failures; [] = green *)
     replay_identical : bool;
   }
@@ -1721,10 +1603,7 @@ module E_rebalance = struct
 
   let scenario ~seed ~quick ~hotspot_threshold ~hotspot_window ~mode =
     let rng = Prng.create seed in
-    let policy =
-      Policy_gen.acl (Prng.split rng)
-        { Policy_gen.default_acl with rules = (if quick then 120 else 300); chains = 20 }
-    in
+    let policy = acl rng ~rules:(if quick then 120 else 300) ~chains:20 in
     let topology = Topology.star 8 () in
     (* ingress caches far smaller than the working set: the traffic mix
        churns them, so the crowd's spliced pieces keep getting evicted
@@ -1782,9 +1661,8 @@ module E_rebalance = struct
       Traffic.generate (Prng.create (seed + 1)) policy base_profile
       |> List.map (fun (f : Traffic.flow) -> { f with Traffic.start = f.Traffic.start +. 1.0 })
     in
-    (* the flash crowd: single-packet flows drawn from one partition's
-       clipped table, sustained until the end of the run *)
-    let hot = List.hd (Deployment.partitioner d).Partitioner.partitions in
+    (* the flash crowd: single-packet flows from one region, sustained
+       until the end of the run *)
     let crowd_span = horizon -. crowd_start in
     let crowd_flows = int_of_float (crowd_rate *. crowd_span) in
     let crowd_profile =
@@ -1798,25 +1676,18 @@ module E_rebalance = struct
         ingresses = [ 4; 5; 6; 7 ];
       }
     in
-    let crowd =
-      Traffic.generate (Prng.create (seed + 2)) hot.Partitioner.table crowd_profile
-      |> List.map (fun (f : Traffic.flow) ->
-             { f with Traffic.flow_id = f.Traffic.flow_id + 1_000_000;
-               start = f.Traffic.start +. crowd_start })
-    in
-    let flows =
-      List.sort
-        (fun (a : Traffic.flow) b -> Float.compare a.Traffic.start b.Traffic.start)
-        (base @ crowd)
-    in
+    let flows = flash_crowd d ~seed ~at:crowd_start crowd_profile base in
     let timing =
       { Flowsim.default_timing with authority_service = service; queue_capacity = 4000 }
     in
-    let ctr name = Telemetry.value (Telemetry.counter name) in
-    let started0 = ctr "rebalance_migrations_started" in
-    let committed0 = ctr "rebalance_migrations_committed" in
-    let aborted0 = ctr "rebalance_migrations_aborted" in
-    let moved0 = ctr "rebalance_rules_moved" in
+    (* each counter's growth over this run *)
+    let growth name =
+      let ctr () = Telemetry.value (Telemetry.counter ("rebalance_" ^ name)) in
+      let before = ctr () in
+      fun () -> ctr () - before
+    in
+    let started = growth "migrations_started" and committed = growth "migrations_committed"
+    and aborted = growth "migrations_aborted" and moved = growth "rules_moved" in
     let res =
       Flowsim.run
         { Flowsim.Config.default with timing;
@@ -1824,11 +1695,8 @@ module E_rebalance = struct
         d flows
     in
     (* let retransmissions and any tail migration stage settle *)
-    let t = ref horizon in
-    while !t <= horizon +. 1.0 do
-      Cluster.tick cl ~now:!t;
-      t := !t +. 0.01
-    done;
+    drive ~step:0.01 ~from:horizon ~until:(horizon +. 1.0) ~timed:[] (fun now ->
+        Cluster.tick cl ~now);
     let baseline_p99 = p99_between res ~lo:1.5 ~hi:crowd_start in
     let crowd_p99 = p99_between res ~lo:(crowd_start +. 0.25) ~hi:(crowd_start +. 1.25) in
     let final_lo = horizon -. (if quick then 1.25 else 1.5) in
@@ -1837,31 +1705,20 @@ module E_rebalance = struct
       Float.is_finite baseline_p99 && Float.is_finite final_p99
       && final_p99 < 2. *. baseline_p99
     in
-    let probes =
-      Array.to_list
-        (Traffic.headers_for (Prng.split rng) policy (if quick then 100 else 300))
-    in
-    let journal_ok =
-      match Journal.decode (Classifier.schema policy) (Journal.encode (Cluster.journal cl)) with
-      | Ok _ -> true
-      | Error _ -> false
-    in
-    let started = ctr "rebalance_migrations_started" - started0 in
-    let committed = ctr "rebalance_migrations_committed" - committed0 in
-    let aborted = ctr "rebalance_migrations_aborted" - aborted0 in
-    let dup_installs = Cluster.duplicate_installs cl in
-    let stale_accepted = Cluster.stale_accepted cl in
-    let pending = Cluster.pending_requests cl in
-    let dangling = Control_plane.migration_active (Cluster.leader_cp cl) in
+    let probes = probes rng policy (if quick then 100 else 300) in
+    let journal = Journal.encode (Cluster.journal cl) in
+    let started = started () and committed = committed () and aborted = aborted () in
     let violations =
       unmet
         [
           (res.Flowsim.outage_drops = 0, "packets dropped in a controller outage");
-          (dup_installs = 0, "duplicate installs in a switch bank");
-          (stale_accepted = 0, "a switch accepted a stale-epoch frame");
-          (pending = 0, "control requests still pending after the drain");
-          (not dangling, "a migration was left in flight");
-          (journal_ok, "journal failed to decode");
+          (Cluster.duplicate_installs cl = 0, "duplicate installs in a switch bank");
+          (Cluster.stale_accepted cl = 0, "a switch accepted a stale-epoch frame");
+          (Cluster.pending_requests cl = 0, "control requests still pending after the drain");
+          (not (Control_plane.migration_active (Cluster.leader_cp cl)),
+           "a migration was left in flight");
+          (Result.is_ok (Journal.decode (Classifier.schema policy) journal),
+           "journal failed to decode");
           (Deployment.semantically_equal (Cluster.deployment cl) probes,
            "deployment lost semantic equivalence");
         ]
@@ -1895,16 +1752,12 @@ module E_rebalance = struct
         migrations_started = started;
         migrations_committed = committed;
         migrations_aborted = aborted;
-        rules_moved = ctr "rebalance_rules_moved" - moved0;
+        rules_moved = moved ();
         takeovers = Cluster.takeovers cl;
-        dup_installs;
-        stale_accepted;
-        pending;
         violations;
         replay_identical = false;
       },
-      (Cluster.timeline cl, Bytes.to_string (Journal.encode (Cluster.journal cl)),
-       res.Flowsim.flow_delays) )
+      (Cluster.timeline cl, Bytes.to_string journal, res.Flowsim.flow_delays) )
 
   let run ?(seed = 42) ?(quick = false) ?(hotspot_threshold = 2.0) ?(hotspot_window = 3)
       () =
@@ -1965,17 +1818,10 @@ module E_rebalance = struct
              (if r.violations = [] then "green" else String.concat "; " r.violations);
            ])
          rows)
-
-  let print rows = print_string (render rows)
 end
 
-(* E-SCALE: multicore ingress sharding at scale.  The network decomposes
-   into independent shards — one authority star (hub, authority, ingress
-   spokes) per shard, no cross-shard links — so each shard replays its
-   own seeded workload on its own engine and Flowsim.run_sharded merges
-   the results in shard-index order.  The decomposition is a function of
-   the shard index alone, so the merged result is byte-identical at any
-   domain count: [digest] canonicalizes a result for that comparison. *)
+(* E-SCALE: one authority star (hub, authority, ingress spokes) per
+   shard, no cross-shard links. *)
 module E_scale = struct
   type spec = {
     shards : int;
@@ -1997,42 +1843,17 @@ module E_scale = struct
   let shard_policy ~seed s = timing_policy ~seed:(seed + (7919 * (s + 1)))
 
   let shard_deployment ~seed spec s =
-    let config =
-      { Deployment.default_config with k = 8; cache_idle_timeout = Some 1.0;
-        balance = `Volume }
-    in
-    Deployment.build ~config ~policy:(shard_policy ~seed s)
+    Deployment.build ~config:setup_config ~policy:(shard_policy ~seed s)
       ~topology:(Topology.star (spec.spokes + 1) ~latency:100e-6 ())
       ~authority_ids:[ 1 ] ()
 
-  (* Exactly [flows_per_shard] single-packet flows with seeded Poisson
-     arrivals; headers are splitmix-mixed so they spread uniformly over
-     the shard policy's flowspace. *)
+  (* Exactly [flows_per_shard] distinct flows, shard [s] owning ids
+     [s * flows_per_shard] onwards. *)
   let shard_flows ~seed spec s =
-    let schema = Classifier.schema (shard_policy ~seed s) in
-    let arity = Schema.arity schema in
-    let rng = Prng.create (seed + (104729 * (s + 1))) in
-    let ingresses = Array.init (spec.spokes - 1) (fun i -> i + 2) in
-    let rate = 50_000. in
-    let rec gen acc now flow_id =
-      if flow_id >= spec.flows_per_shard then List.rev acc
-      else
-        let now = now +. Prng.exponential rng ~rate in
-        let header =
-          Header.make schema
-            (Array.init arity (fun f ->
-                 mix64
-                   (Int64.of_int
-                      ((((s * spec.flows_per_shard) + flow_id) * arity) + f + 1))))
-        in
-        let flow =
-          { Traffic.flow_id; header;
-            ingress = ingresses.(flow_id mod Array.length ingresses);
-            start = now; packets = 1; interval = 1e-4 }
-        in
-        gen (flow :: acc) now (flow_id + 1)
-    in
-    gen [] 0. 0
+    distinct_flows ~rng:(Prng.create (seed + (104729 * (s + 1))))
+      ~rate:50_000. ~duration:infinity
+      ~ingresses:(List.init (spec.spokes - 1) (fun i -> i + 2))
+      ~offset:(s * spec.flows_per_shard) ~count:spec.flows_per_shard
 
   let run ?(seed = 42) spec =
     if spec.spokes < 3 then invalid_arg "E_scale.run: spokes < 3";
@@ -2093,33 +1914,13 @@ module E_scale = struct
                 (1e6 *. s.Summary.p99) ]);
         [ "digest"; digest r ];
       ]
-
-  let print spec r = print_string (render spec r)
 end
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ?(seed = 42) ?(quick = false) () =
-  T1.print (T1.run ~seed ~quick ());
-  F_tput.print (F_tput.run ~seed ~quick ());
-  F_scale.print (F_scale.run ~seed ~quick ());
-  F_delay.print (F_delay.run ~seed ~quick ());
-  F_part.print (F_part.run ~seed ~quick ());
-  F_miss.print (F_miss.run ~seed ~quick ());
-  F_stretch.print (F_stretch.run ~seed ~quick ());
-  F_dyn.print (F_dyn.run ~seed ~quick ());
-  A_cut.print (A_cut.run ~seed ~quick ());
-  A_splice.print (A_splice.run ~seed ~quick ());
-  E_ctrl.print (E_ctrl.run ~seed ~quick ());
-  E_cache.print (E_cache.run ~seed ~quick ());
-  E_chaos.print (E_chaos.run ~seed ~quick ());
-  E_ha.print (E_ha.run ~seed ~quick ());
-  E_mon.print (E_mon.run ~seed ~quick ())
-
-(* ------------------------------------------------------------------ *)
-
-(* The scenario table: every CI gate and every replay target [difane
-   paths] can record, in one place. *)
+(* The scenario table: every experiment subcommand, [difane all], every
+   CI gate and every replay target [difane paths] can record, in one
+   place. *)
 
 type outcome = { report : string; failures : string list; fingerprint : string }
 
@@ -2136,21 +1937,31 @@ type replay = {
   timeline : (float * string * string) list;
 }
 
+type render =
+  | Plain of (seed:int -> quick:bool -> string)
+  | Faults of (seed:int -> quick:bool -> congestion:Congestion.config ->
+               cp_config:Control_plane.config -> string)
+  | Sharded of (seed:int -> quick:bool -> domains:int -> string)
+  | Hotspot of
+      (seed:int -> quick:bool -> hotspot_threshold:float -> hotspot_window:int -> string)
+
 type scenario = {
   name : string;
   doc : string;
+  render : render option;
+  all : (seed:int -> quick:bool -> string) option;
   gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
   replay : (replay_args -> replay) option;
 }
 
 let replay_args ~seed ~quick =
-  { seed; quick; domains = 1; loss = 0.10; reliability = reliability_config () }
+  { seed; quick; domains = 1; loss = 0.10; reliability = fault_cp_config }
 
 let fingerprint s = Digest.to_hex (Digest.string s)
 
 (* A sweep whose rendered table is its fingerprint. *)
-let sweep_gate ~run ~render ~check ~seed ~quick ~domains:_ =
-  let rows = run ~seed ~quick () in
+let sweep_gate run render check ~seed ~quick ~domains:_ =
+  let rows = run ~seed ~quick in
   let report = render rows in
   { report; failures = check rows; fingerprint = fingerprint report }
 
@@ -2319,54 +2130,120 @@ let paths_gate name replay =
   {
     name = "paths-" ^ name;
     doc = "Causal packet-path invariants over the " ^ name ^ " replay.";
+    render = None;
+    all = None;
     gate = Some gate;
     replay = None;
   }
 
+(* A fault sweep: a member of [difane all] whose subcommand also takes
+   the congestion and reliability flags; gated at their defaults. *)
+let fault_sweep name doc
+    (run : ?seed:int -> ?quick:bool -> ?congestion:Congestion.config ->
+           ?cp_config:Control_plane.config -> unit -> 'a) render check replay =
+  let report ~seed ~quick ~congestion ~cp_config =
+    render (run ~seed ~quick ~congestion ~cp_config ())
+  in
+  let rows ~seed ~quick = run ~seed ~quick () in
+  {
+    name;
+    doc;
+    render = Some (Faults report);
+    all = Some (fun ~seed ~quick -> render (rows ~seed ~quick));
+    gate = Some (sweep_gate rows render check);
+    replay = Some replay;
+  }
+
+(* A paper experiment: a plain subcommand and a member of [difane all]. *)
+let experiment name doc (run : ?seed:int -> ?quick:bool -> unit -> 'a) render =
+  let render ~seed ~quick = render (run ~seed ~quick ()) in
+  { name; doc; render = Some (Plain render); all = Some render; gate = None; replay = None }
+
 let scenarios =
   [
-    { name = "chaos";
-      doc = "Two authority crashes under lossy control channels; gated: zero give-ups, \
-             full recovery, bit-identical replay.";
-      gate = Some (sweep_gate ~run:(fun ~seed ~quick () -> E_chaos.run ~seed ~quick ())
-                     ~render:E_chaos.render ~check:E_chaos.check);
-      replay = Some chaos_replay };
-    { name = "ha";
-      doc = "Leader crash and split brain in a 3-replica controller cluster; gated: as \
-             chaos, plus zero duplicate installs and stale-epoch acceptances.";
-      gate = Some (sweep_gate ~run:(fun ~seed ~quick () -> E_ha.run ~seed ~quick ())
-                     ~render:E_ha.render ~check:E_ha.check);
-      replay = Some ha_replay };
+    experiment "table1" "Rule-set characteristics (Table 1)" T1.run T1.render;
+    experiment "throughput" "Flow-setup throughput, DIFANE vs NOX" F_tput.run F_tput.render;
+    experiment "scaling" "Throughput vs number of authority switches"
+      F_scale.run F_scale.render;
+    experiment "delay" "First-packet delay CDFs" F_delay.run F_delay.render;
+    experiment "partition-sweep" "TCAM entries vs number of partitions"
+      F_part.run F_part.render;
+    experiment "missrate" "Cache miss rate vs cache size" F_miss.run F_miss.render;
+    experiment "stretch" "Stretch CDF by authority placement"
+      F_stretch.run F_stretch.render;
+    experiment "dynamics" "Policy-update consistency vs cache timeout"
+      F_dyn.run F_dyn.render;
+    experiment "ablation-cut" "Best-cut vs fixed-dimension partitioning"
+      A_cut.run A_cut.render;
+    experiment "ablation-splice" "Splice vs dependent-set cache cost"
+      A_splice.run A_splice.render;
+    experiment "control-overhead" "Control-plane frames and bytes" E_ctrl.run E_ctrl.render;
+    experiment "cache-sweep" "Ingress cache size vs authority load"
+      E_cache.run E_cache.render;
+    fault_sweep "chaos"
+      "Fault-injection sweep: frame loss vs recovery through two authority crashes; \
+       gated: zero give-ups, full recovery, bit-identical replay."
+      E_chaos.run E_chaos.render E_chaos.check chaos_replay;
+    fault_sweep "ha"
+      "Controller high-availability sweep: leader crash, journal-replay takeover, \
+       split-brain fencing in a 3-replica cluster; gated: as chaos, plus zero \
+       duplicate installs and stale-epoch acceptances."
+      E_ha.run E_ha.render E_ha.check ha_replay;
+    experiment "monitor-report" "Flow monitoring: heavy hitters, hotspots, determinism"
+      E_mon.run E_mon.render;
     { name = "incast";
-      doc = "Eight ingresses fan misses into one authority; gated: graceful degradation \
-             of credit vs drop-tail flow control, congestion telemetry.";
-      gate = Some incast_gate; replay = None };
+      doc = "Incast/overload sweep: eight ingresses fan misses into one authority switch, \
+             loss vs latency under drop-tail buffers vs credit-based flow control; gated: \
+             graceful degradation of credit vs drop-tail, congestion telemetry.";
+      render =
+        Some (Plain (fun ~seed ~quick -> E_incast.render (E_incast.run ~seed ~quick ())));
+      all = None;
+      gate = Some incast_gate;
+      replay = None };
     { name = "rebalance";
-      doc = "Flash crowd vs adaptive repartitioning (replayed: the adaptive run alone); \
-             gated: the adaptive runs recover and commit a migration, the static \
-             baseline does not.";
-      gate = Some (sweep_gate ~run:(fun ~seed ~quick () -> E_rebalance.run ~seed ~quick ())
-                     ~render:E_rebalance.render ~check:E_rebalance.check);
+      doc = "Flash-crowd adaptive repartitioning: static baseline vs the closed-loop \
+             hotspot detector driving staged, journaled sub-region migrations, plus a \
+             master-crash run resolved by journal replay at takeover (replayed: the \
+             adaptive run alone); gated: the adaptive runs recover and commit a \
+             migration, the static baseline does not.";
+      render =
+        Some (Hotspot (fun ~seed ~quick ~hotspot_threshold ~hotspot_window ->
+                  E_rebalance.render
+                    (E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ())));
+      all = None;
+      gate =
+        Some (sweep_gate (fun ~seed ~quick -> E_rebalance.run ~seed ~quick ())
+                E_rebalance.render E_rebalance.check);
       replay = Some rebalance_replay };
     { name = "scale";
-      doc = "Sharded million-flow run; gated: flow conservation and scale floors, digest \
-             identical at any domain count.";
-      gate = Some scale_gate; replay = Some scale_replay };
+      doc = "Sharded ingress simulation at scale: a million-flow workload over 256 \
+             switches, split into independent shards spread across OCaml domains; gated: \
+             flow conservation and scale floors, digest identical at any domain count.";
+      render =
+        Some (Sharded (fun ~seed ~quick ~domains ->
+                  let spec = E_scale.sized ~quick ~domains in
+                  E_scale.render spec (E_scale.run ~seed spec)));
+      all = None;
+      gate = Some scale_gate;
+      replay = Some scale_replay };
     { name = "mon";
       doc = "The monitored skewed-Zipf run; path provenance joins through the monitor.";
-      gate = None; replay = Some mon_replay };
+      render = None; all = None; gate = None; replay = Some mon_replay };
     paths_gate "chaos" chaos_replay;
     paths_gate "rebalance" rebalance_replay;
     paths_gate "scale" scale_replay;
     { name = "aggregate";
       doc = "Twin deployments, aggregation on vs off; gated: every packet forwarded \
              identically.";
-      gate = Some aggregate_gate; replay = None };
+      render = None; all = None; gate = Some aggregate_gate; replay = None };
     { name = "monitor";
       doc = "The monitored run at Zipf alpha 1.0; gated: well-formed difane-monitor-v1 and \
              difane-flows-v1 documents.";
-      gate = Some monitor_gate; replay = None };
+      render = None; all = None; gate = Some monitor_gate; replay = None };
   ]
+
+let run_all ?(seed = 42) ?(quick = false) print =
+  List.iter (fun s -> Option.iter (fun report -> print (report ~seed ~quick)) s.all) scenarios
 
 let run_gate ?(print = print_string) s ~seed ~quick ~domains =
   let gate =

@@ -4,8 +4,8 @@
     Flow-Based Networking with DIFANE} (SIGCOMM 2010) on the simulated
     substrate (see DESIGN.md §2 for the substitution table and §4 for the
     experiment index).  Every [run] is deterministic given its [seed];
-    [quick] shrinks workload sizes for use in the test suite.  [print]
-    renders the same rows the bench harness and EXPERIMENTS.md use. *)
+    [quick] shrinks workload sizes for use in the test suite.  [render]
+    formats the same rows the bench harness and EXPERIMENTS.md use. *)
 
 (** Table 1 — characteristics of the evaluation rule sets. *)
 module T1 : sig
@@ -19,7 +19,7 @@ module T1 : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> row list
-  val print : row list -> unit
+  val render : row list -> string
 end
 
 (** Fig. "Throughput of flow setup": DIFANE (1 authority switch) vs NOX,
@@ -33,7 +33,7 @@ module F_tput : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
 
 (** Fig. "Throughput with multiple authority switches": peak setup
@@ -42,7 +42,7 @@ module F_scale : sig
   type point = { authority_switches : int; throughput : float; per_switch : float }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
 
 (** Fig. "First-packet delay CDF": DIFANE's extra data-plane hop vs NOX's
@@ -57,7 +57,7 @@ module F_delay : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> t
-  val print : t -> unit
+  val render : t -> string
 end
 
 (** Fig. "TCAM entries vs number of authority switches": partitioning
@@ -72,7 +72,7 @@ module F_part : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
 
 (** Fig. "Cache miss rate vs cache size": spliced wildcard caching vs
@@ -87,7 +87,7 @@ module F_miss : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
 
 (** Fig. "Stretch CDF": the detour of miss packets through their authority
@@ -96,7 +96,7 @@ module F_stretch : sig
   type series = { placement : string; stretch : Cdf.t; mean : float; p95 : float }
 
   val run : ?seed:int -> ?quick:bool -> unit -> series list
-  val print : series list -> unit
+  val render : series list -> string
 end
 
 (** Fig./§ "Network dynamics": after a policy change, how long stale
@@ -120,7 +120,7 @@ module F_dyn : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
 
 (** Ablation: the best-cut split heuristic vs always cutting one fixed
@@ -137,7 +137,7 @@ module A_cut : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
 
 (** Ablation: spliced cache cost vs CacheFlow-style dependent-set cost,
@@ -154,7 +154,7 @@ module A_splice : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> t
-  val print : t -> unit
+  val render : t -> string
 end
 
 (** Supplementary: control-plane overhead of a DIFANE deployment — the
@@ -165,7 +165,7 @@ module E_ctrl : sig
   type row = { scenario : string; frames : int; bytes : int }
 
   val run : ?seed:int -> ?quick:bool -> unit -> row list
-  val print : row list -> unit
+  val render : row list -> string
 end
 
 (** Supplementary: how the ingress cache budget shifts load off the
@@ -190,8 +190,12 @@ module E_cache : sig
   }
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
-  val print : point list -> unit
+  val render : point list -> string
 end
+
+val fault_cp_config : Control_plane.config
+(** The fault sweeps' reliable-channel timers: 1 s echoes, retransmit
+    after 50 ms doubling up to 8 attempts. *)
 
 (** Supplementary: the chaos sweep — frame loss rate vs recovery.  Each
     point replays the same seeded scenario (two of three authority
@@ -222,15 +226,11 @@ module E_chaos : sig
     ?seed:int ->
     ?quick:bool ->
     ?congestion:Congestion.config ->
-    ?echo_interval:float ->
-    ?retx_timeout:float ->
-    ?retx_backoff:float ->
-    ?retx_limit:int ->
+    ?cp_config:Control_plane.config ->
     unit ->
     row list
-  (** The reliability timers default to the chaos tuning (1 s echoes,
-      retransmit after 50 ms doubling up to 8 attempts) and are the knobs
-      the CLI's [--echo-interval]/[--retx-*] flags thread through.
+  (** [cp_config] (default {!fault_cp_config}) carries the reliable-channel
+      timers the CLI's [--echo-interval]/[--retx-*] flags set.
       [congestion] (default {!Congestion.default}, everything off)
       re-runs the scenario on a finite-buffer data plane — the published
       numbers assume the legacy infinite-buffer plane. *)
@@ -241,7 +241,6 @@ module E_chaos : sig
       bit-identical seeded replay. *)
 
   val render : row list -> string
-  val print : row list -> unit
 end
 
 (** Supplementary: the controller high-availability sweep.  One seeded
@@ -281,12 +280,10 @@ module E_ha : sig
     ?seed:int ->
     ?quick:bool ->
     ?congestion:Congestion.config ->
-    ?echo_interval:float ->
-    ?retx_timeout:float ->
-    ?retx_backoff:float ->
-    ?retx_limit:int ->
+    ?cp_config:Control_plane.config ->
     unit ->
     row list
+  (** As {!E_chaos.run}. *)
 
   val check : row list -> string list
   (** Violated HA invariants, [[]] when all hold: per row, zero
@@ -295,7 +292,6 @@ module E_ha : sig
       replay. *)
 
   val render : row list -> string
-  val print : row list -> unit
 
   val journal : seed:int -> quick:bool -> loss:float -> string
   (** The encoded journal one run at frame loss [loss] leaves behind. *)
@@ -331,7 +327,6 @@ module E_incast : sig
       drop-tail.  Returns the violated claims, [[]] when all hold. *)
 
   val render : row list -> string
-  val print : row list -> unit
 end
 
 (** Supplementary: flow-level monitoring on a skewed Zipf workload.  A
@@ -372,7 +367,7 @@ module E_mon : sig
       drives directly, with the monitor left full of the run's data. *)
 
   val run : ?seed:int -> ?quick:bool -> unit -> report
-  val print : report -> unit
+  val render : report -> string
 end
 
 (** Supplementary: closed-loop adaptive repartitioning under a flash
@@ -402,9 +397,6 @@ module E_rebalance : sig
     migrations_aborted : int;
     rules_moved : int;
     takeovers : int;
-    dup_installs : int;  (** duplicate ids across switch banks; must be 0 *)
-    stale_accepted : int;  (** epoch-fencing violations; must be 0 *)
-    pending : int;  (** unacknowledged control requests after the drain *)
     violations : string list;  (** per-run invariant failures; [] = green *)
     replay_identical : bool;  (** same-seed rerun bit-identical (adaptive row) *)
   }
@@ -426,7 +418,6 @@ module E_rebalance : sig
       adaptive run replaying bit-identically. *)
 
   val render : row list -> string
-  val print : row list -> unit
 end
 
 (** Supplementary: multicore ingress sharding at scale.  The network
@@ -474,16 +465,12 @@ module E_scale : sig
       200 switches.  Pass [~floors:false] for quick-spec runs. *)
 
   val render : spec -> Flowsim.result -> string
-  val print : spec -> Flowsim.result -> unit
 end
-
-val run_all : ?seed:int -> ?quick:bool -> unit -> unit
-(** Run and print every experiment in DESIGN.md order. *)
 
 (** {1 The scenario table}
 
-    Every CI gate and every replay target of [difane paths], in one
-    list. *)
+    Every experiment subcommand, every member of [difane all], every CI
+    gate and every replay target of [difane paths], in one list. *)
 
 type outcome = {
   report : string;  (** what the run prints *)
@@ -511,31 +498,42 @@ type replay = {
           non-decreasing time; [[]] for a run without a control plane *)
 }
 
+(** An experiment's report, by the options it takes beyond seed and
+    quick; each becomes that subcommand's flags. *)
+type render =
+  | Plain of (seed:int -> quick:bool -> string)
+  | Faults of (seed:int -> quick:bool -> congestion:Congestion.config ->
+               cp_config:Control_plane.config -> string)
+      (** the data plane's congestion model and the reliable-channel timers *)
+  | Sharded of (seed:int -> quick:bool -> domains:int -> string)
+  | Hotspot of
+      (seed:int -> quick:bool -> hotspot_threshold:float -> hotspot_window:int -> string)
+      (** the adaptive controller's detection knobs *)
+
 type scenario = {
-  name : string;
+  name : string;  (** subcommand, gate and replay name *)
   doc : string;
+  render : render option;  (** the experiment subcommand's report *)
+  all : (seed:int -> quick:bool -> string) option;
+      (** the report [difane all] prints, every option at its default *)
   gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
       (** the CI gate; scenarios that do not shard ignore [domains] *)
   replay : (replay_args -> replay) option;  (** one traced run *)
 }
 
 val scenarios : scenario list
-(** Gates: [chaos], [ha], [incast], [rebalance], [scale], [paths-chaos],
-    [paths-rebalance], [paths-scale], [aggregate], [monitor].  Replays:
-    [chaos], [ha], [rebalance], [scale], [mon]. *)
+(** Reports in DESIGN.md order, the [difane all] members ([table1] …
+    [cache-sweep], [chaos], [ha], [monitor-report]) first, then [incast],
+    [rebalance], [scale].  Gates: [chaos], [ha], [incast], [rebalance],
+    [scale], [paths-chaos], [paths-rebalance], [paths-scale], [aggregate],
+    [monitor].  Replays: [chaos], [ha], [rebalance], [scale], [mon]. *)
 
-val reliability_config :
-  ?echo_interval:float ->
-  ?retx_timeout:float ->
-  ?retx_backoff:float ->
-  ?retx_limit:int ->
-  unit ->
-  Control_plane.config
-(** The fault sweeps' reliable-channel timers: 1 s echoes, retransmit
-    after 50 ms doubling up to 8 attempts, unless overridden. *)
+val run_all : ?seed:int -> ?quick:bool -> (string -> unit) -> unit
+(** [run_all print] passes [print] the report of every [difane all]
+    member, in table order, each with its options at their defaults. *)
 
 val replay_args : seed:int -> quick:bool -> replay_args
-(** One domain, the 10% loss point, {!reliability_config} defaults. *)
+(** One domain, the 10% loss point, {!fault_cp_config}. *)
 
 val run_gate :
   ?print:(string -> unit) ->

@@ -44,6 +44,13 @@ type plan = { seed : int; link : link; events : event list; controllers : int }
 
 let plan ?(seed = 42) ?(link = ideal_link) ?(events = []) ?(controllers = 1) () =
   if controllers < 1 then invalid_arg "Fault.plan: controllers < 1";
+  List.iter
+    (function
+      | Controller_crash { controller = c; _ } | Controller_restart { controller = c; _ }
+        when c < 0 || c >= controllers ->
+          invalid_arg (Printf.sprintf "Fault.plan: controller %d of %d" c controllers)
+      | _ -> ())
+    events;
   {
     seed;
     link;

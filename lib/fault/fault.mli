@@ -64,7 +64,9 @@ type plan = {
 val plan : ?seed:int -> ?link:link -> ?events:event list -> ?controllers:int -> unit -> plan
 (** Build a plan; [events] are sorted by time.  Defaults: seed 42,
     {!ideal_link}, no events, 1 controller.
-    @raise Invalid_argument when [controllers < 1]. *)
+    @raise Invalid_argument when [controllers < 1], or when a
+    [Controller_crash]/[Controller_restart] names a replica outside
+    [0 .. controllers-1]. *)
 
 (** {1 Per-channel injection} *)
 

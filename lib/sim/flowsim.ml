@@ -272,9 +272,12 @@ type state = {
          [authority_stats] lists only authorities that were sent one *)
   controller : Server.t Lazy.t;
       (* the degraded path's controller, created only if a miss needs it *)
+  replica_up : bool array;
+      (* each controller replica's liveness, kept per replica as [Cluster]
+         keeps it, so crashing a dead replica changes nothing *)
   mutable controllers_up : int;
-      (* live controller replicas: while none is, the degraded (NOX-style
-         fallback) path has no one to answer it *)
+      (* how many of [replica_up] are set: while none is, the degraded
+         (NOX-style fallback) path has no one to answer it *)
   mutable next_tick : float;
   install_rng : Prng.t;
   install_drop : float;
@@ -308,7 +311,8 @@ let create (cfg : Config.t) d engine =
   {
     cfg; d; dcfg; topo = Deployment.topology d; engine; acc = fresh_acc ();
     servers = Array.init n (fun _ -> server cfg.timing.authority_service);
-    controller = server cfg.timing.controller_service; controllers_up;
+    controller = server cfg.timing.controller_service;
+    replica_up = Array.make controllers_up true; controllers_up;
     next_tick = controller_interval; install_rng; install_drop; cong;
     credit_mode = cong <> None && ccfg.Congestion.mode = Congestion.Credit;
     credits = Array.make n ccfg.Congestion.credit_pool;
@@ -329,15 +333,20 @@ let tick_to st now =
         st.next_tick <- st.next_tick +. controller_interval
       done
 
+let set_replica st c up =
+  st.replica_up.(c) <- up;
+  st.controllers_up <- Array.fold_left (fun n up -> if up then n + 1 else n) 0 st.replica_up
+
 (* Scheduled crash/restart and link flaps drive the data-plane
-   reachability model; controller crashes the replica count. *)
+   reachability model; controller crashes and restarts the replica
+   flags. *)
 let fault st = function
   | Fault.Crash { switch; _ } | Fault.Link_down { switch; _ } ->
       Deployment.mark_unreachable st.d switch
   | Fault.Restart { switch; _ } | Fault.Link_up { switch; _ } ->
       Deployment.mark_reachable st.d switch
-  | Fault.Controller_crash _ -> st.controllers_up <- st.controllers_up - 1
-  | Fault.Controller_restart _ -> st.controllers_up <- st.controllers_up + 1
+  | Fault.Controller_crash { controller; _ } -> set_replica st controller false
+  | Fault.Controller_restart { controller; _ } -> set_replica st controller true
 
 let return_credit st auth = if st.credit_mode then st.credits.(auth) <- st.credits.(auth) + 1
 

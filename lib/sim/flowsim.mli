@@ -131,9 +131,10 @@ val run : Config.t -> Deployment.t -> Traffic.flow list -> result
     controller path — [controller_rtt/2] up, a [controller_service]
     slot, [controller_rtt/2] back, with an exact-match entry installed
     at the ingress — instead of being lost.  [Controller_crash] /
-    [Controller_restart] events track how many of the plan's
-    [controllers] replicas are up: while none is, degraded misses are
-    dropped and counted in [outage_drops].
+    [Controller_restart] events mark one of the plan's [controllers]
+    replicas down or up (a repeated crash of a dead replica changes
+    nothing): while none is up, degraded misses are dropped and counted
+    in [outage_drops].
 
     With a controller hook, the callback runs at every 10 ms boundary
     the simulation clock crosses, called with the boundary time — the

@@ -259,7 +259,8 @@ let test_ha_check_rules () =
 (* --- the gate harness --- *)
 
 let fake_gate run =
-  { Experiments.name = "fake"; doc = "crafted"; gate = Some run; replay = None }
+  { Experiments.name = "fake"; doc = "crafted"; render = None; all = None;
+    gate = Some run; replay = None }
 
 let run_fake run =
   Experiments.run_gate ~print:ignore (fake_gate run) ~seed ~quick:true ~domains:4
@@ -335,6 +336,44 @@ let pinned =
     ("monitor", `Fingerprint "0fcb6dbb908ccd54b1cab4a12078ebb9");
   ]
 
+(* Seed-42 quick report MD5s of the experiments without a gate, and of
+   everything [difane all] prints, under the same rule as the gate pins. *)
+let report_pins =
+  [
+    ("table1", "d19546f1006475fd4677755065a7701a");
+    ("throughput", "fc02da4f35303614d0d2e3cf7ff525ab");
+    ("scaling", "b421a3f02475d3a85c79b71a808d2ca0");
+    ("delay", "53bb9246b94d4a14e53126e19f1a9824");
+    ("partition-sweep", "365d4fd0efaf617f8ac3769badeca37f");
+    ("missrate", "10a8316e17765d165ef1671c9d4af4bb");
+    ("stretch", "37766ab6b5e67b645205fda94c6abb6b");
+    ("dynamics", "42f61117f37638c873bcc8648d97e959");
+    ("ablation-cut", "17097f5e76ac694cd50cd099d707d713");
+    ("ablation-splice", "914181404565487097cc00f1026ce78b");
+    ("control-overhead", "27c30779e10816554dbf22c7502d16f3");
+    ("cache-sweep", "fd9821eed8e82e3ac7a28c1b0e81978f");
+    ("monitor-report", "5b0380141193cb282c6da3b72fcf240c");
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_reports_pinned () =
+  List.iter
+    (fun (name, pin) ->
+      match
+        (List.find (fun (s : Experiments.scenario) -> s.name = name) Experiments.scenarios)
+          .render
+      with
+      | Some (Experiments.Plain f) -> check Alcotest.string name pin (md5 (f ~seed:42 ~quick:true))
+      | _ -> Alcotest.failf "%s: not a plain report" name)
+    report_pins
+
+let test_all_pinned () =
+  let out = Buffer.create 65536 in
+  Experiments.run_all ~seed:42 ~quick:true (Buffer.add_string out);
+  check Alcotest.string "difane all --quick --seed 42" "901dce541f29c91a96900868e6e7c604"
+    (md5 (Buffer.contents out))
+
 (* Every gate holds at quick size, sharded scenarios across two domains,
    and matches its pin: the harness prints the report, then a verdict
    line naming the fingerprint. *)
@@ -352,8 +391,7 @@ let test_every_gate_holds_quick () =
             check Alcotest.string (s.name ^ " fingerprint")
               (Printf.sprintf "gate %s: ok (fingerprint %s at domains 1 and 2)\n" s.name fp)
               verdict
-        | `Report md5, [ _; report ] ->
-            check Alcotest.string (s.name ^ " report") md5 (Digest.to_hex (Digest.string report))
+        | `Report pin, [ _; report ] -> check Alcotest.string (s.name ^ " report") pin (md5 report)
         | _ -> Alcotest.failf "%s: unexpected harness output" s.name
       end)
     Experiments.scenarios
@@ -445,6 +483,8 @@ let suite =
         tc "harness rejects a replay-only scenario" test_harness_rejects_non_gate;
         tc "gate table" test_gate_table;
         tc "every gate holds at quick size" test_every_gate_holds_quick;
+        tc "reports match their pins" test_reports_pinned;
+        tc "difane all matches its pin" test_all_pinned;
       ] );
     ( "timeline",
       [

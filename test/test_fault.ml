@@ -62,6 +62,25 @@ let test_events_sorted () =
     "events time-ordered" [ 1.0; 3.0; 5.0 ]
     (List.map Fault.event_time p.Fault.events)
 
+(* A controller event must name one of the plan's replicas: [Cluster]
+   indexes its replicas by it and [Flowsim] its up flags. *)
+let test_controller_index_validation () =
+  let rejects what events =
+    match Fault.plan ~controllers:2 ~events () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "crash of replica 2 of 2" [ Fault.Controller_crash { controller = 2; at = 1.0 } ];
+  rejects "restart of replica -1" [ Fault.Controller_restart { controller = -1; at = 1.0 } ];
+  let p =
+    Fault.plan ~controllers:2
+      ~events:
+        [ Fault.Controller_crash { controller = 1; at = 1.0 };
+          Fault.Controller_restart { controller = 1; at = 2.0 } ]
+      ()
+  in
+  check Alcotest.int "in-range events kept" 2 (List.length p.Fault.events)
+
 (* --- frame integrity --- *)
 
 let test_corrupt_frame_detected () =
@@ -145,6 +164,7 @@ let suite =
         tc "failure modes all exercised" test_fate_distribution;
         tc "probability validation" test_link_validation;
         tc "events sorted by time" test_events_sorted;
+        tc "controller index validation" test_controller_index_validation;
       ] );
     ( "lossy channel",
       [

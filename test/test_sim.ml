@@ -547,6 +547,37 @@ let test_fault_plan_pin () =
   check Alcotest.string "monitor" "3832f977dc65881db90bffa1f7807fdb" (md5 (Monitor.to_json monitor));
   check Alcotest.string "ticks" "e567b3131d530a2c378206ff2f22bce4" (md5 (Marshal.to_string (List.rev !ticks) []))
 
+(* A replica crashed twice is still one replica down: with replica 1
+   alive the degraded path keeps answering while the only authority is
+   out, so no packet is lost to a controller outage. *)
+let test_repeated_controller_crash () =
+  let policy =
+    Policy_gen.acl (Prng.create 5)
+      { Policy_gen.default_acl with rules = 120; chains = 10; chain_depth = 4; egresses = 4 }
+  in
+  let d =
+    Deployment.build
+      ~config:{ Deployment.default_config with k = 8; cache_capacity = 64 }
+      ~policy ~topology:(Topology.star 6 ()) ~authority_ids:[ 1 ] ()
+  in
+  let flows =
+    Traffic.generate (Prng.create 6) policy
+      { Traffic.default with
+        flows = 2000; rate = 30_000.; alpha = 1.0; distinct_headers = 1000;
+        packets_per_flow_mean = 2.0; ingresses = [ 2; 3; 4; 5 ] }
+  in
+  let faults =
+    Fault.plan ~seed:9 ~controllers:2
+      ~events:
+        [ Fault.Crash { switch = 1; at = 0. };
+          Fault.Controller_crash { controller = 0; at = 0.02 };
+          Fault.Controller_crash { controller = 0; at = 0.03 } ]
+      ()
+  in
+  let r = Flowsim.run { Flowsim.Config.default with faults = Some faults } d flows in
+  check Alcotest.bool "the degraded path served misses" true (r.Flowsim.degraded_packets > 0);
+  check Alcotest.int "no outage drops" 0 r.Flowsim.outage_drops
+
 let suite =
   [
     ( "engine",
@@ -577,6 +608,7 @@ let suite =
         tc "hit path allocation bound" test_hit_path_allocation;
         tc "miss path allocation bound" test_miss_path_allocation;
         tc "fault plan pin" test_fault_plan_pin;
+        tc "repeated controller crash" test_repeated_controller_crash;
       ] );
     ( "cachesim",
       [
