@@ -15,20 +15,32 @@ let quick_arg =
   let doc = "Shrink workload sizes for a fast smoke run." in
   Arg.(value & flag & info [ "q"; "quick" ] ~doc)
 
+(* Numbers checked where they are parsed: one out of range is a usage
+   error (exit 124), like a malformed one. *)
+let checked parse pp what ok =
+  Arg.conv'
+    ( (fun s ->
+        match parse s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (Printf.sprintf "expected %s, got %S" what s)),
+      pp )
+
+let int_at_least n =
+  checked int_of_string_opt Format.pp_print_int
+    (Printf.sprintf "an integer >= %d" n)
+    (fun v -> v >= n)
+
+let float_above x =
+  checked float_of_string_opt Format.pp_print_float
+    (Printf.sprintf "a number > %g" x)
+    (fun v -> v > x)
+
 let domains_arg =
   let doc =
     "Worker domains for sharded runs.  Any count yields byte-identical results (the \
      digests and fingerprints match)."
   in
-  let at_least_one =
-    Arg.conv'
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ -> Error (Printf.sprintf "expected an integer >= 1, got %S" s)),
-        Format.pp_print_int )
-  in
-  Arg.(value & opt at_least_one 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let metrics_arg =
   let doc =
@@ -432,11 +444,11 @@ let hotspot_threshold_arg =
     "An authority is hot in a window when its miss load exceeds this multiple of the \
      fair per-authority share (> 1.0)."
   in
-  Arg.(value & opt float 2.0 & info [ "hotspot-threshold" ] ~docv:"X" ~doc)
+  Arg.(value & opt (float_above 1.) 2.0 & info [ "hotspot-threshold" ] ~docv:"X" ~doc)
 
 let hotspot_window_arg =
   let doc = "Consecutive hot windows before a hotspot counts as persistent." in
-  Arg.(value & opt int 3 & info [ "hotspot-window" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) 3 & info [ "hotspot-window" ] ~docv:"N" ~doc)
 
 (* An experiment of the scenario table as a subcommand, with the options
    its report takes. *)
@@ -623,17 +635,17 @@ let aggregate_cmd =
 let monitor_cmd =
   let sample_rate_arg =
     let doc = "Flow sampling rate: account every Nth packet (NetFlow-style 1-in-N)." in
-    Arg.(value & opt int 1 & info [ "sample-rate" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 1 & info [ "sample-rate" ] ~docv:"N" ~doc)
   in
   let interval_arg =
     let doc =
       "Time-series sampling interval in simulated seconds (default: 1/20 of the run)."
     in
-    Arg.(value & opt (some float) None & info [ "interval" ] ~docv:"S" ~doc)
+    Arg.(value & opt (some (float_above 0.)) None & info [ "interval" ] ~docv:"S" ~doc)
   in
   let threshold_arg =
-    let doc = "Hotspot threshold as a multiple of the fair per-authority share." in
-    Arg.(value & opt float 1.5 & info [ "threshold" ] ~docv:"X" ~doc)
+    let doc = "Hotspot threshold as a multiple of the fair per-authority share (> 1.0)." in
+    Arg.(value & opt (float_above 1.) 1.5 & info [ "threshold" ] ~docv:"X" ~doc)
   in
   let top_k_arg =
     let doc = "Heavy-hitter rules to report." in
@@ -652,12 +664,11 @@ let monitor_cmd =
       "Override --threshold with the adaptive rebalancer's spelling of the same knob \
        (hot = miss load over this multiple of fair share)."
     in
-    Arg.(value & opt (some float) None & info [ "hotspot-threshold" ] ~docv:"X" ~doc)
+    Arg.(
+      value & opt (some (float_above 1.)) None & info [ "hotspot-threshold" ] ~docv:"X" ~doc)
   in
   let run seed quick alpha sample_rate interval threshold hotspot_threshold
       hotspot_window top_k json flows_out =
-    (* per-run registry view, same contract as --metrics *)
-    Telemetry.reset ();
     let threshold = Option.value ~default:threshold hotspot_threshold in
     let m, _ =
       Experiments.E_mon.run_monitored ~seed ~quick ~alpha ~sample_rate ?interval

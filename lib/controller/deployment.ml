@@ -232,36 +232,45 @@ let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
   Ptrace.emit ~at:now Ptrace.Controller ~switch:ingress
     ~rule:(Option.value ~default:(-1) origin)
     ~aux:(match cause with `Failure -> 0 | `Backpressure -> 1);
-  let rule =
-    Rule.make ~id:(Switch.fresh_cache_id sw) ~priority:0
-      (Pred.exact (Classifier.schema d.policy) h)
-      action
+  let install () =
+    let rule =
+      Rule.make ~id:(Switch.fresh_cache_id sw) ~priority:0
+        (Pred.exact (Classifier.schema d.policy) h)
+        action
+    in
+    (* the controller still knows which region the header falls in, so
+       even degraded installs carry the full (origin, pid) provenance pair *)
+    let pid = (Partitioner.find d.partitioner h).Partitioner.pid in
+    (match origin with
+    | Some o ->
+        (* exact fallbacks flow through the aggregation pipeline too:
+           adjacent degraded installs buddy-merge into wider exact blocks *)
+        let meta =
+          { Switch.pid; kind = Switch.Exact; group = None;
+            parts = [ { Switch.part_origin = o; part_rank = 0;
+                        part_pred = rule.Rule.pred } ] }
+        in
+        ignore
+          (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
+             ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now [ (rule, meta) ])
+    | None ->
+        ignore
+          (Switch.install_cache_rule ?idle_timeout:d.config.cache_idle_timeout
+             ?hard_timeout:d.config.cache_hard_timeout ~pid sw ~now rule));
+    rule
   in
-  (* the controller still knows which region the header falls in, so even
-     degraded installs carry the full (origin, pid) provenance pair *)
-  let pid = (Partitioner.find d.partitioner h).Partitioner.pid in
-  (match origin with
-  | Some o ->
-      (* exact fallbacks flow through the aggregation pipeline too:
-         adjacent degraded installs buddy-merge into wider exact blocks *)
-      let meta =
-        { Switch.pid; kind = Switch.Exact; group = None;
-          parts = [ { Switch.part_origin = o; part_rank = 0;
-                      part_pred = rule.Rule.pred } ] }
-      in
-      ignore
-        (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
-           ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now [ (rule, meta) ])
-  | None ->
-      ignore
-        (Switch.install_cache_rule ?idle_timeout:d.config.cache_idle_timeout
-           ?hard_timeout:d.config.cache_hard_timeout ~pid sw ~now rule));
+  (* a miss that queued at the controller behind another packet of its
+     flow finds the entry that one installed: answering it installs
+     nothing *)
+  let installed =
+    match Tcam.peek (Switch.cache sw) h with Some _ -> None | None -> Some (install ())
+  in
   let path, latency = deliver d.topology ~from:ingress action in
   Ptrace.emit ~at:(now +. latency) Ptrace.Deliver
     ~switch:(List.fold_left (fun _ n -> n) ingress path)
     ~rule:(-1) ~aux:0;
-  { action; path; latency; cache_hit = false; authority = None;
-    installed = Some rule; degraded = true }
+  { action; path; latency; cache_hit = false; authority = None; installed;
+    degraded = true }
 
 let congested_leg cong topo ~now path =
   match cong with None -> `Ok 0. | Some c -> Congestion.transit_path c topo ~now path
@@ -305,13 +314,8 @@ let last_node ~default path = List.fold_left (fun _ n -> n) default path
    semantic checks can run the same walk with congestion bypassed — a
    full buffer must not make [semantically_equal] report a policy
    divergence. *)
-let inject_impl ?pkt ~cong d ~now ~ingress h =
-  (* [pkt]: the caller (the DES controller path) already opened a traced
-     packet for this header — continue it instead of starting a second
-     path for the same packet *)
-  (match pkt with
-  | Some p -> Ptrace.resume_packet ~pkt:p h
-  | None -> ignore (Ptrace.begin_packet h));
+let inject_impl ~cong d ~now ~ingress h =
+  ignore (Ptrace.begin_packet h);
   let sw = d.switches.(ingress) in
   match Switch.process sw ~now h with
   | Switch.Local (action, bank) -> (
@@ -399,7 +403,7 @@ let inject_impl ?pkt ~cong d ~now ~ingress h =
       { action = Action.Drop; path = [ ingress ]; latency = 0.; cache_hit = false;
         authority = None; installed = None; degraded = false }
 
-let inject ?pkt d ~now ~ingress h = inject_impl ?pkt ~cong:d.cong d ~now ~ingress h
+let inject d ~now ~ingress h = inject_impl ~cong:d.cong d ~now ~ingress h
 
 let controller_serve ?cause d ~now ~ingress h = controller_fallback ?cause d ~now ~ingress h
 

@@ -104,17 +104,14 @@ type outcome = {
           deferred the miss ({!backpressured_misses}) *)
 }
 
-val inject : ?pkt:int -> t -> now:float -> ingress:int -> Header.t -> outcome
+val inject : t -> now:float -> ingress:int -> Header.t -> outcome
 (** Walk one packet through the network, mutating switch state (cache
     counters and reactive installs) exactly as DIFANE would.  When every
     replica of the header's partition is unreachable the miss is served
     degraded: the controller answers from the policy directly and
     installs an exact-match entry at the ingress (see {!outcome.degraded}
-    and {!degraded_misses}).
-
-    Each call opens a fresh {!Ptrace} packet context; [pkt] instead
-    continues an already-open traced packet (the DES controller-fallback
-    path hands its own packet id so the trace stays one causal path). *)
+    and {!degraded_misses}).  Each call opens a fresh {!Ptrace} packet
+    context. *)
 
 val expire_caches : t -> now:float -> int
 (** Run cache timeouts on every switch; returns entries expired. *)
@@ -232,12 +229,13 @@ val controller_serve :
   ?cause:[ `Failure | `Backpressure ] -> t -> now:float -> ingress:int -> Header.t -> outcome
 (** Serve a miss on the controller path directly (the NOX-style fallback
     {!inject} reaches when no replica is alive): answer from the policy,
-    install an exact-match entry at the ingress.  [cause] selects the
+    install an exact-match entry at the ingress unless the ingress cache
+    already decides the header (another packet of the flow, answered
+    first, installed it; [installed] is then [None]).  [cause] selects the
     accounting — [`Failure] (default) counts toward {!degraded_misses},
-    [`Backpressure] toward {!backpressured_misses}.  The DES uses this to
-    defer re-splicing when credit-mode backpressure fires, where the
-    replicas are alive and {!inject} would wrongly walk the congested
-    authority path. *)
+    [`Backpressure] toward {!backpressured_misses}.  The DES answers every
+    miss that reaches its controller path this way, without looking the
+    packet up at the ingress a second time. *)
 
 val backpressured_misses : t -> int
 (** Misses deferred to the controller path by credit-mode backpressure (a

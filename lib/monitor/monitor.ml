@@ -22,30 +22,30 @@ type t = {
   d : Deployment.t;
   flows : Flow_records.t;
   sampler : Sampler.t;
+  authorities : int list;  (* ascending; one sampler series each, in order *)
   mutable last_sweep : float;
 }
 
-let switch_labels id = [ ("switch", string_of_int id) ]
+let served sw = (Switch.stats sw).Switch.authority_hits
 
+(* Authority load is what the hotspot detector reads: each authority's
+   misses served since [create], from the same switch counter the
+   adaptive rebalancer reads. *)
 let create ?(config = default_config) d =
   let sampler = Sampler.create ~capacity:config.capacity ~interval:config.interval () in
-  (* authority load drives the hotspot detector; occupancy and the
-     simulator's delivery counters round out the timeline report *)
+  let authorities = List.sort Int.compare (Deployment.authority_ids d) in
   List.iter
-    (fun id -> Sampler.track_counter sampler ~labels:(switch_labels id)
-        "switch_authority_hits")
-    (Deployment.authority_ids d);
-  Array.iter
-    (fun sw -> Sampler.track_gauge sampler ~labels:(switch_labels (Switch.id sw))
-        "switch_cache_occupancy")
-    (Deployment.switches d);
-  Sampler.track_counter sampler "sim_packets_delivered";
-  Sampler.track_counter sampler "sim_cache_hit_packets";
+    (fun id ->
+      let sw = Deployment.switch d id in
+      let base = served sw in
+      Sampler.track sampler (fun () -> Int64.to_float (Int64.sub (served sw) base)))
+    authorities;
   {
     cfg = config;
     d;
     flows = Flow_records.create ~config:config.flow ();
     sampler;
+    authorities;
     last_sweep = 0.;
   }
 
@@ -184,17 +184,9 @@ let region_efficacy t =
 (* {2 Timelines and hotspots} *)
 
 let authority_series t =
-  let want = Deployment.authority_ids t.d in
-  Sampler.series t.sampler
-  |> List.filter_map (fun (s : Sampler.series) ->
-         if s.Sampler.name <> "switch_authority_hits" then None
-         else
-           match List.assoc_opt "switch" s.Sampler.labels with
-           | Some v ->
-               let id = int_of_string v in
-               if List.mem id want then Some (id, s.Sampler.points) else None
-           | None -> None)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  List.map2
+    (fun id (s : Sampler.series) -> (id, s.Sampler.points))
+    t.authorities (Sampler.series t.sampler)
 
 let hotspots t =
   Hotspot.detect ~threshold:t.cfg.threshold ~min_load:t.cfg.min_load

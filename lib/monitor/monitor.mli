@@ -8,10 +8,11 @@
       the provenance pair [(origin rule, serving partition)] that the
       switches thread from policy rule through authority table into
       every installed cache rule;
-    - {b when} — per-authority load, cache hit-rate and TCAM occupancy
-      timelines from the {!Sampler};
-    - {b where it hurts} — authority {!Hotspot} events from those
-      timelines.
+    - {b when} — the per-authority load timeline: each authority's
+      cumulative misses served, sampled by the {!Sampler} from the
+      switch's own counter (the one the adaptive rebalancer reads);
+    - {b where it hurts} — authority {!Hotspot} events from that
+      timeline.
 
     Wire-up is two calls: {!observe_packet} on every packet entering the
     network (the simulators do this when given [?monitor]) and {!finish}
@@ -34,11 +35,9 @@ val default_config : config
 type t
 
 val create : ?config:config -> Deployment.t -> t
-(** Start watching [d]: tracks every authority switch's served-miss
-    counter, every switch's cache occupancy gauge and the simulator's
-    delivered/cache-hit counters.  Create {e after}
-    [Telemetry.reset ()] (or rely on counter baselining) for a per-run
-    view. *)
+(** Start watching [d]: tracks every authority switch's served misses
+    ({!Switch.stats}[.authority_hits]) counted from now, so misses served
+    before [create] stay out of the timeline. *)
 
 val flow_records : t -> Flow_records.t
 
@@ -93,7 +92,7 @@ val region_efficacy : t -> region_report list
 (** {1 Timelines and hotspots} *)
 
 val authority_series : t -> (int * Sampler.point array) list
-(** Cumulative misses served per authority switch at each sampler
+(** Misses served per authority switch since {!create}, at each sampler
     boundary, ascending switch id. *)
 
 val hotspots : t -> Hotspot.event list

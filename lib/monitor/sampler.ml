@@ -1,21 +1,10 @@
 type point = { at : float; v : float }
 
-type series = {
-  name : string;
-  labels : (string * string) list;
-  points : point array;
-  dropped : int;
-}
+type series = { points : point array; dropped : int }
 
-type source =
-  | Counter of { cell : Telemetry.counter; baseline : int }
-  | Gauge of Telemetry.gauge
-
-(* One bounded ring per tracked instrument. *)
+(* One bounded ring per tracked reader. *)
 type track = {
-  name : string;
-  labels : (string * string) list;
-  source : source;
+  read : unit -> float;
   ring : point array;
   mutable head : int;  (** next write position *)
   mutable count : int;  (** live points, <= capacity *)
@@ -34,13 +23,10 @@ let create ?(capacity = 1024) ~interval () =
   if capacity < 1 then invalid_arg "Sampler.create: capacity < 1";
   { ivl = interval; capacity; tracks = []; next_boundary = interval }
 
-
-let add_track t ~name ~labels source =
+let track t read =
   t.tracks <-
     {
-      name;
-      labels;
-      source;
+      read;
       ring = Array.make t.capacity { at = 0.; v = 0. };
       head = 0;
       count = 0;
@@ -48,19 +34,8 @@ let add_track t ~name ~labels source =
     }
     :: t.tracks
 
-let track_counter t ?(labels = []) name =
-  let cell = Telemetry.counter ~labels name in
-  add_track t ~name ~labels (Counter { cell; baseline = Telemetry.value cell })
-
-let track_gauge t ?(labels = []) name =
-  add_track t ~name ~labels (Gauge (Telemetry.gauge ~labels name))
-
-let read = function
-  | Counter { cell; baseline } -> float_of_int (Telemetry.value cell - baseline)
-  | Gauge g -> Telemetry.gauge_value g
-
 let record tr ~at =
-  tr.ring.(tr.head) <- { at; v = read tr.source };
+  tr.ring.(tr.head) <- { at; v = tr.read () };
   tr.head <- (tr.head + 1) mod Array.length tr.ring;
   if tr.count < Array.length tr.ring then tr.count <- tr.count + 1;
   tr.written <- tr.written + 1
@@ -82,8 +57,6 @@ let series_of_track tr =
   let cap = Array.length tr.ring in
   let start = (tr.head - tr.count + cap) mod cap in
   {
-    name = tr.name;
-    labels = tr.labels;
     points = Array.init tr.count (fun i -> tr.ring.((start + i) mod cap));
     dropped = tr.written - tr.count;
   }

@@ -1,11 +1,11 @@
-(** Time-series sampler: registry instruments → bounded ring buffers.
+(** Time-series sampler: readers → bounded ring buffers.
 
-    The telemetry registry answers "how much, in total"; the sampler
-    turns that into "how much, {e when}" by snapshotting selected
-    counters and gauges at fixed simulated-time boundaries
-    ([interval], [2·interval], …).  Reads go through the registry's
-    shared instrument cells, so a sample is a handful of loads — cheap
-    enough to take on the data path.
+    The switches and simulators answer "how much, so far"; the sampler
+    turns that into "how much, {e when}" by calling each tracked reader
+    at fixed simulated-time boundaries ([interval], [2·interval], …).
+    A reader is a closure over whatever it reads (the monitor's read one
+    switch's cumulative served misses), so a sample is a handful of
+    loads — cheap enough to take on the data path.
 
     There is no timer: the discrete-event simulators have no periodic
     wall clock to hang one on.  Instead callers {!tick} with the current
@@ -16,16 +16,12 @@
     values are unchanged in between, so nothing is lost — and the final
     {!finish} closes the tail.
 
-    Counters are recorded relative to their value when tracking started,
-    so a cumulative, process-wide registry still yields a per-run
-    timeline.  Ring buffers are bounded: past [capacity] points the
-    oldest fall off. *)
+    Ring buffers are bounded: past [capacity] points the oldest fall
+    off. *)
 
 type point = { at : float; v : float }
 
 type series = {
-  name : string;
-  labels : (string * string) list;
   points : point array;  (** oldest first; at most [capacity] *)
   dropped : int;  (** points lost to ring wraparound *)
 }
@@ -36,11 +32,8 @@ val create : ?capacity:int -> interval:float -> unit -> t
 (** [capacity] points per series, default 1024.
     @raise Invalid_argument if [interval <= 0] or [capacity < 1]. *)
 
-val track_counter : t -> ?labels:(string * string) list -> string -> unit
-(** Snapshot this counter (get-or-created in the registry) at every
-    boundary, baselined to its value now. *)
-
-val track_gauge : t -> ?labels:(string * string) list -> string -> unit
+val track : t -> (unit -> float) -> unit
+(** Record this reader's value at every boundary. *)
 
 val tick : t -> now:float -> unit
 (** Record every crossed boundary [k·interval <= now] not yet recorded.

@@ -122,8 +122,6 @@ type acc = {
   mutable queue_drops : int;
   mutable ecn_marks : int;
   mutable authority_stats : authority_stat list;
-  mirrored : int array;  (* each registry counter's value at the last [mirror] *)
-  mutable observed : int;  (* [delays] entries the histogram has seen *)
 }
 
 let fresh_acc () =
@@ -147,34 +145,22 @@ let fresh_acc () =
     queue_drops = 0;
     ecn_marks = 0;
     authority_stats = [];
-    mirrored = Array.make 8 0;
-    observed = 0;
   }
 
-(* Add to the registry what it has not yet seen of [acc].  The packet
-   path only bumps [acc]; a run mirrors where the registry can be read
-   mid-run (before the monitor observes a packet, before each controller
-   tick) and once when it drains, so every read sees the tallies so far.
-   Every operation is a commutative atomic add, so worker domains
-   mirroring concurrently produce the same final registry values as any
-   serial order. *)
-let mirror acc =
-  let sync i c v =
-    Telemetry.add c (v - acc.mirrored.(i));
-    acc.mirrored.(i) <- v
-  in
-  sync 0 m_delivered acc.delivered;
-  sync 1 m_cache_hits acc.cache_hits;
-  sync 2 m_completed acc.completed;
-  sync 3 m_dropped acc.dropped;
-  sync 4 m_degraded acc.degraded;
-  sync 5 m_install_drops acc.install_drops;
-  sync 6 m_outage_drops acc.outage;
-  sync 7 m_backpressured acc.backpressured;
-  for i = acc.observed to acc.delays.Fvec.n - 1 do
-    Telemetry.observe h_first_packet acc.delays.Fvec.a.(i)
-  done;
-  acc.observed <- acc.delays.Fvec.n
+(* The registry gains a run's tallies once, when the run ends: the packet
+   path bumps only [acc], and [finish] adds it on the calling domain.  A
+   sharded run adds its shard-ordered [merge], so the histogram sums the
+   delays in the same order at any domain count. *)
+let mirror acc delays =
+  Telemetry.add m_delivered acc.delivered;
+  Telemetry.add m_cache_hits acc.cache_hits;
+  Telemetry.add m_completed acc.completed;
+  Telemetry.add m_dropped acc.dropped;
+  Telemetry.add m_degraded acc.degraded;
+  Telemetry.add m_install_drops acc.install_drops;
+  Telemetry.add m_outage_drops acc.outage;
+  Telemetry.add m_backpressured acc.backpressured;
+  Array.iter (Telemetry.observe h_first_packet) delays
 
 let finish acc ~offered =
   let duration =
@@ -192,6 +178,7 @@ let finish acc ~offered =
   in
   let window = Float.max arrival_window completion_span in
   let delays = Fvec.to_array acc.delays in
+  mirror acc delays;
   {
     offered_flows = offered;
     completed_flows = acc.completed;
@@ -328,7 +315,6 @@ let tick_to st now =
   | None -> ()
   | Some tick ->
       while st.next_tick <= now do
-        mirror st.acc;
         tick ~now:st.next_tick;
         st.next_tick <- st.next_tick +. controller_interval
       done
@@ -383,12 +369,12 @@ let forward st (flow : Traffic.flow) ~is_first ~now ~from ~was_miss ~cache_hit a
       deliver st.acc ~was_miss ~is_first ~arrival:flow.start ~at:(now +. lat) ~cache_hit
 
 (* Controller path, NOX-style: half an RTT up, a controller service
-   slot, half an RTT back.  Reached for [`Failure] (no live replica for
-   the header's partition — [Deployment.inject] then answers from the
-   policy and installs the reactive microflow at the ingress) and for
-   [`Backpressure] (credit mode found the authority saturated, so the
-   ingress defers re-splicing; the replicas are alive, so the
-   controller is asked directly and the accounting stays separate). *)
+   slot, half an RTT back, where [Deployment.controller_serve] answers
+   from the policy and installs the reactive microflow at the ingress.
+   Reached for [`Failure] (no live replica for the header's partition)
+   and for [`Backpressure] (credit mode found the authority saturated,
+   so the ingress defers re-splicing); the cause keeps the accounting
+   apart. *)
 let via_controller st cause (flow : Traffic.flow) ~is_first ~pkt =
   let timing = st.cfg.timing in
   if st.controllers_up <= 0 then begin
@@ -404,19 +390,13 @@ let via_controller st cause (flow : Traffic.flow) ~is_first ~pkt =
           Server.submit (Lazy.force st.controller) (fun () ->
               let now = Engine.now st.engine in
               Ptrace.resume_packet ~pkt flow.header;
-              (* the Deployment walk emits this packet's remaining
+              (* [controller_serve] emits this packet's remaining
                  postcards (controller verdict, install, terminal) on the
                  resumed context — no terminal is emitted here *)
               let o =
-                match cause with
-                | `Failure ->
-                    let o = Deployment.inject ~pkt st.d ~now ~ingress:flow.ingress flow.header in
-                    st.acc.degraded <- st.acc.degraded + 1;
-                    o
-                | `Backpressure ->
-                    Deployment.controller_serve ~cause:`Backpressure st.d ~now
-                      ~ingress:flow.ingress flow.header
+                Deployment.controller_serve ~cause st.d ~now ~ingress:flow.ingress flow.header
               in
+              if cause = `Failure then st.acc.degraded <- st.acc.degraded + 1;
               deliver st.acc ~was_miss:true ~is_first ~arrival:flow.start
                 ~at:
                   (now
@@ -507,11 +487,8 @@ let ingress st (flow : Traffic.flow) ~is_first =
      packet context; the packet id rides into every deferred
      continuation via [resume_packet] *)
   let pkt = Ptrace.begin_packet flow.header in
-  (match st.cfg.monitor with
-  | Some m ->
-      mirror st.acc;
-      Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header
-  | None -> ());
+  Option.iter (fun m -> Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header)
+    st.cfg.monitor;
   match Switch.process (Deployment.switch st.d flow.ingress) ~now flow.header with
   | Switch.Local (action, bank) ->
       forward st flow ~is_first ~now ~from:flow.ingress ~was_miss:false
@@ -542,7 +519,6 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
   post_arrivals engine st.acc flows (ingress st);
   Engine.run engine;
   let now = Engine.now engine in
-  mirror st.acc;
   tick_to st now;
   Option.iter (fun m -> Monitor.finish m ~now) cfg.monitor;
   let acc = st.acc in
@@ -686,5 +662,4 @@ let run_nox n flows =
   in
   post_arrivals engine acc flows process_packet;
   Engine.run engine;
-  mirror acc;
   finish acc ~offered:(List.length flows)

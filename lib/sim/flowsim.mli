@@ -129,8 +129,12 @@ val run : Config.t -> Deployment.t -> Traffic.flow list -> result
     with the plan's link drop probability (deterministically, from the
     plan's seed), and misses with no live replica take the degraded
     controller path — [controller_rtt/2] up, a [controller_service]
-    slot, [controller_rtt/2] back, with an exact-match entry installed
-    at the ingress — instead of being lost.  [Controller_crash] /
+    slot, [controller_rtt/2] back, where the controller answers from the
+    policy and installs an exact-match entry at the ingress (unless an
+    earlier packet of the flow already did) — instead of being lost.  A
+    degraded packet is looked up at the ingress once, so
+    [degraded_packets] equals the {!Deployment.degraded_misses} the run
+    adds.  [Controller_crash] /
     [Controller_restart] events mark one of the plan's [controllers]
     replicas down or up (a repeated crash of a dead replica changes
     nothing): while none is up, degraded misses are dropped and counted
@@ -143,14 +147,12 @@ val run : Config.t -> Deployment.t -> Traffic.flow list -> result
     walking, e.g. for closed-loop adaptive rebalancing.  Boundaries are caught up lazily at the next packet
     event, and once more when the event queue drains.
 
-    Registry: the packet path tallies only the run's own result.  The
-    [sim_*] counters and the [sim_first_packet_delay] histogram receive
-    whatever they have not yet seen of those tallies right before the
-    monitor observes a packet, right before each controller tick, and
-    once when the event queue drains — so a read at any of those points
-    sees the run's tallies so far, and after the run the registry has
-    gained exactly the result's counts and one histogram observation
-    per completed flow.
+    Registry: the packet path tallies only the run's own result, and the
+    run adds those tallies to the [sim_*] counters and the
+    [sim_first_packet_delay] histogram once, when it ends: after the run
+    the registry has gained exactly the result's counts and one histogram
+    observation per completed flow.  Nothing in the registry moves while
+    the run is in progress.
 
     @raise Invalid_argument if [domains <> 1] — parallel execution needs
     per-shard deployments; use {!run_sharded}. *)
@@ -168,9 +170,10 @@ val run_sharded :
     Determinism contract: the shard decomposition is a function of the
     shard index alone, shards are merged strictly in shard-index order
     (counters sum, extrema min/max, sample arrays concatenate, authority
-    tallies sum per switch id), and registry mirroring uses only
-    commutative atomic operations — so a same-seed run is byte-identical
-    at {e any} domain count, including [domains = 1].  The callbacks run
+    tallies sum per switch id) — so a same-seed run is byte-identical at
+    {e any} domain count, including [domains = 1].  The merged tallies
+    reach the registry once, in shard order, on the calling domain, so
+    the registry a run leaves is the same at any domain count too.  The callbacks run
     on worker domains: they must touch only shard-local state (building a
     fresh deployment and workload from a per-shard seed is the intended
     shape).

@@ -18,7 +18,6 @@ type tele = {
   m_unmatched : Telemetry.counter;
   m_misconfigured : Telemetry.counter;
   m_stale_rejected : Telemetry.counter;
-  m_cache_occupancy : Telemetry.gauge;
 }
 
 (* Cache-entry provenance.  A plain spliced entry has one part; an entry
@@ -153,17 +152,10 @@ let register_foreign t gid members =
         Hashtbl.add t.foreign_listers m gid)
     members
 
-(* The occupancy gauge tracks the cache TCAM level through installs,
-   evictions and expiry, so the monitor's sampler can turn it into a
-   timeline without polling every switch. *)
-let sync_occupancy t = Telemetry.set t.tele.m_cache_occupancy (float_of_int (Tcam.occupancy t.cache))
-
 (* The cache bank's detach hook: every entry leaving the TCAM, by any
    path, leaves its group's entry list here and marks dirty its own
    group and every group that lists it as a foreign member.  Runs
-   before the removal site drops the entry's provenance.  Being the one
-   place every removal passes through, it also keeps the occupancy
-   gauge level. *)
+   before the removal site drops the entry's provenance. *)
 let forget t (e : Tcam.entry) =
   let r = e.Tcam.rule in
   (match Hashtbl.find_opt t.cache_origin r.Rule.id with
@@ -175,8 +167,7 @@ let forget t (e : Tcam.entry) =
     (fun gid ->
       mark_dirty t gid;
       Hashtbl.remove t.foreign_listers r.Rule.id)
-    (Hashtbl.find_all t.foreign_listers r.Rule.id);
-  sync_occupancy t
+    (Hashtbl.find_all t.foreign_listers r.Rule.id)
 
 let create ~id ~cache_capacity =
   let labels = [ ("switch", string_of_int id) ] in
@@ -217,7 +208,6 @@ let create ~id ~cache_capacity =
           m_unmatched = Telemetry.counter ~labels "switch_unmatched";
           m_misconfigured = Telemetry.counter ~labels "switch_misconfigured";
           m_stale_rejected = Telemetry.counter ~labels "switch_stale_rejected";
-          m_cache_occupancy = Telemetry.gauge ~labels "switch_cache_occupancy";
         };
     }
   in
@@ -359,8 +349,7 @@ let apply_flow_mod t ~now (fm : Message.flow_mod) =
       | `Replaced _ -> Hashtbl.remove t.cache_origin fm.rule.Rule.id
       | `Ok | `Full -> ());
       Ptrace.emit_control ~at:now Ptrace.Install ~switch:t.id ~rule:fm.rule.Rule.id
-        ~aux:0;
-      sync_occupancy t
+        ~aux:0
   | Message.Cache, (Message.Delete | Message.Delete_strict) ->
       ignore (Tcam.remove t.cache fm.rule.Rule.id);
       Hashtbl.remove t.cache_origin fm.rule.Rule.id;
@@ -709,7 +698,6 @@ let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
   end;
   let rules = List.map (fun (e : Tcam.entry) -> e.Tcam.rule) d.Tcam.evicted in
   List.iter (fun (r : Rule.t) -> Hashtbl.remove t.cache_origin r.id) rules;
-  sync_occupancy t;
   rules
 
 let install_cache_rule ?idle_timeout ?hard_timeout ?origin_id ?(pid = -1) t ~now rule =

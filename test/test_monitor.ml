@@ -91,15 +91,15 @@ let test_flows_json_shape_and_determinism () =
 (* ---- sampler ---- *)
 
 let test_sampler_boundaries_and_baseline () =
-  Telemetry.reset ();
-  let c = Telemetry.counter "mon_test_counter" in
-  Telemetry.add c 100;
-  (* baseline is taken at track time: the 100 must not show up *)
+  let c = ref 100 in
+  (* the reader subtracts the count at track time: the 100 must not
+     show up *)
   let s = Sampler.create ~interval:1.0 () in
-  Sampler.track_counter s "mon_test_counter";
-  Telemetry.add c 5;
+  let base = !c in
+  Sampler.track s (fun () -> float_of_int (!c - base));
+  c := !c + 5;
   Sampler.tick s ~now:2.5;
-  Telemetry.add c 7;
+  c := !c + 7;
   Sampler.finish s ~now:2.5;
   match Sampler.series s with
   | [ sr ] ->
@@ -114,12 +114,11 @@ let test_sampler_boundaries_and_baseline () =
   | l -> Alcotest.failf "expected 1 series, got %d" (List.length l)
 
 let test_sampler_ring_wraparound () =
-  Telemetry.reset ();
-  let g = Telemetry.gauge "mon_test_gauge" in
+  let level = ref 0. in
   let s = Sampler.create ~capacity:4 ~interval:1.0 () in
-  Sampler.track_gauge s "mon_test_gauge";
+  Sampler.track s (fun () -> !level);
   for i = 1 to 10 do
-    Telemetry.set g (float_of_int i);
+    level := float_of_int i;
     Sampler.tick s ~now:(float_of_int i)
   done;
   match Sampler.series s with
@@ -128,7 +127,9 @@ let test_sampler_ring_wraparound () =
       check Alcotest.int "bounded at capacity" 4 (Array.length pts);
       check Alcotest.int "dropped the overflow" 6 sr.Sampler.dropped;
       check Alcotest.bool "newest survive, oldest first" true
-        (Array.to_list (Array.map (fun p -> p.Sampler.at) pts) = [ 7.; 8.; 9.; 10. ])
+        (Array.to_list (Array.map (fun p -> p.Sampler.at) pts) = [ 7.; 8.; 9.; 10. ]);
+      check Alcotest.bool "each point holds the level at its boundary" true
+        (Array.to_list (Array.map (fun p -> p.Sampler.v) pts) = [ 7.; 8.; 9.; 10. ])
   | l -> Alcotest.failf "expected 1 series, got %d" (List.length l)
 
 (* ---- hotspot detection ---- *)
@@ -173,7 +174,7 @@ let test_hotspot_min_load_and_threshold () =
 
 (* ---- end to end: provenance through a monitored simulation ---- *)
 
-let monitored_run seed =
+let monitored_setup seed =
   Telemetry.reset ();
   let rng = Prng.create seed in
   let policy =
@@ -198,12 +199,13 @@ let monitored_run seed =
       ingresses = [ 3 ];
     }
   in
-  let flows = Traffic.generate (Prng.create (seed + 1)) policy profile in
-  let m =
-    Monitor.create
-      ~config:{ Monitor.default_config with Monitor.interval = 0.01 }
-      d
-  in
+  (d, Traffic.generate (Prng.create (seed + 1)) policy profile)
+
+let monitor_config = { Monitor.default_config with Monitor.interval = 0.01 }
+
+let monitored_run seed =
+  let d, flows = monitored_setup seed in
+  let m = Monitor.create ~config:monitor_config d in
   let r = Flowsim.run { Flowsim.Config.default with monitor = Some m } d flows in
   (d, m, r)
 
@@ -263,6 +265,32 @@ let test_monitored_sim_deterministic_json () =
   check Alcotest.bool "monitor schema tag" true
     (String.sub j1 0 30 = {|{"schema":"difane-monitor-v1",|})
 
+(* The load timeline reads the switches: each authority's last point is
+   the misses it served after the monitor was created, so a warm-up run
+   before [Monitor.create] stays out of it. *)
+let test_monitor_series_follow_switches () =
+  let d, flows = monitored_setup 11 in
+  ignore (Flowsim.run Flowsim.Config.default d flows);
+  let served () =
+    List.map
+      (fun id ->
+        (id, Int64.to_float (Switch.stats (Deployment.switch d id)).Switch.authority_hits))
+      (List.sort Int.compare (Deployment.authority_ids d))
+  in
+  let before = served () in
+  let m = Monitor.create ~config:monitor_config d in
+  ignore (Flowsim.run { Flowsim.Config.default with monitor = Some m } d flows);
+  let gained = List.map2 (fun (id, b) (_, a) -> (id, a -. b)) before (served ()) in
+  check Alcotest.bool "the warm-up served misses" true (List.exists (fun (_, v) -> v > 0.) before);
+  check Alcotest.bool "the monitored run served misses" true
+    (List.exists (fun (_, v) -> v > 0.) gained);
+  check
+    Alcotest.(list (pair int (float 0.)))
+    "last point = misses served in the run" gained
+    (List.map
+       (fun (id, (pts : Sampler.point array)) -> (id, pts.(Array.length pts - 1).Sampler.v))
+       (Monitor.authority_series m))
+
 let suite =
   [
     ( "monitor",
@@ -277,5 +305,6 @@ let suite =
         tc "hotspot min-load and threshold" test_hotspot_min_load_and_threshold;
         tc "monitored sim provenance" test_monitored_sim_provenance;
         tc "monitored sim deterministic json" test_monitored_sim_deterministic_json;
+        tc "monitor series follow the switches" test_monitor_series_follow_switches;
       ] );
   ]

@@ -543,14 +543,15 @@ let test_fault_plan_pin () =
   check Alcotest.int "one histogram observation per completed flow"
     (Array.length r.Flowsim.delays) (Telemetry.histogram_count h - observed);
   let md5 s = Digest.to_hex (Digest.string s) in
-  check Alcotest.string "result" "14ad27c918562c7c3ad3447b93a91180" (md5 (Marshal.to_string r []));
-  check Alcotest.string "monitor" "3832f977dc65881db90bffa1f7807fdb" (md5 (Monitor.to_json monitor));
+  check Alcotest.string "result" "fc3c327ea5acd967c709ef601b09d476" (md5 (Marshal.to_string r []));
+  check Alcotest.string "monitor" "948a161eebdf3e8c7d6b107693e5930f" (md5 (Monitor.to_json monitor));
   check Alcotest.string "ticks" "e567b3131d530a2c378206ff2f22bce4" (md5 (Marshal.to_string (List.rev !ticks) []))
 
-(* A replica crashed twice is still one replica down: with replica 1
-   alive the degraded path keeps answering while the only authority is
-   out, so no packet is lost to a controller outage. *)
-let test_repeated_controller_crash () =
+(* Authority 1 of a star holds every partition; the flows enter at 2..5
+   and a fault plan decides what is up. *)
+let crash_ingresses = [ 2; 3; 4; 5 ]
+
+let crash_run ?controllers events =
   let policy =
     Policy_gen.acl (Prng.create 5)
       { Policy_gen.default_acl with rules = 120; chains = 10; chain_depth = 4; egresses = 4 }
@@ -564,19 +565,60 @@ let test_repeated_controller_crash () =
     Traffic.generate (Prng.create 6) policy
       { Traffic.default with
         flows = 2000; rate = 30_000.; alpha = 1.0; distinct_headers = 1000;
-        packets_per_flow_mean = 2.0; ingresses = [ 2; 3; 4; 5 ] }
+        packets_per_flow_mean = 2.0; ingresses = crash_ingresses }
   in
-  let faults =
-    Fault.plan ~seed:9 ~controllers:2
-      ~events:
-        [ Fault.Crash { switch = 1; at = 0. };
-          Fault.Controller_crash { controller = 0; at = 0.02 };
-          Fault.Controller_crash { controller = 0; at = 0.03 } ]
-      ()
+  let faults = Fault.plan ~seed:9 ?controllers ~events () in
+  (d, flows, Flowsim.run { Flowsim.Config.default with faults = Some faults } d flows)
+
+(* A replica crashed twice is still one replica down: with replica 1
+   alive the degraded path keeps answering while the only authority is
+   out, so no packet is lost to a controller outage. *)
+let test_repeated_controller_crash () =
+  let _, _, r =
+    crash_run ~controllers:2
+      [ Fault.Crash { switch = 1; at = 0. };
+        Fault.Controller_crash { controller = 0; at = 0.02 };
+        Fault.Controller_crash { controller = 0; at = 0.03 } ]
   in
-  let r = Flowsim.run { Flowsim.Config.default with faults = Some faults } d flows in
   check Alcotest.bool "the degraded path served misses" true (r.Flowsim.degraded_packets > 0);
   check Alcotest.int "no outage drops" 0 r.Flowsim.outage_drops
+
+(* A miss the degraded path carries to the controller is answered
+   there: the controller counts it, and the ingress, which saw it miss
+   once, does not look it up a second time. *)
+let test_degraded_answered_by_controller () =
+  let d, flows, r = crash_run [ Fault.Crash { switch = 1; at = 0. } ] in
+  check Alcotest.bool "the degraded path served misses" true (r.Flowsim.degraded_packets > 0);
+  check Alcotest.int "every degraded packet is a controller-served miss"
+    (Deployment.degraded_misses d) r.Flowsim.degraded_packets;
+  let sum f =
+    List.fold_left
+      (fun n id -> n + Int64.to_int (f (Switch.stats (Deployment.switch d id))))
+      0 crash_ingresses
+  in
+  let packets = List.fold_left (fun n (f : Traffic.flow) -> n + f.Traffic.packets) 0 flows in
+  check Alcotest.int "tunnelled = packets that missed at the ingress"
+    (packets
+    - sum (fun s -> s.Switch.cache_hits)
+    - sum (fun s -> s.Switch.authority_hits)
+    - sum (fun s -> s.Switch.unmatched)
+    - sum (fun s -> s.Switch.misconfigured))
+    (sum (fun s -> s.Switch.tunnelled))
+
+(* A sharded run adds its tallies to the registry once, from the
+   shard-ordered merge, on the calling domain: the registry it leaves is
+   the same whichever domain ran which shard. *)
+let test_registry_domain_independent () =
+  let registry domains =
+    Telemetry.reset ();
+    ignore
+      (Experiments.E_scale.run ~seed:42
+         { Experiments.E_scale.quick_spec with Experiments.E_scale.shards = 4; domains });
+    Telemetry.to_json (Telemetry.snapshot ())
+  in
+  let one = registry 1 in
+  check Alcotest.string "domains 2" one (registry 2);
+  check Alcotest.string "domains 2, again" one (registry 2)
 
 let suite =
   [
@@ -609,6 +651,8 @@ let suite =
         tc "miss path allocation bound" test_miss_path_allocation;
         tc "fault plan pin" test_fault_plan_pin;
         tc "repeated controller crash" test_repeated_controller_crash;
+        tc "degraded misses answered by the controller" test_degraded_answered_by_controller;
+        tc "registry is domain-independent" test_registry_domain_independent;
       ] );
     ( "cachesim",
       [

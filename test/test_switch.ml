@@ -174,23 +174,6 @@ let test_replace_notification () =
     (Switch.origin_of_cache_rule sw 50);
   check Alcotest.int "occupancy unchanged" 1 (Switch.cache_occupancy sw)
 
-(* The cache occupancy gauge follows every removal path, flushes and
-   invalidations that orphan no cover set included. *)
-let occupancy_gauge_case remove () =
-  let sw = Switch.create ~id:61 ~cache_capacity:4 in
-  let gauge = Telemetry.gauge ~labels:[ ("switch", "61") ] "switch_cache_occupancy" in
-  List.iter
-    (fun (id, f1) ->
-      ignore
-        (Switch.install_cache_rule ~origin_id:id sw ~now:0.
-           (Rule.make ~id ~priority:1 (Pred.of_strings s2 [ ("f1", f1) ]) (Action.Forward 1))))
-    [ (50, "0000_0001"); (51, "0000_0010"); (52, "0000_0100") ];
-  remove sw;
-  check Alcotest.bool "entries removed" true (Switch.cache_occupancy sw < 3);
-  check (Alcotest.float 0.) "gauge = occupancy"
-    (float_of_int (Switch.cache_occupancy sw))
-    (Telemetry.gauge_value gauge)
-
 (* A partition rule that cannot tunnel is a broken bank, not uncovered
    flowspace: the packet must land in [misconfigured], not [unmatched].
    The broken rule reaches the bank through the barrier-commit path,
@@ -404,10 +387,6 @@ let suite =
         tc "partition load counting" test_partition_load_counting;
         tc "replace emits flow-removed" test_replace_notification;
         tc "misconfigured partition rule" test_misconfigured_partition_rule;
-        tc "occupancy gauge after flush" (occupancy_gauge_case Switch.flush_cache);
-        tc "occupancy gauge after invalidation"
-          (occupancy_gauge_case (fun sw ->
-               ignore (Switch.invalidate_origins sw ~now:1. (fun o -> o = 51))));
         prop_cache_never_lies;
         tc "plan-served miss = from-scratch splice" test_plan_equals_scratch;
       ] );
