@@ -659,34 +659,14 @@ let monitor_cmd =
     let doc = "Write the sampled flow records (difane-flows-v1 JSON) to this file." in
     Arg.(value & opt (some string) None & info [ "flows-out" ] ~docv:"FILE" ~doc)
   in
-  let hotspot_threshold_override_arg =
-    let doc =
-      "Override --threshold with the adaptive rebalancer's spelling of the same knob \
-       (hot = miss load over this multiple of fair share)."
-    in
-    Arg.(
-      value & opt (some (float_above 1.)) None & info [ "hotspot-threshold" ] ~docv:"X" ~doc)
-  in
-  let run seed quick alpha sample_rate interval threshold hotspot_threshold
-      hotspot_window top_k json flows_out =
-    let threshold = Option.value ~default:threshold hotspot_threshold in
+  let run seed quick alpha sample_rate interval threshold hotspot_window top_k json
+      flows_out =
     let m, _ =
       Experiments.E_mon.run_monitored ~seed ~quick ~alpha ~sample_rate ?interval
         ~threshold ~top_k ()
     in
     if json then print_endline (Monitor.to_json m)
-    else begin
-      Format.printf "%a%!" Monitor.pp m;
-      (* the streak view the adaptive rebalancer would act on *)
-      match Monitor.persistent_hotspots ~windows:hotspot_window m with
-      | [] ->
-          Format.printf "== persistent hotspots (>= %d consecutive windows) == (none)@."
-            hotspot_window
-      | events ->
-          Format.printf "== persistent hotspots (>= %d consecutive windows) ==@."
-            hotspot_window;
-          List.iter (fun e -> Format.printf "  %a@." Hotspot.pp_event e) events
-    end;
+    else Format.printf "%a%a%!" Monitor.pp m (Monitor.pp_persistent ~windows:hotspot_window) m;
     Option.iter
       (fun path ->
         let oc = open_out path in
@@ -702,7 +682,7 @@ let monitor_cmd =
   Cmd.v (Cmd.info "monitor" ~doc)
     Term.(
       const run $ seed_arg $ quick_arg $ alpha_arg $ sample_rate_arg $ interval_arg
-      $ threshold_arg $ hotspot_threshold_override_arg $ hotspot_window_arg $ top_k_arg
+      $ threshold_arg $ hotspot_window_arg $ top_k_arg
       $ json_arg $ flows_out_arg)
 
 let gate_cmd =

@@ -160,7 +160,6 @@ let takeover_latencies t = List.rev t.takeover_latencies
 let entries_replayed t = t.replayed
 let snapshots t = t.snapshots
 let fenced_appends t = !(t.fenced_appends)
-let controller_up t c = t.replicas.(c).up
 let cluster_log t = List.rev t.log
 
 let all_cps t = t.cp :: t.retired_cps

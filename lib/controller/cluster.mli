@@ -78,7 +78,6 @@ val epoch : t -> int
 val leader_cp : t -> Control_plane.t
 val deployment : t -> Deployment.t
 val journal : t -> Journal.t
-val controller_up : t -> int -> bool
 
 val takeovers : t -> int
 val takeover_latencies : t -> float list

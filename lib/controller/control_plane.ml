@@ -103,7 +103,7 @@ type t = {
   mutable next_mid : int;
   mutable last_auth_cum : (int * float) list;
       (* per-authority cumulative miss count at the last window boundary *)
-  mutable streaks : (int * int) list; (* authority -> consecutive hot windows *)
+  streaks : Hotspot.streaks;
   mutable windows_seen : int;
   mutable recovery_watch : (int * int) option;
       (* (hot authority, window count at migration begin): when it first
@@ -117,7 +117,6 @@ type t = {
   mutable retransmissions : int;
   mutable giveups : int;
   mutable link_dropped : int;
-  mutable degraded_handled : int64; (* packet-in misses served while degraded *)
   mutable log : (float * string) list; (* reverse order *)
 }
 
@@ -171,7 +170,7 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
     active_migration = None;
     next_mid;
     last_auth_cum = [];
-    streaks = [];
+    streaks = Hotspot.streaks ~threshold:config.hotspot_threshold;
     windows_seen = 0;
     recovery_watch = None;
     migrations_started = 0;
@@ -183,7 +182,6 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
     retransmissions = 0;
     giveups = 0;
     link_dropped = 0;
-    degraded_handled = 0L;
     log = [];
   }
 
@@ -446,7 +444,6 @@ let process_reply t ~now i (x, msg) =
         Option.value ~default:Action.Drop
           (Classifier.action (Deployment.policy t.deployment) p.Message.header)
       in
-      t.degraded_handled <- Int64.add t.degraded_handled 1L;
       Telemetry.incr m_degraded;
       transmit t i ~now ~xid:0
         (Message.Packet_out
@@ -475,9 +472,8 @@ let push_deployment t ~now =
    Per-authority miss load comes from the switches' monotonic
    [authority_hits] counters (they survive splits and failovers, unlike
    per-partition tallies whose pids retire mid-migration).  An authority
-   is hot in a window when its share of the window's misses exceeds
-   [hotspot_threshold] times fair share; [hotspot_window] consecutive hot
-   windows trigger a migration. *)
+   is hot in a window by {!Hotspot.hot} at [hotspot_threshold];
+   [hotspot_window] consecutive hot windows trigger a migration. *)
 
 let authority_cumulative t =
   List.map
@@ -505,7 +501,7 @@ let begin_migration t ~now ~src_auth ~dst =
   with
   | [] ->
       (* hot without any primary partition (all demoted?): nothing to cut *)
-      t.streaks <- List.map (fun (a, _) -> (a, 0)) t.streaks
+      Hotspot.clear t.streaks
   | src_pid :: _ -> (
       match
         Partitioner.split_region (Deployment.partitioner d)
@@ -519,7 +515,7 @@ let begin_migration t ~now ~src_auth ~dst =
              falling back to load rebalance"
             src_auth src_pid;
           rebalance_partitions t ~now ~loads;
-          t.streaks <- List.map (fun (a, _) -> (a, 0)) t.streaks
+          Hotspot.clear t.streaks
       | Some ((lo_pid, lo_region), (hi_pid, hi_region)) ->
           let src_replicas = Assignment.replicas_of assignment src_pid in
           let auths =
@@ -557,7 +553,7 @@ let begin_migration t ~now ~src_auth ~dst =
           t.migrations_started <- t.migrations_started + 1;
           Telemetry.incr m_migrations_started;
           t.recovery_watch <- Some (src_auth, t.windows_seen);
-          t.streaks <- List.map (fun (a, _) -> (a, 0)) t.streaks;
+          Hotspot.clear t.streaks;
           record t ~now
             "hotspot: authority %d overloaded; migrating p%d's sub-region p%d \
              (%d rules) to authority %d (m%d)"
@@ -574,20 +570,11 @@ let adaptive_window t ~now =
       cum
   in
   t.last_auth_cum <- cum;
-  let n = List.length deltas in
-  let total = List.fold_left (fun s (_, d) -> s +. d) 0. deltas in
-  let fair = if n = 0 then 0. else total /. float_of_int n in
-  let hot d = n >= 2 && d >= 1. && d > t.config.hotspot_threshold *. fair in
-  t.streaks <-
-    List.map
-      (fun (a, d) ->
-        let s = Option.value ~default:0 (List.assoc_opt a t.streaks) in
-        (a, if hot d then s + 1 else 0))
-      deltas;
+  Hotspot.observe t.streaks deltas;
   (match t.recovery_watch with
   | Some (auth, w0) when t.active_migration = None -> (
       match List.assoc_opt auth deltas with
-      | Some d when not (hot d) ->
+      | Some _ when Hotspot.streak t.streaks auth = 0 ->
           Telemetry.add m_windows_to_recovery (t.windows_seen - w0);
           record t ~now "authority %d back under fair share %d windows after migration began"
             auth (t.windows_seen - w0);
@@ -596,11 +583,7 @@ let adaptive_window t ~now =
   | _ -> ());
   if t.active_migration = None then begin
     let candidates =
-      List.filter
-        (fun (a, _) ->
-          Option.value ~default:0 (List.assoc_opt a t.streaks)
-          >= t.config.hotspot_window)
-        deltas
+      List.filter (fun (a, _) -> Hotspot.streak t.streaks a >= t.config.hotspot_window) deltas
     in
     match
       List.sort (fun (_, x) (_, y) -> Float.compare y x) candidates
@@ -940,17 +923,6 @@ let stats t =
     t.ports
 
 
-let reset_stats t =
-  t.retransmissions <- 0;
-  t.giveups <- 0;
-  t.link_dropped <- 0;
-  t.degraded_handled <- 0L;
-  Array.iter
-    (fun p ->
-      Channel.reset_stats p.to_switch;
-      Channel.reset_stats p.to_controller)
-    t.ports
-
 let retransmissions t = t.retransmissions
 let giveups t = t.giveups
 let pending_requests t = Hashtbl.length t.pending
@@ -959,7 +931,6 @@ let in_flight t =
   Array.fold_left
     (fun acc p -> acc + Channel.pending p.to_switch + Channel.pending p.to_controller)
     0 t.ports
-let degraded_handled t = t.degraded_handled
 let timeline t = List.rev_map (fun (at, s) -> (at, "control", s)) t.log
 
 (* Test hook: make a switch stop responding (device death). *)

@@ -46,8 +46,9 @@ type config = {
   retx_backoff : float;  (** interval multiplier per retransmission *)
   retx_limit : int;  (** retransmissions before giving a request up *)
   hotspot_threshold : float;
-      (** an authority is hot in a window when its miss load exceeds this
-          multiple of fair share (> 1.0; default 2.0) *)
+      (** an authority is hot in a window by {!Hotspot.hot} at this
+          multiple of fair share (default 2.0; {!create} raises
+          [Invalid_argument] unless > 1.0) *)
   hotspot_window : int;
       (** consecutive hot windows before a migration triggers (default 3) *)
   migration_step : float;
@@ -199,11 +200,6 @@ val stats : t -> stats
     Every underlying increment also bumps the process-wide registry
     ([channel_*], [ctrl_*]), so {!Telemetry.snapshot} agrees. *)
 
-val reset_stats : t -> unit
-(** Zero this control plane's loss, retransmission and degraded-mode
-    counters, including its channels' (registry totals are process-wide
-    and unaffected). *)
-
 val retransmissions : t -> int
 val giveups : t -> int
 (** Requests abandoned after [retx_limit] retransmissions. *)
@@ -214,10 +210,6 @@ val pending_requests : t -> int
 val in_flight : t -> int
 (** Frames sitting on this control plane's channels in either direction
     (sent but not yet polled). *)
-
-val degraded_handled : t -> int64
-(** Packet-in misses the controller answered NOX-style because every
-    replica of the packet's partition was dead (degraded mode). *)
 
 val timeline : t -> (float * string * string) list
 (** Timestamped record of fault events, failovers, give-ups and

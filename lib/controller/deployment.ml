@@ -45,7 +45,6 @@ type t = {
   degraded_count : int ref;
       (* misses served via the controller path because no replica of
          their partition was alive; shared across functional updates *)
-  backpressured_count : int ref;
       (* misses deferred to the controller path by credit-mode
          backpressure (the authority's inbound port was saturated);
          counted apart from [degraded_count] — overload, not failure *)
@@ -141,7 +140,7 @@ let build ?(config = default_config) ?(install : bool = true) ~policy ~topology
   in
   let d =
     { policy; topology; switches; partitioner; assignment; authority_ids; config;
-      unreachable = Hashtbl.create 4; degraded_count = ref 0; backpressured_count = ref 0;
+      unreachable = Hashtbl.create 4; degraded_count = ref 0;
       cong =
         (if Congestion.enabled config.congestion then Some (Congestion.create config.congestion)
          else None);
@@ -221,9 +220,7 @@ let deliver topo ~from action =
 let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
   (match cause with
   | `Failure -> incr d.degraded_count
-  | `Backpressure ->
-      incr d.backpressured_count;
-      Telemetry.incr m_backpressured);
+  | `Backpressure -> Telemetry.incr m_backpressured);
   let sw = d.switches.(ingress) in
   let action = Option.value ~default:Action.Drop (Classifier.action d.policy h) in
   let origin =
@@ -612,12 +609,10 @@ let adopt ~model ~network =
     topology = network.topology;
     unreachable = network.unreachable;
     degraded_count = network.degraded_count;
-    backpressured_count = network.backpressured_count;
     cong = network.cong;
   }
 
 let degraded_misses d = !(d.degraded_count)
-let backpressured_misses d = !(d.backpressured_count)
 let aggregator d = d.agg
 let aggregate_stats d = Aggregate.stats d.agg
 

@@ -46,7 +46,8 @@ type config = {
           {!outcome.latency}, a full buffer drops the packet, and in
           [Credit] mode an ingress finding the authority's inbound port
           saturated defers re-splicing to the controller path
-          ({!backpressured_misses}) instead of shedding the miss. *)
+          (registry counter [deployment_backpressured_misses]) instead
+          of shedding the miss. *)
   aggregation : Aggregate.config;
       (** cache-rule aggregation ({!Aggregate.default} = off: the plain
           one-install-per-miss path, bit-identical to the seed).  When
@@ -101,7 +102,7 @@ type outcome = {
           the mode a run degrades to instead of wedging.  Reached either
           because no replica of the header's partition was alive
           ({!degraded_misses}) or, in credit mode, because backpressure
-          deferred the miss ({!backpressured_misses}) *)
+          deferred the miss *)
 }
 
 val inject : t -> now:float -> ingress:int -> Header.t -> outcome
@@ -233,15 +234,10 @@ val controller_serve :
     already decides the header (another packet of the flow, answered
     first, installed it; [installed] is then [None]).  [cause] selects the
     accounting — [`Failure] (default) counts toward {!degraded_misses},
-    [`Backpressure] toward {!backpressured_misses}.  The DES answers every
+    [`Backpressure] toward the [deployment_backpressured_misses]
+    registry counter.  The DES answers every
     miss that reaches its controller path this way, without looking the
     packet up at the ingress a second time. *)
-
-val backpressured_misses : t -> int
-(** Misses deferred to the controller path by credit-mode backpressure (a
-    saturated authority inbound port) since [build] — graceful
-    degradation under overload, counted apart from {!degraded_misses}
-    (failure) so the two causes stay distinguishable. *)
 
 val aggregator : t -> Aggregate.t
 (** The deployment's aggregation engine — the DES install path routes

@@ -7,7 +7,6 @@ type t = {
   topology : Topology.t;
   switches : Switch.t array;
   config : config;
-  mutable packet_ins : int64;
   mutable next_rule_id : int;
 }
 
@@ -19,7 +18,6 @@ let build ?(config = default_config) ~policy ~topology () =
       Array.init (Topology.nodes topology) (fun id ->
           Switch.create ~id ~cache_capacity:config.cache_capacity);
     config;
-    packet_ins = 0L;
     next_rule_id = 3_000_000;
   }
 
@@ -33,7 +31,6 @@ let inject t ~now ~ingress h =
   match Tcam.lookup (Switch.cache sw) ~now h with
   | Some r -> { action = r.Rule.action; punted = false; installed = None }
   | None ->
-      t.packet_ins <- Int64.add t.packet_ins 1L;
       let action = Option.value ~default:Action.Drop (Classifier.action t.policy h) in
       let id = t.next_rule_id in
       t.next_rule_id <- id + 1;
@@ -42,4 +39,3 @@ let inject t ~now ~ingress h =
         (Tcam.insert_or_evict ?idle_timeout:t.config.idle_timeout (Switch.cache sw) ~now rule);
       { action; punted = true; installed = Some rule }
 
-let packet_ins t = t.packet_ins

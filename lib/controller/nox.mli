@@ -36,5 +36,3 @@ type outcome = {
 val inject : t -> now:float -> ingress:int -> Header.t -> outcome
 (** One packet: ingress microflow-table lookup, controller on miss. *)
 
-val packet_ins : t -> int64
-(** Total packets punted to the controller so far. *)

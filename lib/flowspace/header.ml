@@ -78,19 +78,8 @@ let make schema values =
   let key_lo, key_hi, key_exact, khash = pack schema values in
   { schema; values; key_lo; key_hi; key_exact; khash }
 
-let of_fields schema assoc =
-  let values =
-    Array.init (Schema.arity schema) (fun i ->
-        match List.assoc_opt (Schema.field_name schema i) assoc with
-        | Some v -> v
-        | None -> 0L)
-  in
-  List.iter (fun (name, _) -> ignore (Schema.index schema name)) assoc;
-  make schema values
-
 let schema t = t.schema
 let field t i = t.values.(i)
-let get t name = t.values.(Schema.index t.schema name)
 let values t = Array.copy t.values
 let key_lo t = t.key_lo
 let key_hi t = t.key_hi

@@ -9,13 +9,8 @@ val make : Schema.t -> int64 array -> t
 (** [make schema values] builds a header.  Each value is truncated to its
     field's width.  @raise Invalid_argument on arity mismatch. *)
 
-val of_fields : Schema.t -> (string * int64) list -> t
-(** Named construction; unnamed fields default to [0].
-    @raise Not_found on an unknown field name. *)
-
 val schema : t -> Schema.t
 val field : t -> int -> int64
-val get : t -> string -> int64
 val values : t -> int64 array
 
 val equal : t -> t -> bool

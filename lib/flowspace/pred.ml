@@ -204,18 +204,3 @@ let split p fi bit =
 
 let random_point rand_bits t =
   Header.make t.schema (Array.map (Ternary.random_point rand_bits) t.fields)
-
-let enumerate ?(limit = 256) t =
-  (* Cartesian product of per-field enumerations, cut off at [limit]. *)
-  let rec go i acc =
-    if i >= Array.length t.fields then acc
-    else
-      let vals = Ternary.enumerate ~limit t.fields.(i) in
-      let acc =
-        List.concat_map (fun partial -> List.map (fun v -> v :: partial) vals) acc
-      in
-      let acc = List.filteri (fun k _ -> k < limit) acc in
-      go (i + 1) acc
-  in
-  go 0 [ [] ]
-  |> List.map (fun rev_fields -> Header.make t.schema (Array.of_list (List.rev rev_fields)))

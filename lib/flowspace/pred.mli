@@ -98,6 +98,3 @@ val split : t -> int -> int -> (t * t) option
 val random_point : (int -> int) -> t -> Header.t
 (** Uniform concrete header inside the predicate, given a [rand_bits]
     source. *)
-
-val enumerate : ?limit:int -> t -> Header.t list
-(** Concrete headers of the predicate, up to [limit] (default 256). *)

@@ -37,8 +37,6 @@ let fold ~width lo hi ~init ~f =
 let to_prefixes ~width lo hi =
   List.rev (fold ~width lo hi ~init:[] ~f:(fun acc t -> t :: acc))
 
-let expansion_count ~width lo hi = fold ~width lo hi ~init:0 ~f:(fun n _ -> n + 1)
-
 let of_ternary t =
   let w = Ternary.width t in
   (* Prefix shape: all specified bits are contiguous at the top. *)

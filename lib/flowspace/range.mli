@@ -10,9 +10,6 @@ val to_prefixes : width:int -> int64 -> int64 -> Ternary.t list
     whose disjoint union is exactly [lo..hi] (inclusive).
     @raise Invalid_argument if [lo > hi] or the bounds exceed the width. *)
 
-val expansion_count : width:int -> int64 -> int64 -> int
-(** [List.length (to_prefixes ~width lo hi)] without building the list. *)
-
 val of_ternary : Ternary.t -> (int64 * int64) option
 (** Inverse for prefix-shaped ternaries: the contiguous range a prefix
     covers.  [None] when the ternary is not a prefix (has a wildcard above

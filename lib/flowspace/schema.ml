@@ -49,16 +49,4 @@ let acl_5tuple =
       { name = "proto"; bits = 8 };
     ]
 
-let openflow_basic =
-  create
-    [
-      { name = "in_port"; bits = 16 };
-      { name = "eth_type"; bits = 16 };
-      { name = "src_ip"; bits = 32 };
-      { name = "dst_ip"; bits = 32 };
-      { name = "proto"; bits = 8 };
-      { name = "src_port"; bits = 16 };
-      { name = "dst_port"; bits = 16 };
-    ]
-
 let tiny2 = create [ { name = "f1"; bits = 8 }; { name = "f2"; bits = 8 } ]

@@ -36,10 +36,5 @@ val acl_5tuple : t
 (** [src_ip/32, dst_ip/32, src_port/16, dst_port/16, proto/8] — the
     classic ACL 5-tuple. *)
 
-val openflow_basic : t
-(** A trimmed OpenFlow 1.0 tuple:
-    [in_port/16, eth_type/16, src_ip/32, dst_ip/32, proto/8, src_port/16,
-    dst_port/16]. *)
-
 val tiny2 : t
 (** Two 8-bit fields [f1], [f2] — handy for tests and worked examples. *)

@@ -129,7 +129,6 @@ let popcount64 x =
 
 let specified_bits t = popcount64 t.mask
 let wildcard_bits t = t.width - specified_bits t
-let size t = Float.pow 2. (float_of_int (wildcard_bits t))
 
 let inter a b =
   if a.width <> b.width then invalid_arg "Ternary.inter: width mismatch";
@@ -235,28 +234,6 @@ let first_wildcard_msb t =
     else go (j - 1)
   in
   go (t.width - 1)
-
-let enumerate ?(limit = 1024) t =
-  (* Positions of wildcard bits, least significant first. *)
-  let wilds =
-    List.filter
-      (fun j -> Int64.shift_left 1L j &: t.mask = 0L)
-      (List.init t.width (fun j -> j))
-  in
-  let n = List.length wilds in
-  let count =
-    if n >= 30 then limit else min limit (1 lsl n)
-  in
-  List.init count (fun k ->
-      (* Spread the bits of [k] over the wildcard positions. *)
-      let v, _ =
-        List.fold_left
-          (fun (v, i) j ->
-            let v = if (k lsr i) land 1 = 1 then v |: Int64.shift_left 1L j else v in
-            (v, i + 1))
-          (t.value, 0) wilds
-      in
-      v)
 
 let random_point rand_bits t =
   let rec fill v j =

@@ -88,10 +88,6 @@ val specified_bits : t -> int
 
 val wildcard_bits : t -> int
 
-val size : t -> float
-(** Number of concrete values denoted, i.e. [2. ** wildcard_bits].  Float
-    to stay exact-enough for the up-to-62-bit widths used here. *)
-
 (** {1 Algebra} *)
 
 val inter : t -> t -> t option
@@ -134,10 +130,6 @@ val split : t -> int -> (t * t) option
 
 val first_wildcard_msb : t -> int option
 (** Position of the most significant wildcard bit, if any. *)
-
-val enumerate : ?limit:int -> t -> int64 list
-(** All concrete values of [t] in increasing order, up to [limit]
-    (default 1024). *)
 
 val random_point : (int -> int) -> t -> int64
 (** [random_point rand_bits t] draws a uniform member of [t]; [rand_bits n]

@@ -29,86 +29,6 @@ type entry =
       replicas : (int * int list) list;
     }
 
-let equal_rules a b =
-  List.length a = List.length b && List.for_all2 Rule.equal a b
-
-let equal_migration a b =
-  a.mid = b.mid && a.src_pid = b.src_pid && a.lo_pid = b.lo_pid
-  && a.hi_pid = b.hi_pid
-  && Pred.equal a.src_region b.src_region
-  && Pred.equal a.lo_region b.lo_region
-  && Pred.equal a.hi_region b.hi_region
-  && a.src_replicas = b.src_replicas
-  && a.lo_replicas = b.lo_replicas
-  && a.hi_replicas = b.hi_replicas
-
-let equal_regions a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (pa, ra) (pb, rb) -> pa = pb && Pred.equal ra rb)
-       a b
-
-let equal_entry a b =
-  match (a, b) with
-  | Build x, Build y ->
-      equal_rules x.policy y.policy && x.authority_ids = y.authority_ids
-  | Policy_update x, Policy_update y ->
-      equal_rules x.rules y.rules && x.strict = y.strict
-  | Fail_authority x, Fail_authority y
-  | Restore_authority x, Restore_authority y
-  | Declared_dead x, Declared_dead y
-  | Recovered x, Recovered y ->
-      x = y
-  | Rebalance x, Rebalance y -> x = y
-  | Epoch x, Epoch y -> x.epoch = y.epoch && x.leader = y.leader
-  | Migration_begin x, Migration_begin y -> equal_migration x y
-  | Migration_flip x, Migration_flip y
-  | Migration_commit x, Migration_commit y
-  | Migration_abort x, Migration_abort y ->
-      x = y
-  | Partition_layout x, Partition_layout y ->
-      equal_regions x.regions y.regions && x.replicas = y.replicas
-  | ( ( Build _ | Policy_update _ | Fail_authority _ | Restore_authority _
-      | Declared_dead _ | Recovered _ | Rebalance _ | Epoch _
-      | Migration_begin _ | Migration_flip _ | Migration_commit _
-      | Migration_abort _ | Partition_layout _ ),
-      _ ) ->
-      false
-
-let pp_entry ppf = function
-  | Build { policy; authority_ids } ->
-      Format.fprintf ppf "build(%d rules, auths %a)" (List.length policy)
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-           Format.pp_print_int)
-        authority_ids
-  | Policy_update { rules; strict } ->
-      Format.fprintf ppf "policy_update(%d rules%s)" (List.length rules)
-        (if strict then ", strict" else "")
-  | Fail_authority s -> Format.fprintf ppf "fail_authority(sw%d)" s
-  | Restore_authority s -> Format.fprintf ppf "restore_authority(sw%d)" s
-  | Declared_dead s -> Format.fprintf ppf "declared_dead(sw%d)" s
-  | Recovered s -> Format.fprintf ppf "recovered(sw%d)" s
-  | Rebalance loads -> Format.fprintf ppf "rebalance(%d loads)" (List.length loads)
-  | Epoch { epoch; leader } -> Format.fprintf ppf "epoch(%d, leader c%d)" epoch leader
-  | Migration_begin m ->
-      Format.fprintf ppf "migration_begin(m%d, p%d -> p%d@%a + p%d@%a)" m.mid
-        m.src_pid m.lo_pid
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-           Format.pp_print_int)
-        m.lo_replicas m.hi_pid
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-           Format.pp_print_int)
-        m.hi_replicas
-  | Migration_flip mid -> Format.fprintf ppf "migration_flip(m%d)" mid
-  | Migration_commit mid -> Format.fprintf ppf "migration_commit(m%d)" mid
-  | Migration_abort mid -> Format.fprintf ppf "migration_abort(m%d)" mid
-  | Partition_layout { regions; replicas } ->
-      Format.fprintf ppf "partition_layout(%d regions, %d placements)"
-        (List.length regions) (List.length replicas)
-
 type record = { seq : int; at : float; snap : bool; entry : entry }
 
 let m_appends = Telemetry.counter "journal_appends"
@@ -130,7 +50,6 @@ let append t ~at entry =
   Telemetry.incr m_appends;
   seq
 
-let length t = List.length t.base + List.length t.tail
 let tail_length t = List.length t.tail
 
 let snapshot t ~at entries =
@@ -154,14 +73,6 @@ let replay t f =
       Telemetry.incr m_replayed;
       f r.entry)
     (records t)
-
-let equal a b =
-  let ra = records a and rb = records b in
-  List.length ra = List.length rb
-  && List.for_all2
-       (fun x y ->
-         x.seq = y.seq && x.at = y.at && x.snap = y.snap && equal_entry x.entry y.entry)
-       ra rb
 
 (* ---- binary codec ----
 

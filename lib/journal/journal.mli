@@ -71,9 +71,6 @@ type entry =
           by pid plus its replica placement — preserves re-cuts and
           rebalances that a replayed [Build] could not reproduce *)
 
-val equal_entry : entry -> entry -> bool
-val pp_entry : Format.formatter -> entry -> unit
-
 type t
 
 val create : unit -> t
@@ -81,9 +78,6 @@ val create : unit -> t
 val append : t -> at:float -> entry -> int
 (** Record a decision; returns its sequence number (monotonic from 0,
     surviving snapshots). *)
-
-val length : t -> int
-(** Records currently held (snapshot base + tail). *)
 
 val tail_length : t -> int
 (** Records appended since the last snapshot — what {!snapshot} resets. *)
@@ -99,8 +93,6 @@ val entries : t -> (int * float * entry) list
 
 val replay : t -> (entry -> unit) -> unit
 (** Apply every entry in order — snapshot base first, then the tail. *)
-
-val equal : t -> t -> bool
 
 (** {1 Binary codec} *)
 

@@ -78,7 +78,6 @@ let create ?(config = default_config) () =
 let config t = t.cfg
 let observed_packets t = t.observed
 let sampled_packets t = t.sampled
-let active_entries t = Tbl.length t.cache
 
 (* Packets in the simulator have no sizes; derive one deterministically
    from the header so byte counts exercise the schema without a second

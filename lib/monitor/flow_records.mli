@@ -66,8 +66,6 @@ val flush : t -> now:float -> unit
 
 val observed_packets : t -> int
 val sampled_packets : t -> int
-val active_entries : t -> int
-
 val exports : t -> record list
 (** All exported records in sequence order. *)
 

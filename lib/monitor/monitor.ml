@@ -3,7 +3,6 @@ type config = {
   interval : float;
   capacity : int;
   threshold : float;
-  min_load : float;
   top_k : int;
 }
 
@@ -13,7 +12,6 @@ let default_config =
     interval = 0.05;
     capacity = 1024;
     threshold = 1.5;
-    min_load = 1.;
     top_k = 10;
   }
 
@@ -188,11 +186,13 @@ let authority_series t =
     (fun id (s : Sampler.series) -> (id, s.Sampler.points))
     t.authorities (Sampler.series t.sampler)
 
-let hotspots t =
-  Hotspot.detect ~threshold:t.cfg.threshold ~min_load:t.cfg.min_load
-    (authority_series t)
+let persistent_hotspots ?(windows = 3) t =
+  Hotspot.detect ~threshold:t.cfg.threshold ~windows
+    (List.map
+       (fun (id, pts) -> (id, Array.map (fun (p : Sampler.point) -> (p.at, p.v)) pts))
+       (authority_series t))
 
-let persistent_hotspots ?(windows = 3) t = Hotspot.persistent ~windows (hotspots t)
+let hotspots t = persistent_hotspots ~windows:1 t
 
 (* {2 Reports} *)
 
@@ -339,3 +339,11 @@ let pp ppf t =
     (Flow_records.observed_packets fr)
     (Flow_records.sampled_packets fr)
     (Flow_records.config fr).Flow_records.sample_rate
+
+let pp_persistent ~windows ppf t =
+  let title = Printf.sprintf "== persistent hotspots (>= %d consecutive windows) ==" windows in
+  match persistent_hotspots ~windows t with
+  | [] -> Format.fprintf ppf "%s (none)@." title
+  | events ->
+      Format.fprintf ppf "%s@." title;
+      List.iter (fun e -> Format.fprintf ppf "  %a@." Hotspot.pp_event e) events

@@ -23,8 +23,7 @@ type config = {
   flow : Flow_records.config;
   interval : float;  (** sampler boundary spacing, simulated seconds *)
   capacity : int;  (** ring capacity per sampled series *)
-  threshold : float;  (** hotspot share threshold, × fair share *)
-  min_load : float;  (** ignore windows with fewer total misses *)
+  threshold : float;  (** {!Hotspot.hot} threshold, × fair share *)
   top_k : int;  (** heavy hitters reported by default *)
 }
 
@@ -96,15 +95,19 @@ val authority_series : t -> (int * Sampler.point array) list
     boundary, ascending switch id. *)
 
 val hotspots : t -> Hotspot.event list
-(** {!Hotspot.detect} over {!authority_series} with the config's
-    threshold and minimum load. *)
+(** Every hot window: {!Hotspot.detect} over {!authority_series} with
+    the config's threshold. *)
 
 val persistent_hotspots : ?windows:int -> t -> Hotspot.event list
-(** {!Hotspot.persistent} over {!hotspots}: only switches hot for at
-    least [windows] (default 3) consecutive windows — the offline view
-    of the condition that triggers an adaptive migration. *)
+(** Only switches hot for at least [windows] (default 3) consecutive
+    windows — the offline view of the streak that triggers an adaptive
+    migration. *)
 
 (** {1 Reports} *)
+
+val pp_persistent : windows:int -> Format.formatter -> t -> unit
+(** The {!persistent_hotspots} section: the streak view the adaptive
+    rebalancer would act on. *)
 
 val to_json : t -> string
 (** Everything above as one [difane-monitor-v1] document. *)

@@ -124,7 +124,3 @@ let pending t = List.length t.queue
 let frames_carried t = t.frames
 let bytes_carried t = t.carried
 let stats t = t.stats
-let reset_stats t =
-  t.frames <- 0;
-  t.carried <- 0;
-  t.stats <- no_stats

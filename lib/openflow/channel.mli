@@ -49,6 +49,3 @@ val stats : t -> stats
     also bumps the process-wide [channel_*] registry counters, so
     {!Telemetry.snapshot} and these accessors agree. *)
 
-val reset_stats : t -> unit
-(** Zero this channel's fault and frame/byte counters (queue contents
-    survive; the registry totals are process-wide and unaffected). *)

@@ -49,75 +49,6 @@ type t =
   | Drop_partition of int
   | Ack of int
 
-let equal_flow_mod a b =
-  a.command = b.command && a.bank = b.bank && Rule.equal a.rule b.rule
-  && a.idle_timeout = b.idle_timeout
-  && a.hard_timeout = b.hard_timeout
-
-let equal a b =
-  match (a, b) with
-  | Hello, Hello -> true
-  | Echo_request x, Echo_request y
-  | Echo_reply x, Echo_reply y
-  | Barrier_request x, Barrier_request y
-  | Barrier_reply x, Barrier_reply y
-  | Ack x, Ack y ->
-      x = y
-  | Flow_mod x, Flow_mod y -> equal_flow_mod x y
-  | Packet_in x, Packet_in y ->
-      x.ingress = y.ingress && Header.equal x.header y.header && x.reason = y.reason
-  | Packet_out x, Packet_out y ->
-      x.out_switch = y.out_switch
-      && Header.equal x.out_header y.out_header
-      && Action.equal x.action y.action
-  | Stats_request x, Stats_request y -> x = y
-  | Stats_reply x, Stats_reply y -> x = y
-  | Flow_removed x, Flow_removed y -> x = y
-  | Install_partition x, Install_partition y ->
-      x.pid = y.pid && Pred.equal x.region y.region
-      && List.length x.table_rules = List.length y.table_rules
-      && List.for_all2 Rule.equal x.table_rules y.table_rules
-  | Drop_partition x, Drop_partition y -> x = y
-  | ( ( Hello | Echo_request _ | Echo_reply _ | Flow_mod _ | Packet_in _ | Packet_out _
-      | Barrier_request _ | Barrier_reply _ | Stats_request _ | Stats_reply _
-      | Flow_removed _ | Install_partition _ | Drop_partition _ | Ack _ ),
-      _ ) ->
-      false
-
-let bank_to_string = function Cache -> "cache" | Authority -> "authority" | Partition -> "partition"
-
-let pp ppf = function
-  | Hello -> Format.pp_print_string ppf "hello"
-  | Echo_request c -> Format.fprintf ppf "echo_request(%d)" c
-  | Echo_reply c -> Format.fprintf ppf "echo_reply(%d)" c
-  | Flow_mod f ->
-      Format.fprintf ppf "flow_mod(%s,%s,%a)"
-        (match f.command with Add -> "add" | Delete -> "del" | Delete_strict -> "del_strict")
-        (bank_to_string f.bank) Rule.pp f.rule
-  | Packet_in p -> Format.fprintf ppf "packet_in(sw%d,%a)" p.ingress Header.pp p.header
-  | Packet_out p ->
-      Format.fprintf ppf "packet_out(sw%d,%a,%a)" p.out_switch Header.pp p.out_header
-        Action.pp p.action
-  | Barrier_request x -> Format.fprintf ppf "barrier_request(%d)" x
-  | Barrier_reply x -> Format.fprintf ppf "barrier_reply(%d)" x
-  | Stats_request s ->
-      Format.fprintf ppf "stats_request(%s,%d)" (bank_to_string s.table_bank) s.cookie
-  | Stats_reply s ->
-      Format.fprintf ppf "stats_reply(%d,%d flows)" s.request_cookie (List.length s.flows)
-  | Install_partition t ->
-      Format.fprintf ppf "install_partition(P%d,%d rules)" t.pid (List.length t.table_rules)
-  | Drop_partition pid -> Format.fprintf ppf "drop_partition(P%d)" pid
-  | Ack x -> Format.fprintf ppf "ack(%d)" x
-  | Flow_removed f ->
-      Format.fprintf ppf "flow_removed(#%d,%s,%Ld pkts)" f.removed_rule
-        (match f.reason with
-        | Idle_timeout -> "idle"
-        | Hard_timeout -> "hard"
-        | Evicted -> "evicted"
-        | Deleted -> "deleted"
-        | Replaced -> "replaced")
-        f.final_packets
-
 (* ---- wire format ---- *)
 
 let version = 0x02
@@ -522,8 +453,6 @@ let decode schema buf =
       in
       if R.pos r <> Bytes.length buf then Error "trailing bytes"
       else Ok (xid, epoch, msg)
-
-let wire_size ~xid ?epoch t = Bytes.length (encode ~xid ?epoch t)
 
 (* ---- rule-list codec, shared with the journal ---- *)
 

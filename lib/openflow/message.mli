@@ -84,9 +84,6 @@ type t =
           controller's retransmission machinery keys on when the control
           channel is lossy *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** {1 Wire format}
 
     A compact binary framing (20-byte header: version, type, length, xid,
@@ -115,9 +112,6 @@ val decode : Schema.t -> Bytes.t -> (int * int * t, string) result
     predicates and headers.  Errors on truncated or corrupt frames, and
     on an [Install_partition] table that repeats a rule id, rather than
     raising. *)
-
-val wire_size : xid:int -> ?epoch:int -> t -> int
-(** [Bytes.length (encode ~xid ?epoch t)]. *)
 
 val fnv1a : ?hole:int * int -> Bytes.t -> int64
 (** FNV-1a hash of a buffer, with an optional [(offset, length)] window

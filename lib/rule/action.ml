@@ -37,10 +37,6 @@ let to_string = function
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let is_infrastructure = function
-  | To_authority _ | Redirect_controller -> true
-  | Forward _ | Drop | Count_and_forward _ -> false
-
 let egress = function
   | Forward p | Count_and_forward p -> Some p
   | Drop | To_authority _ | Redirect_controller -> None

@@ -19,9 +19,5 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val is_infrastructure : t -> bool
-(** True for [To_authority] and [Redirect_controller]: actions synthesised
-    by DIFANE/baselines rather than written by the operator. *)
-
 val egress : t -> int option
 (** The egress switch the action delivers to, if it delivers. *)

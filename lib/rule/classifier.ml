@@ -41,17 +41,6 @@ let covered_region t =
 
 let is_total t = Region.subsumes (covered_region t) (Region.full t.schema)
 
-let default_deny t =
-  if is_total t then t
-  else
-    let min_priority =
-      List.fold_left (fun acc (r : Rule.t) -> min acc r.priority) 0 t.rules
-    in
-    let max_id = List.fold_left (fun acc (r : Rule.t) -> max acc r.id) (-1) t.rules in
-    add t
-      (Rule.make ~id:(max_id + 1) ~priority:(min_priority - 1) (Pred.any t.schema)
-         Action.Drop)
-
 let earlier t (r : Rule.t) =
   List.filter (fun r' -> Rule.beats r' r) t.rules
 
@@ -66,13 +55,6 @@ let shadowed t =
 
 let dead_rules t =
   List.filter (fun r -> Region.is_empty (effective_region t r)) t.rules
-
-let remove_shadowed t =
-  let dead = shadowed t in
-  {
-    t with
-    rules = List.filter (fun r -> not (List.memq r dead)) t.rules;
-  }
 
 (* [b] is a direct dependency of [r] when some header is matched by both
    [r] and [b] but by no rule whose priority lies strictly between them:

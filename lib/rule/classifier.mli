@@ -40,10 +40,6 @@ val first_match : t -> Header.t -> Rule.t option
 
 val action : t -> Header.t -> Action.t option
 
-val default_deny : t -> t
-(** Append a lowest-priority drop-everything rule if no rule already
-    matches everything, making the classifier total. *)
-
 val is_total : t -> bool
 (** Every header matches some rule.  Decided exactly via region algebra. *)
 
@@ -59,8 +55,6 @@ val shadowed : t -> Rule.t list
 val dead_rules : t -> Rule.t list
 (** Rules whose effective region is empty — includes rules killed only by
     a {e combination} of earlier rules.  Exact but costlier. *)
-
-val remove_shadowed : t -> t
 
 val direct_dependencies : t -> Rule.t -> Rule.t list
 (** Rules that beat [r], overlap it, and whose overlap is not already

@@ -30,7 +30,6 @@ let swap t table rules =
   t.source <- table
 
 let table t = t.source
-let length t = Classifier.length t.source
 let groups t = match t.index with Some ts -> Tuple_space.groups ts | None -> 0
 let degenerate t = match t.index with Some ts -> Tuple_space.degenerate ts | None -> true
 let first_match t h =

@@ -20,8 +20,6 @@
 type t
 
 val of_classifier : Classifier.t -> t
-val length : t -> int
-
 val table : t -> Classifier.t
 (** The table [t] indexes: the one it was built from, or the last
     {!swap}ped in. *)

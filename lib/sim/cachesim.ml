@@ -219,9 +219,6 @@ let run_opt_keys kind ~cache_size keys =
     keys;
   result kind ~cache_size ~key_bound ~misses:!misses keys
 
-let run_opt kind classifier ~cache_size stream =
-  run_opt_keys kind ~cache_size (keys_for kind classifier stream)
-
 let sweep_with_opt classifier ~cache_sizes stream =
   let wild_keys = keys_for Wildcard_splice classifier stream in
   let micro_keys = keys_for Microflow classifier stream in

@@ -31,11 +31,6 @@ val run : kind -> Classifier.t -> cache_size:int -> Header.t array -> result
 (** LRU simulation of one cache kind at one size.
     @raise Invalid_argument if [cache_size < 1]. *)
 
-val run_opt : kind -> Classifier.t -> cache_size:int -> Header.t array -> result
-(** Belady's OPT replacement (evict the entry reused furthest in the
-    future) — unrealisable online, but the floor any replacement policy
-    is measured against.  Same keys as {!run}. *)
-
 val sweep_with_opt :
   Classifier.t ->
   cache_sizes:int list ->

@@ -456,4 +456,3 @@ let run ?(until = infinity) t =
   recycle_staging t;
   mirror t
 
-let processed t = t.processed

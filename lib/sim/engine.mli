@@ -73,6 +73,3 @@ val run : ?until:float -> t -> unit
 
 val pending : t -> int
 (** Events still queued. *)
-
-val processed : t -> int
-(** Events executed so far. *)

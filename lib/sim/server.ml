@@ -16,16 +16,14 @@ type t = {
   mutable head : int;
   mutable len : int;
   (* job currently in service (dequeued at start, like the legacy closure
-     capture, so [queue_length] excludes it) *)
+     capture, so [len] excludes it) *)
   mutable cur_k : Engine.kind;
   mutable cur_a : int;
   mutable cur_f : unit -> unit;
   mutable k_done : Engine.kind;
   mutable busy : bool;
-  mutable accepted : int;
   mutable rejected : int;
   mutable completed : int;
-  mutable started_at : float;
 }
 
 (* unique physical sentinel: a slot holding it is a packed job *)
@@ -74,10 +72,8 @@ let create engine ~service_time ~queue_capacity =
       cur_f = no_thunk;
       k_done = dummy;
       busy = false;
-      accepted = 0;
       rejected = 0;
       completed = 0;
-      started_at = 0.;
     }
   in
   t.k_done <-
@@ -110,7 +106,6 @@ let grow t =
   t.head <- 0
 
 let enqueue t k a f =
-  if t.accepted = 1 then t.started_at <- Engine.now t.engine;
   if t.len = Array.length t.jk then grow t;
   let i = (t.head + t.len) land (Array.length t.jk - 1) in
   t.jk.(i) <- k;
@@ -125,10 +120,7 @@ let admit t =
     t.rejected <- t.rejected + 1;
     false
   end
-  else begin
-    t.accepted <- t.accepted + 1;
-    true
-  end
+  else true
 
 let submit t job =
   admit t
@@ -144,19 +136,9 @@ let submit_packed t k a =
     false
   end
   else begin
-    t.accepted <- t.accepted + 1;
     enqueue t k a no_thunk;
     true
   end
 
-let queue_length t = t.len
-let accepted t = t.accepted
 let rejected t = t.rejected
 let completed t = t.completed
-
-let utilisation t =
-  (* service is deterministic, so busy time is completions x service —
-     accumulating it per completion would box a float every job *)
-  let elapsed = Engine.now t.engine -. t.started_at in
-  if elapsed <= 0. then 0.
-  else Float.min 1. (float_of_int t.completed *. t.service_time /. elapsed)

@@ -22,10 +22,5 @@ val submit_packed : t -> Engine.kind -> int -> bool
     (synchronously) with the int argument.  Allocation-free; the F-TPUT
     bench kernel times it.  {!Flowsim} submits closures. *)
 
-val queue_length : t -> int
-val accepted : t -> int
 val rejected : t -> int
 val completed : t -> int
-
-val utilisation : t -> float
-(** Busy time over elapsed time so far. *)

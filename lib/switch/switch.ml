@@ -214,8 +214,6 @@ let create ~id ~cache_capacity =
   Tcam.on_detach t.cache (forget t);
   t
 
-let id t = t.id
-
 let rebuild_partition_index t =
   t.partition_index <-
     (match t.partition_bank with
@@ -832,12 +830,6 @@ let cache_meta_of_rule t cid = Hashtbl.find_opt t.cache_origin cid
 let origin_of_cache_rule t cid =
   Option.map meta_primary_origin (Hashtbl.find_opt t.cache_origin cid)
 
-let origins_of_cache_rule t cid =
-  match Hashtbl.find_opt t.cache_origin cid with
-  | None -> []
-  | Some m ->
-      List.sort_uniq Int.compare (List.map (fun p -> p.part_origin) m.parts)
-
 let rec parts_meet sel = function
   | [] -> false
   | p :: rest -> sel p.part_origin || parts_meet sel rest
@@ -865,9 +857,6 @@ let invalidate_origins t ~now origins =
     victims;
   let orphans = drop_cover_orphans t ~now in
   List.length victims + orphans
-
-let provenance_of_cache_rule t cid =
-  Option.map (fun m -> (meta_primary_origin m, m.pid)) (Hashtbl.find_opt t.cache_origin cid)
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -898,17 +887,6 @@ let stats t =
     unmatched = t.unmatched;
     misconfigured = t.misconfigured;
   }
-
-let reset_stats t =
-  t.cache_hits <- 0L;
-  t.authority_hits <- 0L;
-  t.tunnelled <- 0L;
-  t.unmatched <- 0L;
-  t.misconfigured <- 0L;
-  Hashtbl.reset t.origin_cache_hits;
-  Hashtbl.reset t.origin_auth_hits;
-  Hashtbl.reset t.partition_hits;
-  Hashtbl.reset t.pid_cache_hits
 
 let pp ppf t =
   Format.fprintf ppf "switch %d: cache %d/%d, %d authority partitions, %d partition rules"

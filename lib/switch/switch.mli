@@ -29,7 +29,6 @@ type verdict =
           upstream can tell operator error from policy gaps *)
 
 val create : id:int -> cache_capacity:int -> t
-val id : t -> int
 
 (** {1 Control-plane installs} *)
 
@@ -273,8 +272,8 @@ val entries_of_origins : t -> (int -> bool) -> Tcam.entry list
     order.  The provenance test allocates nothing per entry. *)
 
 val invalidate_origins : t -> now:float -> (int -> bool) -> int
-(** Remove every cache entry whose origin set ({!origins_of_cache_rule})
-    meets the selector, with its provenance, then
+(** Remove every cache entry whose origin set (the [parts] of its
+    {!cache_meta}) meets the selector, with its provenance, then
     {!drop_cover_orphans}.  No notification is queued for the selected
     entries.  Returns entries removed, orphans included. *)
 
@@ -306,20 +305,10 @@ val origin_of_cache_rule : t -> int -> int option
 (** Map a cache-rule id back to the policy rule it was spliced from —
     how flow counters stay attributable to original rules
     (transparency).  For a merged entry this is the {e primary}
-    (highest-ranked) origin; see {!origins_of_cache_rule} for the set. *)
-
-val origins_of_cache_rule : t -> int -> int list
-(** All policy rules a cache entry stands for (sorted, deduplicated) —
-    singleton for plain entries, the absorbed-origin set for merged
-    ones.  Empty when the entry has no recorded provenance. *)
+    (highest-ranked) origin; {!cache_meta_of_rule} has the set. *)
 
 val cache_meta_of_rule : t -> int -> cache_meta option
 (** Full provenance of a cache entry, parts included. *)
-
-val provenance_of_cache_rule : t -> int -> (int * int) option
-(** The provenance pair of a cache rule: [(primary origin policy rule
-    id, serving partition id)]; the pid is [-1] when the installer
-    didn't know it. *)
 
 val aggregate_counters : t -> (int * int64) list
 (** Per-origin-rule packet counts accumulated by this switch's cache bank
@@ -353,11 +342,8 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Per-switch packet-verdict tallies since the last {!reset_stats}.
+(** Per-switch packet-verdict tallies since {!create}.
     Every increment also bumps the process-wide registry (labelled
     [switch=<id>]), so {!Telemetry.snapshot} and this accessor agree. *)
-
-val reset_stats : t -> unit
-(** Also clears the per-origin and per-partition hit breakdowns. *)
 
 val pp : Format.formatter -> t -> unit

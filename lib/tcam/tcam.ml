@@ -307,11 +307,6 @@ let remove t id =
       true
   | None -> false
 
-let remove_where t f =
-  let victims = fold_nodes t (fun acc n -> if f n.e.rule then n :: acc else acc) [] in
-  List.iter (detach t) victims;
-  List.length victims
-
 let clear t =
   let gone = fold_nodes t (fun acc n -> n.live <- false; n.e :: acc) [] in
   Hashtbl.reset t.by_id;
@@ -415,13 +410,6 @@ let stats t =
     evictions = t.evictions;
     expirations = t.expirations;
   }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.inserts <- 0L;
-  t.evictions <- 0L;
-  t.expirations <- 0L
 
 let hit_rate t =
   let total = t.hits + t.misses in

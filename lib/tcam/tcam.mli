@@ -124,10 +124,6 @@ val insert_or_evict_entries :
 val remove : t -> int -> bool
 (** Remove by rule id; [false] if absent.  Not counted as an eviction. *)
 
-val remove_where : t -> (Rule.t -> bool) -> int
-(** Remove all entries whose rule satisfies the predicate; returns the
-    number removed. *)
-
 val clear : t -> unit
 
 val on_detach : t -> (entry -> unit) -> unit
@@ -175,9 +171,8 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val hit_rate : t -> float
-(** Hits over lookups since the last reset; [nan] before any lookup —
+(** Hits over lookups since {!create}; [nan] before any lookup —
     renderers must map it to [null]/omission, never print it raw into
     JSON. *)

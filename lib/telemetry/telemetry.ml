@@ -89,7 +89,6 @@ let gauge ?(labels = []) name =
 
 let set g v = Atomic.set g v
 let set_max g v = atomic_max_float g v
-let gauge_value g = Atomic.get g
 
 (* ~15.6 ns .. 4^13 µs ≈ 134 s, log-spaced: wide enough for everything
    from a single TCAM lookup (tens of nanoseconds on the zero-alloc hot
@@ -126,9 +125,6 @@ let observe h v =
   ignore (Atomic.fetch_and_add h.counts.(!i) 1);
   atomic_add_float h.sum v;
   ignore (Atomic.fetch_and_add h.hcount 1)
-
-let histogram_count h = Atomic.get h.hcount
-let histogram_sum h = Atomic.get h.sum
 
 type value_kind =
   | Counter of int

@@ -56,8 +56,6 @@ val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
 (** High-water mark: keep the larger of the current and given value. *)
 
-val gauge_value : gauge -> float
-
 val default_buckets : float array
 (** Log-spaced seconds, ~15.6 ns to ~134 s (powers of 4): the span of
     everything this codebase times, from a single zero-alloc TCAM
@@ -71,9 +69,6 @@ val histogram :
     unsorted bounds. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
 (** {1 Snapshots} *)
 
 type value_kind =

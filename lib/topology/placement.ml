@@ -64,12 +64,3 @@ let k_median topo ~k =
   done;
   List.rev !chosen
 
-let mean_nearest_distance topo authorities =
-  if authorities = [] then invalid_arg "Placement.mean_nearest_distance: empty placement";
-  let n = Topology.nodes topo in
-  let dist = List.map (Topology.all_distances topo) authorities in
-  let total = ref 0. in
-  for v = 0 to n - 1 do
-    total := !total +. List.fold_left (fun acc d -> Float.min acc d.(v)) infinity dist
-  done;
-  !total /. float_of_int n

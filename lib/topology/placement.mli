@@ -24,6 +24,3 @@ val k_median : Topology.t -> k:int -> int list
     better than {!centroid} when coverage matters (centroid's picks
     cluster; k-median's spread out). *)
 
-val mean_nearest_distance : Topology.t -> int list -> float
-(** The objective: average over all nodes of the latency to the closest
-    listed authority.  @raise Invalid_argument on an empty list. *)

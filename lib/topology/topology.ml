@@ -123,12 +123,6 @@ let distance t src dst =
   let d = t.dist.((src * t.n) + dst) in
   if d = infinity then None else Some d
 
-let hop_count t src dst = Option.map (fun p -> List.length p - 1) (shortest_path t src dst)
-
-let is_connected t =
-  let rec go v = v >= t.n || (t.dist.(v) < infinity && go (v + 1)) in
-  go 0
-
 let stretch t ~src ~via ~dst =
   if src = dst then 1.0
   else
@@ -154,28 +148,6 @@ let full_mesh n ?(latency = 50e-6) () =
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       links := mk_link ~latency i j :: !links
-    done
-  done;
-  create ~nodes:n !links
-
-let fat_tree k =
-  if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even >= 2";
-  let half = k / 2 in
-  let cores = half * half in
-  let aggs = k * half and edges = k * half in
-  let n = cores + aggs + edges in
-  let agg pod i = cores + (pod * half) + i in
-  let edge pod i = cores + aggs + (pod * half) + i in
-  let links = ref [] in
-  for pod = 0 to k - 1 do
-    for a = 0 to half - 1 do
-      (* aggregation a of this pod connects to core group a *)
-      for c = 0 to half - 1 do
-        links := mk_link (agg pod a) ((a * half) + c) :: !links
-      done;
-      for e = 0 to half - 1 do
-        links := mk_link (agg pod a) (edge pod e) :: !links
-      done
     done
   done;
   create ~nodes:n !links
@@ -242,10 +214,6 @@ let without_link t a b =
     not ((l.src = a && l.dst = b) || (l.src = b && l.dst = a))
   in
   create ~nodes:t.n (List.filter keep t.links)
-
-let without_node t v =
-  if v < 0 || v >= t.n then invalid_arg "Topology.without_node: out of range";
-  create ~nodes:t.n (List.filter (fun l -> l.src <> v && l.dst <> v) t.links)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>graph: %d nodes, %d links@]" t.n (List.length t.links)

@@ -28,7 +28,6 @@ val nodes : t -> int
 val links : t -> link list
 val degree : t -> int -> int
 val link_between : t -> int -> int -> link option
-val is_connected : t -> bool
 
 (** {1:paths Paths}
 
@@ -36,7 +35,7 @@ val is_connected : t -> bool
     own, and partition rules tunnel misses to authority switches over
     these paths.  Every reader below looks up one table that {!create}
     computes once, so a topology is immutable and cheap to query from
-    any number of domains; {!without_link} and {!without_node} build a
+    any number of domains; {!without_link} builds a
     new topology, i.e. the IGP reconverging.
 
     Paths are deterministic.  Each source's row comes from one Dijkstra
@@ -57,9 +56,6 @@ val path_latency : t -> int list -> float
 
 val distance : t -> int -> int -> float option
 (** Latency of the shortest path. *)
-
-val hop_count : t -> int -> int -> int option
-(** Hops (links) on the minimum-latency path. *)
 
 val all_distances : t -> int -> float array
 (** Single-source latencies; [infinity] where unreachable.  A fresh copy
@@ -82,11 +78,6 @@ val star : int -> ?latency:float -> unit -> t
 
 val full_mesh : int -> ?latency:float -> unit -> t
 
-val fat_tree : int -> t
-(** The k-ary fat-tree of data centres ([k] even): [k²/4] core, [k²/2]
-    aggregation, [k²/2] edge switches.  Nodes are numbered core first,
-    then per-pod aggregation and edge. *)
-
 val waxman :
   rand:(unit -> float) -> nodes:int -> ?alpha:float -> ?beta:float ->
   ?latency_scale:float -> unit -> t
@@ -105,10 +96,5 @@ val campus : rand:(unit -> float) -> edge_switches:int -> unit -> t
 val without_link : t -> int -> int -> t
 (** The same topology minus the (undirected) link between two nodes;
     unchanged when no such link exists.  Node count is preserved. *)
-
-val without_node : t -> int -> t
-(** The same node set with every link touching the node removed — models
-    a dead switch while keeping ids stable.
-    @raise Invalid_argument if the node is out of range. *)
 
 val pp : Format.formatter -> t -> unit

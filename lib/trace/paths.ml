@@ -239,8 +239,6 @@ type query = {
   q_until : float option;
 }
 
-let any = { q_key = None; q_switch = None; q_outcome = None; q_since = None; q_until = None }
-
 let select q t =
   List.filter
     (fun p ->

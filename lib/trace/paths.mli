@@ -78,7 +78,6 @@ type query = {
   q_until : float option;  (** first hop at or before *)
 }
 
-val any : query
 val select : query -> trace -> path list
 
 (** {1 Rendering} *)

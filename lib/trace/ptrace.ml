@@ -73,7 +73,6 @@ let kind_name = function
 
 let drop_unmatched = 0
 let drop_misconfigured = 1
-let drop_ttl = 2
 let drop_unreachable = 3
 let drop_no_authority = 4
 let drop_queue_full = 5
@@ -182,8 +181,6 @@ let cur_ring () =
       let r = ring_for 0 in
       Domain.DLS.set dls (Some r);
       r
-
-let enabled () = Atomic.get on
 
 let enable ?capacity:(cap = 65536) () =
   if cap < 1 then invalid_arg "Ptrace.enable: capacity < 1";
@@ -298,16 +295,3 @@ let shard_wrapped shard =
   with
   | Some r -> r.total > r.cap
   | None -> false
-
-let clear () =
-  locked @@ fun () ->
-  List.iter
-    (fun r ->
-      r.total <- 0;
-      r.mirrored <- 0;
-      r.ov_mirrored <- 0;
-      r.pkts <- 0;
-      r.cur_pkt <- -1;
-      r.cur_lo <- 0;
-      r.cur_hi <- 0)
-    !rings

@@ -60,7 +60,6 @@ val kind_name : kind -> string
 
 val drop_unmatched : int
 val drop_misconfigured : int
-val drop_ttl : int
 val drop_unreachable : int
 val drop_no_authority : int
 val drop_queue_full : int
@@ -114,8 +113,6 @@ val enable : ?capacity:int -> unit -> unit
 val disable : unit -> unit
 (** Stop recording (rings stay readable) and fold the postcard tallies
     into the [ptrace_postcards]/[ptrace_overwritten] registry counters. *)
-
-val enabled : unit -> bool
 
 val bind : shard:int -> unit
 (** Route this domain's emissions to [shard]'s ring (created on first
@@ -177,6 +174,3 @@ val overwritten : unit -> int
 
 val shard_wrapped : int -> bool
 (** Did [shard]'s ring overwrite anything?  (False for unknown shards.) *)
-
-val clear : unit -> unit
-(** Empty every ring (bindings and capacity survive). *)

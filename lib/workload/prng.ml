@@ -14,7 +14,6 @@ let int64 t =
   mix t.state
 
 let split t = { state = mix (int64 t) }
-let copy t = { state = t.state }
 
 let bits t n =
   if n < 0 || n > 30 then invalid_arg "Prng.bits: n must be in 0..30";
@@ -62,9 +61,3 @@ let shuffle t arr =
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let sample_without_replacement t k arr =
-  if k > Array.length arr then invalid_arg "Prng.sample_without_replacement: k too large";
-  let copy = Array.copy arr in
-  shuffle t copy;
-  Array.to_list (Array.sub copy 0 k)

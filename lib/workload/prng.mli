@@ -12,8 +12,6 @@ val create : int -> t
 val split : t -> t
 (** Derive an independent stream (advances the parent). *)
 
-val copy : t -> t
-
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
@@ -37,7 +35,3 @@ val exponential : t -> rate:float -> float
 val shuffle : t -> 'a array -> unit
 val choose : t -> 'a array -> 'a
 (** @raise Invalid_argument on an empty array. *)
-
-val sample_without_replacement : t -> int -> 'a array -> 'a list
-(** [sample_without_replacement t k arr]: [k] distinct elements.
-    @raise Invalid_argument if [k > Array.length arr]. *)

@@ -102,13 +102,3 @@ let generate rng classifier profile =
         packets = geometric rng profile.packets_per_flow_mean;
         interval = profile.packet_interval;
       })
-
-let offered_headers flows =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let key = f.header in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (prev + f.packets))
-    flows;
-  Hashtbl.fold (fun h c acc -> (h, c) :: acc) tbl []

@@ -40,7 +40,3 @@ val headers_for : Prng.t -> Classifier.t -> int -> Header.t array
 val generate : Prng.t -> Classifier.t -> profile -> flow list
 (** Flows sorted by [start] time.  Header popularity is Zipf([alpha]) over
     the header population. *)
-
-val offered_headers : flow list -> (Header.t * int) list
-(** Distinct headers with their total packet counts — the oracle weights
-    used by cache-placement experiments. *)

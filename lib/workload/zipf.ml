@@ -15,7 +15,6 @@ let create ~n ~alpha =
   cum.(n - 1) <- 1.0;
   { n; cum }
 
-
 let search t target =
   (* least index with cum >= target *)
   let lo = ref 0 and hi = ref (t.n - 1) in
@@ -26,13 +25,3 @@ let search t target =
   !lo + 1
 
 let draw t rng = search t (Prng.float rng)
-
-let pmf t k =
-  if k < 1 || k > t.n then invalid_arg "Zipf.pmf: rank out of range";
-  if k = 1 then t.cum.(0) else t.cum.(k - 1) -. t.cum.(k - 2)
-
-let cdf t k =
-  if k < 1 || k > t.n then invalid_arg "Zipf.cdf: rank out of range";
-  t.cum.(k - 1)
-
-let head_mass t q = search t q

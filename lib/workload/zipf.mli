@@ -13,13 +13,3 @@ val create : n:int -> alpha:float -> t
 
 val draw : t -> Prng.t -> int
 (** A rank in [1..n]. *)
-
-val pmf : t -> int -> float
-(** Probability of rank [k].  @raise Invalid_argument outside [1..n]. *)
-
-val cdf : t -> int -> float
-(** Cumulative probability of ranks [1..k]. *)
-
-val head_mass : t -> float -> int
-(** [head_mass t q] is the smallest [k] with [cdf t k >= q]: how many top
-    ranks soak up fraction [q] of the traffic. *)

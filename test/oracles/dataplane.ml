@@ -91,7 +91,7 @@ let finish w ~action ~delivered ~drop_reason =
   }
 
 let reason_code = function
-  | Ttl -> Ptrace.drop_ttl
+  | Ttl -> 2 (* Ptrace's "ttl" code: only this walk can exhaust a TTL *)
   | Unmatched -> Ptrace.drop_unmatched
   | Misconfigured -> Ptrace.drop_misconfigured
   | Unreachable -> Ptrace.drop_unreachable

@@ -338,13 +338,13 @@ let test_degraded_packet_in_answered () =
   let cp = Control_plane.create d in
   Control_plane.push_deployment cp ~now:0.;
   drive cp ~from:0.001 ~until:0.5 ~step:0.01;
-  check Alcotest.int64 "no degraded traffic yet" 0L (Control_plane.degraded_handled cp);
+  let degraded = Telemetry.counter "ctrl_degraded_handled" in
+  let before = Telemetry.value degraded in
   (* switch 0 reports a miss it cannot tunnel anywhere *)
   Control_plane.inject_packet_in cp ~now:1. 0
     (Message.Packet_in { Message.ingress = 0; header = h 2 0; reason = `No_match });
   drive cp ~from:1.001 ~until:1.2 ~step:0.01;
-  check Alcotest.int64 "controller answered the miss" 1L
-    (Control_plane.degraded_handled cp)
+  check Alcotest.int "controller answered the miss" 1 (Telemetry.value degraded - before)
 
 (* One-pass invalidation against the per-id walk it replaced
    ([Invalidate_scan]), on random cache states with aggregation on.

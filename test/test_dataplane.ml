@@ -103,7 +103,7 @@ let test_walk_unreachable_authority () =
       ~policy ~topology:topo ~authority_ids:[ 1 ] ()
   in
   (* IGP state where the authority became unreachable *)
-  let topology = Topology.without_node topo 1 in
+  let topology = without_node topo 1 in
   let r = Dataplane.packet ~topology ~switch:(Deployment.switch d) ~now:0. ~ingress:0 (h 0 0) in
   check Alcotest.bool "not delivered" false r.Dataplane.delivered;
   check Alcotest.bool "blames reachability, not ttl" true

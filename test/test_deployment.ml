@@ -333,13 +333,14 @@ let matches_scratch d policy probes =
          Equiv.agree_on p.table policy p.region
          && Assignment.replicas_of assignment p.pid = Assignment.replicas_of greedy p.pid)
        part.partitions
-  && Array.for_all
-       (fun sw ->
-         List.equal Rule.equal (Switch.partition_rules sw) prules
-         && List.sort Int.compare
-              (List.map (fun (p : Partitioner.partition) -> p.pid) (Switch.authority_partitions sw))
-            = List.sort Int.compare (Assignment.hosted_by greedy (Switch.id sw)))
-       (Deployment.switches d)
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i sw ->
+            List.equal Rule.equal (Switch.partition_rules sw) prules
+            && List.sort Int.compare
+                 (List.map (fun (p : Partitioner.partition) -> p.pid) (Switch.authority_partitions sw))
+               = List.sort Int.compare (Assignment.hosted_by greedy i))
+          (Array.to_list (Deployment.switches d)))
   && List.for_all
        (fun hd ->
          let p = Partitioner.find part hd in

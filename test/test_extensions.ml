@@ -79,7 +79,7 @@ let test_indexed_basics () =
       ]
   in
   let idx = Indexed.of_classifier c in
-  check Alcotest.int "length" 3 (Indexed.length idx);
+  check Alcotest.int "length" 3 (Classifier.length (Indexed.table idx));
   check Alcotest.int "three mask groups" 3 (Indexed.groups idx);
   let get f = Option.map (fun (r : Rule.t) -> r.id) (f (h 1 0)) in
   check (Alcotest.option Alcotest.int) "same winner" (get (Classifier.first_match c))
@@ -198,8 +198,7 @@ let test_notifications_on_expiry () =
       check Alcotest.int "cookie carries origin" 5 f.Message.cookie;
       check Alcotest.bool "hard timeout reason" true (f.Message.reason = Message.Hard_timeout);
       check Alcotest.int64 "final packets" 1L f.Message.final_packets;
-      check (Alcotest.list Alcotest.string) "drained" []
-        (List.map (Format.asprintf "%a" Message.pp) (Switch.drain_notifications sw))
+      check Alcotest.int "drained" 0 (List.length (Switch.drain_notifications sw))
   | other -> Alcotest.failf "expected one notification, got %d" (List.length other)
 
 let test_notifications_on_eviction () =

@@ -91,13 +91,15 @@ let test_action_basics () =
   check Alcotest.string "pp drop" "drop" (Action.to_string Action.Drop)
 
 let test_action_classification () =
-  check Alcotest.bool "tunnel is infra" true (Action.is_infrastructure (Action.To_authority 1));
-  check Alcotest.bool "controller is infra" true (Action.is_infrastructure Action.Redirect_controller);
-  check Alcotest.bool "fwd is policy" false (Action.is_infrastructure (Action.Forward 1));
   check (Alcotest.option Alcotest.int) "egress of fwd" (Some 4) (Action.egress (Action.Forward 4));
   check (Alcotest.option Alcotest.int) "egress of count" (Some 2)
     (Action.egress (Action.Count_and_forward 2));
-  check (Alcotest.option Alcotest.int) "drop has no egress" None (Action.egress Action.Drop)
+  check (Alcotest.option Alcotest.int) "drop has no egress" None (Action.egress Action.Drop);
+  (* infrastructure actions steer a packet; they never deliver it *)
+  check (Alcotest.option Alcotest.int) "tunnel has no egress" None
+    (Action.egress (Action.To_authority 1));
+  check (Alcotest.option Alcotest.int) "controller has no egress" None
+    (Action.egress Action.Redirect_controller)
 
 let test_action_compare_total () =
   let all =

@@ -88,11 +88,11 @@ let test_lifecycle () =
   assert_faithful !d policy2 ~probes;
 
   (* Phase 6: global counter conservation across the whole life. *)
-  Array.iter
-    (fun sw ->
+  Array.iteri
+    (fun i sw ->
       let c = Switch.stats sw in
       if Int64.compare c.Switch.unmatched 0L > 0 then
-        Alcotest.failf "switch %d saw unmatched packets" (Switch.id sw))
+        Alcotest.failf "switch %d saw unmatched packets" i)
     (Deployment.switches !d)
 
 let test_lifecycle_with_control_plane () =

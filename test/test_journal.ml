@@ -68,13 +68,10 @@ let test_roundtrip_every_kind () =
       let entries = Journal.entries j' in
       check Alcotest.int "all entries survive" (List.length every_kind)
         (List.length entries);
-      List.iter2
-        (fun want (_, _, got) ->
-          check Alcotest.bool
-            (Format.asprintf "entry %a" Journal.pp_entry want)
-            true
-            (Journal.equal_entry want got))
-        every_kind entries
+      List.iteri
+        (fun i (want, (_, _, got)) ->
+          check Alcotest.bool (Printf.sprintf "entry %d survives" i) true (want = got))
+        (List.combine every_kind entries)
 
 let test_empty_roundtrip () =
   let j = Journal.create () in
@@ -102,10 +99,7 @@ let test_snapshot_compacts_and_replays () =
       Journal.replay j' (fun e -> seen := e :: !seen);
       (match List.rev !seen with
       | [ Journal.Build _; Journal.Epoch { epoch = 3; _ }; Journal.Fail_authority 1 ] -> ()
-      | es ->
-          Alcotest.failf "replay order wrong (%d entries: %s)" (List.length es)
-            (String.concat "; "
-               (List.map (Format.asprintf "%a" Journal.pp_entry) es)));
+      | es -> Alcotest.failf "replay order wrong (%d entries)" (List.length es));
       (* seqs stay monotonic across the decode: new appends don't collide *)
       let s = Journal.append j' ~at:4. (Journal.Recovered 1) in
       check Alcotest.bool "next seq above every decoded seq" true

@@ -59,7 +59,6 @@ let test_eviction_order () =
   Flow_records.observe fr ~now:2. ~ingress:0 (h2 2 2);
   (* cache full: the third flow pushes out the longest-idle (h 1,1) *)
   Flow_records.observe fr ~now:3. ~ingress:0 (h2 3 3);
-  check Alcotest.int "bounded" 2 (Flow_records.active_entries fr);
   match Flow_records.exports fr with
   | [ r ] ->
       check Alcotest.bool "evicted reason" true
@@ -134,14 +133,14 @@ let test_sampler_ring_wraparound () =
 
 (* ---- hotspot detection ---- *)
 
-let pts l = Array.of_list (List.map (fun (at, v) -> { Sampler.at; v }) l)
+let pts l = Array.of_list l
 
 let test_hotspot_flags_imbalance () =
   (* two authorities; all the second window's load lands on switch 9 *)
   let series =
     [ (3, pts [ (1., 10.); (2., 20.) ]); (9, pts [ (1., 10.); (2., 60.) ]) ]
   in
-  (match Hotspot.detect ~threshold:1.5 series with
+  (match Hotspot.detect ~threshold:1.5 ~windows:1 series with
   | [ e ] ->
       check Alcotest.int "hot switch" 9 e.Hotspot.switch_id;
       check (Alcotest.float 1e-9) "window start" 1. e.Hotspot.window_start;
@@ -151,26 +150,79 @@ let test_hotspot_flags_imbalance () =
   | es -> Alcotest.failf "expected 1 event, got %d" (List.length es));
   (* perfectly balanced load never flags *)
   let balanced = [ (0, pts [ (1., 30.) ]); (1, pts [ (1., 30.) ]) ] in
-  check Alcotest.int "balanced: none" 0 (List.length (Hotspot.detect balanced))
+  check Alcotest.int "balanced: none" 0
+    (List.length (Hotspot.detect ~threshold:1.5 ~windows:1 balanced))
 
-let test_hotspot_min_load_and_threshold () =
-  (* a 2-packet window is noise, not a hotspot *)
+(* What the retired [min_load] floor and the rebalancer's [n >= 2] and
+   [d >= 1] guards used to filter, the one rule rejects by itself. *)
+let test_hotspot_idle_and_threshold () =
+  let detect ?(threshold = 1.5) series = Hotspot.detect ~threshold ~windows:1 series in
+  let idle = [ (0, pts [ (1., 0.); (2., 0.) ]); (1, pts [ (1., 0.); (2., 0.) ]) ] in
+  check Alcotest.int "an idle window is never hot" 0 (List.length (detect idle));
+  let alone = [ (0, pts [ (1., 5.); (2., 9.) ]) ] in
+  check Alcotest.int "a lone authority is never hot" 0 (List.length (detect alone));
+  (* a 2-packet window is still a real imbalance *)
   let tiny = [ (0, pts [ (1., 2.) ]); (1, pts [ (1., 0.) ]) ] in
-  check Alcotest.int "min_load filters idle windows" 0
-    (List.length (Hotspot.detect ~min_load:10. tiny));
-  check Alcotest.int "but flags when the floor allows" 1
-    (List.length (Hotspot.detect ~min_load:1. tiny));
+  check Alcotest.int "flags the smallest imbalance" 1 (List.length (detect tiny));
   (try
-     ignore (Hotspot.detect ~threshold:1.0 tiny);
+     ignore (detect ~threshold:1.0 tiny);
      Alcotest.fail "threshold 1.0 accepted"
    with Invalid_argument _ -> ());
   (* worst picks the highest ratio *)
   let series =
     [ (0, pts [ (1., 9.); (2., 9.) ]); (1, pts [ (1., 1.); (2., 21.) ]) ]
   in
-  match Hotspot.worst (Hotspot.detect ~threshold:1.2 series) with
+  match Hotspot.worst (detect ~threshold:1.2 series) with
   | Some e -> check Alcotest.int "worst is the window-2 spike" 1 e.Hotspot.switch_id
   | None -> Alcotest.fail "no events"
+
+(* A share of exactly [threshold] x fair is not hot: 2 of 5 and 50 of 125
+   misses over 3 authorities at 1.2.  Rounding makes the share test
+   [load /. total > t *. (1 /. n)] flag both, and [load > t *. (total /.
+   n)] flag 50 of 125. *)
+let test_hotspot_boundary () =
+  let hot = Hotspot.hot ~threshold:1.2 ~n:3 in
+  check Alcotest.bool "2 of 5" false (hot ~total:5. 2.);
+  check Alcotest.bool "50 of 125" false (hot ~total:125. 50.);
+  check Alcotest.bool "51 of 125" true (hot ~total:125. 51.);
+  let series =
+    [ (1, pts [ (1., 50.) ]); (2, pts [ (1., 50.) ]); (3, pts [ (1., 25.) ]) ]
+  in
+  check Alcotest.int "detect agrees" 0 (List.length (Hotspot.detect ~threshold:1.2 ~windows:1 series));
+  (* the streak counter: hot, hot, not hot, hot *)
+  let s = Hotspot.streaks ~threshold:1.2 in
+  let window a = Hotspot.observe s [ (1, a); (2, 10.); (3, 10.) ] in
+  let streaks = List.map (fun a -> window a; Hotspot.streak s 1) [ 20.; 20.; 12.; 20. ] in
+  check Alcotest.(list int) "streaks" [ 1; 2; 0; 1 ] streaks;
+  Hotspot.clear s;
+  check Alcotest.int "cleared" 0 (Hotspot.streak s 1);
+  (* [difane monitor --quick --seed 42 --threshold 1.2]: switch 2's only
+     3-window streak began in an exactly 1.20x window (50 of 125 misses,
+     [0.09..0.1]) *)
+  let m, _ = Experiments.E_mon.run_monitored ~seed:42 ~quick:true ~alpha:1.0 ~threshold:1.2 () in
+  check Alcotest.int "no persistent hotspot" 0
+    (List.length (Monitor.persistent_hotspots ~windows:3 m))
+
+(* The rendered persistent-hotspot report of [difane monitor --quick
+   --seed 42] (Zipf alpha 1.0) at thresholds where no window's share sits
+   on a rounding boundary. *)
+let test_persistent_report_pin () =
+  List.iter
+    (fun (threshold, pins) ->
+      let m, _ = Experiments.E_mon.run_monitored ~seed:42 ~quick:true ~alpha:1.0 ~threshold () in
+      List.iteri
+        (fun i pin ->
+          let windows = i + 1 in
+          check Alcotest.string
+            (Printf.sprintf "threshold %.1f, %d windows" threshold windows)
+            pin
+            (Digest.to_hex
+               (Digest.string (Format.asprintf "%a" (Monitor.pp_persistent ~windows) m))))
+        pins)
+    [
+      (1.3, [ "b3cd54ee28f06e90369e6618e00076d5"; "8c5a06a8520d57d3ff96cbe76e4de6d1"; "ed733ca2ef26bc92e3e442bfd6e3c731" ]);
+      (1.5, [ "2e2100f55e7a222e981d2c4824a0307d"; "f3b4be389b21fee2811524f4a40a587e"; "ed733ca2ef26bc92e3e442bfd6e3c731" ]);
+    ]
 
 (* ---- end to end: provenance through a monitored simulation ---- *)
 
@@ -302,7 +354,9 @@ let suite =
         tc "sampler boundaries + baseline" test_sampler_boundaries_and_baseline;
         tc "sampler ring wraparound" test_sampler_ring_wraparound;
         tc "hotspot flags imbalance" test_hotspot_flags_imbalance;
-        tc "hotspot min-load and threshold" test_hotspot_min_load_and_threshold;
+        tc "hotspot idle + threshold" test_hotspot_idle_and_threshold;
+        tc "hotspot rule boundary" test_hotspot_boundary;
+        tc "persistent report pin" test_persistent_report_pin;
         tc "monitored sim provenance" test_monitored_sim_provenance;
         tc "monitored sim deterministic json" test_monitored_sim_deterministic_json;
         tc "monitor series follow the switches" test_monitor_series_follow_switches;

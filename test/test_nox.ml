@@ -17,15 +17,13 @@ let test_first_packet_punts () =
   let n = build () in
   let o = Nox.inject n ~now:0. ~ingress:0 (h 2 9) in
   check Alcotest.bool "punted" true o.Nox.punted;
-  check action "action" (Action.Forward 2) o.Nox.action;
-  check Alcotest.int64 "one packet-in" 1L (Nox.packet_ins n)
+  check action "action" (Action.Forward 2) o.Nox.action
 
 let test_second_packet_cached () =
   let n = build () in
   ignore (Nox.inject n ~now:0. ~ingress:0 (h 2 9));
   let o = Nox.inject n ~now:1. ~ingress:0 (h 2 9) in
-  check Alcotest.bool "not punted" false o.Nox.punted;
-  check Alcotest.int64 "still one packet-in" 1L (Nox.packet_ins n)
+  check Alcotest.bool "not punted" false o.Nox.punted
 
 let test_microflow_is_exact () =
   let n = build () in
@@ -61,11 +59,11 @@ let prop_punts_bounded_by_distinct_headers =
     QCheck2.Gen.(list_size (int_range 1 60) gen_header_tiny2)
     (fun headers ->
       let n = build () in
-      List.iter (fun hd -> ignore (Nox.inject n ~now:0. ~ingress:0 hd)) headers;
-      let distinct =
-        List.sort_uniq Header.compare headers |> List.length
+      let punts =
+        List.length
+          (List.filter (fun hd -> (Nox.inject n ~now:0. ~ingress:0 hd).Nox.punted) headers)
       in
-      Int64.to_int (Nox.packet_ins n) <= distinct)
+      punts <= List.length (List.sort_uniq Header.compare headers))
 
 let suite =
   [

@@ -70,10 +70,10 @@ let test_decode_garbage () =
   check Alcotest.bool "trailing bytes" true (bad extended)
 
 let test_wire_size () =
+  let size msg = Bytes.length (Message.encode ~xid:0 msg) in
   let msg = Message.Packet_in { ingress = 4; header = h 10 20; reason = `No_match } in
-  check Alcotest.int "size matches encode" (Bytes.length (Message.encode ~xid:0 msg))
-    (Message.wire_size ~xid:0 msg);
-  check Alcotest.bool "frames have 20-byte header" true (Message.wire_size ~xid:0 Message.Hello = 20)
+  check Alcotest.bool "a body follows the header" true (size msg > 20);
+  check Alcotest.int "frames have 20-byte header" 20 (size Message.Hello)
 
 (* An exact-match rule on tiny2 with a forward action encodes in 48
    bytes, and an Install_partition frame is 63 bytes before its rules, so
@@ -92,7 +92,7 @@ let partition_of_size n =
 let test_frame_size_limit () =
   let largest = partition_of_size 1364 in
   check Alcotest.int "largest frame fills the length field" 0xffff
-    (Message.wire_size ~xid:1 largest);
+    (Bytes.length (Message.encode ~xid:1 largest));
   roundtrip largest;
   match Message.encode ~xid:1 (partition_of_size 1365) with
   | _ -> Alcotest.fail "a 65,583-byte frame was encoded"

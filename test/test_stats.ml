@@ -27,25 +27,22 @@ let test_percentile_interpolation () =
 
 let test_cdf () =
   let c = Cdf.of_list [ 1.; 2.; 2.; 4. ] in
-  check (Alcotest.float 1e-9) "at 0" 0. (Cdf.at c 0.);
-  check (Alcotest.float 1e-9) "at 2" 0.75 (Cdf.at c 2.);
-  check (Alcotest.float 1e-9) "at 100" 1.0 (Cdf.at c 100.);
+  check (Alcotest.float 1e-9) "inverse 0" 1. (Cdf.inverse c 0.);
+  check (Alcotest.float 1e-9) "inverse 0.25" 1. (Cdf.inverse c 0.25);
   check (Alcotest.float 1e-9) "inverse 0.5" 2. (Cdf.inverse c 0.5);
-  check (Alcotest.float 1e-9) "inverse 1.0" 4. (Cdf.inverse c 1.0);
-  let series = Cdf.series ~points:4 c in
-  check Alcotest.int "series length" 4 (List.length series);
-  check (Alcotest.float 1e-9) "series ends at max" 4. (fst (List.nth series 3))
+  check (Alcotest.float 1e-9) "inverse 0.75" 2. (Cdf.inverse c 0.75);
+  check (Alcotest.float 1e-9) "inverse 1.0" 4. (Cdf.inverse c 1.0)
 
 let prop_cdf_monotone =
   qt "cdf is monotone"
     QCheck2.Gen.(
       pair
         (list_size (int_range 1 30) (float_bound_inclusive 100.))
-        (pair (float_bound_inclusive 100.) (float_bound_inclusive 100.)))
+        (pair (float_bound_inclusive 1.) (float_bound_inclusive 1.)))
     (fun (samples, (a, b)) ->
       let c = Cdf.of_list samples in
       let lo = Float.min a b and hi = Float.max a b in
-      Cdf.at c lo <= Cdf.at c hi)
+      Cdf.inverse c lo <= Cdf.inverse c hi)
 
 let prop_summary_bounds =
   qt "percentiles ordered"

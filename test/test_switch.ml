@@ -145,10 +145,7 @@ let test_partition_load_counting () =
   ignore (Switch.serve_miss auth ~now:0. (h 200 0));
   let loads = Switch.partition_load auth in
   let total = List.fold_left (fun acc (_, n) -> Int64.add acc n) 0L loads in
-  check Alcotest.int64 "three misses counted" 3L total;
-  Switch.reset_stats auth;
-  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int64)) "reset clears" []
-    (Switch.partition_load auth)
+  check Alcotest.int64 "three misses counted" 3L total
 
 (* A same-id reinstall must surface the displaced entry's final counters
    as a [Replaced] flow-removed — the old path silently dropped them,
@@ -209,9 +206,7 @@ let test_misconfigured_partition_rule () =
   | _ -> Alcotest.fail "expected Unmatched verdict");
   let st = Switch.stats sw in
   check Alcotest.int64 "misconfigured" 1L st.Switch.misconfigured;
-  check Alcotest.int64 "unmatched" 1L st.Switch.unmatched;
-  Switch.reset_stats sw;
-  check Alcotest.int64 "misconfigured reset" 0L (Switch.stats sw).Switch.misconfigured
+  check Alcotest.int64 "unmatched" 1L st.Switch.unmatched
 
 (* property: after any sequence of miss-serve-and-install, the ingress
    switch never returns an action that disagrees with the policy *)
