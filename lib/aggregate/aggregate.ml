@@ -79,7 +79,8 @@ let subsumed_by_live sw (rule : Rule.t) =
      predicates keep hit attribution exact;
    - cover rules merge only at {e equal} rank: a cover entry reproduces
      one authority rule verbatim, and moving it in the priority order
-     would invert a dependency the cover set exists to preserve;
+     would invert a dependency the cover set exists to preserve
+     ([install_one] never asks for them: see there);
    - exact entries all sit at priority 0 (microflows and degraded
      fallbacks), so equal-rank holds trivially. *)
 let ranks_compatible (k : Switch.cache_kind) pa pb =
@@ -135,7 +136,11 @@ let install_one ?idle_timeout ?hard_timeout t sw ~now
   else begin
     (* widen to fixpoint: each absorbed neighbour may expose another
        buddy one bit further out, collapsing chains of adjacent entries
-       into one maximally wide rule *)
+       into one maximally wide rule.  A cover entry skips the search: its
+       only legal partner is a member of its own group at its own rank,
+       and a group's members sit at distinct ranks (distinct table
+       positions) under a group id fresh to its serve, so [find_merge]
+       could only answer [None]. *)
     let pid = meta.Switch.pid and kind = meta.Switch.kind in
     let group = meta.Switch.group in
     let action = rule.Rule.action in
@@ -152,7 +157,8 @@ let install_one ?idle_timeout ?hard_timeout t sw ~now
             true
     in
     let pred, priority, parts, merged =
-      widen rule.Rule.pred rule.Rule.priority meta.Switch.parts false
+      if kind = Switch.Cover then (rule.Rule.pred, rule.Rule.priority, meta.Switch.parts, false)
+      else widen rule.Rule.pred rule.Rule.priority meta.Switch.parts false
     in
     let rule =
       if merged then

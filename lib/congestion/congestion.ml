@@ -55,7 +55,7 @@ type port = { mutable busy_until : float; mutable ser : float }
 
 type t = {
   cfg : config;
-  ports : (int * int, port) Hashtbl.t;
+  ports : port Int_table.t;  (* keyed by [port_key] *)
   mutable transits : int;
   mutable drops : int;
   mutable marks : int;
@@ -66,18 +66,20 @@ type stats = { transits : int; drops : int; marks : int; peak_depth : int }
 
 let create cfg =
   validate cfg;
-  { cfg; ports = Hashtbl.create 32; transits = 0; drops = 0; marks = 0; peak_depth = 0 }
+  { cfg; ports = Int_table.create 32; transits = 0; drops = 0; marks = 0; peak_depth = 0 }
 
 let config t = t.cfg
 
-let port t key ~ser =
-  match Hashtbl.find_opt t.ports key with
-  | Some p ->
-      p.ser <- ser;
-      p
-  | None ->
-      let p = { busy_until = 0.; ser } in
-      Hashtbl.add t.ports key p;
+(* Both ends of a directed port in one int. *)
+let port_key ~from ~to_ = (from lsl 32) lor to_
+
+let port t ~from ~to_ =
+  let key = port_key ~from ~to_ in
+  match Int_table.find t.ports key with
+  | p -> p
+  | exception Not_found ->
+      let p = { busy_until = 0.; ser = 0. } in
+      Int_table.add t.ports key p;
       p
 
 let other_end (l : Topology.link) from =
@@ -89,22 +91,27 @@ let other_end (l : Topology.link) from =
    whole-or-partial serialization time is one queued packet — the same
    convention as [Server]: capacity counts the backlog, not the job in
    service. *)
-let queued ~wait ~ser =
+let[@inline] queued ~wait ~ser =
   if ser <= 0. || wait <= 0. then 0
   else max 0 (int_of_float (Float.ceil ((wait /. ser) -. 1e-9)) - 1)
 
 let depth t ~now ~from ~to_ =
-  match Hashtbl.find_opt t.ports (from, to_) with
-  | None -> 0
-  | Some p -> queued ~wait:(p.busy_until -. now) ~ser:p.ser
+  match Int_table.find t.ports (port_key ~from ~to_) with
+  | p -> queued ~wait:(p.busy_until -. now) ~ser:p.ser
+  | exception Not_found -> 0
 
-let transit t ~now ~from (l : Topology.link) =
-  let to_ = other_end l from in
-  let ser =
-    if t.cfg.model_bandwidth then Topology.serialization_delay l ~bits:t.cfg.packet_bits
-    else 0.
-  in
-  let p = port t (from, to_) ~ser in
+let ser_of t l =
+  if t.cfg.model_bandwidth then Topology.serialization_delay l ~bits:t.cfg.packet_bits else 0.
+
+let[@inline] ecn_marked t ~wait ~depth =
+  match t.cfg.ecn_threshold with Some e -> wait > 0. && depth >= e | None -> false
+
+(* Offer one packet to port [p] at [now]: the queueing wait plus
+   serialization it pays, or [-1.] when the full buffer sheds it.
+   Inlined into both walks, so no hop boxes its delay or builds a
+   variant. *)
+let[@inline] book (t : t) p ~now ~from ~ser =
+  p.ser <- ser;
   t.transits <- t.transits + 1;
   Telemetry.incr m_transits;
   let wait = Float.max 0. (p.busy_until -. now) in
@@ -118,42 +125,55 @@ let transit t ~now ~from (l : Topology.link) =
       t.drops <- t.drops + 1;
       Telemetry.incr m_drops;
       Ptrace.emit ~at:now Ptrace.Queue_drop ~switch:from ~rule:(-1) ~aux:depth;
-      `Drop
+      -1.
   | _ ->
-      let marked =
-        match t.cfg.ecn_threshold with
-        | Some e -> wait > 0. && depth >= e
-        | None -> false
-      in
-      if marked then begin
+      if ecn_marked t ~wait ~depth then begin
         t.marks <- t.marks + 1;
         Telemetry.incr m_marks;
         Ptrace.emit ~at:now Ptrace.Ecn ~switch:from ~rule:(-1) ~aux:depth
       end;
       p.busy_until <- Float.max now p.busy_until +. ser;
-      `Forward (wait +. ser, marked)
+      wait +. ser
+
+let transit t ~now ~from (l : Topology.link) =
+  let p = port t ~from ~to_:(other_end l from) in
+  let ser = ser_of t l in
+  let wait = Float.max 0. (p.busy_until -. now) in
+  let marked = ecn_marked t ~wait ~depth:(queued ~wait ~ser) in
+  let delay = book t p ~now ~from ~ser in
+  if delay < 0. then `Drop else `Forward (delay, marked)
 
 (* Each hop is offered when the packet reaches it: after the queueing
    and propagation of every hop before. *)
 let transit_path t topo ~now path =
-  let rec go extra elapsed = function
-    | [] | [ _ ] -> `Ok extra
+  let extra = ref 0. and elapsed = ref 0. and shed = ref false in
+  let hops = ref path and walking = ref true in
+  while !walking do
+    match !hops with
     | a :: (b :: _ as rest) -> (
         match Topology.link_between topo a b with
         | None -> invalid_arg "Congestion.transit_path: non-adjacent hop"
-        | Some l -> (
-            match transit t ~now:(now +. elapsed) ~from:a l with
-            | `Drop -> `Queue_full
-            | `Forward (delay, _marked) ->
-                go (extra +. delay) (elapsed +. delay +. l.Topology.latency) rest))
-  in
-  go 0. 0. path
+        | Some l ->
+            let p = port t ~from:a ~to_:b in
+            let delay = book t p ~now:(now +. !elapsed) ~from:a ~ser:(ser_of t l) in
+            if delay < 0. then begin
+              shed := true;
+              walking := false
+            end
+            else begin
+              extra := !extra +. delay;
+              elapsed := !elapsed +. delay +. l.Topology.latency;
+              hops := rest
+            end)
+    | _ -> walking := false
+  done;
+  if !shed then `Queue_full else `Ok !extra
 
 let stats (t : t) =
   { transits = t.transits; drops = t.drops; marks = t.marks; peak_depth = t.peak_depth }
 
 let reset t =
-  Hashtbl.reset t.ports;
+  Int_table.reset t.ports;
   t.transits <- 0;
   t.drops <- 0;
   t.marks <- 0;

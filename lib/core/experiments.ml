@@ -1448,7 +1448,7 @@ module E_mon = struct
     replay_identical : bool;
   }
 
-  let run_monitored ?(seed = 42) ?(quick = false) ?(alpha = 1.4) ?(sample_rate = 1)
+  let run_monitored ?(seed = 42) ?(quick = false) ~alpha ?(sample_rate = 1)
       ?interval ?(threshold = 1.5) ?(top_k = 10) () =
     let rng = Prng.create seed in
     let policy = acl rng ~rules:(if quick then 150 else 600) ~chains:40 in
@@ -1507,11 +1507,11 @@ module E_mon = struct
     (m, r)
 
   let run ?(seed = 42) ?(quick = false) () =
-    let m1, r1 = run_monitored ~seed ~quick () in
+    let m1, r1 = run_monitored ~seed ~quick ~alpha:1.4 () in
     let flows_json = Flow_records.to_json (Monitor.flow_records m1) in
     (* seed-for-seed determinism: a second identical run must export a
        bit-identical flow-record document *)
-    let m2, _ = run_monitored ~seed ~quick () in
+    let m2, _ = run_monitored ~seed ~quick ~alpha:1.4 () in
     let replay_identical =
       String.equal flows_json (Flow_records.to_json (Monitor.flow_records m2))
     in
@@ -2095,7 +2095,7 @@ let scale_replay a =
   { describe = None; timeline = [] }
 
 let mon_replay a =
-  let m, _ = E_mon.run_monitored ~seed:a.seed ~quick:a.quick () in
+  let m, _ = E_mon.run_monitored ~seed:a.seed ~quick:a.quick ~alpha:1.4 () in
   { describe = Some (fun ~origin ~pid -> Monitor.describe_provenance m ~origin ~pid);
     timeline = [] }
 

@@ -356,7 +356,7 @@ module E_mon : sig
   val run_monitored :
     ?seed:int ->
     ?quick:bool ->
-    ?alpha:float ->
+    alpha:float ->
     ?sample_rate:int ->
     ?interval:float ->
     ?threshold:float ->
@@ -364,7 +364,10 @@ module E_mon : sig
     unit ->
     Monitor.t * Flowsim.result
   (** One monitored run of the scenario — the hook [difane monitor]
-      drives directly, with the monitor left full of the run's data. *)
+      drives directly, with the monitor left full of the run's data.
+      [alpha] is the Zipf skew of the steady traffic: {!run} and the
+      postcard replay use 1.4, [difane monitor] its [--alpha] (1.0 by
+      default). *)
 
   val run : ?seed:int -> ?quick:bool -> unit -> report
   val render : report -> string

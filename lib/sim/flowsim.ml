@@ -190,7 +190,7 @@ let finish acc ~offered =
       (if window > 0. then float_of_int acc.completed /. window else 0.);
     first_packet_delay =
       (if Array.length delays = 0 then None
-       else Some (Summary.of_list (Array.to_list delays)));
+       else Some (Summary.of_array delays));
     delays;
     flow_delays = Array.map2 (fun s d -> (s, d)) (Fvec.to_array acc.starts) delays;
     miss_delays = Fvec.to_array acc.miss_delays;
@@ -220,8 +220,9 @@ let deliver acc ~was_miss ~is_first ~arrival ~at ~cache_hit =
 
 let prop topo a b = Option.value ~default:0. (Topology.distance topo a b)
 
-let egress_latency topo ~from action =
-  match Action.egress action with Some e -> prop topo from e | None -> 0.
+(* Propagation to an action's egress switch ([Action.egress]); 0 when
+   it has none. *)
+let egress_latency topo ~from egress = match egress with Some e -> prop topo from e | None -> 0.
 
 (* Packet arrivals are packed events: the payload carries the flow's
    index and the first-packet bit, so a million-flow schedule costs four
@@ -356,17 +357,17 @@ let drop st ~at ~switch reason ~is_first =
 (* The delivering terminal: the egress leg from [from] (the ingress, or
    the authority that served the miss), its postcard and the tally. *)
 let forward st (flow : Traffic.flow) ~is_first ~now ~from ~was_miss ~cache_hit action =
-  match
-    match Action.egress action with None -> `Ok 0. | Some e -> congested_path st ~now from e
-  with
+  let egress = Action.egress action in
+  match match egress with None -> `Ok 0. | Some e -> congested_path st ~now from e with
   | `Queue_full -> drop st ~at:now ~switch:from Ptrace.drop_queue_full ~is_first
   | `Ok extra ->
-      let lat = egress_latency st.topo ~from action +. extra in
-      Ptrace.emit ~at:(now +. lat) Ptrace.Deliver
-        ~switch:(match Action.egress action with Some e -> e | None -> from)
+      let lat = egress_latency st.topo ~from egress +. extra in
+      let at = now +. lat in
+      Ptrace.emit ~at Ptrace.Deliver
+        ~switch:(match egress with Some e -> e | None -> from)
         ~rule:(-1)
         ~aux:(if cache_hit then 1 else 0);
-      deliver st.acc ~was_miss ~is_first ~arrival:flow.start ~at:(now +. lat) ~cache_hit
+      deliver st.acc ~was_miss ~is_first ~arrival:flow.start ~at ~cache_hit
 
 (* Controller path, NOX-style: half an RTT up, a controller service
    slot, half an RTT back, where [Deployment.controller_serve] answers
@@ -401,7 +402,8 @@ let via_controller st cause (flow : Traffic.flow) ~is_first ~pkt =
                 ~at:
                   (now
                   +. ((timing.controller_rtt /. 2.)
-                     +. egress_latency st.topo ~from:flow.ingress o.Deployment.action))
+                     +. egress_latency st.topo ~from:flow.ingress
+                          (Action.egress o.Deployment.action)))
                 ~cache_hit:false)
         in
         if not accepted then
@@ -487,8 +489,9 @@ let ingress st (flow : Traffic.flow) ~is_first =
      packet context; the packet id rides into every deferred
      continuation via [resume_packet] *)
   let pkt = Ptrace.begin_packet flow.header in
-  Option.iter (fun m -> Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header)
-    st.cfg.monitor;
+  (match st.cfg.monitor with
+  | Some m -> Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header
+  | None -> ());
   match Switch.process (Deployment.switch st.d flow.ingress) ~now flow.header with
   | Switch.Local (action, bank) ->
       forward st flow ~is_first ~now ~from:flow.ingress ~was_miss:false
@@ -641,7 +644,7 @@ let run_nox n flows =
     match Tcam.lookup (Switch.cache sw) ~now flow.header with
     | Some r ->
         deliver acc ~was_miss:false ~is_first ~arrival:now
-          ~at:(now +. egress_latency topo ~from:flow.ingress r.Rule.action)
+          ~at:(now +. egress_latency topo ~from:flow.ingress (Action.egress r.Rule.action))
           ~cache_hit:true
     | None ->
         (* packet-in: half an RTT to reach the controller, queue + service,
@@ -655,7 +658,7 @@ let run_nox n flows =
                     ~at:
                       (now
                       +. ((timing.controller_rtt /. 2.)
-                         +. egress_latency topo ~from:flow.ingress o.Nox.action))
+                         +. egress_latency topo ~from:flow.ingress (Action.egress o.Nox.action)))
                     ~cache_hit:false)
             in
             if (not accepted) && is_first then acc.dropped <- acc.dropped + 1)

@@ -22,11 +22,48 @@ let percentile sorted q =
     let frac = pos -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
+(* The sorted runs [src.(lo..mid-1)] and [src.(mid..hi-1)], merged into
+   [dst.(lo..hi-1)]. *)
+let merge_runs src dst lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !i < mid && (!j >= hi || Float.compare src.(!i) src.(!j) <= 0) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+(* A copy of [arr] in [Float.compare] order, by bottom-up merge sort:
+   the comparison is inlined and no element is boxed, where [Array.sort]
+   calls a closure on boxed elements. *)
+let sorted_copy arr =
+  let n = Array.length arr in
+  let src = ref (Array.copy arr) and dst = ref (Array.create_float n) in
+  let width = ref 1 in
+  while !width < n do
+    let w = !width in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + w) in
+      let hi = min n (mid + w) in
+      merge_runs !src !dst !lo mid hi;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s;
+    width := 2 * w
+  done;
+  !src
+
 let of_array arr =
   let n = Array.length arr in
   if n = 0 then invalid_arg "Summary.of_array: empty";
-  let sorted = Array.copy arr in
-  Array.sort Float.compare sorted;
+  let sorted = sorted_copy arr in
   let sum = Array.fold_left ( +. ) 0. sorted in
   let mean = sum /. float_of_int n in
   let var =

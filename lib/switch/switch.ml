@@ -71,7 +71,7 @@ type t = {
          scan is sub-linear; [None] when the bank is empty or cannot be
          indexed (duplicate ids from a confused controller) — then the
          lookup falls back to the linear scan *)
-  cache_origin : (int, cache_meta) Hashtbl.t;
+  cache_origin : cache_meta Int_table.t;
       (* cache rule id -> provenance: serving partition id (-1 when the
          installer didn't know it — degraded exact-match fallbacks),
          entry kind, and the origin set threaded from policy rule through
@@ -84,10 +84,10 @@ type t = {
   dirty_groups : (int, unit) Hashtbl.t;
       (* groups that may have become incomplete since the last
          [drop_cover_orphans] *)
-  origin_cache_hits : (int, int64) Hashtbl.t; (* origin rule id -> cache-bank packets *)
-  origin_auth_hits : (int, int64) Hashtbl.t; (* origin rule id -> authority-bank packets *)
-  partition_hits : (int, int64) Hashtbl.t; (* partition id -> misses served *)
-  pid_cache_hits : (int, int64) Hashtbl.t;
+  origin_cache_hits : int ref Int_table.t; (* origin rule id -> cache-bank packets *)
+  origin_auth_hits : int ref Int_table.t; (* origin rule id -> authority-bank packets *)
+  partition_hits : int ref Int_table.t; (* partition id -> misses served *)
+  pid_cache_hits : int ref Int_table.t;
       (* partition id -> cache-bank packets absorbed by entries spliced
          from that partition — the cache-efficacy side of the ledger
          whose miss side is [partition_hits] at the authority *)
@@ -106,11 +106,11 @@ type t = {
       (* highest master epoch seen; 0 = unfenced (single controller) *)
   mutable stale_rejected : int; (* frames refused for carrying an old epoch *)
   mutable stale_accepted : int; (* must stay 0: the fencing invariant *)
-  mutable cache_hits : int64;
-  mutable authority_hits : int64;
-  mutable tunnelled : int64;
-  mutable unmatched : int64;
-  mutable misconfigured : int64;
+  mutable cache_hits : int;
+  mutable authority_hits : int;
+  mutable tunnelled : int;
+  mutable unmatched : int;
+  mutable misconfigured : int;
   tele : tele;
 }
 
@@ -144,7 +144,7 @@ let register_foreign t gid members =
   List.iter
     (fun m ->
       let own =
-        match Hashtbl.find_opt t.cache_origin m with
+        match Int_table.find_opt t.cache_origin m with
         | Some { group = Some (g, _); _ } -> g = gid
         | _ -> false
       in
@@ -158,7 +158,7 @@ let register_foreign t gid members =
    before the removal site drops the entry's provenance. *)
 let forget t (e : Tcam.entry) =
   let r = e.Tcam.rule in
-  (match Hashtbl.find_opt t.cache_origin r.Rule.id with
+  (match Int_table.find_opt t.cache_origin r.Rule.id with
   | Some { group = Some (gid, _); _ } ->
       remove_binding t.group_entries gid (fun (x : Rule.t) -> x.Rule.id = r.Rule.id);
       mark_dirty t gid
@@ -178,14 +178,14 @@ let create ~id ~cache_capacity =
       authority = [];
       partition_bank = [];
       partition_index = None;
-      cache_origin = Hashtbl.create 64;
+      cache_origin = Int_table.create 64;
       group_entries = Hashtbl.create 16;
       foreign_listers = Hashtbl.create 16;
       dirty_groups = Hashtbl.create 16;
-      origin_cache_hits = Hashtbl.create 64;
-      origin_auth_hits = Hashtbl.create 64;
-      partition_hits = Hashtbl.create 16;
-      pid_cache_hits = Hashtbl.create 16;
+      origin_cache_hits = Int_table.create 64;
+      origin_auth_hits = Int_table.create 64;
+      partition_hits = Int_table.create 16;
+      pid_cache_hits = Int_table.create 16;
       next_cache_id = cache_rule_base + (id * 100_000);
       notifications = [];
       pending_partition = [];
@@ -195,11 +195,11 @@ let create ~id ~cache_capacity =
       epoch = 0;
       stale_rejected = 0;
       stale_accepted = 0;
-      cache_hits = 0L;
-      authority_hits = 0L;
-      tunnelled = 0L;
-      unmatched = 0L;
-      misconfigured = 0L;
+      cache_hits = 0;
+      authority_hits = 0;
+      tunnelled = 0;
+      unmatched = 0;
+      misconfigured = 0;
       tele =
         {
           m_cache_hits = Telemetry.counter ~labels "switch_cache_hits";
@@ -268,13 +268,15 @@ let patch_authority t (p : Partitioner.partition) swapped =
 let authority_partitions t = List.map (fun e -> e.part) t.authority
 let partition_rules t = t.partition_bank
 
-let bump tbl key n =
-  let prev = Option.value ~default:0L (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (Int64.add prev n)
+(* A hit counter is an [int] cell, bumped in place once it exists. *)
+let bump tbl key =
+  match Int_table.find tbl key with
+  | c -> incr c
+  | exception Not_found -> Int_table.add tbl key (ref 1)
 
 let notify_removed t ~now reason (e : Tcam.entry) =
   let cookie =
-    match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
+    match Int_table.find_opt t.cache_origin e.Tcam.rule.Rule.id with
     | Some m -> meta_primary_origin m
     | None -> -1
   in
@@ -284,8 +286,8 @@ let notify_removed t ~now reason (e : Tcam.entry) =
         Message.removed_rule = e.Tcam.rule.Rule.id;
         cookie;
         reason;
-        final_packets = e.Tcam.packets;
-        final_bytes = e.Tcam.bytes;
+        final_packets = Int64.of_int e.Tcam.packets;
+        final_bytes = Int64.of_int e.Tcam.bytes;
         lifetime = now -. e.Tcam.installed_at;
       }
     :: t.notifications
@@ -309,7 +311,7 @@ let drop_cover_orphans t ~now =
       (fun acc gid ->
         List.fold_left
           (fun acc (r : Rule.t) ->
-            match Hashtbl.find_opt t.cache_origin r.Rule.id with
+            match Int_table.find_opt t.cache_origin r.Rule.id with
             | Some { group = Some (_, members); _ } ->
                 if List.for_all (Tcam.mem t.cache) members then begin
                   register_foreign t gid members;
@@ -331,7 +333,7 @@ let drop_cover_orphans t ~now =
             ~aux:Ptrace.invalidate_cover_orphan;
           notify_removed t ~now Message.Replaced e;
           ignore (Tcam.remove t.cache r.Rule.id);
-          Hashtbl.remove t.cache_origin r.Rule.id)
+          Int_table.remove t.cache_origin r.Rule.id)
     doomed;
   List.length doomed
 
@@ -344,13 +346,13 @@ let apply_flow_mod t ~now (fm : Message.flow_mod) =
          Tcam.insert ?idle_timeout:fm.idle_timeout ?hard_timeout:fm.hard_timeout t.cache
            ~now fm.rule
        with
-      | `Replaced _ -> Hashtbl.remove t.cache_origin fm.rule.Rule.id
+      | `Replaced _ -> Int_table.remove t.cache_origin fm.rule.Rule.id
       | `Ok | `Full -> ());
       Ptrace.emit_control ~at:now Ptrace.Install ~switch:t.id ~rule:fm.rule.Rule.id
         ~aux:0
   | Message.Cache, (Message.Delete | Message.Delete_strict) ->
       ignore (Tcam.remove t.cache fm.rule.Rule.id);
-      Hashtbl.remove t.cache_origin fm.rule.Rule.id;
+      Int_table.remove t.cache_origin fm.rule.Rule.id;
       Ptrace.emit_control ~at:now Ptrace.Invalidate ~switch:t.id ~rule:fm.rule.Rule.id
         ~aux:Ptrace.invalidate_delete;
       (* a controller delete can take one cover-set member; the rest of
@@ -424,8 +426,8 @@ let dispatch_control t ~now ~xid msg =
           (fun (e : Tcam.entry) ->
             {
               Message.rule_id = e.rule.Rule.id;
-              packets = e.Tcam.packets;
-              bytes = e.Tcam.bytes;
+              packets = Int64.of_int e.Tcam.packets;
+              bytes = Int64.of_int e.Tcam.bytes;
               duration = now -. e.Tcam.installed_at;
             })
           (Tcam.entries t.cache)
@@ -502,64 +504,67 @@ let authority_lookup t h =
    case — answer without touching the predicate; merged entries walk
    their rank-ordered parts, so attribution is exact per packet even when
    one installed rule stands for several policy rules. *)
+let rec attribute_parts h first = function
+  | [] -> first.part_origin
+  | q :: rest -> if Pred.matches q.part_pred h then q.part_origin else attribute_parts h first rest
+
 let attribute_hit m h =
   match m.parts with
   | [ p ] -> p.part_origin
   | [] -> -1
-  | p :: _ as parts -> (
-      match List.find_opt (fun q -> Pred.matches q.part_pred h) parts with
-      | Some q -> q.part_origin
-      | None -> p.part_origin)
+  | p :: _ as parts -> attribute_parts h p parts
+
+(* A cover set lives and dies as one unit: traffic absorbed by any
+   member keeps the whole group's idle deadlines fresh, or an unhit
+   high-rank dependency would expire and take the group (and its hit
+   stream) with it. *)
+let rec touch_members cache ~now hit = function
+  | [] -> ()
+  | id :: rest ->
+      if id <> hit then ignore (Tcam.touch cache ~now id);
+      touch_members cache ~now hit rest
 
 let process t ~now h =
   match Tcam.lookup t.cache ~now h with
   | Some r ->
-      t.cache_hits <- Int64.add t.cache_hits 1L;
+      t.cache_hits <- t.cache_hits + 1;
       Telemetry.incr t.tele.m_cache_hits;
-      (match Hashtbl.find_opt t.cache_origin r.Rule.id with
-      | Some m ->
+      (match Int_table.find t.cache_origin r.Rule.id with
+      | m ->
           let origin = attribute_hit m h in
-          bump t.origin_cache_hits origin 1L;
-          if m.pid >= 0 then bump t.pid_cache_hits m.pid 1L;
-          (* a cover set lives and dies as one unit: traffic absorbed by
-             any member keeps the whole group's idle deadlines fresh, or
-             an unhit high-rank dependency would expire and take the
-             group (and its hit stream) with it *)
+          bump t.origin_cache_hits origin;
+          if m.pid >= 0 then bump t.pid_cache_hits m.pid;
           (match m.group with
-          | Some (_, members) ->
-              List.iter
-                (fun id ->
-                  if id <> r.Rule.id then ignore (Tcam.touch t.cache ~now id))
-                members
+          | Some (_, members) -> touch_members t.cache ~now r.Rule.id members
           | None -> ());
           Ptrace.emit ~at:now Ptrace.Cache_hit ~switch:t.id ~rule:r.Rule.id
             ~aux:(Ptrace.pack_provenance ~origin ~pid:m.pid)
-      | None ->
+      | exception Not_found ->
           Ptrace.emit ~at:now Ptrace.Cache_hit ~switch:t.id ~rule:r.Rule.id ~aux:0);
       Local (r.Rule.action, Cache_bank)
   | None -> (
       match authority_lookup t h with
       | Some r ->
-          t.authority_hits <- Int64.add t.authority_hits 1L;
+          t.authority_hits <- t.authority_hits + 1;
           Telemetry.incr t.tele.m_authority_hits;
-          bump t.origin_auth_hits r.Rule.id 1L;
+          bump t.origin_auth_hits r.Rule.id;
           Ptrace.emit ~at:now Ptrace.Authority_hit ~switch:t.id ~rule:r.Rule.id ~aux:0;
           Local (r.Rule.action, Authority_bank)
       | None -> (
           match partition_lookup t h with
           | Some { Rule.action = Action.To_authority a; _ } ->
-              t.tunnelled <- Int64.add t.tunnelled 1L;
+              t.tunnelled <- t.tunnelled + 1;
               Telemetry.incr t.tele.m_tunnelled;
               Ptrace.emit ~at:now Ptrace.Miss ~switch:t.id ~rule:(-1) ~aux:a;
               Tunnel a
           | Some _ ->
               (* a partition rule claimed the header but cannot tunnel
                  it: a misconfigured bank, not uncovered flowspace *)
-              t.misconfigured <- Int64.add t.misconfigured 1L;
+              t.misconfigured <- t.misconfigured + 1;
               Telemetry.incr t.tele.m_misconfigured;
               Misconfigured
           | None ->
-              t.unmatched <- Int64.add t.unmatched 1L;
+              t.unmatched <- t.unmatched + 1;
               Telemetry.incr t.tele.m_unmatched;
               Unmatched))
 
@@ -600,10 +605,10 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
           (* the authority switch forwards this packet itself: count it
              against the origin rule like any other hit, and against the
              partition for load rebalancing *)
-          t.authority_hits <- Int64.add t.authority_hits 1L;
+          t.authority_hits <- t.authority_hits + 1;
           Telemetry.incr t.tele.m_authority_hits;
-          bump t.origin_auth_hits origin.Rule.id 1L;
-          bump t.partition_hits pid 1L;
+          bump t.origin_auth_hits origin.Rule.id;
+          bump t.partition_hits pid;
           Ptrace.emit ~at:now Ptrace.Authority_serve ~switch:t.id ~rule:origin.Rule.id
             ~aux:pid;
           let cache_rule, installs =
@@ -681,21 +686,21 @@ let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
       Ptrace.emit ~at:now Ptrace.Replace ~switch:t.id ~rule:e.Tcam.rule.Rule.id
         ~aux:Ptrace.replace_displaced;
       notify_removed t ~now Message.Replaced e;
-      Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
+      Int_table.remove t.cache_origin e.Tcam.rule.Rule.id)
     d.Tcam.replaced;
   if not d.Tcam.bounced then begin
     (match meta with
     | Some m ->
         Ptrace.emit ~at:now Ptrace.Install ~switch:t.id ~rule:rule.Rule.id
           ~aux:(Ptrace.pack_provenance ~origin:(meta_primary_origin m) ~pid:m.pid);
-        Hashtbl.replace t.cache_origin rule.Rule.id m;
+        Int_table.replace t.cache_origin rule.Rule.id m;
         index_entry t rule m
     | None ->
         Ptrace.emit ~at:now Ptrace.Install ~switch:t.id ~rule:rule.Rule.id
           ~aux:(Ptrace.pack_provenance ~origin:(-1) ~pid:(-1)))
   end;
   let rules = List.map (fun (e : Tcam.entry) -> e.Tcam.rule) d.Tcam.evicted in
-  List.iter (fun (r : Rule.t) -> Hashtbl.remove t.cache_origin r.id) rules;
+  List.iter (fun (r : Rule.t) -> Int_table.remove t.cache_origin r.id) rules;
   rules
 
 let install_cache_rule ?idle_timeout ?hard_timeout ?origin_id ?(pid = -1) t ~now rule =
@@ -735,7 +740,7 @@ let absorb_cache_rule t ~now cid =
         ~aux:Ptrace.replace_displaced;
       notify_removed t ~now Message.Replaced e;
       ignore (Tcam.remove t.cache cid);
-      Hashtbl.remove t.cache_origin cid;
+      Int_table.remove t.cache_origin cid;
       true
 
 (* Migration cleanup: evict cache entries spliced from a retired (or
@@ -745,7 +750,7 @@ let absorb_cache_rule t ~now cid =
 let invalidate_cache_pids t ~now pids =
   let doomed =
     Tcam.select t.cache (fun (e : Tcam.entry) ->
-        match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
+        match Int_table.find_opt t.cache_origin e.Tcam.rule.Rule.id with
         | Some m -> List.mem m.pid pids
         | None -> false)
   in
@@ -755,7 +760,7 @@ let invalidate_cache_pids t ~now pids =
         ~rule:e.Tcam.rule.Rule.id ~aux:Ptrace.invalidate_migration;
       notify_removed t ~now Message.Replaced e;
       ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
-      Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
+      Int_table.remove t.cache_origin e.Tcam.rule.Rule.id)
     doomed;
   ignore (drop_cover_orphans t ~now);
   List.length doomed
@@ -777,7 +782,7 @@ let expire_cache t ~now =
       notify_removed t ~now reason e)
     gone;
   let rules = List.map (fun (e : Tcam.entry) -> e.Tcam.rule) gone in
-  List.iter (fun (r : Rule.t) -> Hashtbl.remove t.cache_origin r.id) rules;
+  List.iter (fun (r : Rule.t) -> Int_table.remove t.cache_origin r.id) rules;
   (* expiring one cover-set member (an unhit high-rank dependency idles
      out first) invalidates its whole group *)
   if rules <> [] then ignore (drop_cover_orphans t ~now);
@@ -787,7 +792,7 @@ let expire_cache t ~now =
    with them. *)
 let flush_cache t =
   Tcam.clear t.cache;
-  Hashtbl.reset t.cache_origin
+  Int_table.reset t.cache_origin
 
 (* Crash semantics: the device reboots blank.  Every bank, staged update,
    counter and the xid replay memory are gone; the id and cache capacity
@@ -799,21 +804,21 @@ let reset t =
   t.partition_index <- None;
   t.pending_partition <- [];
   t.partition_committed <- false;
-  Hashtbl.reset t.origin_cache_hits;
-  Hashtbl.reset t.origin_auth_hits;
-  Hashtbl.reset t.partition_hits;
-  Hashtbl.reset t.pid_cache_hits;
+  Int_table.reset t.origin_cache_hits;
+  Int_table.reset t.origin_auth_hits;
+  Int_table.reset t.partition_hits;
+  Int_table.reset t.pid_cache_hits;
   Hashtbl.reset t.seen_xids;
   Queue.clear t.seen_order;
   t.epoch <- 0;
   t.stale_rejected <- 0;
   t.stale_accepted <- 0;
   t.notifications <- [];
-  t.cache_hits <- 0L;
-  t.authority_hits <- 0L;
-  t.tunnelled <- 0L;
-  t.unmatched <- 0L;
-  t.misconfigured <- 0L
+  t.cache_hits <- 0;
+  t.authority_hits <- 0;
+  t.tunnelled <- 0;
+  t.unmatched <- 0;
+  t.misconfigured <- 0
 
 let drain_notifications t =
   let n = List.rev t.notifications in
@@ -825,10 +830,10 @@ let stale_rejected t = t.stale_rejected
 let stale_accepted t = t.stale_accepted
 let cache t = t.cache
 let cache_occupancy t = Tcam.occupancy t.cache
-let cache_meta_of_rule t cid = Hashtbl.find_opt t.cache_origin cid
+let cache_meta_of_rule t cid = Int_table.find_opt t.cache_origin cid
 
 let origin_of_cache_rule t cid =
-  Option.map meta_primary_origin (Hashtbl.find_opt t.cache_origin cid)
+  Option.map meta_primary_origin (Int_table.find_opt t.cache_origin cid)
 
 let rec parts_meet sel = function
   | [] -> false
@@ -837,7 +842,7 @@ let rec parts_meet sel = function
 (* Whether a cache entry stands for an origin [sel] picks: a merged
    entry stands for every origin it absorbed.  Allocates nothing. *)
 let stands_for t sel (e : Tcam.entry) =
-  match Hashtbl.find t.cache_origin e.Tcam.rule.Rule.id with
+  match Int_table.find t.cache_origin e.Tcam.rule.Rule.id with
   | m -> parts_meet sel m.parts
   | exception Not_found -> false
 
@@ -853,39 +858,37 @@ let invalidate_origins t ~now origins =
   List.iter
     (fun (e : Tcam.entry) ->
       ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
-      Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
+      Int_table.remove t.cache_origin e.Tcam.rule.Rule.id)
     victims;
   let orphans = drop_cover_orphans t ~now in
   List.length victims + orphans
 
 let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Int_table.fold (fun k v acc -> (k, Int64.of_int !v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let partition_load t = sorted_bindings t.partition_hits
 let cache_load t = sorted_bindings t.pid_cache_hits
 
 let origin_breakdown t =
-  let merged = Hashtbl.create 64 in
-  Hashtbl.iter (fun k v -> Hashtbl.replace merged k (v, 0L)) t.origin_cache_hits;
-  Hashtbl.iter
-    (fun k v ->
-      let c = match Hashtbl.find_opt merged k with Some (c, _) -> c | None -> 0L in
-      Hashtbl.replace merged k (c, v))
-    t.origin_auth_hits;
-  Hashtbl.fold (fun k (c, a) acc -> (k, c, a) :: acc) merged []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  let keys tbl acc = Int_table.fold (fun k _ acc -> k :: acc) tbl acc in
+  let count tbl k =
+    match Int_table.find tbl k with c -> Int64.of_int !c | exception Not_found -> 0L
+  in
+  keys t.origin_cache_hits (keys t.origin_auth_hits [])
+  |> List.sort_uniq Int.compare
+  |> List.map (fun k -> (k, count t.origin_cache_hits k, count t.origin_auth_hits k))
 
 let aggregate_counters t =
   List.map (fun (k, c, a) -> (k, Int64.add c a)) (origin_breakdown t)
 
 let stats t =
   {
-    cache_hits = t.cache_hits;
-    authority_hits = t.authority_hits;
-    tunnelled = t.tunnelled;
-    unmatched = t.unmatched;
-    misconfigured = t.misconfigured;
+    cache_hits = Int64.of_int t.cache_hits;
+    authority_hits = Int64.of_int t.authority_hits;
+    tunnelled = Int64.of_int t.tunnelled;
+    unmatched = Int64.of_int t.unmatched;
+    misconfigured = Int64.of_int t.misconfigured;
   }
 
 let pp ppf t =

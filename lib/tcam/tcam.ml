@@ -10,8 +10,8 @@ type entry = {
   rule : Rule.t;
   installed_at : float;
   mutable last_hit : float;
-  mutable packets : int64;
-  mutable bytes : int64;
+  mutable packets : int;
+  mutable bytes : int;
   idle_timeout : float option;
   hard_timeout : float option;
 }
@@ -19,10 +19,13 @@ type entry = {
 (* Internal wrapper: the public entry plus its place in the lookup
    kernel, the intrusive LRU links and the liveness bit the lazy expiry
    heap checks.  A node leaves every structure through [detach]; heap
-   records outlive it and are skipped. *)
+   records outlive it and are skipped.  [found] and [self] are the
+   options a hit returns and the LRU links point through, built once
+   with the node, so a hit allocates nothing. *)
 type node = {
   e : entry;
-  found : Rule.t option;  (* [Some e.rule], built once: a hit allocates nothing *)
+  found : Rule.t option;  (* [Some e.rule] *)
+  self : node option;  (* [Some] this node *)
   mutable slot : node Tuple_space.slot option;  (* [None]: not in the kernel *)
   mutable prev : node option;  (* towards the LRU end *)
   mutable next : node option;  (* towards the MRU end *)
@@ -95,7 +98,7 @@ type stats = {
 type t = {
   cap : int;
   use_index : bool;
-  by_id : (int, node) Hashtbl.t;
+  by_id : node Int_table.t;
   index : node Tuple_space.t;
   mutable unpacked : int;  (* entries outside [index]: linear table or wide schema *)
   mutable lru_head : node option;  (* least recently touched *)
@@ -104,9 +107,9 @@ type t = {
   mutable size : int;
   mutable hits : int;
   mutable misses : int;
-  mutable inserts : int64;
-  mutable evictions : int64;
-  mutable expirations : int64;
+  mutable inserts : int;
+  mutable evictions : int;
+  mutable expirations : int;
   mutable on_detach : entry -> unit;
 }
 
@@ -115,7 +118,7 @@ let make_tcam ~index ~capacity =
   {
     cap = capacity;
     use_index = index;
-    by_id = Hashtbl.create 64;
+    by_id = Int_table.create 64;
     index = Tuple_space.create ();
     unpacked = 0;
     lru_head = None;
@@ -124,9 +127,9 @@ let make_tcam ~index ~capacity =
     size = 0;
     hits = 0;
     misses = 0;
-    inserts = 0L;
-    evictions = 0L;
-    expirations = 0L;
+    inserts = 0;
+    evictions = 0;
+    expirations = 0;
     on_detach = ignore;
   }
 
@@ -136,8 +139,8 @@ let create_linear ~capacity = make_tcam ~index:false ~capacity
 let capacity t = t.cap
 let occupancy t = t.size
 let is_full t = t.size >= t.cap
-let find t id = Option.map (fun n -> n.e) (Hashtbl.find_opt t.by_id id)
-let mem t id = Hashtbl.mem t.by_id id
+let find t id = Option.map (fun n -> n.e) (Int_table.find_opt t.by_id id)
+let mem t id = Int_table.mem t.by_id id
 
 let fold_nodes t f acc =
   let rec go acc = function None -> acc | Some n -> go (f acc n) n.next in
@@ -164,8 +167,8 @@ let lru_unlink t n =
 let lru_append t n =
   n.prev <- t.lru_tail;
   n.next <- None;
-  (match t.lru_tail with Some p -> p.next <- Some n | None -> t.lru_head <- Some n);
-  t.lru_tail <- Some n
+  (match t.lru_tail with Some p -> p.next <- n.self | None -> t.lru_head <- n.self);
+  t.lru_tail <- n.self
 
 let lru_touch t n =
   match n.next with
@@ -212,7 +215,7 @@ let expired e ~now =
 (* ---- attach / detach ---- *)
 
 let attach t n =
-  Hashtbl.replace t.by_id n.e.rule.Rule.id n;
+  Int_table.replace t.by_id n.e.rule.Rule.id n;
   lru_append t n;
   if t.use_index && Header.lanes_exact (Pred.schema n.e.rule.Rule.pred) then
     n.slot <- Some (Tuple_space.add t.index n.e.rule n)
@@ -225,7 +228,7 @@ let attach t n =
    owner's [on_detach] sees every entry that leaves the bank once. *)
 let detach t n =
   n.live <- false;
-  Hashtbl.remove t.by_id n.e.rule.Rule.id;
+  Int_table.remove t.by_id n.e.rule.Rule.id;
   lru_unlink t n;
   (match n.slot with
   | Some s -> Tuple_space.remove t.index s
@@ -242,18 +245,22 @@ let make_entry ?idle_timeout ?hard_timeout ~now rule =
     rule;
     installed_at = now;
     last_hit = now;
-    packets = 0L;
-    bytes = 0L;
+    packets = 0;
+    bytes = 0;
     idle_timeout;
     hard_timeout;
   }
 
 let make_node e =
-  { e; found = Some e.rule; slot = None; prev = None; next = None; live = true }
+  let rec n =
+    { e; found = Some e.rule; self = Some n; slot = None; prev = None; next = None;
+      live = true }
+  in
+  n
 
 let insert ?idle_timeout ?hard_timeout t ~now rule =
   let displaced =
-    match Hashtbl.find_opt t.by_id rule.Rule.id with
+    match Int_table.find_opt t.by_id rule.Rule.id with
     | Some old ->
         detach t old;
         Some old.e
@@ -262,7 +269,7 @@ let insert ?idle_timeout ?hard_timeout t ~now rule =
   if displaced = None && is_full t then `Full
   else begin
     attach t (make_node (make_entry ?idle_timeout ?hard_timeout ~now rule));
-    t.inserts <- Int64.add t.inserts 1L;
+    t.inserts <- t.inserts + 1;
     Telemetry.incr m_inserts;
     match displaced with Some e -> `Replaced e | None -> `Ok
   end
@@ -272,7 +279,7 @@ let evict_lru t =
   | None -> None
   | Some n ->
       detach t n;
-      t.evictions <- Int64.add t.evictions 1L;
+      t.evictions <- t.evictions + 1;
       Telemetry.incr m_evictions;
       Some n.e
 
@@ -301,7 +308,7 @@ let insert_or_evict ?idle_timeout ?hard_timeout t ~now rule =
   if d.bounced then evicted @ [ rule ] else evicted
 
 let remove t id =
-  match Hashtbl.find_opt t.by_id id with
+  match Int_table.find_opt t.by_id id with
   | Some n ->
       detach t n;
       true
@@ -309,7 +316,7 @@ let remove t id =
 
 let clear t =
   let gone = fold_nodes t (fun acc n -> n.live <- false; n.e :: acc) [] in
-  Hashtbl.reset t.by_id;
+  Int_table.reset t.by_id;
   Tuple_space.clear t.index;
   t.unpacked <- 0;
   t.lru_head <- None;
@@ -340,7 +347,7 @@ let expire_entries t ~now =
   done;
   let gone = List.sort (fun a b -> Rule.compare_priority a.rule b.rule) !gone in
   let k = List.length gone in
-  t.expirations <- Int64.add t.expirations (Int64.of_int k);
+  t.expirations <- t.expirations + k;
   Telemetry.add m_expirations k;
   gone
 
@@ -361,8 +368,8 @@ let best_match_linear t h =
 let hit t ~now ~bytes n =
   let e = n.e in
   e.last_hit <- now;
-  e.packets <- Int64.add e.packets 1L;
-  e.bytes <- Int64.add e.bytes (Int64.of_int bytes);
+  e.packets <- e.packets + 1;
+  e.bytes <- e.bytes + bytes;
   lru_touch t n;
   t.hits <- t.hits + 1;
   Telemetry.incr m_hits;
@@ -393,12 +400,12 @@ let peek t h =
    high-rank members alive (and LRU-adjacent) while any member of the
    group is absorbing traffic. *)
 let touch t ~now id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some n ->
+  match Int_table.find t.by_id id with
+  | n ->
       n.e.last_hit <- now;
       lru_touch t n;
       true
-  | None -> false
+  | exception Not_found -> false
 
 (* ---- statistics ---- *)
 
@@ -406,9 +413,9 @@ let stats t =
   {
     hits = Int64.of_int t.hits;
     misses = Int64.of_int t.misses;
-    inserts = t.inserts;
-    evictions = t.evictions;
-    expirations = t.expirations;
+    inserts = Int64.of_int t.inserts;
+    evictions = Int64.of_int t.evictions;
+    expirations = Int64.of_int t.expirations;
   }
 
 let hit_rate t =

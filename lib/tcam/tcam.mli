@@ -27,8 +27,8 @@ type entry = {
   rule : Rule.t;
   installed_at : float;
   mutable last_hit : float;
-  mutable packets : int64;
-  mutable bytes : int64;
+  mutable packets : int;
+  mutable bytes : int;
   idle_timeout : float option;  (** evict after this much hit silence *)
   hard_timeout : float option;  (** evict this long after install *)
 }

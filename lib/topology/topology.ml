@@ -4,9 +4,22 @@ type t = {
   n : int;
   links : link list;
   adj : (int * link) list array; (* neighbour, connecting link *)
+  between : link option array;
+      (* between.(a * n + b): the link joining a and b (at most one: create
+         rejects duplicates); one [Some] per link, shared by both
+         directions *)
   dist : float array; (* dist.(src * n + dst); infinity when unreachable *)
   prev : int array; (* prev.(src * n + dst): dst's predecessor on src's tree, or -1 *)
+  routes : int list option array;
+      (* routes.(src * n + dst): [shortest_path]'s answer, built on the
+         pair's first query; [unrouted] until then *)
 }
+
+(* The physically unique mark of a route not built yet.  Every domain
+   that fills a slot computes the same immutable route, so domains racing
+   to fill one store equal values, and a reader sees either the mark or a
+   whole route. *)
+let unrouted : int list option = Some []
 
 (* Dijkstra over latency with a simple leftist-ish pairing via sorted
    list insertion; fine for the network sizes simulated here.  Pop order
@@ -57,7 +70,7 @@ let dijkstra n adj src =
 let create ~nodes links =
   if nodes < 1 then invalid_arg "Topology.create: need at least one node";
   let adj = Array.make nodes [] in
-  let seen = Hashtbl.create 16 in
+  let between = Array.make (nodes * nodes) None in
   List.iter
     (fun l ->
       if l.src < 0 || l.src >= nodes || l.dst < 0 || l.dst >= nodes then
@@ -65,11 +78,13 @@ let create ~nodes links =
       if l.src = l.dst then invalid_arg "Topology.create: self loop";
       if not (l.bandwidth > 0.) then
         invalid_arg "Topology.create: nonpositive bandwidth";
-      let key = (min l.src l.dst, max l.src l.dst) in
-      if Hashtbl.mem seen key then invalid_arg "Topology.create: duplicate link";
-      Hashtbl.add seen key ();
+      if Option.is_some between.((l.src * nodes) + l.dst) then
+        invalid_arg "Topology.create: duplicate link";
       adj.(l.src) <- (l.dst, l) :: adj.(l.src);
-      adj.(l.dst) <- (l.src, l) :: adj.(l.dst))
+      adj.(l.dst) <- (l.src, l) :: adj.(l.dst);
+      let sl = Some l in
+      between.((l.src * nodes) + l.dst) <- sl;
+      between.((l.dst * nodes) + l.src) <- sl)
     links;
   (* The all-pairs table: one single-source run per node, row-major. *)
   let dist = Array.make (nodes * nodes) infinity in
@@ -79,29 +94,40 @@ let create ~nodes links =
     Array.blit d 0 dist (src * nodes) nodes;
     Array.blit p 0 prev (src * nodes) nodes
   done;
-  { n = nodes; links; adj; dist; prev }
+  { n = nodes; links; adj; between; dist; prev; routes = Array.make (nodes * nodes) unrouted }
 
 let nodes t = t.n
 let links t = t.links
 let degree t v = List.length t.adj.(v)
-let link_between t a b =
-  List.find_opt (fun (v, _) -> v = b) t.adj.(a) |> Option.map snd
-
 let check_node t v = if v < 0 || v >= t.n then invalid_arg "Topology: node out of range"
+
+let link_between t a b =
+  check_node t a;
+  if b < 0 || b >= t.n then None else t.between.((a * t.n) + b)
 
 let all_distances t src =
   check_node t src;
   Array.sub t.dist (src * t.n) t.n
 
-let shortest_path t src dst =
-  check_node t src;
-  check_node t dst;
+let route t src dst =
   let row = src * t.n in
   if src = dst then Some [ src ]
   else if t.dist.(row + dst) = infinity then None
   else
     let rec build acc v = if v = src then src :: acc else build (v :: acc) t.prev.(row + v) in
     Some (build [] dst)
+
+let shortest_path t src dst =
+  check_node t src;
+  check_node t dst;
+  let i = (src * t.n) + dst in
+  let r = t.routes.(i) in
+  if r != unrouted then r
+  else begin
+    let r = route t src dst in
+    t.routes.(i) <- r;
+    r
+  end
 
 let serialization_delay (l : link) ~bits =
   if bits < 0 then invalid_arg "Topology.serialization_delay: negative bits";

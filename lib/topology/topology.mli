@@ -28,15 +28,21 @@ val nodes : t -> int
 val links : t -> link list
 val degree : t -> int -> int
 val link_between : t -> int -> int -> link option
+(** The link joining two nodes, one read of a pair table {!create}
+    builds; [None] when they are not adjacent or the second is out of
+    range.
+    @raise Invalid_argument if the first node is out of range. *)
 
 (** {1:paths Paths}
 
     The network's link-state underlay: DIFANE adds no routing of its
     own, and partition rules tunnel misses to authority switches over
     these paths.  Every reader below looks up one table that {!create}
-    computes once, so a topology is immutable and cheap to query from
-    any number of domains; {!without_link} builds a
-    new topology, i.e. the IGP reconverging.
+    computes once, so a topology is cheap to query from any number of
+    domains; {!without_link} builds a new topology, i.e. the IGP
+    reconverging.  {!shortest_path} memoises each pair's node list on its
+    first query, so the per-packet walks build no list; domains racing to
+    fill a pair store equal paths.
 
     Paths are deterministic.  Each source's row comes from one Dijkstra
     run over latency; equal-latency ties resolve the same way on every

@@ -292,6 +292,25 @@ let gen_case =
   triple gen_policy (int_range 2 8)
     (list_size (int_range 10 40) (pair gen_header_tiny2 (int_bound 15)))
 
+(* [Aggregate.install] skips the buddy search for cover entries, which
+   is exact only while [find_merge] has no answer for them: every live
+   cover entry, asked about with its own provenance, finds no partner. *)
+let cover_entries_unmergeable d =
+  Array.for_all
+    (fun sw ->
+      List.for_all
+        (fun (e : Tcam.entry) ->
+          let r = e.Tcam.rule in
+          match Switch.cache_meta_of_rule sw r.Rule.id with
+          | Some ({ Switch.kind = Switch.Cover; _ } as m) ->
+              Option.is_none
+                (Aggregate.find_merge sw ~pid:m.Switch.pid ~kind:Switch.Cover
+                   ~group:m.Switch.group ~priority:r.Rule.priority ~action:r.Rule.action
+                   r.Rule.pred)
+          | Some _ | None -> true)
+        (Tcam.entries (Switch.cache sw)))
+    (Deployment.switches d)
+
 let prop_aggregation_preserves_forwarding =
   qt ~count:400 "aggregated deployment forwards identically to plain"
     gen_case
@@ -331,7 +350,8 @@ let prop_aggregation_preserves_forwarding =
             | _ -> ());
             let o0 = Deployment.inject plain ~now ~ingress:0 hdr in
             let o1 = Deployment.inject agg ~now ~ingress:0 hdr in
-            Action.equal o0.Deployment.action o1.Deployment.action)
+            Action.equal o0.Deployment.action o1.Deployment.action
+            && cover_entries_unmergeable agg)
           stream
       in
       (* and with the caches warm, both arms still agree with the policy *)

@@ -55,6 +55,31 @@ let prop_summary_bounds =
       && s.Summary.p95 <= s.Summary.p99
       && s.Summary.p99 <= s.Summary.max)
 
+(* [of_array]'s merge sort orders samples as [Array.sort Float.compare]
+   does, so every field is bitwise the one the sorted array gives —
+   duplicates, negatives and infinities included. *)
+let prop_summary_sort =
+  qt "summary sorts as Array.sort"
+    QCheck2.Gen.(
+      array_size (int_range 1 300)
+        (frequency
+           [ (6, float_range (-50.) 50.); (2, map float_of_int (int_range 0 5));
+             (1, oneofl [ infinity; neg_infinity ]) ]))
+    (fun samples ->
+      let s = Summary.of_array samples in
+      let sorted = Array.copy samples in
+      Array.sort Float.compare sorted;
+      let n = Array.length sorted in
+      let bits = Int64.bits_of_float in
+      let same a b = Int64.equal (bits a) (bits b) in
+      let mean = Array.fold_left ( +. ) 0. sorted /. float_of_int n in
+      same s.Summary.mean mean
+      && same s.Summary.min sorted.(0)
+      && same s.Summary.max sorted.(n - 1)
+      && List.for_all2 same
+           [ s.Summary.p50; s.Summary.p90; s.Summary.p95; s.Summary.p99 ]
+           (List.map (Summary.percentile sorted) [ 0.5; 0.9; 0.95; 0.99 ]))
+
 let test_table_render () =
   let out =
     Table.render ~header:[ "name"; "value" ] [ [ "alpha"; "1" ]; [ "beta"; "22" ] ]
@@ -138,5 +163,6 @@ let suite =
         tc "number formatting" test_formatting;
         prop_cdf_monotone;
         prop_summary_bounds;
+        prop_summary_sort;
       ] );
   ]

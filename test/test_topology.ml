@@ -246,7 +246,10 @@ let rec adjacent_chain topo = function
    hops, latency bitwise equal to [distance], distance equal to an
    independent Floyd-Warshall, and the path to a node's predecessor a
    prefix of the node's own path: a source's paths form one tree, as
-   the congestion model's hop-by-hop queue booking assumes. *)
+   the congestion model's hop-by-hop queue booking assumes.  Paths are
+   memoised per pair on first query: the filled memo, asked again, and a
+   fresh topology over the same links, its memo filled in the opposite
+   pair order, hand out equal paths. *)
 let prop_paths_exact =
   qt ~count:100 "table paths are exact on tied latencies" QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
@@ -271,6 +274,15 @@ let prop_paths_exact =
                    && prefix_ok)
               then ok := false
           | _ -> ok := false
+        done
+      done;
+      let fresh = Topology.create ~nodes:n (Topology.links topo) in
+      for src = n - 1 downto 0 do
+        for dst = n - 1 downto 0 do
+          let memo = Topology.shortest_path topo src dst in
+          if memo <> Topology.shortest_path fresh src dst
+             || memo <> Topology.shortest_path topo src dst
+          then ok := false
         done
       done;
       !ok)
