@@ -65,16 +65,19 @@ type t = {
 
 let m_backpressured = Telemetry.counter "deployment_backpressured_misses"
 
+(* The partition rules of [d]'s layout and assignment, as one bank for
+   every switch: checked once, indexed at most once. *)
+let partition_bank d =
+  Switch.partition_bank
+    (Partitioner.partition_rules d.partitioner ~assignment:(Assignment.switch_for d.assignment))
+
 let install_all ?(fresh_tables = true) d =
-  let prules =
-    Partitioner.partition_rules d.partitioner
-      ~assignment:(Assignment.switch_for d.assignment)
-  in
+  let bank = partition_bank d in
   let new_installs = ref 0 in
   let new_primary_installs = ref 0 in
   Array.iteri
     (fun i sw ->
-      Switch.install_partition_rules sw prules;
+      Switch.install_partition_bank sw bank;
       (* drop authority tables the new assignment no longer places here;
          on a policy change every table is stale *)
       List.iter
@@ -109,7 +112,7 @@ let install_all ?(fresh_tables = true) d =
   d.last_new_primary_installs <- !new_primary_installs;
   Log.debug (fun m ->
       m "installed %d partition rules/switch, %d new authority tables (%d primary)"
-        (List.length prules) !new_installs !new_primary_installs)
+        (List.length d.partitioner.Partitioner.partitions) !new_installs !new_primary_installs)
 
 let assignment_weights config (partitioner : Partitioner.t) =
   match config.balance with
@@ -451,13 +454,10 @@ let same_table (a : Partitioner.partition) (b : Partitioner.partition) =
    dropped, and each partition bank is replaced only where it differs. *)
 let install_patched d ~(before : Partitioner.t) ~patched ~moved =
   let hosts pid = try Assignment.replicas_of d.assignment pid with Not_found -> [] in
-  let prules =
-    Partitioner.partition_rules d.partitioner
-      ~assignment:(Assignment.switch_for d.assignment)
-  in
+  let bank = partition_bank d in
   Array.iteri
     (fun i sw ->
-      Switch.install_partition_rules sw prules;
+      Switch.install_partition_bank sw bank;
       List.iter
         (fun (p : Partitioner.partition) ->
           if not (List.mem i (hosts p.pid)) then Switch.drop_authority sw p.pid)
@@ -693,11 +693,8 @@ let flip_split d =
      already-split model, atomically per switch (the bank is replaced
      wholesale).  The source's authority table survives until commit, so
      a miss racing the flip lands on *some* table either way. *)
-  let prules =
-    Partitioner.partition_rules d.partitioner
-      ~assignment:(Assignment.switch_for d.assignment)
-  in
-  Array.iter (fun sw -> Switch.install_partition_rules sw prules) d.switches
+  let bank = partition_bank d in
+  Array.iter (fun sw -> Switch.install_partition_bank sw bank) d.switches
 
 let unsplit d (m : Journal.migration) =
   let regions =

@@ -19,43 +19,43 @@ let mix64 h v =
 
 let lanes_exact schema = Schema.total_bits schema <= 126
 
-(* The two-lane layout: field [i]'s value [get i] sits at bit offset
-   (sum of the widths before it), little-endian by schema position; an
-   offset of 63 or more lands in the high lane, and a field straddling
-   bit 63 spills its top bits into the high lane's bottom.  Every field
-   owns a disjoint set of lane bits, so the packing commutes with [land]:
-   packing per-field masks gives the lane masks of a predicate. *)
-let layout schema get =
-  let lo = ref 0L and hi = ref 0L and used = ref 0 in
-  for i = 0 to Schema.arity schema - 1 do
-    let v = get i and bits = Schema.field_bits schema i and pos = !used in
-    (if pos < 63 then begin
-       lo := Int64.logor !lo (truncate 63 (Int64.shift_left v pos));
-       let spill = pos + bits - 63 in
-       if spill > 0 then
-         hi := Int64.logor !hi (Int64.shift_right_logical v (bits - spill))
-     end
-     else hi := Int64.logor !hi (Int64.shift_left v (pos - 63)));
-    used := pos + bits
-  done;
-  (!lo, !hi)
+(* The two-lane layout.  A field's value [v] (within its [bits]-bit
+   width) starts at bit offset [pos], the sum of the widths before it,
+   little-endian by schema position.  Its bits below offset 63 sit in the
+   low lane, the rest at [pos - 63] in the high lane: a field straddling
+   bit 63 spills its top bits into the high lane's bottom.  Native ints
+   hold 63 bits, so the shift truncates the low lane by itself.  Every
+   field owns a disjoint set of lane bits, so the packing commutes with
+   [land]: packing per-field masks gives the lane masks of a predicate. *)
+let lane_lo ~pos v = if pos < 63 then v lsl pos else 0
 
-let pack_lanes schema get =
-  if not (lanes_exact schema) then invalid_arg "Header.pack_lanes: schema over 126 bits";
-  let lo, hi = layout schema get in
-  (Int64.to_int lo, Int64.to_int hi)
+let lane_hi ~pos ~bits v =
+  if pos >= 63 then v lsl (pos - 63) else if pos + bits > 63 then v lsr (63 - pos) else 0
 
-(* Int-pack the header into two 63-bit lanes ([layout]).  For schemas up
-   to 126 total bits (the ACL 5-tuple's 104 included) the packing is
-   injective — two headers of the same schema are equal iff their lanes
-   are — so the per-packet paths (cachesim interning, flow-record cache,
-   monitor, TCAM lookup) compare ints instead of walking the values array
-   or building a string.  Wider schemas fall back to using the lanes as a
-   mixed fingerprint and comparing values on collision. *)
+(* a lane as the unsigned 63-bit [int64] the key hash mixes *)
+let lane64 x = Int64.logand (Int64.of_int x) Int64.max_int
+
+(* Int-pack the header into two 63-bit lanes ([lane_lo], [lane_hi]).  For
+   schemas up to 126 total bits (the ACL 5-tuple's 104 included) the
+   packing is injective — two headers of the same schema are equal iff
+   their lanes are — so the per-packet paths (cachesim interning,
+   flow-record cache, monitor, TCAM lookup) compare ints instead of
+   walking the values array or building a string.  Wider schemas fall
+   back to using the lanes as a mixed fingerprint and comparing values on
+   collision. *)
 let pack schema values =
   let exact = lanes_exact schema in
   let lo, hi =
-    if exact then layout schema (Array.get values)
+    if exact then begin
+      let lo = ref 0 and hi = ref 0 and pos = ref 0 in
+      for i = 0 to Array.length values - 1 do
+        let v = Int64.to_int values.(i) and bits = Schema.field_bits schema i in
+        lo := !lo lor lane_lo ~pos:!pos v;
+        hi := !hi lor lane_hi ~pos:!pos ~bits v;
+        pos := !pos + bits
+      done;
+      (lane64 !lo, lane64 !hi)
+    end
     else begin
       let lo = ref 0L and hi = ref 0L in
       Array.iter

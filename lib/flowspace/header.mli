@@ -35,15 +35,20 @@ val key_hi : t -> int
 
 val lanes_exact : Schema.t -> bool
 (** [Schema.total_bits schema <= 126]: headers of [schema] have exact
-    lanes, and {!pack_lanes} applies. *)
+    lanes, and {!lane_lo} and {!lane_hi} place every field. *)
 
-val pack_lanes : Schema.t -> (int -> int64) -> int * int
-(** [pack_lanes schema get] places [get i] (a value within field [i]'s
-    width) where [make] puts field [i], and returns the two lanes.  The
-    layout gives each field its own lane bits, so packing a predicate's
-    per-field masks and values yields lane masks and values with
+val lane_lo : pos:int -> int -> int
+(** [lane_lo ~pos v]: the low-lane bits of a field value [v] that [make]
+    places at bit offset [pos] (the sum of the widths of the fields
+    before it). *)
+
+val lane_hi : pos:int -> bits:int -> int -> int
+(** [lane_hi ~pos ~bits v]: the high-lane bits of a [bits]-wide field
+    value [v] at bit offset [pos].  OR-ing {!lane_lo} and [lane_hi] over
+    the fields gives [key_lo] and [key_hi].  Each field owns its own lane
+    bits, so packing a predicate's per-field masks and values the same
+    way ({!Pred.lanes}) yields lane masks and values with
     [key_lo h land mask_lo = value_lo && key_hi h land mask_hi = value_hi]
-    exactly when every field matches.
-    @raise Invalid_argument unless [lanes_exact schema]. *)
+    exactly when every field matches. *)
 
 val pp : Format.formatter -> t -> unit

@@ -82,6 +82,25 @@ let matches t h =
 
 let is_any t = Array.for_all Ternary.is_any t.fields
 
+(* One pass over the fields in native ints, each field's mask and value
+   placed by the header key's layout.  Ternary values are zero outside
+   their mask, so the value lanes come out masked. *)
+let lanes t =
+  if not (Header.lanes_exact t.schema) then invalid_arg "Pred.lanes: schema over 126 bits";
+  let mlo = ref 0 and vlo = ref 0 and mhi = ref 0 and vhi = ref 0 and pos = ref 0 in
+  for i = 0 to Array.length t.fields - 1 do
+    let f = t.fields.(i) in
+    let m = Int64.to_int (Ternary.mask f)
+    and v = Int64.to_int (Ternary.value f)
+    and bits = Ternary.width f in
+    mlo := !mlo lor Header.lane_lo ~pos:!pos m;
+    vlo := !vlo lor Header.lane_lo ~pos:!pos v;
+    mhi := !mhi lor Header.lane_hi ~pos:!pos ~bits m;
+    vhi := !vhi lor Header.lane_hi ~pos:!pos ~bits v;
+    pos := !pos + bits
+  done;
+  (!mlo, !vlo, !mhi, !vhi)
+
 let size_log2 t = Array.fold_left (fun acc f -> acc + Ternary.wildcard_bits f) 0 t.fields
 let size t = Float.pow 2. (float_of_int (size_log2 t))
 
@@ -94,13 +113,26 @@ let rec overlaps_from a b i =
 
 let overlaps a b = overlaps_from a b 0
 
+(* The intersection of two overlapping fields.  When one holds the
+   other (a rule's field inside a partition region's, most fields when a
+   policy is clipped), it is the inner operand itself, not a copy. *)
+let meet f g =
+  if Ternary.subsumes g f then f
+  else if Ternary.subsumes f g then g
+  else Option.get (Ternary.inter f g)
+
 (* The overlap test runs first, so a disjoint pair (most pairs when a
    policy is clipped to many regions) returns [None] without allocating;
    once it passes, every field's intersection exists. *)
 let inter a b =
   if not (overlaps_from a b 0) then None
-  else
-    Some { a with fields = Array.mapi (fun i f -> Option.get (Ternary.inter f b.fields.(i))) a.fields }
+  else begin
+    let fields = Array.copy a.fields in
+    for i = 0 to Array.length fields - 1 do
+      fields.(i) <- meet a.fields.(i) b.fields.(i)
+    done;
+    Some { a with fields }
+  end
 
 let subsumes a b = Array.for_all2 Ternary.subsumes a.fields b.fields
 

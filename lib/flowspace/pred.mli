@@ -46,6 +46,17 @@ val equal : t -> t -> bool
 val matches : t -> Header.t -> bool
 val is_any : t -> bool
 
+val lanes : t -> int * int * int * int
+(** [lanes p] is [(mask_lo, value_lo, mask_hi, value_hi)]: the
+    predicate's field masks and values packed into the two lanes of the
+    header key ({!Header.lane_lo}, {!Header.lane_hi}), with
+    [matches p h] ⇔
+    [Header.key_lo h land mask_lo = value_lo
+     && Header.key_hi h land mask_hi = value_hi] for headers of [p]'s
+    schema.  Allocates only the result.
+    @raise Invalid_argument unless {!Header.lanes_exact} holds for the
+    schema. *)
+
 val size : t -> float
 (** Number of concrete headers denoted (product of field sizes). *)
 
@@ -56,6 +67,11 @@ val size_log2 : t -> int
 (** {1 Algebra} *)
 
 val inter : t -> t -> t option
+(** The intersection, or [None] for a disjoint pair.  A field where one
+    operand's value holds the other's is the inner operand's own
+    {!Ternary.t}: a disjoint pair allocates nothing, and a nested one only
+    the result's record and field array. *)
+
 val overlaps : t -> t -> bool
 val subsumes : t -> t -> bool
 

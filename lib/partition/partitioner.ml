@@ -119,6 +119,9 @@ let grow_until ~heuristic ~stop ~eligible start =
   in
   grow start (List.length start)
 
+(* [rules] are a table-order subsequence of a checked classifier's, and
+   clipping keeps ids and priorities, so the clipped rules are already a
+   table. *)
 let clip_table schema rules region =
   let clipped =
     List.filter_map
@@ -126,7 +129,7 @@ let clip_table schema rules region =
         Option.map (Rule.with_pred r) (Pred.inter r.pred region))
       rules
   in
-  Classifier.create schema clipped
+  Classifier.of_table_order schema clipped
 
 let of_partitions heuristic ~source_rules partitions =
   let sizes = List.map (fun (p : partition) -> Classifier.length p.table) partitions in

@@ -13,6 +13,8 @@ let create schema rules =
     invalid_arg "Classifier.create: duplicate rule ids";
   { schema; rules = sort_rules rules }
 
+let of_table_order schema rules = { schema; rules }
+
 let of_specs schema specs =
   let rules =
     List.mapi

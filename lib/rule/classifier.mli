@@ -17,6 +17,12 @@ val create : Schema.t -> Rule.t list -> t
     @raise Invalid_argument if any rule's predicate has a different
     schema, or if two rules share an id. *)
 
+val of_table_order : Schema.t -> Rule.t list -> t
+(** The classifier of rules already in table order, of the schema and
+    with unique ids — say a table-order subsequence of a classifier's
+    rules, each keeping its id and priority.  Unlike {!create}, nothing
+    is checked or sorted: a derived table pays neither again. *)
+
 val of_specs : Schema.t -> (int * (string * string) list * Action.t) list -> t
 (** [(priority, named ternary strings, action)] triples; ids are assigned
     in list order.  Convenience for tests and examples. *)

@@ -120,14 +120,8 @@ let group_for t rule ~mask_lo ~mask_hi =
       Hashtbl.add t.by_mask (mask_lo, mask_hi) g;
       g
 
-(* A predicate's lane masks and lane values.  Ternary values are zero
-   outside their mask: the value lanes are already masked. *)
-let pack_pred p =
-  let lanes get = Header.pack_lanes (Pred.schema p) (fun i -> get (Pred.field p i)) in
-  (lanes Ternary.mask, lanes Ternary.value)
-
 let add t (rule : Rule.t) data =
-  let (mask_lo, mask_hi), (value_lo, value_hi) = pack_pred rule.pred in
+  let mask_lo, value_lo, mask_hi, value_hi = Pred.lanes rule.pred in
   if t.len > 0 && Rule.beats rule t.slots.(t.len - 1).rule then t.sorted <- false;
   let g = group_for t rule ~mask_lo ~mask_hi in
   let s = { value_lo; value_hi; rule; data; group = g; pos = t.len } in
@@ -164,7 +158,7 @@ let remove t s =
    [rule]'s own lanes: an equal predicate packs to the same group and
    chain, so no id map is needed. *)
 let swap t (rule : Rule.t) data =
-  let (mask_lo, mask_hi), (value_lo, value_hi) = pack_pred rule.pred in
+  let mask_lo, value_lo, mask_hi, value_hi = Pred.lanes rule.pred in
   let rec slot_of = function
     | [] -> invalid_arg "Tuple_space.swap: no rule with this id and predicate"
     | s :: rest -> if s.rule.Rule.id = rule.id then s else slot_of rest
@@ -243,7 +237,7 @@ let rec fold_chain vlo vhi f acc = function
 let fold_at g vlo vhi f acc = fold_chain vlo vhi f acc g.chains.(chain_of g vlo vhi)
 
 let fold_equal t p f acc =
-  let (mlo, mhi), (vlo, vhi) = pack_pred p in
+  let mlo, vlo, mhi, vhi = Pred.lanes p in
   match Hashtbl.find_opt t.by_mask (mlo, mhi) with
   | Some g -> fold_at g vlo vhi f acc
   | None -> acc
@@ -251,7 +245,7 @@ let fold_equal t p f acc =
 (* A buddy has the same masks, so it sits in the same group, at the
    values with one masked bit flipped: one chain per masked bit. *)
 let fold_buddies t p f acc =
-  let (mlo, mhi), (vlo, vhi) = pack_pred p in
+  let mlo, vlo, mhi, vhi = Pred.lanes p in
   match Hashtbl.find_opt t.by_mask (mlo, mhi) with
   | None -> acc
   | Some g ->

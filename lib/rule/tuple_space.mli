@@ -2,7 +2,7 @@
     the TCAM model.
 
     Every rule is reduced, once, when it enters the table, to four ints
-    over the two-lane header key ({!Header.pack_lanes}): [mask_lo],
+    over the two-lane header key ({!Pred.lanes}): [mask_lo],
     [value_lo], [mask_hi], [value_hi], with
     [Pred.matches p h] ⇔
     [key_lo h land mask_lo = value_lo && key_hi h land mask_hi = value_hi].

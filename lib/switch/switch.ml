@@ -214,14 +214,16 @@ let create ~id ~cache_capacity =
   Tcam.on_detach t.cache (forget t);
   t
 
-let rebuild_partition_index t =
-  t.partition_index <-
-    (match t.partition_bank with
-    | [] -> None
-    | r :: _ -> (
-        match Classifier.create (Pred.schema r.Rule.pred) t.partition_bank with
-        | c -> Some (Indexed.of_classifier c)
-        | exception Invalid_argument _ -> None))
+(* The index over a partition bank; [None] leaves lookups to a scan of
+   the bank when its rules do not form a classifier. *)
+let index_partition_rules = function
+  | [] -> None
+  | r :: _ as rules -> (
+      match Classifier.create (Pred.schema r.Rule.pred) rules with
+      | c -> Some (Indexed.of_classifier c)
+      | exception Invalid_argument _ -> None)
+
+let rebuild_partition_index t = t.partition_index <- index_partition_rules t.partition_bank
 
 (* Internal wholesale replacement: what the hardware does with whatever
    the control channel delivered.  Rules with a non-tunnel action stay
@@ -232,17 +234,35 @@ let set_partition_bank t rules =
   t.partition_committed <- true;
   rebuild_partition_index t
 
-let install_partition_rules t rules =
+(* The index is built by the first install that needs it and then
+   shared: nothing patches a partition index in place. *)
+type partition_bank = { bank_rules : Rule.t list; mutable bank_index : Indexed.t option option }
+
+let partition_bank rules =
   List.iter
     (fun (r : Rule.t) ->
       match r.action with
       | Action.To_authority _ -> ()
-      | _ -> invalid_arg "Switch.install_partition_rules: non-partition action")
+      | _ -> invalid_arg "Switch.partition_bank: non-partition action")
     rules;
+  { bank_rules = rules; bank_index = None }
+
+let install_partition_bank t b =
   (* the committed bank already holds exactly these rules: its index
      stands *)
-  if not (t.partition_committed && List.equal Rule.equal t.partition_bank rules) then
-    set_partition_bank t rules
+  if not (t.partition_committed && List.equal Rule.equal t.partition_bank b.bank_rules) then begin
+    let index =
+      match b.bank_index with
+      | Some index -> index
+      | None ->
+          let index = index_partition_rules b.bank_rules in
+          b.bank_index <- Some index;
+          index
+    in
+    t.partition_bank <- b.bank_rules;
+    t.partition_committed <- true;
+    t.partition_index <- index
+  end
 
 let drop_authority t pid =
   t.authority <- List.filter (fun e -> e.part.Partitioner.pid <> pid) t.authority

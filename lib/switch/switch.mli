@@ -32,11 +32,18 @@ val create : id:int -> cache_capacity:int -> t
 
 (** {1 Control-plane installs} *)
 
-val install_partition_rules : t -> Rule.t list -> unit
-(** Replace the partition bank.  Every rule's action must be
-    [To_authority]; @raise Invalid_argument otherwise.  A no-op when
-    the committed bank already holds exactly these rules, in this
-    order. *)
+type partition_bank
+(** A partition bank checked once, for installing at many switches. *)
+
+val partition_bank : Rule.t list -> partition_bank
+(** Every rule's action must be [To_authority];
+    @raise Invalid_argument otherwise. *)
+
+val install_partition_bank : t -> partition_bank -> unit
+(** Replace the partition bank.  A no-op when the committed bank already
+    holds exactly these rules, in this order.  Every switch that installs
+    one [partition_bank] looks it up through one shared index, built by
+    the first install that needs it. *)
 
 (** Each held authority table comes with two structures over it, kept
     in one entry so they cannot drift apart: the tuple-space index

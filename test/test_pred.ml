@@ -192,6 +192,108 @@ let test_inter_disjoint_allocates_nothing () =
       | exception Invalid_argument _ -> ())
     [ (t, a); (a, t) ]
 
+(* A nested pair — every field of [inner] inside [outer]'s — shares
+   its operands' ternary values: the intersection allocates its record, its
+   field array and the [Some], not a value per field. *)
+let test_inter_nested_allocates_result_only () =
+  let s5 = Schema.acl_5tuple in
+  let outer = Pred.of_fields s5 [ ("src_ip", Ternary.of_ipv4 "10.0.0.0/8") ]
+  and inner =
+    Pred.of_fields s5
+      [ ("src_ip", Ternary.of_ipv4 "10.1.0.0/16"); ("dst_port", Ternary.exact ~width:16 80L) ]
+  in
+  List.iter
+    (fun (a, b) ->
+      match Pred.inter a b with
+      | None -> Alcotest.fail "nested pair is disjoint"
+      | Some i ->
+          check Alcotest.bool "equals the inner operand" true (Pred.equal i inner);
+          for f = 0 to Pred.arity i - 1 do
+            check Alcotest.bool "shares an operand's field" true
+              (Pred.field i f == Pred.field a f || Pred.field i f == Pred.field b f)
+          done)
+    [ (outer, inner); (inner, outer) ];
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Pred.inter outer inner))
+  done;
+  (* Some (2) + record (3) + a five-field array (6) = 11 words *)
+  let words = (Gc.minor_words () -. before) /. 1000. in
+  if words > 11. then Alcotest.failf "nested inter: %.1f minor words per call, bound 11" words
+
+(* Random schemas of at most 126 bits, so every field lands in the low
+   lane, the high lane or across bit 63, plus the 5-tuple, whose
+   [dst_ip] spills its top bit into the high lane. *)
+let gen_lane_schema =
+  let open QCheck2.Gen in
+  let random =
+    let* widths = list_size (int_range 1 8) (int_range 1 Ternary.max_width) in
+    let rec fit total i = function
+      | [] -> []
+      | w :: rest ->
+          if total + w > 126 then []
+          else { Schema.name = Printf.sprintf "f%d" i; bits = w } :: fit (total + w) (i + 1) rest
+    in
+    return
+      (match fit 0 0 widths with
+      | [] -> Schema.create [ { Schema.name = "f0"; bits = 62 } ]
+      | fields -> Schema.create fields)
+  in
+  frequency [ (3, random); (1, return Schema.acl_5tuple) ]
+
+let gen_lane_pred schema =
+  let open QCheck2.Gen in
+  let field i =
+    let width = Schema.field_bits schema i in
+    let* value = int64 in
+    let* mask = oneof [ int64; return 0L; return Int64.minus_one ] in
+    return (Ternary.make ~width ~value ~mask)
+  in
+  let* fields = flatten_l (List.init (Schema.arity schema) field) in
+  return (Pred.make schema fields)
+
+(* A predicate and a header; half the headers are drawn inside it. *)
+let lane_case =
+  QCheck2.Gen.(
+    let* schema = gen_lane_schema in
+    let* p = gen_lane_pred schema in
+    let* inside = bool in
+    let* noise = flatten_l (List.init (Schema.arity schema) (fun _ -> int64)) in
+    let values =
+      List.mapi
+        (fun i n ->
+          let f = Pred.field p i in
+          if inside then Int64.logor (Ternary.value f) (Int64.logand n (Int64.lognot (Ternary.mask f)))
+          else n)
+        noise
+    in
+    return (p, Header.make schema (Array.of_list values)))
+
+let prop_lanes_equal_oracle =
+  qt ~count:500 "lanes = closure packer, and match the header key" lane_case (fun (p, h) ->
+      let ((mlo, vlo, mhi, vhi) as lanes) = Pred.lanes p in
+      let schema = Pred.schema p in
+      lanes = Lanes_scan.pred_lanes p
+      && (Header.key_lo h, Header.key_hi h) = Lanes_scan.pack schema (Header.field h)
+      && Pred.matches p h = (Header.key_lo h land mlo = vlo && Header.key_hi h land mhi = vhi))
+
+let test_lanes_allocate_result_only () =
+  let p =
+    Pred.of_fields Schema.acl_5tuple
+      [ ("src_ip", Ternary.of_ipv4 "10.0.0.0/8"); ("dst_ip", Ternary.of_ipv4 "192.168.1.0/24");
+        ("proto", Ternary.exact ~width:8 6L) ]
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Pred.lanes p))
+  done;
+  (* the four-int result tuple: 5 words *)
+  let words = (Gc.minor_words () -. before) /. 1000. in
+  if words > 5. then Alcotest.failf "Pred.lanes: %.1f minor words per call, bound 5" words;
+  match Pred.lanes (Pred.any Schema.openflow_basic) with
+  | _ -> Alcotest.fail "a 136-bit schema packed"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "pred",
@@ -201,6 +303,9 @@ let suite =
         tc "named construction errors" test_named_errors;
         tc "inter / subsumes" test_inter_subsumes;
         tc "disjoint inter allocates nothing" test_inter_disjoint_allocates_nothing;
+        tc "nested inter allocates only its result" test_inter_nested_allocates_result_only;
+        prop_lanes_equal_oracle;
+        tc "lanes allocate only their result" test_lanes_allocate_result_only;
         tc "tuple subtraction" test_subtract_tuple;
         tc "split" test_split;
         tc "enumerate" test_enumerate;

@@ -98,6 +98,25 @@ let test_partition_bank_validation () =
     Alcotest.fail "non-tunnel partition rule accepted"
   with Invalid_argument _ -> ()
 
+(* Switches that install one bank share its index: only the first
+   install builds it, and every switch tunnels through it. *)
+let test_partition_bank_shared () =
+  let part = Partitioner.compute policy ~k:2 in
+  let bank = Switch.partition_bank (Partitioner.partition_rules part ~assignment:(fun _ -> 7)) in
+  let switches = Array.init 4 (fun id -> Switch.create ~id ~cache_capacity:4) in
+  Switch.install_partition_bank switches.(0) bank;
+  let before = Gc.minor_words () in
+  for i = 1 to 3 do
+    Switch.install_partition_bank switches.(i) bank
+  done;
+  check (Alcotest.float 0.) "later installs build nothing" 0. (Gc.minor_words () -. before);
+  Array.iter
+    (fun sw ->
+      match Switch.process sw ~now:0. (h 200 0) with
+      | Switch.Tunnel 7 -> ()
+      | _ -> Alcotest.fail "expected tunnel to authority 7")
+    switches
+
 let test_flow_mod_banks () =
   let sw = Switch.create ~id:0 ~cache_capacity:4 in
   let r = Rule.make ~id:5 ~priority:1 (Pred.any s2) Action.Drop in
@@ -377,6 +396,7 @@ let suite =
         tc "counters and origin attribution" test_counters_and_origins;
         tc "cache expiry" test_cache_expiry;
         tc "partition bank validation" test_partition_bank_validation;
+        tc "one bank, one index" test_partition_bank_shared;
         tc "flow-mod bank handling" test_flow_mod_banks;
         tc "controller add drops spliced provenance" test_flow_mod_add_drops_provenance;
         tc "partition load counting" test_partition_load_counting;

@@ -351,11 +351,17 @@ let test_colliding_chains () =
    first bit of every prefix — is bit 0 of the high lane. *)
 let test_high_lane_spill () =
   let schema = Schema.acl_5tuple in
-  let dst_ip = Schema.index schema "dst_ip" in
+  let top = Pred.of_fields schema [ ("dst_ip", Ternary.of_ipv4 "128.0.0.0/1") ] in
+  check
+    (Alcotest.list Alcotest.int)
+    "dst_ip top bit: (mask_lo, value_lo, mask_hi, value_hi)" [ 0; 0; 1; 1 ]
+    (let mlo, vlo, mhi, vhi = Pred.lanes top in
+     [ mlo; vlo; mhi; vhi ]);
+  let h = Header.of_fields schema [ ("dst_ip", 0x8000_0000L) ] in
   check
     (Alcotest.pair Alcotest.int Alcotest.int)
-    "dst_ip top bit" (0, 1)
-    (Header.pack_lanes schema (fun i -> if i = dst_ip then 0x8000_0000L else 0L));
+    "dst_ip top bit in the key" (0, 1)
+    (Header.key_lo h, Header.key_hi h);
   let rule id p =
     Rule.make ~id ~priority:1 (Pred.of_fields schema [ ("dst_ip", Ternary.of_ipv4 p) ]) Action.Drop
   in

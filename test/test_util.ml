@@ -77,6 +77,8 @@ end
 module Switch = struct
   include Switch
 
+  let install_partition_rules t rules = install_partition_bank t (partition_bank rules)
+
   let origins_of_cache_rule = Invalidate_scan.origins
 
   (* [(primary origin, serving partition)] of a cache rule. *)
