@@ -610,28 +610,6 @@ let paths_cmd =
       $ since_arg $ until_arg $ json_arg $ limit_arg $ loss_arg
       $ reliability_term Experiments.fault_cp_config)
 
-let aggregate_cmd =
-  let cases_arg =
-    let doc = "Number of randomized differential cases." in
-    Arg.(value & opt int 8 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let packets_arg =
-    let doc = "Packets compared per case." in
-    Arg.(value & opt int 400 & info [ "packets" ] ~docv:"N" ~doc)
-  in
-  let run seed quick cases packets =
-    let cases = if quick then min cases 4 else cases in
-    let packets_per_case = if quick then min packets 200 else packets in
-    print_string (Diffgate.render (Diffgate.run ~seed ~cases ~packets_per_case ()))
-  in
-  let doc =
-    "Differential gate for cache-rule aggregation: twin deployments (aggregation \
-     on vs off) driven by identical randomized policies, packet streams and \
-     cache-management interleavings must forward every packet identically."
-  in
-  Cmd.v (Cmd.info "aggregate" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ cases_arg $ packets_arg)
-
 let monitor_cmd =
   let sample_rate_arg =
     let doc = "Flow sampling rate: account every Nth packet (NetFlow-style 1-in-N)." in
@@ -717,7 +695,7 @@ let all_cmd =
 
 let commands =
   List.filter_map report_cmd Experiments.scenarios
-  @ [ all_cmd; paths_cmd; aggregate_cmd; monitor_cmd; gate_cmd; check_cmd; deploy_cmd;
+  @ [ all_cmd; paths_cmd; monitor_cmd; gate_cmd; check_cmd; deploy_cmd;
       partition_cmd; optimize_cmd ]
 
 let main =

@@ -176,27 +176,7 @@ let giveups t = List.fold_left (fun acc cp -> acc + Control_plane.giveups cp) 0 
 
 let pending_requests t = Control_plane.pending_requests t.cp
 
-let stats t =
-  List.fold_left
-    (fun (acc : Control_plane.stats) cp ->
-      let s = Control_plane.stats cp in
-      {
-        Control_plane.dropped = acc.Control_plane.dropped + s.Control_plane.dropped;
-        duplicated = acc.Control_plane.duplicated + s.Control_plane.duplicated;
-        corrupted = acc.Control_plane.corrupted + s.Control_plane.corrupted;
-        reordered = acc.Control_plane.reordered + s.Control_plane.reordered;
-        decode_errors = acc.Control_plane.decode_errors + s.Control_plane.decode_errors;
-        link_dropped = acc.Control_plane.link_dropped + s.Control_plane.link_dropped;
-      })
-    {
-      Control_plane.dropped = 0;
-      duplicated = 0;
-      corrupted = 0;
-      reordered = 0;
-      decode_errors = 0;
-      link_dropped = 0;
-    }
-    (all_cps t)
+let stats t = Control_plane.sum_stats (all_cps t)
 
 let stale_rejected t =
   Array.fold_left
@@ -244,9 +224,10 @@ let isolate t ~now c partitioned =
 (* ---- takeover: rebuild by replay, fence the old master ---- *)
 
 (* The standby reads the journal back through its own codec (proving the
-   bytes round-trip) and replays every entry through the same deployment
-   code the leader ran, over scratch switches.  The result is the model
-   it adopts the physical network into. *)
+   bytes round-trip) and replays every entry through [Deployment.apply],
+   the code the leader ran, over scratch switches.  The result is the
+   model it adopts the physical network into, a migration the crashed
+   leader left in flight included. *)
 let rebuild t ~now =
   let decoded =
     match Journal.decode t.schema (Journal.encode t.journal) with
@@ -257,82 +238,33 @@ let rebuild t ~now =
   let demoted = ref [] in
   let dead = ref [] in
   let replayed = ref 0 in
-  (* a migration whose begin was replayed but whose commit/abort was not:
-     the crashed leader left it in flight — the new leader must resolve *)
-  let inflight = ref None in
   (* mids must stay unique across takeovers: the new leader allocates
      above everything the journal has seen *)
   let next_mid = ref 0 in
   Journal.replay decoded (fun entry ->
       incr replayed;
-      match entry with
-      | Journal.Build { policy; authority_ids } ->
+      (match (entry, !model) with
+      | Journal.Build { policy; authority_ids }, _ ->
           model :=
             Some
               (Deployment.build ~config:t.dconfig
                  ~policy:(Classifier.create t.schema policy)
                  ~topology:t.topology ~authority_ids ())
-      | Journal.Policy_update { rules; strict = _ } ->
-          model :=
-            Option.map
-              (fun m ->
-                Deployment.update_policy ~flush:false m ~now
-                  (Classifier.create t.schema rules))
-              !model
-      | Journal.Fail_authority s ->
-          model := Option.map (fun m -> Deployment.fail_authority m s) !model;
-          demoted := s :: !demoted
-      | Journal.Restore_authority s ->
-          model := Option.map (fun m -> Deployment.restore_authority m s) !model;
-          demoted := List.filter (fun x -> x <> s) !demoted
-      | Journal.Declared_dead s ->
-          Option.iter (fun m -> Deployment.mark_unreachable m s) !model;
-          dead := s :: !dead
-      | Journal.Recovered s ->
-          Option.iter (fun m -> Deployment.mark_reachable m s) !model;
-          dead := List.filter (fun x -> x <> s) !dead
-      | Journal.Rebalance loads ->
-          model := Option.map (fun m -> Deployment.rebalance m ~loads) !model
-      | Journal.Migration_begin m ->
-          model := Option.map (fun md -> Deployment.apply_split md m) !model;
-          inflight := Some (m, `Installed);
-          next_mid := max !next_mid (m.Journal.mid + 1)
-      | Journal.Migration_flip _ ->
-          Option.iter Deployment.flip_split !model;
-          inflight :=
-            (match !inflight with Some (m, _) -> Some (m, `Flipped) | None -> None)
-      | Journal.Migration_commit _ ->
-          (match !inflight with
-          | Some (m, _) ->
-              Option.iter
-                (fun md -> ignore (Deployment.scrub_split md ~now m ~aborted:false))
-                !model
-          | None -> ());
-          inflight := None
-      | Journal.Migration_abort _ ->
-          (match !inflight with
-          | Some (m, _) ->
-              model := Option.map (fun md -> Deployment.unsplit md m) !model;
-              Option.iter
-                (fun md -> ignore (Deployment.scrub_split md ~now m ~aborted:true))
-                !model
-          | None -> ());
-          inflight := None
-      | Journal.Partition_layout { regions; replicas } ->
-          model :=
-            Option.map (fun md -> Deployment.apply_layout md ~regions ~replicas) !model
-      | Journal.Epoch _ -> ());
+      | _, Some m -> model := Some (Deployment.apply m ~now entry)
+      | _, None -> ());
+      match entry with
+      | Journal.Fail_authority s -> demoted := s :: !demoted
+      | Journal.Restore_authority s -> demoted := List.filter (fun x -> x <> s) !demoted
+      | Journal.Declared_dead s -> dead := s :: !dead
+      | Journal.Recovered s -> dead := List.filter (fun x -> x <> s) !dead
+      | Journal.Migration_begin m -> next_mid := max !next_mid (m.Journal.mid + 1)
+      | _ -> ());
   t.replayed <- t.replayed + !replayed;
   Telemetry.add m_replayed !replayed;
   match !model with
   | None -> invalid_arg "Cluster: journal holds no Build entry"
   | Some model ->
-      ( !replayed,
-        model,
-        List.sort Int.compare !demoted,
-        List.rev !dead,
-        !inflight,
-        !next_mid )
+      (!replayed, model, List.sort Int.compare !demoted, List.rev !dead, !next_mid)
 
 let elect t ~now ~detector =
   let candidates =
@@ -358,23 +290,7 @@ let elect t ~now ~detector =
         ignore
           (Journal.append t.journal ~at:now
              (Journal.Epoch { epoch = new_epoch; leader = winner }));
-        let replayed, model, demoted, dead, inflight, next_mid = rebuild t ~now in
-        (* a migration the crashed leader left unresolved: roll it back if
-           the flip never happened (the sub-regions carry no traffic yet),
-           finish the retirement if it did (they are the serving path).
-           Resolve the scratch model here; the journal entry and the
-           physical scrub go through the new control plane below. *)
-        let model, resolution =
-          match inflight with
-          | None -> (model, None)
-          | Some (m, `Installed) ->
-              let model = Deployment.unsplit model m in
-              ignore (Deployment.scrub_split model ~now m ~aborted:true);
-              (model, Some (m, false))
-          | Some (m, `Flipped) ->
-              ignore (Deployment.scrub_split model ~now m ~aborted:false);
-              (model, Some (m, true))
-        in
+        let replayed, model, demoted, dead, next_mid = rebuild t ~now in
         let network = Control_plane.deployment t.cp in
         let d = Deployment.adopt ~model ~network in
         let cp' =
@@ -390,10 +306,10 @@ let elect t ~now ~detector =
            links the cluster has been tracking *)
         Hashtbl.iter (fun s () -> Control_plane.kill_switch cp' s) t.crashed;
         Hashtbl.iter (fun s () -> Control_plane.set_link cp' ~now s false) t.links_down;
-        Option.iter
-          (fun (m, committed) ->
-            Control_plane.finish_inherited_migration cp' ~now m ~committed)
-          resolution;
+        (* a migration the crashed leader left unresolved: rolled back if
+           the flip never happened (the sub-regions carry no traffic yet),
+           finished if it did (they are the serving path) *)
+        Control_plane.finish_inherited_migration cp' ~now;
         (* the old master — crashed (already halted) or merely cut off and
            still mastering until the switches fence it — stays around as
            transport *)
@@ -440,6 +356,7 @@ let apply_event t ~now = function
       if controller = t.leader_ then begin
         t.leader_lost_at <- Some now;
         Control_plane.halt t.cp ~now
+          (Printf.sprintf "controller process stopped (%d pending dropped)")
       end
   | Fault.Controller_restart { controller; _ } ->
       t.replicas.(controller).up <- true;

@@ -67,7 +67,6 @@ let m_retransmissions = Telemetry.counter "ctrl_retransmissions"
 let m_giveups = Telemetry.counter "ctrl_giveups"
 let m_cancelled = Telemetry.counter "ctrl_cancelled"
 let m_link_dropped = Telemetry.counter "ctrl_link_dropped"
-let m_degraded = Telemetry.counter "ctrl_degraded_handled"
 let m_switch_deaths = Telemetry.counter "ctrl_switch_deaths"
 let m_failovers = Telemetry.counter "ctrl_authority_failovers"
 let m_recoveries = Telemetry.counter "ctrl_recoveries"
@@ -78,8 +77,6 @@ let m_migrations_committed = Telemetry.counter "rebalance_migrations_committed"
 let m_migrations_aborted = Telemetry.counter "rebalance_migrations_aborted"
 let m_rules_moved = Telemetry.counter "rebalance_rules_moved"
 let m_windows_to_recovery = Telemetry.counter "rebalance_windows_to_recovery"
-
-type migration_stage = Installed | Flipped
 
 type t = {
   mutable deployment : Deployment.t;
@@ -98,8 +95,9 @@ type t = {
   mutable last_echo : float;
   mutable last_stats : float;
   mutable last_rebalance : float;
-  mutable active_migration : (Journal.migration * migration_stage * float) option;
-      (* in-flight staged migration: spec, stage reached, stage time *)
+  mutable stage_since : float;
+      (* when the in-flight migration ([Deployment.migration]) reached
+         its stage *)
   mutable next_mid : int;
   mutable last_auth_cum : (int * float) list;
       (* per-authority cumulative miss count at the last window boundary *)
@@ -167,7 +165,7 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
     last_echo = neg_infinity;
     last_stats = neg_infinity;
     last_rebalance = neg_infinity;
-    active_migration = None;
+    stage_since = neg_infinity;
     next_mid;
     last_auth_cum = [];
     streaks = Hotspot.streaks ~threshold:config.hotspot_threshold;
@@ -193,6 +191,15 @@ let demoted_authorities t =
 
 let journal_entry t ~now e =
   match t.journal with None -> () | Some append -> append ~at:now e
+
+(* One journaled decision: written ahead, then applied by the same
+   [Deployment.apply] a standby's replay runs, so the live deployment and
+   the replayed one cannot disagree. *)
+let decide t ~now e =
+  journal_entry t ~now e;
+  t.deployment <- Deployment.apply t.deployment ~now e
+
+let migration_active t = Deployment.migration t.deployment <> None
 
 let xid t =
   let x = t.next_xid in
@@ -233,11 +240,10 @@ let cancel_pending t i =
 
 (* ---- staged region migration (adaptive rebalancing) ----
 
-   Stage discipline: every stage journals first (write-ahead via the
-   cluster's fenced appender), then mutates the deployment, then sends
-   the corresponding reliable messages.  Journal append and state change
-   happen in the same tick, so a takeover replaying the journal always
-   reconstructs exactly the stage the switches are in. *)
+   Every stage is one [decide] followed by the reliable messages that
+   carry it to the switches.  Journal append and state change happen in
+   the same tick, so a takeover replaying the journal always reconstructs
+   exactly the stage the switches are in. *)
 
 let partition_table t pid =
   List.find
@@ -280,27 +286,36 @@ let cancel_pending_installs t pids =
 let migration_refs (m : Journal.migration) =
   m.Journal.src_replicas @ m.Journal.lo_replicas @ m.Journal.hi_replicas
 
+(* Resolve the in-flight migration [m]: commit retires the source's
+   tables, abort rolls the split back and retires the sub-regions'.  Live
+   commits and aborts and a takeover's resolution all take this step and
+   differ only in the drops they send and the line they log.  Returns the
+   cache entries evicted. *)
+let end_migration t ~now (m : Journal.migration) ~commit =
+  let mid = m.Journal.mid in
+  decide t ~now (if commit then Journal.Migration_commit mid else Journal.Migration_abort mid);
+  if commit then begin
+    t.migrations_committed <- t.migrations_committed + 1;
+    Telemetry.incr m_migrations_committed
+  end
+  else begin
+    cancel_pending_installs t [ m.Journal.lo_pid; m.Journal.hi_pid ];
+    t.recovery_watch <- None;
+    t.migrations_aborted <- t.migrations_aborted + 1;
+    Telemetry.incr m_migrations_aborted
+  end;
+  Deployment.last_evicted t.deployment
+
 let commit_migration t ~now (m : Journal.migration) =
-  journal_entry t ~now (Journal.Migration_commit m.Journal.mid);
-  let invalidated = Deployment.scrub_split t.deployment ~now m ~aborted:false in
+  let invalidated = end_migration t ~now m ~commit:true in
   send_drop t ~now m.Journal.src_pid m.Journal.src_replicas;
-  t.active_migration <- None;
-  t.migrations_committed <- t.migrations_committed + 1;
-  Telemetry.incr m_migrations_committed;
   record t ~now "migration m%d committed: p%d retired, %d stale cache entries evicted"
     m.Journal.mid m.Journal.src_pid invalidated
 
 let abort_migration t ~now (m : Journal.migration) ~reason =
-  journal_entry t ~now (Journal.Migration_abort m.Journal.mid);
-  t.deployment <- Deployment.unsplit t.deployment m;
-  let invalidated = Deployment.scrub_split t.deployment ~now m ~aborted:true in
-  cancel_pending_installs t [ m.Journal.lo_pid; m.Journal.hi_pid ];
+  let invalidated = end_migration t ~now m ~commit:false in
   send_drop t ~now m.Journal.lo_pid m.Journal.lo_replicas;
   send_drop t ~now m.Journal.hi_pid m.Journal.hi_replicas;
-  t.active_migration <- None;
-  t.recovery_watch <- None;
-  t.migrations_aborted <- t.migrations_aborted + 1;
-  Telemetry.incr m_migrations_aborted;
   record t ~now "migration m%d aborted (%s): p%d restored, %d cache entries evicted"
     m.Journal.mid reason m.Journal.src_pid invalidated
 
@@ -310,12 +325,12 @@ let abort_migration t ~now (m : Journal.migration) ~reason =
    tables, so commit early — retiring the source is then the only
    consistent direction. *)
 let resolve_migration_on_death t ~now i =
-  match t.active_migration with
-  | Some (m, stage, _) when List.mem i (migration_refs m) -> (
+  match Deployment.migration t.deployment with
+  | Some (m, stage) when List.mem i (migration_refs m) -> (
       match stage with
-      | Installed ->
+      | Deployment.Installed ->
           abort_migration t ~now m ~reason:(Printf.sprintf "authority %d died" i)
-      | Flipped -> commit_migration t ~now m)
+      | Deployment.Flipped -> commit_migration t ~now m)
   | _ -> ()
 
 let declare_dead t ~now i =
@@ -325,9 +340,8 @@ let declare_dead t ~now i =
     t.failed <- i :: t.failed;
     Telemetry.incr m_switch_deaths;
     record t ~now "switch %d missed %d echoes; declared dead" i echo_miss_limit;
-    journal_entry t ~now (Journal.Declared_dead i);
     (* a dead device cannot serve tunnelled misses either *)
-    Deployment.mark_unreachable t.deployment i;
+    decide t ~now (Journal.Declared_dead i);
     let dropped = cancel_pending t i in
     if dropped > 0 then record t ~now "cancelled %d in-flight requests to switch %d" dropped i;
     (* resolve an in-flight migration before failover re-places partitions:
@@ -338,11 +352,10 @@ let declare_dead t ~now i =
        survivor exists to take it. *)
     let auths = Deployment.authority_ids t.deployment in
     if List.mem i auths && List.length auths > 1 then begin
-      t.deployment <- Deployment.fail_authority t.deployment i;
+      decide t ~now (Journal.Fail_authority i);
       Hashtbl.replace t.demoted i ();
       Telemetry.incr m_failovers;
-      record t ~now "authority %d demoted; backups promoted" i;
-      journal_entry t ~now (Journal.Fail_authority i)
+      record t ~now "authority %d demoted; backups promoted" i
     end
   end
 
@@ -402,18 +415,20 @@ let recover t ~now i =
   let port = t.ports.(i) in
   port.missed_echoes <- 0;
   port.outstanding_echo <- false;
-  Deployment.mark_reachable t.deployment i;
   if port.declared_dead then begin
     port.declared_dead <- false;
     t.failed <- List.filter (fun j -> j <> i) t.failed;
     Telemetry.incr m_recoveries;
-    journal_entry t ~now (Journal.Recovered i)
-  end;
+    decide t ~now (Journal.Recovered i)
+  end
+  else
+    (* restarted before it was declared dead: the crash marked it
+       unreachable without a journal entry *)
+    Deployment.mark_reachable t.deployment i;
   if Hashtbl.mem t.demoted i then begin
     Hashtbl.remove t.demoted i;
-    t.deployment <- Deployment.restore_authority t.deployment i;
-    record t ~now "authority %d restored to the pool" i;
-    journal_entry t ~now (Journal.Restore_authority i)
+    decide t ~now (Journal.Restore_authority i);
+    record t ~now "authority %d restored to the pool" i
   end;
   push_switch t i ~now
 
@@ -435,19 +450,6 @@ let process_reply t ~now i (x, msg) =
       end
   | Message.Stats_reply reply -> absorb_stats t i reply
   | Message.Barrier_reply _ | Message.Hello | Message.Ack _ -> ()
-  | Message.Packet_in p ->
-      (* DIFANE's whole point: switches do not punt packets.  A packet-in
-         only appears in degraded mode — every replica of the packet's
-         partition is dead — and then the controller answers it NOX-style
-         from the policy itself. *)
-      let action =
-        Option.value ~default:Action.Drop
-          (Classifier.action (Deployment.policy t.deployment) p.Message.header)
-      in
-      Telemetry.incr m_degraded;
-      transmit t i ~now ~xid:0
-        (Message.Packet_out
-           { Message.out_switch = i; out_header = p.Message.header; action })
   | Message.Flow_removed f ->
       (* final counters from an expired/evicted cache entry: retire them
          so nothing is lost to churn, and drop the live snapshot *)
@@ -458,7 +460,7 @@ let process_reply t ~now i (x, msg) =
           (Int64.add prev f.Message.final_packets)
       end
   | Message.Echo_request _ | Message.Barrier_request _ | Message.Stats_request _
-  | Message.Flow_mod _ | Message.Packet_out _ | Message.Install_partition _
+  | Message.Flow_mod _ | Message.Install_partition _
   | Message.Drop_partition _ ->
       ()
 
@@ -484,9 +486,8 @@ let authority_cumulative t =
     (List.sort Int.compare (Deployment.authority_ids t.deployment))
 
 let rebalance_partitions t ~now ~loads =
-  t.deployment <- Deployment.rebalance t.deployment ~loads;
-  Telemetry.incr m_rebalances;
-  journal_entry t ~now (Journal.Rebalance loads)
+  decide t ~now (Journal.Rebalance loads);
+  Telemetry.incr m_rebalances
 
 let begin_migration t ~now ~src_auth ~dst =
   let d = t.deployment in
@@ -542,14 +543,13 @@ let begin_migration t ~now ~src_auth ~dst =
             }
           in
           t.next_mid <- t.next_mid + 1;
-          journal_entry t ~now (Journal.Migration_begin m);
-          t.deployment <- Deployment.apply_split t.deployment m;
+          decide t ~now (Journal.Migration_begin m);
           send_install t ~now lo_pid m.Journal.lo_replicas;
           send_install t ~now hi_pid m.Journal.hi_replicas;
           let moved = Classifier.length (partition_table t hi_pid).Partitioner.table in
           t.rules_moved <- t.rules_moved + moved;
           Telemetry.add m_rules_moved moved;
-          t.active_migration <- Some (m, Installed, now);
+          t.stage_since <- now;
           t.migrations_started <- t.migrations_started + 1;
           Telemetry.incr m_migrations_started;
           t.recovery_watch <- Some (src_auth, t.windows_seen);
@@ -572,7 +572,7 @@ let adaptive_window t ~now =
   t.last_auth_cum <- cum;
   Hotspot.observe t.streaks deltas;
   (match t.recovery_watch with
-  | Some (auth, w0) when t.active_migration = None -> (
+  | Some (auth, w0) when not (migration_active t) -> (
       match List.assoc_opt auth deltas with
       | Some _ when Hotspot.streak t.streaks auth = 0 ->
           Telemetry.add m_windows_to_recovery (t.windows_seen - w0);
@@ -581,7 +581,7 @@ let adaptive_window t ~now =
           t.recovery_watch <- None
       | _ -> ())
   | _ -> ());
-  if t.active_migration = None then begin
+  if not (migration_active t) then begin
     let candidates =
       List.filter (fun (a, _) -> Hotspot.streak t.streaks a >= t.config.hotspot_window) deltas
     in
@@ -601,15 +601,15 @@ let adaptive_window t ~now =
   end
 
 let advance_migration t ~now =
-  match t.active_migration with
-  | Some (m, Installed, since) when now -. since >= t.config.migration_step ->
-      journal_entry t ~now (Journal.Migration_flip m.Journal.mid);
-      Deployment.flip_split t.deployment;
-      t.active_migration <- Some (m, Flipped, now);
-      record t ~now "migration m%d: ingress partition rules flipped to p%d/p%d"
-        m.Journal.mid m.Journal.lo_pid m.Journal.hi_pid
-  | Some (m, Flipped, since) when now -. since >= t.config.migration_step ->
-      commit_migration t ~now m
+  match Deployment.migration t.deployment with
+  | Some (m, stage) when now -. t.stage_since >= t.config.migration_step -> (
+      match stage with
+      | Deployment.Installed ->
+          decide t ~now (Journal.Migration_flip m.Journal.mid);
+          t.stage_since <- now;
+          record t ~now "migration m%d: ingress partition rules flipped to p%d/p%d"
+            m.Journal.mid m.Journal.lo_pid m.Journal.hi_pid
+      | Deployment.Flipped -> commit_migration t ~now m)
   | _ -> ()
 
 (* ---- fault events ---- *)
@@ -716,26 +716,18 @@ let deliver_to_switches t ~now =
       end)
     t.ports
 
-let depose t ~now observed =
+(* Stop mastering: a reply carried a newer epoch (deposed), or the
+   controller process stopped.  Pending requests are dropped, but frames
+   already on the wire still deliver — the cluster keeps ticking a
+   stopped control plane as pure transport.  [why] renders the log line
+   from the number of requests dropped. *)
+let halt t ~now why =
   if not t.deposed then begin
     t.deposed <- true;
     let dropped = Hashtbl.length t.pending in
     Hashtbl.reset t.pending;
     Telemetry.add m_cancelled dropped;
-    record t ~now "fenced: observed epoch %d above own %d; deposed (dropped %d pending)"
-      observed t.epoch dropped
-  end
-
-(* The controller process stopped (crash): it masters nothing from now
-   on, but frames it already put on the wire still deliver — the cluster
-   keeps ticking a halted control plane as pure transport. *)
-let halt t ~now =
-  if not t.deposed then begin
-    t.deposed <- true;
-    let dropped = Hashtbl.length t.pending in
-    Hashtbl.reset t.pending;
-    Telemetry.add m_cancelled dropped;
-    record t ~now "controller process stopped (%d pending dropped)" dropped
+    record t ~now "%s" (why dropped)
   end
 
 let tick t ~now =
@@ -807,7 +799,11 @@ let tick t ~now =
       else
         List.iter
           (fun (x, reply_epoch, msg) ->
-            if t.epoch > 0 && reply_epoch > t.epoch then depose t ~now reply_epoch
+            if t.epoch > 0 && reply_epoch > t.epoch then
+              halt t ~now
+                (Printf.sprintf
+                   "fenced: observed epoch %d above own %d; deposed (dropped %d pending)"
+                   reply_epoch t.epoch)
             else process_reply t ~now i (x, msg))
           replies)
     t.ports;
@@ -815,37 +811,30 @@ let tick t ~now =
   retransmit_due t ~now
   end
 
-let migration_active t = t.active_migration <> None
 let migrations_started t = t.migrations_started
 let migrations_committed t = t.migrations_committed
 let migrations_aborted t = t.migrations_aborted
 let rules_moved t = t.rules_moved
 
 (* Takeover resolution for a migration the crashed leader left in
-   flight: the cluster replays the journal, finds the reached stage, and
-   the new leader finishes it — commit if the flip already happened (the
-   sub-regions are serving), abort otherwise.  Journaled through this
-   plane's own (fenced, new-epoch) appender, then applied to the adopted
-   physical network. *)
-let finish_inherited_migration t ~now (m : Journal.migration) ~committed =
-  if committed then begin
-    journal_entry t ~now (Journal.Migration_commit m.Journal.mid);
-    let invalidated = Deployment.scrub_split t.deployment ~now m ~aborted:false in
-    t.migrations_committed <- t.migrations_committed + 1;
-    Telemetry.incr m_migrations_committed;
-    record t ~now
-      "takeover: inherited migration m%d was flipped; committed (%d cache entries evicted)"
-      m.Journal.mid invalidated
-  end
-  else begin
-    journal_entry t ~now (Journal.Migration_abort m.Journal.mid);
-    let invalidated = Deployment.scrub_split t.deployment ~now m ~aborted:true in
-    t.migrations_aborted <- t.migrations_aborted + 1;
-    Telemetry.incr m_migrations_aborted;
-    record t ~now
-      "takeover: inherited migration m%d was not yet flipped; aborted (%d cache entries evicted)"
-      m.Journal.mid invalidated
-  end
+   flight: the adopted deployment was replayed up to the stage reached,
+   and the new leader finishes it — commit if the flip already happened
+   (the sub-regions are serving), abort otherwise. *)
+let finish_inherited_migration t ~now =
+  match Deployment.migration t.deployment with
+  | None -> ()
+  | Some (m, stage) ->
+      let commit = stage = Deployment.Flipped in
+      let evicted = end_migration t ~now m ~commit in
+      if commit then
+        record t ~now
+          "takeover: inherited migration m%d was flipped; committed (%d cache entries evicted)"
+          m.Journal.mid evicted
+      else
+        record t ~now
+          "takeover: inherited migration m%d was not yet flipped; aborted (%d cache entries \
+           evicted)"
+          m.Journal.mid evicted
 
 let rule_counters t =
   let totals = Hashtbl.copy t.retired in
@@ -886,6 +875,7 @@ let delete_cached_origins t ~now ids =
    deletions.  The deployment's id diff names the changed rules. *)
 let update_policy t ~now ?(strict = true) policy =
   journal_entry t ~now (Journal.Policy_update { rules = Classifier.rules policy; strict });
+  (* not [decide]: [apply] would pay a [Classifier.create] for the classifier held here *)
   t.deployment <- Deployment.update_policy ~flush:false t.deployment ~now policy;
   let { Deployment.changed; kept_layout } = Deployment.last_update t.deployment in
   Telemetry.incr m_policy_updates;
@@ -904,24 +894,28 @@ let control_bytes t =
     (fun acc p -> acc + Channel.bytes_carried p.to_switch + Channel.bytes_carried p.to_controller)
     0 t.ports
 
-let stats t =
-  Array.fold_left
-    (fun acc p ->
-      let add (s : Channel.stats) acc =
-        {
-          acc with
-          dropped = acc.dropped + s.Channel.dropped;
-          duplicated = acc.duplicated + s.Channel.duplicated;
-          corrupted = acc.corrupted + s.Channel.corrupted;
-          reordered = acc.reordered + s.Channel.reordered;
-          decode_errors = acc.decode_errors + s.Channel.decode_errors;
-        }
-      in
-      add (Channel.stats p.to_switch) (add (Channel.stats p.to_controller) acc))
+let sum_stats cps =
+  let add (s : Channel.stats) acc =
+    {
+      acc with
+      dropped = acc.dropped + s.Channel.dropped;
+      duplicated = acc.duplicated + s.Channel.duplicated;
+      corrupted = acc.corrupted + s.Channel.corrupted;
+      reordered = acc.reordered + s.Channel.reordered;
+      decode_errors = acc.decode_errors + s.Channel.decode_errors;
+    }
+  in
+  List.fold_left
+    (fun (acc : stats) t ->
+      Array.fold_left
+        (fun acc p -> add (Channel.stats p.to_switch) (add (Channel.stats p.to_controller) acc))
+        { acc with link_dropped = acc.link_dropped + t.link_dropped }
+        t.ports)
     { dropped = 0; duplicated = 0; corrupted = 0; reordered = 0; decode_errors = 0;
-      link_dropped = t.link_dropped }
-    t.ports
+      link_dropped = 0 }
+    cps
 
+let stats t = sum_stats [ t ]
 
 let retransmissions t = t.retransmissions
 let giveups t = t.giveups
@@ -935,8 +929,3 @@ let timeline t = List.rev_map (fun (at, s) -> (at, "control", s)) t.log
 
 (* Test hook: make a switch stop responding (device death). *)
 let kill_switch t i = t.ports.(i).alive <- false
-
-(* Test hook: enqueue a message on the switch->controller channel as if
-   the device had sent it (exercises e.g. the degraded packet-in path). *)
-let inject_packet_in t ~now i msg =
-  Channel.send t.ports.(i).to_controller ~now ~xid:0 msg

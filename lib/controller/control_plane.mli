@@ -74,14 +74,13 @@ val migrations_aborted : t -> int
 val rules_moved : t -> int
 (** Authority-table rules shipped to migration destinations so far. *)
 
-val finish_inherited_migration :
-  t -> now:float -> Journal.migration -> committed:bool -> unit
-(** Takeover resolution: the previous leader crashed mid-migration and
-    journal replay found stage [committed = false] (installed, not
-    flipped — roll back) or [committed = true] (flipped — finish the
-    retirement).  Journals the resolution through this plane's fenced
-    appender and scrubs the adopted physical switches; the model side was
-    already resolved during replay.  Called by {!Cluster.elect}. *)
+val finish_inherited_migration : t -> now:float -> unit
+(** Takeover resolution: when the deployment this plane was created over
+    has a migration in flight ({!Deployment.migration}, replayed from a
+    crashed leader's journal), abort it if it never flipped and commit it
+    if it did — the same journal-then-{!Deployment.apply} step as a live
+    commit or abort, without the [Drop_partition] sends.  Called by
+    {!Cluster.elect}. *)
 
 val create :
   ?config:config ->
@@ -105,7 +104,9 @@ val create :
     - [epoch] (default 0 = unfenced) is stamped on every outgoing frame;
     - [journal] receives a {!Journal.entry} for every state-changing
       decision (liveness verdicts, failovers, restorations, policy
-      updates, rebalances) — the cluster passes a fenced appender;
+      updates, rebalances, migration stages), written before the
+      decision is applied with {!Deployment.apply} — the cluster passes
+      a fenced appender;
     - [demoted] and [presumed_dead] seed the failover bookkeeping when a
       standby takes over from a rebuilt deployment: [presumed_dead]
       switches start declared-dead (the echo machinery keeps probing
@@ -125,12 +126,13 @@ val demoted_authorities : t -> int list
     with {!failed_switches}, the state a standby needs to seed
     [demoted]/[presumed_dead] at takeover. *)
 
-val halt : t -> now:float -> unit
-(** The controller process stopped (crash): drop every pending request
-    and stop mastering, exactly like being deposed — except nothing was
-    learned from the network.  Frames already on the wire still deliver
-    during subsequent {!tick}s (the cluster keeps ticking a halted
-    control plane as pure transport). *)
+val halt : t -> now:float -> (int -> string) -> unit
+(** Stop mastering: drop every pending request and log the line the
+    function renders from the number dropped.  {!tick} calls it when a
+    reply shows a newer epoch (deposed); the cluster calls it when the
+    controller process crashes.  Frames already on the wire still
+    deliver during subsequent {!tick}s (the cluster keeps ticking a
+    halted control plane as pure transport).  A no-op once stopped. *)
 
 val deployment : t -> Deployment.t
 (** The current deployment (changes after failover). *)
@@ -200,6 +202,10 @@ val stats : t -> stats
     Every underlying increment also bumps the process-wide registry
     ([channel_*], [ctrl_*]), so {!Telemetry.snapshot} agrees. *)
 
+val sum_stats : t list -> stats
+(** {!stats} summed over several control planes (a cluster's current
+    and retired leaders). *)
+
 val retransmissions : t -> int
 val giveups : t -> int
 (** Requests abandoned after [retx_limit] retransmissions. *)
@@ -237,8 +243,3 @@ val kill_switch : t -> int -> unit
 (** Test hook: the device stops responding to control messages (its
     data plane may keep running on stale state).  Failure detection will
     notice after 3 missed echoes. *)
-
-val inject_packet_in : t -> now:float -> int -> Message.t -> unit
-(** Test hook: enqueue a message on switch [i]'s switch→controller
-    channel as if the device had sent it (used to exercise the degraded
-    packet-in path without a full simulation). *)

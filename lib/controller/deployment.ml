@@ -33,6 +33,8 @@ let default_config =
 
 type update = { changed : int list; kept_layout : bool }
 
+type migration_stage = Installed | Flipped
+
 type t = {
   policy : Classifier.t;
   topology : Topology.t;
@@ -59,6 +61,10 @@ type t = {
          [build] and [update_policy], cleared by a refit (migration,
          snapshot restore), which [compute] would not reproduce *)
   last_update : update;
+  migration : (Journal.migration * migration_stage) option;
+      (* the staged migration in flight: set by [Migration_begin] and
+         [Migration_flip], cleared by commit or abort *)
+  last_evicted : int;
   mutable last_new_installs : int;
   mutable last_new_primary_installs : int;
 }
@@ -149,6 +155,7 @@ let build ?(config = default_config) ?(install : bool = true) ~policy ~topology
          else None);
       agg = Aggregate.create config.aggregation;
       computed_layout = true; last_update = { changed = []; kept_layout = false };
+      migration = None; last_evicted = 0;
       last_new_installs = 0; last_new_primary_installs = 0 }
   in
   if install then install_all d;
@@ -645,19 +652,20 @@ let rebalance d ~loads =
 (* ---- staged region migration ----
 
    A migration moves a sub-region of an overloaded partition to another
-   authority in three stages, each separately journaled so a takeover
-   mid-migration can resume or roll back.  The stage functions below keep
-   a strict discipline: [apply_split]/[unsplit] swap the *model* (and
-   install/keep tables so every stage is blackhole-free), [flip_split]
-   and [scrub_split] touch only the physical switches — replay applies
-   them to a scratch model, takeover re-applies the physical half to the
-   adopted network without double-swapping the model. *)
+   authority in three stages, each its own journal entry so a takeover
+   mid-migration can resume or roll back.  Every stage keeps a miss in
+   the migrating region on an authority that holds its rules. *)
 
 let partition_of d pid =
   List.find
     (fun (p : Partitioner.partition) -> p.pid = pid)
     d.partitioner.Partitioner.partitions
 
+(* Stage 1: swap the source for its two sub-regions in the partitioner
+   and assignment, and install the sub-region tables at their replicas.
+   Ingress partition banks still point at the source, whose table stays
+   in place: at no instant is a miss without a live authority holding
+   its rules. *)
 let apply_split d (m : Journal.migration) =
   let regions =
     List.concat_map
@@ -674,9 +682,6 @@ let apply_split d (m : Journal.migration) =
       ~hi:(m.hi_pid, m.hi_replicas)
   in
   let d' = { d with partitioner; assignment; computed_layout = false } in
-  (* Install the sub-region tables at their replicas.  Ingress partition
-     banks still point at the source, whose table stays in place — at no
-     instant is a miss without a live authority holding its rules. *)
   let install pid replicas =
     let p = partition_of d' pid in
     List.iter (fun host -> Switch.install_authority d'.switches.(host) p) replicas
@@ -688,14 +693,15 @@ let apply_split d (m : Journal.migration) =
         m.mid m.src_pid m.lo_pid m.hi_pid);
   d'
 
+(* Stage 2: rewrite every ingress partition bank from the split layout,
+   atomically per switch (the bank is replaced wholesale).  The source's
+   table survives until commit, so a miss racing the flip lands on some
+   table either way. *)
 let flip_split d =
-  (* Physical stage 2: rewrite every ingress partition bank from the
-     already-split model, atomically per switch (the bank is replaced
-     wholesale).  The source's authority table survives until commit, so
-     a miss racing the flip lands on *some* table either way. *)
   let bank = partition_bank d in
   Array.iter (fun sw -> Switch.install_partition_bank sw bank) d.switches
 
+(* Roll the layout back to the source partition (abort). *)
 let unsplit d (m : Journal.migration) =
   let regions =
     List.concat_map
@@ -714,24 +720,24 @@ let unsplit d (m : Journal.migration) =
   Log.info (fun f -> f "migration m%d: rolled back to p%d" m.mid m.src_pid);
   { d with partitioner; assignment; computed_layout = false }
 
+(* Stage 3: retire the losing tables (the source's on commit, the
+   sub-regions' on abort) and evict the cache entries spliced under the
+   retired pids; returns the entries evicted. *)
 let scrub_split d ~now (m : Journal.migration) ~aborted =
-  let dead_pids = if aborted then [ m.lo_pid; m.hi_pid ] else [ m.src_pid ] in
+  let retire pid = List.iter (fun host -> Switch.drop_authority d.switches.(host) pid) in
   if aborted then begin
-    List.iter
-      (fun host -> Switch.drop_authority d.switches.(host) m.lo_pid)
-      m.lo_replicas;
-    List.iter
-      (fun host -> Switch.drop_authority d.switches.(host) m.hi_pid)
-      m.hi_replicas
+    retire m.lo_pid m.lo_replicas;
+    retire m.hi_pid m.hi_replicas
   end
-  else
-    List.iter
-      (fun host -> Switch.drop_authority d.switches.(host) m.src_pid)
-      m.src_replicas;
+  else retire m.src_pid m.src_replicas;
+  let dead_pids = if aborted then [ m.lo_pid; m.hi_pid ] else [ m.src_pid ] in
   Array.fold_left
     (fun acc sw -> acc + Switch.invalidate_cache_pids sw ~now dead_pids)
     0 d.switches
 
+(* A snapshot's layout, verbatim: refit the partitioner to the recorded
+   regions and rebuild the assignment from the recorded replica lists —
+   re-cuts that re-running the partitioner could not reproduce. *)
 let apply_layout d ~regions ~replicas =
   let partitioner = Partitioner.refit d.partitioner d.policy ~regions in
   let weights =
@@ -747,6 +753,41 @@ let apply_layout d ~regions ~replicas =
   let d' = { d with partitioner; assignment; computed_layout = false } in
   install_all d';
   d'
+
+let migration d = d.migration
+let last_evicted d = d.last_evicted
+
+(* Stage 3 of the in-flight migration, either way: an abort first rolls
+   the layout back. *)
+let end_migration d ~now ~aborted =
+  match d.migration with
+  | None -> d
+  | Some (m, _) ->
+      let d = if aborted then unsplit d m else d in
+      { d with migration = None; last_evicted = scrub_split d ~now m ~aborted }
+
+let apply d ~now (entry : Journal.entry) =
+  match entry with
+  | Journal.Build _ -> invalid_arg "Deployment.apply: a Build entry constructs a deployment"
+  | Journal.Epoch _ -> d
+  | Journal.Policy_update { rules; strict = _ } ->
+      update_policy ~flush:false d ~now (Classifier.create (Classifier.schema d.policy) rules)
+  | Journal.Fail_authority s -> fail_authority d s
+  | Journal.Restore_authority s -> restore_authority d s
+  | Journal.Declared_dead s ->
+      mark_unreachable d s;
+      d
+  | Journal.Recovered s ->
+      mark_reachable d s;
+      d
+  | Journal.Rebalance loads -> rebalance d ~loads
+  | Journal.Migration_begin m -> { (apply_split d m) with migration = Some (m, Installed) }
+  | Journal.Migration_flip _ ->
+      flip_split d;
+      { d with migration = Option.map (fun (m, _) -> (m, Flipped)) d.migration }
+  | Journal.Migration_commit _ -> end_migration d ~now ~aborted:false
+  | Journal.Migration_abort _ -> end_migration d ~now ~aborted:true
+  | Journal.Partition_layout { regions; replicas } -> apply_layout d ~regions ~replicas
 
 let last_new_authority_installs d = d.last_new_installs
 let last_new_primary_installs d = d.last_new_primary_installs

@@ -204,20 +204,14 @@ val fail_authority : t -> int -> t
     no longer serves misses.
     @raise Invalid_argument when it was the only authority. *)
 
-val restore_authority : t -> int -> t
-(** Undo a {!fail_authority}: the switch (restarted, blank) rejoins the
-    authority pool, partitions are re-placed over the enlarged set and
-    the deltas installed.  A no-op when the switch is already in the
-    pool. *)
-
 val adopt : model:t -> network:t -> t
 (** Controller takeover: [model] is a deployment a standby rebuilt by
     journal replay over scratch switches; [network] is the deployment
     wired to the physical network.  The result keeps [model]'s controller
-    decisions (policy, partitioner, assignment, authority pool) and
-    [network]'s physical state (the switch array, reachability table and
-    degraded counter — shared mutable references, so physical facts keep
-    accumulating in place).  Pair with a reliable
+    decisions (policy, partitioner, assignment, authority pool, in-flight
+    migration) and [network]'s physical state (the switch array,
+    reachability table and degraded counter — shared mutable references,
+    so physical facts keep accumulating in place).  Pair with a reliable
     {!Control_plane.push_deployment}: switch-side xid idempotency and
     replace-by-id banks make the re-push converge without duplicate
     installs. *)
@@ -272,44 +266,49 @@ val last_new_primary_installs : t -> int
     replication >= 2 a failover promotes warm backups, so this is
     typically zero — the point of pre-installed backups. *)
 
-(** {1 Staged region migration}
+(** {1 The journal's interpreter} *)
 
-    The adaptive-rebalancing stages.  Model-swapping functions
-    ({!apply_split}, {!unsplit}, {!apply_layout}) are what journal replay
-    runs over a scratch model; physical-only functions ({!flip_split},
-    {!scrub_split}) are additionally re-applied to the adopted network at
-    takeover, so neither path double-applies the other's half.  The
-    staging invariant: after every individual stage, a miss in the
+type migration_stage =
+  | Installed  (** sub-region tables installed; ingress banks still at the source *)
+  | Flipped  (** ingress banks point at the sub-regions; the source table lingers *)
+
+val apply : t -> now:float -> Journal.entry -> t
+(** What a journal entry does to a deployment — the only code that says
+    so.  The live controller journals each decision and then applies it
+    here; a standby replays the journal over a {!build} of its [Build]
+    entry through the same function, so the two reach the same
+    deployment.  [Policy_update] is {!update_policy} without a flush
+    (the controller deletes stale cache entries itself), [Fail_authority]
+    {!fail_authority}, [Restore_authority] undoes one (re-placing
+    partitions over the enlarged pool), [Declared_dead]/[Recovered]
+    {!mark_unreachable}/{!mark_reachable}, [Rebalance] {!rebalance}, a
+    [Partition_layout] snapshot refits the recorded regions and replica
+    lists verbatim, and [Epoch] changes nothing.
+
+    Staged region migration moves a sub-region of an overloaded
+    partition to another authority.  After each stage a miss in the
     migrating region still reaches an authority switch holding its
-    rules. *)
+    rules:
+    - [Migration_begin]: the source partition becomes its two journaled
+      sub-regions in the partitioner and assignment, and their tables
+      are installed at their replicas; ingress partition banks still
+      point at the source, whose table stays.  Stage {!Installed}.
+    - [Migration_flip]: every switch's partition bank is rewritten from
+      the split layout.  Stage {!Flipped}.
+    - [Migration_commit]: the source's tables are retired; [Migration_abort]
+      first rolls the layout back to the source and retires the
+      sub-regions' tables instead.  Either way cache entries spliced
+      under the retired pids are evicted ({!Switch.invalidate_cache_pids}),
+      {!last_evicted} counts them, and no migration is in flight.
+    @raise Invalid_argument on a [Build] entry, which constructs a
+    deployment rather than changing one. *)
 
-val apply_split : t -> Journal.migration -> t
-(** Stage 1: swap the source partition for its two journaled sub-regions
-    in the partitioner and assignment, and install the sub-region
-    authority tables at their replicas.  Ingress partition rules still
-    point at the source, whose table stays — no serving gap. *)
+val migration : t -> (Journal.migration * migration_stage) option
+(** The staged migration in flight and the stage it reached. *)
 
-val flip_split : t -> unit
-(** Stage 2 (physical only): rewrite every switch's partition bank from
-    the already-split model.  Misses now tunnel to the sub-region
-    replicas; the source table lingers (inert) until commit. *)
-
-val unsplit : t -> Journal.migration -> t
-(** Roll the model back to the source partition (migration abort before
-    flip).  Physical cleanup is {!scrub_split}[ ~aborted:true]. *)
-
-val scrub_split : t -> now:float -> Journal.migration -> aborted:bool -> int
-(** Stage 3 (physical only): retire the losing tables — the source's on
-    commit, the sub-regions' on abort — and evict cache entries spliced
-    under the retired pids ({!Switch.invalidate_cache_pids}, so
-    provenance is remapped through the [Flow_removed]/[Replaced] path).
-    Returns cache entries invalidated. *)
-
-val apply_layout : t -> regions:(int * Pred.t) list -> replicas:(int * int list) list -> t
-(** Restore a journaled [Partition_layout] snapshot verbatim: refit the
-    partitioner to the recorded regions, rebuild the assignment from the
-    recorded replica lists, reinstall.  Replay-only — snapshots must
-    reproduce re-cut layouts that re-running the partitioner could not. *)
+val last_evicted : t -> int
+(** Cache entries evicted by the most recent migration commit or
+    abort. *)
 
 (** {1 Global checks (used by tests)} *)
 

@@ -9,13 +9,6 @@ type flow_mod = {
   hard_timeout : float option;
 }
 
-type packet_in = {
-  ingress : int;
-  header : Header.t;
-  reason : [ `No_match | `Explicit ];
-}
-
-type packet_out = { out_switch : int; out_header : Header.t; action : Action.t }
 type stats_request = { table_bank : bank; cookie : int }
 type flow_stats = { rule_id : int; packets : int64; bytes : int64; duration : float }
 type stats_reply = { request_cookie : int; flows : flow_stats list }
@@ -38,8 +31,6 @@ type t =
   | Echo_request of int
   | Echo_reply of int
   | Flow_mod of flow_mod
-  | Packet_in of packet_in
-  | Packet_out of packet_out
   | Barrier_request of int
   | Barrier_reply of int
   | Stats_request of stats_request
@@ -58,8 +49,6 @@ let type_code = function
   | Echo_request _ -> 2
   | Echo_reply _ -> 3
   | Flow_mod _ -> 14
-  | Packet_in _ -> 10
-  | Packet_out _ -> 13
   | Barrier_request _ -> 18
   | Barrier_reply _ -> 19
   | Stats_request _ -> 16
@@ -156,23 +145,6 @@ let decode_pred schema r =
     in
     go 0 []
 
-let encode_header b h =
-  let vs = Header.values h in
-  W.u8 b (Array.length vs);
-  Array.iter (fun v -> W.u64 b v) vs
-
-let decode_header schema r =
-  let* arity = R.u8 r in
-  if arity <> Schema.arity schema then Error "header arity mismatch"
-  else
-    let rec go i acc =
-      if i >= arity then Ok (Header.make schema (Array.of_list (List.rev acc)))
-      else
-        let* v = R.u64 r in
-        go (i + 1) (v :: acc)
-    in
-    go 0 []
-
 let encode_action b = function
   | Action.Forward p ->
       W.u8 b 0;
@@ -248,14 +220,6 @@ let encode_body b = function
       encode_timeout b f.idle_timeout;
       encode_timeout b f.hard_timeout;
       encode_rule b f.rule
-  | Packet_in p ->
-      W.u32 b p.ingress;
-      W.u8 b (match p.reason with `No_match -> 0 | `Explicit -> 1);
-      encode_header b p.header
-  | Packet_out p ->
-      W.u32 b p.out_switch;
-      encode_header b p.out_header;
-      encode_action b p.action
   | Stats_request s ->
       W.u8 b (bank_code s.table_bank);
       W.u32 b s.cookie
@@ -375,22 +339,6 @@ let decode schema buf =
             let* hard_timeout = decode_timeout r in
             let* rule = decode_rule schema r in
             Ok (Flow_mod { command; bank; rule; idle_timeout; hard_timeout })
-        | 10 ->
-            let* ingress = R.u32 r in
-            let* reason_raw = R.u8 r in
-            let* reason =
-              match reason_raw with
-              | 0 -> Ok `No_match
-              | 1 -> Ok `Explicit
-              | _ -> Error "unknown packet_in reason"
-            in
-            let* header = decode_header schema r in
-            Ok (Packet_in { ingress; header; reason })
-        | 13 ->
-            let* out_switch = R.u32 r in
-            let* out_header = decode_header schema r in
-            let* action = decode_action r in
-            Ok (Packet_out { out_switch; out_header; action })
         | 16 ->
             let* bank_raw = R.u8 r in
             let* table_bank = decode_bank bank_raw in

@@ -1,9 +1,11 @@
 (** The control-plane protocol.
 
-    An OpenFlow-1.0-flavoured message set: the subset DIFANE and the
-    reactive baselines need (flow-mod, packet-in/out, barrier, per-flow
-    stats), plus DIFANE's one extension — the cache-install that an
-    authority switch sends to an ingress switch over the data plane.
+    An OpenFlow-1.0-flavoured message set: the subset DIFANE's controller
+    needs (flow-mod, barrier, per-flow stats, flow-removed) plus DIFANE's
+    partition-table transfers.  There is no packet-in/out: DIFANE
+    switches never punt packets, and the simulator answers a degraded
+    miss on the controller path directly
+    ([Deployment.controller_serve]).
 
     Messages carry a [bank] tag telling the receiving switch which of its
     three priority banks (cache > authority > partition) the flow-mod
@@ -21,14 +23,6 @@ type flow_mod = {
   idle_timeout : float option;
   hard_timeout : float option;
 }
-
-type packet_in = {
-  ingress : int;  (** switch that punted the packet *)
-  header : Header.t;
-  reason : [ `No_match | `Explicit ];
-}
-
-type packet_out = { out_switch : int; out_header : Header.t; action : Action.t }
 
 type stats_request = { table_bank : bank; cookie : int }
 
@@ -60,8 +54,6 @@ type t =
   | Echo_request of int
   | Echo_reply of int
   | Flow_mod of flow_mod
-  | Packet_in of packet_in
-  | Packet_out of packet_out
   | Barrier_request of int
   | Barrier_reply of int
   | Stats_request of stats_request

@@ -466,7 +466,7 @@ let dispatch_control t ~now ~xid msg =
       drop_authority t pid;
       ack xid
   | Message.Echo_reply _ | Message.Barrier_reply _ | Message.Stats_reply _
-  | Message.Packet_in _ | Message.Packet_out _ | Message.Flow_removed _
+  | Message.Flow_removed _
   | Message.Ack _ ->
       []
 

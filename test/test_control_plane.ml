@@ -331,21 +331,6 @@ let test_premature_death_recovers () =
   check (Alcotest.list Alcotest.int) "authority restored" [ 1; 3 ]
     (Deployment.authority_ids (Control_plane.deployment cp))
 
-let test_degraded_packet_in_answered () =
-  (* with every replica of a partition dead, a switch that punts the
-     packet to the controller gets a NOX-style packet-out back *)
-  let d = blank_deployment () in
-  let cp = Control_plane.create d in
-  Control_plane.push_deployment cp ~now:0.;
-  drive cp ~from:0.001 ~until:0.5 ~step:0.01;
-  let degraded = Telemetry.counter "ctrl_degraded_handled" in
-  let before = Telemetry.value degraded in
-  (* switch 0 reports a miss it cannot tunnel anywhere *)
-  Control_plane.inject_packet_in cp ~now:1. 0
-    (Message.Packet_in { Message.ingress = 0; header = h 2 0; reason = `No_match });
-  drive cp ~from:1.001 ~until:1.2 ~step:0.01;
-  check Alcotest.int "controller answered the miss" 1 (Telemetry.value degraded - before)
-
 (* One-pass invalidation against the per-id walk it replaced
    ([Invalidate_scan]), on random cache states with aggregation on.
    Traffic over a few narrow blocks makes microflow entries buddy-merge
@@ -459,6 +444,5 @@ let suite =
         tc "lossy push converges exactly" test_lossy_push_converges;
         tc "crash/restart resyncs state" test_crash_restart_resync;
         tc "premature death declaration recovers" test_premature_death_recovers;
-        tc "degraded packet-in answered NOX-style" test_degraded_packet_in_answered;
       ] );
   ]

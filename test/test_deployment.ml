@@ -391,12 +391,16 @@ let test_incremental_equals_scratch () =
             | None -> true
             | Some ((lo_pid, lo_region), (hi_pid, hi_region)) ->
                 let replicas = Assignment.replicas_of (Deployment.assignment !d) src.pid in
+                let m =
+                  { Journal.mid = 0; src_pid = src.pid; src_region = src.region;
+                    src_replicas = replicas; lo_pid; lo_region; lo_replicas = replicas;
+                    hi_pid; hi_region; hi_replicas = replicas }
+                in
                 d :=
-                  Deployment.apply_split !d
-                    { Journal.mid = 0; src_pid = src.pid; src_region = src.region;
-                      src_replicas = replicas; lo_pid; lo_region; lo_replicas = replicas;
-                      hi_pid; hi_region; hi_replicas = replicas };
-                Deployment.flip_split !d;
+                  List.fold_left
+                    (fun d e -> Deployment.apply d ~now:1. e)
+                    !d
+                    [ Journal.Migration_begin m; Journal.Migration_flip 0 ];
                 true)
         | Rebalance loads ->
             let part = Deployment.partitioner !d in

@@ -175,9 +175,11 @@ let prop_codec_truncation_never_raises =
   qt ~count:100 "decode of truncated frames returns Error (no exception)"
     QCheck2.Gen.(int_bound 100)
     (fun cut ->
-      let msg = Message.Packet_in { Message.ingress = 3;
-                                    header = Header.make s2 [| 7L; 9L |];
-                                    reason = `No_match } in
+      let msg =
+        Message.Stats_reply
+          { Message.request_cookie = 3;
+            flows = [ { Message.rule_id = 7; packets = 9L; bytes = 576L; duration = 0.5 } ] }
+      in
       let frame = Message.encode ~xid:1 msg in
       let n = min cut (Bytes.length frame) in
       match Message.decode s2 (Bytes.sub frame 0 n) with

@@ -1,7 +1,6 @@
 open Test_util
 
 let s2 = Schema.tiny2
-let h a b = Header.make s2 [| Int64.of_int a; Int64.of_int b |]
 
 let message = Alcotest.testable Message.pp Message.equal
 
@@ -39,10 +38,6 @@ let test_flow_mod_roundtrip () =
           idle_timeout = None; hard_timeout = Some 0.5 };
     ]
 
-let test_packet_roundtrips () =
-  roundtrip (Message.Packet_in { ingress = 4; header = h 10 20; reason = `No_match });
-  roundtrip (Message.Packet_out { out_switch = 2; out_header = h 1 2; action = Action.Drop })
-
 let test_stats_roundtrips () =
   roundtrip (Message.Stats_request { table_bank = Message.Authority; cookie = 77 });
   roundtrip
@@ -67,11 +62,27 @@ let test_decode_garbage () =
   Bytes.set_uint8 corrupt 0 99;
   check Alcotest.bool "bad version" true (bad corrupt);
   let extended = Bytes.cat frame (Bytes.make 4 '\x00') in
-  check Alcotest.bool "trailing bytes" true (bad extended)
+  check Alcotest.bool "trailing bytes" true (bad extended);
+  (* a well-formed frame under another type code, checksum recomputed *)
+  let retyped code =
+    let f = Bytes.copy frame in
+    Bytes.set_uint8 f 1 code;
+    Bytes.set_int64_be f 12 (Message.fnv1a ~hole:(12, 8) f);
+    f
+  in
+  check Alcotest.bool "re-checksummed hello decodes" false (bad (retyped 0));
+  (* 10 and 13 were packet-in and packet-out: DIFANE switches never punt *)
+  List.iter
+    (fun code -> check Alcotest.bool (Printf.sprintf "type %d" code) true (bad (retyped code)))
+    [ 10; 13; 99 ]
 
 let test_wire_size () =
   let size msg = Bytes.length (Message.encode ~xid:0 msg) in
-  let msg = Message.Packet_in { ingress = 4; header = h 10 20; reason = `No_match } in
+  let msg =
+    Message.Flow_mod
+      { command = Message.Add; bank = Message.Cache; rule = sample_rule;
+        idle_timeout = None; hard_timeout = None }
+  in
   check Alcotest.bool "a body follows the header" true (size msg > 20);
   check Alcotest.int "frames have 20-byte header" 20 (size Message.Hello)
 
@@ -143,7 +154,14 @@ let gen_message =
       >|= fun (r, bank) ->
         Message.Flow_mod
           { command = Message.Add; bank; rule = r; idle_timeout = Some 1.; hard_timeout = None } );
-      (gen_header_tiny2 >|= fun hd -> Message.Packet_in { ingress = 1; header = hd; reason = `No_match });
+      ( pair (int_bound 100) (pair gen_pred_tiny2 (list_size (int_range 0 4) gen_rule))
+      >|= fun (pid, (region, rules)) ->
+        (* a transferred table repeats no rule id *)
+        let table_rules =
+          List.mapi (fun i (r : Rule.t) -> Rule.make ~id:i ~priority:r.priority r.pred r.action)
+            rules
+        in
+        Message.Install_partition { pid; region; table_rules } );
     ]
 
 let prop_roundtrip =
@@ -158,7 +176,6 @@ let suite =
       [
         tc "simple roundtrips" test_simple_roundtrips;
         tc "flow-mod roundtrips" test_flow_mod_roundtrip;
-        tc "packet in/out roundtrips" test_packet_roundtrips;
         tc "stats roundtrips" test_stats_roundtrips;
         tc "garbage rejection" test_decode_garbage;
         tc "wire size" test_wire_size;

@@ -185,6 +185,11 @@ let adaptive_cp_config =
     migration_step = 0.05;
   }
 
+let adaptive_dconfig =
+  { Deployment.default_config with k = 4; replication = 2; cache_capacity = 0 }
+
+let adaptive_topology = Topology.star 6 ()
+
 let adaptive_mk ?(migration_step = 0.05) ?(events = []) () =
   let faults = Fault.plan ~seed:11 ~controllers:3 ~events () in
   let config =
@@ -194,14 +199,12 @@ let adaptive_mk ?(migration_step = 0.05) ?(events = []) () =
       cp = { adaptive_cp_config with migration_step };
     }
   in
-  Cluster.create ~config ~faults
-    ~dconfig:
-      { Deployment.default_config with k = 4; replication = 2; cache_capacity = 0 }
-    ~policy:acl_policy ~topology:(Topology.star 6 ()) ~authority_ids:[ 1; 2; 3 ] ()
+  Cluster.create ~config ~faults ~dconfig:adaptive_dconfig ~policy:acl_policy
+    ~topology:adaptive_topology ~authority_ids:[ 1; 2; 3 ] ()
 
 (* drive the cluster while hammering one partition's region: 10 misses
    per 20 ms tick, all inside the first partition — a persistent hotspot *)
-let drive_hot ?(until = 1.5) cl =
+let drive_hot ?(until = 1.5) ?(on_tick = fun ~now:_ -> ()) cl =
   Cluster.push_deployment cl ~now:0.;
   let hot =
     List.hd (Deployment.partitioner (Cluster.deployment cl)).Partitioner.partitions
@@ -216,6 +219,7 @@ let drive_hot ?(until = 1.5) cl =
       incr i
     done;
     Cluster.tick cl ~now:!t;
+    on_tick ~now:!t;
     t := !t +. 0.02
   done
 
@@ -298,6 +302,71 @@ let test_crash_after_flip_commits () =
   | _ -> Alcotest.fail "expected a migration to begin before the crash");
   check_cluster_invariants cl
 
+(* The replicated controller's invariant: replaying the journal over a
+   scratch deployment ([Deployment.build] of its [Build] entry, then
+   [Deployment.apply] for the rest) reaches the deployment the leader
+   built live.  Checked after every tick that journaled something,
+   through a staged migration whose leader crashes after the flip, the
+   takeover that finishes it, and the migrations after. *)
+let test_live_equals_replayed () =
+  let cl =
+    adaptive_mk ~migration_step:0.6
+      ~events:[ Fault.Controller_crash { controller = 0; at = 1.1 } ]
+      ()
+  in
+  let schema = Classifier.schema acl_policy in
+  let replay ~now =
+    match Journal.decode schema (Journal.encode (Cluster.journal cl)) with
+    | Error e -> Alcotest.failf "journal failed to decode: %s" e
+    | Ok j ->
+        let d = ref None in
+        Journal.replay j (fun e ->
+            match (e, !d) with
+            | Journal.Build { policy; authority_ids }, _ ->
+                d :=
+                  Some
+                    (Deployment.build ~config:adaptive_dconfig
+                       ~policy:(Classifier.create schema policy)
+                       ~topology:adaptive_topology ~authority_ids ())
+            | _, Some m -> d := Some (Deployment.apply m ~now e)
+            | Journal.Epoch _, None -> ()
+            | _, None -> Alcotest.fail "a decision precedes the Build");
+        Option.get !d
+  in
+  let view d =
+    ( List.map
+        (fun (p : Partitioner.partition) -> (p.pid, Pred.to_string p.region))
+        (Deployment.partitioner d).Partitioner.partitions,
+      Assignment.all_replicas (Deployment.assignment d),
+      Deployment.authority_ids d,
+      Option.map (fun ((m : Journal.migration), stage) -> (m.mid, stage))
+        (Deployment.migration d) )
+  in
+  let last_seq = ref (-1) and checks = ref 0 and stages = ref [] in
+  let on_tick ~now =
+    match List.rev (Journal.entries (Cluster.journal cl)) with
+    | (seq, _, _) :: _ when seq > !last_seq ->
+        last_seq := seq;
+        incr checks;
+        let live = view (Cluster.deployment cl) in
+        let _, _, _, stage = live in
+        Option.iter (fun (_, s) -> stages := s :: !stages) stage;
+        if view (replay ~now) <> live then
+          Alcotest.failf "replayed deployment differs from the live one at t=%.2f" now
+    | _ -> ()
+  in
+  drive_hot cl ~until:3. ~on_tick;
+  check Alcotest.int "one takeover" 1 (Cluster.takeovers cl);
+  check Alcotest.bool "checked on many ticks" true (!checks >= 5);
+  check Alcotest.bool "checked while installed" true
+    (List.mem Deployment.Installed !stages);
+  check Alcotest.bool "checked while flipped" true (List.mem Deployment.Flipped !stages);
+  (match journal_kinds cl with
+  | `Begin m :: rest ->
+      check Alcotest.bool "the takeover committed the flipped migration" true
+        (List.mem (`Commit m) rest)
+  | _ -> Alcotest.fail "expected a migration to begin before the crash")
+
 let suite =
   [
     ( "bounded partitioning",
@@ -325,5 +394,6 @@ let suite =
         tc "hotspot triggers a staged migration" test_hotspot_triggers_staged_migration;
         tc "leader crash before flip: takeover aborts" test_crash_before_flip_aborts;
         tc "leader crash after flip: takeover commits" test_crash_after_flip_commits;
+        tc "live deployment = journal replay, every tick" test_live_equals_replayed;
       ] );
   ]
