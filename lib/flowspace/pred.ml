@@ -31,6 +31,11 @@ let make schema l =
   check schema fields;
   { schema; fields }
 
+let init schema f =
+  let fields = Array.init (Schema.arity schema) f in
+  check schema fields;
+  { schema; fields }
+
 let of_fields schema assoc =
   let base = any schema in
   let fields = Array.copy base.fields in

@@ -20,6 +20,10 @@ val make : Schema.t -> Ternary.t list -> t
 (** One ternary value per field, in schema order.
     @raise Invalid_argument on arity or width mismatch. *)
 
+val init : Schema.t -> (int -> Ternary.t) -> t
+(** [init schema f] has field [i] = [f i], computed in schema order.
+    @raise Invalid_argument on width mismatch. *)
+
 val of_fields : Schema.t -> (string * Ternary.t) list -> t
 (** Named construction; unnamed fields are fully wildcarded.
     @raise Not_found on an unknown field name,

@@ -13,14 +13,28 @@ let check_width w =
   if w < 1 || w > max_width then
     invalid_arg (Printf.sprintf "Ternary: width %d not in 1..%d" w max_width)
 
-let make ~width ~value ~mask =
-  check_width width;
-  let m = mask &: ones width in
-  { width; value = value &: m; mask = m }
+(* One wildcard per width, shared: values are immutable, and a field
+   that matches anything (most fields of most rules) needs no record of
+   its own. *)
+let anys = Array.init (max_width + 1) (fun w -> { width = w; value = 0L; mask = 0L })
 
 let any w =
   check_width w;
-  { width = w; value = 0L; mask = 0L }
+  anys.(w)
+
+(* Canonical inputs, the common case (a decoded frame, a field built from
+   another's parts), keep their own boxes. *)
+let make ~width ~value ~mask =
+  check_width width;
+  let m = mask &: ones width in
+  if Int64.equal m 0L then anys.(width)
+  else
+    let v = value &: m in
+    {
+      width;
+      value = (if Int64.equal v value then value else v);
+      mask = (if Int64.equal m mask then mask else m);
+    }
 
 let exact ~width v = make ~width ~value:v ~mask:(ones width)
 

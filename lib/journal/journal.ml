@@ -185,155 +185,115 @@ let encode t =
   List.iter (fun r -> Buffer.add_bytes b (encode_record r)) (records t);
   Buffer.to_bytes b
 
-let ( let* ) = Result.bind
-
-let read_u32_list r n =
-  let rec go i acc =
-    if i >= n then Ok (List.rev acc)
-    else
-      let* v = R.u32 r in
-      go (i + 1) (v :: acc)
-  in
-  go 0 []
-
-let read_rules schema r body =
-  let* rest = R.bytes r (Bytes.length body - R.pos r) in
-  Message.rules_of_bytes schema rest
+(* The body readers run on a cursor over the record's body; a short read
+   raises [R.Malformed], which [decode] turns into its [Error]. *)
+let read_u32_list r n = R.list r n R.u32
 
 let read_region schema r =
-  let* blob_len = R.u32 r in
-  let* blob = R.bytes r blob_len in
-  let* rules = Message.rules_of_bytes schema blob in
-  match rules with [ x ] -> Ok x.Rule.pred | _ -> Error "bad region encoding"
+  let blob = R.sub r (R.u32 r) in
+  match Message.read_rules schema blob with
+  | [ x ] -> x.Rule.pred
+  | _ -> R.fail "bad region encoding"
 
 let read_placement schema r =
-  let* pid = R.u32 r in
-  let* n = R.u32 r in
-  let* replicas = read_u32_list r n in
-  let* region = read_region schema r in
-  Ok (pid, region, replicas)
+  let pid = R.u32 r in
+  let replicas = read_u32_list r (R.u32 r) in
+  let region = read_region schema r in
+  (pid, region, replicas)
 
-let read_entry schema kind r body =
+let read_load r =
+  let pid = R.u32 r in
+  let w = R.f64 r in
+  (pid, w)
+
+let read_located schema r =
+  let pid = R.u32 r in
+  let region = read_region schema r in
+  (pid, region)
+
+let read_replicas r =
+  let pid = R.u32 r in
+  let switches = read_u32_list r (R.u32 r) in
+  (pid, switches)
+
+let read_entry schema kind r =
   match kind with
   | 0 ->
-      let* n = R.u32 r in
-      let* authority_ids = read_u32_list r n in
-      let* policy = read_rules schema r body in
-      Ok (Build { policy; authority_ids })
+      let authority_ids = read_u32_list r (R.u32 r) in
+      let policy = Message.read_rules schema r in
+      Build { policy; authority_ids }
   | 1 ->
-      let* s = R.u8 r in
-      let* rules = read_rules schema r body in
-      Ok (Policy_update { rules; strict = s <> 0 })
-  | 2 | 3 | 4 | 5 ->
-      let* s = R.u32 r in
-      Ok
-        (match kind with
-        | 2 -> Fail_authority s
-        | 3 -> Restore_authority s
-        | 4 -> Declared_dead s
-        | _ -> Recovered s)
+      let s = R.u8 r in
+      let rules = Message.read_rules schema r in
+      Policy_update { rules; strict = s <> 0 }
+  | 2 -> Fail_authority (R.u32 r)
+  | 3 -> Restore_authority (R.u32 r)
+  | 4 -> Declared_dead (R.u32 r)
+  | 5 -> Recovered (R.u32 r)
   | 6 ->
-      let* n = R.u32 r in
-      if Bytes.length body <> 4 + (12 * n) then Error "bad rebalance length"
-      else
-        let rec loads i acc =
-          if i >= n then Ok (Rebalance (List.rev acc))
-          else
-            let* pid = R.u32 r in
-            let* w = R.f64 r in
-            loads (i + 1) ((pid, w) :: acc)
-        in
-        loads 0 []
+      let n = R.u32 r in
+      if R.remaining r <> 12 * n then R.fail "bad rebalance length";
+      Rebalance (R.list r n read_load)
   | 7 ->
-      let* epoch = R.u32 r in
-      let* leader = R.u32 r in
-      Ok (Epoch { epoch; leader })
+      let epoch = R.u32 r in
+      let leader = R.u32 r in
+      Epoch { epoch; leader }
   | 8 ->
-      let* mid = R.u32 r in
-      let* src_pid, src_region, src_replicas = read_placement schema r in
-      let* lo_pid, lo_region, lo_replicas = read_placement schema r in
-      let* hi_pid, hi_region, hi_replicas = read_placement schema r in
-      Ok
-        (Migration_begin
-           {
-             mid;
-             src_pid;
-             src_region;
-             src_replicas;
-             lo_pid;
-             lo_region;
-             lo_replicas;
-             hi_pid;
-             hi_region;
-             hi_replicas;
-           })
-  | 9 | 10 | 11 ->
-      let* mid = R.u32 r in
-      Ok
-        (match kind with
-        | 9 -> Migration_flip mid
-        | 10 -> Migration_commit mid
-        | _ -> Migration_abort mid)
+      let mid = R.u32 r in
+      let src_pid, src_region, src_replicas = read_placement schema r in
+      let lo_pid, lo_region, lo_replicas = read_placement schema r in
+      let hi_pid, hi_region, hi_replicas = read_placement schema r in
+      Migration_begin
+        {
+          mid;
+          src_pid;
+          src_region;
+          src_replicas;
+          lo_pid;
+          lo_region;
+          lo_replicas;
+          hi_pid;
+          hi_region;
+          hi_replicas;
+        }
+  | 9 -> Migration_flip (R.u32 r)
+  | 10 -> Migration_commit (R.u32 r)
+  | 11 -> Migration_abort (R.u32 r)
   | 12 ->
-      let* nr = R.u32 r in
-      let rec regions i acc =
-        if i >= nr then Ok (List.rev acc)
-        else
-          let* pid = R.u32 r in
-          let* region = read_region schema r in
-          regions (i + 1) ((pid, region) :: acc)
-      in
-      let* regions = regions 0 [] in
-      let* np = R.u32 r in
-      let rec placements i acc =
-        if i >= np then Ok (List.rev acc)
-        else
-          let* pid = R.u32 r in
-          let* n = R.u32 r in
-          let* switches = read_u32_list r n in
-          placements (i + 1) ((pid, switches) :: acc)
-      in
-      let* replicas = placements 0 [] in
-      Ok (Partition_layout { regions; replicas })
-  | _ -> Error "unknown journal entry kind"
+      let regions = R.list r (R.u32 r) (read_located schema) in
+      let replicas = R.list r (R.u32 r) read_replicas in
+      Partition_layout { regions; replicas }
+  | _ -> R.fail "unknown journal entry kind"
 
-(* an entry must account for its whole body *)
-let decode_body schema kind body =
-  let r = R.create body in
-  let* entry = read_entry schema kind r body in
-  if R.pos r <> Bytes.length body then Error "bad journal entry length" else Ok entry
+(* A record is checksummed where it lies in [buf], and its body is read
+   through a cursor over its own bytes, which the entry must account for
+   whole. *)
+let read_record schema buf r =
+  let start = R.pos r in
+  if R.u8 r <> magic then R.fail "bad journal magic";
+  let kind = R.u8 r in
+  let flags = R.u8 r in
+  let len = R.u32 r in
+  if len < header_len then R.fail "bad record length";
+  let seq = R.u32 r in
+  let at = R.f64 r in
+  let stored = R.u64 r in
+  let body = R.sub r (len - header_len) in
+  if not (Int64.equal stored (Message.fnv1a ~hole:(checksum_off, 8) ~off:start ~len buf)) then
+    R.fail "journal checksum mismatch";
+  let entry = read_entry schema kind body in
+  if not (R.at_end body) then R.fail "bad journal entry length";
+  { seq; at; snap = flags land 1 = 1; entry }
 
 let decode schema buf =
-  let r = R.create buf in
-  let rec go acc =
-    let start = R.pos r in
-    if start = Bytes.length buf then Ok (List.rev acc)
-    else
-      let* m = R.u8 r in
-      if m <> magic then Error "bad journal magic"
-      else
-        let* kind = R.u8 r in
-        let* flags = R.u8 r in
-        let* len = R.u32 r in
-        if len < header_len then Error "bad record length"
-        else
-          let* seq = R.u32 r in
-          let* at = R.f64 r in
-          let* stored = R.u64 r in
-          let* body = R.bytes r (len - header_len) in
-          if
-            not
-              (Int64.equal stored
-                 (Message.fnv1a ~hole:(checksum_off, 8) (Bytes.sub buf start len)))
-          then Error "journal checksum mismatch"
-          else
-            let* entry = decode_body schema kind body in
-            go ({ seq; at; snap = flags land 1 = 1; entry } :: acc)
-  in
-  let* rs = go [] in
-  let t = create () in
-  let base, tail = List.partition (fun r -> r.snap) rs in
-  t.base <- base;
-  t.tail <- List.rev tail;
-  t.next_seq <- List.fold_left (fun m r -> max m (r.seq + 1)) 0 rs;
-  Ok t
+  try
+    let r = R.create buf in
+    let rec go acc = if R.at_end r then List.rev acc else go (read_record schema buf r :: acc) in
+    let rs = go [] in
+    let t = create () in
+    let base, tail = List.partition (fun r -> r.snap) rs in
+    t.base <- base;
+    t.tail <- List.rev tail;
+    t.next_seq <- List.fold_left (fun m r -> max m (r.seq + 1)) 0 rs;
+    Ok t
+  with R.Malformed e -> Error e

@@ -66,60 +66,46 @@ module W = struct
   let f64 b v = u64 b (Int64.bits_of_float v)
 end
 
+(* A raising cursor: every read returns a plain value and advances, or
+   raises [Malformed] when the bytes run out.  Decoders read straight-line
+   and turn [Malformed] into [Error] once, at their entry point. *)
 module R = struct
-  (* cursor-based reader returning result *)
-  type t = { buf : Bytes.t; mutable pos : int }
+  exception Malformed of string
 
-  let create buf = { buf; pos = 0 }
+  type t = { buf : Bytes.t; mutable pos : int; stop : int }
+
+  let create buf = { buf; pos = 0; stop = Bytes.length buf }
   let pos r = r.pos
+  let at_end r = r.pos = r.stop
+  let remaining r = r.stop - r.pos
+  let fail e = raise_notrace (Malformed e)
 
-  let need r n =
-    if n < 0 || r.pos + n > Bytes.length r.buf then Error "truncated frame" else Ok ()
+  (* the position of the next [n] bytes, consumed *)
+  let[@inline] take r n =
+    let p = r.pos in
+    if n < 0 || n > r.stop - p then fail "truncated frame";
+    r.pos <- p + n;
+    p
 
-  let u8 r =
-    match need r 1 with
-    | Error e -> Error e
-    | Ok () ->
-        let v = Bytes.get_uint8 r.buf r.pos in
-        r.pos <- r.pos + 1;
-        Ok v
+  let[@inline] u8 r = Bytes.get_uint8 r.buf (take r 1)
+  let[@inline] u16 r = Bytes.get_uint16_be r.buf (take r 2)
+  let[@inline] u32 r = Int32.to_int (Bytes.get_int32_be r.buf (take r 4)) land 0xffffffff
+  let[@inline] i32 r = Int32.to_int (Bytes.get_int32_be r.buf (take r 4))
+  let[@inline] u64 r = Bytes.get_int64_be r.buf (take r 8)
+  let f64 r = Int64.float_of_bits (u64 r)
 
-  let u16 r =
-    match need r 2 with
-    | Error e -> Error e
-    | Ok () ->
-        let v = Bytes.get_uint16_be r.buf r.pos in
-        r.pos <- r.pos + 2;
-        Ok v
+  let sub r n =
+    let p = take r n in
+    { buf = r.buf; pos = p; stop = p + n }
 
-  let u32 r =
-    match need r 4 with
-    | Error e -> Error e
-    | Ok () ->
-        let v = Int32.to_int (Bytes.get_int32_be r.buf r.pos) land 0xffffffff in
-        r.pos <- r.pos + 4;
-        Ok v
-
-  let u64 r =
-    match need r 8 with
-    | Error e -> Error e
-    | Ok () ->
-        let v = Bytes.get_int64_be r.buf r.pos in
-        r.pos <- r.pos + 8;
-        Ok v
-
-  let f64 r = Result.map Int64.float_of_bits (u64 r)
-
-  let bytes r n =
-    match need r n with
-    | Error e -> Error e
-    | Ok () ->
-        let v = Bytes.sub r.buf r.pos n in
-        r.pos <- r.pos + n;
-        Ok v
+  (* [n] items in order; a forged count stops at the first short read,
+     so the list never outgrows the bytes behind it *)
+  let[@tail_mod_cons] rec list r n read =
+    if n <= 0 then []
+    else
+      let x = read r in
+      x :: list r (n - 1) read
 end
-
-let ( let* ) = Result.bind
 
 let encode_pred b pred =
   W.u8 b (Pred.arity pred);
@@ -131,19 +117,13 @@ let encode_pred b pred =
   done
 
 let decode_pred schema r =
-  let* arity = R.u8 r in
-  if arity <> Schema.arity schema then Error "predicate arity mismatch"
-  else
-    let rec go i acc =
-      if i >= arity then Ok (Pred.make schema (List.rev acc))
-      else
-        let* w = R.u8 r in
-        let* v = R.u64 r in
-        let* m = R.u64 r in
-        if w <> Schema.field_bits schema i then Error "field width mismatch"
-        else go (i + 1) (Ternary.make ~width:w ~value:v ~mask:m :: acc)
-    in
-    go 0 []
+  if R.u8 r <> Schema.arity schema then R.fail "predicate arity mismatch";
+  Pred.init schema (fun i ->
+      let width = R.u8 r in
+      let value = R.u64 r in
+      let mask = R.u64 r in
+      if width <> Schema.field_bits schema i then R.fail "field width mismatch";
+      Ternary.make ~width ~value ~mask)
 
 let encode_action b = function
   | Action.Forward p ->
@@ -159,28 +139,22 @@ let encode_action b = function
   | Action.Redirect_controller -> W.u8 b 4
 
 let decode_action r =
-  let* tag = R.u8 r in
-  match tag with
-  | 0 ->
-      let* p = R.u32 r in
-      Ok (Action.Forward p)
-  | 1 -> Ok Action.Drop
-  | 2 ->
-      let* p = R.u32 r in
-      Ok (Action.Count_and_forward p)
-  | 3 ->
-      let* a = R.u32 r in
-      Ok (Action.To_authority a)
-  | 4 -> Ok Action.Redirect_controller
-  | _ -> Error "unknown action tag"
+  match R.u8 r with
+  | 0 -> Action.Forward (R.u32 r)
+  | 1 -> Action.Drop
+  | 2 -> Action.Count_and_forward (R.u32 r)
+  | 3 -> Action.To_authority (R.u32 r)
+  | 4 -> Action.Redirect_controller
+  | _ -> R.fail "unknown action tag"
 
 let bank_code = function Cache -> 0 | Authority -> 1 | Partition -> 2
 
-let decode_bank = function
-  | 0 -> Ok Cache
-  | 1 -> Ok Authority
-  | 2 -> Ok Partition
-  | _ -> Error "unknown bank"
+let decode_bank r =
+  match R.u8 r with
+  | 0 -> Cache
+  | 1 -> Authority
+  | 2 -> Partition
+  | _ -> R.fail "unknown bank"
 
 let encode_timeout b = function
   | None -> W.u8 b 0
@@ -189,26 +163,43 @@ let encode_timeout b = function
       W.f64 b v
 
 let decode_timeout r =
-  let* tag = R.u8 r in
-  match tag with
-  | 0 -> Ok None
-  | 1 ->
-      let* v = R.f64 r in
-      Ok (Some v)
-  | _ -> Error "bad timeout tag"
+  match R.u8 r with
+  | 0 -> None
+  | 1 -> Some (R.f64 r)
+  | _ -> R.fail "bad timeout tag"
 
+(* An id is an unsigned 32-bit field and a priority a signed one; a value
+   outside either would come back as a different rule. *)
 let encode_rule b (rule : Rule.t) =
+  if rule.id < 0 || rule.id > 0xffffffff then
+    invalid_arg (Printf.sprintf "Message: rule id %d is outside [0, 2^32)" rule.id);
+  if rule.priority < -0x80000000 || rule.priority > 0x7fffffff then
+    invalid_arg
+      (Printf.sprintf "Message: rule %d's priority %d is outside the int32 range" rule.id
+         rule.priority);
   W.u32 b rule.id;
-  W.u32 b (rule.priority land 0x7fffffff);
+  W.u32 b rule.priority;
   encode_pred b rule.pred;
   encode_action b rule.action
 
 let decode_rule schema r =
-  let* id = R.u32 r in
-  let* priority = R.u32 r in
-  let* pred = decode_pred schema r in
-  let* action = decode_action r in
-  Ok (Rule.make ~id ~priority pred action)
+  let id = R.u32 r in
+  let priority = R.i32 r in
+  let pred = decode_pred schema r in
+  let action = decode_action r in
+  Rule.make ~id ~priority pred action
+
+(* One sorted int array: a partition table that repeats an id cannot
+   become a classifier. *)
+let distinct_ids rules =
+  let ids = Array.make (List.length rules) 0 in
+  List.iteri (fun i (rule : Rule.t) -> ids.(i) <- rule.id) rules;
+  Array.sort Int.compare ids;
+  let ok = ref true in
+  for i = 1 to Array.length ids - 1 do
+    if ids.(i) = ids.(i - 1) then ok := false
+  done;
+  !ok
 
 let encode_body b = function
   | Hello -> ()
@@ -254,16 +245,92 @@ let encode_body b = function
       W.u64 b f.final_bytes;
       W.f64 b f.lifetime
 
-(* FNV-1a over a buffer, treating [hole] (an [(offset, length)] window,
-   e.g. a frame's checksum slot) as zero.  Not cryptographic — it only
-   needs to catch the simulator's fault injector flipping bytes in
-   flight, and it doubles as the journal's record checksum. *)
-let fnv1a ?hole buf =
-  let lo, hi = match hole with None -> (0, 0) | Some (off, len) -> (off, off + len) in
+let decode_flow_stats r =
+  let rule_id = R.u32 r in
+  let packets = R.u64 r in
+  let bytes = R.u64 r in
+  let duration = R.f64 r in
+  { rule_id; packets; bytes; duration }
+
+let decode_body schema r = function
+  | 0 -> Hello
+  | 2 -> Echo_request (R.u32 r)
+  | 3 -> Echo_reply (R.u32 r)
+  | 18 -> Barrier_request (R.u32 r)
+  | 19 -> Barrier_reply (R.u32 r)
+  | 14 ->
+      let command =
+        match R.u8 r with
+        | 0 -> Add
+        | 1 -> Delete
+        | 2 -> Delete_strict
+        | _ -> R.fail "unknown flow_mod command"
+      in
+      let bank = decode_bank r in
+      let idle_timeout = decode_timeout r in
+      let hard_timeout = decode_timeout r in
+      let rule = decode_rule schema r in
+      Flow_mod { command; bank; rule; idle_timeout; hard_timeout }
+  | 16 ->
+      let table_bank = decode_bank r in
+      let cookie = R.u32 r in
+      Stats_request { table_bank; cookie }
+  | 17 ->
+      let request_cookie = R.u32 r in
+      let count = R.u32 r in
+      let flows = R.list r count decode_flow_stats in
+      Stats_reply { request_cookie; flows }
+  | 11 ->
+      let removed_rule = R.u32 r in
+      let cookie = match R.u32 r with 0x7fffffff -> -1 | c -> c in
+      let reason =
+        match R.u8 r with
+        | 0 -> Idle_timeout
+        | 1 -> Hard_timeout
+        | 2 -> Evicted
+        | 3 -> Deleted
+        | 4 -> Replaced
+        | _ -> R.fail "unknown removal reason"
+      in
+      let final_packets = R.u64 r in
+      let final_bytes = R.u64 r in
+      let lifetime = R.f64 r in
+      Flow_removed { removed_rule; cookie; reason; final_packets; final_bytes; lifetime }
+  | 30 ->
+      let pid = R.u32 r in
+      let region = decode_pred schema r in
+      let count = R.u32 r in
+      let table_rules = R.list r count (decode_rule schema) in
+      if not (distinct_ids table_rules) then R.fail "duplicate rule ids in partition table";
+      Install_partition { pid; region; table_rules }
+  | 31 -> Drop_partition (R.u32 r)
+  | 32 -> Ack (R.u32 r)
+  | _ -> R.fail "unknown message type"
+
+(* FNV-1a over [len] bytes of a buffer from [off], treating [hole] (an
+   [(offset, length)] window relative to [off], e.g. a frame's checksum
+   slot) as zero.  Not cryptographic — it only needs to catch the
+   simulator's fault injector flipping bytes in flight, and it doubles as
+   the journal's record checksum.  Three loops, before, inside and after
+   the hole, keep the per-byte step a bare xor and multiply. *)
+let fnv1a ?hole ?(off = 0) ?len buf =
+  let stop = match len with Some n -> off + n | None -> Bytes.length buf in
+  let lo, hi =
+    match hole with
+    | None -> (stop, stop)
+    | Some (o, n) ->
+        let lo = min stop (off + o) in
+        (lo, min stop (lo + n))
+  in
   let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Bytes.length buf - 1 do
-    let byte = if i >= lo && i < hi then 0 else Bytes.get_uint8 buf i in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L
+  for i = off to lo - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Bytes.get_uint8 buf i))) 0x100000001b3L
+  done;
+  for _ = lo to hi - 1 do
+    h := Int64.mul !h 0x100000001b3L
+  done;
+  for i = hi to stop - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Bytes.get_uint8 buf i))) 0x100000001b3L
   done;
   !h
 
@@ -272,135 +339,41 @@ let checksum buf = fnv1a ~hole:(12, 8) buf
 (* the largest frame the u16 length field can describe *)
 let max_frame = 0xffff
 
+(* The header goes first with zero length and checksum, the body after
+   it in the same buffer; both slots are patched once the length is
+   known. *)
 let encode ~xid ?(epoch = 0) t =
-  let body = Buffer.create 64 in
-  encode_body body t;
-  let len = Buffer.length body + 20 in
+  let b = Buffer.create 64 in
+  W.u8 b version;
+  W.u8 b (type_code t);
+  W.u16 b 0;
+  W.u32 b xid;
+  W.u32 b epoch;
+  W.u64 b 0L;
+  encode_body b t;
+  let len = Buffer.length b in
   if len > max_frame then
     invalid_arg
       (Printf.sprintf "Message.encode: %d-byte frame exceeds the %d-byte frame limit" len
          max_frame);
-  let frame = Buffer.create len in
-  W.u8 frame version;
-  W.u8 frame (type_code t);
-  W.u16 frame len;
-  W.u32 frame xid;
-  W.u32 frame epoch;
-  (* 8 bytes of checksum to reach a 20-byte header; filled in below *)
-  W.u64 frame 0L;
-  Buffer.add_buffer frame body;
-  let bytes = Buffer.to_bytes frame in
+  let bytes = Buffer.to_bytes b in
+  Bytes.set_uint16_be bytes 2 len;
   Bytes.set_int64_be bytes 12 (checksum bytes);
   bytes
 
 let decode schema buf =
-  let r = R.create buf in
-  let* v = R.u8 r in
-  if v <> version then Error "bad version"
-  else
-    let* ty = R.u8 r in
-    let* len = R.u16 r in
-    if len <> Bytes.length buf then Error "length mismatch"
-    else
-      let* xid = R.u32 r in
-      let* epoch = R.u32 r in
-      let* stored_sum = R.u64 r in
-      let* () =
-        if Int64.equal stored_sum (checksum buf) then Ok ()
-        else Error "checksum mismatch"
-      in
-      let* msg =
-        match ty with
-        | 0 -> Ok Hello
-        | 2 ->
-            let* c = R.u32 r in
-            Ok (Echo_request c)
-        | 3 ->
-            let* c = R.u32 r in
-            Ok (Echo_reply c)
-        | 18 ->
-            let* c = R.u32 r in
-            Ok (Barrier_request c)
-        | 19 ->
-            let* c = R.u32 r in
-            Ok (Barrier_reply c)
-        | 14 ->
-            let* cmd = R.u8 r in
-            let* command =
-              match cmd with
-              | 0 -> Ok Add
-              | 1 -> Ok Delete
-              | 2 -> Ok Delete_strict
-              | _ -> Error "unknown flow_mod command"
-            in
-            let* bank_raw = R.u8 r in
-            let* bank = decode_bank bank_raw in
-            let* idle_timeout = decode_timeout r in
-            let* hard_timeout = decode_timeout r in
-            let* rule = decode_rule schema r in
-            Ok (Flow_mod { command; bank; rule; idle_timeout; hard_timeout })
-        | 16 ->
-            let* bank_raw = R.u8 r in
-            let* table_bank = decode_bank bank_raw in
-            let* cookie = R.u32 r in
-            Ok (Stats_request { table_bank; cookie })
-        | 17 ->
-            let* request_cookie = R.u32 r in
-            let* count = R.u32 r in
-            let rec go i acc =
-              if i >= count then Ok (List.rev acc)
-              else
-                let* rule_id = R.u32 r in
-                let* packets = R.u64 r in
-                let* bytes = R.u64 r in
-                let* duration = R.f64 r in
-                go (i + 1) ({ rule_id; packets; bytes; duration } :: acc)
-            in
-            let* flows = go 0 [] in
-            Ok (Stats_reply { request_cookie; flows })
-        | 11 ->
-            let* removed_rule = R.u32 r in
-            let* cookie_raw = R.u32 r in
-            let cookie = if cookie_raw = 0x7fffffff then -1 else cookie_raw in
-            let* reason_raw = R.u8 r in
-            let* reason =
-              match reason_raw with
-              | 0 -> Ok Idle_timeout
-              | 1 -> Ok Hard_timeout
-              | 2 -> Ok Evicted
-              | 3 -> Ok Deleted
-              | 4 -> Ok Replaced
-              | _ -> Error "unknown removal reason"
-            in
-            let* final_packets = R.u64 r in
-            let* final_bytes = R.u64 r in
-            let* lifetime = R.f64 r in
-            Ok (Flow_removed { removed_rule; cookie; reason; final_packets; final_bytes; lifetime })
-        | 30 ->
-            let* pid = R.u32 r in
-            let* region = decode_pred schema r in
-            let* count = R.u32 r in
-            let rec go i acc =
-              if i >= count then Ok (List.rev acc)
-              else
-                let* rule = decode_rule schema r in
-                go (i + 1) (rule :: acc)
-            in
-            let* table_rules = go 0 [] in
-            let ids = List.map (fun (rule : Rule.t) -> rule.id) table_rules in
-            if List.compare_lengths (List.sort_uniq Int.compare ids) ids <> 0 then
-              Error "duplicate rule ids in partition table"
-            else Ok (Install_partition { pid; region; table_rules })
-        | 31 ->
-            let* pid = R.u32 r in
-            Ok (Drop_partition pid)
-        | 32 ->
-            let* x = R.u32 r in
-            Ok (Ack x)
-        | _ -> Error "unknown message type"
-      in
-      if R.pos r <> Bytes.length buf then Error "trailing bytes"
-      else Ok (xid, epoch, msg)
+  try
+    let r = R.create buf in
+    if R.u8 r <> version then R.fail "bad version";
+    let ty = R.u8 r in
+    if R.u16 r <> Bytes.length buf then R.fail "length mismatch";
+    let xid = R.u32 r in
+    let epoch = R.u32 r in
+    if not (Int64.equal (R.u64 r) (checksum buf)) then R.fail "checksum mismatch";
+    let msg = decode_body schema r ty in
+    if not (R.at_end r) then R.fail "trailing bytes";
+    Ok (xid, epoch, msg)
+  with R.Malformed e -> Error e
 
 (* ---- rule-list codec, shared with the journal ---- *)
 
@@ -410,14 +383,11 @@ let rules_to_bytes rules =
   List.iter (encode_rule b) rules;
   Buffer.to_bytes b
 
+let read_rules schema r =
+  let count = R.u32 r in
+  let rules = R.list r count (decode_rule schema) in
+  if not (R.at_end r) then R.fail "trailing bytes";
+  rules
+
 let rules_of_bytes schema buf =
-  let r = R.create buf in
-  let* count = R.u32 r in
-  let rec go i acc =
-    if i >= count then Ok (List.rev acc)
-    else
-      let* rule = decode_rule schema r in
-      go (i + 1) (rule :: acc)
-  in
-  let* rules = go 0 [] in
-  if R.pos r <> Bytes.length buf then Error "trailing bytes" else Ok rules
+  try Ok (read_rules schema (R.create buf)) with R.Malformed e -> Error e

@@ -94,10 +94,12 @@ type t =
     "unfenced" (single-controller deployments never reject). *)
 
 val encode : xid:int -> ?epoch:int -> t -> Bytes.t
-(** [epoch] defaults to [0] (unfenced).
+(** [epoch] defaults to [0] (unfenced).  A rule's id travels as an
+    unsigned 32-bit field and its priority as a signed one.
     @raise Invalid_argument if the frame is over 65,535 bytes, the most
     its 16-bit length field can describe (an [Install_partition] of
-    about 670 five-tuple rules). *)
+    about 670 five-tuple rules), or if a rule's id is outside
+    [\[0, 2^32)] or its priority outside the int32 range. *)
 
 val decode : Schema.t -> Bytes.t -> (int * int * t, string) result
 (** Returns [(xid, epoch, message)].  The schema is needed to rebuild
@@ -105,8 +107,9 @@ val decode : Schema.t -> Bytes.t -> (int * int * t, string) result
     on an [Install_partition] table that repeats a rule id, rather than
     raising. *)
 
-val fnv1a : ?hole:int * int -> Bytes.t -> int64
-(** FNV-1a hash of a buffer, with an optional [(offset, length)] window
+val fnv1a : ?hole:int * int -> ?off:int -> ?len:int -> Bytes.t -> int64
+(** FNV-1a hash of [len] bytes of a buffer from [off] (default: all of
+    it), with an optional [(offset, length)] window, relative to [off],
     treated as zero (where the checksum itself is stored).  Shared with
     the journal's record framing. *)
 
@@ -125,22 +128,45 @@ end
 
 module R : sig
   type t
-  (** A cursor over a buffer.  Every read advances it, or returns [Error]
-      without moving it when fewer bytes remain than the read needs. *)
+  (** A cursor over a window of a buffer.  Every read returns a plain
+      value and advances, or raises {!Malformed} when fewer bytes remain
+      in the window than the read needs. *)
+
+  exception Malformed of string
+  (** Raised by the reads and by {!fail}; each decoder built on the
+      cursor catches it once, at its entry point, and returns [Error]. *)
 
   val create : Bytes.t -> t
   val pos : t -> int
-  val u8 : t -> (int, string) result
-  val u32 : t -> (int, string) result
-  val u64 : t -> (int64, string) result
-  val f64 : t -> (float, string) result
+  val at_end : t -> bool
+  val remaining : t -> int
 
-  val bytes : t -> int -> (Bytes.t, string) result
-  (** The next [n] bytes, copied. *)
+  val fail : string -> 'a
+  (** Raise {!Malformed}. *)
+
+  val u8 : t -> int
+  val u32 : t -> int
+  val u64 : t -> int64
+  val f64 : t -> float
+
+  val sub : t -> int -> t
+  (** The next [n] bytes as a cursor of their own, consumed from this
+      one; nothing is copied. *)
+
+  val list : t -> int -> (t -> 'a) -> 'a list
+  (** [list r n read]: [n] items read in order.  Nothing is allocated
+      ahead of the reads, so a forged count fails at the first short
+      read. *)
 end
 
 val rules_to_bytes : Rule.t list -> Bytes.t
+(** Length-prefixed rule-list codec built on the frame codec's rule
+    encoding — the journal uses it to persist policies and tables.
+    @raise Invalid_argument on a rule id or priority {!encode} rejects. *)
+
+val read_rules : Schema.t -> R.t -> Rule.t list
+(** Decode {!rules_to_bytes}' output filling the rest of the cursor's
+    window.  @raise R.Malformed on truncated, corrupt or trailing bytes. *)
 
 val rules_of_bytes : Schema.t -> Bytes.t -> (Rule.t list, string) result
-(** Length-prefixed rule-list codec built on the frame codec's rule
-    encoding — the journal uses it to persist policies and tables. *)
+(** {!read_rules} over a whole buffer. *)

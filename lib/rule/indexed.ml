@@ -10,8 +10,9 @@ let of_classifier source =
   let index =
     if not (Header.lanes_exact (Classifier.schema source)) then None
     else begin
-      let ts = Tuple_space.create () in
-      List.iter (fun r -> ignore (Tuple_space.add ts r (Some r))) (Classifier.rules source);
+      let rules = Classifier.rules source in
+      let ts = Tuple_space.create ~size:(List.length rules) () in
+      List.iter (fun r -> ignore (Tuple_space.add ts r (Some r))) rules;
       Some ts
     end
   in

@@ -152,6 +152,10 @@ let of_string text =
                 | [ prio; pred; action ] ->
                     let* priority =
                       match int_of_string_opt prio with
+                      | Some p when p < -0x80000000 || p > 0x7fffffff ->
+                          (* the control channel carries a signed 32-bit priority *)
+                          Error
+                            (Printf.sprintf "line %d: priority %d outside the int32 range" lineno p)
                       | Some p -> Ok p
                       | None -> Error (Printf.sprintf "line %d: bad priority %S" lineno prio)
                     in

@@ -17,6 +17,7 @@
     notation on 32-bit fields ([10.0.0.0/24]), bare decimal integers
     ([80]), and [*].  Omitted fields are wildcards; [*] alone is the
     match-anything predicate.  Actions: [drop], [fwd:N], [count_fwd:N].
+    Priorities are integers in the int32 range, negative ones included.
     Rule ids are assigned in file order; equal priorities keep file order
     (first wins). *)
 

@@ -29,7 +29,11 @@ type 'a t = {
   mutable len : int;
   mutable groups : 'a group array;
   mutable ngroups : int;
-  by_mask : (int * int, 'a group) Hashtbl.t;
+  mutable by_mask : 'a group option array;
+      (* the groups by lane masks: open addressing with linear probing
+         over a power-of-two array at most half full.  A lookup hands back
+         the stored [Some], so it boxes no key and allocates nothing. *)
+  size : int;  (* dense capacity the first growth takes *)
   (* Rules arrived in table order and none left: dense positions and
      group positions are then in table order too, so the first match of
      a scan wins and a probe can stop at the first group whose top the
@@ -37,14 +41,15 @@ type 'a t = {
   mutable sorted : bool;
 }
 
-let create () =
+let create ?(size = 8) () =
   {
     lanes = [||];
     slots = [||];
     len = 0;
     groups = [||];
     ngroups = 0;
-    by_mask = Hashtbl.create 16;
+    by_mask = Array.make 16 None;
+    size;
     sorted = true;
   }
 
@@ -54,20 +59,76 @@ let clear t =
   t.len <- 0;
   t.groups <- [||];
   t.ngroups <- 0;
-  Hashtbl.reset t.by_mask;
+  Array.fill t.by_mask 0 (Array.length t.by_mask) None;
   t.sorted <- true
 
 let groups t = t.ngroups
 let get t i = t.slots.(i).data
 
-(* Masked lanes to a chain.  The xor-shift-multiply rounds carry high
-   lane bits (prefix values live there) down into the low bits the
-   power-of-two chain mask keeps. *)
-let chain_of g klo khi =
-  let h = klo lxor (khi * 0x2545f4914f6cdd1d) in
+(* Two lanes to a hash.  The xor-shift-multiply rounds carry high lane
+   bits (prefix values live there) down into the low bits a power-of-two
+   mask keeps. *)
+let mix lo hi =
+  let h = lo lxor (hi * 0x2545f4914f6cdd1d) in
   let h = (h lxor (h lsr 31)) * 0x3c6ef372fe94f82b in
-  let h = h lxor (h lsr 29) in
-  h land (Array.length g.chains - 1)
+  h lxor (h lsr 29)
+
+(* masked lanes to a chain *)
+let chain_of g klo khi = mix klo khi land (Array.length g.chains - 1)
+
+(* ---- the group index ---- *)
+
+let home buckets mlo mhi = mix mlo mhi land (Array.length buckets - 1)
+let next buckets i = (i + 1) land (Array.length buckets - 1)
+
+let rec lookup buckets mlo mhi i =
+  match buckets.(i) with
+  | None -> None
+  | Some g as found when g.mask_lo = mlo && g.mask_hi = mhi -> found
+  | Some _ -> lookup buckets mlo mhi (next buckets i)
+
+let group_of t mlo mhi = lookup t.by_mask mlo mhi (home t.by_mask mlo mhi)
+
+let rec place buckets cell i =
+  match buckets.(i) with None -> buckets.(i) <- cell | Some _ -> place buckets cell (next buckets i)
+
+let place_group buckets = function
+  | None -> ()
+  | Some g as cell -> place buckets cell (home buckets g.mask_lo g.mask_hi)
+
+(* After [t.ngroups] has counted [g]. *)
+let index_group t g =
+  if 2 * t.ngroups > Array.length t.by_mask then begin
+    let old = t.by_mask in
+    t.by_mask <- Array.make (2 * Array.length old) None;
+    Array.iter (place_group t.by_mask) old
+  end;
+  place_group t.by_mask (Some g)
+
+(* Backward-shift deletion: every later member of [g]'s probe run that
+   may move into the hole does, so no probe stops early at a gap.  A
+   member stays when its home lies cyclically in (hole, j]. *)
+let unindex_group t g =
+  let b = t.by_mask in
+  let rec slot i = match b.(i) with Some x when x == g -> i | _ -> slot (next b i) in
+  let rec shift hole j =
+    match b.(j) with
+    | None -> ()
+    | Some x as cell ->
+        let k = home b x.mask_lo x.mask_hi in
+        let stays = if hole <= j then hole < k && k <= j else hole < k || k <= j in
+        if stays then shift hole (next b j)
+        else begin
+          b.(hole) <- cell;
+          b.(j) <- None;
+          shift j (next b j)
+        end
+  in
+  let i = slot (home b g.mask_lo g.mask_hi) in
+  b.(i) <- None;
+  shift i (next b i)
+
+(* ---- table order and chains ---- *)
 
 let rec insert_ordered s = function
   | [] -> [ s ]
@@ -88,7 +149,7 @@ let grow g =
 let push_dense t s ~mask_lo ~mask_hi =
   let n = t.len in
   if n = Array.length t.slots then begin
-    let cap = max 8 (2 * n) in
+    let cap = max t.size (max 8 (2 * n)) in
     let slots = Array.make cap s and lanes = Array.make (4 * cap) 0 in
     Array.blit t.slots 0 slots 0 n;
     Array.blit t.lanes 0 lanes 0 (4 * n);
@@ -104,7 +165,7 @@ let push_dense t s ~mask_lo ~mask_hi =
   t.len <- n + 1
 
 let group_for t rule ~mask_lo ~mask_hi =
-  match Hashtbl.find_opt t.by_mask (mask_lo, mask_hi) with
+  match group_of t mask_lo mask_hi with
   | Some g -> g
   | None ->
       let g =
@@ -117,7 +178,7 @@ let group_for t rule ~mask_lo ~mask_hi =
       end;
       t.groups.(t.ngroups) <- g;
       t.ngroups <- t.ngroups + 1;
-      Hashtbl.add t.by_mask (mask_lo, mask_hi) g;
+      index_group t g;
       g
 
 let add t (rule : Rule.t) data =
@@ -137,7 +198,7 @@ let remove t s =
   g.chains.(c) <- List.filter (fun x -> x != s) g.chains.(c);
   g.members <- g.members - 1;
   if g.members = 0 then begin
-    Hashtbl.remove t.by_mask (g.mask_lo, g.mask_hi);
+    unindex_group t g;
     let last = t.ngroups - 1 in
     let moved = t.groups.(last) in
     t.groups.(g.gpos) <- moved;
@@ -163,7 +224,7 @@ let swap t (rule : Rule.t) data =
     | [] -> invalid_arg "Tuple_space.swap: no rule with this id and predicate"
     | s :: rest -> if s.rule.Rule.id = rule.id then s else slot_of rest
   in
-  match Hashtbl.find_opt t.by_mask (mask_lo, mask_hi) with
+  match group_of t mask_lo mask_hi with
   | None -> invalid_arg "Tuple_space.swap: no rule with this id and predicate"
   | Some g ->
       let s = slot_of g.chains.(chain_of g value_lo value_hi) in
@@ -238,7 +299,7 @@ let fold_at g vlo vhi f acc = fold_chain vlo vhi f acc g.chains.(chain_of g vlo 
 
 let fold_equal t p f acc =
   let mlo, vlo, mhi, vhi = Pred.lanes p in
-  match Hashtbl.find_opt t.by_mask (mlo, mhi) with
+  match group_of t mlo mhi with
   | Some g -> fold_at g vlo vhi f acc
   | None -> acc
 
@@ -246,7 +307,7 @@ let fold_equal t p f acc =
    values with one masked bit flipped: one chain per masked bit. *)
 let fold_buddies t p f acc =
   let mlo, vlo, mhi, vhi = Pred.lanes p in
-  match Hashtbl.find_opt t.by_mask (mlo, mhi) with
+  match group_of t mlo mhi with
   | None -> acc
   | Some g ->
       (* [probe] each set bit of [mask], lowest first *)

@@ -23,7 +23,9 @@ type 'a t
 type 'a slot
 (** One rule's place in a table; the handle {!remove} takes. *)
 
-val create : unit -> 'a t
+val create : ?size:int -> unit -> 'a t
+(** [size] (default 8) is the rule count the dense arrays first grow to:
+    a table filled from a known rule list grows once. *)
 
 val add : 'a t -> Rule.t -> 'a -> 'a slot
 (** Index a rule with its payload.  Rule ids must be unique in the

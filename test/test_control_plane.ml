@@ -198,6 +198,27 @@ let test_targeted_invalidation () =
   drive cp ~from:1.001 ~until:1.1 ~step:0.01;
   check Alcotest.int "cache emptied" 0 (Deployment.total_cache_entries d)
 
+(* A longest-prefix table's default route has priority -1.  Pushed
+   through the encoded channel it must stay the lowest rule: read back as
+   an unsigned field it would outrank every prefix. *)
+let test_push_negative_priority () =
+  let policy =
+    Policy_gen.prefix_table (Prng.create 8) { Policy_gen.default_prefixes with prefixes = 200; egresses = 5 }
+  in
+  check Alcotest.bool "the default route has priority -1" true
+    (List.exists (fun (r : Rule.t) -> r.priority = -1) (Classifier.rules policy));
+  let d =
+    Deployment.build ~install:false
+      ~config:{ Deployment.default_config with k = 8 }
+      ~policy ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
+  in
+  let cp = Control_plane.create d in
+  Control_plane.push_deployment cp ~now:0.;
+  drive cp ~from:0.001 ~until:0.2 ~step:0.01;
+  let probes = Array.to_list (Traffic.headers_for (Prng.create 9) policy 1000) in
+  check Alcotest.bool "pushed prefix table = policy" true
+    (Deployment.semantically_equal d probes)
+
 let test_push_deployment () =
   (* blank switches, configuration delivered purely as encoded messages *)
   let d =
@@ -437,6 +458,7 @@ let suite =
         tc "one-pass invalidation = per-id walk" test_one_pass_invalidation;
         tc "control overhead counted" test_control_overhead_counted;
         tc "push deployment over channels" test_push_deployment;
+        tc "pushed negative priority stays lowest" test_push_negative_priority;
         tc "partition transfer codec" test_partition_transfer_codec;
       ] );
     ( "reliability",

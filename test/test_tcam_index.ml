@@ -457,6 +457,91 @@ let test_replace_returns_final_counters () =
   check (Alcotest.list Alcotest.int) "no eviction on same-id reinstall" []
     (List.map (fun (e : Tcam.entry) -> e.Tcam.rule.Rule.id) d.Tcam.evicted)
 
+(* The group index is open-addressed by lane masks and deletes by
+   shifting later members of a probe run back, across the array's end
+   too.  Tables of 8 to 300 rules over as many random mask pairs, 20
+   seeds each, are emptied in a shuffled order; after every removal each
+   remaining rule is still found through its group, and the group count
+   is the number of distinct mask pairs left. *)
+let group_index_removal ~seed n =
+  let rng = Prng.create seed in
+  let field () =
+    Ternary.make ~width:8 ~value:(Int64.of_int (Prng.int rng 256))
+      ~mask:(Int64.of_int (Prng.int rng 256))
+  in
+  let rules =
+    Array.init n (fun i ->
+        Rule.make ~id:i ~priority:(Prng.int rng 10) (Pred.make s2 [ field (); field () ])
+          Action.Drop)
+  in
+  let ts = Tuple_space.create () in
+  let slots = Array.map (fun r -> Tuple_space.add ts r r.Rule.id) rules in
+  let live = Array.make n true in
+  let masks () =
+    List.length
+      (List.sort_uniq compare
+         (List.filter_map
+            (fun (r : Rule.t) ->
+              if live.(r.id) then Some (List.init 2 (fun i -> Ternary.mask (Pred.field r.pred i)))
+              else None)
+            (Array.to_list rules)))
+  in
+  let found (r : Rule.t) =
+    Tuple_space.fold_equal ts r.pred (fun acc id -> acc || id = r.id) false
+  in
+  let at k = Printf.sprintf "%d rules, seed %d, after %d removals" n seed k in
+  if Tuple_space.groups ts <> masks () then Alcotest.failf "%s: group count" (at 0);
+  let order = Array.init n Fun.id in
+  Prng.shuffle rng order;
+  Array.iteri
+    (fun k i ->
+      Tuple_space.remove ts slots.(i);
+      live.(i) <- false;
+      Array.iter
+        (fun (r : Rule.t) ->
+          if found r <> live.(r.id) then
+            Alcotest.failf "%s: rule %d %s" (at (k + 1)) r.id
+              (if live.(r.id) then "is lost" else "is still found"))
+        rules;
+      if Tuple_space.groups ts <> masks () then
+        Alcotest.failf "%s: %d groups for %d mask pairs" (at (k + 1)) (Tuple_space.groups ts)
+          (masks ()))
+    order;
+  (* the emptied index takes rules again *)
+  Array.iter (fun r -> ignore (Tuple_space.add ts r r.Rule.id)) rules;
+  if not (Array.for_all found rules) then Alcotest.failf "%s: refill lost a rule" (at n)
+
+let test_group_index_removal () =
+  List.iter
+    (fun n ->
+      for seed = 0 to 19 do
+        group_index_removal ~seed n
+      done)
+    [ 8; 16; 40; 300 ]
+
+(* Indexing the 1,000-rule campus ACL's 16 partition tables (1,015
+   rules) at k = 16.  Keying the groups by a boxed mask pair in a
+   polymorphic [Hashtbl] cost about 50 words a rule; the open-addressed
+   index and a dense bank sized from the table, about 38. *)
+let test_indexed_words () =
+  let policy = Policy_gen.acl (Prng.create 2010) { Policy_gen.default_acl with rules = 1000 } in
+  let topo_rng = Prng.create 2010 in
+  let topology = Topology.campus ~rand:(fun () -> Prng.float topo_rng) ~edge_switches:12 () in
+  let d =
+    Deployment.build
+      ~config:{ Deployment.default_config with k = 16 }
+      ~policy ~topology ~authority_ids:[ 2; 3; 4 ] ()
+  in
+  let tables =
+    List.map (fun (p : Partitioner.partition) -> p.table) (Deployment.partitioner d).partitions
+  in
+  let rules = List.fold_left (fun n t -> n + Classifier.length t) 0 tables in
+  let w0 = Gc.minor_words () in
+  let indexes = List.map Indexed.of_classifier tables in
+  let per_rule = (Gc.minor_words () -. w0) /. float_of_int rules in
+  check Alcotest.int "every table indexed" (List.length tables) (List.length indexes);
+  if per_rule > 44. then Alcotest.failf "%.1f minor words per indexed rule (bound 44)" per_rule
+
 let suite =
   [
     ( "tcam index",
@@ -480,5 +565,7 @@ let suite =
         tc "degenerate-case heuristic" test_degenerate_heuristic;
         tc "expirations split from evictions" test_expirations_split_from_evictions;
         tc "replace returns final counters" test_replace_returns_final_counters;
+        tc "group index survives removal in any order" test_group_index_removal;
+        tc "indexing words per rule" test_indexed_words;
       ] );
   ]
