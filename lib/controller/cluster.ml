@@ -1,7 +1,3 @@
-let log_src = Logs.Src.create "difane.cluster" ~doc:"DIFANE controller-cluster events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type config = {
   controllers : int;
   snapshot_every : int;
@@ -62,12 +58,7 @@ let m_fenced_appends = Telemetry.counter "cluster_fenced_appends"
 let m_replayed = Telemetry.counter "cluster_entries_replayed"
 let g_epoch = Telemetry.gauge "cluster_epoch"
 
-let record t ~now fmt =
-  Printf.ksprintf
-    (fun s ->
-      t.log <- (now, s) :: t.log;
-      Log.info (fun m -> m "t=%.3f %s" now s))
-    fmt
+let record t ~now fmt = Printf.ksprintf (fun s -> t.log <- (now, s) :: t.log) fmt
 
 (* Journal writes are fenced like control frames: an appender minted for
    epoch [e] only writes while [e] is still the cluster epoch, so a
@@ -248,7 +239,7 @@ let rebuild t ~now =
           model :=
             Some
               (Deployment.build ~config:t.dconfig
-                 ~policy:(Classifier.create t.schema policy)
+                 ~policy:(Classifier.of_table_order t.schema policy)
                  ~topology:t.topology ~authority_ids ())
       | _, Some m -> model := Some (Deployment.apply m ~now entry)
       | _, None -> ());

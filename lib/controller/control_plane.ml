@@ -1,7 +1,3 @@
-let log_src = Logs.Src.create "difane.control" ~doc:"DIFANE control-plane events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type config = {
   echo_interval : float;
   stats_interval : float;
@@ -118,12 +114,7 @@ type t = {
   mutable log : (float * string) list; (* reverse order *)
 }
 
-let record t ~now fmt =
-  Printf.ksprintf
-    (fun s ->
-      t.log <- (now, s) :: t.log;
-      Log.info (fun m -> m "t=%.3f %s" now s))
-    fmt
+let record t ~now fmt = Printf.ksprintf (fun s -> t.log <- (now, s) :: t.log) fmt
 
 let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_offset = 0)
     ?(demoted = []) ?(presumed_dead = []) ?(next_mid = 0) deployment =
@@ -136,6 +127,7 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
   in
   let demoted_tbl = Hashtbl.create 4 in
   List.iter (fun i -> Hashtbl.replace demoted_tbl i ()) demoted;
+  Array.iter Switch.attach (Deployment.switches deployment);
   {
     deployment;
     config;
@@ -874,9 +866,7 @@ let delete_cached_origins t ~now ids =
    consistency that survives lossy channels and failovers racing the
    deletions.  The deployment's id diff names the changed rules. *)
 let update_policy t ~now ?(strict = true) policy =
-  journal_entry t ~now (Journal.Policy_update { rules = Classifier.rules policy; strict });
-  (* not [decide]: [apply] would pay a [Classifier.create] for the classifier held here *)
-  t.deployment <- Deployment.update_policy ~flush:false t.deployment ~now policy;
+  decide t ~now (Journal.Policy_update { rules = Classifier.rules policy; strict });
   let { Deployment.changed; kept_layout } = Deployment.last_update t.deployment in
   Telemetry.incr m_policy_updates;
   if strict then ignore (delete_cached_origins t ~now changed);

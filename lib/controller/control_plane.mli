@@ -93,7 +93,10 @@ val create :
   ?next_mid:int ->
   Deployment.t ->
   t
-(** With [faults], every channel gets its own deterministic fault stream
+(** Attaches every switch of the deployment ({!Switch.attach}), so their
+    flow-removed notifications queue for {!tick} to forward.
+
+    With [faults], every channel gets its own deterministic fault stream
     from the plan (switch [i]'s controller→switch channel is fault
     channel [channel_offset + 2i], the reverse direction
     [channel_offset + 2i + 1]) and the plan's scheduled events fire
@@ -163,7 +166,9 @@ val failed_switches : t -> int list
 (** Switches declared dead so far (in failure order). *)
 
 val update_policy : t -> now:float -> ?strict:bool -> Classifier.t -> unit
-(** Install a new policy through {!Deployment.update_policy}: the layout
+(** A journaled decision like every other: the [Policy_update] entry is
+    written, then applied by {!Deployment.apply}, which installs it
+    through {!Deployment.update_policy}: the layout
     is kept and the changed tables patched in place when no predicate
     changed, and re-partitioned otherwise.  With [strict] (default)
     every cache entry spliced from a changed rule (the deployment's id

@@ -1,7 +1,3 @@
-let log_src = Logs.Src.create "difane.deployment" ~doc:"DIFANE deployment events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type config = {
   k : int;
   heuristic : Partitioner.heuristic;
@@ -115,10 +111,7 @@ let install_all ?(fresh_tables = true) d =
         (Assignment.replicas_of d.assignment p.pid))
     d.partitioner.Partitioner.partitions;
   d.last_new_installs <- !new_installs;
-  d.last_new_primary_installs <- !new_primary_installs;
-  Log.debug (fun m ->
-      m "installed %d partition rules/switch, %d new authority tables (%d primary)"
-        (List.length d.partitioner.Partitioner.partitions) !new_installs !new_primary_installs)
+  d.last_new_primary_installs <- !new_primary_installs
 
 let assignment_weights config (partitioner : Partitioner.t) =
   match config.balance with
@@ -516,9 +509,6 @@ let update_policy ?(flush = true) d ~now new_policy =
                    last_update = { changed = diff.ids; kept_layout = true } }
         in
         install_patched d' ~before:d.partitioner ~patched ~moved;
-        Log.info (fun m ->
-            m "policy update: %d rules changed; layout kept, %d tables patched"
-              (List.length diff.ids) (List.length patched));
         d'
     | _ ->
         let partitioner =
@@ -530,8 +520,6 @@ let update_policy ?(flush = true) d ~now new_policy =
                    last_update = { changed = diff.ids; kept_layout = false } }
         in
         install_all d';
-        Log.info (fun m ->
-            m "policy update: %d rules changed; re-partitioned" (List.length diff.ids));
         d'
   in
   (* Strict consistency drops every reactive cache entry — stale spliced
@@ -574,7 +562,6 @@ let cache_entries_of_origins d ~live ids =
   Array.fold_right List.rev_append buckets []
 
 let fail_authority d failed =
-  Log.info (fun m -> m "authority %d failed; promoting backups" failed);
   let assignment = Assignment.reassign d.assignment ~failed in
   let authority_ids = List.filter (fun a -> a <> failed) d.authority_ids in
   (* The failed switch keeps its cache but loses authority duties. *)
@@ -589,7 +576,6 @@ let fail_authority d failed =
 let restore_authority d i =
   if List.mem i d.authority_ids then d
   else begin
-    Log.info (fun m -> m "authority %d rejoins the pool; re-placing partitions" i);
     let authority_ids = List.sort Int.compare (i :: d.authority_ids) in
     let assignment =
       Assignment.greedy ?weights:(assignment_weights d.config d.partitioner)
@@ -640,7 +626,6 @@ let measured_partition_loads d =
     d.partitioner.Partitioner.partitions
 
 let rebalance d ~loads =
-  Log.info (fun m -> m "rebalancing %d partitions on measured load" (List.length loads));
   let assignment =
     Assignment.greedy ~weights:loads ~replication:d.config.replication d.partitioner
       ~authority_switches:d.authority_ids
@@ -688,9 +673,6 @@ let apply_split d (m : Journal.migration) =
   in
   install m.lo_pid m.lo_replicas;
   install m.hi_pid m.hi_replicas;
-  Log.info (fun f ->
-      f "migration m%d: split p%d into p%d/p%d; sub-region tables installed"
-        m.mid m.src_pid m.lo_pid m.hi_pid);
   d'
 
 (* Stage 2: rewrite every ingress partition bank from the split layout,
@@ -717,7 +699,6 @@ let unsplit d (m : Journal.migration) =
       ~src:(m.src_pid, m.src_replicas)
       ~lo:m.lo_pid ~hi:m.hi_pid
   in
-  Log.info (fun f -> f "migration m%d: rolled back to p%d" m.mid m.src_pid);
   { d with partitioner; assignment; computed_layout = false }
 
 (* Stage 3: retire the losing tables (the source's on commit, the
@@ -771,7 +752,8 @@ let apply d ~now (entry : Journal.entry) =
   | Journal.Build _ -> invalid_arg "Deployment.apply: a Build entry constructs a deployment"
   | Journal.Epoch _ -> d
   | Journal.Policy_update { rules; strict = _ } ->
-      update_policy ~flush:false d ~now (Classifier.create (Classifier.schema d.policy) rules)
+      let policy = Classifier.of_table_order (Classifier.schema d.policy) rules in
+      update_policy ~flush:false d ~now policy
   | Journal.Fail_authority s -> fail_authority d s
   | Journal.Restore_authority s -> restore_authority d s
   | Journal.Declared_dead s ->

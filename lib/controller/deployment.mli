@@ -278,7 +278,9 @@ val apply : t -> now:float -> Journal.entry -> t
     here; a standby replays the journal over a {!build} of its [Build]
     entry through the same function, so the two reach the same
     deployment.  [Policy_update] is {!update_policy} without a flush
-    (the controller deletes stale cache entries itself), [Fail_authority]
+    (the controller deletes stale cache entries itself) of its rules,
+    taken unchecked as a table: live ones come from a classifier,
+    replayed ones through {!Message.read_rules}.  [Fail_authority] is
     {!fail_authority}, [Restore_authority] undoes one (re-placing
     partitions over the enlarged pool), [Declared_dead]/[Recovered]
     {!mark_unreachable}/{!mark_reachable}, [Rebalance] {!rebalance}, a

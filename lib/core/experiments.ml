@@ -575,7 +575,7 @@ module F_dyn = struct
             Rule.with_action r action')
         (Classifier.rules policy)
     in
-    Classifier.create (Classifier.schema policy) rules
+    Classifier.of_table_order (Classifier.schema policy) rules
 
   let run_one ~seed ~quick ~timeout ~mode =
     let rng = Prng.create seed in

@@ -42,8 +42,10 @@ type migration = {
 
 type entry =
   | Build of { policy : Rule.t list; authority_ids : int list }
-      (** initial deployment: the policy and the authority pool *)
+      (** initial deployment: the policy, in table order, and the
+          authority pool *)
   | Policy_update of { rules : Rule.t list; strict : bool }
+      (** the new policy, in table order *)
   | Fail_authority of int  (** authority failover away from this switch *)
   | Restore_authority of int  (** a demoted switch rejoined the pool *)
   | Declared_dead of int  (** liveness verdict (non-authority switches too) *)
@@ -101,6 +103,6 @@ val encode : t -> Bytes.t
 
 val decode : Schema.t -> Bytes.t -> (t, string) result
 (** Rebuild a journal from {!encode}'s output.  Errors (rather than
-    raising) on truncation, bad magic, unknown kinds, or a record whose
-    checksum does not match — a corrupt journal must never be silently
-    replayed. *)
+    raising) on truncation, bad magic, unknown kinds, a record whose
+    checksum does not match, or a rule list {!Message.read_rules} rejects
+    — a corrupt journal must never be silently replayed. *)

@@ -189,8 +189,10 @@ let decode_rule schema r =
   let action = decode_action r in
   Rule.make ~id ~priority pred action
 
-(* One sorted int array: a partition table that repeats an id cannot
-   become a classifier. *)
+let rec in_table_order = function
+  | a :: (b :: _ as rest) -> Rule.compare_priority a b < 0 && in_table_order rest
+  | _ -> true
+
 let distinct_ids rules =
   let ids = Array.make (List.length rules) 0 in
   List.iteri (fun i (rule : Rule.t) -> ids.(i) <- rule.id) rules;
@@ -200,6 +202,17 @@ let distinct_ids rules =
     if ids.(i) = ids.(i - 1) then ok := false
   done;
   !ok
+
+(* The one reader of a rule list — a partition table, a journaled policy
+   or update — returns a table: strictly increasing in table order (one
+   pass, nothing allocated), each id once (one sorted int array). *)
+let read_rules schema r =
+  let count = R.u32 r in
+  let rules = R.list r count (decode_rule schema) in
+  if not (in_table_order rules) then R.fail "rules out of table order";
+  if not (distinct_ids rules) then R.fail "duplicate rule ids";
+  if not (R.at_end r) then R.fail "trailing bytes";
+  rules
 
 let encode_body b = function
   | Hello -> ()
@@ -233,7 +246,9 @@ let encode_body b = function
   | Ack x -> W.u32 b x
   | Flow_removed f ->
       W.u32 b f.removed_rule;
-      W.u32 b (f.cookie land 0x7fffffff);
+      if f.cookie < -1 || f.cookie >= 0xffffffff then
+        invalid_arg (Printf.sprintf "Message: cookie %d is outside [-1, 2^32 - 1)" f.cookie);
+      W.u32 b f.cookie;
       W.u8 b
         (match f.reason with
         | Idle_timeout -> 0
@@ -282,7 +297,7 @@ let decode_body schema r = function
       Stats_reply { request_cookie; flows }
   | 11 ->
       let removed_rule = R.u32 r in
-      let cookie = match R.u32 r with 0x7fffffff -> -1 | c -> c in
+      let cookie = match R.u32 r with 0xffffffff -> -1 | c -> c in
       let reason =
         match R.u8 r with
         | 0 -> Idle_timeout
@@ -299,9 +314,7 @@ let decode_body schema r = function
   | 30 ->
       let pid = R.u32 r in
       let region = decode_pred schema r in
-      let count = R.u32 r in
-      let table_rules = R.list r count (decode_rule schema) in
-      if not (distinct_ids table_rules) then R.fail "duplicate rule ids in partition table";
+      let table_rules = read_rules schema r in
       Install_partition { pid; region; table_rules }
   | 31 -> Drop_partition (R.u32 r)
   | 32 -> Ack (R.u32 r)
@@ -382,12 +395,6 @@ let rules_to_bytes rules =
   W.u32 b (List.length rules);
   List.iter (encode_rule b) rules;
   Buffer.to_bytes b
-
-let read_rules schema r =
-  let count = R.u32 r in
-  let rules = R.list r count (decode_rule schema) in
-  if not (R.at_end r) then R.fail "trailing bytes";
-  rules
 
 let rules_of_bytes schema buf =
   try Ok (read_rules schema (R.create buf)) with R.Malformed e -> Error e

@@ -36,7 +36,9 @@ type flow_removed = {
   removed_rule : int;  (** rule id *)
   cookie : int;
       (** opaque value set at install time; DIFANE stores the origin
-          policy-rule id of a spliced cache entry here ([-1] if unset) *)
+          policy-rule id of a spliced cache entry here ([-1] if unset).
+          Travels as an unsigned 32-bit field whose all-ones value is
+          [-1], so it carries [\[-1, 2^32 - 1)]. *)
   reason : removed_reason;
   final_packets : int64;
   final_bytes : int64;
@@ -99,13 +101,14 @@ val encode : xid:int -> ?epoch:int -> t -> Bytes.t
     @raise Invalid_argument if the frame is over 65,535 bytes, the most
     its 16-bit length field can describe (an [Install_partition] of
     about 670 five-tuple rules), or if a rule's id is outside
-    [\[0, 2^32)] or its priority outside the int32 range. *)
+    [\[0, 2^32)] or its priority outside the int32 range, or if a
+    [Flow_removed] cookie is outside [\[-1, 2^32 - 1)]. *)
 
 val decode : Schema.t -> Bytes.t -> (int * int * t, string) result
 (** Returns [(xid, epoch, message)].  The schema is needed to rebuild
     predicates and headers.  Errors on truncated or corrupt frames, and
-    on an [Install_partition] table that repeats a rule id, rather than
-    raising. *)
+    on an [Install_partition] table that {!read_rules} rejects, rather
+    than raising. *)
 
 val fnv1a : ?hole:int * int -> ?off:int -> ?len:int -> Bytes.t -> int64
 (** FNV-1a hash of [len] bytes of a buffer from [off] (default: all of
@@ -166,7 +169,12 @@ val rules_to_bytes : Rule.t list -> Bytes.t
 
 val read_rules : Schema.t -> R.t -> Rule.t list
 (** Decode {!rules_to_bytes}' output filling the rest of the cursor's
-    window.  @raise R.Malformed on truncated, corrupt or trailing bytes. *)
+    window.  The one owner of table validity: what it returns is strictly
+    increasing under {!Rule.compare_priority} and repeats no id, so a
+    caller builds its classifier with {!Classifier.of_table_order}.  An
+    [Install_partition] table and the journal's rule lists are read here.
+    @raise R.Malformed on truncated, corrupt or trailing bytes, on rules
+    out of table order, or on a repeated id. *)
 
 val rules_of_bytes : Schema.t -> Bytes.t -> (Rule.t list, string) result
 (** {!read_rules} over a whole buffer. *)

@@ -119,18 +119,6 @@ let grow_until ~heuristic ~stop ~eligible start =
   in
   grow start (List.length start)
 
-(* [rules] are a table-order subsequence of a checked classifier's, and
-   clipping keeps ids and priorities, so the clipped rules are already a
-   table. *)
-let clip_table schema rules region =
-  let clipped =
-    List.filter_map
-      (fun (r : Rule.t) ->
-        Option.map (Rule.with_pred r) (Pred.inter r.pred region))
-      rules
-  in
-  Classifier.of_table_order schema clipped
-
 let of_partitions heuristic ~source_rules partitions =
   let sizes = List.map (fun (p : partition) -> Classifier.length p.table) partitions in
   let total_entries = List.fold_left ( + ) 0 sizes in
@@ -154,7 +142,9 @@ let compute_generic ~heuristic classifier ~stop ~eligible =
   of_partitions heuristic ~source_rules:root.count
     (List.mapi
        (fun pid leaf ->
-         { pid; region = leaf.region; table = clip_table schema leaf.rules leaf.region })
+         (* [leaf.rules] are a table-order subsequence of the classifier's *)
+         let table = Classifier.clip (Classifier.of_table_order schema leaf.rules) leaf.region in
+         { pid; region = leaf.region; table })
        leaves)
 
 let compute ?(heuristic = Best_cut) classifier ~k =
@@ -175,12 +165,13 @@ let refit t classifier ~regions =
   let rules = Classifier.rules classifier in
   if rules = [] then invalid_arg "Partitioner.refit: empty classifier";
   if regions = [] then invalid_arg "Partitioner.refit: no regions";
-  let schema = Classifier.schema classifier in
   of_partitions t.heuristic ~source_rules:(List.length rules)
     (List.map
-       (fun (pid, region) -> { pid; region; table = clip_table schema rules region })
+       (fun (pid, region) -> { pid; region; table = Classifier.clip classifier region })
        regions)
 
+(* A swapped rule keeps its id, so the table stays a table: it is
+   re-sorted only where a priority moved. *)
 let patch t edit =
   let swapped = ref [] in
   let partitions =
@@ -189,7 +180,7 @@ let patch t edit =
         let rules = Classifier.rules p.table in
         if not (List.exists (fun (r : Rule.t) -> Option.is_some (edit r.Rule.id)) rules) then p
         else begin
-          let mine = ref [] in
+          let mine = ref [] and moved = ref false in
           let rules =
             List.map
               (fun (r : Rule.t) ->
@@ -197,11 +188,13 @@ let patch t edit =
                 | None -> r
                 | Some n ->
                     let c = Rule.with_pred n r.pred in
+                    if c.priority <> r.priority then moved := true;
                     mine := c :: !mine;
                     c)
               rules
           in
-          let p = { p with table = Classifier.create (Classifier.schema p.table) rules } in
+          let rules = if !moved then List.sort Rule.compare_priority rules else rules in
+          let p = { p with table = Classifier.of_table_order (Classifier.schema p.table) rules } in
           swapped := (p, List.rev !mine) :: !swapped;
           p
         end)

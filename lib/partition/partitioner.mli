@@ -73,9 +73,10 @@ val refit : t -> Classifier.t -> regions:(int * Pred.t) list -> t
 val patch : t -> (int -> Rule.t option) -> t * (partition * Rule.t list) list
 (** [patch t edit] swaps new definitions into the tables in place of
     re-clipping: each rule [r] with [edit r.id = Some r'] becomes [r']
-    clipped to [r]'s predicate.  Every [r'] must keep its rule's
-    predicate.  Since {!compute} reads only predicates, when [t] is
-    [compute]'s result for a policy, the patched [t] is exactly
+    clipped to [r]'s predicate.  Every [r'] must keep its rule's id and
+    predicate; a table is re-sorted only where a priority moved.  Since
+    {!compute} reads only predicates, when [t] is [compute]'s result for
+    a policy, the patched [t] is exactly
     [compute]'s result for the policy with the edits applied: same
     pids, regions and statistics, and tables equal rule for rule.
     Also returns each partition whose table changed, with its swapped

@@ -15,6 +15,11 @@ let create schema rules =
 
 let of_table_order schema rules = { schema; rules }
 
+(* clipping keeps ids and priorities: the clipped rules are still a table *)
+let clip t region =
+  let clipped (r : Rule.t) = Option.map (Rule.with_pred r) (Pred.inter r.pred region) in
+  { t with rules = List.filter_map clipped t.rules }
+
 let of_specs schema specs =
   let rules =
     List.mapi

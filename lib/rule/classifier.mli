@@ -13,15 +13,22 @@ type t
 (** {1 Construction} *)
 
 val create : Schema.t -> Rule.t list -> t
-(** Rules are sorted into table order ({!Rule.compare_priority}).
+(** Rules are sorted into table order ({!Rule.compare_priority}).  For
+    rules made in the program or read from a policy file: [Policy_io],
+    [Policy_gen], {!of_specs}, and a switch's partition bank assembled
+    from flow-mods.
     @raise Invalid_argument if any rule's predicate has a different
     schema, or if two rules share an id. *)
 
 val of_table_order : Schema.t -> Rule.t list -> t
 (** The classifier of rules already in table order, of the schema and
-    with unique ids — say a table-order subsequence of a classifier's
-    rules, each keeping its id and priority.  Unlike {!create}, nothing
-    is checked or sorted: a derived table pays neither again. *)
+    with unique ids: a table derived from a checked one (each rule
+    keeping its id), or a list [Message.read_rules] decoded, which checks
+    exactly this.  Nothing is checked or sorted again. *)
+
+val clip : t -> Pred.t -> t
+(** Every rule intersected with the region, empty intersections dropped:
+    the table a partition of that region holds. *)
 
 val of_specs : Schema.t -> (int * (string * string) list * Action.t) list -> t
 (** [(priority, named ternary strings, action)] triples; ids are assigned

@@ -48,14 +48,6 @@ let min_point pred =
 let counterexample a b =
   match disagreement a b with [] -> None | piece :: _ -> Some (min_point piece)
 
-let clip c region =
-  let rules =
-    List.filter_map
-      (fun (r : Rule.t) -> Option.map (Rule.with_pred r) (Pred.inter r.pred region))
-      (Classifier.rules c)
-  in
-  Classifier.create (Classifier.schema c) rules
-
 let agree_on a b region =
   check_schemas a b;
-  equivalent (clip a region) (clip b region)
+  equivalent (Classifier.clip a region) (Classifier.clip b region)

@@ -93,6 +93,7 @@ type t = {
          whose miss side is [partition_hits] at the authority *)
   mutable next_cache_id : int;
   mutable notifications : Message.t list; (* reverse order *)
+  mutable attached : bool; (* to a control plane, which drains [notifications] *)
   mutable pending_partition : Rule.t list; (* staged until the next barrier *)
   mutable partition_committed : bool;
       (* a barrier has committed the partition bank: adds arriving after
@@ -188,6 +189,7 @@ let create ~id ~cache_capacity =
       pid_cache_hits = Int_table.create 16;
       next_cache_id = cache_rule_base + (id * 100_000);
       notifications = [];
+      attached = false;
       pending_partition = [];
       partition_committed = false;
       seen_xids = Hashtbl.create 64;
@@ -294,23 +296,24 @@ let bump tbl key =
   | c -> incr c
   | exception Not_found -> Int_table.add tbl key (ref 1)
 
+(* Queued only for a control plane to drain: a run without one would
+   keep every message to the end. *)
 let notify_removed t ~now reason (e : Tcam.entry) =
-  let cookie =
-    match Int_table.find_opt t.cache_origin e.Tcam.rule.Rule.id with
-    | Some m -> meta_primary_origin m
-    | None -> -1
-  in
-  t.notifications <-
-    Message.Flow_removed
-      {
-        Message.removed_rule = e.Tcam.rule.Rule.id;
-        cookie;
-        reason;
-        final_packets = Int64.of_int e.Tcam.packets;
-        final_bytes = Int64.of_int e.Tcam.bytes;
-        lifetime = now -. e.Tcam.installed_at;
-      }
-    :: t.notifications
+  if t.attached then
+    t.notifications <-
+      Message.Flow_removed
+        {
+          Message.removed_rule = e.Tcam.rule.Rule.id;
+          cookie =
+            (match Int_table.find_opt t.cache_origin e.Tcam.rule.Rule.id with
+            | Some m -> meta_primary_origin m
+            | None -> -1);
+          reason;
+          final_packets = Int64.of_int e.Tcam.packets;
+          final_bytes = Int64.of_int e.Tcam.bytes;
+          lifetime = now -. e.Tcam.installed_at;
+        }
+      :: t.notifications
 
 (* A cover set decides packets correctly only while every member is
    resident: the broad low-rank rule counts on its higher-rank
@@ -459,7 +462,7 @@ let dispatch_control t ~now ~xid msg =
         {
           Partitioner.pid;
           region;
-          table = Classifier.create (Pred.schema region) table_rules;
+          table = Classifier.of_table_order (Pred.schema region) table_rules;
         };
       ack xid
   | Message.Drop_partition pid ->
@@ -839,6 +842,8 @@ let reset t =
   t.tunnelled <- 0;
   t.unmatched <- 0;
   t.misconfigured <- 0
+
+let attach t = t.attached <- true
 
 let drain_notifications t =
   let n = List.rev t.notifications in

@@ -95,7 +95,9 @@ val handle_control : ?xid:int -> ?epoch:int -> t -> now:float -> Message.t -> Me
     staged rule with a non-tunnel action does not crash the switch: it
     sits in the bank and {!process} counts packets it claims as
     [misconfigured]; [Install_partition]/[Drop_partition] replace or remove an
-    authority table and are acknowledged with [Ack xid]; stats requests
+    authority table and are acknowledged with [Ack xid] (an installed
+    table is taken as {!Message.decode} delivers it, in table order with
+    distinct ids, and is not re-checked); stats requests
     are answered from the cache TCAM's live counters.  Unsolicited
     replies and data-plane messages yield no response.
 
@@ -297,11 +299,17 @@ val invalidate_cache_pids : t -> now:float -> int list -> int
     provenance records; the next miss re-splices under the live pid.
     Returns the number of entries evicted. *)
 
+val attach : t -> unit
+(** A control plane now drains this switch: from here on every cache
+    entry that expires or is evicted queues a flow-removed notification.
+    Before, none is queued — a run without a controller has nobody to
+    read them.  {!reset} keeps the attachment. *)
+
 val drain_notifications : t -> Message.t list
 (** Flow-removed notifications queued since the last drain: one per cache
-    entry that expired or was evicted, carrying its final counters.  The
-    control plane forwards these to the controller so per-rule statistics
-    stay exact across cache churn. *)
+    entry that expired or was evicted after {!attach}, carrying its final
+    counters.  The control plane forwards these to the controller so
+    per-rule statistics stay exact across cache churn. *)
 
 (** {1 Introspection} *)
 

@@ -102,6 +102,22 @@ let decode_rule schema r =
   let* action = decode_action r in
   Ok (Rule.make ~id ~priority pred action)
 
+let signed_rule (r : Rule.t) =
+  let p = if r.priority >= 0x80000000 then r.priority - 0x100000000 else r.priority in
+  Rule.make ~id:r.id ~priority:p r.pred r.action
+
+(* A rule list is a table when sorting it, duplicates dropped, changes
+   nothing — priorities read signed, as {!Message} reads them — and
+   sorting its ids likewise. *)
+let check_table rules =
+  let signed = List.map signed_rule rules in
+  let ids = List.map (fun (rule : Rule.t) -> rule.id) rules in
+  if not (List.equal ( == ) (List.sort_uniq Rule.compare_priority signed) signed) then
+    Error "rules out of table order"
+  else if List.compare_lengths (List.sort_uniq Int.compare ids) ids <> 0 then
+    Error "duplicate rule ids"
+  else Ok rules
+
 let decode schema buf =
   let r = R.create buf in
   let* v = R.u8 r in
@@ -170,7 +186,7 @@ let decode schema buf =
         | 11 ->
             let* removed_rule = R.u32 r in
             let* cookie_raw = R.u32 r in
-            let cookie = if cookie_raw = 0x7fffffff then -1 else cookie_raw in
+            let cookie = if cookie_raw = 0xffffffff then -1 else cookie_raw in
             let* reason_raw = R.u8 r in
             let* reason =
               match reason_raw with
@@ -196,10 +212,8 @@ let decode schema buf =
                 go (i + 1) (rule :: acc)
             in
             let* table_rules = go 0 [] in
-            let ids = List.map (fun (rule : Rule.t) -> rule.id) table_rules in
-            if List.compare_lengths (List.sort_uniq Int.compare ids) ids <> 0 then
-              Error "duplicate rule ids in partition table"
-            else Ok (Install_partition { pid; region; table_rules })
+            let* table_rules = check_table table_rules in
+            Ok (Install_partition { pid; region; table_rules })
         | 31 ->
             let* pid = R.u32 r in
             Ok (Drop_partition pid)
@@ -221,11 +235,8 @@ let rules_of_bytes schema buf =
       go (i + 1) (rule :: acc)
   in
   let* rules = go 0 [] in
+  let* rules = check_table rules in
   if R.pos r <> Bytes.length buf then Error "trailing bytes" else Ok rules
-
-let signed_rule (r : Rule.t) =
-  let p = if r.priority >= 0x80000000 then r.priority - 0x100000000 else r.priority in
-  Rule.make ~id:r.id ~priority:p r.pred r.action
 
 let signed = function
   | Flow_mod f -> Flow_mod { f with rule = signed_rule f.rule }

@@ -1,8 +1,10 @@
 (** The control-frame decoder as a chain of [result]s: {!Message.decode}
     and {!Message.rules_of_bytes} replaced.  Every read returns [Ok] or
     [Error "truncated frame"], each field is bound with [let*], a
-    predicate is built from a list of fields, and a partition table's
-    ids are checked with [List.sort_uniq].  The differential tests hold
+    predicate is built from a list of fields, and every rule list (a
+    partition table or {!rules_of_bytes}' list) is checked for table
+    order and repeated ids with [List.sort_uniq].  The differential
+    tests hold
     the raising cursor to these answers.
 
     One divergence is deliberate: this decoder reads a rule's priority

@@ -546,6 +546,7 @@ let fresh_cov () = { merge_hits = 0; duplicates = 0; orphans = 0; shared = false
 
 let run_index_case ?(cov = fresh_cov ()) (_schema, capacity, ops) =
   let sw = Switch.create ~id:0 ~cache_capacity:capacity in
+  Switch.attach sw;
   let agg = Aggregate.create Aggregate.enabled_default in
   let plain = Aggregate.create Aggregate.default in
   let clock = ref 0. in

@@ -51,17 +51,26 @@ let messages ~low ~lowest =
     Message.Ack 9;
   ]
 
-let every_message = messages ~low:(-1) ~lowest:(-0x80000000)
+(* At these priorities the partition table is put back in table order,
+   so the frame decodes. *)
+let every_message =
+  List.map
+    (function
+      | Message.Install_partition t ->
+          Message.Install_partition
+            { t with table_rules = List.sort Rule.compare_priority t.table_rules }
+      | m -> m)
+    (messages ~low:(-1) ~lowest:(-0x80000000))
 
 (* The wire format is fixed: with non-negative priorities, whose bytes
-   the signed field keeps, every constructor encodes to the bytes it
-   always has. *)
+   the signed field keeps, every constructor encodes to the same bytes.
+   The unset [Flow_removed] cookie, -1, travels as 0xffffffff. *)
 let test_frames_pinned () =
   let b = Buffer.create 1024 in
   List.iteri
     (fun i m -> Buffer.add_bytes b (Message.encode ~xid:i ~epoch:(i * 3) m))
     (messages ~low:0x7fffffff ~lowest:0);
-  check Alcotest.string "every constructor" "88056990a91601390d167a6364409146"
+  check Alcotest.string "every constructor" "df9f73ba3ba6324ad6bd4712d8e098f5"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---- the raising cursor = the result-chain oracle ---- *)
@@ -95,6 +104,15 @@ let gen_rule =
   in
   return (Rule.make ~id ~priority pred action)
 
+(* A transferred table is in table order and repeats no rule id; a
+   mutation may break either. *)
+let gen_table =
+  QCheck2.Gen.(
+    list_size (int_range 0 5) gen_rule
+    >|= fun rules ->
+    List.mapi (fun i (r : Rule.t) -> Rule.make ~id:i ~priority:r.priority r.pred r.action) rules
+    |> List.sort Rule.compare_priority)
+
 let gen_timeout = QCheck2.Gen.(opt (float_range 0. 1e6))
 let gen_bank = QCheck2.Gen.oneofl [ Message.Cache; Message.Authority; Message.Partition ]
 
@@ -125,7 +143,12 @@ let gen_message =
        in
        return (Message.Stats_reply { request_cookie; flows }));
       (let* removed_rule = gen_u32 in
-       let* cookie = oneof [ return (-1); int_bound 0x7ffffffe ] in
+       (* the field's whole domain, its edges drawn often *)
+       let* cookie =
+         oneof
+           [ oneofl [ -1; 0; 0x7ffffffe; 0x7fffffff; 0x80000000; 0xfffffffe ];
+             int_range (-1) 0xfffffffe ]
+       in
        let* reason =
          oneofl
            [ Message.Idle_timeout; Message.Hard_timeout; Message.Evicted; Message.Deleted;
@@ -139,11 +162,7 @@ let gen_message =
             { removed_rule; cookie; reason; final_packets; final_bytes; lifetime }));
       (let* pid = gen_u32 in
        let* region = gen_pred_tiny2 in
-       let* rules = list_size (int_range 0 5) gen_rule in
-       (* a transferred table repeats no rule id; a mutation may make it *)
-       let table_rules =
-         List.mapi (fun i (r : Rule.t) -> Rule.make ~id:i ~priority:r.priority r.pred r.action) rules
-       in
+       let* table_rules = gen_table in
        return (Message.Install_partition { pid; region; table_rules }));
       map (fun p -> Message.Drop_partition p) gen_u32;
       map (fun x -> Message.Ack x) gen_u32;
@@ -196,7 +215,10 @@ let prop_decode_equals_oracle =
 
 let prop_rules_equal_oracle =
   qt ~count:300 "rules_of_bytes = result-chain oracle"
-    QCheck2.Gen.(pair (list_size (int_range 0 6) gen_rule) (opt (pair (int_bound 1000) (int_bound 255))))
+    QCheck2.Gen.(
+      pair
+        (oneof [ gen_table; list_size (int_range 0 6) gen_rule ])
+        (opt (pair (int_bound 1000) (int_bound 255))))
     (fun (rules, flip) ->
       let b = Message.rules_to_bytes rules in
       (match flip with
@@ -396,6 +418,64 @@ let test_journal_fuzz () =
       forge_counts ~what ~checksum:rechecksum_record ~decode:(Journal.decode s2) b counts)
     every_entry
 
+(* ---- table validity, checked where a rule list is read ---- *)
+
+(* A rule list out of table order, or one that repeats an id, is an
+   [Error] wherever a rule list enters: an [Install_partition] table,
+   [rules_of_bytes] and both journal rule-list entries.  None raises. *)
+let test_bad_tables_rejected () =
+  let readers rules =
+    [
+      ( "install_partition",
+        Message.encode ~xid:1
+          (Message.Install_partition { pid = 3; region = Pred.any s2; table_rules = rules }),
+        fun b -> Result.map ignore (Message.decode s2 b) );
+      ( "rules_of_bytes",
+        Message.rules_to_bytes rules,
+        fun b -> Result.map ignore (Message.rules_of_bytes s2 b) );
+      ( "journal build",
+        journal_of (Journal.Build { policy = rules; authority_ids = [ 1 ] }),
+        fun b -> Result.map ignore (Journal.decode s2 b) );
+      ( "journal policy update",
+        journal_of (Journal.Policy_update { rules; strict = false }),
+        fun b -> Result.map ignore (Journal.decode s2 b) );
+    ]
+  in
+  let read ~what rules =
+    List.map
+      (fun (reader, b, decode) ->
+        (reader, decodes_safely ~what:(what ^ ", " ^ reader) decode b))
+      (readers rules)
+  in
+  List.iter
+    (fun (reader, got) ->
+      match got with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "a valid table, %s: %s" reader e)
+    (read ~what:"a valid table"
+       [ rule 1 9 "0xxxxxxx"; rule 2 5 "10xxxxxx"; rule 3 5 "11xxxxxx"; rule 0 (-1) "xxxxxxxx" ]);
+  List.iter
+    (fun (what, rules, expected) ->
+      List.iter
+        (fun (reader, got) ->
+          match got with
+          | Ok () -> Alcotest.failf "%s, %s: decoded" what reader
+          | Error e -> check Alcotest.string (what ^ ", " ^ reader) expected e)
+        (read ~what rules))
+    [
+      ("priorities rising", [ rule 2 5 "10xxxxxx"; rule 1 9 "0xxxxxxx" ],
+       "rules out of table order");
+      ("a negative priority first", [ rule 0 (-1) "xxxxxxxx"; rule 1 9 "0xxxxxxx" ],
+       "rules out of table order");
+      ("ids falling at one priority",
+       [ rule 1 9 "0xxxxxxx"; rule 3 5 "11xxxxxx"; rule 2 5 "10xxxxxx" ],
+       "rules out of table order");
+      ("one rule twice", [ rule 1 9 "0xxxxxxx"; rule 1 9 "0xxxxxxx" ], "rules out of table order");
+      ("an id at two priorities",
+       [ rule 1 9 "0xxxxxxx"; rule 2 5 "10xxxxxx"; rule 1 3 "11xxxxxx" ],
+       "duplicate rule ids");
+    ]
+
 (* ---- allocation of a real partition table ---- *)
 
 (* A 300-rule five-tuple ACL in one [Install_partition] frame.  The
@@ -475,6 +555,7 @@ let suite =
         tc "flipped bytes behind the checksum" test_frame_flips;
         tc "forged frame counts" test_frame_forged_counts;
         tc "journal entries fuzzed behind the checksum" test_journal_fuzz;
+        tc "misordered and repeated-id rule lists are errors" test_bad_tables_rejected;
         tc "install-partition decode words per rule" test_install_partition_words;
         tc "frame bytes pinned" test_frames_pinned;
         tc "signed priority limits" test_priority_limits;

@@ -426,46 +426,14 @@ let test_ha_timeline () =
     (has "control" "fenced: observed epoch 3 above own 2");
   check Alcotest.bool "non-decreasing time" true (non_decreasing tl)
 
-(* Every [Control_plane] record also goes to the difane.control log
-   source; captured during the replay, it is an independent copy of the
-   control plane's fault log. *)
-let test_chaos_timeline_is_fault_log () =
-  let src =
-    List.find (fun s -> Logs.Src.name s = "difane.control") (Logs.Src.list ())
-  in
-  let logged = ref [] in
-  let report s _level ~over k msgf =
-    if Logs.Src.equal s src then
-      msgf (fun ?header:_ ?tags:_ fmt ->
-          Format.kasprintf
-            (fun m ->
-              logged := m :: !logged;
-              over ();
-              k ())
-            fmt)
-    else begin
-      over ();
-      k ()
-    end
-  in
-  let old_reporter = Logs.reporter () and old_level = Logs.Src.level src in
-  Logs.set_reporter { Logs.report };
-  Logs.Src.set_level src (Some Logs.Info);
-  let tl =
-    Fun.protect
-      ~finally:(fun () ->
-        Logs.set_reporter old_reporter;
-        Logs.Src.set_level src old_level)
-      (fun () -> replay_timeline "chaos")
-  in
+(* The chaos run's timeline is its control plane's fault log: events in
+   time order, every one from the control plane. *)
+let test_chaos_timeline () =
+  let tl = replay_timeline "chaos" in
   check Alcotest.bool "the run recorded events" true (tl <> []);
-  check
-    Alcotest.(list string)
-    "the control plane's records, in order"
-    (List.rev !logged)
-    (List.map (fun (at, _, detail) -> Printf.sprintf "t=%.3f %s" at detail) tl);
   check Alcotest.bool "every entry is a control-plane event" true
-    (List.for_all (fun (_, src, _) -> src = "control") tl)
+    (List.for_all (fun (_, src, _) -> src = "control") tl);
+  check Alcotest.bool "non-decreasing time" true (non_decreasing tl)
 
 let test_scale_timeline_empty () =
   check Alcotest.int "no control plane, no timeline" 0
@@ -489,7 +457,7 @@ let suite =
     ( "timeline",
       [
         tc "ha: both elections and the retired controller's fencing" test_ha_timeline;
-        tc "chaos: the control plane's fault log" test_chaos_timeline_is_fault_log;
+        tc "chaos: the control plane's fault log" test_chaos_timeline;
         tc "scale: empty without a control plane" test_scale_timeline_empty;
       ] );
     ( "experiments",

@@ -188,6 +188,7 @@ let test_flow_removed_unset_cookie () =
 
 let test_notifications_on_expiry () =
   let sw = Switch.create ~id:0 ~cache_capacity:4 in
+  Switch.attach sw;
   let r = Rule.make ~id:9 ~priority:1 (Pred.any s2) (Action.Forward 1) in
   ignore (Switch.install_cache_rule ~hard_timeout:1.0 ~origin_id:5 sw ~now:0. r);
   ignore (Switch.process sw ~now:0.5 (h 1 1));
@@ -203,6 +204,7 @@ let test_notifications_on_expiry () =
 
 let test_notifications_on_eviction () =
   let sw = Switch.create ~id:0 ~cache_capacity:1 in
+  Switch.attach sw;
   let mk id v =
     Rule.make ~id ~priority:1 (Pred.of_strings s2 [ ("f1", v) ]) Action.Drop
   in

@@ -88,7 +88,8 @@ let test_wire_size () =
 
 (* An exact-match rule on tiny2 with a forward action encodes in 48
    bytes, and an Install_partition frame is 63 bytes before its rules, so
-   1,364 rules fill the u16 length field exactly. *)
+   1,364 rules fill the u16 length field exactly.  Highest priority
+   first: the table is in table order. *)
 let partition_of_size n =
   let rule i =
     Rule.make ~id:i ~priority:i
@@ -98,7 +99,7 @@ let partition_of_size n =
       (Action.Forward 1)
   in
   Message.Install_partition
-    { pid = 0; region = Pred.any s2; table_rules = List.init n rule }
+    { pid = 0; region = Pred.any s2; table_rules = List.rev (List.init n rule) }
 
 let test_frame_size_limit () =
   let largest = partition_of_size 1364 in
@@ -156,10 +157,11 @@ let gen_message =
           { command = Message.Add; bank; rule = r; idle_timeout = Some 1.; hard_timeout = None } );
       ( pair (int_bound 100) (pair gen_pred_tiny2 (list_size (int_range 0 4) gen_rule))
       >|= fun (pid, (region, rules)) ->
-        (* a transferred table repeats no rule id *)
+        (* a transferred table is in table order and repeats no rule id *)
         let table_rules =
           List.mapi (fun i (r : Rule.t) -> Rule.make ~id:i ~priority:r.priority r.pred r.action)
             rules
+          |> List.sort Rule.compare_priority
         in
         Message.Install_partition { pid; region; table_rules } );
     ]

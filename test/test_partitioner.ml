@@ -142,6 +142,47 @@ let same_result (a : Partitioner.t) (b : Partitioner.t) =
   && a.total_entries = b.total_entries && a.max_entries = b.max_entries
   && Float.equal a.duplication b.duplication
 
+(* [patch] keeps every region and swaps the edited rules into the tables
+   in place, re-sorting a table only where a priority moved.  Whatever
+   the edits, that is [refit] of the edited policy over the same
+   regions: the tables equal rule for rule, in the same order. *)
+let test_patch_equals_refit () =
+  let moved_order = ref 0 in
+  let prop (c, k, edits) =
+    let r = Partitioner.compute c ~k in
+    let edit = Hashtbl.create 8 in
+    List.iteri
+      (fun i (r : Rule.t) ->
+        match List.nth_opt edits i with
+        | Some (Some priority) ->
+            Hashtbl.replace edit r.id
+              (Rule.make ~id:r.id ~priority r.pred (Action.Forward (100 + r.id)))
+        | Some None | None -> ())
+      (Classifier.rules c);
+    let edited =
+      Classifier.create s2
+        (List.map
+           (fun (r : Rule.t) -> Option.value ~default:r (Hashtbl.find_opt edit r.id))
+           (Classifier.rules c))
+    in
+    if List.map (fun (r : Rule.t) -> r.id) (Classifier.rules edited)
+       <> List.map (fun (r : Rule.t) -> r.id) (Classifier.rules c)
+    then incr moved_order;
+    let patched, _ = Partitioner.patch r (Hashtbl.find_opt edit) in
+    let refitted =
+      Partitioner.refit r edited
+        ~regions:(List.map (fun (p : Partitioner.partition) -> (p.pid, p.region)) r.partitions)
+    in
+    same_result patched refitted
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 31 |])
+    (QCheck2.Test.make ~count:200 ~name:"patch = refit"
+       QCheck2.Gen.(
+         triple gen_policy (int_range 1 9) (list_size (int_range 0 10) (opt (int_bound 10))))
+       prop);
+  (* many cases moved a rule past another, not just its action *)
+  if !moved_order < 50 then Alcotest.failf "coverage: %d cases reordered the policy" !moved_order
+
 let same_split a b =
   match (a, b) with
   | None, None -> true
@@ -274,5 +315,6 @@ let suite =
         tc "bit-test cut search = list-based oracle" test_oracle_property;
         tc "2,000-rule ACL at k=16 = oracle" test_oracle_acl;
         tc "compute allocation bound" test_compute_allocation;
+        tc "patch with moved priorities = refit" test_patch_equals_refit;
       ] );
   ]

@@ -305,9 +305,13 @@ let test_crash_after_flip_commits () =
 (* The replicated controller's invariant: replaying the journal over a
    scratch deployment ([Deployment.build] of its [Build] entry, then
    [Deployment.apply] for the rest) reaches the deployment the leader
-   built live.  Checked after every tick that journaled something,
-   through a staged migration whose leader crashes after the flip, the
-   takeover that finishes it, and the migrations after. *)
+   built live: the same policy, layout, tables (rule for rule, in table
+   order), replicas, authority pool and migration stage.  Checked after
+   every tick that journaled something, through a strict policy update
+   that moves a priority (tables patched in place), a staged migration
+   whose leader crashes after the flip, the takeover that finishes it, a
+   lazy update back (re-partitioned, the layout being a migration's) and
+   the migrations after. *)
 let test_live_equals_replayed () =
   let cl =
     adaptive_mk ~migration_step:0.6
@@ -315,6 +319,24 @@ let test_live_equals_replayed () =
       ()
   in
   let schema = Classifier.schema acl_policy in
+  (* every eighth rule forwards elsewhere, and the lowest rule jumps to
+     the top: no predicate changes *)
+  let variant =
+    let rules = Classifier.rules acl_policy in
+    let top = List.fold_left (fun m (r : Rule.t) -> max m r.priority) 0 rules in
+    let last = (List.nth rules (List.length rules - 1)).Rule.id in
+    Classifier.create schema
+      (List.map
+         (fun (r : Rule.t) ->
+           if r.id = last then Rule.make ~id:r.id ~priority:(top + 1) r.pred r.action
+           else if r.id mod 8 <> 0 then r
+           else
+             Rule.with_action r
+               (match r.action with
+               | Action.Forward p -> Action.Forward (p + 1)
+               | _ -> Action.Forward 0))
+         rules)
+  in
   let replay ~now =
     match Journal.decode schema (Journal.encode (Cluster.journal cl)) with
     | Error e -> Alcotest.failf "journal failed to decode: %s" e
@@ -326,36 +348,54 @@ let test_live_equals_replayed () =
                 d :=
                   Some
                     (Deployment.build ~config:adaptive_dconfig
-                       ~policy:(Classifier.create schema policy)
+                       ~policy:(Classifier.of_table_order schema policy)
                        ~topology:adaptive_topology ~authority_ids ())
             | _, Some m -> d := Some (Deployment.apply m ~now e)
             | Journal.Epoch _, None -> ()
             | _, None -> Alcotest.fail "a decision precedes the Build");
         Option.get !d
   in
+  let rules c = List.map (fun (r : Rule.t) -> (r.id, r.priority, r.action)) (Classifier.rules c) in
   let view d =
-    ( List.map
-        (fun (p : Partitioner.partition) -> (p.pid, Pred.to_string p.region))
+    ( rules (Deployment.policy d),
+      List.map
+        (fun (p : Partitioner.partition) -> (p.pid, Pred.to_string p.region, rules p.table))
         (Deployment.partitioner d).Partitioner.partitions,
       Assignment.all_replicas (Deployment.assignment d),
       Deployment.authority_ids d,
       Option.map (fun ((m : Journal.migration), stage) -> (m.mid, stage))
         (Deployment.migration d) )
   in
-  let last_seq = ref (-1) and checks = ref 0 and stages = ref [] in
+  let updates = ref [ (0.1, true, variant); (1.46, false, acl_policy) ] in
+  let last_seq = ref (-1) and checks = ref 0 and stages = ref [] and kept = ref [] in
   let on_tick ~now =
+    (match !updates with
+    | (at, strict, policy) :: rest
+      when now >= at && Deployment.migration (Cluster.deployment cl) = None ->
+        Cluster.update_policy cl ~now ~strict policy;
+        kept := (Deployment.last_update (Cluster.deployment cl)).Deployment.kept_layout :: !kept;
+        updates := rest
+    | _ -> ());
     match List.rev (Journal.entries (Cluster.journal cl)) with
     | (seq, _, _) :: _ when seq > !last_seq ->
         last_seq := seq;
         incr checks;
         let live = view (Cluster.deployment cl) in
-        let _, _, _, stage = live in
+        let _, _, _, _, stage = live in
         Option.iter (fun (_, s) -> stages := s :: !stages) stage;
         if view (replay ~now) <> live then
           Alcotest.failf "replayed deployment differs from the live one at t=%.2f" now
     | _ -> ()
   in
   drive_hot cl ~until:3. ~on_tick;
+  let journaled =
+    List.filter_map
+      (fun (_, _, e) ->
+        match e with Journal.Policy_update { strict; _ } -> Some strict | _ -> None)
+      (Journal.entries (Cluster.journal cl))
+  in
+  check Alcotest.(list bool) "a strict update, then a lazy one" [ true; false ] journaled;
+  check Alcotest.(list bool) "patched, then re-partitioned" [ true; false ] (List.rev !kept);
   check Alcotest.int "one takeover" 1 (Cluster.takeovers cl);
   check Alcotest.bool "checked on many ticks" true (!checks >= 5);
   check Alcotest.bool "checked while installed" true

@@ -155,6 +155,36 @@ let test_flowsim_difane_counts () =
   check Alcotest.bool "cache hits on repeats" true (r.Flowsim.cache_hit_packets > 0);
   check Alcotest.bool "delays recorded" true (Array.length r.Flowsim.delays = 100)
 
+(* No control plane drains a run's switches, so none queues a
+   flow-removed notification for the evictions and expiries it has. *)
+let test_flowsim_queues_no_notifications () =
+  (* one exact rule per f1 value below 64: every such flow caches its own entry *)
+  let bits v = String.init 8 (fun b -> if (v lsr (7 - b)) land 1 = 1 then '1' else '0') in
+  let policy =
+    Classifier.of_specs s2
+      (List.init 64 (fun v -> (10, [ ("f1", bits v) ], Action.Forward 2))
+      @ [ (0, [], Action.Drop) ])
+  in
+  let d =
+    Deployment.build
+      ~config:{ Deployment.default_config with cache_capacity = 4; cache_hard_timeout = Some 0.01 }
+      ~policy ~topology:(Topology.line 3 ()) ~authority_ids:[ 1 ] ()
+  in
+  ignore (Flowsim.run Flowsim.Config.default d (mk_flows 100));
+  let removed =
+    Array.fold_left
+      (fun n sw ->
+        let s = Tcam.stats (Switch.cache sw) in
+        n + Int64.to_int s.Tcam.evictions + Int64.to_int s.Tcam.expirations)
+      0 (Deployment.switches d)
+  in
+  check Alcotest.bool "the run evicted and expired entries" true (removed > 0);
+  Array.iteri
+    (fun i sw ->
+      check Alcotest.int (Printf.sprintf "switch %d queued nothing" i) 0
+        (List.length (Switch.drain_notifications sw)))
+    (Deployment.switches d)
+
 let test_flowsim_difane_saturation () =
   let d =
     Deployment.build
@@ -657,6 +687,7 @@ let suite =
       [
         tc "difane counts" test_flowsim_difane_counts;
         tc "difane saturation" test_flowsim_difane_saturation;
+        tc "no control plane, no notifications queued" test_flowsim_queues_no_notifications;
         tc "nox punts and delays" test_flowsim_nox_punts_and_delays;
         tc "difane beats nox on setup delay" test_flowsim_difane_faster_than_nox;
         tc "install latency window" test_install_latency_window;

@@ -171,6 +171,7 @@ let test_partition_load_counting () =
    losing packets from the origin rule's attribution. *)
 let test_replace_notification () =
   let sw = Switch.create ~id:0 ~cache_capacity:4 in
+  Switch.attach sw;
   let r = Rule.make ~id:50 ~priority:1 (Pred.of_strings s2 [ ("f1", "0000_0010") ]) (Action.Forward 1) in
   ignore (Switch.install_cache_rule ~origin_id:42 sw ~now:0. r);
   ignore (Switch.process sw ~now:1. (h 2 0));
@@ -385,6 +386,42 @@ let test_plan_equals_scratch () =
   if !swapped_warm < 50 || !rebuilt < 50 then
     Alcotest.failf "coverage: %d swapped tables with warm plans, %d rebuilt" !swapped_warm !rebuilt
 
+(* Installing policy-churn's tables — a 2,000-rule campus ACL cut into
+   16 partitions, each table decoded from its frame — costs what
+   indexing them costs, about 35 words a rule: the switch takes a
+   decoded table as it stands, in table order.  Re-sorting and
+   re-checking it through [Classifier.create] would add about 57. *)
+let test_install_partition_words () =
+  let policy = Policy_gen.acl (Prng.create 7) { Policy_gen.default_acl with rules = 2000 } in
+  let schema = Classifier.schema policy in
+  let frames =
+    List.map
+      (fun (p : Partitioner.partition) ->
+        let msg =
+          Message.Install_partition
+            { pid = p.pid; region = p.region; table_rules = Classifier.rules p.table }
+        in
+        match Message.decode schema (Message.encode ~xid:1 msg) with
+        | Ok (_, _, m) -> m
+        | Error e -> Alcotest.failf "p%d failed to decode: %s" p.pid e)
+      (Partitioner.compute policy ~k:16).Partitioner.partitions
+  in
+  let rules =
+    List.fold_left
+      (fun n m ->
+        match m with Message.Install_partition t -> n + List.length t.table_rules | _ -> n)
+      0 frames
+  in
+  let sw = Switch.create ~id:0 ~cache_capacity:16 in
+  let install () = List.iter (fun m -> ignore (Switch.handle_control sw ~now:0. m)) frames in
+  install ();
+  let w0 = Gc.minor_words () in
+  install ();
+  let per_rule = (Gc.minor_words () -. w0) /. float_of_int rules in
+  check Alcotest.int "every table held" 16 (List.length (Switch.authority_partitions sw));
+  if per_rule > 45. then
+    Alcotest.failf "%.1f minor words per installed rule (bound 45)" per_rule
+
 let suite =
   [
     ( "switch",
@@ -402,6 +439,7 @@ let suite =
         tc "partition load counting" test_partition_load_counting;
         tc "replace emits flow-removed" test_replace_notification;
         tc "misconfigured partition rule" test_misconfigured_partition_rule;
+        tc "install-partition words per rule" test_install_partition_words;
         prop_cache_never_lies;
         tc "plan-served miss = from-scratch splice" test_plan_equals_scratch;
       ] );
