@@ -181,11 +181,11 @@ val update_policy : t -> now:float -> ?strict:bool -> Classifier.t -> unit
 val delete_cached_origins : t -> now:float -> int list -> int
 (** Send cache-bank deletions for every cached piece spliced from any of
     these distinct policy rule ids, to every switch not declared dead;
-    returns deletions sent.  One pass over each bank finds them
-    ({!Deployment.cache_entries_of_origins}); they go out by id, then
-    switch, then table order, and a merged entry standing for several
-    of the ids is deleted once for each.  This is the targeted
-    invalidation used by strict policy updates. *)
+    returns deletions sent.  One walk over each switch's cache
+    provenance finds them ({!Deployment.cache_entries_of_origins}); they
+    go out by id, then switch, then table order, and a merged entry
+    standing for several of the ids is deleted once for each.  This is
+    the targeted invalidation used by strict policy updates. *)
 
 val control_frames : t -> int
 val control_bytes : t -> int

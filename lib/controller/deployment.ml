@@ -412,32 +412,40 @@ let expire_caches d ~now =
 
 let flush_caches d = Array.iter Switch.flush_cache d.switches
 
-(* The id diff of two policies, computed once per update by a merge of
-   their id-sorted rule lists, O(n log n): the changed ids, ascending,
-   and — when every id is in both policies with an equal predicate —
-   each changed rule's (old, new) definitions. *)
-type diff = { ids : int list; edits : (Rule.t * Rule.t) list option }
+(* The id diff of two policies, computed once per update (see the
+   interface for the lockstep walk and its cost). *)
+type diff = { changed : int list; edits : (Rule.t * Rule.t) list option }
 
-let diff_policies old_policy new_policy =
-  let same_pred (a : Rule.t) (b : Rule.t) = a.pred == b.pred || Pred.equal a.pred b.pred in
-  let by_id c =
-    List.sort (fun (a : Rule.t) (b : Rule.t) -> Int.compare a.id b.id) (Classifier.rules c)
-  in
-  (* ids are unique within a classifier, so each step consumes one id *)
-  let rec merge ids pairs local olds news =
+let same_pred (a : Rule.t) (b : Rule.t) = a.pred == b.pred || Pred.equal a.pred b.pred
+
+(* The diff of two id-sorted lists; ids are unique within a classifier,
+   so each step consumes one id. *)
+let rec merge_by_id ids pairs local olds news =
+  match (olds, news) with
+  | [], [] -> (List.rev ids, pairs, local)
+  | (o : Rule.t) :: os, [] -> merge_by_id (o.id :: ids) pairs false os []
+  | [], (n : Rule.t) :: ns -> merge_by_id (n.id :: ids) pairs false [] ns
+  | o :: os, n :: ns ->
+      if o.id < n.id then merge_by_id (o.id :: ids) pairs false os news
+      else if n.id < o.id then merge_by_id (n.id :: ids) pairs false olds ns
+      else if o == n || Rule.equal o n then merge_by_id ids pairs local os ns
+      else merge_by_id (o.id :: ids) ((o, n) :: pairs) (local && same_pred o n) os ns
+
+let diff_policies ~old_policy new_policy =
+  let by_id = List.sort (fun (a : Rule.t) (b : Rule.t) -> Int.compare a.id b.id) in
+  let rec lockstep ids pairs local olds news =
     match (olds, news) with
-    | [], [] -> { ids = List.rev ids; edits = (if local then Some pairs else None) }
-    | (o : Rule.t) :: os, [] -> merge (o.id :: ids) pairs false os []
-    | [], (n : Rule.t) :: ns -> merge (n.id :: ids) pairs false [] ns
-    | o :: os, n :: ns ->
-        if o.id < n.id then merge (o.id :: ids) pairs false os news
-        else if n.id < o.id then merge (n.id :: ids) pairs false olds ns
-        else if o == n || Rule.equal o n then merge ids pairs local os ns
-        else merge (o.id :: ids) ((o, n) :: pairs) (local && same_pred o n) os ns
+    | (o : Rule.t) :: os, (n : Rule.t) :: ns when o.id = n.id ->
+        if o == n || Rule.equal o n then lockstep ids pairs local os ns
+        else lockstep (o.id :: ids) ((o, n) :: pairs) (local && same_pred o n) os ns
+    | _ ->
+        (* the ids part here, or both tables are walked through and the
+           merge has nothing left *)
+        let rest, pairs, local = merge_by_id [] pairs local (by_id olds) (by_id news) in
+        { changed = List.merge Int.compare (List.sort Int.compare ids) rest;
+          edits = (if local then Some pairs else None) }
   in
-  merge [] [] true (by_id old_policy) (by_id new_policy)
-
-let changed_rule_ids ~old_policy new_policy = (diff_policies old_policy new_policy).ids
+  lockstep [] [] true (Classifier.rules old_policy) (Classifier.rules new_policy)
 
 let same_table (a : Partitioner.partition) (b : Partitioner.partition) =
   a == b
@@ -473,7 +481,7 @@ let install_patched d ~(before : Partitioner.t) ~patched ~moved =
           match (Switch.authority_table sw p.pid, swapped) with
           | Some (held, _), None when same_table held old_p -> ()
           | Some (held, _), Some rules when same_table held old_p ->
-              if List.exists (fun (r : Rule.t) -> Hashtbl.mem moved r.id) rules then
+              if List.exists (fun (r : Rule.t) -> Int_table.mem moved r.id) rules then
                 Switch.install_authority sw p
               else Switch.patch_authority sw p rules
           | _ ->
@@ -487,7 +495,7 @@ let install_patched d ~(before : Partitioner.t) ~patched ~moved =
 
 let update_policy ?(flush = true) d ~now new_policy =
   ignore now;
-  let diff = diff_policies d.policy new_policy in
+  let diff = diff_policies ~old_policy:d.policy new_policy in
   let assign partitioner =
     Assignment.greedy ?weights:(assignment_weights d.config partitioner)
       ~replication:d.config.replication partitioner ~authority_switches:d.authority_ids
@@ -497,27 +505,30 @@ let update_policy ?(flush = true) d ~now new_policy =
     | Some edits when d.computed_layout ->
         (* [compute] reads only predicates, and none changed: the layout
            it would return is the current one *)
-        let edit = Hashtbl.create 64 and moved = Hashtbl.create 8 in
+        let edit = Int_table.create 64 and moved = Int_table.create 8 in
         List.iter
           (fun ((o : Rule.t), (n : Rule.t)) ->
-            Hashtbl.replace edit n.id n;
-            if o.priority <> n.priority then Hashtbl.replace moved n.id ())
+            Int_table.replace edit n.id n;
+            if o.priority <> n.priority then Int_table.replace moved n.id ())
           edits;
-        let partitioner, patched = Partitioner.patch d.partitioner (Hashtbl.find_opt edit) in
+        let partitioner, patched = Partitioner.patch d.partitioner (Int_table.find_opt edit) in
         let d' =
           { d with policy = new_policy; partitioner; assignment = assign partitioner;
-                   last_update = { changed = diff.ids; kept_layout = true } }
+                   last_update = { changed = diff.changed; kept_layout = true } }
         in
         install_patched d' ~before:d.partitioner ~patched ~moved;
         d'
     | _ ->
+        (* numbered past every pid the old layouts held, so cache
+           provenance keyed by pid cannot take an old entry for a new one *)
         let partitioner =
-          Partitioner.compute ~heuristic:d.config.heuristic new_policy ~k:d.config.k
+          Partitioner.compute ~heuristic:d.config.heuristic
+            ~first_pid:d.partitioner.Partitioner.next_pid new_policy ~k:d.config.k
         in
         let d' =
           { d with policy = new_policy; partitioner; assignment = assign partitioner;
                    computed_layout = true;
-                   last_update = { changed = diff.ids; kept_layout = false } }
+                   last_update = { changed = diff.changed; kept_layout = false } }
         in
         install_all d';
         d'
@@ -533,11 +544,12 @@ let last_update d = d.last_update
 let invalidate_origins ?(now = 0.) d ~origins =
   Array.fold_left (fun acc sw -> acc + Switch.invalidate_origins sw ~now origins) 0 d.switches
 
-(* One pass over each live switch's bank collects the entries standing
-   for any of [ids]; bucketing them by id restores the per-id order. *)
+(* One walk over each live switch's provenance collects the entries
+   standing for any of [ids]; bucketing them by id restores the per-id
+   order. *)
 let cache_entries_of_origins d ~live ids =
-  let slot = Hashtbl.create 64 in
-  List.iteri (fun k id -> Hashtbl.replace slot id k) ids;
+  let slot = Int_table.create 16 in
+  List.iteri (fun k id -> Int_table.replace slot id k) ids;
   let buckets = Array.make (List.length ids) [] in
   Array.iteri
     (fun i sw ->
@@ -550,14 +562,14 @@ let cache_entries_of_origins d ~live ids =
             | Some m ->
                 List.iter
                   (fun (part : Switch.cache_part) ->
-                    match Hashtbl.find_opt slot part.Switch.part_origin with
-                    | None -> ()
-                    | Some k -> (
+                    match Int_table.find slot part.Switch.part_origin with
+                    | exception Not_found -> ()
+                    | k -> (
                         match buckets.(k) with
                         | (j, r') :: _ when j = i && r' == r -> () (* a repeated origin *)
                         | b -> buckets.(k) <- (i, r) :: b))
                   m.Switch.parts)
-          (Switch.entries_of_origins sw (Hashtbl.mem slot)))
+          (Switch.entries_of_origins sw (Int_table.mem slot)))
     d.switches;
   Array.fold_right List.rev_append buckets []
 

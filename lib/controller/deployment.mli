@@ -123,8 +123,8 @@ val flush_caches : t -> unit
 
 val update_policy : ?flush:bool -> t -> now:float -> Classifier.t -> t
 (** Install a new policy, doing only the work the change needs.  The two
-    policies are diffed by rule id once ({!last_update} keeps the
-    result).
+    policies are diffed by rule id once ({!diff_policies}; {!last_update}
+    keeps the result).
     - When every rule id is in both policies with an equal predicate
       (only actions and priorities changed) and the current layout is
       {!Partitioner.compute}'s, the layout is kept: [compute] reads only
@@ -139,9 +139,12 @@ val update_policy : ?flush:bool -> t -> now:float -> Classifier.t -> t
     - Any other change (a predicate edit, an added or removed rule), or
       a layout a migration or snapshot restore refitted, re-partitions
       with [compute] and reinstalls every authority table and partition
-      bank.
-    Either way the partitioner, assignment and tables are exactly those
-    of a from-scratch re-partition; the path taken is logged.  With
+      bank.  The new layout is numbered from the old one's
+      [Partitioner.next_pid], so no pid an earlier layout held is handed
+      out again.
+    Either way the regions, assignment and tables are exactly those of
+    a from-scratch re-partition (pids aside, after a re-partition); the
+    path taken is logged.  With
     [flush = true] (default) every reactive cache entry is dropped too —
     strict consistency.  With [flush = false] stale spliced entries
     linger until their idle timeout (the paper's lazy-expiry mode,
@@ -149,7 +152,7 @@ val update_policy : ?flush:bool -> t -> now:float -> Classifier.t -> t
     carry over. *)
 
 type update = {
-  changed : int list;  (** {!changed_rule_ids} of the update, ascending *)
+  changed : int list;  (** {!diff_policies}'s [changed] ids, ascending *)
   kept_layout : bool;  (** the layout was kept and the tables patched *)
 }
 
@@ -189,13 +192,31 @@ val cache_entries_of_origins :
     for any of the distinct policy rule ids [ids] (a merged entry stands
     for every origin it absorbed).  The order is that of a walk per id:
     by position in [ids], then by switch, then in table order; an entry
-    standing for several of the ids appears once for each.  One pass
-    over each bank builds it.  This is what a strict update deletes. *)
+    standing for several of the ids appears once for each.  One walk
+    over each live switch's provenance ({!Switch.entries_of_origins})
+    finds the entries, with an int-keyed set of [ids]; only those
+    entries are sorted and bucketed.  This is what a strict update
+    deletes. *)
 
-val changed_rule_ids : old_policy:Classifier.t -> Classifier.t -> int list
-(** Rule ids whose definition differs between two policies (changed
-    predicate/action/priority, or present in only one), ascending — what
-    a controller invalidates on an incremental update.  O(n log n). *)
+type diff = {
+  changed : int list;
+      (** rule ids whose definition differs (changed predicate, action or
+          priority, or present in only one policy), ascending — what a
+          controller invalidates on an incremental update *)
+  edits : (Rule.t * Rule.t) list option;
+      (** when every id is in both policies with an equal predicate, the
+          (old, new) definitions of each changed rule, in no particular
+          order; [None] otherwise *)
+}
+
+val diff_policies : old_policy:Classifier.t -> Classifier.t -> diff
+(** The id diff {!update_policy} takes.  The two tables are walked in
+    lockstep while they hold the same id at the same position, which
+    costs one comparison per unchanged rule and allocates nothing for
+    it; only the suffixes after the first position where the ids differ
+    (a priority moved past another rule, or a rule was added or
+    removed) are sorted by id and merged.  An action-only update thus
+    costs one pass plus work in proportion to what changed. *)
 
 val fail_authority : t -> int -> t
 (** Authority-switch failover: promote backups for the failed switch's

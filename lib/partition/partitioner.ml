@@ -8,6 +8,7 @@ type t = {
   total_entries : int;
   max_entries : int;
   duplication : float;
+  next_pid : int;
 }
 
 (* A leaf of the decision tree during construction: a region and the rules
@@ -119,7 +120,7 @@ let grow_until ~heuristic ~stop ~eligible start =
   in
   grow start (List.length start)
 
-let of_partitions heuristic ~source_rules partitions =
+let of_partitions heuristic ~source_rules ~next_pid partitions =
   let sizes = List.map (fun (p : partition) -> Classifier.length p.table) partitions in
   let total_entries = List.fold_left ( + ) 0 sizes in
   let max_entries = List.fold_left max 0 sizes in
@@ -130,9 +131,10 @@ let of_partitions heuristic ~source_rules partitions =
     total_entries;
     max_entries;
     duplication = float_of_int total_entries /. float_of_int source_rules;
+    next_pid;
   }
 
-let compute_generic ~heuristic classifier ~stop ~eligible =
+let compute_generic ?(first_pid = 0) ~heuristic classifier ~stop ~eligible =
   let rules = Classifier.rules classifier in
   if rules = [] then invalid_arg "Partitioner.compute: empty classifier";
   let schema = Classifier.schema classifier in
@@ -140,16 +142,17 @@ let compute_generic ~heuristic classifier ~stop ~eligible =
   let root = { region = Pred.any schema; rules; count = List.length rules } in
   let leaves = grow_until ~heuristic ~stop ~eligible [ root ] in
   of_partitions heuristic ~source_rules:root.count
+    ~next_pid:(first_pid + List.length leaves)
     (List.mapi
-       (fun pid leaf ->
+       (fun i leaf ->
          (* [leaf.rules] are a table-order subsequence of the classifier's *)
          let table = Classifier.clip (Classifier.of_table_order schema leaf.rules) leaf.region in
-         { pid; region = leaf.region; table })
+         { pid = first_pid + i; region = leaf.region; table })
        leaves)
 
-let compute ?(heuristic = Best_cut) classifier ~k =
+let compute ?(heuristic = Best_cut) ?first_pid classifier ~k =
   if k < 1 then invalid_arg "Partitioner.compute: k must be >= 1";
-  compute_generic ~heuristic classifier
+  compute_generic ?first_pid ~heuristic classifier
     ~stop:(fun _ n -> n >= k)
     ~eligible:(fun _ -> true)
 
@@ -165,7 +168,8 @@ let refit t classifier ~regions =
   let rules = Classifier.rules classifier in
   if rules = [] then invalid_arg "Partitioner.refit: empty classifier";
   if regions = [] then invalid_arg "Partitioner.refit: no regions";
-  of_partitions t.heuristic ~source_rules:(List.length rules)
+  let next_pid = List.fold_left (fun m (pid, _) -> max m (pid + 1)) t.next_pid regions in
+  of_partitions t.heuristic ~source_rules:(List.length rules) ~next_pid
     (List.map
        (fun (pid, region) -> { pid; region; table = Classifier.clip classifier region })
        regions)
@@ -202,9 +206,6 @@ let patch t edit =
   in
   ({ t with partitions }, List.rev !swapped)
 
-let max_pid t =
-  List.fold_left (fun m (p : partition) -> max m p.pid) (-1) t.partitions
-
 let split_region t classifier ~pid =
   match List.find_opt (fun (p : partition) -> p.pid = pid) t.partitions with
   | None -> None
@@ -219,8 +220,7 @@ let split_region t classifier ~pid =
       | None -> None
       | Some c ->
           let lo, hi = halves p.region c in
-          let base = max_pid t in
-          Some ((base + 1, lo), (base + 2, hi)))
+          Some ((t.next_pid, lo), (t.next_pid + 1, hi)))
 
 let find t h =
   match List.find_opt (fun (p : partition) -> Pred.matches p.region h) t.partitions with

@@ -44,10 +44,18 @@ type t = {
   total_entries : int;  (** sum of clipped-table sizes over all partitions *)
   max_entries : int;  (** largest partition table *)
   duplication : float;  (** [total_entries / source_rules] — splitting overhead *)
+  next_pid : int;
+      (** the high-water mark of pids: every pid this layout or one it
+          was derived from ({!refit}, {!patch}) ever held is below it.
+          {!split_region} draws from it and a re-partitioning update
+          numbers {!compute}'s layout from it, so a retired pid is never
+          handed out again and cache provenance keyed by pid stays
+          unambiguous. *)
 }
 
-val compute : ?heuristic:heuristic -> Classifier.t -> k:int -> t
-(** Partition into at most [k] regions ([k >= 1]).  Fewer than [k] regions
+val compute : ?heuristic:heuristic -> ?first_pid:int -> Classifier.t -> k:int -> t
+(** Partition into at most [k] regions ([k >= 1]), numbered in order from
+    [first_pid] (default 0).  Fewer than [k] regions
     are returned only when the flowspace cannot be cut further (all
     wildcard bits exhausted).  @raise Invalid_argument if [k < 1] or the
     classifier is empty. *)
@@ -67,7 +75,8 @@ val refit : t -> Classifier.t -> regions:(int * Pred.t) list -> t
     explicit splits, not from re-running the decision tree (which could
     land on a different cut and desynchronise replicas).  Tables are the
     classifier's rules clipped per region; the heuristic is kept for
-    future splits.  Callers maintain the disjoint-cover invariant.
+    future splits, and [next_pid] rises past the largest pid given.
+    Callers maintain the disjoint-cover invariant.
     @raise Invalid_argument on an empty classifier or region list. *)
 
 val patch : t -> (int -> Rule.t option) -> t * (partition * Rule.t list) list
@@ -86,8 +95,9 @@ val split_region :
   t -> Classifier.t -> pid:int -> ((int * Pred.t) * (int * Pred.t)) option
 (** Re-cut one region with the same HiCuts heuristic used at build time:
     the best single-bit cut of [pid]'s region over the classifier's rules.
-    Returns [((lo_pid, lo), (hi_pid, hi))] with fresh pids (max existing
-    pid + 1 and + 2, so retired pids are never reused and cached-rule
+    Returns [((lo_pid, lo), (hi_pid, hi))] with fresh pids ([next_pid]
+    and [next_pid + 1]: a {!refit} to the split layout moves the mark
+    past both, so retired pids are never reused and cached-rule
     provenance stays unambiguous), or [None] when the pid is unknown or
     no productive cut remains. *)
 

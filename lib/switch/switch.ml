@@ -766,17 +766,31 @@ let absorb_cache_rule t ~now cid =
       Int_table.remove t.cache_origin cid;
       true
 
+let rec parts_meet sel = function
+  | [] -> false
+  | p :: rest -> sel p.part_origin || parts_meet sel rest
+
+(* The cache entries whose provenance [f] selects, in table order.  The
+   walk is over the provenance table, which holds exactly the bank's
+   entries that have provenance; only the selected entries are looked
+   up in the bank and sorted. *)
+let select_by_meta t f =
+  Int_table.fold
+    (fun cid m acc ->
+      if f m then match Tcam.find t.cache cid with Some e -> e :: acc | None -> acc
+      else acc)
+    t.cache_origin []
+  |> List.sort (fun (a : Tcam.entry) (b : Tcam.entry) -> Rule.compare_priority a.rule b.rule)
+
+(* A merged entry stands for every origin it absorbed. *)
+let entries_of_origins t sel = select_by_meta t (fun m -> parts_meet sel m.parts)
+
 (* Migration cleanup: evict cache entries spliced from a retired (or
    rolled-back) partition.  They report [Replaced] — the same signal a
    same-id reinstall emits — so the controller's provenance retirement
    machinery remaps them; the next miss re-splices under the live pid. *)
 let invalidate_cache_pids t ~now pids =
-  let doomed =
-    Tcam.select t.cache (fun (e : Tcam.entry) ->
-        match Int_table.find_opt t.cache_origin e.Tcam.rule.Rule.id with
-        | Some m -> List.mem m.pid pids
-        | None -> false)
-  in
+  let doomed = select_by_meta t (fun m -> List.mem m.pid pids) in
   List.iter
     (fun (e : Tcam.entry) ->
       Ptrace.emit_control ~at:now Ptrace.Invalidate ~switch:t.id
@@ -859,19 +873,6 @@ let cache_meta_of_rule t cid = Int_table.find_opt t.cache_origin cid
 
 let origin_of_cache_rule t cid =
   Option.map meta_primary_origin (Int_table.find_opt t.cache_origin cid)
-
-let rec parts_meet sel = function
-  | [] -> false
-  | p :: rest -> sel p.part_origin || parts_meet sel rest
-
-(* Whether a cache entry stands for an origin [sel] picks: a merged
-   entry stands for every origin it absorbed.  Allocates nothing. *)
-let stands_for t sel (e : Tcam.entry) =
-  match Int_table.find t.cache_origin e.Tcam.rule.Rule.id with
-  | m -> parts_meet sel m.parts
-  | exception Not_found -> false
-
-let entries_of_origins t sel = Tcam.select t.cache (stands_for t sel)
 
 (* Targeted invalidation: a merged entry stands for several policy
    rules, so it goes if ANY of its absorbed origins matches — the

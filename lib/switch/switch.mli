@@ -278,7 +278,10 @@ val drop_cover_orphans : t -> now:float -> int
 val entries_of_origins : t -> (int -> bool) -> Tcam.entry list
 (** The live cache entries standing for some origin the selector picks
     (a merged entry stands for every origin it absorbed), in table
-    order.  The provenance test allocates nothing per entry. *)
+    order.  One walk over the switch's provenance table finds them: the
+    test allocates nothing per entry, and only the selected entries are
+    looked up in the bank and sorted.  Entries without provenance stand
+    for no origin. *)
 
 val invalidate_origins : t -> now:float -> (int -> bool) -> int
 (** Remove every cache entry whose origin set (the [parts] of its

@@ -149,9 +149,6 @@ let fold_nodes t f acc =
 let by_priority a b = Rule.compare_priority a.rule b.rule
 let entries t = List.sort by_priority (fold_nodes t (fun acc n -> n.e :: acc) [])
 
-let select t f =
-  List.sort by_priority (fold_nodes t (fun acc n -> if f n.e then n.e :: acc else acc) [])
-
 let exists t f =
   let rec go = function None -> false | Some n -> f n.e || go n.next in
   go t.lru_head

@@ -47,12 +47,8 @@ val capacity : t -> int
 val occupancy : t -> int
 val is_full : t -> bool
 val entries : t -> entry list
-(** In table (priority) order.  Sorts the whole bank: prefer {!find},
-    {!exists} or {!select} for questions about some entries. *)
-
-val select : t -> (entry -> bool) -> entry list
-(** The entries satisfying the predicate, in table order; only the
-    selected entries are sorted. *)
+(** In table (priority) order.  Sorts the whole bank: prefer {!find}
+    or {!exists} for questions about some entries. *)
 
 val exists : t -> (entry -> bool) -> bool
 (** Whether some entry satisfies the predicate, visiting entries in no

@@ -43,9 +43,11 @@ let equivalent_live_cover sw (rule : Rule.t) (meta : Switch.cache_meta) =
 
 let cover_orphans sw =
   let cache = Switch.cache sw in
-  Tcam.select cache (fun (e : Tcam.entry) ->
+  List.filter
+    (fun (e : Tcam.entry) ->
       match Switch.cache_meta_of_rule sw e.Tcam.rule.Rule.id with
       | Some { Switch.group = Some (_, members); _ } ->
           not (List.for_all (Tcam.mem cache) members)
       | _ -> false)
+    (Tcam.entries cache)
   |> List.map (fun (e : Tcam.entry) -> e.Tcam.rule.Rule.id)

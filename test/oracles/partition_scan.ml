@@ -90,6 +90,7 @@ let compute_generic ~heuristic classifier ~stop ~eligible =
     total_entries;
     max_entries = List.fold_left max 0 sizes;
     duplication = float_of_int total_entries /. float_of_int source_rules;
+    next_pid = List.length partitions;
   }
 
 let compute ?(heuristic = Best_cut) classifier ~k =
@@ -108,5 +109,4 @@ let split_region (t : Partitioner.t) classifier ~pid =
       match best_cut t.heuristic (leaf_of p.region (Classifier.rules classifier)) with
       | None -> None
       | Some (lo, hi) ->
-          let base = List.fold_left (fun m (p : partition) -> max m p.pid) (-1) t.partitions in
-          Some ((base + 1, lo), (base + 2, hi)))
+          Some ((t.next_pid, lo), (t.next_pid + 1, hi)))

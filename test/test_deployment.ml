@@ -183,9 +183,10 @@ let test_removal_drops_provenance () =
   check Alcotest.bool "entries were removed" true (!removed >= 384);
   check Alcotest.int "removed entries still carrying provenance" 0 !leaked
 
-(* [changed_rule_ids] against its definition — a [Classifier.find] of
-   every id in either policy — on random policies and edits: rules
-   dropped, re-prioritised, re-actioned and added under fresh ids. *)
+(* [diff_policies]'s changed ids against their definition — a
+   [Classifier.find] of every id in either policy — on random policies
+   and edits: rules dropped, re-prioritised, re-actioned and added under
+   fresh ids. *)
 let prop_changed_rule_ids =
   let gen =
     let open QCheck2.Gen in
@@ -222,7 +223,106 @@ let prop_changed_rule_ids =
             | _ -> true)
           (List.sort_uniq Int.compare (ids old_policy @ ids new_policy))
       in
-      Deployment.changed_rule_ids ~old_policy new_policy = expected)
+      (Deployment.diff_policies ~old_policy new_policy).changed = expected)
+
+(* [diff_policies] against the id-sorted merge it replaced
+   ([Diff_scan]): the same changed ids, and the same edits as a set of
+   pairs, on random policies under action flips, priority moves (onto
+   another rule's priority too, so ties reorder by id), predicate edits,
+   added and removed ids.  New policies either share their untouched
+   rules physically with the old one or are decoded through
+   [Message.read_rules], which shares nothing. *)
+type diff_edit =
+  | Flip of int
+  | Move of int * int
+  | Repred of int * Pred.t
+  | Fresh of Pred.t * int
+  | Remove of int
+
+let test_diff_oracle () =
+  let lockstep = ref 0 and suffix = ref 0 and decoded = ref 0 and local = ref 0 in
+  let gen =
+    let open QCheck2.Gen in
+    let* n = int_range 1 40 in
+    let* specs = list_repeat n (pair gen_pred_tiny2 (int_bound 12)) in
+    let edit =
+      let* i = int_bound 60 in
+      frequency
+        [ (4, return (Flip i));
+          (2, map (fun p -> Move (i, p)) (int_bound 12));
+          (1, map (fun pd -> Repred (i, pd)) gen_pred_tiny2);
+          (1, map2 (fun pd p -> Fresh (pd, p)) gen_pred_tiny2 (int_bound 12));
+          (1, return (Remove i)) ]
+    in
+    let* edits = list_size (int_range 0 5) edit in
+    let* only_flips = bool in
+    let* decode = bool in
+    return (specs, edits, only_flips, decode)
+  in
+  let prop (specs, edits, only_flips, decode) =
+    let old_rules =
+      List.mapi (fun id (pd, pr) -> Rule.make ~id ~priority:pr pd (Action.Forward (id mod 3))) specs
+    in
+    let edits =
+      if only_flips then List.filter (function Flip _ -> true | _ -> false) edits else edits
+    in
+    let apply (rules, next) e =
+      let pick i = List.nth rules (i mod List.length rules) in
+      let swap (r : Rule.t) r' =
+        List.map (fun (x : Rule.t) -> if x.id = r.id then r' else x) rules
+      in
+      match e with
+      | Fresh (pd, p) -> (Rule.make ~id:next ~priority:p pd Action.Drop :: rules, next + 1)
+      | _ when rules = [] -> (rules, next)
+      | Flip i ->
+          let r = pick i in
+          let a = match r.action with Action.Drop -> Action.Forward 1 | _ -> Action.Drop in
+          (swap r (Rule.with_action r a), next)
+      | Move (i, p) ->
+          let r = pick i in
+          (swap r (Rule.make ~id:r.id ~priority:p r.pred r.action), next)
+      | Repred (i, pd) ->
+          let r = pick i in
+          (swap r (Rule.with_pred r pd), next)
+      | Remove i ->
+          let r = pick i in
+          (List.filter (fun (x : Rule.t) -> x.id <> r.id) rules, next)
+    in
+    let new_rules, _ = List.fold_left apply (old_rules, 1000) edits in
+    let old_policy = Classifier.create s2 old_rules in
+    let new_policy = Classifier.create s2 new_rules in
+    let new_policy =
+      if decode then begin
+        incr decoded;
+        match Message.rules_of_bytes s2 (Message.rules_to_bytes (Classifier.rules new_policy)) with
+        | Ok rules -> Classifier.of_table_order s2 rules
+        | Error e -> Alcotest.failf "decode: %s" e
+      end
+      else new_policy
+    in
+    let ids c = List.map (fun (r : Rule.t) -> r.Rule.id) (Classifier.rules c) in
+    incr (if ids old_policy = ids new_policy then lockstep else suffix);
+    let got = Deployment.diff_policies ~old_policy new_policy in
+    let want_ids, want_edits = Diff_scan.diff old_policy new_policy in
+    let as_set pairs =
+      List.sort (fun ((a : Rule.t), _) ((b : Rule.t), _) -> Int.compare a.id b.id) pairs
+    in
+    let same_pairs ((o, n) : Rule.t * Rule.t) ((o', n') : Rule.t * Rule.t) =
+      Rule.equal o o' && Rule.equal n n'
+    in
+    if want_edits <> None then incr local;
+    got.changed = want_ids
+    &&
+    match (got.edits, want_edits) with
+    | None, None -> true
+    | Some a, Some b -> List.equal same_pairs (as_set a) (as_set b)
+    | _ -> false
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 32 |])
+    (QCheck2.Test.make ~count:400 ~name:"diff_policies = id-sorted merge" gen prop);
+  if !lockstep < 100 || !suffix < 100 || !decoded < 100 || !local < 100 then
+    Alcotest.failf "coverage: %d lockstep, %d suffix, %d decoded, %d predicate-preserving cases"
+      !lockstep !suffix !decoded !local
 
 (* ---- incremental updates against from-scratch ones ----
 
@@ -235,7 +335,9 @@ let prop_changed_rule_ids =
    either only re-actions and re-prioritises rules (the layout-kept
    path) or mixes in predicate edits, adds and deletes (the
    re-partitioning path).  After each update the deployment must hold
-   what a from-scratch re-partition gives. *)
+   what a from-scratch re-partition gives, numbered from the layout's
+   first pid: a kept layout keeps its pids, and a re-partition hands out
+   only pids no earlier layout held. *)
 
 type edit =
   | Set_action of int * int
@@ -311,11 +413,16 @@ let apply_edit (rules, next_id) e =
 (* Everything a from-scratch re-partition of [policy] would leave: its
    partitioner, greedy assignment, tables at exactly the replicas, and
    partition banks; each table agrees with the policy in its region
-   (exactly), and each replica's index answers as its table. *)
+   (exactly), and each replica's index answers as its table.  The
+   re-partition is numbered from the deployment's first pid, so regions
+   and tables are compared in order. *)
 let matches_scratch d policy probes =
   let config = Deployment.config d in
-  let fresh = Partitioner.compute ~heuristic:config.heuristic policy ~k:config.k in
   let part = Deployment.partitioner d in
+  let fresh =
+    Partitioner.compute ~heuristic:config.heuristic
+      ~first_pid:(List.hd part.partitions).pid policy ~k:config.k
+  in
   let assignment = Deployment.assignment d in
   let greedy =
     Assignment.greedy ~replication:config.replication fresh
@@ -368,6 +475,13 @@ let test_incremental_equals_scratch () =
            ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ())
     in
     let state = ref (rules, List.length rules) in
+    let held = Hashtbl.create 16 in
+    let hold part =
+      List.iter
+        (fun (p : Partitioner.partition) -> Hashtbl.replace held p.pid ())
+        part.Partitioner.partitions
+    in
+    hold (Deployment.partitioner !d);
     List.for_all
       (function
         | Stale (i, j) ->
@@ -401,7 +515,9 @@ let test_incremental_equals_scratch () =
                     (fun d e -> Deployment.apply d ~now:1. e)
                     !d
                     [ Journal.Migration_begin m; Journal.Migration_flip 0 ];
-                true)
+                let fresh = not (Hashtbl.mem held lo_pid || Hashtbl.mem held hi_pid) in
+                hold (Deployment.partitioner !d);
+                fresh)
         | Rebalance loads ->
             let part = Deployment.partitioner !d in
             d :=
@@ -418,9 +534,20 @@ let test_incremental_equals_scratch () =
         | Update edits ->
             state := List.fold_left apply_edit !state edits;
             let policy = Classifier.create s2 (fst !state) in
+            let pids d =
+              List.map (fun (p : Partitioner.partition) -> p.pid)
+                (Deployment.partitioner d).partitions
+            in
+            let before = pids !d in
             d := Deployment.update_policy !d ~now:1. policy;
-            incr (if (Deployment.last_update !d).kept_layout then kept else recomputed);
-            matches_scratch !d policy probes)
+            let kept_layout = (Deployment.last_update !d).kept_layout in
+            incr (if kept_layout then kept else recomputed);
+            let pids_ok =
+              if kept_layout then pids !d = before
+              else not (List.exists (Hashtbl.mem held) (pids !d))
+            in
+            hold (Deployment.partitioner !d);
+            pids_ok && matches_scratch !d policy probes)
       steps
   in
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 20 |])
@@ -429,6 +556,135 @@ let test_incremental_equals_scratch () =
   (* both paths are exercised, each many times over *)
   if !kept < 100 || !recomputed < 100 then
     Alcotest.failf "coverage: %d layout-kept and %d re-partitioning updates" !kept !recomputed
+
+(* A migration splits a region, a lazy update that edits a predicate
+   re-partitions, and a second migration splits again: every pid any of
+   these layouts holds is one no earlier layout held.  Cache provenance
+   is keyed by pid, and a lazy update leaves the old entries cached, so a
+   reused pid would take an entry spliced under the old region for one
+   of the new. *)
+let test_pids_never_reused () =
+  let config = { Deployment.default_config with k = 2 } in
+  let d = ref (build ~config ()) in
+  let handed = ref [] in
+  let layout () =
+    List.map (fun (p : Partitioner.partition) -> p.pid) (Deployment.partitioner !d).partitions
+  in
+  let record pids =
+    List.iter
+      (fun pid ->
+        if List.mem pid !handed then Alcotest.failf "pid %d handed out twice" pid)
+      pids;
+    handed := pids @ !handed
+  in
+  let split () =
+    let before = layout () in
+    let part = Deployment.partitioner !d in
+    let src = List.hd part.partitions in
+    match Partitioner.split_region part (Deployment.policy !d) ~pid:src.pid with
+    | None -> Alcotest.fail "no cut left"
+    | Some ((lo_pid, lo_region), (hi_pid, hi_region)) ->
+        record [ lo_pid; hi_pid ];
+        let replicas = Assignment.replicas_of (Deployment.assignment !d) src.pid in
+        let m =
+          { Journal.mid = 0; src_pid = src.pid; src_region = src.region;
+            src_replicas = replicas; lo_pid; lo_region; lo_replicas = replicas;
+            hi_pid; hi_region; hi_replicas = replicas }
+        in
+        d :=
+          List.fold_left
+            (fun d e -> Deployment.apply d ~now:1. e)
+            !d
+            [ Journal.Migration_begin m; Journal.Migration_flip 0; Journal.Migration_commit 0 ];
+        check (Alcotest.list Alcotest.int) "split layout"
+          (List.sort Int.compare (lo_pid :: hi_pid :: List.tl before))
+          (List.sort Int.compare (layout ()))
+  in
+  record (layout ());
+  split ();
+  ignore (Deployment.inject !d ~now:1. ~ingress:0 (h 2 0));
+  let moved =
+    Classifier.of_specs s2
+      [
+        (30, [ ("f1", "00000011") ], Action.Drop);
+        (20, [ ("f1", "000000xx"); ("f2", "1xxxxxxx") ], Action.Forward 4);
+        (10, [ ("f1", "0xxxxxxx") ], Action.Forward 3);
+        (0, [], Action.Drop);
+      ]
+  in
+  d := Deployment.update_policy ~flush:false !d ~now:2. moved;
+  check Alcotest.bool "re-partitioned" false (Deployment.last_update !d).kept_layout;
+  check Alcotest.bool "stale entries kept" true (Deployment.total_cache_entries !d > 0);
+  record (layout ());
+  split ();
+  split ()
+
+(* policy-churn's shape: a 2,000-rule ACL on the campus at k = 16 with
+   1024-entry caches, warmed by 2,000 packets, and a variant flipping
+   the actions of about 3% of the rules. *)
+let churn_fixture =
+  lazy
+    (let policy = Policy_gen.acl (Prng.create 2010) { Policy_gen.default_acl with rules = 2000 } in
+     let rules = Classifier.rules policy in
+     let last = List.length rules - 1 in
+     let rng = Prng.create 2010 in
+     let flip (r : Rule.t) =
+       Rule.with_action r (match r.action with Action.Drop -> Action.Forward 1 | _ -> Action.Drop)
+     in
+     let variant =
+       Classifier.of_table_order (Classifier.schema policy)
+         (List.mapi (fun i r -> if i < last && Prng.float rng < 0.03 then flip r else r) rules)
+     in
+     let topo_rng = Prng.create 2010 in
+     let topology = Topology.campus ~rand:(fun () -> Prng.float topo_rng) ~edge_switches:12 () in
+     let d =
+       Deployment.build
+         ~config:{ Deployment.default_config with k = 16; cache_capacity = 1024 }
+         ~policy ~topology ~authority_ids:[ 2; 3; 4 ] ()
+     in
+     let headers = Traffic.headers_for (Prng.create 2011) policy 2000 in
+     Array.iteri
+       (fun j hd ->
+         ignore (Deployment.inject d ~now:(float_of_int j *. 1e-5) ~ingress:(5 + (j mod 6)) hd))
+       headers;
+     (policy, variant, d))
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let v = Sys.opaque_identity (f ()) in
+  (Gc.minor_words () -. before, v)
+
+(* An action-only update costs what changed: the lockstep diff
+   allocates nothing for an unchanged rule, and the patch swaps the
+   flipped rules into their tables in place.  About 17.5k minor words
+   today; re-sorting both policies by id for the diff made it 159k. *)
+let test_update_allocation () =
+  let policy, variant, d = Lazy.force churn_fixture in
+  let d = Deployment.update_policy ~flush:false d ~now:1. variant in
+  let d = Deployment.update_policy ~flush:false d ~now:1. policy in
+  let words, d' = minor_words (fun () -> Deployment.update_policy ~flush:false d ~now:1. variant) in
+  check Alcotest.bool "layout kept" true (Deployment.last_update d').kept_layout;
+  check Alcotest.bool "rules changed" true (List.length (Deployment.last_update d').changed >= 20);
+  if words > 30_000. then
+    Alcotest.failf "action-only update allocates %.0f minor words (bound 30,000)" words
+
+(* The strict-delete walk allocates per switch and per victim, not per
+   cache entry: about 50 words a switch and 75 a victim today, over
+   some 140 cached entries. *)
+let test_strict_walk_allocation () =
+  let policy, variant, d = Lazy.force churn_fixture in
+  let changed = (Deployment.diff_policies ~old_policy:policy variant).changed in
+  let live _ = true in
+  ignore (Deployment.cache_entries_of_origins d ~live changed);
+  let words, victims =
+    minor_words (fun () -> Deployment.cache_entries_of_origins d ~live changed)
+  in
+  let victims = List.length victims and switches = Array.length (Deployment.switches d) in
+  check Alcotest.bool "warm caches hold victims" true (victims > 0);
+  let bound = float_of_int ((64 * switches) + (128 * victims)) in
+  if words > bound then
+    Alcotest.failf "%d victims on %d switches take %.0f minor words (bound %.0f)" victims switches
+      words bound
 
 let suite =
   [
@@ -445,7 +701,11 @@ let suite =
         tc "build validation" test_bad_build;
         tc "invalidation and flush drop provenance" test_removal_drops_provenance;
         prop_changed_rule_ids;
+        tc "diff_policies = id-sorted merge" test_diff_oracle;
         tc "incremental update = from-scratch update" test_incremental_equals_scratch;
+        tc "split, re-partition, split: pids never reused" test_pids_never_reused;
+        tc "action-only update allocation bound" test_update_allocation;
+        tc "strict-delete walk allocation bound" test_strict_walk_allocation;
         prop_end_to_end_equivalence;
       ] );
   ]

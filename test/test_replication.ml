@@ -186,7 +186,7 @@ let test_strict_update_failover_race () =
   (* warm a cache entry spliced from the rule that is about to change *)
   let o = Deployment.inject d ~now:0. ~ingress:0 (h 2 0) in
   check action "old policy action" (Action.Forward 3) o.Deployment.action;
-  let changed = Deployment.changed_rule_ids ~old_policy:policy policy2 in
+  let changed = (Deployment.diff_policies ~old_policy:policy policy2).changed in
   check Alcotest.bool "update really changes a rule" true (changed <> []);
   Control_plane.update_policy cp ~now:1. policy2;
   (* the victim dies before any deletion aimed at it can be acked *)

@@ -102,9 +102,9 @@ let test_remove_where () =
   check Alcotest.int "removed drops" 2 n;
   check Alcotest.int "left" 1 (Tcam.occupancy t)
 
-(* [select] and [exists] walk the bank unsorted (LRU order); [select]
-   must still hand back the survivors in table order, as [entries]
-   does. *)
+(* [exists] walks the bank unsorted (LRU order); [entries], which
+   test_util's [select] filters, hands the entries back in table
+   order. *)
 let test_select_exists () =
   let t = Tcam.create ~capacity:8 in
   List.iter

@@ -91,6 +91,8 @@ end
 module Tcam = struct
   include Tcam
 
+  let select t f = List.filter f (entries t)
+
   let remove_where t f =
     List.length (List.filter (fun (e : entry) -> f e.rule && remove t e.rule.Rule.id) (entries t))
 end
