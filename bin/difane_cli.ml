@@ -35,6 +35,10 @@ let float_above x =
     (Printf.sprintf "a number > %g" x)
     (fun v -> v > x)
 
+let rate =
+  checked float_of_string_opt Format.pp_print_float "a rate in [0, 1]" (fun v ->
+      v >= 0. && v <= 1.)
+
 let domains_arg =
   let doc =
     "Worker domains for sharded runs.  Any count yields byte-identical results (the \
@@ -74,52 +78,73 @@ let policy_arg =
   let doc = "Policy file (difane-policy v1 format; see Policy_io)." in
   Arg.(required & opt (some non_dir_file) None & info [ "p"; "policy" ] ~docv:"FILE" ~doc)
 
+(* Topology generators by name: the fewest nodes each accepts, and how
+   it builds one of N from the seed. *)
+let topologies =
+  let seeded f ~seed n =
+    let rng = Prng.create seed in
+    f ~rand:(fun () -> Prng.float rng) n
+  in
+  [
+    ("line", (1, fun ~seed:_ n -> Topology.line n ()));
+    ("star", (1, fun ~seed:_ n -> Topology.star n ()));
+    ("mesh", (1, fun ~seed:_ n -> Topology.full_mesh n ()));
+    ("waxman", (2, seeded (fun ~rand n -> Topology.waxman ~rand ~nodes:n ())));
+    ("campus", (1, seeded (fun ~rand n -> Topology.campus ~rand ~edge_switches:n ())));
+  ]
+
 let topology_arg =
   let doc =
     "Topology: line:N, star:N, mesh:N, waxman:N or campus:EDGES (seeded by --seed)."
   in
-  Arg.(value & opt string "line:8" & info [ "t"; "topology" ] ~docv:"KIND:N" ~doc)
+  let spec =
+    checked
+      (fun s ->
+        match String.split_on_char ':' s with
+        | [ kind; n ] -> Option.map (fun n -> (kind, n)) (int_of_string_opt n)
+        | _ -> None)
+      (fun ppf (kind, n) -> Format.fprintf ppf "%s:%d" kind n)
+      "line:N, star:N, mesh:N or campus:N with N >= 1, or waxman:N with N >= 2"
+      (fun (kind, n) ->
+        match List.assoc_opt kind topologies with
+        | Some (least, _) -> n >= least
+        | None -> false)
+  in
+  Arg.(value & opt spec ("line", 8) & info [ "t"; "topology" ] ~docv:"KIND:N" ~doc)
 
 let authorities_arg =
   let doc = "Comma-separated authority switch ids." in
-  Arg.(value & opt string "1" & info [ "a"; "authorities" ] ~docv:"IDS" ~doc)
+  let ids =
+    checked
+      (fun s ->
+        let ids =
+          List.map (fun x -> int_of_string_opt (String.trim x)) (String.split_on_char ',' s)
+        in
+        if List.mem None ids then None else Some (List.filter_map Fun.id ids))
+      Format.(pp_print_list ~pp_sep:(fun ppf () -> pp_print_char ppf ',') pp_print_int)
+      "comma-separated switch ids >= 0"
+      (List.for_all (fun id -> id >= 0))
+  in
+  Arg.(value & opt ids [ 1 ] & info [ "a"; "authorities" ] ~docv:"IDS" ~doc)
 
 let k_arg =
   let doc = "Number of flowspace partitions." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
+  Arg.(value & opt (int_at_least 1) 8 & info [ "k" ] ~docv:"K" ~doc)
 
 let cache_arg =
   let doc = "Per-switch cache capacity (TCAM entries)." in
-  Arg.(value & opt int 1000 & info [ "cache" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 1000 & info [ "cache" ] ~docv:"N" ~doc)
 
 let flows_arg =
   let doc = "Flows to simulate." in
-  Arg.(value & opt int 20_000 & info [ "flows" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 20_000 & info [ "flows" ] ~docv:"N" ~doc)
 
 let alpha_arg =
   let doc = "Zipf skew of flow popularity." in
-  Arg.(value & opt float 1.0 & info [ "alpha" ] ~docv:"A" ~doc)
-
-let parse_topology ~seed spec =
-  let fail () = invalid_arg (Printf.sprintf "unknown topology %S" spec) in
-  match String.split_on_char ':' spec with
-  | [ kind; n ] -> (
-      match (kind, int_of_string_opt n) with
-      | "line", Some n -> Topology.line n ()
-      | "star", Some n -> Topology.star n ()
-      | "mesh", Some n -> Topology.full_mesh n ()
-      | "waxman", Some n ->
-          let rng = Prng.create seed in
-          Topology.waxman ~rand:(fun () -> Prng.float rng) ~nodes:n ()
-      | "campus", Some n ->
-          let rng = Prng.create seed in
-          Topology.campus ~rand:(fun () -> Prng.float rng) ~edge_switches:n ()
-      | _ -> fail ())
-  | _ -> fail ()
-
-let parse_ids s =
-  String.split_on_char ',' s
-  |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
+  let skew =
+    checked float_of_string_opt Format.pp_print_float "a number >= 0" (fun v -> v >= 0.)
+  in
+  Arg.(value & opt skew 1.0 & info [ "alpha" ] ~docv:"A" ~doc)
 
 let load_policy_or_die policy_file =
   match Policy_io.load policy_file with
@@ -162,7 +187,7 @@ let faults_arg =
      into the run and restarts at the half-way mark, and misses with no live \
      replica degrade to the controller path."
   in
-  Arg.(value & opt (some float) None & info [ "faults" ] ~docv:"LOSS" ~doc)
+  Arg.(value & opt (some rate) None & info [ "faults" ] ~docv:"LOSS" ~doc)
 
 (* The reliable-channel timers: --echo-interval and the --retx flags,
    each overriding its field of [base]. *)
@@ -188,23 +213,24 @@ let reliability_term (base : Control_plane.config) =
         "Retransmission interval multiplier (exponential backoff factor)."
     $ flag Arg.int "retx-limit" "N" "Retransmissions before a request is given up.")
 
-(* ---- congestion-model flags (finite buffers / backpressure), shared by
-   chaos | ha | deploy.  All off by default: the default Congestion.config
-   is the legacy infinite-buffer plane and published numbers assume it. ---- *)
+(* ---- congestion-model flags (finite buffers / backpressure) for deploy,
+   whose timed replay runs Flowsim.  All off by default: the default
+   Congestion.config is the infinite-buffer plane and published numbers
+   assume it. ---- *)
 
 let buffers_arg =
   let doc =
     "Per-port packet buffer capacity; arriving packets past it are shed drop-tail. \
      Omitted means infinite (legacy) buffers."
   in
-  Arg.(value & opt (some int) None & info [ "buffers" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (int_at_least 0)) None & info [ "buffers" ] ~docv:"N" ~doc)
 
 let ecn_arg =
   let doc =
     "Mark packets congestion-experienced when their outgoing port queue is at least \
      this deep (telemetry only; no marking when omitted)."
   in
-  Arg.(value & opt (some int) None & info [ "ecn" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (int_at_least 0)) None & info [ "ecn" ] ~docv:"N" ~doc)
 
 let model_bandwidth_arg =
   let doc =
@@ -228,15 +254,16 @@ let fc_arg =
 
 let credit_pool_arg =
   let doc = "Credit-mode: misses in flight allowed per authority switch." in
-  Arg.(value & opt (some int) None & info [ "credit-pool" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (int_at_least 1)) None & info [ "credit-pool" ] ~docv:"N" ~doc)
 
 let credit_low_water_arg =
   let doc = "Credit-mode: backpressure when the pool drains to this many credits." in
-  Arg.(value & opt (some int) None & info [ "credit-low-water" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some (int_at_least 0)) None & info [ "credit-low-water" ] ~docv:"N" ~doc)
 
 let packet_bits_arg =
   let doc = "Modelled packet size in bits (default 12000 — a 1500-byte MTU frame)." in
-  Arg.(value & opt (some int) None & info [ "packet-bits" ] ~docv:"BITS" ~doc)
+  Arg.(value & opt (some (int_at_least 1)) None & info [ "packet-bits" ] ~docv:"BITS" ~doc)
 
 let congestion_term =
   let mk buffers ecn model_bw fc pool low bits =
@@ -256,13 +283,12 @@ let congestion_term =
     $ credit_low_water_arg $ packet_bits_arg)
 
 let deploy_cmd =
-  let run policy_file topo_spec auths k cache flows alpha faults congestion seed cp_config
-      metrics =
+  let run policy_file (kind, n) authority_ids k cache flows alpha faults congestion seed
+      cp_config metrics =
     with_metrics metrics @@ fun () ->
     let policy = load_policy_or_die policy_file in
     try
-      let topology = parse_topology ~seed topo_spec in
-      let authority_ids = parse_ids auths in
+      let topology = (snd (List.assoc kind topologies)) ~seed n in
       let config =
         { Deployment.default_config with k; cache_capacity = cache; balance = `Volume;
           congestion }
@@ -277,7 +303,7 @@ let deploy_cmd =
       Printf.printf "deployed %d rules as %d partitions over authorities %s\n"
         part.Partitioner.source_rules
         (List.length part.Partitioner.partitions)
-        auths;
+        (String.concat "," (List.map string_of_int authority_ids));
       Printf.printf "TCAM: %d total entries (%.2fx), max %d per authority\n"
         part.Partitioner.total_entries part.Partitioner.duplication
         part.Partitioner.max_entries;
@@ -413,7 +439,7 @@ let partition_cmd =
   in
   let max_entries_arg =
     let doc = "Split until every partition fits this TCAM budget (overrides --k)." in
-    Arg.(value & opt (some int) None & info [ "max-entries" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (int_at_least 1)) None & info [ "max-entries" ] ~docv:"N" ~doc)
   in
   let doc = "Partition a policy file and print the per-authority TCAM cost." in
   Cmd.v (Cmd.info "partition" ~doc) Term.(const run $ policy_arg $ k_arg $ max_entries_arg)
@@ -461,8 +487,8 @@ let report_cmd (s : Experiments.scenario) =
         | Plain f -> Term.const (print f)
         | Faults f ->
             Term.(
-              const (fun congestion cp_config -> print (f ~congestion ~cp_config))
-              $ congestion_term $ reliability_term Experiments.fault_cp_config)
+              const (fun cp_config -> print (f ~cp_config))
+              $ reliability_term Experiments.fault_cp_config)
         | Sharded f ->
             Term.(const (fun domains -> print (f ~domains)) $ domains_arg)
         | Hotspot f ->
@@ -500,7 +526,7 @@ let paths_cmd =
   in
   let capacity_arg =
     let doc = "Postcard ring capacity per shard: the newest N postcards survive." in
-    Arg.(value & opt int 65536 & info [ "capacity" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 65536 & info [ "capacity" ] ~docv:"N" ~doc)
   in
   let flow_arg =
     let doc =
@@ -541,7 +567,7 @@ let paths_cmd =
   in
   let loss_arg =
     let doc = "Control-frame loss rate for the fault scenarios' replay (0..1)." in
-    Arg.(value & opt float 0.10 & info [ "loss" ] ~docv:"LOSS" ~doc)
+    Arg.(value & opt rate 0.10 & info [ "loss" ] ~docv:"LOSS" ~doc)
   in
   let json_arg =
     let doc = "Print the selected paths as a difane-paths-v1 JSON document." in

@@ -68,8 +68,6 @@ let create cfg =
   validate cfg;
   { cfg; ports = Int_table.create 32; transits = 0; drops = 0; marks = 0; peak_depth = 0 }
 
-let config t = t.cfg
-
 (* Both ends of a directed port in one int. *)
 let port_key ~from ~to_ = (from lsl 32) lor to_
 

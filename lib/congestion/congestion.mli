@@ -17,9 +17,9 @@
     - drop-tail and ECN accounting counters mirrored into the telemetry
       registry.
 
-    The functional walk ([Deployment.inject]) and the discrete-event
-    simulator ({!Flowsim}) both book their routed legs through
-    {!transit_path}.
+    The discrete-event simulator ({!Flowsim}) books its routed legs
+    through {!transit_path}; the untimed walk ([Deployment.inject]) has
+    no queues and ignores the model.
 
     With {!default} (unbounded buffers, bandwidth ignored) every code
     path is bit-identical to the pre-congestion behaviour; that
@@ -88,8 +88,6 @@ type stats = {
 
 val create : config -> t
 (** @raise Invalid_argument as {!validate}. *)
-
-val config : t -> config
 
 val transit :
   t -> now:float -> from:int -> Topology.link ->

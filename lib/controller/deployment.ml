@@ -43,12 +43,6 @@ type t = {
   degraded_count : int ref;
       (* misses served via the controller path because no replica of
          their partition was alive; shared across functional updates *)
-      (* misses deferred to the controller path by credit-mode
-         backpressure (the authority's inbound port was saturated);
-         counted apart from [degraded_count] — overload, not failure *)
-  cong : Congestion.t option;
-      (* port virtual clocks; [None] when the congestion model is off,
-         which reproduces the legacy infinite-buffer walk bit-for-bit *)
   agg : Aggregate.t;
       (* aggregation engine + counters; with [config.aggregation]
          disabled it degenerates to plain provenance installs *)
@@ -65,6 +59,9 @@ type t = {
   mutable last_new_primary_installs : int;
 }
 
+(* misses deferred to the controller path by [Flowsim]'s credit-mode
+   backpressure, counted apart from [degraded_count]: overload, not
+   failure *)
 let m_backpressured = Telemetry.counter "deployment_backpressured_misses"
 
 (* The partition rules of [d]'s layout and assignment, as one bank for
@@ -143,9 +140,6 @@ let build ?(config = default_config) ?(install : bool = true) ~policy ~topology
   let d =
     { policy; topology; switches; partitioner; assignment; authority_ids; config;
       unreachable = Hashtbl.create 4; degraded_count = ref 0;
-      cong =
-        (if Congestion.enabled config.congestion then Some (Congestion.create config.congestion)
-         else None);
       agg = Aggregate.create config.aggregation;
       computed_layout = true; last_update = { changed = []; kept_layout = false };
       migration = None; last_evicted = 0;
@@ -272,34 +266,6 @@ let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
   { action; path; latency; cache_hit = false; authority = None; installed;
     degraded = true }
 
-let congested_leg cong topo ~now path =
-  match cong with None -> `Ok 0. | Some c -> Congestion.transit_path c topo ~now path
-
-(* Credit-mode backpressure signal for the walk-based plane: the shared
-   pool bounds misses queued into the authority, so an ingress defers
-   re-splicing (controller fallback) when the authority's inbound port
-   holds [credit_pool - credit_low_water] or more packets — the same
-   threshold the DES reaches when outstanding credits sink to the low
-   water mark. *)
-let authority_saturated cong ~now p1 =
-  match cong with
-  | None -> false
-  | Some c -> (
-      let cfg = Congestion.config c in
-      cfg.Congestion.mode = Congestion.Credit
-      &&
-      match List.rev p1 with
-      | auth :: prev :: _ ->
-          Congestion.depth c ~now ~from:prev ~to_:auth
-          >= cfg.Congestion.credit_pool - cfg.Congestion.credit_low_water
-      | _ -> false)
-
-let queue_drop ~now ~ingress =
-  Ptrace.emit ~at:now Ptrace.Drop ~switch:ingress ~rule:(-1)
-    ~aux:Ptrace.drop_queue_full;
-  { action = Action.Drop; path = [ ingress ]; latency = 0.; cache_hit = false;
-    authority = None; installed = None; degraded = false }
-
 (* Transit postcards for a shortcut leg: one per node entered. *)
 let emit_leg ~at = function
   | [] -> ()
@@ -310,88 +276,69 @@ let emit_leg ~at = function
 
 let last_node ~default path = List.fold_left (fun _ n -> n) default path
 
-(* [cong] is threaded explicitly (rather than read from [d]) so that
-   semantic checks can run the same walk with congestion bypassed — a
-   full buffer must not make [semantically_equal] report a policy
-   divergence. *)
-let inject_impl ~cong d ~now ~ingress h =
+let inject d ~now ~ingress h =
   ignore (Ptrace.begin_packet h);
   let sw = d.switches.(ingress) in
   match Switch.process sw ~now h with
-  | Switch.Local (action, bank) -> (
+  | Switch.Local (action, bank) ->
       let path, latency = deliver d.topology ~from:ingress action in
-      match congested_leg cong d.topology ~now path with
-      | `Queue_full -> queue_drop ~now ~ingress
-      | `Ok extra ->
-          emit_leg ~at:now path;
-          Ptrace.emit ~at:(now +. latency +. extra) Ptrace.Deliver
-            ~switch:(last_node ~default:ingress path)
-            ~rule:(-1)
-            ~aux:(if bank = Switch.Cache_bank then 1 else 0);
-          {
-            action;
-            path;
-            latency = latency +. extra;
-            cache_hit = (bank = Switch.Cache_bank);
-            authority = (if bank = Switch.Authority_bank then Some ingress else None);
-            installed = None;
-            degraded = false;
-          })
+      emit_leg ~at:now path;
+      Ptrace.emit ~at:(now +. latency) Ptrace.Deliver
+        ~switch:(last_node ~default:ingress path)
+        ~rule:(-1)
+        ~aux:(if bank = Switch.Cache_bank then 1 else 0);
+      {
+        action;
+        path;
+        latency;
+        cache_hit = (bank = Switch.Cache_bank);
+        authority = (if bank = Switch.Authority_bank then Some ingress else None);
+        installed = None;
+        degraded = false;
+      }
   | Switch.Tunnel nominal -> (
       match resolve_authority d ~ingress h ~nominal with
       | None ->
           (* no live replica holds this partition *)
           controller_fallback d ~now ~ingress h
       | Some auth -> (
-      let to_auth = leg d.topology ingress auth in
-      match to_auth with
-      | None ->
-          Ptrace.emit ~at:now Ptrace.Drop ~switch:ingress ~rule:(-1)
-            ~aux:Ptrace.drop_unreachable;
-          { action = Action.Drop; path = [ ingress ]; latency = 0.; cache_hit = false;
-            authority = None; installed = None; degraded = false }
-      | Some (p1, l1) -> (
-          if authority_saturated cong ~now p1 then begin
-            Ptrace.emit ~at:now Ptrace.Backpressure ~switch:auth ~rule:(-1) ~aux:0;
-            controller_fallback ~cause:`Backpressure d ~now ~ingress h
-          end
-          else
-          match congested_leg cong d.topology ~now p1 with
-          | `Queue_full -> queue_drop ~now ~ingress
-          | `Ok e1 -> (
-          emit_leg ~at:now p1;
-          match
-            Switch.serve_miss ~mode:d.config.cache_mode
-              ?cover_limit:(Aggregate.cover_limit d.config.aggregation)
-              d.switches.(auth) ~now h
-          with
+          match leg d.topology ingress auth with
           | None ->
-              (* misrouted: the authority lost its partition (e.g. a crash
-                 wiped it, or failover left stale partition rules); rescue
-                 the packet through the controller rather than dropping *)
-              let o = controller_fallback d ~now ~ingress h in
-              { o with path = join p1 o.path; latency = l1 +. e1 +. o.latency }
-          | Some { Switch.action; cache_rule; origin_id = _; pid = _; installs } -> (
-              ignore
-                (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
-                   ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now installs);
-              let p2, l2 = deliver d.topology ~from:auth action in
-              match congested_leg cong d.topology ~now:(now +. l1 +. e1) p2 with
-              | `Queue_full -> queue_drop ~now ~ingress
-              | `Ok e2 ->
-                  emit_leg ~at:(now +. l1 +. e1) p2;
-                  Ptrace.emit ~at:(now +. l1 +. e1 +. l2 +. e2) Ptrace.Deliver
+              Ptrace.emit ~at:now Ptrace.Drop ~switch:ingress ~rule:(-1)
+                ~aux:Ptrace.drop_unreachable;
+              { action = Action.Drop; path = [ ingress ]; latency = 0.; cache_hit = false;
+                authority = None; installed = None; degraded = false }
+          | Some (p1, l1) -> (
+              emit_leg ~at:now p1;
+              match
+                Switch.serve_miss ~mode:d.config.cache_mode
+                  ?cover_limit:(Aggregate.cover_limit d.config.aggregation)
+                  d.switches.(auth) ~now h
+              with
+              | None ->
+                  (* misrouted: the authority lost its partition (e.g. a crash
+                     wiped it, or failover left stale partition rules); rescue
+                     the packet through the controller rather than dropping *)
+                  let o = controller_fallback d ~now ~ingress h in
+                  { o with path = join p1 o.path; latency = l1 +. o.latency }
+              | Some { Switch.action; cache_rule; origin_id = _; pid = _; installs } ->
+                  ignore
+                    (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
+                       ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now installs);
+                  let p2, l2 = deliver d.topology ~from:auth action in
+                  emit_leg ~at:(now +. l1) p2;
+                  Ptrace.emit ~at:(now +. l1 +. l2) Ptrace.Deliver
                     ~switch:(last_node ~default:auth p2)
                     ~rule:(-1) ~aux:0;
                   {
                     action;
                     path = join p1 p2;
-                    latency = l1 +. e1 +. l2 +. e2;
+                    latency = l1 +. l2;
                     cache_hit = false;
                     authority = Some auth;
                     installed = Some cache_rule;
                     degraded = false;
-                  })))))
+                  })))
   | Switch.Unmatched ->
       Ptrace.emit ~at:now Ptrace.Drop ~switch:ingress ~rule:(-1)
         ~aux:Ptrace.drop_unmatched;
@@ -402,8 +349,6 @@ let inject_impl ~cong d ~now ~ingress h =
         ~aux:Ptrace.drop_misconfigured;
       { action = Action.Drop; path = [ ingress ]; latency = 0.; cache_hit = false;
         authority = None; installed = None; degraded = false }
-
-let inject d ~now ~ingress h = inject_impl ~cong:d.cong d ~now ~ingress h
 
 let controller_serve ?cause d ~now ~ingress h = controller_fallback ?cause d ~now ~ingress h
 
@@ -614,7 +559,6 @@ let adopt ~model ~network =
     topology = network.topology;
     unreachable = network.unreachable;
     degraded_count = network.degraded_count;
-    cong = network.cong;
   }
 
 let degraded_misses d = !(d.degraded_count)
@@ -791,9 +735,7 @@ let semantically_equal d probes =
     (fun h ->
       let expected = Classifier.action d.policy h in
       let ingress = 0 in
-      (* bypass the congestion model: this is a semantic check, and a
-         full buffer is not a policy divergence *)
-      let got = (inject_impl ~cong:None d ~now:0. ~ingress h).action in
+      let got = (inject d ~now:0. ~ingress h).action in
       match expected with
       | Some a -> Action.equal a got
       | None -> Action.equal Action.Drop got)

@@ -40,14 +40,13 @@ type config = {
           detours) *)
   congestion : Congestion.config;
       (** the data-plane congestion model ({!Congestion.default} = off:
-          infinite buffers, zero serialization — the legacy walk,
-          bit-identical).  When enabled, every leg of {!inject} books
-          time on per-port virtual-clock queues: queueing delay adds to
-          {!outcome.latency}, a full buffer drops the packet, and in
-          [Credit] mode an ingress finding the authority's inbound port
-          saturated defers re-splicing to the controller path
-          (registry counter [deployment_backpressured_misses]) instead
-          of shedding the miss. *)
+          infinite buffers, zero serialization).  Only the discrete-event
+          simulator ([Flowsim]) reads it: there every leg books time on
+          per-port virtual-clock queues, queueing delay adds to the
+          packet's latency, a full buffer drops the packet, and in
+          [Credit] mode a miss that finds the credit pool exhausted is
+          deferred to the controller path ({!controller_serve}
+          [~cause:`Backpressure]).  {!inject} is untimed and ignores it. *)
   aggregation : Aggregate.config;
       (** cache-rule aggregation ({!Aggregate.default} = off: the plain
           one-install-per-miss path, bit-identical to the seed).  When
@@ -101,8 +100,8 @@ type outcome = {
       (** served via the controller fallback — NOX-style reactive setup,
           the mode a run degrades to instead of wedging.  Reached either
           because no replica of the header's partition was alive
-          ({!degraded_misses}) or, in credit mode, because backpressure
-          deferred the miss *)
+          ({!degraded_misses}) or, in [Flowsim]'s credit mode, because
+          backpressure deferred the miss ({!controller_serve}) *)
 }
 
 val inject : t -> now:float -> ingress:int -> Header.t -> outcome

@@ -1017,8 +1017,8 @@ let fault_check ~loss ~zero ~recovered ~replay_identical =
 
 (* Both fault scenarios' data plane (on a 6-switch line): k = 8
    partitions, each on two authorities, and 128-entry caches. *)
-let fault_dconfig congestion =
-  { Deployment.default_config with k = 8; replication = 2; cache_capacity = 128; congestion }
+let fault_dconfig =
+  { Deployment.default_config with k = 8; replication = 2; cache_capacity = 128 }
 
 (* A fault sweep: one seeded run of [scenario] per loss rate; the 10%
    point, the acceptance scenario, is replayed end to end and
@@ -1062,11 +1062,11 @@ module E_chaos = struct
   let restart_b = 7.0
   let horizon = 14.0
 
-  let scenario ~cp_config ~congestion ~seed ~quick ~loss =
+  let scenario ~cp_config ~seed ~quick ~loss =
     let rng = Prng.create seed in
     let policy = acl rng ~rules:(if quick then 100 else 500) ~chains:20 in
     let d =
-      Deployment.build ~install:false ~config:(fault_dconfig congestion) ~policy
+      Deployment.build ~install:false ~config:fault_dconfig ~policy
         ~topology:(Topology.line 6 ()) ~authority_ids:[ 1; 3; 4 ] ()
     in
     let a, b = (1, 3) in
@@ -1132,9 +1132,8 @@ module E_chaos = struct
       },
       Control_plane.timeline cp )
 
-  let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default)
-      ?(cp_config = fault_cp_config) () =
-    loss_sweep ~quick (scenario ~cp_config ~congestion ~seed ~quick) (fun row ok ->
+  let run ?(seed = 42) ?(quick = false) ?(cp_config = fault_cp_config) () =
+    loss_sweep ~quick (scenario ~cp_config ~seed ~quick) (fun row ok ->
         { row with replay_identical = ok })
 
   let check rows =
@@ -1209,7 +1208,7 @@ module E_ha = struct
   let isolate_at = 10.5
   let horizon = 16.0
 
-  let scenario ~cp_config ~congestion ~seed ~quick ~loss =
+  let scenario ~cp_config ~seed ~quick ~loss =
     let rng = Prng.create seed in
     let policy = acl rng ~rules:(if quick then 80 else 400) ~chains:20 in
     let policy' = F_dyn.flipped ~select:(fun id -> id mod 4 = 0) policy in
@@ -1229,7 +1228,7 @@ module E_ha = struct
     in
     let config = { Cluster.default_config with snapshot_every = 8; cp = cp_config } in
     let cl =
-      Cluster.create ~config ~faults ~dconfig:(fault_dconfig congestion) ~policy
+      Cluster.create ~config ~faults ~dconfig:fault_dconfig ~policy
         ~topology:(Topology.line 6 ()) ~authority_ids:[ 1; 3; 4 ] ()
     in
     let probes = probes rng policy (if quick then 100 else 300) in
@@ -1273,9 +1272,8 @@ module E_ha = struct
       (Cluster.timeline cl, Bytes.to_string (Journal.encode (Cluster.journal cl))) )
 
   (* the replayed trace is the event timeline and the journal bytes *)
-  let run ?(seed = 42) ?(quick = false) ?(congestion = Congestion.default)
-      ?(cp_config = fault_cp_config) () =
-    loss_sweep ~quick (scenario ~cp_config ~congestion ~seed ~quick) (fun row ok ->
+  let run ?(seed = 42) ?(quick = false) ?(cp_config = fault_cp_config) () =
+    loss_sweep ~quick (scenario ~cp_config ~seed ~quick) (fun row ok ->
         { row with replay_identical = ok })
 
   let check rows =
@@ -1322,8 +1320,7 @@ module E_ha = struct
 
   let journal ~seed ~quick ~loss =
     let _, (_, journal) =
-      scenario ~cp_config:fault_cp_config ~congestion:Congestion.default ~seed ~quick
-        ~loss
+      scenario ~cp_config:fault_cp_config ~seed ~quick ~loss
     in
     journal
 end
@@ -1939,8 +1936,7 @@ type replay = {
 
 type render =
   | Plain of (seed:int -> quick:bool -> string)
-  | Faults of (seed:int -> quick:bool -> congestion:Congestion.config ->
-               cp_config:Control_plane.config -> string)
+  | Faults of (seed:int -> quick:bool -> cp_config:Control_plane.config -> string)
   | Sharded of (seed:int -> quick:bool -> domains:int -> string)
   | Hotspot of
       (seed:int -> quick:bool -> hotspot_threshold:float -> hotspot_window:int -> string)
@@ -2071,15 +2067,13 @@ let monitor_gate ~seed ~quick ~domains:_ =
 
 let chaos_replay a =
   let _, timeline =
-    E_chaos.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
-      ~quick:a.quick ~loss:a.loss
+    E_chaos.scenario ~cp_config:a.reliability ~seed:a.seed ~quick:a.quick ~loss:a.loss
   in
   { describe = None; timeline }
 
 let ha_replay a =
   let _, (timeline, _) =
-    E_ha.scenario ~cp_config:a.reliability ~congestion:Congestion.default ~seed:a.seed
-      ~quick:a.quick ~loss:a.loss
+    E_ha.scenario ~cp_config:a.reliability ~seed:a.seed ~quick:a.quick ~loss:a.loss
   in
   { describe = None; timeline }
 
@@ -2137,13 +2131,11 @@ let paths_gate name replay =
   }
 
 (* A fault sweep: a member of [difane all] whose subcommand also takes
-   the congestion and reliability flags; gated at their defaults. *)
+   the reliability flags; gated at their defaults. *)
 let fault_sweep name doc
-    (run : ?seed:int -> ?quick:bool -> ?congestion:Congestion.config ->
-           ?cp_config:Control_plane.config -> unit -> 'a) render check replay =
-  let report ~seed ~quick ~congestion ~cp_config =
-    render (run ~seed ~quick ~congestion ~cp_config ())
-  in
+    (run : ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> 'a)
+    render check replay =
+  let report ~seed ~quick ~cp_config = render (run ~seed ~quick ~cp_config ()) in
   let rows ~seed ~quick = run ~seed ~quick () in
   {
     name;

@@ -222,18 +222,11 @@ module E_chaos : sig
     replay_identical : bool;  (** same seed reproduced the same event log *)
   }
 
-  val run :
-    ?seed:int ->
-    ?quick:bool ->
-    ?congestion:Congestion.config ->
-    ?cp_config:Control_plane.config ->
-    unit ->
-    row list
+  val run : ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> row list
   (** [cp_config] (default {!fault_cp_config}) carries the reliable-channel
-      timers the CLI's [--echo-interval]/[--retx-*] flags set.
-      [congestion] (default {!Congestion.default}, everything off)
-      re-runs the scenario on a finite-buffer data plane — the published
-      numbers assume the legacy infinite-buffer plane. *)
+      timers the CLI's [--echo-interval]/[--retx-*] flags set.  Probes
+      walk the untimed {!Deployment.inject}, so there is no queueing to
+      configure: buffers and backpressure are {!E_incast}'s subject. *)
 
   val check : row list -> string list
   (** Violated fault-tolerance invariants, [[]] when all hold: per row,
@@ -276,13 +269,7 @@ module E_ha : sig
     replay_identical : bool;
   }
 
-  val run :
-    ?seed:int ->
-    ?quick:bool ->
-    ?congestion:Congestion.config ->
-    ?cp_config:Control_plane.config ->
-    unit ->
-    row list
+  val run : ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> row list
   (** As {!E_chaos.run}. *)
 
   val check : row list -> string list
@@ -505,9 +492,8 @@ type replay = {
     quick; each becomes that subcommand's flags. *)
 type render =
   | Plain of (seed:int -> quick:bool -> string)
-  | Faults of (seed:int -> quick:bool -> congestion:Congestion.config ->
-               cp_config:Control_plane.config -> string)
-      (** the data plane's congestion model and the reliable-channel timers *)
+  | Faults of (seed:int -> quick:bool -> cp_config:Control_plane.config -> string)
+      (** the reliable-channel timers *)
   | Sharded of (seed:int -> quick:bool -> domains:int -> string)
   | Hotspot of
       (seed:int -> quick:bool -> hotspot_threshold:float -> hotspot_window:int -> string)
