@@ -205,13 +205,14 @@ let reliability_term (base : Control_plane.config) =
   in
   Term.(
     const mk
-    $ flag Arg.float "echo-interval" "S"
+    $ flag (float_above 0.) "echo-interval" "S"
         "Controller echo-probe interval in seconds (liveness detection)."
-    $ flag Arg.float "retx-timeout" "S"
+    $ flag (float_above 0.) "retx-timeout" "S"
         "Seconds before the first retransmission of an unacked request."
-    $ flag Arg.float "retx-backoff" "X"
-        "Retransmission interval multiplier (exponential backoff factor)."
-    $ flag Arg.int "retx-limit" "N" "Retransmissions before a request is given up.")
+    $ flag
+        (checked float_of_string_opt Format.pp_print_float "a number >= 1" (fun v -> v >= 1.))
+        "retx-backoff" "X" "Retransmission interval multiplier (exponential backoff factor)."
+    $ flag (int_at_least 0) "retx-limit" "N" "Retransmissions before a request is given up.")
 
 (* ---- congestion-model flags (finite buffers / backpressure) for deploy,
    whose timed replay runs Flowsim.  All off by default: the default
@@ -289,6 +290,17 @@ let deploy_cmd =
     let policy = load_policy_or_die policy_file in
     try
       let topology = (snd (List.assoc kind topologies)) ~seed n in
+      (* checked here, not in [Deployment.build]: a rule forwarding off
+         the topology would only fail mid-replay *)
+      List.iter
+        (fun (r : Rule.t) ->
+          match Action.egress r.action with
+          | Some e when e < 0 || e >= Topology.nodes topology ->
+              invalid_arg
+                (Printf.sprintf "rule %d forwards to switch %d, outside the %d-node topology"
+                   r.id e (Topology.nodes topology))
+          | _ -> ())
+        (Classifier.rules policy);
       let config =
         { Deployment.default_config with k; cache_capacity = cache; balance = `Volume;
           congestion }

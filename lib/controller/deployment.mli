@@ -243,7 +243,9 @@ val degraded_misses : t -> int
 val controller_serve :
   ?cause:[ `Failure | `Backpressure ] -> t -> now:float -> ingress:int -> Header.t -> outcome
 (** Serve a miss on the controller path directly (the NOX-style fallback
-    {!inject} reaches when no replica is alive): answer from the policy,
+    {!inject} reaches when no replica is alive).  This is also the NOX
+    baseline's whole flow setup: [Experiments.nox_baseline] is a
+    deployment whose one authority is down.  Answer from the policy,
     install an exact-match entry at the ingress unless the ingress cache
     already decides the header (another packet of the flow, answered
     first, installed it; [installed] is then [None]).  [cause] selects the

@@ -218,6 +218,11 @@ let throughput_deployment ~seed ~authorities () =
   Deployment.build ~config ~policy:(timing_policy ~seed) ~topology:throughput_topology
     ~authority_ids:authorities ()
 
+let nox_baseline ~policy ~topology () =
+  let d = Deployment.build ~policy ~topology ~authority_ids:[ 1 ] () in
+  Deployment.mark_unreachable d 1;
+  d
+
 module F_tput = struct
   type point = { offered_rate : float; difane : Flowsim.result; nox : Flowsim.result }
 
@@ -241,14 +246,11 @@ module F_tput = struct
             (throughput_deployment ~seed ~authorities:[ 1 ] ())
             flows
         in
-        let nox_net =
-          (* microflow entries never aggregate, but disable them too so the
-             two systems face the identical all-miss workload *)
-          Nox.build
-            ~config:{ Nox.default_config with cache_capacity = 1 }
-            ~policy ~topology:throughput_topology ()
+        let nox =
+          Flowsim.run Flowsim.Config.default
+            (nox_baseline ~policy ~topology:throughput_topology ())
+            flows
         in
-        let nox = Flowsim.run_nox nox_net flows in
         { offered_rate = rate; difane; nox })
       (rates ~quick)
 
@@ -333,7 +335,7 @@ module F_delay = struct
     in
     let d = Deployment.build ~config ~policy ~topology ~authority_ids:[ 1; 5 ] () in
     let rd = Flowsim.run Flowsim.Config.default d flows in
-    let rn = Flowsim.run_nox (Nox.build ~policy ~topology ()) flows in
+    let rn = Flowsim.run Flowsim.Config.default (nox_baseline ~policy ~topology ()) flows in
     let difane_delays = Cdf.of_array rd.Flowsim.miss_delays in
     let nox_delays = Cdf.of_array rn.Flowsim.miss_delays in
     let difane_median = Cdf.inverse difane_delays 0.5 in

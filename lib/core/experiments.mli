@@ -22,6 +22,16 @@ module T1 : sig
   val render : row list -> string
 end
 
+val nox_baseline : policy:Classifier.t -> topology:Topology.t -> unit -> Deployment.t
+(** The reactive-controller baseline (NOX/Ethane style) the timing
+    figures compare against: a default-config deployment whose one
+    authority switch, 1, is marked unreachable, so every ingress miss
+    takes the controller path ({!Deployment.controller_serve}) — half an
+    RTT up, a controller service slot, half an RTT back and an
+    exact-match entry installed at the ingress.  Replay it with
+    {!Flowsim.run}.  No flow may enter at switch 1: its own authority
+    bank would answer the miss locally. *)
+
 (** Fig. "Throughput of flow setup": DIFANE (1 authority switch) vs NOX,
     achieved setup throughput as the offered rate of single-packet flows
     sweeps past both systems' capacities. *)

@@ -224,27 +224,6 @@ let prop topo a b = Option.value ~default:0. (Topology.distance topo a b)
    it has none. *)
 let egress_latency topo ~from egress = match egress with Some e -> prop topo from e | None -> 0.
 
-(* Packet arrivals are packed events: the payload carries the flow's
-   index and the first-packet bit, so a million-flow schedule costs four
-   scalar lanes per event and no closures. *)
-let post_arrivals engine acc flows process_packet =
-  let flows_arr = Array.of_list flows in
-  let k_packet =
-    Engine.kind engine (fun payload ->
-        process_packet flows_arr.(payload lsr 1) ~is_first:(payload land 1 = 1))
-  in
-  Array.iteri
-    (fun idx (flow : Traffic.flow) ->
-      if flow.start < acc.first_arrival then acc.first_arrival <- flow.start;
-      if flow.start > acc.last_arrival then acc.last_arrival <- flow.start;
-      Engine.post engine ~at:flow.start k_packet ((idx lsl 1) lor 1);
-      for i = 1 to flow.packets - 1 do
-        Engine.post engine
-          ~at:(flow.start +. (float_of_int i *. flow.interval))
-          k_packet (idx lsl 1)
-      done)
-    flows_arr
-
 (* One single-engine run's state: the core every entry point (and every
    shard of a sharded run) executes.  The stages below share it; per-switch
    tables are arrays indexed by switch id. *)
@@ -369,9 +348,10 @@ let forward st (flow : Traffic.flow) ~is_first ~now ~from ~was_miss ~cache_hit a
         ~aux:(if cache_hit then 1 else 0);
       deliver st.acc ~was_miss ~is_first ~arrival:flow.start ~at ~cache_hit
 
-(* Controller path, NOX-style: half an RTT up, a controller service
-   slot, half an RTT back, where [Deployment.controller_serve] answers
-   from the policy and installs the reactive microflow at the ingress.
+(* Controller path, NOX-style (the NOX baseline takes it for every
+   miss): half an RTT up, a controller service slot, half an RTT back,
+   where [Deployment.controller_serve] answers from the policy and
+   installs the reactive microflow at the ingress.
    Reached for [`Failure] (no live replica for the header's partition)
    and for [`Backpressure] (credit mode found the authority saturated,
    so the ingress defers re-splicing); the cause keeps the accounting
@@ -504,6 +484,27 @@ let ingress st (flow : Traffic.flow) ~is_first =
       | None -> via_controller st `Failure flow ~is_first ~pkt
       | Some auth -> tunnel st flow ~is_first ~pkt ~now auth)
 
+(* Packet arrivals are packed events: the payload carries the flow's
+   index and the first-packet bit, so a million-flow schedule costs four
+   scalar lanes per event and no closures. *)
+let post_arrivals st flows =
+  let flows_arr = Array.of_list flows in
+  let k_packet =
+    Engine.kind st.engine (fun payload ->
+        ingress st flows_arr.(payload lsr 1) ~is_first:(payload land 1 = 1))
+  in
+  Array.iteri
+    (fun idx (flow : Traffic.flow) ->
+      if flow.start < st.acc.first_arrival then st.acc.first_arrival <- flow.start;
+      if flow.start > st.acc.last_arrival then st.acc.last_arrival <- flow.start;
+      Engine.post st.engine ~at:flow.start k_packet ((idx lsl 1) lor 1);
+      for i = 1 to flow.packets - 1 do
+        Engine.post st.engine
+          ~at:(flow.start +. (float_of_int i *. flow.interval))
+          k_packet (idx lsl 1)
+      done)
+    flows_arr
+
 (* One single-engine run; returns its tallies, which [finish] renders
    (or a shard-ordered [merge] of several) into a [result]. *)
 let run_core ?(shard = 0) (cfg : Config.t) d flows =
@@ -519,7 +520,7 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
         (fun ev -> Engine.schedule engine ~at:(Fault.event_time ev) (fun () -> fault st ev))
         p.Fault.events)
     cfg.faults;
-  post_arrivals engine st.acc flows (ingress st);
+  post_arrivals st flows;
   Engine.run engine;
   let now = Engine.now engine in
   tick_to st now;
@@ -628,41 +629,3 @@ let run_sharded (cfg : Config.t) ~shards ~deployment ~flows =
       accs
   in
   merge accs ~offered:(Array.fold_left ( + ) 0 offered)
-
-let run_nox n flows =
-  let timing = default_timing in
-  let engine = Engine.create () in
-  let acc = fresh_acc () in
-  let controller =
-    Server.create engine ~service_time:timing.controller_service
-      ~queue_capacity:timing.queue_capacity
-  in
-  let topo = Nox.topology n in
-  let process_packet (flow : Traffic.flow) ~is_first =
-    let now = Engine.now engine in
-    let sw = Nox.switch n flow.ingress in
-    match Tcam.lookup (Switch.cache sw) ~now flow.header with
-    | Some r ->
-        deliver acc ~was_miss:false ~is_first ~arrival:now
-          ~at:(now +. egress_latency topo ~from:flow.ingress (Action.egress r.Rule.action))
-          ~cache_hit:true
-    | None ->
-        (* packet-in: half an RTT to reach the controller, queue + service,
-           half an RTT back with the packet-out, then the data-plane leg *)
-        Engine.after engine ~delay:(timing.controller_rtt /. 2.) (fun () ->
-            let accepted =
-              Server.submit controller (fun () ->
-                  let now = Engine.now engine in
-                  let o = Nox.inject n ~now ~ingress:flow.ingress flow.header in
-                  deliver acc ~was_miss:true ~is_first ~arrival:flow.start
-                    ~at:
-                      (now
-                      +. ((timing.controller_rtt /. 2.)
-                         +. egress_latency topo ~from:flow.ingress (Action.egress o.Nox.action)))
-                    ~cache_hit:false)
-            in
-            if (not accepted) && is_first then acc.dropped <- acc.dropped + 1)
-  in
-  post_arrivals engine acc flows process_packet;
-  Engine.run engine;
-  finish acc ~offered:(List.length flows)

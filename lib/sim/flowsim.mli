@@ -1,4 +1,4 @@
-(** Flow-level discrete-event simulation of DIFANE and the NOX baseline.
+(** Flow-level discrete-event simulation of a DIFANE deployment.
 
     Replays a {!Traffic.flow} workload against a deployed network with
     explicit capacity models:
@@ -10,8 +10,11 @@
        authority with service time [authority_service].  Misses arriving
        to a full authority queue are lost (as in the paper's overload
        runs).}
-    {- {b NOX}: each miss consumes a slot at the single controller server
-       ([controller_service]) and pays the control-channel RTT.}}
+    {- {b Controller path}: a miss with no live authority consumes a slot
+       at the single controller server ([controller_service]) and pays
+       the control-channel RTT.  The NOX baseline is a deployment whose
+       one authority is down, so every miss goes this way
+       ([Experiments.nox_baseline]).}}
 
     The timing defaults follow the paper's prototype numbers: an authority
     switch sustains ~800K flow setups/s (Click data plane), the controller
@@ -181,6 +184,3 @@ val run_sharded :
     @raise Invalid_argument if [shards < 1], or if the config carries
     faults, a monitor, or a controller hook — those are cross-shard
     global state and require a single-domain {!run}. *)
-
-val run_nox : Nox.t -> Traffic.flow list -> result
-(** Replay against the reactive baseline, under [default_timing]. *)

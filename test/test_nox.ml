@@ -11,35 +11,39 @@ let policy =
       (0, [], Action.Drop);
     ]
 
-let build () = Nox.build ~policy ~topology:(Topology.line 3 ()) ()
+(* NOX as DIFANE with its one authority (switch 1) down: every ingress
+   miss is answered by the controller *)
+let build () = Experiments.nox_baseline ~policy ~topology:(Topology.line 3 ()) ()
 
 let test_first_packet_punts () =
   let n = build () in
-  let o = Nox.inject n ~now:0. ~ingress:0 (h 2 9) in
-  check Alcotest.bool "punted" true o.Nox.punted;
-  check action "action" (Action.Forward 2) o.Nox.action
+  let o = Deployment.inject n ~now:0. ~ingress:0 (h 2 9) in
+  check Alcotest.bool "degraded" true o.Deployment.degraded;
+  check action "action" (Action.Forward 2) o.Deployment.action
 
 let test_second_packet_cached () =
   let n = build () in
-  ignore (Nox.inject n ~now:0. ~ingress:0 (h 2 9));
-  let o = Nox.inject n ~now:1. ~ingress:0 (h 2 9) in
-  check Alcotest.bool "not punted" false o.Nox.punted
+  ignore (Deployment.inject n ~now:0. ~ingress:0 (h 2 9));
+  let o = Deployment.inject n ~now:1. ~ingress:0 (h 2 9) in
+  check Alcotest.bool "not degraded" false o.Deployment.degraded;
+  check Alcotest.bool "cache hit" true o.Deployment.cache_hit
 
 let test_microflow_is_exact () =
   let n = build () in
-  let o = Nox.inject n ~now:0. ~ingress:0 (h 2 9) in
-  let r = Option.get o.Nox.installed in
+  let o = Deployment.inject n ~now:0. ~ingress:0 (h 2 9) in
+  let r = Option.get o.Deployment.installed in
   check Alcotest.bool "matches its header" true (Rule.matches r (h 2 9));
   (* exact match: a different header in the same rule's region still punts *)
   check Alcotest.bool "no wildcard" false (Rule.matches r (h 2 10));
-  let o2 = Nox.inject n ~now:1. ~ingress:0 (h 2 10) in
-  check Alcotest.bool "second header punts too" true o2.Nox.punted
+  let o2 = Deployment.inject n ~now:1. ~ingress:0 (h 2 10) in
+  check Alcotest.bool "second header punts too" true o2.Deployment.degraded
 
 let test_per_ingress_caches () =
   let n = build () in
-  ignore (Nox.inject n ~now:0. ~ingress:0 (h 2 9));
-  let o = Nox.inject n ~now:1. ~ingress:1 (h 2 9) in
-  check Alcotest.bool "other ingress misses" true o.Nox.punted
+  ignore (Deployment.inject n ~now:0. ~ingress:0 (h 2 9));
+  (* ingress 2, not the down authority 1, whose own bank would answer *)
+  let o = Deployment.inject n ~now:1. ~ingress:2 (h 2 9) in
+  check Alcotest.bool "other ingress misses" true o.Deployment.degraded
 
 let prop_nox_equals_policy =
   qt ~count:80 "NOX always applies the policy action"
@@ -48,9 +52,9 @@ let prop_nox_equals_policy =
       let n = build () in
       List.for_all
         (fun hd ->
-          let o = Nox.inject n ~now:0. ~ingress:0 hd in
+          let o = Deployment.inject n ~now:0. ~ingress:0 hd in
           match Classifier.action policy hd with
-          | Some a -> Action.equal a o.Nox.action
+          | Some a -> Action.equal a o.Deployment.action
           | None -> false)
         headers)
 
@@ -61,7 +65,7 @@ let prop_punts_bounded_by_distinct_headers =
       let n = build () in
       let punts =
         List.length
-          (List.filter (fun hd -> (Nox.inject n ~now:0. ~ingress:0 hd).Nox.punted) headers)
+          (List.filter (fun hd -> (Deployment.inject n ~now:0. ~ingress:0 hd).Deployment.degraded) headers)
       in
       punts <= List.length (List.sort_uniq Header.compare headers))
 

@@ -210,14 +210,17 @@ let test_flowsim_difane_saturation () =
   check Alcotest.bool "throughput near capacity" true
     (Float.abs (r.Flowsim.setup_throughput -. capacity) /. capacity < 0.25)
 
+let nox_baseline () =
+  Experiments.nox_baseline ~policy:small_policy ~topology:(Topology.line 3 ()) ()
+
 let test_flowsim_nox_punts_and_delays () =
-  let n = Nox.build ~policy:small_policy ~topology:(Topology.line 3 ()) () in
+  let n = nox_baseline () in
   (* repeat packets must arrive after the controller round trip, or they
      miss too (the setup is still in flight) *)
   let flows =
     List.map (fun f -> { f with Traffic.interval = 0.02 }) (mk_flows 50)
   in
-  let r = Flowsim.run_nox n flows in
+  let r = Flowsim.run Flowsim.Config.default n flows in
   check Alcotest.int "completes" 50 r.Flowsim.completed_flows;
   (* every distinct header pays at least the controller RTT *)
   Array.iter
@@ -234,11 +237,22 @@ let test_flowsim_difane_faster_than_nox () =
       ~authority_ids:[ 1 ] ()
   in
   let rd = Flowsim.run Flowsim.Config.default d flows in
-  let n = Nox.build ~policy:small_policy ~topology:(Topology.line 3 ()) () in
-  let rn = Flowsim.run_nox n flows in
+  let rn = Flowsim.run Flowsim.Config.default (nox_baseline ()) flows in
   let med a = (Summary.of_array a).Summary.p50 in
   check Alcotest.bool "DIFANE setup >10x faster" true
     (med rn.Flowsim.miss_delays > 10. *. med rd.Flowsim.miss_delays)
+
+(* The controller path looks a punted packet up at the ingress once:
+   N distinct single-packet flows cost N cache misses, all degraded. *)
+let test_flowsim_nox_one_lookup_per_punt () =
+  let n = 300 in
+  let d = nox_baseline () in
+  let flows = List.map (fun f -> { f with Traffic.packets = 1 }) (mk_flows n) in
+  let r = Flowsim.run Flowsim.Config.default d flows in
+  check Alcotest.int "completes" n r.Flowsim.completed_flows;
+  check Alcotest.int "degraded packets" n r.Flowsim.degraded_packets;
+  check Alcotest.int64 "ingress cache misses" (Int64.of_int n)
+    (Tcam.stats (Switch.cache (Deployment.switch d 0))).Tcam.misses
 
 let test_install_latency_window () =
   let d =
@@ -690,6 +704,7 @@ let suite =
         tc "no control plane, no notifications queued" test_flowsim_queues_no_notifications;
         tc "nox punts and delays" test_flowsim_nox_punts_and_delays;
         tc "difane beats nox on setup delay" test_flowsim_difane_faster_than_nox;
+        tc "nox looks a punted packet up once" test_flowsim_nox_one_lookup_per_punt;
         tc "install latency window" test_install_latency_window;
         tc "bursty arrivals" test_bursty_arrivals;
         tc "authority load balance" test_authority_stats_balanced;
