@@ -295,7 +295,7 @@ let deploy_cmd =
       List.iter
         (fun (r : Rule.t) ->
           match Action.egress r.action with
-          | Some e when e < 0 || e >= Topology.nodes topology ->
+          | Some e when e >= Topology.nodes topology ->
               invalid_arg
                 (Printf.sprintf "rule %d forwards to switch %d, outside the %d-node topology"
                    r.id e (Topology.nodes topology))
@@ -677,12 +677,12 @@ let monitor_cmd =
   in
   let run seed quick alpha sample_rate interval threshold hotspot_window top_k json
       flows_out =
-    let m, _ =
+    let ((m, _) as run) =
       Experiments.E_mon.run_monitored ~seed ~quick ~alpha ~sample_rate ?interval
         ~threshold ~top_k ()
     in
     if json then print_endline (Monitor.to_json m)
-    else Format.printf "%a%a%!" Monitor.pp m (Monitor.pp_persistent ~windows:hotspot_window) m;
+    else print_string (Experiments.E_mon.render ~hotspot_window run);
     Option.iter
       (fun path ->
         let oc = open_out path in

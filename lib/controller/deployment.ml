@@ -214,7 +214,7 @@ let deliver topo ~from action =
    exact-match entry at the ingress so the rest of the flow stays in the
    data plane.  Counted separately — a run under total authority loss
    reports degraded throughput instead of wedging. *)
-let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
+let controller_serve ?(cause = `Failure) d ~now ~ingress h =
   (match cause with
   | `Failure -> incr d.degraded_count
   | `Backpressure -> Telemetry.incr m_backpressured);
@@ -300,7 +300,7 @@ let inject d ~now ~ingress h =
       match resolve_authority d ~ingress h ~nominal with
       | None ->
           (* no live replica holds this partition *)
-          controller_fallback d ~now ~ingress h
+          controller_serve d ~now ~ingress h
       | Some auth -> (
           match leg d.topology ingress auth with
           | None ->
@@ -319,7 +319,7 @@ let inject d ~now ~ingress h =
                   (* misrouted: the authority lost its partition (e.g. a crash
                      wiped it, or failover left stale partition rules); rescue
                      the packet through the controller rather than dropping *)
-                  let o = controller_fallback d ~now ~ingress h in
+                  let o = controller_serve d ~now ~ingress h in
                   { o with path = join p1 o.path; latency = l1 +. o.latency }
               | Some { Switch.action; cache_rule; origin_id = _; pid = _; installs } ->
                   ignore
@@ -349,8 +349,6 @@ let inject d ~now ~ingress h =
         ~aux:Ptrace.drop_misconfigured;
       { action = Action.Drop; path = [ ingress ]; latency = 0.; cache_hit = false;
         authority = None; installed = None; degraded = false }
-
-let controller_serve ?cause d ~now ~ingress h = controller_fallback ?cause d ~now ~ingress h
 
 let expire_caches d ~now =
   Array.fold_left (fun acc sw -> acc + List.length (Switch.expire_cache sw ~now)) 0 d.switches

@@ -1007,29 +1007,25 @@ let fault_cp_config =
   }
 
 (* The per-row invariants both fault sweeps gate on: every count in
-   [zero] (give-ups first) must be zero, the final state must have
-   recovered, and the same seed must have replayed bit-identically. *)
-let fault_check ~loss ~zero ~recovered ~replay_identical =
+   [zero] (give-ups first) must be zero and the final state must have
+   recovered. *)
+let fault_check ~loss ~zero ~recovered =
   let at msg = Printf.sprintf "%s at %s loss" msg (Table.fmt_pct loss) in
   List.filter_map
     (fun (n, what) -> if n > 0 then Some (at (Printf.sprintf "%d %s" n what)) else None)
     zero
-  @ (if recovered then [] else [ at "did not recover" ])
-  @ if replay_identical then [] else [ at "replay diverged" ]
+  @ if recovered then [] else [ at "did not recover" ]
 
 (* Both fault scenarios' data plane (on a 6-switch line): k = 8
    partitions, each on two authorities, and 128-entry caches. *)
 let fault_dconfig =
   { Deployment.default_config with k = 8; replication = 2; cache_capacity = 128 }
 
-(* A fault sweep: one seeded run of [scenario] per loss rate; the 10%
-   point, the acceptance scenario, is replayed end to end and
-   [replayed row ok] records whether both runs left the same trace. *)
-let loss_sweep ~quick scenario replayed =
+(* A fault sweep: one seeded run of [scenario] per loss rate, each row
+   with the trace its run left. *)
+let loss_sweep ~quick scenario =
   List.map
-    (fun loss ->
-      let row, trace = scenario ~loss in
-      replayed row ((not (Float.equal loss 0.10)) || trace = snd (scenario ~loss)))
+    (fun loss -> scenario ~loss)
     (if quick then [ 0.0; 0.10 ] else [ 0.0; 0.05; 0.10; 0.20 ])
 
 (* One batch of probe traffic: every cache flushed, then [probes] from
@@ -1050,7 +1046,6 @@ module E_chaos = struct
     converge_time : float;
     degraded : int;
     recovered : bool;
-    replay_identical : bool;
   }
 
   (* One chaos scenario: two of the three authority switches crash half a
@@ -1130,19 +1125,16 @@ module E_chaos = struct
         degraded =
           Deployment.degraded_misses (Control_plane.deployment cp) - !degraded_before;
         recovered;
-        replay_identical = false;
       },
       Control_plane.timeline cp )
 
   let run ?(seed = 42) ?(quick = false) ?(cp_config = fault_cp_config) () =
-    loss_sweep ~quick (scenario ~cp_config ~seed ~quick) (fun row ok ->
-        { row with replay_identical = ok })
+    loss_sweep ~quick (scenario ~cp_config ~seed ~quick)
 
   let check rows =
     List.concat_map
       (fun r ->
-        fault_check ~loss:r.loss ~zero:[ (r.giveups, "give-ups") ] ~recovered:r.recovered
-          ~replay_identical:r.replay_identical)
+        fault_check ~loss:r.loss ~zero:[ (r.giveups, "give-ups") ] ~recovered:r.recovered)
       rows
 
   let render rows =
@@ -1151,7 +1143,7 @@ module E_chaos = struct
         "Supplementary: chaos sweep (frame loss vs recovery; 2 authority crashes + resync)"
       ~header:
         [ "loss"; "frames lost"; "corrupt"; "decode err"; "retx"; "giveups";
-          "detect (s)"; "converge (s)"; "degraded misses"; "recovered"; "replay" ]
+          "detect (s)"; "converge (s)"; "degraded misses"; "recovered" ]
       (List.map
          (fun r ->
            [
@@ -1165,7 +1157,6 @@ module E_chaos = struct
              Printf.sprintf "%.2f" r.converge_time;
              string_of_int r.degraded;
              (if r.recovered then "yes" else "NO");
-             (if r.replay_identical then "identical" else "DIVERGED");
            ])
          rows)
 end
@@ -1188,7 +1179,6 @@ module E_ha = struct
     fenced_appends : int;
     degraded : int;
     recovered : bool;
-    replay_identical : bool;
   }
 
   (* The high-availability gauntlet, all from one seed.  Two of the three
@@ -1269,14 +1259,11 @@ module E_ha = struct
         fenced_appends = Cluster.fenced_appends cl;
         degraded = Deployment.degraded_misses d;
         recovered;
-        replay_identical = false;
       },
       (Cluster.timeline cl, Bytes.to_string (Journal.encode (Cluster.journal cl))) )
 
-  (* the replayed trace is the event timeline and the journal bytes *)
   let run ?(seed = 42) ?(quick = false) ?(cp_config = fault_cp_config) () =
-    loss_sweep ~quick (scenario ~cp_config ~seed ~quick) (fun row ok ->
-        { row with replay_identical = ok })
+    loss_sweep ~quick (scenario ~cp_config ~seed ~quick)
 
   let check rows =
     List.concat_map
@@ -1288,7 +1275,7 @@ module E_ha = struct
               (r.dup_installs, "duplicate installs");
               (r.stale_accepted, "stale-epoch frames accepted");
             ]
-          ~recovered:r.recovered ~replay_identical:r.replay_identical)
+          ~recovered:r.recovered)
       rows
 
   let render rows =
@@ -1298,7 +1285,7 @@ module E_ha = struct
       ~header:
         [ "loss"; "frames lost"; "retx"; "giveups"; "takeover1 (s)"; "takeover2 (s)";
           "replayed"; "snaps"; "dup installs"; "stale rej"; "stale acc"; "fenced";
-          "degraded"; "recovered"; "replay" ]
+          "degraded"; "recovered" ]
       (List.map
          (fun r ->
            [
@@ -1316,7 +1303,6 @@ module E_ha = struct
              string_of_int r.fenced_appends;
              string_of_int r.degraded;
              (if r.recovered then "yes" else "NO");
-             (if r.replay_identical then "identical" else "DIVERGED");
            ])
          rows)
 
@@ -1434,19 +1420,6 @@ module E_incast = struct
 end
 
 module E_mon = struct
-  type report = {
-    packets : int;
-    hit_rate : float;
-    sampled : int;
-    exported : int;
-    heavy : Monitor.rule_report list;
-    dead : int;
-    regions : Monitor.region_report list;
-    hotspot_windows : int;
-    worst : Hotspot.event option;
-    replay_identical : bool;
-  }
-
   let run_monitored ?(seed = 42) ?(quick = false) ~alpha ?(sample_rate = 1)
       ?interval ?(threshold = 1.5) ?(top_k = 10) () =
     let rng = Prng.create seed in
@@ -1505,64 +1478,18 @@ module E_mon = struct
     let r = Flowsim.run { Flowsim.Config.default with monitor = Some m } d flows in
     (m, r)
 
-  let run ?(seed = 42) ?(quick = false) () =
-    let m1, r1 = run_monitored ~seed ~quick ~alpha:1.4 () in
-    let flows_json = Flow_records.to_json (Monitor.flow_records m1) in
-    (* seed-for-seed determinism: a second identical run must export a
-       bit-identical flow-record document *)
-    let m2, _ = run_monitored ~seed ~quick ~alpha:1.4 () in
-    let replay_identical =
-      String.equal flows_json (Flow_records.to_json (Monitor.flow_records m2))
-    in
-    let hotspots = Monitor.hotspots m1 in
-    let fr = Monitor.flow_records m1 in
-    {
-      packets = r1.Flowsim.delivered_packets;
-      hit_rate =
-        float_of_int r1.Flowsim.cache_hit_packets
-        /. float_of_int (max 1 r1.Flowsim.delivered_packets);
-      sampled = Flow_records.sampled_packets fr;
-      exported = List.length (Flow_records.exports fr);
-      heavy = Monitor.heavy_hitters ~k:5 m1;
-      dead = List.length (Monitor.dead_rules m1);
-      regions = Monitor.region_efficacy m1;
-      hotspot_windows = List.length hotspots;
-      worst = Hotspot.worst hotspots;
-      replay_identical;
-    }
-
-  let render (r : report) =
-    Table.section ~title:"E-MON: top heavy-hitter rules (skewed Zipf workload)"
-      ~header:[ "rule"; "prio"; "cache hits"; "auth hits"; "provenance" ]
-      (List.map
-         (fun (h : Monitor.rule_report) ->
-           [
-             string_of_int h.Monitor.rule_id;
-             string_of_int h.Monitor.priority;
-             Int64.to_string h.Monitor.cache_hits;
-             Int64.to_string h.Monitor.authority_hits;
-             String.concat ", "
-               (List.map
-                  (fun (pid, auth) -> Printf.sprintf "pid %d@sw%d" pid auth)
-                  h.Monitor.partitions);
-           ])
-         r.heavy)
-    ^ Printf.sprintf "packets %d, cache hit rate %s; %d sampled into %d flow records\n"
-        r.packets (Table.fmt_pct r.hit_rate) r.sampled r.exported
-    ^ Printf.sprintf "dead rules: %d\n" r.dead
-    ^ String.concat ""
-        (List.map
-           (fun (g : Monitor.region_report) ->
-             Printf.sprintf "  region pid %d @ sw%d: efficacy %s\n" g.Monitor.pid
-               g.Monitor.authority
-               (Table.fmt_pct g.Monitor.efficacy))
-           r.regions)
-    ^ (match r.worst with
-      | Some e ->
-          Format.asprintf "hotspots: %d windows flagged; worst %a\n" r.hotspot_windows
-            Hotspot.pp_event e
-      | None -> "hotspots: none flagged\n")
-    ^ Printf.sprintf "flow-record replay identical: %b\n" r.replay_identical
+  (* the delivered traffic [Monitor.pp]'s report does not show, that
+     report, and the persistent hotspots; a blank line first, as every
+     experiment's table *)
+  let render ?(hotspot_window = 3) ((m, r) : Monitor.t * Flowsim.result) =
+    Format.asprintf "@\n== traffic == %d packets delivered, cache hit rate %s@.%a%a"
+      r.Flowsim.delivered_packets
+      (Table.fmt_pct
+         (float_of_int r.Flowsim.cache_hit_packets
+         /. float_of_int (max 1 r.Flowsim.delivered_packets)))
+      Monitor.pp m
+      (Monitor.pp_persistent ~windows:hotspot_window)
+      m
 end
 
 (* E-REBALANCE: the live cluster ticks against the same deployment the
@@ -1587,7 +1514,6 @@ module E_rebalance = struct
     rules_moved : int;
     takeovers : int;
     violations : string list;  (** per-run invariant failures; [] = green *)
-    replay_identical : bool;
   }
 
   let crowd_start = 3.0
@@ -1754,40 +1680,25 @@ module E_rebalance = struct
         rules_moved = moved ();
         takeovers = Cluster.takeovers cl;
         violations;
-        replay_identical = false;
       },
       (Cluster.timeline cl, Bytes.to_string journal, res.Flowsim.flow_delays) )
 
   let run ?(seed = 42) ?(quick = false) ?(hotspot_threshold = 2.0) ?(hotspot_window = 3)
       () =
-    let scenario = scenario ~seed ~quick ~hotspot_threshold ~hotspot_window in
-    let static, _ = scenario ~mode:`Static in
-    let adaptive, trace1 = scenario ~mode:`Adaptive in
-    (* determinism gate: the same seed must replay the adaptive run
-       bit-identically — event timeline, journal bytes and per-flow delays *)
-    let _, trace2 = scenario ~mode:`Adaptive in
-    let adaptive = { adaptive with replay_identical = trace1 = trace2 } in
-    let crash, _ = scenario ~mode:`Crash in
-    [ static; adaptive; { crash with replay_identical = true } ]
+    List.map
+      (fun mode -> scenario ~seed ~quick ~hotspot_threshold ~hotspot_window ~mode)
+      [ `Static; `Adaptive; `Crash ]
 
   (* The claims the rebalance gate enforces. *)
   let check rows =
-    let find l = List.find_opt (fun r -> r.label = l) rows in
-    let row_violations =
-      List.concat_map
-        (fun r -> List.map (Printf.sprintf "%s: %s" r.label) r.violations)
-        rows
-    in
-    let cross =
-      unmet
+    List.concat_map
+      (fun r -> List.map (Printf.sprintf "%s: %s" r.label) r.violations)
+      rows
+    @ unmet
         [
-          ((match find "static" with Some r -> not r.recovered | None -> false),
+          (List.exists (fun r -> r.label = "static" && not r.recovered) rows,
            "the static baseline recovered by itself (scenario not stressful enough)");
-          ((match find "adaptive" with Some r -> r.replay_identical | None -> false),
-           "the adaptive run did not replay bit-identically");
         ]
-    in
-    row_violations @ cross
 
   let render rows =
     Table.section
@@ -1957,11 +1868,18 @@ let replay_args ~seed ~quick =
 
 let fingerprint s = Digest.to_hex (Digest.string s)
 
-(* A sweep whose rendered table is its fingerprint. *)
+(* A sweep of seeded runs, each a row and the trace it left (timeline,
+   journal bytes, per-flow delays): its fingerprint is the rendered table
+   and every trace, so the harness's second run must reproduce them all. *)
 let sweep_gate run render check ~seed ~quick ~domains:_ =
-  let rows = run ~seed ~quick in
+  let runs = run ~seed ~quick in
+  let rows = List.map fst runs in
   let report = render rows in
-  { report; failures = check rows; fingerprint = fingerprint report }
+  {
+    report;
+    failures = check rows;
+    fingerprint = fingerprint (report ^ Marshal.to_string (List.map snd runs) []);
+  }
 
 (* The incast sweep plus the registry snapshot its run leaves behind
    (the harness resets the registry first): the congestion counters must
@@ -2022,10 +1940,12 @@ let aggregate_gate ~seed ~quick ~domains:_ =
   }
 
 (* The monitored run [difane monitor] drives by default (alpha 1.0), its
-   difane-monitor-v1 and difane-flows-v1 documents, and the shape those
+   report, and the shape its difane-monitor-v1 and difane-flows-v1
    documents must have. *)
+let monitored ~seed ~quick = E_mon.run_monitored ~seed ~quick ~alpha:1.0 ()
+
 let monitor_gate ~seed ~quick ~domains:_ =
-  let m, _ = E_mon.run_monitored ~seed ~quick ~alpha:1.0 () in
+  let ((m, _) as run) = monitored ~seed ~quick in
   let fr = Monitor.flow_records m in
   let records = Flow_records.exports fr in
   let heavy = Monitor.heavy_hitters m in
@@ -2059,10 +1979,7 @@ let monitor_gate ~seed ~quick ~domains:_ =
       ]
   in
   {
-    report =
-      Format.asprintf "%a%d flow records, %d heavy hitters, %d hotspot windows@." Monitor.pp
-        m (List.length records) (List.length heavy)
-        (List.length (Monitor.hotspots m));
+    report = E_mon.render run;
     failures;
     fingerprint = fingerprint (Monitor.to_json m ^ "\n" ^ Flow_records.to_json fr);
   }
@@ -2090,8 +2007,8 @@ let scale_replay a =
   ignore (E_scale.run ~seed:a.seed (E_scale.sized ~quick:a.quick ~domains:a.domains));
   { describe = None; timeline = [] }
 
-let mon_replay a =
-  let m, _ = E_mon.run_monitored ~seed:a.seed ~quick:a.quick ~alpha:1.4 () in
+let monitor_replay a =
+  let m, _ = monitored ~seed:a.seed ~quick:a.quick in
   { describe = Some (fun ~origin ~pid -> Monitor.describe_provenance m ~origin ~pid);
     timeline = [] }
 
@@ -2135,16 +2052,18 @@ let paths_gate name replay =
 (* A fault sweep: a member of [difane all] whose subcommand also takes
    the reliability flags; gated at their defaults. *)
 let fault_sweep name doc
-    (run : ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> 'a)
+    (run :
+      ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> ('a * 'b) list)
     render check replay =
-  let report ~seed ~quick ~cp_config = render (run ~seed ~quick ~cp_config ()) in
-  let rows ~seed ~quick = run ~seed ~quick () in
+  let report ~seed ~quick ~cp_config =
+    render (List.map fst (run ~seed ~quick ~cp_config ()))
+  in
   {
     name;
     doc;
     render = Some (Faults report);
-    all = Some (fun ~seed ~quick -> render (rows ~seed ~quick));
-    gate = Some (sweep_gate rows render check);
+    all = Some (fun ~seed ~quick -> report ~seed ~quick ~cp_config:fault_cp_config);
+    gate = Some (sweep_gate (fun ~seed ~quick -> run ~seed ~quick ()) render check);
     replay = Some replay;
   }
 
@@ -2176,15 +2095,13 @@ let scenarios =
       E_cache.run E_cache.render;
     fault_sweep "chaos"
       "Fault-injection sweep: frame loss vs recovery through two authority crashes; \
-       gated: zero give-ups, full recovery, bit-identical replay."
+       gated: zero give-ups, full recovery."
       E_chaos.run E_chaos.render E_chaos.check chaos_replay;
     fault_sweep "ha"
       "Controller high-availability sweep: leader crash, journal-replay takeover, \
        split-brain fencing in a 3-replica cluster; gated: as chaos, plus zero \
        duplicate installs and stale-epoch acceptances."
       E_ha.run E_ha.render E_ha.check ha_replay;
-    experiment "monitor-report" "Flow monitoring: heavy hitters, hotspots, determinism"
-      E_mon.run E_mon.render;
     { name = "incast";
       doc = "Incast/overload sweep: eight ingresses fan misses into one authority switch, \
              loss vs latency under drop-tail buffers vs credit-based flow control; gated: \
@@ -2203,7 +2120,8 @@ let scenarios =
       render =
         Some (Hotspot (fun ~seed ~quick ~hotspot_threshold ~hotspot_window ->
                   E_rebalance.render
-                    (E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ())));
+                    (List.map fst
+                       (E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ()))));
       all = None;
       gate =
         Some (sweep_gate (fun ~seed ~quick -> E_rebalance.run ~seed ~quick ())
@@ -2220,9 +2138,6 @@ let scenarios =
       all = None;
       gate = Some scale_gate;
       replay = Some scale_replay };
-    { name = "mon";
-      doc = "The monitored skewed-Zipf run; path provenance joins through the monitor.";
-      render = None; all = None; gate = None; replay = Some mon_replay };
     paths_gate "chaos" chaos_replay;
     paths_gate "rebalance" rebalance_replay;
     paths_gate "scale" scale_replay;
@@ -2231,9 +2146,13 @@ let scenarios =
              identically.";
       render = None; all = None; gate = Some aggregate_gate; replay = None };
     { name = "monitor";
-      doc = "The monitored run at Zipf alpha 1.0; gated: well-formed difane-monitor-v1 and \
+      doc = "The monitored run at Zipf alpha 1.0, as $(b,difane monitor) prints it; path \
+             provenance joins through the monitor; gated: well-formed difane-monitor-v1 and \
              difane-flows-v1 documents.";
-      render = None; all = None; gate = Some monitor_gate; replay = None };
+      render = None;
+      all = Some (fun ~seed ~quick -> E_mon.render (monitored ~seed ~quick));
+      gate = Some monitor_gate;
+      replay = Some monitor_replay };
   ]
 
 let run_all ?(seed = 42) ?(quick = false) print =

@@ -214,9 +214,7 @@ val fault_cp_config : Control_plane.config
     corrupt and reorder frames at the given rate, and reports the
     failure-detection and resync-convergence times, the retransmission
     work, the degraded (controller-served) misses while no replica was
-    alive, and whether the final state recovered exactly.  The 10%-loss
-    point is replayed end to end to verify seed-for-seed
-    reproducibility. *)
+    alive, and whether the final state recovered exactly. *)
 module E_chaos : sig
   type row = {
     loss : float;
@@ -229,19 +227,24 @@ module E_chaos : sig
     converge_time : float;  (** last restart -> no pending requests *)
     degraded : int;  (** misses served by the controller fallback *)
     recovered : bool;  (** semantics intact and nothing pending at the end *)
-    replay_identical : bool;  (** same seed reproduced the same event log *)
   }
 
-  val run : ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> row list
-  (** [cp_config] (default {!fault_cp_config}) carries the reliable-channel
-      timers the CLI's [--echo-interval]/[--retx-*] flags set.  Probes
-      walk the untimed {!Deployment.inject}, so there is no queueing to
-      configure: buffers and backpressure are {!E_incast}'s subject. *)
+  val run :
+    ?seed:int ->
+    ?quick:bool ->
+    ?cp_config:Control_plane.config ->
+    unit ->
+    (row * (float * string * string) list) list
+  (** One run per loss point, each row with its control-plane timeline
+      (as {!replay}'s).  [cp_config] (default {!fault_cp_config}) carries
+      the reliable-channel timers the CLI's [--echo-interval]/[--retx-*]
+      flags set.  Probes walk the untimed {!Deployment.inject}, so there
+      is no queueing to configure: buffers and backpressure are
+      {!E_incast}'s subject. *)
 
   val check : row list -> string list
   (** Violated fault-tolerance invariants, [[]] when all hold: per row,
-      zero give-ups, full recovery and (at the replayed point) a
-      bit-identical seeded replay. *)
+      zero give-ups and full recovery. *)
 
   val render : row list -> string
 end
@@ -257,9 +260,8 @@ end
     switches' epoch fencing deposes it (split brain).  Reported per
     point: both takeover latencies, journal entries replayed and
     snapshots taken, the duplicate-install and stale-epoch audits (both
-    must show zero accepted), fenced journal appends, degraded misses,
-    and whether the same seed replays bit-identically (event log +
-    journal bytes, checked at the 10% point). *)
+    must show zero accepted), fenced journal appends and degraded
+    misses. *)
 module E_ha : sig
   type row = {
     loss : float;
@@ -276,17 +278,21 @@ module E_ha : sig
     fenced_appends : int;  (** journal writes refused from stale leaders *)
     degraded : int;
     recovered : bool;
-    replay_identical : bool;
   }
 
-  val run : ?seed:int -> ?quick:bool -> ?cp_config:Control_plane.config -> unit -> row list
-  (** As {!E_chaos.run}. *)
+  val run :
+    ?seed:int ->
+    ?quick:bool ->
+    ?cp_config:Control_plane.config ->
+    unit ->
+    (row * ((float * string * string) list * string)) list
+  (** As {!E_chaos.run}; each row also carries its run's encoded
+      journal. *)
 
   val check : row list -> string list
   (** Violated HA invariants, [[]] when all hold: per row, zero
-      give-ups, zero duplicate installs, zero stale-epoch acceptances,
-      full recovery and (at the replayed point) a bit-identical seeded
-      replay. *)
+      give-ups, zero duplicate installs, zero stale-epoch acceptances
+      and full recovery. *)
 
   val render : row list -> string
 
@@ -330,26 +336,13 @@ end
     star of edge switches feeds three authority switches through small
     ingress caches, so the hot rules' regions keep missing and the
     authority that owns them runs hot.  The run is monitored end to end
-    ({!Monitor}): it reports the top heavy-hitter rules with their
-    provenance chains (policy rule → partition → authority switch),
-    dead rules, per-region cache efficacy, the per-authority load
-    timeline and every hotspot window flagged — then replays the same
-    seed and checks the exported [difane-flows-v1] document is
-    bit-identical. *)
+    ({!Monitor}): [difane monitor] reports the top heavy-hitter rules
+    with their provenance chains (policy rule → partition → authority
+    switch), dead rules, per-region cache efficacy, the per-authority
+    load timeline and every hotspot window flagged.  The [monitor] entry
+    of {!scenarios} prints that report in [difane all], gates it and
+    replays it for [difane paths]. *)
 module E_mon : sig
-  type report = {
-    packets : int;
-    hit_rate : float;
-    sampled : int;  (** packets the flow sampler saw *)
-    exported : int;  (** flow records exported *)
-    heavy : Monitor.rule_report list;  (** top 5 by total hits *)
-    dead : int;  (** policy rules never hit *)
-    regions : Monitor.region_report list;
-    hotspot_windows : int;  (** sampler windows with a flagged authority *)
-    worst : Hotspot.event option;
-    replay_identical : bool;  (** flow export bit-identical across replays *)
-  }
-
   val run_monitored :
     ?seed:int ->
     ?quick:bool ->
@@ -362,12 +355,14 @@ module E_mon : sig
     Monitor.t * Flowsim.result
   (** One monitored run of the scenario — the hook [difane monitor]
       drives directly, with the monitor left full of the run's data.
-      [alpha] is the Zipf skew of the steady traffic: {!run} and the
-      postcard replay use 1.4, [difane monitor] its [--alpha] (1.0 by
-      default). *)
+      [alpha] is the Zipf skew of the steady traffic: [difane monitor]'s
+      [--alpha] (1.0 by default, which the [monitor] entry uses). *)
 
-  val run : ?seed:int -> ?quick:bool -> unit -> report
-  val render : report -> string
+  val render : ?hotspot_window:int -> Monitor.t * Flowsim.result -> string
+  (** What [difane monitor] prints: after a blank line, the delivered
+      packets and cache hit rate, {!Monitor.pp}, and the hotspots that
+      persisted for [hotspot_window] (default 3) windows
+      ({!Monitor.pp_persistent}). *)
 end
 
 (** Supplementary: closed-loop adaptive repartitioning under a flash
@@ -398,7 +393,6 @@ module E_rebalance : sig
     rules_moved : int;
     takeovers : int;
     violations : string list;  (** per-run invariant failures; [] = green *)
-    replay_identical : bool;  (** same-seed rerun bit-identical (adaptive row) *)
   }
 
   val run :
@@ -407,15 +401,15 @@ module E_rebalance : sig
     ?hotspot_threshold:float ->
     ?hotspot_window:int ->
     unit ->
-    row list
-  (** [hotspot_threshold] (default 2.0) and [hotspot_window] (default 3)
-      are the adaptive controller's detection knobs
-      ({!Control_plane.config}). *)
+    (row * ((float * string * string) list * string * (float * float) array)) list
+  (** The three runs, each row with its cluster timeline, encoded
+      journal and per-flow (start, delay) samples.  [hotspot_threshold]
+      (default 2.0) and [hotspot_window] (default 3) are the adaptive
+      controller's detection knobs ({!Control_plane.config}). *)
 
   val check : row list -> string list
   (** Violated claims across the three rows ([[]] when all hold): every
-      per-run invariant, the static baseline {e not} recovering, and the
-      adaptive run replaying bit-identically. *)
+      per-run invariant and the static baseline {e not} recovering. *)
 
   val render : row list -> string
 end
@@ -522,10 +516,14 @@ type scenario = {
 
 val scenarios : scenario list
 (** Reports in DESIGN.md order, the [difane all] members ([table1] …
-    [cache-sweep], [chaos], [ha], [monitor-report]) first, then [incast],
-    [rebalance], [scale].  Gates: [chaos], [ha], [incast], [rebalance],
+    [cache-sweep], [chaos], [ha]) first, then [incast], [rebalance],
+    [scale], the path gates, [aggregate] and last [monitor], also a
+    member of [difane all].  Gates: [chaos], [ha], [incast], [rebalance],
     [scale], [paths-chaos], [paths-rebalance], [paths-scale], [aggregate],
-    [monitor].  Replays: [chaos], [ha], [rebalance], [scale], [mon]. *)
+    [monitor].  Replays: [chaos], [ha], [rebalance], [scale], [monitor].
+    The [chaos], [ha] and [rebalance] fingerprints cover the report and
+    every run's trace ({!E_chaos.run}, {!E_ha.run}, {!E_rebalance.run}),
+    so {!run_gate}'s second run must reproduce both. *)
 
 val run_all : ?seed:int -> ?quick:bool -> (string -> unit) -> unit
 (** [run_all print] passes [print] the report of every [difane all]

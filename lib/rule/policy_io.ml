@@ -88,14 +88,17 @@ let parse_schema line =
 
 let parse_action lineno s =
   let fail () = Error (Printf.sprintf "line %d: unknown action %S" lineno s) in
+  (* an egress is a switch id *)
+  let egress p make =
+    match int_of_string_opt p with
+    | Some p when p >= 0 -> Ok (make p)
+    | Some _ -> Error (Printf.sprintf "line %d: negative egress switch in %S" lineno s)
+    | None -> fail ()
+  in
   match String.split_on_char ':' s with
   | [ "drop" ] -> Ok Action.Drop
-  | [ "fwd"; p ] -> (
-      match int_of_string_opt p with Some p -> Ok (Action.Forward p) | None -> fail ())
-  | [ "count_fwd"; p ] -> (
-      match int_of_string_opt p with
-      | Some p -> Ok (Action.Count_and_forward p)
-      | None -> fail ())
+  | [ "fwd"; p ] -> egress p (fun p -> Action.Forward p)
+  | [ "count_fwd"; p ] -> egress p (fun p -> Action.Count_and_forward p)
   | _ -> fail ()
 
 let parse_pred schema lineno s =

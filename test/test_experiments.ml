@@ -206,7 +206,6 @@ let chaos_green =
     converge_time = 0.5;
     degraded = 35;
     recovered = true;
-    replay_identical = true;
   }
 
 let ha_green =
@@ -225,7 +224,6 @@ let ha_green =
     fenced_appends = 0;
     degraded = 96;
     recovered = true;
-    replay_identical = true;
   }
 
 let failures = Alcotest.(list string)
@@ -237,8 +235,6 @@ let test_chaos_check_rules () =
     (c [ { chaos_green with giveups = 2 } ]);
   check failures "not recovered" [ "did not recover at 10.0% loss" ]
     (c [ { chaos_green with recovered = false } ]);
-  check failures "replay diverged" [ "replay diverged at 10.0% loss" ]
-    (c [ { chaos_green with replay_identical = false } ]);
   check failures "one failure per broken row" [ "did not recover at 20.0% loss" ]
     (c [ chaos_green; { chaos_green with loss = 0.20; recovered = false } ])
 
@@ -252,9 +248,7 @@ let test_ha_check_rules () =
   check failures "stale-epoch acceptances" [ "2 stale-epoch frames accepted at 10.0% loss" ]
     (c [ { ha_green with stale_accepted = 2 } ]);
   check failures "not recovered" [ "did not recover at 10.0% loss" ]
-    (c [ { ha_green with recovered = false } ]);
-  check failures "replay diverged" [ "replay diverged at 10.0% loss" ]
-    (c [ { ha_green with replay_identical = false } ])
+    (c [ { ha_green with recovered = false } ])
 
 (* --- the gate harness --- *)
 
@@ -296,10 +290,10 @@ let test_harness_reports_failures () =
   check failures "both runs' failures, once each" [ "broken"; "sharded only" ] fs
 
 let test_harness_rejects_non_gate () =
-  let mon =
-    List.find (fun (s : Experiments.scenario) -> s.name = "mon") Experiments.scenarios
+  let table1 =
+    List.find (fun (s : Experiments.scenario) -> s.name = "table1") Experiments.scenarios
   in
-  match Experiments.run_gate ~print:ignore mon ~seed ~quick:true ~domains:1 with
+  match Experiments.run_gate ~print:ignore table1 ~seed ~quick:true ~domains:1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "ran a scenario without a gate"
 
@@ -324,10 +318,10 @@ let test_gate_table () =
    report instead. *)
 let pinned =
   [
-    ("chaos", `Fingerprint "03d11dc727cfe2307fabf2db5e0f762d");
-    ("ha", `Fingerprint "6c5b6a9af66bc4c655ac57c194f4d7d7");
+    ("chaos", `Fingerprint "7d9510a9a657dfda41035f2594a795fd");
+    ("ha", `Fingerprint "14901c4888a08ae826e94f0bb2213c70");
     ("incast", `Report "050aedeeda27c7a50499eda703afb0c4");
-    ("rebalance", `Fingerprint "bb42cbe741b81a6fb1196650213037a5");
+    ("rebalance", `Fingerprint "ca07cbbffad391486b73606dfd2eed4f");
     ("scale", `Fingerprint "271a0757d16f7b0114e7d27e7e7aff55");
     ("paths-chaos", `Fingerprint "c555d74b005e65c61928d4aa6347cbe3");
     ("paths-rebalance", `Fingerprint "e9871d50be508e200776af88d0e5803a");
@@ -352,7 +346,6 @@ let report_pins =
     ("ablation-splice", "914181404565487097cc00f1026ce78b");
     ("control-overhead", "27c30779e10816554dbf22c7502d16f3");
     ("cache-sweep", "fd9821eed8e82e3ac7a28c1b0e81978f");
-    ("monitor-report", "5b0380141193cb282c6da3b72fcf240c");
   ]
 
 let md5 s = Digest.to_hex (Digest.string s)
@@ -371,7 +364,7 @@ let test_reports_pinned () =
 let test_all_pinned () =
   let out = Buffer.create 65536 in
   Experiments.run_all ~seed:42 ~quick:true (Buffer.add_string out);
-  check Alcotest.string "difane all --quick --seed 42" "901dce541f29c91a96900868e6e7c604"
+  check Alcotest.string "difane all --quick --seed 42" "36c8a65d5aacb303dd4f5b6a9e80b2c8"
     (md5 (Buffer.contents out))
 
 (* Every gate holds at quick size, sharded scenarios across two domains,
@@ -439,6 +432,35 @@ let test_scale_timeline_empty () =
   check Alcotest.int "no control plane, no timeline" 0
     (List.length (replay_timeline "scale"))
 
+(* The monitor replay's provenance join: the (origin, pid) pair a traced
+   cache-hit or install hop carries reads back as a chain policy rule ->
+   partition -> authority switch. *)
+let test_monitor_provenance () =
+  let s =
+    List.find (fun (s : Experiments.scenario) -> s.name = "monitor") Experiments.scenarios
+  in
+  Ptrace.enable ();
+  let r = Option.get s.replay (Experiments.replay_args ~seed:42 ~quick:true) in
+  Ptrace.disable ();
+  let describe = Option.get r.Experiments.describe in
+  let chains =
+    List.concat_map
+      (fun (p : Paths.path) ->
+        List.filter_map
+          (fun (h : Paths.hop) ->
+            if (h.kind = Ptrace.Cache_hit || h.kind = Ptrace.Install) && h.aux <> 0 then
+              describe ~origin:(Ptrace.provenance_origin h.aux)
+                ~pid:(Ptrace.provenance_pid h.aux)
+            else None)
+          p.Paths.hops)
+      (Paths.reconstruct ()).Paths.paths
+  in
+  check Alcotest.bool "hops carry provenance" true (chains <> []);
+  check Alcotest.bool "a chain names its rule, partition and authority" true
+    (List.exists
+       (fun c -> contains c "rule " && contains c " -> pid " && contains c " @ authority ")
+       chains)
+
 let suite =
   [
     ( "gates",
@@ -448,7 +470,7 @@ let suite =
         tc "harness passes a green gate" test_harness_passes_green;
         tc "harness fails on fingerprint divergence" test_harness_fingerprint_divergence;
         tc "harness fails on reported failures" test_harness_reports_failures;
-        tc "harness rejects a replay-only scenario" test_harness_rejects_non_gate;
+        tc "harness rejects a scenario without a gate" test_harness_rejects_non_gate;
         tc "gate table" test_gate_table;
         tc "every gate holds at quick size" test_every_gate_holds_quick;
         tc "reports match their pins" test_reports_pinned;
@@ -459,6 +481,7 @@ let suite =
         tc "ha: both elections and the retired controller's fencing" test_ha_timeline;
         tc "chaos: the control plane's fault log" test_chaos_timeline;
         tc "scale: empty without a control plane" test_scale_timeline_empty;
+        tc "monitor: hops join their provenance chain" test_monitor_provenance;
       ] );
     ( "experiments",
       [

@@ -141,7 +141,7 @@ let test_lossless_channel_untouched () =
   check Alcotest.int "nothing dropped" 0 st.Channel.dropped;
   check Alcotest.int "nothing corrupted" 0 st.Channel.corrupted
 
-let test_channel_replay_identical () =
+let test_channel_same_seed () =
   let run () =
     let p = Fault.plan ~seed:13 ~link:lossy () in
     let ch = Channel.create ~fault:(Fault.injector p ~channel:4) s2 ~latency:0.01 in
@@ -172,6 +172,6 @@ let suite =
         tc "loss counters close the accounting" test_lossy_channel_counters;
         tc "undecodable frames dropped, not raised" test_undecodable_frame_dropped_not_raised;
         tc "no injector, no interference" test_lossless_channel_untouched;
-        tc "same seed replays identically" test_channel_replay_identical;
+        tc "same seed replays identically" test_channel_same_seed;
       ] );
   ]

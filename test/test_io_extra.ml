@@ -125,6 +125,9 @@ let test_policy_errors () =
   expect_error "# difane-policy v1\n# schema: f1/8\n5 f1=0000000x explode\n";
   expect_error "# difane-policy v1\n# schema: f1/8\nnope * drop\n";
   expect_error "# difane-policy v1\n# schema: f1/8\n5 f9=0000000x drop\n";
+  (* an egress is a switch id, never negative *)
+  expect_error "# difane-policy v1\n# schema: f1/8\n5 * fwd:-3\n";
+  expect_error "# difane-policy v1\n# schema: f1/8\n5 * count_fwd:-1\n";
   (* infrastructure actions cannot be serialised *)
   let infra =
     Classifier.create s2
