@@ -587,7 +587,7 @@ let paths_cmd =
   in
   let limit_arg =
     let doc = "Paths spelled out in the text rendering." in
-    Arg.(value & opt int 20 & info [ "limit" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 20 & info [ "limit" ] ~docv:"N" ~doc)
   in
   let run seed quick replay domains capacity flow switch outcome since until json limit
       loss reliability =
@@ -665,7 +665,7 @@ let monitor_cmd =
   in
   let top_k_arg =
     let doc = "Heavy-hitter rules to report." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc)
+    Arg.(value & opt (int_at_least 0) 10 & info [ "top" ] ~docv:"K" ~doc)
   in
   let json_arg =
     let doc = "Print the monitor report as a difane-monitor-v1 JSON document." in

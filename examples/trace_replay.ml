@@ -4,8 +4,9 @@
    This is the methodology of the paper era's trace-driven cache studies
    (e.g. the REANNZ IXP trace in follow-on work): freeze a traffic trace
    to a file, then compare caching schemes on the *identical* packet
-   sequence.  Here: record 20k Zipf flows, replay them through spliced
-   wildcard caching and microflow caching across cache sizes.
+   sequence.  Here: record 20k Zipf flows, replay them into the ingress
+   cache of a small deployment whose authorities install spliced wildcard
+   pieces or microflow entries, across cache sizes.
 
      dune exec examples/trace_replay.exe *)
 
@@ -48,31 +49,27 @@ let () =
   Sys.remove path;
   printf "replayed %d flows\n\n" (List.length replayed);
 
-  let stream = Cachesim.packet_stream replayed in
+  let stream = Traffic.packet_stream replayed in
   printf "packet stream: %d packets over %d distinct headers\n\n"
     (Array.length stream) profile.Traffic.distinct_headers;
 
   let sizes = [ 25; 50; 100; 200; 400; 800 ] in
-  let results = Cachesim.sweep_with_opt policy ~cache_sizes:sizes stream in
+  let points = Experiments.F_miss.sweep policy ~alpha:profile.alpha ~cache_sizes:sizes stream in
   Table.print
     ~title:"miss rate vs cache size (same trace; OPT = clairvoyant floor)"
     ~header:
       [ "cache entries"; "wildcard (DIFANE)"; "wildcard OPT"; "microflow (Ethane)";
         "advantage" ]
     (List.map
-       (fun (size, (w : Cachesim.result), (opt : Cachesim.result), (m : Cachesim.result)) ->
+       (fun (p : Experiments.F_miss.point) ->
          [
-           string_of_int size;
-           Table.fmt_pct w.Cachesim.miss_rate;
-           Table.fmt_pct opt.Cachesim.miss_rate;
-           Table.fmt_pct m.Cachesim.miss_rate;
-           (if w.Cachesim.miss_rate > 0. then
-              Printf.sprintf "%.1fx" (m.Cachesim.miss_rate /. w.Cachesim.miss_rate)
+           string_of_int p.cache_size;
+           Table.fmt_pct p.wildcard_miss_rate;
+           Table.fmt_pct p.wildcard_opt_miss_rate;
+           Table.fmt_pct p.microflow_miss_rate;
+           (if p.wildcard_miss_rate > 0. then
+              Printf.sprintf "%.1fx" (p.microflow_miss_rate /. p.wildcard_miss_rate)
             else "inf");
          ])
-       results);
-
-  let _, w, _, m = List.nth results (List.length results - 1) in
-  printf "\nworking sets: %d spliced pieces vs %d exact headers\n"
-    w.Cachesim.distinct_keys m.Cachesim.distinct_keys;
-  printf "(aggregation is why DIFANE's wildcard cache wins at equal TCAM budget)\n"
+       points);
+  printf "\n(aggregation is why DIFANE's wildcard cache wins at equal TCAM budget)\n"

@@ -30,8 +30,8 @@ type config = {
   cache_mode : [ `Spliced | `Microflow ];
       (** what authority switches install at the ingress on a miss:
           DIFANE's spliced wildcard piece, or an Ethane-style exact-match
-          entry covering only that header (the ablation the paper's
-          wildcard-caching argument rests on) *)
+          entry covering only that header; F-MISS ([difane missrate])
+          replays one packet stream at each mode *)
   tunnel_to : [ `Primary | `Nearest_replica ];
       (** which replica a miss is tunnelled to: the partition's primary,
           or the replica closest to the ingress switch (the controller

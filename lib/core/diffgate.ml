@@ -92,7 +92,7 @@ let run ?(seed = 42) ?(cases = 8) ?(packets_per_case = 400) () =
           ingresses = [ 0 ];
         }
     in
-    let stream = Cachesim.packet_stream flows in
+    let stream = Traffic.packet_stream flows in
     let steps = min (Array.length stream) packets_per_case in
     for step = 0 to steps - 1 do
       let h = stream.(step) in

@@ -411,6 +411,78 @@ module F_miss = struct
     microflow_miss_rate : float;
   }
 
+  (* The stream enters at switch 0 of a 4-switch line whose authorities
+     are 1 and 2; nothing expires, so only capacity evicts. *)
+  let ingress_cache ~mode ~capacity policy =
+    let config =
+      { Deployment.default_config with cache_capacity = capacity; cache_idle_timeout = None;
+        cache_hard_timeout = None; cache_mode = mode }
+    in
+    let d =
+      Deployment.build ~config ~policy ~topology:(Topology.line 4 ()) ~authority_ids:[ 1; 2 ] ()
+    in
+    (d, Switch.cache (Deployment.switch d 0))
+
+  let inject d h = Deployment.inject d ~now:0. ~ingress:0 h
+
+  let misses ~mode ~capacity policy stream =
+    let d, _ = ingress_cache ~mode ~capacity policy in
+    Array.fold_left (fun n h -> if (inject d h).Deployment.cache_hit then n else n + 1) 0
+      stream
+
+  (* Each packet's key is the spliced piece that decides it: the id of
+     its ingress entry in a cache with room for every piece (each
+     distinct header misses at most once).  Nothing is evicted, so a hit
+     changes nothing that matters and only misses are injected. *)
+  let pieces policy stream =
+    let capacity = List.length (List.sort_uniq Header.compare (Array.to_list stream)) in
+    let d, cache = ingress_cache ~mode:`Spliced ~capacity policy in
+    Array.map
+      (fun h ->
+        match Tcam.peek cache h with
+        | Some r -> r.Rule.id
+        | None -> (Option.get (inject d h).Deployment.installed).Rule.id)
+      stream
+
+  (* Belady's OPT: on a miss with the cache full, evict the resident key
+     whose next use lies furthest ahead. *)
+  let opt_misses ~cache_size keys =
+    let next_use = Array.make (Array.length keys) max_int and seen = Hashtbl.create 1024 in
+    for i = Array.length keys - 1 downto 0 do
+      Option.iter (fun j -> next_use.(i) <- j) (Hashtbl.find_opt seen keys.(i));
+      Hashtbl.replace seen keys.(i) i
+    done;
+    let resident = Hashtbl.create (2 * cache_size) and misses = ref 0 in
+    Array.iteri
+      (fun i key ->
+        if not (Hashtbl.mem resident key) then begin
+          incr misses;
+          if Hashtbl.length resident >= cache_size then
+            Hashtbl.remove resident
+              (fst
+                 (Hashtbl.fold
+                    (fun k nu (bk, bnu) -> if nu > bnu then (k, nu) else (bk, bnu))
+                    resident (-1, min_int)))
+        end;
+        Hashtbl.replace resident key next_use.(i))
+      keys;
+    !misses
+
+  let sweep policy ~alpha ~cache_sizes stream =
+    let keys = pieces policy stream in
+    let n = Array.length stream in
+    let rate misses = if n = 0 then 0. else float_of_int misses /. float_of_int n in
+    List.map
+      (fun size ->
+        {
+          alpha;
+          cache_size = size;
+          wildcard_miss_rate = rate (misses ~mode:`Spliced ~capacity:size policy stream);
+          wildcard_opt_miss_rate = rate (opt_misses ~cache_size:size keys);
+          microflow_miss_rate = rate (misses ~mode:`Microflow ~capacity:size policy stream);
+        })
+      cache_sizes
+
   let run ?(seed = 42) ?(quick = false) () =
     let rng = Prng.create seed in
     let policy =
@@ -434,19 +506,23 @@ module F_miss = struct
           }
         in
         let flows = Traffic.generate (Prng.split rng) policy profile in
-        let stream = Cachesim.packet_stream flows in
-        List.map
-          (fun (size, (wild : Cachesim.result), (opt : Cachesim.result),
-                (micro : Cachesim.result)) ->
-            {
-              alpha;
-              cache_size = size;
-              wildcard_miss_rate = wild.Cachesim.miss_rate;
-              wildcard_opt_miss_rate = opt.Cachesim.miss_rate;
-              microflow_miss_rate = micro.Cachesim.miss_rate;
-            })
-          (Cachesim.sweep_with_opt policy ~cache_sizes:sizes stream))
+        sweep policy ~alpha ~cache_sizes:sizes (Traffic.packet_stream flows))
       alphas
+
+  let check points =
+    let top = List.fold_left (fun acc p -> max acc p.cache_size) 0 points in
+    List.concat_map
+      (fun p ->
+        List.map
+          (Printf.sprintf "alpha %.1f, %d entries: %s" p.alpha p.cache_size)
+          (unmet
+             [
+               (p.wildcard_miss_rate <= p.microflow_miss_rate, "wildcard missed more");
+               (p.wildcard_opt_miss_rate <= p.wildcard_miss_rate, "OPT missed more than LRU");
+               ( p.cache_size < top || p.microflow_miss_rate > 1.5 *. p.wildcard_miss_rate,
+                 "microflow missed under 1.5x wildcard at the largest cache" );
+             ]))
+      points
 
   let render points =
     Table.section ~title:"Fig: cache miss rate vs cache size (Zipf traffic)"
@@ -2081,7 +2157,17 @@ let scenarios =
     experiment "delay" "First-packet delay CDFs" F_delay.run F_delay.render;
     experiment "partition-sweep" "TCAM entries vs number of partitions"
       F_part.run F_part.render;
-    experiment "missrate" "Cache miss rate vs cache size" F_miss.run F_miss.render;
+    { (experiment "missrate"
+         "Cache miss rate vs cache size, spliced vs microflow ingress caches; gated: \
+          wildcard misses at most microflow and OPT at most wildcard LRU, microflow over \
+          1.5x wildcard at the largest cache."
+         F_miss.run F_miss.render)
+      with
+      gate =
+        Some (fun ~seed ~quick ~domains:_ ->
+            let points = F_miss.run ~seed ~quick () in
+            let report = F_miss.render points in
+            { report; failures = F_miss.check points; fingerprint = fingerprint report }) };
     experiment "stretch" "Stretch CDF by authority placement"
       F_stretch.run F_stretch.render;
     experiment "dynamics" "Policy-update consistency vs cache timeout"

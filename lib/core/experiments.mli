@@ -86,7 +86,10 @@ module F_part : sig
 end
 
 (** Fig. "Cache miss rate vs cache size": spliced wildcard caching vs
-    microflow caching under Zipf traffic. *)
+    microflow caching under Zipf traffic, both through the shipped
+    ingress cache.  Gated: wildcard never misses more than microflow,
+    OPT never more than wildcard LRU, and microflow misses over 1.5x
+    wildcard at the largest cache. *)
 module F_miss : sig
   type point = {
     alpha : float;
@@ -95,6 +98,15 @@ module F_miss : sig
     wildcard_opt_miss_rate : float;  (** Belady floor for the same keys *)
     microflow_miss_rate : float;
   }
+
+  val sweep :
+    Classifier.t -> alpha:float -> cache_sizes:int list -> Header.t array -> point list
+  (** Replay the packet stream (Zipf skew [alpha], for the record) into
+      switch 0's ingress cache of a 4-switch line whose authorities are 1
+      and 2, once per cache size and {!Deployment.config.cache_mode},
+      with no timeouts: a packet the cache does not decide is a miss.
+      OPT is Belady's replacement over the spliced pieces the packets
+      hit in a cache too big to evict. *)
 
   val run : ?seed:int -> ?quick:bool -> unit -> point list
   val render : point list -> string
@@ -518,9 +530,9 @@ val scenarios : scenario list
 (** Reports in DESIGN.md order, the [difane all] members ([table1] …
     [cache-sweep], [chaos], [ha]) first, then [incast], [rebalance],
     [scale], the path gates, [aggregate] and last [monitor], also a
-    member of [difane all].  Gates: [chaos], [ha], [incast], [rebalance],
-    [scale], [paths-chaos], [paths-rebalance], [paths-scale], [aggregate],
-    [monitor].  Replays: [chaos], [ha], [rebalance], [scale], [monitor].
+    member of [difane all].  Gates: [missrate], [chaos], [ha], [incast],
+    [rebalance], [scale], [paths-chaos], [paths-rebalance], [paths-scale],
+    [aggregate], [monitor].  Replays: [chaos], [ha], [rebalance], [scale], [monitor].
     The [chaos], [ha] and [rebalance] fingerprints cover the report and
     every run's trace ({!E_chaos.run}, {!E_ha.run}, {!E_rebalance.run}),
     so {!run_gate}'s second run must reproduce both. *)

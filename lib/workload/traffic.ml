@@ -102,3 +102,14 @@ let generate rng classifier profile =
         packets = geometric rng profile.packets_per_flow_mean;
         interval = profile.packet_interval;
       })
+
+let packet_stream flows =
+  let packets =
+    List.concat_map
+      (fun f ->
+        List.init f.packets (fun i -> (f.start +. (float_of_int i *. f.interval), f.header)))
+      flows
+  in
+  let arr = Array.of_list packets in
+  Array.sort (fun (a, _) (b, _) -> Float.compare a b) arr;
+  Array.map snd arr

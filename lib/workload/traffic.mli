@@ -40,3 +40,7 @@ val headers_for : Prng.t -> Classifier.t -> int -> Header.t array
 val generate : Prng.t -> Classifier.t -> profile -> flow list
 (** Flows sorted by [start] time.  Header popularity is Zipf([alpha]) over
     the header population. *)
+
+val packet_stream : flow list -> Header.t array
+(** Expand flows into their individual packets, ordered by packet
+    timestamp: the reference stream a cache replay is fed. *)

@@ -348,60 +348,87 @@ let test_bursty_arrivals () =
     Alcotest.fail "burstiness < 1 accepted"
   with Invalid_argument _ -> ()
 
-(* --- cachesim --- *)
+(* --- cache miss sweep: F-MISS through the shipped ingress cache --- *)
 
 let test_packet_stream_sorted () =
-  let flows = mk_flows 20 in
-  let stream = Cachesim.packet_stream flows in
-  check Alcotest.int "all packets" 40 (Array.length stream)
+  (* flows start 1 ms apart and send 3 packets 2.5 ms apart, so their
+     packets interleave *)
+  let flows =
+    List.map (fun f -> { f with Traffic.packets = 3; interval = 0.0025 }) (mk_flows 20)
+  in
+  let stream = Traffic.packet_stream flows in
+  check Alcotest.int "all packets" 60 (Array.length stream);
+  (* each flow has its own header; its k-th packet is sent at
+     start + k * interval *)
+  let sent = Hashtbl.create 20 in
+  let times =
+    Array.to_list
+      (Array.map
+         (fun h ->
+           let f = List.find (fun (f : Traffic.flow) -> Header.equal f.header h) flows in
+           let k = Option.value ~default:0 (Hashtbl.find_opt sent f.flow_id) in
+           Hashtbl.replace sent f.flow_id (k + 1);
+           f.start +. (float_of_int k *. f.interval))
+         stream)
+  in
+  check Alcotest.bool "times never go down" true (times = List.sort Float.compare times)
+
+let broad = Classifier.of_specs s2 [ (1, [], Action.Forward 1) ]
+
+(* The one point of a one-size sweep, with its miss counts *)
+let miss_counts policy ~cache_size stream =
+  match Experiments.F_miss.sweep policy ~alpha:1.0 ~cache_sizes:[ cache_size ] stream with
+  | [ p ] ->
+      let n = float_of_int (Array.length stream) in
+      let count rate = Float.to_int (Float.round (rate *. n)) in
+      ( count p.Experiments.F_miss.wildcard_miss_rate,
+        count p.wildcard_opt_miss_rate,
+        count p.microflow_miss_rate )
+  | _ -> Alcotest.fail "one cache size, one point"
 
 let test_wildcard_beats_microflow () =
-  (* one broad rule, many headers: wildcard caching needs 1 entry *)
-  let policy =
-    Classifier.of_specs s2 [ (1, [], Action.Forward 1) ]
-  in
+  (* one broad rule, many headers: wildcard caching needs one entry per
+     partition, the rule's piece in each of the k regions *)
+  let k = Deployment.default_config.k in
   let stream =
     Array.init 1000 (fun i ->
         Header.make s2 [| Int64.of_int (i mod 256); Int64.of_int (i mod 200) |])
   in
-  let wild = Cachesim.run Cachesim.Wildcard_splice policy ~cache_size:4 stream in
-  let micro = Cachesim.run Cachesim.Microflow policy ~cache_size:4 stream in
-  check Alcotest.int "wildcard: one compulsory miss" 1 wild.Cachesim.misses;
-  check Alcotest.bool "microflow thrashes" true (micro.Cachesim.misses > 900);
-  check Alcotest.int "wildcard working set" 1 wild.Cachesim.distinct_keys
+  let wild, opt, micro = miss_counts broad ~cache_size:k stream in
+  check Alcotest.int "wildcard: one compulsory miss per partition" k wild;
+  check Alcotest.bool "microflow thrashes" true (micro > 900);
+  check Alcotest.int "wildcard working set" k opt
 
 let test_lru_behaviour () =
-  let policy = Classifier.of_specs s2 [ (1, [], Action.Forward 1) ] in
   (* cyclic scan over N+1 distinct headers with cache N: classic LRU worst
      case, every access misses under microflow caching *)
   let n = 8 in
   let stream =
     Array.init 100 (fun i -> Header.make s2 [| Int64.of_int (i mod (n + 1)); 0L |])
   in
-  let r = Cachesim.run Cachesim.Microflow policy ~cache_size:n stream in
-  check Alcotest.int "cyclic scan always misses" 100 r.Cachesim.misses;
+  let _, _, micro = miss_counts broad ~cache_size:n stream in
+  check Alcotest.int "cyclic scan always misses" 100 micro;
   (* with cache N+1 only compulsory misses remain *)
-  let r2 = Cachesim.run Cachesim.Microflow policy ~cache_size:(n + 1) stream in
-  check Alcotest.int "fits: compulsory only" (n + 1) r2.Cachesim.misses
+  let _, _, micro = miss_counts broad ~cache_size:(n + 1) stream in
+  check Alcotest.int "fits: compulsory only" (n + 1) micro
 
 let test_sweep_consistent () =
-  let policy = Classifier.of_specs s2 [ (1, [], Action.Forward 1) ] in
   let stream = Array.init 200 (fun i -> Header.make s2 [| Int64.of_int (i mod 16); 0L |]) in
-  let results = Cachesim.sweep_with_opt policy ~cache_sizes:[ 4; 16 ] stream in
-  check Alcotest.int "two sizes" 2 (List.length results);
+  let points = Experiments.F_miss.sweep broad ~alpha:1.0 ~cache_sizes:[ 4; 16 ] stream in
+  check Alcotest.(list int) "one point per size, in order" [ 4; 16 ]
+    (List.map (fun (p : Experiments.F_miss.point) -> p.cache_size) points);
   List.iter
-    (fun (size, (w : Cachesim.result), (o : Cachesim.result), (m : Cachesim.result)) ->
-      check Alcotest.int "size matches w" size w.Cachesim.cache_size;
-      check Alcotest.int "size matches o" size o.Cachesim.cache_size;
-      check Alcotest.int "size matches m" size m.Cachesim.cache_size;
+    (fun (p : Experiments.F_miss.point) ->
       check Alcotest.bool "wildcard <= microflow misses" true
-        (w.Cachesim.misses <= m.Cachesim.misses);
-      check Alcotest.bool "opt <= lru misses" true (o.Cachesim.misses <= w.Cachesim.misses))
-    results
+        (p.wildcard_miss_rate <= p.microflow_miss_rate);
+      check Alcotest.bool "opt <= lru misses" true
+        (p.wildcard_opt_miss_rate <= p.wildcard_miss_rate))
+    points
 
-(* One exact rule per [f1] value: each header's spliced cache key is its
-   [f1], so the wildcard runs of {!Cachesim.sweep_with_opt} replay the
-   value stream itself.  Returns that sweep's (LRU, OPT) pair. *)
+(* One exact rule per [f1] value: each header's spliced piece is its
+   [f1]'s rule, so the wildcard runs replay the value stream itself and
+   its working set is the number of distinct values.  Returns the
+   (LRU, OPT) miss counts and that working set. *)
 let lru_and_opt ~cache_size stream =
   let policy =
     Classifier.create s2
@@ -410,9 +437,8 @@ let lru_and_opt ~cache_size stream =
              (Pred.make s2 [ Ternary.exact ~width:8 (Int64.of_int v); Ternary.any 8 ])
              (Action.Forward 1)))
   in
-  match Cachesim.sweep_with_opt policy ~cache_sizes:[ cache_size ] stream with
-  | [ (_, lru, opt, _) ] -> (lru, opt)
-  | _ -> Alcotest.fail "one cache size, one result"
+  let lru, opt, _ = miss_counts policy ~cache_size stream in
+  (lru, opt, List.length (List.sort_uniq Header.compare (Array.to_list stream)))
 
 let test_opt_bounds_lru () =
   (* the LRU-hostile cyclic scan: OPT converts it from 100% to near the
@@ -421,11 +447,9 @@ let test_opt_bounds_lru () =
   let stream =
     Array.init 200 (fun i -> Header.make s2 [| Int64.of_int (i mod (n + 1)); 0L |])
   in
-  let lru, opt = lru_and_opt ~cache_size:n stream in
-  check Alcotest.bool "opt strictly better on cyclic scan" true
-    (opt.Cachesim.misses < lru.Cachesim.misses / 2);
-  check Alcotest.bool "opt >= compulsory misses" true
-    (opt.Cachesim.misses >= opt.Cachesim.distinct_keys)
+  let lru, opt, distinct = lru_and_opt ~cache_size:n stream in
+  check Alcotest.bool "opt strictly better on cyclic scan" true (opt < lru / 2);
+  check Alcotest.bool "opt >= compulsory misses" true (opt >= distinct)
 
 let prop_opt_never_worse_than_lru =
   qt ~count:40 "OPT <= LRU on random streams"
@@ -434,21 +458,19 @@ let prop_opt_never_worse_than_lru =
       let stream =
         Array.of_list (List.map (fun v -> Header.make s2 [| Int64.of_int v; 0L |]) vals)
       in
-      let lru, opt = lru_and_opt ~cache_size:size stream in
-      opt.Cachesim.misses <= lru.Cachesim.misses
-      && opt.Cachesim.misses >= min size opt.Cachesim.distinct_keys)
+      let lru, opt, distinct = lru_and_opt ~cache_size:size stream in
+      opt <= lru && opt >= min size distinct)
 
 let prop_miss_rate_monotone_in_size =
   qt ~count:20 "bigger cache never misses more"
     QCheck2.Gen.(int_range 1 20)
     (fun size ->
-      let policy = Classifier.of_specs s2 [ (1, [], Action.Forward 1) ] in
       let stream =
         Array.init 300 (fun i -> Header.make s2 [| Int64.of_int (i * 7 mod 64); 0L |])
       in
-      let a = Cachesim.run Cachesim.Microflow policy ~cache_size:size stream in
-      let b = Cachesim.run Cachesim.Microflow policy ~cache_size:(size + 5) stream in
-      b.Cachesim.misses <= a.Cachesim.misses)
+      let _, _, a = miss_counts broad ~cache_size:size stream in
+      let _, _, b = miss_counts broad ~cache_size:(size + 5) stream in
+      b <= a)
 
 (* Pins the hit path's allocation.  A cache-warm, hit-only replay on a
    campus with the congestion model on: every packet reads its memoised
