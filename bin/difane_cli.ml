@@ -35,6 +35,11 @@ let float_above x =
     (Printf.sprintf "a number > %g" x)
     (fun v -> v > x)
 
+(* A simulated time: any number but NaN, which no event time compares to. *)
+let time =
+  checked float_of_string_opt Format.pp_print_float "a number" (fun v ->
+      not (Float.is_nan v))
+
 let rate =
   checked float_of_string_opt Format.pp_print_float "a rate in [0, 1]" (fun v ->
       v >= 0. && v <= 1.)
@@ -549,7 +554,7 @@ let paths_cmd =
   in
   let switch_arg =
     let doc = "Keep only paths with at least one hop at this switch." in
-    Arg.(value & opt (some int) None & info [ "switch" ] ~docv:"ID" ~doc)
+    Arg.(value & opt (some (int_at_least 0)) None & info [ "switch" ] ~docv:"ID" ~doc)
   in
   let outcome_arg =
     let doc = "Keep only paths with this outcome: $(b,delivered), $(b,dropped) or $(b,incomplete)." in
@@ -568,14 +573,14 @@ let paths_cmd =
       "Keep only timeline events and paths starting at or after this simulated time \
        (seconds)."
     in
-    Arg.(value & opt (some float) None & info [ "since" ] ~docv:"T" ~doc)
+    Arg.(value & opt (some time) None & info [ "since" ] ~docv:"T" ~doc)
   in
   let until_arg =
     let doc =
       "Keep only timeline events and paths starting at or before this simulated time \
        (seconds)."
     in
-    Arg.(value & opt (some float) None & info [ "until" ] ~docv:"T" ~doc)
+    Arg.(value & opt (some time) None & info [ "until" ] ~docv:"T" ~doc)
   in
   let loss_arg =
     let doc = "Control-frame loss rate for the fault scenarios' replay (0..1)." in
@@ -702,7 +707,7 @@ let monitor_cmd =
       $ json_arg $ flows_out_arg)
 
 let gate_cmd =
-  let gates, listed = entries (fun s -> Option.is_some s.gate) in
+  let gates, listed = entries (fun _ -> true) in
   let names_arg =
     let doc = "Gates to run. " ^ listed in
     Arg.(non_empty & pos_all (scenario_enum gates) [] & info [] ~docv:"NAME" ~doc)

@@ -142,6 +142,8 @@ let is_prefix_set label = String.length label >= 6 && String.sub label 0 6 = "pr
 
 (* ------------------------------------------------------------------ *)
 
+(* Table 1: characteristics of the evaluation rule sets; depth is the
+   longest priority-dependency chain. *)
 module T1 = struct
   type row = {
     label : string;
@@ -181,6 +183,18 @@ module T1 = struct
           overlaps;
         })
       (eval_sets ~seed ~quick)
+
+  let check rows =
+    let depth label =
+      List.fold_left (fun acc r -> if r.label = label then r.depth else acc) 0 rows
+    in
+    unmet
+      ((List.length rows = 5, "expected five rule sets")
+       :: (depth "acl-deep" > depth "acl-small", "acl-deep is not deeper than acl-small")
+       :: List.concat_map
+            (fun r ->
+              [ (r.rules > 0, r.label ^ ": no rules"); (r.depth >= 1, r.label ^ ": depth 0") ])
+            rows)
 
   let render rows =
     Table.section ~title:"Table 1: evaluation rule sets"
@@ -223,6 +237,9 @@ let nox_baseline ~policy ~topology () =
   Deployment.mark_unreachable d 1;
   d
 
+(* Fig. "Throughput of flow setup": DIFANE (one authority switch) vs NOX
+   as the offered rate of single-packet flows sweeps past both
+   systems' capacities. *)
 module F_tput = struct
   type point = { offered_rate : float; difane : Flowsim.result; nox : Flowsim.result }
 
@@ -254,6 +271,25 @@ module F_tput = struct
         { offered_rate = rate; difane; nox })
       (rates ~quick)
 
+  (* At the top rate DIFANE out-scales NOX, which saturates near its
+     controller's capacity. *)
+  let check points =
+    match List.rev points with
+    | [] -> [ "no points" ]
+    | top :: _ ->
+        let difane = top.difane.Flowsim.setup_throughput
+        and nox = top.nox.Flowsim.setup_throughput in
+        let capacity = 1. /. Flowsim.default_timing.Flowsim.controller_service in
+        unmet
+          [
+            ( difane >= 3. *. nox,
+              Printf.sprintf "DIFANE %.0f flows/s under 3x NOX's %.0f at the top rate" difane
+                nox );
+            ( nox < 1.2 *. capacity,
+              Printf.sprintf "NOX %.0f flows/s not under 1.2x its controller's %.0f" nox
+                capacity );
+          ]
+
   let render points =
     Table.section ~title:"Fig: flow-setup throughput, DIFANE (1 authority) vs NOX"
       ~header:
@@ -270,6 +306,8 @@ module F_tput = struct
          points)
 end
 
+(* Fig. "Throughput with multiple authority switches": peak setup
+   throughput as authority switches scale 1 -> 4. *)
 module F_scale = struct
   type point = { authority_switches : int; throughput : float; per_switch : float }
 
@@ -296,6 +334,21 @@ module F_scale = struct
         })
       (if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ])
 
+  (* Near-linear: k switches set up within 20% of k times one switch. *)
+  let check = function
+    | [] -> [ "no points" ]
+    | one :: _ as points ->
+        List.concat_map
+          (fun p ->
+            let expected = one.throughput *. float_of_int p.authority_switches in
+            unmet
+              [
+                ( Float.abs (p.throughput -. expected) /. expected <= 0.2,
+                  Printf.sprintf "%d switches: %.0f flows/s, over 20%% off %.0f"
+                    p.authority_switches p.throughput expected );
+              ])
+          points
+
   let render points =
     Table.section ~title:"Fig: DIFANE throughput vs number of authority switches"
       ~header:[ "authority switches"; "throughput (flows/s)"; "per switch" ]
@@ -309,13 +362,14 @@ module F_scale = struct
          points)
 end
 
+(* Fig. "First-packet delay CDF": DIFANE's extra data-plane hop vs
+   NOX's controller round trip, at low load. *)
 module F_delay = struct
   type t = {
     difane_delays : Cdf.t;
     nox_delays : Cdf.t;
     difane_median : float;
-    nox_median : float;
-    ratio : float;
+    ratio : float;  (* NOX median / DIFANE median *)
   }
 
   let run ?(seed = 42) ?(quick = false) () =
@@ -339,9 +393,16 @@ module F_delay = struct
     let difane_delays = Cdf.of_array rd.Flowsim.miss_delays in
     let nox_delays = Cdf.of_array rn.Flowsim.miss_delays in
     let difane_median = Cdf.inverse difane_delays 0.5 in
-    let nox_median = Cdf.inverse nox_delays 0.5 in
-    { difane_delays; nox_delays; difane_median; nox_median;
-      ratio = nox_median /. difane_median }
+    { difane_delays; nox_delays; difane_median;
+      ratio = Cdf.inverse nox_delays 0.5 /. difane_median }
+
+  let check t =
+    unmet
+      [
+        (t.ratio > 10., Printf.sprintf "NOX/DIFANE median ratio %.1f, not over 10" t.ratio);
+        ( t.difane_median < 1e-3,
+          Printf.sprintf "DIFANE median %.6f s, not under 1 ms" t.difane_median );
+      ]
 
   let render t =
     Table.section ~title:"Fig: first-packet delay CDF (seconds)"
@@ -359,6 +420,8 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Fig. "TCAM entries vs number of authority switches": partitioning
+   overhead for each Table-1 rule set. *)
 module F_part = struct
   type point = {
     label : string;
@@ -387,6 +450,27 @@ module F_part = struct
           (ks ~quick))
       sets
 
+  (* Per-switch tables shrink as k grows, and duplication stays bounded. *)
+  let check points =
+    List.concat_map
+      (fun label ->
+        let ps = List.filter (fun p -> p.label = label) points in
+        match List.sort (fun a b -> Int.compare a.k b.k) ps with
+        | [] -> [ label ^ ": no points" ]
+        | first :: _ as ps ->
+            let last = List.nth ps (List.length ps - 1) in
+            List.map (Printf.sprintf "%s: %s" label)
+              (unmet
+                 [
+                   ( last.max_entries <= first.max_entries,
+                     Printf.sprintf "max entries grew from %d at k=%d to %d at k=%d"
+                       first.max_entries first.k last.max_entries last.k );
+                   ( last.duplication < 2.5,
+                     Printf.sprintf "duplication %.2fx at k=%d, not under 2.5x" last.duplication
+                       last.k );
+                 ]))
+      [ "acl-small"; "prefix-5k" ]
+
   let render points =
     Table.section ~title:"Fig: TCAM entries vs number of partitions"
       ~header:[ "rule set"; "k"; "max entries/switch"; "total entries"; "duplication" ]
@@ -402,6 +486,9 @@ module F_part = struct
          points)
 end
 
+(* Fig. "Cache miss rate vs cache size": spliced wildcard caching vs
+   microflow caching under Zipf traffic, both through the shipped
+   ingress cache. *)
 module F_miss = struct
   type point = {
     alpha : float;
@@ -543,6 +630,8 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Fig. "Stretch CDF": the detour of miss packets through their
+   authority switch under each placement strategy. *)
 module F_stretch = struct
   type series = { placement : string; stretch : Cdf.t; mean : float; p95 : float }
 
@@ -604,6 +693,23 @@ module F_stretch = struct
         ("k-median+nearest", `K_median, `Nearest_replica, 4);
       ]
 
+  (* Informed placement beats random, tunnelling to the nearest replica
+     beats every primary-only placement, and no detour is shorter than
+     the direct path. *)
+  let check series =
+    let mean name =
+      List.fold_left (fun acc s -> if s.placement = name then s.mean else acc) Float.nan series
+    in
+    unmet
+      ((List.length series = 5, "expected five placements")
+       :: (mean "centroid" <= mean "random", "centroid's mean stretch over random's")
+       :: ( mean "k-median+nearest" <= mean "centroid" +. 1e-9,
+            "k-median+nearest's mean stretch over centroid's" )
+       :: List.map
+            (fun s ->
+              (Cdf.inverse s.stretch 0.01 >= 1.0 -. 1e-9, s.placement ^ ": stretch below 1"))
+            series)
+
   let render series =
     Table.section ~title:"Fig: stretch of miss packets by authority placement"
       ~header:[ "placement"; "p50"; "mean"; "p95"; "max" ]
@@ -621,6 +727,10 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* "Network dynamics": after a policy change, how long stale cached
+   decisions linger as a function of the cache hard timeout (lazy
+   expiry), and that strict flushing and targeted invalidation remove
+   them. *)
 module F_dyn = struct
   type mode = Lazy_expiry | Strict_flush | Targeted
 
@@ -628,7 +738,6 @@ module F_dyn = struct
     timeout : float;  (** cache hard timeout (lazy mode's staleness bound) *)
     mode : mode;
     stale_packets : int;
-    post_update_packets : int;
     stale_fraction : float;
     stale_window : float;
     invalidated : int;  (** cache entries removed by the update *)
@@ -739,7 +848,6 @@ module F_dyn = struct
       timeout;
       mode;
       stale_packets = !stale;
-      post_update_packets = !post;
       stale_fraction =
         (if !post = 0 then 0. else float_of_int !stale /. float_of_int !post);
       stale_window = !last_stale;
@@ -755,6 +863,36 @@ module F_dyn = struct
         run_one ~seed ~quick ~timeout:1.0 ~mode:Strict_flush;
       ]
 
+  let mode_name = function
+    | Lazy_expiry -> "lazy expiry"
+    | Strict_flush -> "strict flush"
+    | Targeted -> "targeted invalidation"
+
+  (* Strict and targeted updates serve no stale packet; lazy expiry's
+     staleness is bounded by the hard timeout plus one sweep period. *)
+  let check points =
+    let exact mode =
+      match List.find_opt (fun p -> p.mode = mode) points with
+      | None -> [ "no " ^ mode_name mode ^ " run" ]
+      | Some p ->
+          unmet
+            [
+              ( p.stale_packets = 0,
+                Printf.sprintf "%s served %d stale packets" (mode_name mode) p.stale_packets );
+            ]
+    in
+    exact Strict_flush @ exact Targeted
+    @ List.concat_map
+        (fun p ->
+          let bound = p.timeout +. (p.timeout /. 4.) +. 1e-6 in
+          unmet
+            [
+              ( p.mode <> Lazy_expiry || p.stale_window <= bound,
+                Printf.sprintf "lazy expiry at %.2f s: stale for %.2f s, over 1.25x the timeout"
+                  p.timeout p.stale_window );
+            ])
+        points
+
   let render points =
     Table.section ~title:"Fig: policy-update consistency vs cache timeout"
       ~header:
@@ -764,10 +902,7 @@ module F_dyn = struct
          (fun p ->
            [
              Printf.sprintf "%.2f" p.timeout;
-             (match p.mode with
-             | Lazy_expiry -> "lazy expiry"
-             | Strict_flush -> "strict flush"
-             | Targeted -> "targeted invalidation");
+             mode_name p.mode;
              string_of_int p.stale_packets;
              Table.fmt_pct p.stale_fraction;
              Printf.sprintf "%.2f" p.stale_window;
@@ -780,6 +915,8 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Ablation: the best-cut split heuristic vs always cutting one fixed
+   dimension (an informed choice, src_ip, and a poor one, proto). *)
 module A_cut = struct
   type point = {
     k : int;
@@ -815,6 +952,19 @@ module A_cut = struct
         })
       (if quick then [ 4; 16 ] else [ 2; 4; 8; 16; 32; 64 ])
 
+  (* Best-cut never loses to the poor fixed dimension.  It does not
+     always beat the informed one: src-only wins at some k. *)
+  let check points =
+    List.concat_map
+      (fun p ->
+        unmet
+          [
+            ( p.best_max <= p.proto_max && p.best_total <= p.proto_total,
+              Printf.sprintf "k=%d: best-cut %d max/%d total, over proto-only's %d/%d" p.k
+                p.best_max p.best_total p.proto_max p.proto_total );
+          ])
+      points
+
   let render points =
     Table.section ~title:"Ablation: best-cut heuristic vs fixed-dimension cuts"
       ~header:
@@ -834,6 +984,8 @@ module A_cut = struct
          points)
 end
 
+(* Ablation: spliced cache cost vs CacheFlow-style dependent-set cost,
+   per cached rule, on a deep-chain ACL. *)
 module A_splice = struct
   type t = {
     rules_sampled : int;
@@ -895,6 +1047,16 @@ module A_splice = struct
       worst_splice = List.fold_left max 0 fragmentation;
     }
 
+  let check t =
+    unmet
+      [
+        ( Float.abs (t.splice_mean -. 1.) <= 1e-9,
+          Printf.sprintf "splicing installs %.2f entries per flow, not 1" t.splice_mean );
+        ( t.dependent_mean > 1.5,
+          Printf.sprintf "dependent sets install %.2f entries per flow, not over 1.5"
+            t.dependent_mean );
+      ]
+
   let render t =
     Table.section ~title:"Ablation: cache cost per flow, splicing vs dependent-set"
       ~header:[ "metric"; "splice"; "dependent-set" ]
@@ -910,6 +1072,9 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Supplementary: control-plane overhead — the proactive install, the
+   steady-state keepalive/statistics load and a full policy update, in
+   encoded control frames and bytes. *)
 module E_ctrl = struct
   type row = { scenario : string; frames : int; bytes : int }
 
@@ -963,6 +1128,20 @@ module E_ctrl = struct
     in
     [ install; steady; update ]
 
+  (* Every frame carries a 20-byte control header (wire format v2). *)
+  let check rows =
+    unmet
+      ((List.length rows = 3, "expected three scenarios")
+       :: List.concat_map
+            (fun r ->
+              [
+                (r.frames > 0, r.scenario ^ ": no frames");
+                ( r.bytes > r.frames,
+                  Printf.sprintf "%s: %d bytes for %d frames of 20-byte headers" r.scenario
+                    r.bytes r.frames );
+              ])
+            rows)
+
   let render rows =
     Table.section ~title:"Supplementary: control-plane overhead (encoded frames on the wire)"
       ~header:[ "scenario"; "frames"; "bytes" ]
@@ -973,6 +1152,9 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Supplementary: how the ingress cache budget shifts load off the
+   authority switches, each capacity run twice on the identical
+   workload: the seed install path and the aggregation pipeline. *)
 module E_cache = struct
   type point = {
     cache_size : int;
@@ -1046,6 +1228,30 @@ module E_cache = struct
         })
       sizes
 
+  (* Bigger caches absorb more traffic (within 2 points), and every
+     packet is either a hit or authority load. *)
+  let check points =
+    let rec monotone = function
+      | a :: (b :: _ as rest) ->
+          unmet
+            [
+              ( a.hit_rate <= b.hit_rate +. 0.02,
+                Printf.sprintf "hit rate fell from %.1f%% at %d entries to %.1f%% at %d"
+                  (100. *. a.hit_rate) a.cache_size (100. *. b.hit_rate) b.cache_size );
+            ]
+          @ monotone rest
+      | _ -> []
+    in
+    monotone (List.sort (fun a b -> Int.compare a.cache_size b.cache_size) points)
+    @ List.concat_map
+        (fun p ->
+          unmet
+            [
+              ( Float.abs (p.hit_rate +. p.authority_load -. 1.) <= 1e-9,
+                Printf.sprintf "%d entries: hit rate + authority load is not 1" p.cache_size );
+            ])
+        points
+
   let render points =
     Table.section
       ~title:
@@ -1110,6 +1316,12 @@ let inject_batch d probes ~now =
   Deployment.flush_caches d;
   List.iter (fun h -> ignore (Deployment.inject d ~now ~ingress:0 h)) probes
 
+(* Supplementary: the chaos sweep, frame loss rate vs recovery.  Each
+   loss point replays one seeded scenario: two of three authority
+   switches crash mid-run and later restart, probes run before, during
+   and after, over control channels that drop, duplicate, corrupt and
+   reorder frames.  Probes walk the untimed [Deployment.inject], so
+   there is no queueing to configure: buffers are E_incast's subject. *)
 module E_chaos = struct
   type row = {
     loss : float;
@@ -1239,6 +1451,13 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Supplementary: controller high availability.  Per loss rate, a
+   3-replica cluster deploys, two authority switches crash, and the
+   leader dies mid-way through a policy push: a standby rebuilds the
+   deployment from the shared journal and takes over at epoch 2.  Later
+   the new leader is partitioned away; epoch 3 is elected while the
+   isolated leader keeps mastering until the switches' epoch fencing
+   deposes it (split brain). *)
 module E_ha = struct
   type row = {
     loss : float;
@@ -1935,7 +2154,7 @@ type scenario = {
   doc : string;
   render : render option;
   all : (seed:int -> quick:bool -> string) option;
-  gate : (seed:int -> quick:bool -> domains:int -> outcome) option;
+  gate : seed:int -> quick:bool -> domains:int -> outcome;
   replay : (replay_args -> replay) option;
 }
 
@@ -2121,7 +2340,7 @@ let paths_gate name replay =
     doc = "Causal packet-path invariants over the " ^ name ^ " replay.";
     render = None;
     all = None;
-    gate = Some gate;
+    gate;
     replay = None;
   }
 
@@ -2139,46 +2358,73 @@ let fault_sweep name doc
     doc;
     render = Some (Faults report);
     all = Some (fun ~seed ~quick -> report ~seed ~quick ~cp_config:fault_cp_config);
-    gate = Some (sweep_gate (fun ~seed ~quick -> run ~seed ~quick ()) render check);
+    gate = sweep_gate (fun ~seed ~quick -> run ~seed ~quick ()) render check;
     replay = Some replay;
   }
 
-(* A paper experiment: a plain subcommand and a member of [difane all]. *)
-let experiment name doc (run : ?seed:int -> ?quick:bool -> unit -> 'a) render =
-  let render ~seed ~quick = render (run ~seed ~quick ()) in
-  { name; doc; render = Some (Plain render); all = Some render; gate = None; replay = None }
+(* A paper experiment: a plain subcommand, a member of [difane all] and a
+   gate holding its shape claims, whose fingerprint is its report. *)
+let experiment name doc (run : ?seed:int -> ?quick:bool -> unit -> 'a) render check =
+  let report ~seed ~quick = render (run ~seed ~quick ()) in
+  let gate ~seed ~quick ~domains:_ =
+    let rows = run ~seed ~quick () in
+    let report = render rows in
+    { report; failures = check rows; fingerprint = fingerprint report }
+  in
+  { name; doc; render = Some (Plain report); all = Some report; gate;
+    replay = None }
 
 let scenarios =
   [
-    experiment "table1" "Rule-set characteristics (Table 1)" T1.run T1.render;
-    experiment "throughput" "Flow-setup throughput, DIFANE vs NOX" F_tput.run F_tput.render;
-    experiment "scaling" "Throughput vs number of authority switches"
-      F_scale.run F_scale.render;
-    experiment "delay" "First-packet delay CDFs" F_delay.run F_delay.render;
-    experiment "partition-sweep" "TCAM entries vs number of partitions"
-      F_part.run F_part.render;
-    { (experiment "missrate"
-         "Cache miss rate vs cache size, spliced vs microflow ingress caches; gated: \
-          wildcard misses at most microflow and OPT at most wildcard LRU, microflow over \
-          1.5x wildcard at the largest cache."
-         F_miss.run F_miss.render)
-      with
-      gate =
-        Some (fun ~seed ~quick ~domains:_ ->
-            let points = F_miss.run ~seed ~quick () in
-            let report = F_miss.render points in
-            { report; failures = F_miss.check points; fingerprint = fingerprint report }) };
-    experiment "stretch" "Stretch CDF by authority placement"
-      F_stretch.run F_stretch.render;
-    experiment "dynamics" "Policy-update consistency vs cache timeout"
-      F_dyn.run F_dyn.render;
-    experiment "ablation-cut" "Best-cut vs fixed-dimension partitioning"
-      A_cut.run A_cut.render;
-    experiment "ablation-splice" "Splice vs dependent-set cache cost"
-      A_splice.run A_splice.render;
-    experiment "control-overhead" "Control-plane frames and bytes" E_ctrl.run E_ctrl.render;
-    experiment "cache-sweep" "Ingress cache size vs authority load"
-      E_cache.run E_cache.render;
+    experiment "table1"
+      "Rule-set characteristics (Table 1); gated: five rule sets, each with rules and \
+       depth >= 1, acl-deep deeper than acl-small."
+      T1.run T1.render T1.check;
+    experiment "throughput"
+      "Flow-setup throughput, DIFANE vs NOX; gated: at the top rate DIFANE >= 3x NOX, NOX \
+       under 1.2x its controller's capacity."
+      F_tput.run F_tput.render F_tput.check;
+    experiment "scaling"
+      "Throughput vs number of authority switches; gated: k switches within 20% of k \
+       times one."
+      F_scale.run F_scale.render F_scale.check;
+    experiment "delay"
+      "First-packet delay CDFs; gated: NOX/DIFANE median ratio over 10, DIFANE median \
+       under 1 ms."
+      F_delay.run F_delay.render F_delay.check;
+    experiment "partition-sweep"
+      "TCAM entries vs number of partitions; gated: per-switch max does not grow with k, \
+       duplication under 2.5x (acl-small, prefix-5k)."
+      F_part.run F_part.render F_part.check;
+    experiment "missrate"
+      "Cache miss rate vs cache size, spliced vs microflow ingress caches; gated: \
+       wildcard misses at most microflow and OPT at most wildcard LRU, microflow over \
+       1.5x wildcard at the largest cache."
+      F_miss.run F_miss.render F_miss.check;
+    experiment "stretch"
+      "Stretch CDF by authority placement; gated: centroid <= random, \
+       k-median+nearest <= centroid in mean, stretch >= 1."
+      F_stretch.run F_stretch.render F_stretch.check;
+    experiment "dynamics"
+      "Policy-update consistency vs cache timeout; gated: strict and targeted updates \
+       serve no stale packet, lazy staleness within 1.25x the timeout."
+      F_dyn.run F_dyn.render F_dyn.check;
+    experiment "ablation-cut"
+      "Best-cut vs fixed-dimension partitioning; gated: best-cut <= proto-only in max \
+       and total entries at every k."
+      A_cut.run A_cut.render A_cut.check;
+    experiment "ablation-splice"
+      "Splice vs dependent-set cache cost; gated: one spliced entry per flow, \
+       dependent sets over 1.5."
+      A_splice.run A_splice.render A_splice.check;
+    experiment "control-overhead"
+      "Control-plane frames and bytes; gated: three scenarios, each with frames and \
+       more bytes than frames."
+      E_ctrl.run E_ctrl.render E_ctrl.check;
+    experiment "cache-sweep"
+      "Ingress cache size vs authority load; gated: hit rate never falls over 2 points \
+       as the cache grows, hits + authority load = 1."
+      E_cache.run E_cache.render E_cache.check;
     fault_sweep "chaos"
       "Fault-injection sweep: frame loss vs recovery through two authority crashes; \
        gated: zero give-ups, full recovery."
@@ -2195,7 +2441,7 @@ let scenarios =
       render =
         Some (Plain (fun ~seed ~quick -> E_incast.render (E_incast.run ~seed ~quick ())));
       all = None;
-      gate = Some incast_gate;
+      gate = incast_gate;
       replay = None };
     { name = "rebalance";
       doc = "Flash-crowd adaptive repartitioning: static baseline vs the closed-loop \
@@ -2210,8 +2456,8 @@ let scenarios =
                        (E_rebalance.run ~seed ~quick ~hotspot_threshold ~hotspot_window ()))));
       all = None;
       gate =
-        Some (sweep_gate (fun ~seed ~quick -> E_rebalance.run ~seed ~quick ())
-                E_rebalance.render E_rebalance.check);
+        sweep_gate (fun ~seed ~quick -> E_rebalance.run ~seed ~quick ())
+          E_rebalance.render E_rebalance.check;
       replay = Some rebalance_replay };
     { name = "scale";
       doc = "Sharded ingress simulation at scale: a million-flow workload over 256 \
@@ -2222,7 +2468,7 @@ let scenarios =
                   let spec = E_scale.sized ~quick ~domains in
                   E_scale.render spec (E_scale.run ~seed spec)));
       all = None;
-      gate = Some scale_gate;
+      gate = scale_gate;
       replay = Some scale_replay };
     paths_gate "chaos" chaos_replay;
     paths_gate "rebalance" rebalance_replay;
@@ -2230,14 +2476,14 @@ let scenarios =
     { name = "aggregate";
       doc = "Twin deployments, aggregation on vs off; gated: every packet forwarded \
              identically.";
-      render = None; all = None; gate = Some aggregate_gate; replay = None };
+      render = None; all = None; gate = aggregate_gate; replay = None };
     { name = "monitor";
       doc = "The monitored run at Zipf alpha 1.0, as $(b,difane monitor) prints it; path \
              provenance joins through the monitor; gated: well-formed difane-monitor-v1 and \
              difane-flows-v1 documents.";
       render = None;
       all = Some (fun ~seed ~quick -> E_mon.render (monitored ~seed ~quick));
-      gate = Some monitor_gate;
+      gate = monitor_gate;
       replay = Some monitor_replay };
   ]
 
@@ -2245,15 +2491,10 @@ let run_all ?(seed = 42) ?(quick = false) print =
   List.iter (fun s -> Option.iter (fun report -> print (report ~seed ~quick)) s.all) scenarios
 
 let run_gate ?(print = print_string) s ~seed ~quick ~domains =
-  let gate =
-    match s.gate with
-    | Some g -> g
-    | None -> invalid_arg (Printf.sprintf "Experiments.run_gate: %s is not a gate" s.name)
-  in
   (* each run starts from a fresh registry, so its snapshot is its own *)
   let run domains =
     Telemetry.reset ();
-    gate ~seed ~quick ~domains
+    s.gate ~seed ~quick ~domains
   in
   let first = run 1 in
   print first.report;

@@ -1,202 +1,10 @@
-(* Smoke + shape tests for the experiment drivers: every driver must run
-   in quick mode, be deterministic in its seed, and reproduce the paper's
-   qualitative result ("who wins, roughly by how much"). *)
+(* The scenario table's gates at quick size, the harness that runs them,
+   and the replay timelines.  Each paper figure's shape claims ("who
+   wins, roughly by how much") live in its gate. *)
 
 open Test_util
 
 let seed = 7
-
-let test_t1 () =
-  let rows = Experiments.T1.run ~seed ~quick:true () in
-  check Alcotest.int "five rule sets" 5 (List.length rows);
-  List.iter
-    (fun (r : Experiments.T1.row) ->
-      check Alcotest.bool "rules positive" true (r.rules > 0);
-      check Alcotest.bool "depth >= 1" true (r.depth >= 1))
-    rows;
-  (* deeper ACL really is deeper *)
-  let depth label =
-    (List.find (fun (r : Experiments.T1.row) -> r.label = label) rows).Experiments.T1.depth
-  in
-  check Alcotest.bool "acl-deep deeper than acl-small" true
-    (depth "acl-deep" > depth "acl-small")
-
-let test_t1_deterministic () =
-  let a = Experiments.T1.run ~seed ~quick:true () in
-  let b = Experiments.T1.run ~seed ~quick:true () in
-  check Alcotest.bool "same rows" true (a = b)
-
-let test_tput_shape () =
-  let points = Experiments.F_tput.run ~seed ~quick:true () in
-  (* at the highest offered rate DIFANE must beat NOX by a wide margin *)
-  let last = List.nth points (List.length points - 1) in
-  check Alcotest.bool "DIFANE >= 3x NOX at saturation" true
-    (last.Experiments.F_tput.difane.Flowsim.setup_throughput
-     >= 3. *. last.Experiments.F_tput.nox.Flowsim.setup_throughput);
-  (* NOX saturates near its controller capacity *)
-  let nox_capacity = 1. /. Flowsim.default_timing.Flowsim.controller_service in
-  check Alcotest.bool "NOX capped by controller" true
-    (last.Experiments.F_tput.nox.Flowsim.setup_throughput < 1.2 *. nox_capacity)
-
-let test_scale_linear () =
-  let points = Experiments.F_scale.run ~seed ~quick:true () in
-  match points with
-  | p1 :: rest ->
-      List.iter
-        (fun (p : Experiments.F_scale.point) ->
-          let expected =
-            p1.Experiments.F_scale.throughput *. float_of_int p.authority_switches
-          in
-          if Float.abs (p.throughput -. expected) /. expected > 0.2 then
-            Alcotest.failf "scaling not linear: %d switches -> %.0f (expected %.0f)"
-              p.authority_switches p.throughput expected)
-        rest
-  | [] -> Alcotest.fail "no points"
-
-let test_delay_gap () =
-  let t = Experiments.F_delay.run ~seed ~quick:true () in
-  check Alcotest.bool "NOX at least 10x slower" true (t.Experiments.F_delay.ratio > 10.);
-  check Alcotest.bool "DIFANE sub-millisecond" true (t.Experiments.F_delay.difane_median < 1e-3)
-
-let test_partition_shape () =
-  let points = Experiments.F_part.run ~seed ~quick:true () in
-  (* per-switch max falls with k; duplication stays bounded *)
-  let by_label l =
-    List.filter (fun (p : Experiments.F_part.point) -> p.label = l) points
-  in
-  List.iter
-    (fun label ->
-      match by_label label with
-      | [] -> Alcotest.failf "no points for %s" label
-      | ps ->
-          let sorted =
-            List.sort (fun (a : Experiments.F_part.point) b -> Int.compare a.k b.k) ps
-          in
-          let first = List.hd sorted and last = List.nth sorted (List.length sorted - 1) in
-          check Alcotest.bool (label ^ ": max shrinks") true
-            (last.Experiments.F_part.max_entries <= first.Experiments.F_part.max_entries);
-          check Alcotest.bool (label ^ ": duplication bounded") true
-            (last.Experiments.F_part.duplication < 2.5))
-    [ "acl-small"; "prefix-5k" ]
-
-let test_miss_shape () =
-  let points = Experiments.F_miss.run ~seed ~quick:true () in
-  (* wildcard caching never loses to microflow caching, and wins clearly
-     at the largest cache size *)
-  List.iter
-    (fun (p : Experiments.F_miss.point) ->
-      check Alcotest.bool "wildcard <= microflow" true
-        (p.wildcard_miss_rate <= p.microflow_miss_rate +. 1e-9);
-      check Alcotest.bool "OPT is a floor" true
-        (p.wildcard_opt_miss_rate <= p.wildcard_miss_rate +. 1e-9))
-    points;
-  let biggest =
-    List.fold_left
-      (fun (acc : Experiments.F_miss.point) p ->
-        if p.Experiments.F_miss.cache_size > acc.cache_size then p else acc)
-      (List.hd points) points
-  in
-  check Alcotest.bool "clear win at large cache" true
-    (biggest.microflow_miss_rate > 1.5 *. biggest.wildcard_miss_rate);
-  (* the missrate gate holds the same three claims *)
-  let gate =
-    (List.find (fun (s : Experiments.scenario) -> s.name = "missrate") Experiments.scenarios)
-      .gate
-  in
-  check Alcotest.(list string) "missrate gate" []
-    (Option.get gate ~seed ~quick:true ~domains:1).Experiments.failures
-
-let test_stretch_shape () =
-  let series = Experiments.F_stretch.run ~seed ~quick:true () in
-  check Alcotest.int "five placements" 5 (List.length series);
-  let mean name =
-    (List.find (fun (s : Experiments.F_stretch.series) -> s.placement = name) series)
-      .Experiments.F_stretch.mean
-  in
-  (* informed placement beats random *)
-  check Alcotest.bool "centroid <= random" true (mean "centroid" <= mean "random");
-  (* proximity-aware tunnelling to replicated authorities beats every
-     primary-only placement *)
-  check Alcotest.bool "nearest-replica wins" true
-    (mean "k-median+nearest" <= mean "centroid" +. 1e-9);
-
-  List.iter
-    (fun (s : Experiments.F_stretch.series) ->
-      check Alcotest.bool "stretch >= 1" true (Cdf.inverse s.stretch 0.01 >= 1.0 -. 1e-9))
-    series
-
-let test_dyn_shape () =
-  let points = Experiments.F_dyn.run ~seed ~quick:true () in
-  let strict =
-    List.find
-      (fun (p : Experiments.F_dyn.point) -> p.mode = Experiments.F_dyn.Strict_flush)
-      points
-  in
-  check Alcotest.int "strict flush has no stale packets" 0
-    strict.Experiments.F_dyn.stale_packets;
-  let targeted =
-    List.find
-      (fun (p : Experiments.F_dyn.point) -> p.mode = Experiments.F_dyn.Targeted)
-      points
-  in
-  check Alcotest.int "targeted invalidation has no stale packets" 0
-    targeted.Experiments.F_dyn.stale_packets;
-  let lazies =
-    List.filter
-      (fun (p : Experiments.F_dyn.point) -> p.mode = Experiments.F_dyn.Lazy_expiry)
-      points
-  in
-  List.iter
-    (fun (p : Experiments.F_dyn.point) ->
-      (* staleness is bounded by the hard timeout (plus one sweep period) *)
-      check Alcotest.bool "stale window bounded by timeout" true
-        (p.stale_window <= p.timeout +. (p.timeout /. 4.) +. 1e-6))
-    lazies
-
-let test_ablation_cut () =
-  let points = Experiments.A_cut.run ~seed ~quick:true () in
-  List.iter
-    (fun (p : Experiments.A_cut.point) ->
-      check Alcotest.bool "best-cut beats the poor fixed dimension" true
-        (p.best_max <= p.proto_max && p.best_total <= p.proto_total))
-    points
-
-let test_ablation_splice () =
-  let t = Experiments.A_splice.run ~seed ~quick:true () in
-  check (Alcotest.float 1e-9) "splicing installs one entry" 1.0
-    t.Experiments.A_splice.splice_mean;
-  check Alcotest.bool "dependent sets cost more" true
-    (t.Experiments.A_splice.dependent_mean > 1.5)
-
-let test_control_overhead () =
-  let rows = Experiments.E_ctrl.run ~seed ~quick:true () in
-  check Alcotest.int "three scenarios" 3 (List.length rows);
-  List.iter
-    (fun (r : Experiments.E_ctrl.row) ->
-      check Alcotest.bool "frames positive" true (r.frames > 0);
-      check Alcotest.bool "bytes > frames (16-byte headers)" true (r.bytes > r.frames))
-    rows
-
-let test_cache_sweep () =
-  let points = Experiments.E_cache.run ~seed ~quick:true () in
-  (* bigger caches absorb more traffic *)
-  let sorted =
-    List.sort
-      (fun (a : Experiments.E_cache.point) b -> Int.compare a.cache_size b.cache_size)
-      points
-  in
-  let rec monotone = function
-    | (a : Experiments.E_cache.point) :: (b :: _ as rest) ->
-        if a.hit_rate > b.hit_rate +. 0.02 then
-          Alcotest.failf "hit rate fell from %f to %f" a.hit_rate b.hit_rate
-        else monotone rest
-    | _ -> ()
-  in
-  monotone sorted;
-  List.iter
-    (fun (p : Experiments.E_cache.point) ->
-      check (Alcotest.float 1e-9) "hit + authority = 1" 1. (p.hit_rate +. p.authority_load))
-    points
 
 (* --- the gate rules that used to live in the CLI, one crafted row per
    rule: each broken invariant must yield exactly its own failure --- *)
@@ -259,9 +67,9 @@ let test_ha_check_rules () =
 
 (* --- the gate harness --- *)
 
-let fake_gate run =
-  { Experiments.name = "fake"; doc = "crafted"; render = None; all = None;
-    gate = Some run; replay = None }
+let fake_gate gate =
+  { Experiments.name = "fake"; doc = "crafted"; render = None; all = None; gate;
+    replay = None }
 
 let run_fake run =
   Experiments.run_gate ~print:ignore (fake_gate run) ~seed ~quick:true ~domains:4
@@ -296,36 +104,39 @@ let test_harness_reports_failures () =
   in
   check failures "both runs' failures, once each" [ "broken"; "sharded only" ] fs
 
-let test_harness_rejects_non_gate () =
-  let table1 =
-    List.find (fun (s : Experiments.scenario) -> s.name = "table1") Experiments.scenarios
-  in
-  match Experiments.run_gate ~print:ignore table1 ~seed ~quick:true ~domains:1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "ran a scenario without a gate"
-
-let gate_names () =
-  List.filter_map
-    (fun (s : Experiments.scenario) -> Option.map (fun _ -> s.name) s.gate)
-    Experiments.scenarios
+let gate_names () = List.map (fun (s : Experiments.scenario) -> s.name) Experiments.scenarios
 
 let test_gate_table () =
+  let names = gate_names () in
   check Alcotest.(list string) "the CI matrix"
-    [ "missrate"; "chaos"; "ha"; "incast"; "rebalance"; "scale"; "paths-chaos";
-      "paths-rebalance"; "paths-scale"; "aggregate"; "monitor" ]
-    (gate_names ());
-  let names = List.map (fun (s : Experiments.scenario) -> s.name) Experiments.scenarios in
+    [ "table1"; "throughput"; "scaling"; "delay"; "partition-sweep"; "missrate"; "stretch";
+      "dynamics"; "ablation-cut"; "ablation-splice"; "control-overhead"; "cache-sweep";
+      "chaos"; "ha"; "incast"; "rebalance"; "scale"; "paths-chaos"; "paths-rebalance";
+      "paths-scale"; "aggregate"; "monitor" ]
+    names;
   check Alcotest.int "names unique" (List.length names)
     (List.length (List.sort_uniq String.compare names))
 
-(* Seed-42 quick fingerprints.  A change that moves one on purpose
-   updates it here and says why in CHANGES.md.  The incast fingerprint
-   folds in the whole telemetry registry, whose metric names depend on
-   what else this process has registered, so incast pins the MD5 of its
-   report instead. *)
+(* Seed-42 quick fingerprints.  A paper figure's is the MD5 of its
+   report.  A change that moves one on purpose updates it here and says
+   why in CHANGES.md.  The incast fingerprint folds in the whole
+   telemetry registry, whose metric names depend on what else this
+   process has registered, so incast pins the MD5 of its report
+   instead. *)
 let pinned =
   [
+    ("table1", `Fingerprint "d19546f1006475fd4677755065a7701a");
+    ("throughput", `Fingerprint "fc02da4f35303614d0d2e3cf7ff525ab");
+    ("scaling", `Fingerprint "b421a3f02475d3a85c79b71a808d2ca0");
+    ("delay", `Fingerprint "53bb9246b94d4a14e53126e19f1a9824");
+    ("partition-sweep", `Fingerprint "365d4fd0efaf617f8ac3769badeca37f");
     ("missrate", `Fingerprint "10a8316e17765d165ef1671c9d4af4bb");
+    ("stretch", `Fingerprint "37766ab6b5e67b645205fda94c6abb6b");
+    ("dynamics", `Fingerprint "42f61117f37638c873bcc8648d97e959");
+    ("ablation-cut", `Fingerprint "17097f5e76ac694cd50cd099d707d713");
+    ("ablation-splice", `Fingerprint "914181404565487097cc00f1026ce78b");
+    ("control-overhead", `Fingerprint "27c30779e10816554dbf22c7502d16f3");
+    ("cache-sweep", `Fingerprint "fd9821eed8e82e3ac7a28c1b0e81978f");
     ("chaos", `Fingerprint "7d9510a9a657dfda41035f2594a795fd");
     ("ha", `Fingerprint "14901c4888a08ae826e94f0bb2213c70");
     ("incast", `Report "050aedeeda27c7a50499eda703afb0c4");
@@ -338,37 +149,7 @@ let pinned =
     ("monitor", `Fingerprint "0fcb6dbb908ccd54b1cab4a12078ebb9");
   ]
 
-(* Seed-42 quick report MD5s of the paper experiments (missrate's is
-   also its gate fingerprint), and of everything [difane all] prints,
-   under the same rule as the gate pins. *)
-let report_pins =
-  [
-    ("table1", "d19546f1006475fd4677755065a7701a");
-    ("throughput", "fc02da4f35303614d0d2e3cf7ff525ab");
-    ("scaling", "b421a3f02475d3a85c79b71a808d2ca0");
-    ("delay", "53bb9246b94d4a14e53126e19f1a9824");
-    ("partition-sweep", "365d4fd0efaf617f8ac3769badeca37f");
-    ("missrate", "10a8316e17765d165ef1671c9d4af4bb");
-    ("stretch", "37766ab6b5e67b645205fda94c6abb6b");
-    ("dynamics", "42f61117f37638c873bcc8648d97e959");
-    ("ablation-cut", "17097f5e76ac694cd50cd099d707d713");
-    ("ablation-splice", "914181404565487097cc00f1026ce78b");
-    ("control-overhead", "27c30779e10816554dbf22c7502d16f3");
-    ("cache-sweep", "fd9821eed8e82e3ac7a28c1b0e81978f");
-  ]
-
 let md5 s = Digest.to_hex (Digest.string s)
-
-let test_reports_pinned () =
-  List.iter
-    (fun (name, pin) ->
-      match
-        (List.find (fun (s : Experiments.scenario) -> s.name = name) Experiments.scenarios)
-          .render
-      with
-      | Some (Experiments.Plain f) -> check Alcotest.string name pin (md5 (f ~seed:42 ~quick:true))
-      | _ -> Alcotest.failf "%s: not a plain report" name)
-    report_pins
 
 let test_all_pinned () =
   let out = Buffer.create 65536 in
@@ -376,27 +157,46 @@ let test_all_pinned () =
   check Alcotest.string "difane all --quick --seed 42" "36c8a65d5aacb303dd4f5b6a9e80b2c8"
     (md5 (Buffer.contents out))
 
-(* Every gate holds at quick size, sharded scenarios across two domains,
-   and matches its pin: the harness prints the report, then a verdict
-   line naming the fingerprint. *)
+(* [name]'s gate holds at quick size, a sharded scenario across two
+   domains, and matches its pin: the harness prints the report, then a
+   verdict line naming the fingerprint. *)
+let gate_holds name =
+  let s = List.find (fun (s : Experiments.scenario) -> s.name = name) Experiments.scenarios in
+  let printed = ref [] in
+  check failures name []
+    (Experiments.run_gate ~print:(fun p -> printed := p :: !printed) s ~seed:42 ~quick:true
+       ~domains:2);
+  match (List.assoc name pinned, !printed) with
+  | `Fingerprint fp, verdict :: _ ->
+      check Alcotest.string (name ^ " fingerprint")
+        (Printf.sprintf "gate %s: ok (fingerprint %s at domains 1 and 2)\n" name fp)
+        verdict
+  | `Report pin, [ _; report ] -> check Alcotest.string (name ^ " report") pin (md5 report)
+  | _ -> Alcotest.failf "%s: unexpected harness output" name
+
+(* The paper figures' gates, one test each, named for the shape the
+   gate's claims check. *)
+let figures =
+  [
+    ("table 1", "table1");
+    ("throughput shape", "throughput");
+    ("scaling linear", "scaling");
+    ("delay gap", "delay");
+    ("partitioning shape", "partition-sweep");
+    ("miss-rate shape", "missrate");
+    ("stretch shape", "stretch");
+    ("dynamics shape", "dynamics");
+    ("cut ablation", "ablation-cut");
+    ("splice ablation", "ablation-splice");
+    ("control overhead", "control-overhead");
+    ("cache sweep", "cache-sweep");
+  ]
+
+(* Every gate but the paper figures'. *)
 let test_every_gate_holds_quick () =
   List.iter
-    (fun (s : Experiments.scenario) ->
-      if Option.is_some s.gate then begin
-        let printed = ref [] in
-        check failures s.name []
-          (Experiments.run_gate
-             ~print:(fun p -> printed := p :: !printed)
-             s ~seed:42 ~quick:true ~domains:2);
-        match (List.assoc s.name pinned, !printed) with
-        | `Fingerprint fp, verdict :: _ ->
-            check Alcotest.string (s.name ^ " fingerprint")
-              (Printf.sprintf "gate %s: ok (fingerprint %s at domains 1 and 2)\n" s.name fp)
-              verdict
-        | `Report pin, [ _; report ] -> check Alcotest.string (s.name ^ " report") pin (md5 report)
-        | _ -> Alcotest.failf "%s: unexpected harness output" s.name
-      end)
-    Experiments.scenarios
+    (fun name -> if not (List.exists (fun (_, g) -> g = name) figures) then gate_holds name)
+    (gate_names ())
 
 (* --- replay timelines, read from the controllers' own logs --- *)
 
@@ -479,10 +279,8 @@ let suite =
         tc "harness passes a green gate" test_harness_passes_green;
         tc "harness fails on fingerprint divergence" test_harness_fingerprint_divergence;
         tc "harness fails on reported failures" test_harness_reports_failures;
-        tc "harness rejects a scenario without a gate" test_harness_rejects_non_gate;
         tc "gate table" test_gate_table;
         tc "every gate holds at quick size" test_every_gate_holds_quick;
-        tc "reports match their pins" test_reports_pinned;
         tc "difane all matches its pin" test_all_pinned;
       ] );
     ( "timeline",
@@ -492,20 +290,5 @@ let suite =
         tc "scale: empty without a control plane" test_scale_timeline_empty;
         tc "monitor: hops join their provenance chain" test_monitor_provenance;
       ] );
-    ( "experiments",
-      [
-        tc "table 1" test_t1;
-        tc "table 1 deterministic" test_t1_deterministic;
-        tc "throughput shape" test_tput_shape;
-        tc "scaling linear" test_scale_linear;
-        tc "delay gap" test_delay_gap;
-        tc "partitioning shape" test_partition_shape;
-        tc "miss-rate shape" test_miss_shape;
-        tc "stretch shape" test_stretch_shape;
-        tc "dynamics shape" test_dyn_shape;
-        tc "cut ablation" test_ablation_cut;
-        tc "splice ablation" test_ablation_splice;
-        tc "control overhead" test_control_overhead;
-        tc "cache sweep" test_cache_sweep;
-      ] );
+    ("experiments", List.map (fun (test, gate) -> tc test (fun () -> gate_holds gate)) figures);
   ]
