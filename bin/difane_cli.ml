@@ -596,6 +596,12 @@ let paths_cmd =
   in
   let run seed quick replay domains capacity flow switch outcome since until json limit
       loss reliability =
+    (* an empty window is a usage error, found before the replay *)
+    (match (since, until) with
+    | Some s, Some u when s > u ->
+        prerr_endline "difane: --since is after --until";
+        exit Cmd.Exit.cli_error
+    | _ -> ());
     Telemetry.reset ();
     Ptrace.enable ~capacity ();
     let { Experiments.describe; timeline } =
@@ -636,6 +642,9 @@ let paths_cmd =
         timeline;
       Paths.pp ?describe ~limit Format.std_formatter sel;
       Paths.pp_summary Format.std_formatter t;
+      if flow <> None || switch <> None || outcome <> None || since <> None || until <> None
+      then
+        Format.printf "%d of %d paths match@." (List.length sel) (List.length t.paths);
       Format.print_flush ()
     end
   in

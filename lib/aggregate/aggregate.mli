@@ -4,9 +4,9 @@
     Sits between the authority's miss reply ({!Switch.serve_miss}) and
     the ingress TCAM install, applying three transformations — each
     provably forwarding-equivalent, so a deployment with aggregation on
-    and one with it off decide every packet identically (the
-    differential gate in the test suite and [difane gate aggregate]
-    enforce this on random policies):
+    decides every packet as the policy does (the exact oracle
+    [Deployment.counterexample], run by the test suite and by [difane
+    gate aggregate] on random policies, checks every cache entry):
 
     - {b suppression}: an install whose predicate is subsumed by a live
       entry with the same action at no lower priority is skipped — the

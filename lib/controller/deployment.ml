@@ -739,5 +739,62 @@ let semantically_equal d probes =
       | None -> Action.equal Action.Drop got)
     probes
 
+(* [rules] (in table order) clipped to [pred], up to the first that
+   covers all of it: the rules after that one decide nothing there. *)
+let clip_upto pred rules =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (r : Rule.t) :: rest -> (
+        match Pred.inter r.pred pred with
+        | None -> go acc rest
+        | Some p when Pred.equal p pred -> List.rev (Rule.with_pred r p :: acc)
+        | Some p -> go (Rule.with_pred r p :: acc) rest)
+  in
+  go [] rules
+
+let counterexample d =
+  let schema = Classifier.schema d.policy in
+  let differ got want =
+    Equiv.counterexample
+      (Classifier.of_table_order schema got)
+      (Classifier.of_table_order schema want)
+  in
+  let regions =
+    List.map
+      (fun (p : Partitioner.partition) ->
+        (p, Classifier.rules (Classifier.clip d.policy p.region)))
+      d.partitioner.partitions
+  in
+  (* a header no rule matches is dropped *)
+  let policy =
+    Classifier.rules d.policy
+    @ [ Rule.make ~id:(-1) ~priority:min_int (Pred.any schema) Action.Drop ]
+  in
+  (* within each entry's predicate, the entries above it and the entry
+     itself decide as the policy does; an entry the policy's first
+     overlapping rule covers with its own action needs no region algebra *)
+  let rec cache above = function
+    | [] -> None
+    | (e : Rule.t) :: rest -> (
+        match clip_upto e.pred policy with
+        | [ r ] when Action.equal r.action e.action -> cache (e :: above) rest
+        | want -> (
+            match differ (clip_upto e.pred (List.rev (e :: above))) want with
+            | None -> cache (e :: above) rest
+            | hit -> hit))
+  in
+  Array.to_seqi d.switches
+  |> Seq.find_map (fun (i, sw) ->
+         (* every held copy of a partition's table decides its region as
+            the policy does *)
+         let held ((p : Partitioner.partition), want) =
+           Option.bind (Switch.authority_table sw p.pid) (fun (q, _) ->
+               differ (Classifier.rules (Classifier.clip q.Partitioner.table p.region)) want)
+         in
+         let bank = List.map (fun (e : Tcam.entry) -> e.Tcam.rule) (Tcam.entries (Switch.cache sw)) in
+         Option.map
+           (fun h -> (i, h))
+           (match List.find_map held regions with None -> cache [] bank | hit -> hit))
+
 let total_cache_entries d =
   Array.fold_left (fun acc sw -> acc + Switch.cache_occupancy sw) 0 d.switches

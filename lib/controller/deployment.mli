@@ -339,4 +339,16 @@ val last_evicted : t -> int
 val semantically_equal : t -> Header.t list -> bool
 (** Every probe header gets exactly the original classifier's action. *)
 
+val counterexample : t -> (int * Header.t) option
+(** The exact oracle: a switch and a header on which the network
+    disagrees with the policy ([None]: it agrees on every header at
+    every ingress).  Changes no state.  Checks, with
+    {!Equiv.counterexample} on tables clipped to the region or entry (so
+    the header lies inside it), that every held copy of a partition's
+    table decides its region as the policy does, and that within each
+    live cache entry's predicate the switch's cache bank decides as the
+    policy does (a header no rule matches counts as a drop).  An entry
+    the policy's first overlapping rule covers with the entry's own
+    action, as every spliced fragment is, skips the region algebra. *)
+
 val total_cache_entries : t -> int

@@ -6,12 +6,6 @@ let decision_region c action =
   in
   List.fold_left Region.union (Region.empty (Classifier.schema c)) regions
 
-let unmatched_region c =
-  Region.diff
-    (Region.full (Classifier.schema c))
-    (Region.of_preds (Classifier.schema c)
-       (List.map (fun (r : Rule.t) -> r.pred) (Classifier.rules c)))
-
 let actions_of c =
   Classifier.rules c
   |> List.map (fun (r : Rule.t) -> r.action)
@@ -22,22 +16,28 @@ let check_schemas a b =
     invalid_arg "Equiv: schema mismatch"
 
 (* The first region (as disjoint pieces) where the two classifiers
-   disagree, or [] when equivalent. *)
+   disagree, or [] when equivalent.  Tables equal rule for rule are
+   equivalent without any region algebra. *)
 let disagreement a b =
   check_schemas a b;
-  let actions = List.sort_uniq Action.compare (actions_of a @ actions_of b) in
-  let mismatches =
-    List.concat_map
-      (fun action ->
-        let ra = decision_region a action and rb = decision_region b action in
-        Region.preds (Region.diff ra rb) @ Region.preds (Region.diff rb ra))
-      actions
-  in
-  let unmatched =
-    let ua = unmatched_region a and ub = unmatched_region b in
-    Region.preds (Region.diff ua ub) @ Region.preds (Region.diff ub ua)
-  in
-  mismatches @ unmatched
+  if List.equal Rule.equal (Classifier.rules a) (Classifier.rules b) then []
+  else
+    let actions = List.sort_uniq Action.compare (actions_of a @ actions_of b) in
+    let mismatches =
+      List.concat_map
+        (fun action ->
+          let ra = decision_region a action and rb = decision_region b action in
+          Region.preds (Region.diff ra rb) @ Region.preds (Region.diff rb ra))
+        actions
+    in
+    (* unmatched on one side only: the covered regions' difference, not
+       complements of covers (a piece per fixed bit) *)
+    let covered c =
+      Region.of_preds (Classifier.schema c) (List.map Rule.(fun r -> r.pred) (Classifier.rules c))
+    in
+    let ca = covered a and cb = covered b in
+    let unmatched = Region.preds (Region.diff cb ca) @ Region.preds (Region.diff ca cb) in
+    mismatches @ unmatched
 
 let equivalent a b = disagreement a b = []
 

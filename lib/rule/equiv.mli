@@ -15,11 +15,10 @@
 val decision_region : Classifier.t -> Action.t -> Region.t
 (** All headers the classifier maps to exactly this action. *)
 
-val unmatched_region : Classifier.t -> Region.t
-(** Headers no rule matches. *)
-
 val equivalent : Classifier.t -> Classifier.t -> bool
-(** Same schema and same header→action function.
+(** Same schema and same header→action function.  Tables equal rule for
+    rule ({!Rule.equal}) answer at once; any other pair pays the region
+    algebra, which on a whole 100-rule ACL takes seconds.
     @raise Invalid_argument on schema mismatch. *)
 
 val counterexample : Classifier.t -> Classifier.t -> Header.t option

@@ -325,8 +325,9 @@ let notify_removed t ~now reason (e : Tcam.entry) =
    scrubbed.  Only dirty groups can be incomplete, so only they are
    checked; the doomed entries go in [Rule.compare_priority] order.
    They report [Replaced] like other displacement paths; the next miss
-   simply re-serves. *)
-let drop_cover_orphans t ~now =
+   simply re-serves.  A doomed entry another group shares dirties that
+   group, so the scrub repeats until no group is dirty. *)
+let rec drop_cover_orphans t ~now =
   let dirty = Hashtbl.fold (fun gid () acc -> gid :: acc) t.dirty_groups [] in
   if dirty <> [] then Hashtbl.reset t.dirty_groups;
   let doomed =
@@ -358,7 +359,7 @@ let drop_cover_orphans t ~now =
           ignore (Tcam.remove t.cache r.Rule.id);
           Int_table.remove t.cache_origin r.Rule.id)
     doomed;
-  List.length doomed
+  match doomed with [] -> 0 | _ -> List.length doomed + drop_cover_orphans t ~now
 
 let apply_flow_mod t ~now (fm : Message.flow_mod) =
   match (fm.bank, fm.command) with

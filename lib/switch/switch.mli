@@ -273,7 +273,9 @@ val drop_cover_orphans : t -> now:float -> int
     Only groups touched since the last scrub are checked: a removal
     marks the entry's own group and every group listing it as a member,
     and an install marks its own group.  The cost is that of the touched
-    groups, not of the bank. *)
+    groups, not of the bank.  A scrubbed entry another group shares
+    dirties that group, so the scrub repeats until no group is dirty:
+    when it returns, every cover set in the bank is complete. *)
 
 val entries_of_origins : t -> (int -> bool) -> Tcam.entry list
 (** The live cache entries standing for some origin the selector picks

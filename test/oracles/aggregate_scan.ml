@@ -41,13 +41,24 @@ let equivalent_live_cover sw (rule : Rule.t) (meta : Switch.cache_meta) =
       else None)
     (Tcam.entries (Switch.cache sw))
 
+(* Pass after pass, the entries whose group lost a member, each pass in
+   table order, until a pass finds none: a pass's removals can break the
+   groups that shared the removed entries. *)
 let cover_orphans sw =
   let cache = Switch.cache sw in
-  List.filter
-    (fun (e : Tcam.entry) ->
-      match Switch.cache_meta_of_rule sw e.Tcam.rule.Rule.id with
-      | Some { Switch.group = Some (_, members); _ } ->
-          not (List.for_all (Tcam.mem cache) members)
-      | _ -> false)
-    (Tcam.entries cache)
-  |> List.map (fun (e : Tcam.entry) -> e.Tcam.rule.Rule.id)
+  let rec passes gone =
+    let live id = Tcam.mem cache id && not (List.mem id gone) in
+    let pass =
+      List.filter_map
+        (fun (e : Tcam.entry) ->
+          let id = e.Tcam.rule.Rule.id in
+          match Switch.cache_meta_of_rule sw id with
+          | Some { Switch.group = Some (_, members); _ }
+            when live id && not (List.for_all live members) ->
+              Some id
+          | _ -> None)
+        (Tcam.entries cache)
+    in
+    if pass = [] then [] else pass @ passes (gone @ pass)
+  in
+  passes []

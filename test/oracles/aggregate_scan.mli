@@ -15,6 +15,7 @@ val equivalent_live_cover : Switch.t -> Rule.t -> Switch.cache_meta -> int optio
     predicate, priority, action and partition. *)
 
 val cover_orphans : Switch.t -> int list
-(** Ids of the live entries whose cover group is incomplete, in
-    {!Tcam.entries} order: what {!Switch.drop_cover_orphans} must remove,
-    in the order it must remove them. *)
+(** What {!Switch.drop_cover_orphans} must remove, in the order it must
+    remove them: pass after pass, the ids of the live entries whose cover
+    group is incomplete once the earlier passes' entries are gone, each
+    pass in {!Tcam.entries} order, until a pass finds none. *)

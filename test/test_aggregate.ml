@@ -1,7 +1,8 @@
 (* Cache-rule aggregation: merge legality, cover-set dependency safety,
-   the rank-priority and expiry-heap regressions, and the differential
-   property the whole layer rests on — aggregation must never change
-   what happens to a packet. *)
+   the rank-priority, expiry-heap and scrub-cascade regressions, and the
+   property the whole layer rests on — with aggregation on or off, the
+   exact oracle finds no header the network decides against the
+   policy. *)
 
 open Test_util
 
@@ -262,7 +263,7 @@ let test_cover_group_too_big_for_tcam () =
   check Alcotest.int "no partial cover set survives" 0
     (Tcam.occupancy (Switch.cache ingress))
 
-(* ---- the differential property: aggregation never changes forwarding ---- *)
+(* ---- the exact oracle: the network decides as the policy does ---- *)
 
 (* Random chain policies over the tiny schema, closed so every header
    matches; egresses stay within the 3-node line topology below. *)
@@ -311,54 +312,142 @@ let cover_entries_unmergeable d =
         (Tcam.entries (Switch.cache sw)))
     (Deployment.switches d)
 
+let tiny_deployment ~capacity aggregation policy =
+  let config =
+    {
+      Deployment.default_config with
+      k = 4;
+      cache_capacity = capacity;
+      cache_idle_timeout = Some 0.05;
+      aggregation;
+    }
+  in
+  Deployment.build ~config ~policy ~topology:(Topology.line 3 ()) ~authority_ids:[ 1 ] ()
+
+(* One replay of a case: before each packet the step's op expires,
+   flushes or invalidates; the packet must get the policy's action, and
+   after it the exact oracle must find nothing. *)
+let replay_case aggregation (policy, capacity, stream) =
+  let d = tiny_deployment ~capacity aggregation policy in
+  let ok =
+    List.for_all
+      (fun (step, (hdr, op)) ->
+        let now = float_of_int step /. 50. in
+        (match op with
+        | 0 -> ignore (Deployment.expire_caches d ~now)
+        | 1 -> Deployment.flush_caches d
+        | 2 -> ignore (Deployment.invalidate_origins ~now d ~origins:(fun o -> o mod 2 = 0))
+        | _ -> ());
+        let got = (Deployment.inject d ~now ~ingress:0 hdr).Deployment.action in
+        Classifier.action policy hdr = Some got
+        && Deployment.counterexample d = None
+        && cover_entries_unmergeable d)
+      (List.mapi (fun i x -> (i, x)) stream)
+  in
+  (d, ok)
+
 let prop_aggregation_preserves_forwarding =
-  qt ~count:400 "aggregated deployment forwards identically to plain"
-    gen_case
-    (fun (policy, capacity, stream) ->
-      let arm aggregation =
-        let config =
-          {
-            Deployment.default_config with
-            k = 4;
-            cache_capacity = capacity;
-            cache_idle_timeout = Some 0.05;
-            aggregation;
-          }
-        in
-        Deployment.build ~config ~policy ~topology:(Topology.line 3 ())
-          ~authority_ids:[ 1 ] ()
-      in
-      let plain = arm Aggregate.default in
-      let agg = arm Aggregate.enabled_default in
-      let step = ref 0 in
-      let ok =
-        List.for_all
-          (fun (hdr, op) ->
-            let now = float_of_int !step /. 50. in
-            incr step;
-            (match op with
-            | 0 ->
-                ignore (Deployment.expire_caches plain ~now);
-                ignore (Deployment.expire_caches agg ~now)
-            | 1 ->
-                Deployment.flush_caches plain;
-                Deployment.flush_caches agg
-            | 2 ->
-                let origins o = o mod 2 = 0 in
-                ignore (Deployment.invalidate_origins ~now plain ~origins);
-                ignore (Deployment.invalidate_origins ~now agg ~origins)
-            | _ -> ());
-            let o0 = Deployment.inject plain ~now ~ingress:0 hdr in
-            let o1 = Deployment.inject agg ~now ~ingress:0 hdr in
-            Action.equal o0.Deployment.action o1.Deployment.action
-            && cover_entries_unmergeable agg)
-          stream
-      in
-      (* and with the caches warm, both arms still agree with the policy *)
-      let probes = List.map fst stream in
+  qt ~count:400 "aggregated deployment forwards as the policy, as plain does" gen_case
+    (fun case ->
+      List.for_all
+        (fun aggregation -> snd (replay_case aggregation case))
+        [ Aggregate.default; Aggregate.enabled_default ])
+
+(* The oracle's [None] is a claim about every header: on tiny2 all
+   65,536 of them can be injected, and each must then get the policy's
+   action. *)
+let prop_oracle_none_means_every_header =
+  qt ~count:6 "oracle None: every tiny2 header forwards as the policy" gen_case
+    (fun ((policy, _, _) as case) ->
+      let d, ok = replay_case Aggregate.enabled_default case in
       ok
-      && Deployment.semantically_equal plain probes
-      && Deployment.semantically_equal agg probes)
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 let hdr = h a b in
+                 Classifier.action policy hdr
+                 = Some (Deployment.inject d ~now:1. ~ingress:0 hdr).Deployment.action)
+               (List.init 256 Fun.id))
+           (List.init 256 Fun.id))
+
+(* The oracle can fail: an entry a controller installs with the wrong
+   action is reported, with a header inside that entry, and so is a
+   wrong authority table, with a header inside its region. *)
+let test_oracle_reports_a_wrong_entry () =
+  let policy =
+    Classifier.of_specs s2
+      [
+        (30, [ ("f1", "00000001") ], Action.Drop);
+        (10, [ ("f1", "000000xx") ], Action.Forward 1);
+        (0, [], Action.Forward 2);
+      ]
+  in
+  let d = tiny_deployment ~capacity:8 Aggregate.default policy in
+  let install id action =
+    let rule = Rule.make ~id ~priority:id (p "0000001x") action in
+    Switch.apply_flow_mod (Deployment.switch d 0) ~now:0.
+      { Message.command = Message.Add; bank = Message.Cache; rule; idle_timeout = None;
+        hard_timeout = None };
+    rule
+  in
+  check Alcotest.bool "a fresh deployment agrees" true (Deployment.counterexample d = None);
+  ignore (install 500 (Action.Forward 1));
+  check Alcotest.bool "a right entry agrees" true (Deployment.counterexample d = None);
+  (* above the right entry, so it decides *)
+  let wrong = install 501 Action.Drop in
+  (match Deployment.counterexample d with
+  | Some (0, hdr) ->
+      check Alcotest.bool "header inside the entry" true (Rule.matches wrong hdr);
+      check Alcotest.bool "the policy disagrees" true
+        (Classifier.action policy hdr = Some (Action.Forward 1))
+  | Some (sw, _) -> Alcotest.failf "reported at switch %d, not the ingress" sw
+  | None -> Alcotest.fail "a wrong entry went unreported");
+  (* and an authority table holding a wrong action, at the authority *)
+  Deployment.flush_caches d;
+  let part = List.hd (Deployment.partitioner d).Partitioner.partitions in
+  let table = Classifier.rules part.Partitioner.table in
+  Switch.install_authority (Deployment.switch d 1)
+    { part with
+      table =
+        Classifier.of_table_order s2
+          (List.map (fun r -> Rule.with_action r (Action.Forward 7)) table) };
+  match Deployment.counterexample d with
+  | Some (1, hdr) ->
+      check Alcotest.bool "header inside the region" true
+        (Pred.matches part.Partitioner.region hdr)
+  | Some (sw, _) -> Alcotest.failf "reported at switch %d, not the authority" sw
+  | None -> Alcotest.fail "a wrong authority table went unreported"
+
+(* Two cover groups share a member: group 901 guards its broad forward
+   with group 900's narrow drop.  A delete breaks group 900, whose scrub
+   removes the shared drop; group 901 is then broken too and must go in
+   the same scrub, not wait for the next install batch while its broad
+   rule answers the drop's headers. *)
+let test_cover_scrub_cascades () =
+  let sw = Switch.create ~id:0 ~cache_capacity:8 in
+  let cover gid members id ~rank f1 action =
+    let r = Rule.make ~id ~priority:rank (p f1) action in
+    ignore
+      (Switch.install_cache_meta sw ~now:0. r
+         (Some
+            { Switch.pid = 0; kind = Switch.Cover; group = Some (gid, members);
+              parts = [ { Switch.part_origin = id; part_rank = rank; part_pred = r.Rule.pred } ]
+            }));
+    r
+  in
+  ignore (cover 900 [ 1; 2 ] 1 ~rank:3 "0000000x" Action.Drop);
+  let guarded = cover 900 [ 1; 2 ] 2 ~rank:1 "00000xxx" (Action.Forward 2) in
+  ignore (cover 901 [ 1; 3 ] 3 ~rank:2 "000000xx" (Action.Forward 1));
+  check Alcotest.int "both groups whole" 0 (Switch.drop_cover_orphans sw ~now:0.);
+  Switch.apply_flow_mod sw ~now:1.
+    { Message.command = Message.Delete; bank = Message.Cache; rule = guarded;
+      idle_timeout = None; hard_timeout = None };
+  check Alcotest.int "no member of a broken group survives" 0
+    (Tcam.occupancy (Switch.cache sw));
+  match Switch.process sw ~now:1. (h 0 0) with
+  | Switch.Local (_, Switch.Cache_bank) -> Alcotest.fail "a broken group decided a packet"
+  | _ -> ()
 
 (* ---- the cache-bank probes against the scan oracles ---- *)
 
@@ -661,9 +750,13 @@ let suite =
         tc "cover set preserves dependencies" test_cover_set_preserves_dependencies;
         tc "cover group dies atomically" test_cover_group_dies_atomically;
         tc "cover group stays warm together" test_cover_group_stays_warm_together;
+        tc "cover scrub cascades through shared members (regression)"
+          test_cover_scrub_cascades;
         tc "oversized cover group leaves no partial set"
           test_cover_group_too_big_for_tcam;
         prop_aggregation_preserves_forwarding;
+        prop_oracle_none_means_every_header;
+        tc "oracle reports a wrong cache entry or table" test_oracle_reports_a_wrong_entry;
         prop_index_matches_scan;
         tc "index property reaches every path" test_index_case_coverage;
       ] );

@@ -136,7 +136,7 @@ let pinned =
     ("ablation-cut", `Fingerprint "17097f5e76ac694cd50cd099d707d713");
     ("ablation-splice", `Fingerprint "914181404565487097cc00f1026ce78b");
     ("control-overhead", `Fingerprint "27c30779e10816554dbf22c7502d16f3");
-    ("cache-sweep", `Fingerprint "fd9821eed8e82e3ac7a28c1b0e81978f");
+    ("cache-sweep", `Fingerprint "034124f14ad01e3a880c7d1a9fe54983");
     ("chaos", `Fingerprint "7d9510a9a657dfda41035f2594a795fd");
     ("ha", `Fingerprint "14901c4888a08ae826e94f0bb2213c70");
     ("incast", `Report "050aedeeda27c7a50499eda703afb0c4");
@@ -145,7 +145,7 @@ let pinned =
     ("paths-chaos", `Fingerprint "c555d74b005e65c61928d4aa6347cbe3");
     ("paths-rebalance", `Fingerprint "e9871d50be508e200776af88d0e5803a");
     ("paths-scale", `Fingerprint "aa38f3884953ca55e1dd158c306fee22");
-    ("aggregate", `Fingerprint "f78cc27e8d198abca42fcac3866de4db");
+    ("aggregate", `Fingerprint "ad44f99d63f1cbf933a3814f0c50a699");
     ("monitor", `Fingerprint "0fcb6dbb908ccd54b1cab4a12078ebb9");
   ]
 
@@ -154,7 +154,7 @@ let md5 s = Digest.to_hex (Digest.string s)
 let test_all_pinned () =
   let out = Buffer.create 65536 in
   Experiments.run_all ~seed:42 ~quick:true (Buffer.add_string out);
-  check Alcotest.string "difane all --quick --seed 42" "36c8a65d5aacb303dd4f5b6a9e80b2c8"
+  check Alcotest.string "difane all --quick --seed 42" "cca2307b6e47a87874a5e5d2ec399ecd"
     (md5 (Buffer.contents out))
 
 (* [name]'s gate holds at quick size, a sharded scenario across two

@@ -181,6 +181,17 @@ module Classifier = struct
     List.fold_left (fun c (r : Rule.t) -> remove c r.id) t (shadowed t)
 end
 
+module Equiv = struct
+  include Equiv
+
+  (* Headers no rule matches. *)
+  let unmatched_region c =
+    Region.diff
+      (Region.full (Classifier.schema c))
+      (Region.of_preds (Classifier.schema c)
+         (List.map (fun (r : Rule.t) -> r.pred) (Classifier.rules c)))
+end
+
 (* Deterministic PRNG for sampling-based checks. *)
 let rng = ref 0x9E3779B97F4A7C15L
 
