@@ -88,6 +88,7 @@ type t = {
   pending : (int * int, pending_req) Hashtbl.t; (* (switch, xid) -> request *)
   demoted : (int, unit) Hashtbl.t; (* dead authorities awaiting restoration *)
   mutable fault_events : Fault.event list; (* future events, time order *)
+  mutable last_tick : float;
   mutable last_echo : float;
   mutable last_stats : float;
   mutable last_rebalance : float;
@@ -154,6 +155,7 @@ let create ?(config = default_config) ?faults ?(epoch = 0) ?journal ?(channel_of
     pending = Hashtbl.create 64;
     demoted = demoted_tbl;
     fault_events = (match faults with None -> [] | Some p -> p.Fault.events);
+    last_tick = neg_infinity;
     last_echo = neg_infinity;
     last_stats = neg_infinity;
     last_rebalance = neg_infinity;
@@ -723,6 +725,10 @@ let halt t ~now why =
   end
 
 let tick t ~now =
+  if now < t.last_tick then
+    invalid_arg
+      (Printf.sprintf "Control_plane.tick: now %g before the last tick %g" now t.last_tick);
+  t.last_tick <- now;
   if t.deposed then begin
     (* A deposed controller is transport only: frames already in flight
        deliver (and get fenced), replies drain, nothing new is sent and

@@ -156,7 +156,9 @@ val tick : t -> now:float -> unit
     process replies, run failure detection (possibly failing over
     authorities), and retransmit unacknowledged requests.  Call it
     periodically from the simulation loop; it is idempotent within a
-    tick period. *)
+    tick period.
+    @raise Invalid_argument if [now] is below the previous tick's: the
+    control plane's clock never runs back. *)
 
 val rule_counters : t -> (int * int64) list
 (** Packets per original policy rule id, as of the last stats

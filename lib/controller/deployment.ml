@@ -208,6 +208,17 @@ let deliver topo ~from action =
   Option.bind (Action.egress action) (leg topo from)
   |> Option.value ~default:([ from ], 0.)
 
+(* The miss path's two halves, with every cache setting read from [d]. *)
+let serve_miss d ~now ~authority h =
+  Switch.serve_miss ~mode:d.config.cache_mode
+    ?cover_limit:(Aggregate.cover_limit d.config.aggregation)
+    d.switches.(authority) ~now h
+
+let install d ~now ~ingress installs =
+  ignore
+    (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
+       ?hard_timeout:d.config.cache_hard_timeout d.agg d.switches.(ingress) ~now installs)
+
 (* Degraded mode: every replica of the header's partition is dead, so the
    miss falls back to the controller (NOX-style reactive setup).  The
    controller knows the policy, decides the packet, and installs an
@@ -244,9 +255,7 @@ let controller_serve ?(cause = `Failure) d ~now ~ingress h =
             parts = [ { Switch.part_origin = o; part_rank = 0;
                         part_pred = rule.Rule.pred } ] }
         in
-        ignore
-          (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
-             ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now [ (rule, meta) ])
+        install d ~now ~ingress [ (rule, meta) ]
     | None ->
         ignore
           (Switch.install_cache_rule ?idle_timeout:d.config.cache_idle_timeout
@@ -310,11 +319,7 @@ let inject d ~now ~ingress h =
                 authority = None; installed = None; degraded = false }
           | Some (p1, l1) -> (
               emit_leg ~at:now p1;
-              match
-                Switch.serve_miss ~mode:d.config.cache_mode
-                  ?cover_limit:(Aggregate.cover_limit d.config.aggregation)
-                  d.switches.(auth) ~now h
-              with
+              match serve_miss d ~now ~authority:auth h with
               | None ->
                   (* misrouted: the authority lost its partition (e.g. a crash
                      wiped it, or failover left stale partition rules); rescue
@@ -322,9 +327,7 @@ let inject d ~now ~ingress h =
                   let o = controller_serve d ~now ~ingress h in
                   { o with path = join p1 o.path; latency = l1 +. o.latency }
               | Some { Switch.action; cache_rule; origin_id = _; pid = _; installs } ->
-                  ignore
-                    (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
-                       ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now installs);
+                  install d ~now ~ingress installs;
                   let p2, l2 = deliver d.topology ~from:auth action in
                   emit_leg ~at:(now +. l1) p2;
                   Ptrace.emit ~at:(now +. l1 +. l2) Ptrace.Deliver

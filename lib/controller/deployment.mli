@@ -10,6 +10,10 @@
     times on top of it for the timing experiments. *)
 
 type t
+(** A value: a decision that changes what a splice returns (an update,
+    failover, rebalance, migration stage or takeover) yields a new [t];
+    the switches and reachability table stay shared.  [Flowsim] fences
+    its in-flight cache installs on [==]. *)
 
 type config = {
   k : int;  (** number of flowspace partitions *)
@@ -255,9 +259,16 @@ val controller_serve :
     miss that reaches its controller path this way, without looking the
     packet up at the ingress a second time. *)
 
+val serve_miss : t -> now:float -> authority:int -> Header.t -> Switch.miss_reply option
+(** A tunnelled miss's splice: {!Switch.serve_miss} at [authority]
+    under [t]'s cache mode and cover limit. *)
+
+val install : t -> now:float -> ingress:int -> (Rule.t * Switch.cache_meta) list -> unit
+(** Install a miss reply's rules at [ingress] through {!Aggregate.install}
+    with [t]'s cache timeouts and aggregation engine. *)
+
 val aggregator : t -> Aggregate.t
-(** The deployment's aggregation engine — the DES install path routes
-    through it so walk-based and event-based planes share counters. *)
+(** The deployment's aggregation engine and its counters. *)
 
 val aggregate_stats : t -> Aggregate.stats
 (** Aggregation counters since [build]: installs performed, buddy merges,

@@ -141,6 +141,7 @@ let heavy_hitters ?k t =
   |> List.stable_sort (fun a b -> Int64.compare (rule_total b) (rule_total a))
   |> List.filteri (fun i _ -> i < k)
 
+(* Policy rules no packet ever hit, ascending id. *)
 let dead_rules t = List.filter (fun r -> rule_total r = 0L) (rule_reports t)
 
 type region_report = {
@@ -151,6 +152,7 @@ type region_report = {
   efficacy : float;
 }
 
+(* Per-partition cache hits / (hits + misses served), ascending pid. *)
 let region_efficacy t =
   let cache = Hashtbl.create 16 and miss = Hashtbl.create 16 in
   let bump tbl k v =

@@ -72,22 +72,6 @@ val heavy_hitters : ?k:int -> t -> rule_report list
 (** Policy rules by descending total hits (ties: ascending id), top [k]
     (default [config.top_k]); zero-hit rules excluded. *)
 
-val dead_rules : t -> rule_report list
-(** Policy rules no packet ever hit, ascending id — install-before-need
-    noise, or policy that can be garbage-collected. *)
-
-type region_report = {
-  pid : int;
-  authority : int;  (** the switch assigned this partition *)
-  region_cache_hits : int64;  (** ingress cache hits attributed to the region *)
-  misses_served : int64;  (** misses its authority answered *)
-  efficacy : float;  (** cache hits / (cache hits + misses); 0 when idle *)
-}
-
-val region_efficacy : t -> region_report list
-(** Per-partition cache efficacy, ascending pid: how much of each
-    flowspace region's traffic the spliced cache entries absorbed. *)
-
 (** {1 Timelines and hotspots} *)
 
 val authority_series : t -> (int * Sampler.point array) list

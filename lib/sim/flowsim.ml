@@ -20,7 +20,7 @@ module Config = struct
     timing : timing;
     faults : Fault.plan option;
     monitor : Monitor.t option;
-    controller : (now:float -> unit) option;
+    controller : (now:float -> Deployment.t) option;
     domains : int;
   }
 
@@ -229,8 +229,7 @@ let egress_latency topo ~from egress = match egress with Some e -> prop topo fro
    tables are arrays indexed by switch id. *)
 type state = {
   cfg : Config.t;
-  d : Deployment.t;
-  dcfg : Deployment.config;
+  mutable d : Deployment.t;  (* the controller hook's latest deployment *)
   topo : Topology.t;
   engine : Engine.t;
   acc : acc;
@@ -245,7 +244,6 @@ type state = {
   mutable controllers_up : int;
       (* how many of [replica_up] are set: while none is, the degraded
          (NOX-style fallback) path has no one to answer it *)
-  mutable next_tick : float;
   install_rng : Prng.t;
   install_drop : float;
   cong : Congestion.t option;
@@ -253,6 +251,7 @@ type state = {
          semantics; [None] is the legacy plane — infinite buffers, zero
          serialization — and keeps legacy runs bit-identical *)
   credit_mode : bool;
+  credit_low_water : int;
   credits : int array;
       (* credit-based flow control: one shared pool per authority bounds
          its misses in flight (tunnelled or queued for a setup slot);
@@ -260,8 +259,7 @@ type state = {
 }
 
 let create (cfg : Config.t) d engine =
-  let dcfg = Deployment.config d in
-  let ccfg = dcfg.Deployment.congestion in
+  let ccfg = (Deployment.config d).Deployment.congestion in
   let cong = if Congestion.enabled ccfg then Some (Congestion.create ccfg) else None in
   let n = Array.length (Deployment.switches d) in
   (* install messages cross the same lossy fabric as the control plane,
@@ -276,28 +274,15 @@ let create (cfg : Config.t) d engine =
     lazy (Server.create engine ~service_time ~queue_capacity:cfg.timing.queue_capacity)
   in
   {
-    cfg; d; dcfg; topo = Deployment.topology d; engine; acc = fresh_acc ();
+    cfg; d; topo = Deployment.topology d; engine; acc = fresh_acc ();
     servers = Array.init n (fun _ -> server cfg.timing.authority_service);
     controller = server cfg.timing.controller_service;
     replica_up = Array.make controllers_up true; controllers_up;
-    next_tick = controller_interval; install_rng; install_drop; cong;
+    install_rng; install_drop; cong;
     credit_mode = cong <> None && ccfg.Congestion.mode = Congestion.Credit;
+    credit_low_water = ccfg.Congestion.credit_low_water;
     credits = Array.make n ccfg.Congestion.credit_pool;
   }
-
-(* Live-controller co-simulation: run the caller's control-loop callback
-   at every tick boundary up to [now] (with the boundary time, so the
-   controller's own clocks stay exact).  The controller mutates the same
-   deployment the packets walk — this is how the adaptive rebalancer
-   closes the loop on live traffic. *)
-let tick_to st now =
-  match st.cfg.controller with
-  | None -> ()
-  | Some tick ->
-      while st.next_tick <= now do
-        tick ~now:st.next_tick;
-        st.next_tick <- st.next_tick +. controller_interval
-      done
 
 let set_replica st c up =
   st.replica_up.(c) <- up;
@@ -396,11 +381,8 @@ let serve st (flow : Traffic.flow) ~is_first ~pkt auth () =
   return_credit st auth;
   let now = Engine.now st.engine in
   Ptrace.resume_packet ~pkt flow.header;
-  match
-    Switch.serve_miss ~mode:st.dcfg.Deployment.cache_mode
-      ?cover_limit:(Aggregate.cover_limit st.dcfg.Deployment.aggregation)
-      (Deployment.switch st.d auth) ~now flow.header
-  with
+  let d0 = st.d in
+  match Deployment.serve_miss d0 ~now ~authority:auth flow.header with
   | None -> drop st ~at:now ~switch:auth Ptrace.drop_no_authority ~is_first
   | Some { Switch.action; installs; _ } ->
       (* unless the lossy fabric eats the install message — then later
@@ -410,13 +392,13 @@ let serve st (flow : Traffic.flow) ~is_first ~pkt auth () =
         st.acc.install_drops <- st.acc.install_drops + 1
       else
         Engine.after st.engine ~delay:st.cfg.timing.install_latency (fun () ->
-            Ptrace.resume_packet ~pkt flow.header;
-            ignore
-              (Aggregate.install ?idle_timeout:st.dcfg.Deployment.cache_idle_timeout
-                 ?hard_timeout:st.dcfg.Deployment.cache_hard_timeout
-                 (Deployment.aggregator st.d)
-                 (Deployment.switch st.d flow.ingress)
-                 ~now:(Engine.now st.engine) installs));
+            (* a controller decision since the splice may have made it
+               stale: the install is lost like a dropped message *)
+            if st.d != d0 then st.acc.install_drops <- st.acc.install_drops + 1
+            else begin
+              Ptrace.resume_packet ~pkt flow.header;
+              Deployment.install d0 ~now:(Engine.now st.engine) ~ingress:flow.ingress installs
+            end);
       (match Action.egress action with
       | Some e ->
           Fvec.push st.acc.stretches
@@ -441,10 +423,7 @@ let arrive st (flow : Traffic.flow) ~is_first ~pkt auth () =
    the controller when the pool is drained to the low-water mark, as
    the authority is saturated), then tunnel. *)
 let tunnel st (flow : Traffic.flow) ~is_first ~pkt ~now auth =
-  if
-    st.credit_mode
-    && st.credits.(auth) <= st.dcfg.Deployment.congestion.Congestion.credit_low_water
-  then begin
+  if st.credit_mode && st.credits.(auth) <= st.credit_low_water then begin
     st.acc.backpressured <- st.acc.backpressured + 1;
     Ptrace.emit ~at:now Ptrace.Backpressure ~switch:auth ~rule:(-1) ~aux:0;
     via_controller st `Backpressure flow ~is_first ~pkt
@@ -464,10 +443,6 @@ let tunnel st (flow : Traffic.flow) ~is_first ~pkt ~now auth =
 (* The ingress verdict on a packet as it enters the network. *)
 let ingress st (flow : Traffic.flow) ~is_first =
   let now = Engine.now st.engine in
-  tick_to st now;
-  (* opened after [tick_to], so controller ticks never inherit a
-     packet context; the packet id rides into every deferred
-     continuation via [resume_packet] *)
   let pkt = Ptrace.begin_packet flow.header in
   (match st.cfg.monitor with
   | Some m -> Monitor.observe_packet m ~now ~ingress:flow.ingress flow.header
@@ -521,9 +496,21 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
         p.Fault.events)
     cfg.faults;
   post_arrivals st flows;
-  Engine.run engine;
+  (match cfg.controller with
+  | None -> Engine.run engine
+  | Some tick ->
+      (* One clock: the hook runs at each 10 ms boundary after every
+         event at or before it, while events remain, and the packets
+         walk the deployment it returns *)
+      let rec go b =
+        Engine.run ~until:b engine;
+        if Engine.pending engine > 0 then begin
+          st.d <- tick ~now:b;
+          go (b +. controller_interval)
+        end
+      in
+      go controller_interval);
   let now = Engine.now engine in
-  tick_to st now;
   Option.iter (fun m -> Monitor.finish m ~now) cfg.monitor;
   let acc = st.acc in
   acc.authority_stats <-

@@ -50,8 +50,9 @@ module Config : sig
         (** scheduled crash/flap events + lossy install fabric *)
     monitor : Monitor.t option;
         (** offered every packet at simulated time; finished at drain *)
-    controller : (now:float -> unit) option;
-        (** live control-loop co-simulation hook, ticked every 10 ms *)
+    controller : (now:float -> Deployment.t) option;
+        (** live control-loop co-simulation hook, ticked every 10 ms;
+            returns the deployment the packets walk from then on *)
     domains : int;
         (** worker domains for {!run_sharded}; {!run} requires [1] *)
   }
@@ -95,9 +96,9 @@ type result = {
       (** packets served through the controller fallback because no
           replica of their partition was alive (fault runs only) *)
   install_drops : int;
-      (** cache-install messages lost to the fault plan's lossy fabric;
-          the affected flow keeps missing until a later packet
-          retriggers the install *)
+      (** cache-install messages lost to the fault plan's lossy fabric,
+          or in flight across a controller decision; the flow keeps
+          missing until a later packet retriggers the install *)
   outage_drops : int;
       (** packets that needed the degraded controller path while {e every}
           controller replica was down ([Controller_crash] events) — the
@@ -143,12 +144,12 @@ val run : Config.t -> Deployment.t -> Traffic.flow list -> result
     nothing): while none is up, degraded misses are dropped and counted
     in [outage_drops].
 
-    With a controller hook, the callback runs at every 10 ms boundary
-    the simulation clock crosses, called with the boundary time — the
-    deterministic co-simulation hook that lets a live {!Control_plane}
-    (or {!Cluster}) tick against the same deployment the packets are
-    walking, e.g. for closed-loop adaptive rebalancing.  Boundaries are caught up lazily at the next packet
-    event, and once more when the event queue drains.
+    With a controller hook, control and data share one clock: the
+    engine runs to each 10 ms boundary and, while events remain, the
+    hook (e.g. a live {!Cluster}) ticks at the boundary time, after
+    every event at or before it.  Later packets walk the deployment it
+    returns.  A cache install in flight across a decision (a new
+    {!Deployment.t}) is dropped and counted in [install_drops].
 
     Registry: the packet path tallies only the run's own result, and the
     run adds those tallies to the [sim_*] counters and the

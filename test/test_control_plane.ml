@@ -157,6 +157,16 @@ let test_echo_keeps_alive () =
   drive cp ~from:0. ~until:20. ~step:0.25;
   check (Alcotest.list Alcotest.int) "nothing failed" [] (Control_plane.failed_switches cp)
 
+(* The control plane's clock never runs back: a tick at or after the
+   last one is accepted, an earlier one is refused. *)
+let test_tick_clock_monotone () =
+  let _, cp = build_cp () in
+  drive cp ~from:0. ~until:1. ~step:0.25;
+  Control_plane.tick cp ~now:1.;
+  match Control_plane.tick cp ~now:0.5 with
+  | () -> Alcotest.fail "a tick before the last one was accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_failure_detection_and_failover () =
   let d, cp = build_cp () in
   ignore d;
@@ -452,6 +462,7 @@ let suite =
     ( "control plane",
       [
         tc "healthy switches stay alive" test_echo_keeps_alive;
+        tc "tick clock never runs back" test_tick_clock_monotone;
         tc "failure detection triggers failover" test_failure_detection_and_failover;
         tc "stats aggregate to origin rules" test_stats_aggregation;
         tc "targeted cache invalidation" test_targeted_invalidation;

@@ -461,6 +461,18 @@ let matches_scratch d policy probes =
            (Assignment.replicas_of assignment p.pid))
        probes
 
+(* Migration 0: split the [i]th partition (mod their count) in place,
+   both halves kept at its replicas; [None] when it cannot be cut. *)
+let split_migration d i =
+  let part = Deployment.partitioner d in
+  let src = List.nth part.partitions (i mod List.length part.partitions) in
+  Partitioner.split_region part (Deployment.policy d) ~pid:src.pid
+  |> Option.map (fun ((lo_pid, lo_region), (hi_pid, hi_region)) ->
+         let replicas = Assignment.replicas_of (Deployment.assignment d) src.pid in
+         { Journal.mid = 0; src_pid = src.pid; src_region = src.region;
+           src_replicas = replicas; lo_pid; lo_region; lo_replicas = replicas;
+           hi_pid; hi_region; hi_replicas = replicas })
+
 let test_incremental_equals_scratch () =
   let kept = ref 0 and recomputed = ref 0 in
   let prop (specs, k, replication, steps, probes) =
@@ -499,23 +511,15 @@ let test_incremental_equals_scratch () =
               { p with table = outdated };
             true
         | Split i -> (
-            let part = Deployment.partitioner !d in
-            let src = List.nth part.partitions (i mod List.length part.partitions) in
-            match Partitioner.split_region part (Deployment.policy !d) ~pid:src.pid with
+            match split_migration !d i with
             | None -> true
-            | Some ((lo_pid, lo_region), (hi_pid, hi_region)) ->
-                let replicas = Assignment.replicas_of (Deployment.assignment !d) src.pid in
-                let m =
-                  { Journal.mid = 0; src_pid = src.pid; src_region = src.region;
-                    src_replicas = replicas; lo_pid; lo_region; lo_replicas = replicas;
-                    hi_pid; hi_region; hi_replicas = replicas }
-                in
+            | Some m ->
                 d :=
                   List.fold_left
                     (fun d e -> Deployment.apply d ~now:1. e)
                     !d
                     [ Journal.Migration_begin m; Journal.Migration_flip 0 ];
-                let fresh = not (Hashtbl.mem held lo_pid || Hashtbl.mem held hi_pid) in
+                let fresh = not (Hashtbl.mem held m.lo_pid || Hashtbl.mem held m.hi_pid) in
                 hold (Deployment.partitioner !d);
                 fresh)
         | Rebalance loads ->

@@ -281,6 +281,197 @@ let test_install_latency_window () =
     (r.Flowsim.cache_hit_packets < 19);
   check Alcotest.bool "later packets hit" true (r.Flowsim.cache_hit_packets >= 10)
 
+(* One clock for the co-simulation, on [small_policy] over a 3-switch
+   line with authority 1 and flows entering at switch 0: [cosim] runs
+   [flows] with a controller hook that may replace the deployment, and
+   returns the deployment the hook left. *)
+let flow ?(f1 = 9) start =
+  { Traffic.flow_id = 0; header = Header.make s2 [| Int64.of_int f1; 9L |]; ingress = 0;
+    start; packets = 1; interval = 1e-3 }
+
+let cosim ?(install_latency = 0.)
+    ?(d = Deployment.build ~policy:small_policy ~topology:(Topology.line 3 ()) ~authority_ids:[ 1 ] ())
+    flows hook =
+  let d = ref d in
+  let timing = { Flowsim.default_timing with install_latency } in
+  ignore
+    (Flowsim.run
+       { Flowsim.Config.default with timing; controller = Some (fun ~now -> hook d ~now; !d) }
+       !d flows);
+  !d
+
+(* Rule 10 turned to [drop]: a strict action-only update. *)
+let flip d ~now =
+  Deployment.update_policy ~flush:true d ~now
+    (Classifier.of_specs s2 [ (10, [ ("f1", "0xxxxxxx") ], Action.Drop); (0, [], Action.Drop) ])
+
+(* The 10 ms tick comes before every later event: the install of the
+   5.5 ms miss lands at about 10.6 ms, after the tick, although the next
+   packet arrives only at 12 ms. *)
+let test_tick_before_later_events () =
+  let seen = ref [] in
+  ignore
+    (cosim ~install_latency:5e-3 [ flow 5.5e-3; flow ~f1:200 12e-3 ] (fun d ~now:_ ->
+         seen := Deployment.total_cache_entries !d :: !seen));
+  check Alcotest.int "cache entries at the 10 ms tick" 0 (List.hd (List.rev !seen))
+
+(* A strict update at the 10 ms tick fences the install spliced from
+   the old policy at 9.5 ms and still in flight. *)
+let test_update_fences_inflight_install () =
+  let flipped = ref false in
+  let d =
+    cosim ~install_latency:5e-3 [ flow 9.5e-3; flow ~f1:200 11e-3 ] (fun d ~now ->
+        if not !flipped then begin
+          flipped := true;
+          d := flip !d ~now
+        end)
+  in
+  let o = Deployment.inject d ~now:0.1 ~ingress:0 (Header.make s2 [| 9L; 9L |]) in
+  check Alcotest.string "action after the update" "drop" (Action.to_string o.Deployment.action);
+  check Alcotest.(option (pair int header)) "the exact oracle" None (Deployment.counterexample d)
+
+(* Packets walk the deployment the hook returns: after a strict update
+   and the loss of the only authority at 10 ms, the degraded miss at
+   11 ms is answered from the new policy. *)
+let test_packets_walk_hook_deployment () =
+  let ticked = ref false in
+  let d =
+    cosim [ flow 5e-3; flow 11e-3 ] (fun d ~now ->
+        if not !ticked then begin
+          ticked := true;
+          d := flip !d ~now;
+          Deployment.mark_unreachable !d 1
+        end)
+  in
+  check Alcotest.(option (pair int header)) "the exact oracle" None (Deployment.counterexample d)
+
+(* Model-based co-simulation: random tiny2 ACLs over a 5-switch line
+   (authorities 1 and 3), flows at one or two ingresses, cache installs
+   in flight for 0, 1 or 5 ms, and at random ticks one controller
+   decision.  After every tick and after the run the exact oracle finds
+   nothing on the hook's deployment. *)
+type decision =
+  | Update of Test_deployment.edit list  (* strict *)
+  | Down of int  (* an authority unreachable, no controller reaction *)
+  | Up of int
+  | Fail of int  (* unreachable, and failed over *)
+  | Restore  (* the failed authority back *)
+  | Split of int  (* migration 0 begins *)
+  | Flip
+  | Commit
+
+let gen_cosim =
+  let open QCheck2.Gen in
+  let authority = map (fun i -> 1 + (2 * i)) (int_bound 1) in
+  let decision =
+    frequency
+      [ ( 4,
+          bool >>= fun local ->
+          map (fun es -> Update es) (list_size (int_range 1 3) (Test_deployment.gen_edit ~local)) );
+        (1, map (fun a -> Down a) authority); (1, map (fun a -> Up a) authority);
+        (1, map (fun a -> Fail a) authority); (1, return Restore);
+        (1, map (fun i -> Split i) (int_bound 8)); (2, return Flip); (3, return Commit) ]
+  in
+  let* specs = list_size (int_range 1 8) (triple gen_pred_tiny2 (int_range 1 20) (int_bound 4)) in
+  let* k = int_range 1 4 in
+  let* replication = int_range 1 2 in
+  let* install_latency = oneofl [ 0.; 1e-3; 5e-3 ] in
+  let* ingresses = oneofl [ [ 0 ]; [ 0; 4 ] ] in
+  let* flows =
+    list_size (int_range 1 40) (quad gen_header_tiny2 (int_bound 1) (int_bound 1500) (int_range 1 3))
+  in
+  let* decisions = list_repeat 16 (option decision) in
+  return (specs, k, replication, install_latency, ingresses, flows, decisions)
+
+(* how often each decision took effect, over the whole property *)
+let decided = Hashtbl.create 8
+let took kind = Hashtbl.replace decided kind (1 + Option.value ~default:0 (Hashtbl.find_opt decided kind))
+
+let prop_cosim_oracle (specs, k, replication, install_latency, ingresses, flows, decisions) =
+  let rules =
+    Rule.make ~id:0 ~priority:0 (Pred.any s2) Action.Drop
+    :: List.mapi (fun i (pd, p, a) -> Rule.make ~id:(i + 1) ~priority:p pd (Test_deployment.act a)) specs
+  in
+  let d0 =
+    Deployment.build ~config:{ Deployment.default_config with k; replication }
+      ~policy:(Classifier.create s2 rules) ~topology:(Topology.line 5 ()) ~authority_ids:[ 1; 3 ] ()
+  in
+  let flows =
+    List.mapi
+      (fun i (header, ing, t, packets) ->
+        { Traffic.flow_id = i; header; ingress = List.nth ingresses (ing mod List.length ingresses);
+          start = float_of_int t *. 1e-4; packets; interval = 2e-3 })
+      flows
+  in
+  let state = ref (rules, List.length rules) and pending = ref decisions and bad = ref None in
+  let oracle d = if !bad = None then bad := Deployment.counterexample d in
+  let decide d ~now decision =
+    let stage = Option.map snd (Deployment.migration !d) in
+    let authorities = Deployment.authority_ids !d in
+    let apply e = d := Deployment.apply !d ~now e in
+    match decision with
+    | Update es when stage = None ->
+        took "update";
+        state := List.fold_left Test_deployment.apply_edit !state es;
+        d := Deployment.update_policy ~flush:true !d ~now (Classifier.create s2 (fst !state))
+    | Down a ->
+        took "down";
+        Deployment.mark_unreachable !d a
+    | Up a ->
+        took "up";
+        Deployment.mark_reachable !d a
+    | Fail a when stage = None && List.mem a authorities && List.length authorities > 1 ->
+        took "fail";
+        Deployment.mark_unreachable !d a;
+        apply (Journal.Fail_authority a)
+    | Restore when stage = None && List.length authorities = 1 ->
+        let a = 4 - List.hd authorities in
+        took "restore";
+        apply (Journal.Restore_authority a);
+        Deployment.mark_reachable !d a
+    | Split i when stage = None ->
+        Option.iter
+          (fun m ->
+            took "split";
+            apply (Journal.Migration_begin m))
+          (Test_deployment.split_migration !d i)
+    | Flip when stage = Some Deployment.Installed ->
+        took "flip";
+        apply (Journal.Migration_flip 0)
+    | Commit when stage = Some Deployment.Flipped ->
+        took "commit";
+        apply (Journal.Migration_commit 0)
+    | _ -> ()
+  in
+  let d =
+    cosim ~install_latency ~d:d0 flows (fun d ~now ->
+        (match !pending with
+        | [] -> ()
+        | x :: rest ->
+            pending := rest;
+            Option.iter (decide d ~now) x);
+        oracle !d)
+  in
+  oracle d;
+  match !bad with
+  | None -> true
+  | Some (sw, hd) -> QCheck2.Test.fail_reportf "switch %d misforwards %a" sw Header.pp hd
+
+let test_cosim_oracle () =
+  let fenced = Telemetry.counter "sim_install_drops" in
+  let before = Telemetry.value fenced in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 39 |])
+    (QCheck2.Test.make ~count:250 ~name:"co-simulation keeps every cache exact" gen_cosim
+       prop_cosim_oracle);
+  (* every decision, and installs fenced across one, many times over *)
+  List.iter
+    (fun kind ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt decided kind) in
+      if n < 20 then Alcotest.failf "coverage: %s took effect %d times" kind n)
+    [ "update"; "down"; "up"; "fail"; "restore"; "split"; "flip"; "commit" ];
+  let n = Telemetry.value fenced - before in
+  if n < 100 then Alcotest.failf "coverage: %d installs fenced" n
+
 let test_authority_stats_balanced () =
   (* two authorities, volume-balanced partitions, uniform headers: the
      miss load must split roughly evenly *)
@@ -606,7 +797,7 @@ let test_fault_plan_pin () =
     Flowsim.run
       { Flowsim.Config.default with
         timing; faults = Some faults; monitor = Some monitor;
-        controller = Some (fun ~now -> ticks := now :: !ticks) }
+        controller = Some (fun ~now -> ticks := now :: !ticks; d) }
       d flows
   in
   List.iter
@@ -733,6 +924,10 @@ let suite =
         tc "hit path allocation bound" test_hit_path_allocation;
         tc "miss path allocation bound" test_miss_path_allocation;
         tc "fault plan pin" test_fault_plan_pin;
+        tc "co-sim: tick before later events" test_tick_before_later_events;
+        tc "co-sim: update fences an in-flight install" test_update_fences_inflight_install;
+        tc "co-sim: packets walk the hook's deployment" test_packets_walk_hook_deployment;
+        tc "co-sim: the oracle holds at every tick" test_cosim_oracle;
         tc "repeated controller crash" test_repeated_controller_crash;
         tc "degraded misses answered by the controller" test_degraded_answered_by_controller;
         tc "registry is domain-independent" test_registry_domain_independent;
