@@ -41,25 +41,23 @@ let t1_kernel =
     (Staged.stage (fun () -> ignore (Classifier.direct_dependencies kernel_policy target)))
 
 let tput_kernel =
-  (* F-TPUT saturates on event throughput: engine + server, on the packed
-     (kind + int payload) path.  That is the engine's and server's floor,
-     not what a replay pays: Flowsim submits every miss as a closure
-     ([Server.submit], [Engine.after]).  The engine and server are a
-     [uniq] resource built once outside the timed function: the kernel
-     measures event dispatch, not constructor cost, and per-run
-     construction would recycle ~70KB of lanes through the major heap
-     each iteration, so the reading would mostly be GC.  The engine is
-     reusable across runs — each run posts its batch relative to the
-     clock the previous run left behind. *)
-  Test.make_with_resource ~name:"F-TPUT: 1k events through engine+server"
+  (* F-TPUT saturates on event throughput: engine + server, each job a
+     closure submitted through [Server.submit], as Flowsim submits every
+     miss.  The engine, server and job closure are a [uniq] resource
+     built once outside the timed function: the kernel measures event
+     dispatch, not constructor cost, and per-run construction would
+     recycle the ring through the major heap each iteration, so the
+     reading would mostly be GC.  The engine is reusable across runs —
+     each run posts its batch relative to the clock the previous run
+     left behind. *)
+  Test.make_with_resource ~name:"F-TPUT: 1k closure jobs through engine+server"
     Test.uniq
     ~allocate:(fun () ->
       let e = Engine.create () in
       let s = Server.create e ~service_time:1e-6 ~queue_capacity:2000 in
-      let k_done = Engine.kind e (fun _ -> ()) in
-      let k_submit =
-        Engine.kind e (fun i -> ignore (Server.submit_packed s k_done i))
-      in
+      let served = ref 0 in
+      let job () = incr served in
+      let k_submit = Engine.kind e (fun _ -> ignore (Server.submit s job)) in
       (e, k_submit))
     ~free:(fun _ -> ())
     (Staged.stage (fun (e, k_submit) ->
@@ -97,8 +95,10 @@ let delay_kernel =
     (Staged.stage (fun () ->
          i := (!i + 1) land 255;
          match Switch.serve_miss auth ~now:0. kernel_headers.(!i) with
-         | Some { Switch.cache_rule; origin_id; _ } ->
-             ignore (Switch.install_cache_rule ~origin_id ingress ~now:0. cache_rule)
+         | Some { Switch.installs; _ } ->
+             List.iter
+               (fun (r, m) -> ignore (Switch.install_cache_meta ingress ~now:0. r (Some m)))
+               installs
          | None -> ()))
 
 let part_kernel =
@@ -275,42 +275,16 @@ let cut_kernel =
            (Partitioner.compute ~heuristic:(Partitioner.Fixed_dimension 0) kernel_policy
               ~k:16)))
 
-let agg_kernel =
-  (* the aggregation layer: 1k buddy-adjacent spliced fragments pushed
-     through the merge engine; chains of neighbours collapse to fixpoint
-     (here all the way down to one maximally wide entry), so the kernel
-     times install + adjacency scan + absorb across a realistic churn *)
-  let s2 = Schema.tiny2 in
-  let exact2 a b =
-    Pred.make s2
-      [ Ternary.exact ~width:8 (Int64.of_int a);
-        Ternary.exact ~width:8 (Int64.of_int b) ]
-  in
-  let installs =
-    List.init 1024 (fun i ->
-        let pred = exact2 (i / 256) (i mod 256) in
-        ( Rule.make ~id:i ~priority:1 pred (Action.Forward 1),
-          {
-            Switch.pid = 0;
-            kind = Switch.Fragment;
-            group = None;
-            parts =
-              [ { Switch.part_origin = i / 64; part_rank = 1; part_pred = pred } ];
-          } ))
-  in
-  Test.make ~name:"AGG: merge 1k spliced rules"
-    (Staged.stage (fun () ->
-         let sw = Switch.create ~id:0 ~cache_capacity:2048 in
-         let t = Aggregate.create Aggregate.enabled_default in
-         ignore (Aggregate.install t sw ~now:0. installs)))
-
-let agg_full_kernel =
-  (* the miss-heavy install path: single-member cover groups installed
-     one serve at a time into a bank that is already full, so every
-     install evicts and the exact-match, buddy and orphan queries run
-     against 256 live entries.  Exact 5-tuples drawn at random neither
-     merge nor repeat within a run; one warm-up pass fills the bank
-     with the tail of the cycle, so every run does the same work *)
+(* The aggregation layer's install path: 1k single-rule serves through
+   [Aggregate.install] with aggregation on, into a 256-entry bank that
+   is already full, so every install evicts and its queries (the
+   subsumption walk for a plain install, the equal-cover probe for a
+   cover one, the orphan scrub) run against 256 live entries.  Exact
+   5-tuples drawn at random neither subsume nor repeat one another
+   within a run; one warm-up pass fills the bank with the tail of the
+   cycle, so every run does the same work.  [cover] installs each as a
+   single-member cover group instead of a plain fragment. *)
+let install_kernel ~name ~cover =
   let rng = Prng.create (seed + 4) in
   let preds =
     Array.init 1024 (fun _ ->
@@ -323,21 +297,23 @@ let agg_full_kernel =
   let t = Aggregate.create Aggregate.enabled_default in
   let install pred =
     let id = Switch.fresh_cache_id sw in
-    let meta =
-      {
-        Switch.pid = 0;
-        kind = Switch.Cover;
-        group = Some (Switch.fresh_cache_id sw, [ id ]);
-        parts = [ { Switch.part_origin = 0; part_rank = 1; part_pred = pred } ];
-      }
+    let kind, group =
+      if cover then (Switch.Cover, Some (Switch.fresh_cache_id sw, [ id ]))
+      else (Switch.Fragment, None)
     in
     ignore
       (Aggregate.install t sw ~now:0.
-         [ (Rule.make ~id ~priority:1 pred (Action.Forward 1), meta) ])
+         [ (Rule.make ~id ~priority:1 pred (Action.Forward 1),
+            { Switch.pid = 0; kind; origin = 0; group }) ])
   in
   Array.iter install preds;
-  Test.make ~name:"AGG-FULL: 1k cover installs into a full 256-entry bank"
-    (Staged.stage (fun () -> Array.iter install preds))
+  Test.make ~name (Staged.stage (fun () -> Array.iter install preds))
+
+let agg_kernel =
+  install_kernel ~name:"AGG: 1k plain installs into a full 256-entry bank" ~cover:false
+
+let agg_full_kernel =
+  install_kernel ~name:"AGG-FULL: 1k cover installs into a full 256-entry bank" ~cover:true
 
 let algebra_kernel =
   (* the substrate everything sits on *)
@@ -475,7 +451,10 @@ let hit_kernel =
   let sw = Switch.create ~id:0 ~cache_capacity:1024 in
   List.iteri
     (fun i (r : Rule.t) ->
-      ignore (Switch.install_cache_rule ~origin_id:r.Rule.id ~pid:(i mod 16) sw ~now:0. r))
+      ignore
+        (Switch.install_cache_meta sw ~now:0. r
+           (Some { Switch.pid = i mod 16; kind = Switch.Fragment; origin = r.Rule.id;
+                   group = None })))
     (Classifier.rules policy);
   let headers = Traffic.headers_for (Prng.create (seed + 9)) policy 256 in
   Test.make ~name:"F-HIT: 1k cache hits through Switch.process"

@@ -185,9 +185,8 @@ val delete_cached_origins : t -> now:float -> int list -> int
     these distinct policy rule ids, to every switch not declared dead;
     returns deletions sent.  One walk over each switch's cache
     provenance finds them ({!Deployment.cache_entries_of_origins}); they
-    go out by id, then switch, then table order, and a merged entry
-    standing for several of the ids is deleted once for each.  This is
-    the targeted invalidation used by strict policy updates. *)
+    go out by id, then switch, then table order.  This is the targeted
+    invalidation used by strict policy updates. *)
 
 val control_frames : t -> int
 val control_bytes : t -> int

@@ -248,18 +248,16 @@ let controller_serve ?(cause = `Failure) d ~now ~ingress h =
     let pid = (Partitioner.find d.partitioner h).Partitioner.pid in
     (match origin with
     | Some o ->
-        (* exact fallbacks flow through the aggregation pipeline too:
-           adjacent degraded installs buddy-merge into wider exact blocks *)
-        let meta =
-          { Switch.pid; kind = Switch.Exact; group = None;
-            parts = [ { Switch.part_origin = o; part_rank = 0;
-                        part_pred = rule.Rule.pred } ] }
-        in
-        install d ~now ~ingress [ (rule, meta) ]
+        (* exact fallbacks flow through the aggregation pipeline too, so
+           a live subsuming entry suppresses them *)
+        install d ~now ~ingress
+          [ (rule, { Switch.pid; kind = Switch.Exact; origin = o; group = None }) ]
     | None ->
+        (* no policy rule matches: an entry without provenance *)
         ignore
-          (Switch.install_cache_rule ?idle_timeout:d.config.cache_idle_timeout
-             ?hard_timeout:d.config.cache_hard_timeout ~pid sw ~now rule));
+          (Switch.install_cache_meta ?idle_timeout:d.config.cache_idle_timeout
+             ?hard_timeout:d.config.cache_hard_timeout sw ~now rule None);
+        ignore (Switch.drop_cover_orphans sw ~now));
     rule
   in
   (* a miss that queued at the controller behind another packet of its
@@ -491,8 +489,8 @@ let invalidate_origins ?(now = 0.) d ~origins =
   Array.fold_left (fun acc sw -> acc + Switch.invalidate_origins sw ~now origins) 0 d.switches
 
 (* One walk over each live switch's provenance collects the entries
-   standing for any of [ids]; bucketing them by id restores the per-id
-   order. *)
+   standing for any of [ids]; bucketing them by their origin restores the
+   per-id order. *)
 let cache_entries_of_origins d ~live ids =
   let slot = Int_table.create 16 in
   List.iteri (fun k id -> Int_table.replace slot id k) ids;
@@ -506,15 +504,8 @@ let cache_entries_of_origins d ~live ids =
             match Switch.cache_meta_of_rule sw r.Rule.id with
             | None -> ()
             | Some m ->
-                List.iter
-                  (fun (part : Switch.cache_part) ->
-                    match Int_table.find slot part.Switch.part_origin with
-                    | exception Not_found -> ()
-                    | k -> (
-                        match buckets.(k) with
-                        | (j, r') :: _ when j = i && r' == r -> () (* a repeated origin *)
-                        | b -> buckets.(k) <- (i, r) :: b))
-                  m.Switch.parts)
+                let k = Int_table.find slot m.Switch.origin in
+                buckets.(k) <- (i, r) :: buckets.(k))
           (Switch.entries_of_origins sw (Int_table.mem slot)))
     d.switches;
   Array.fold_right List.rev_append buckets []

@@ -55,7 +55,7 @@ type config = {
       (** cache-rule aggregation ({!Aggregate.default} = off: the plain
           one-install-per-miss path, bit-identical to the seed).  When
           enabled, miss installs flow through {!Aggregate.install}
-          (subsumption suppression + buddy merging) and rules with small
+          (subsumption suppression and cover sharing) and rules with small
           dependent sets are cached as CacheFlow cover sets
           ({!Aggregate.cover_limit}) — fewer, wider TCAM entries deciding every
           packet identically. *)
@@ -192,10 +192,9 @@ val cache_entries_of_origins :
   t -> live:(int -> bool) -> int list -> (int * Rule.t) list
 (** [cache_entries_of_origins d ~live ids] lists, as [(switch, cache
     rule)], the entries of the [live] switches' cache banks that stand
-    for any of the distinct policy rule ids [ids] (a merged entry stands
-    for every origin it absorbed).  The order is that of a walk per id:
-    by position in [ids], then by switch, then in table order; an entry
-    standing for several of the ids appears once for each.  One walk
+    for any of the distinct policy rule ids [ids] (each entry stands for
+    one).  The order is that of a walk per id: by position in [ids],
+    then by switch, then in table order.  One walk
     over each live switch's provenance ({!Switch.entries_of_origins})
     finds the entries, with an int-keyed set of [ids]; only those
     entries are sorted and bucketed.  This is what a strict update
@@ -271,8 +270,9 @@ val aggregator : t -> Aggregate.t
 (** The deployment's aggregation engine and its counters. *)
 
 val aggregate_stats : t -> Aggregate.stats
-(** Aggregation counters since [build]: installs performed, buddy merges,
-    suppressed (subsumed) installs, cover-set members installed. *)
+(** Aggregation counters since [build]: installs performed, suppressed
+    installs (subsumed, or a cover member shared with an equal live
+    entry), cover-set members installed. *)
 
 val last_new_authority_installs : t -> int
 (** Authority tables newly pushed to a switch by the most recent

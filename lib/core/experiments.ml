@@ -1190,7 +1190,7 @@ module E_cache = struct
       (fun cache_size ->
         (* one run per arm at identical capacity and workload (same
            generator seed): the seed install path vs the aggregation
-           pipeline (suppression + buddy merging + cover sets) *)
+           pipeline (suppression + cover sets) *)
         let arm aggregation =
           let config =
             { Deployment.default_config with k = 8; cache_capacity = cache_size;
@@ -2290,8 +2290,8 @@ let aggregate_gate ~seed ~quick ~domains:_ =
       stats := Deployment.aggregate_stats d :: !stats
     done;
     let sum f = List.fold_left (fun n s -> n + f s) 0 !stats in
-    line "  %s: %d oracle checks; %d installs, %d merges, %d suppressed, %d cover installs"
-      name !checks (sum (fun s -> s.Aggregate.installs)) (sum (fun s -> s.Aggregate.merges))
+    line "  %s: %d oracle checks; %d installs, %d suppressed, %d cover installs"
+      name !checks (sum (fun s -> s.Aggregate.installs))
       (sum (fun s -> s.Aggregate.suppressed)) (sum (fun s -> s.Aggregate.cover_installs));
     List.iteri (fun n l -> if n < 5 then line "    FAIL %s" l) (List.rev !bad);
     if !bad <> [] then

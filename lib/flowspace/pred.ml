@@ -141,25 +141,6 @@ let inter a b =
 
 let subsumes a b = Array.for_all2 Ternary.subsumes a.fields b.fields
 
-(* Exact-union merge of hyper-rectangles: all fields equal except one,
-   where the two ternary values are buddies.  The result covers exactly
-   the union of the operands, so replacing both rules by the merged rule
-   can never change which headers are covered. *)
-let buddy_union a b =
-  let n = Array.length a.fields in
-  let rec go i merged =
-    if i >= n then Option.map (fun (j, f) ->
-        let fields = Array.copy a.fields in
-        fields.(j) <- f;
-        { a with fields }) merged
-    else if Ternary.equal a.fields.(i) b.fields.(i) then go (i + 1) merged
-    else
-      match (merged, Ternary.buddy_union a.fields.(i) b.fields.(i)) with
-      | None, Some f -> go (i + 1) (Some (i, f))
-      | _, _ -> None (* two differing fields, or not buddies *)
-  in
-  go 0 None
-
 (* Disjoint tuple subtraction: the piece for field [i] combines the
    fields before [i] clipped to [b], a disjoint piece of [a_i - b_i] at
    [i], and [a]'s own fields after [i].  Pieces from different [i] differ

@@ -64,10 +64,6 @@ val lanes : t -> int * int * int * int
 val size : t -> float
 (** Number of concrete headers denoted (product of field sizes). *)
 
-val size_log2 : t -> int
-(** [log2 (size t)]: total wildcard bits.  Exact, and safer than [size]
-    for comparisons. *)
-
 (** {1 Algebra} *)
 
 val inter : t -> t -> t option
@@ -78,15 +74,6 @@ val inter : t -> t -> t option
 
 val overlaps : t -> t -> bool
 val subsumes : t -> t -> bool
-
-val buddy_union : t -> t -> t option
-(** [buddy_union a b] is the predicate denoting {e exactly} the union of
-    [a] and [b], when the two hyper-rectangles are adjacent: equal on
-    every field but one, where the ternary values are buddies
-    ({!Ternary.buddy_union}).  Merging such a pair into the result covers
-    no header the operands did not — the legality core of cache-rule
-    aggregation.  [None] when no exact single-rectangle union exists
-    (including when [a] = [b]). *)
 
 val subtract : t -> t -> t list
 (** [subtract a b] is a pairwise-disjoint list of predicates whose union

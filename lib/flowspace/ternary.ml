@@ -157,19 +157,6 @@ let overlaps a b =
   if a.width <> b.width then invalid_arg "Ternary.overlaps: width mismatch";
   (a.value ^: b.value) &: a.mask &: b.mask = 0L
 
-(* Buddy merge: two values with the same mask whose specified bits differ
-   in exactly one position denote adjacent blocks, and wildcarding that
-   position yields exactly their union — no extra concrete values.  The
-   prefix-aggregation primitive (two /32s into a /31, and recursively). *)
-let buddy_union a b =
-  if a.width <> b.width then invalid_arg "Ternary.buddy_union: width mismatch";
-  if a.mask <> b.mask then None
-  else
-    let d = a.value ^: b.value in
-    if d <> 0L && d &: Int64.sub d 1L = 0L then
-      Some { width = a.width; value = a.value &: lnot64 d; mask = a.mask &: lnot64 d }
-    else None
-
 let subsumes a b =
   a.width = b.width
   && a.mask &: b.mask = a.mask

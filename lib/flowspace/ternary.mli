@@ -102,15 +102,6 @@ val overlaps : t -> t -> bool
 val subsumes : t -> t -> bool
 (** [subsumes a b] iff the set of [a] contains the set of [b]. *)
 
-val buddy_union : t -> t -> t option
-(** [buddy_union a b] is the ternary value denoting {e exactly} the union
-    of [a] and [b], when one exists and is distinct from both: the two
-    values must share a mask and differ in exactly one specified bit,
-    which the result wildcards (two adjacent /32s into one /31).  [None]
-    otherwise — in particular when [a] and [b] are equal, overlap, or are
-    not mergeable without covering extra values.
-    @raise Invalid_argument on width mismatch. *)
-
 val subtract : t -> t -> t list
 (** [subtract a b] is a list of {e pairwise-disjoint} ternary values whose
     union is exactly the set difference [a - b].  Returns [[a]] when the

@@ -302,20 +302,3 @@ let fold_equal t p f acc =
   match group_of t mlo mhi with
   | Some g -> fold_at g vlo vhi f acc
   | None -> acc
-
-(* A buddy has the same masks, so it sits in the same group, at the
-   values with one masked bit flipped: one chain per masked bit. *)
-let fold_buddies t p f acc =
-  let mlo, vlo, mhi, vhi = Pred.lanes p in
-  match group_of t mlo mhi with
-  | None -> acc
-  | Some g ->
-      (* [probe] each set bit of [mask], lowest first *)
-      let rec flips mask probe acc =
-        if mask = 0 then acc
-        else
-          let b = mask land -mask in
-          flips (mask lxor b) probe (probe b acc)
-      in
-      flips mhi (fun b acc -> fold_at g vlo (vhi lxor b) f acc)
-        (flips mlo (fun b acc -> fold_at g (vlo lxor b) vhi f acc) acc)

@@ -68,10 +68,3 @@ val fold_equal : 'a t -> Pred.t -> ('b -> 'a -> 'b) -> 'b -> 'b
     have equal lanes; a schema differing from the rule's could share
     them, so callers keep their {!Pred.equal} check.
     @raise Invalid_argument when the schema is over 126 bits. *)
-
-val fold_buddies : 'a t -> Pred.t -> ('b -> 'a -> 'b) -> 'b -> 'b
-(** Fold over the payloads of the rules whose lanes are the given
-    predicate's with one masked bit flipped — one chain of its group per
-    masked bit of either lane.  Every buddy ({!Pred.buddy_union}) is
-    among them; callers keep their exact check.
-    @raise Invalid_argument when the schema is over 126 bits. *)

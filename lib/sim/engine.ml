@@ -371,8 +371,6 @@ let slab_alloc t f =
 
 let schedule t ~at f = post t ~at closure_kind (slab_alloc t f)
 let after t ~delay f = post_after t ~delay closure_kind (slab_alloc t f)
-(* a [kind] is valid by construction (abstract type), so no bounds check *)
-let invoke t k arg = (Array.unsafe_get t.handlers k) arg
 
 (* ---- execution ---- *)
 

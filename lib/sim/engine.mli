@@ -48,12 +48,6 @@ val post : t -> at:float -> kind -> int -> unit
     is called with the int argument.  Allocation-free.
     @raise Invalid_argument if [at] is in the past. *)
 
-val invoke : t -> kind -> int -> unit
-(** Call [kind]'s handler with the argument right now, bypassing the
-    queue — the packed analogue of calling a stored continuation.  Used
-    by components (e.g. {!Server}) that hold a packed continuation and
-    must run it synchronously inside their own event. *)
-
 (** {1 Closure events} *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit

@@ -16,11 +16,5 @@ val submit : t -> (unit -> unit) -> bool
 (** Enqueue a job; its callback runs at service completion.  Returns
     [false] (and drops the job) when the backlog is at capacity. *)
 
-val submit_packed : t -> Engine.kind -> int -> bool
-(** Like {!submit}, but the continuation is a packed engine event:
-    at service completion the handler registered for the kind is invoked
-    (synchronously) with the int argument.  Allocation-free; the F-TPUT
-    bench kernel times it.  {!Flowsim} submits closures. *)
-
 val rejected : t -> int
 val completed : t -> int

@@ -20,20 +20,14 @@ type tele = {
   m_stale_rejected : Telemetry.counter;
 }
 
-(* Cache-entry provenance.  A plain spliced entry has one part; an entry
-   produced by buddy-merging fragments carries one part per absorbed
-   origin, each remembering the sub-predicate that origin contributed so
-   a hit can be attributed to the origin whose region the packet actually
-   fell in (parts are kept in descending-rank order, so the first
-   matching part is the one the policy would pick). *)
+(* Cache-entry provenance: each entry stands for exactly one policy
+   rule, its origin. *)
 type cache_kind = Fragment | Cover | Exact
-
-type cache_part = { part_origin : int; part_rank : int; part_pred : Pred.t }
 
 type cache_meta = {
   pid : int;
   kind : cache_kind;
-  parts : cache_part list;
+  origin : int;
   group : (int * int list) option;
       (* cover sets are only sound while complete: the broad low-rank
          rule relies on its higher-rank dependencies being resident to
@@ -45,9 +39,6 @@ type cache_meta = {
          deadlines so unhit high-rank dependencies don't idle out from
          under it. *)
 }
-
-let meta_primary_origin m =
-  match m.parts with p :: _ -> p.part_origin | [] -> -1
 
 (* One held authority table: the partition, the tuple-space index the
    data plane looks it up through, and the splice plan misses are served
@@ -74,7 +65,7 @@ type t = {
   cache_origin : cache_meta Int_table.t;
       (* cache rule id -> provenance: serving partition id (-1 when the
          installer didn't know it — degraded exact-match fallbacks),
-         entry kind, and the origin set threaded from policy rule through
+         entry kind, and the origin threaded from policy rule through
          authority table to installed cache entry *)
   group_entries : (int, Rule.t) Hashtbl.t;
       (* cover-group id -> its live entries, one binding each *)
@@ -306,7 +297,7 @@ let notify_removed t ~now reason (e : Tcam.entry) =
           Message.removed_rule = e.Tcam.rule.Rule.id;
           cookie =
             (match Int_table.find_opt t.cache_origin e.Tcam.rule.Rule.id with
-            | Some m -> meta_primary_origin m
+            | Some m -> m.origin
             | None -> -1);
           reason;
           final_packets = Int64.of_int e.Tcam.packets;
@@ -523,21 +514,6 @@ let authority_lookup t h =
       else None)
     t.authority
 
-(* Which origin's region did a packet hitting a (possibly merged) cache
-   entry actually fall in?  Single-part metas — the overwhelmingly common
-   case — answer without touching the predicate; merged entries walk
-   their rank-ordered parts, so attribution is exact per packet even when
-   one installed rule stands for several policy rules. *)
-let rec attribute_parts h first = function
-  | [] -> first.part_origin
-  | q :: rest -> if Pred.matches q.part_pred h then q.part_origin else attribute_parts h first rest
-
-let attribute_hit m h =
-  match m.parts with
-  | [ p ] -> p.part_origin
-  | [] -> -1
-  | p :: _ as parts -> attribute_parts h p parts
-
 (* A cover set lives and dies as one unit: traffic absorbed by any
    member keeps the whole group's idle deadlines fresh, or an unhit
    high-rank dependency would expire and take the group (and its hit
@@ -555,14 +531,13 @@ let process t ~now h =
       Telemetry.incr t.tele.m_cache_hits;
       (match Int_table.find t.cache_origin r.Rule.id with
       | m ->
-          let origin = attribute_hit m h in
-          bump t.origin_cache_hits origin;
+          bump t.origin_cache_hits m.origin;
           if m.pid >= 0 then bump t.pid_cache_hits m.pid;
           (match m.group with
           | Some (_, members) -> touch_members t.cache ~now r.Rule.id members
           | None -> ());
           Ptrace.emit ~at:now Ptrace.Cache_hit ~switch:t.id ~rule:r.Rule.id
-            ~aux:(Ptrace.pack_provenance ~origin ~pid:m.pid)
+            ~aux:(Ptrace.pack_provenance ~origin:m.origin ~pid:m.pid)
       | exception Not_found ->
           Ptrace.emit ~at:now Ptrace.Cache_hit ~switch:t.id ~rule:r.Rule.id ~aux:0);
       Local (r.Rule.action, Cache_bank)
@@ -659,9 +634,7 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
                       Splice.fold_cover plan origin
                         (fun k (r : Rule.t) rank acc ->
                           ( Rule.make ~id:(base + k) ~priority:rank r.pred r.action,
-                            { pid; kind = Cover; group;
-                              parts = [ { part_origin = r.id; part_rank = rank;
-                                          part_pred = r.pred } ] } )
+                            { pid; kind = Cover; origin = r.id; group } )
                           :: acc)
                         []
                     in
@@ -677,20 +650,13 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
                     let piece = Splice.piece plan origin h in
                     let r = Splice.cache_rule ~next_id:(fun () -> fresh_cache_id t) plan piece in
                     ( r,
-                      [ (r, { pid; kind = Fragment; group = None;
-                              parts = [ { part_origin = origin.Rule.id;
-                                          part_rank = r.Rule.priority;
-                                          part_pred = piece.pred } ] }) ] ))
+                      [ (r, { pid; kind = Fragment; origin = origin.Rule.id; group = None }) ] ))
             | `Microflow ->
-                (* exact match on the packet's own header: always safe,
-                   and under aggregation adjacent microflows merge into
-                   wider exact-union blocks *)
+                (* exact match on the packet's own header: always safe *)
                 let pr = Pred.exact (Classifier.schema e.part.Partitioner.table) h in
                 let r = Rule.make ~id:(fresh_cache_id t) ~priority:0 pr origin.Rule.action in
                 ( r,
-                  [ (r, { pid; kind = Exact; group = None;
-                          parts = [ { part_origin = origin.Rule.id;
-                                      part_rank = 0; part_pred = pr } ] }) ] )
+                  [ (r, { pid; kind = Exact; origin = origin.Rule.id; group = None }) ] )
           in
           Some { action = origin.Rule.action; cache_rule; origin_id = origin.Rule.id; pid; installs })
 
@@ -716,7 +682,7 @@ let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
     (match meta with
     | Some m ->
         Ptrace.emit ~at:now Ptrace.Install ~switch:t.id ~rule:rule.Rule.id
-          ~aux:(Ptrace.pack_provenance ~origin:(meta_primary_origin m) ~pid:m.pid);
+          ~aux:(Ptrace.pack_provenance ~origin:m.origin ~pid:m.pid);
         Int_table.replace t.cache_origin rule.Rule.id m;
         index_entry t rule m
     | None ->
@@ -726,50 +692,6 @@ let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
   let rules = List.map (fun (e : Tcam.entry) -> e.Tcam.rule) d.Tcam.evicted in
   List.iter (fun (r : Rule.t) -> Int_table.remove t.cache_origin r.id) rules;
   rules
-
-let install_cache_rule ?idle_timeout ?hard_timeout ?origin_id ?(pid = -1) t ~now rule =
-  (* back-compat single-origin install: wrap the provenance pair into a
-     one-part meta; fully specified predicates are exact entries (the
-     degraded controller path), everything else is a spliced fragment *)
-  let meta =
-    Option.map
-      (fun origin ->
-        let kind = if Pred.size_log2 rule.Rule.pred = 0 then Exact else Fragment in
-        {
-          pid;
-          kind;
-          group = None;
-          parts =
-            [ { part_origin = origin;
-                part_rank = rule.Rule.priority;
-                part_pred = rule.Rule.pred } ];
-        })
-      origin_id
-  in
-  let evicted = install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta in
-  (* a single plain install is never part of a cover batch, so any group
-     its eviction broke can be scrubbed immediately *)
-  ignore (drop_cover_orphans t ~now);
-  evicted
-
-(* Aggregation absorbing an entry into a broader merged rule: the old
-   entry leaves the TCAM reporting [Replaced] with its final counters —
-   the same provenance-remap signal a same-id reinstall emits — so
-   nothing downstream loses attribution when installed rules coalesce. *)
-let absorb_cache_rule t ~now cid =
-  match Tcam.find t.cache cid with
-  | None -> false
-  | Some e ->
-      Ptrace.emit ~at:now Ptrace.Replace ~switch:t.id ~rule:cid
-        ~aux:Ptrace.replace_displaced;
-      notify_removed t ~now Message.Replaced e;
-      ignore (Tcam.remove t.cache cid);
-      Int_table.remove t.cache_origin cid;
-      true
-
-let rec parts_meet sel = function
-  | [] -> false
-  | p :: rest -> sel p.part_origin || parts_meet sel rest
 
 (* The cache entries whose provenance [f] selects, in table order.  The
    walk is over the provenance table, which holds exactly the bank's
@@ -783,8 +705,7 @@ let select_by_meta t f =
     t.cache_origin []
   |> List.sort (fun (a : Tcam.entry) (b : Tcam.entry) -> Rule.compare_priority a.rule b.rule)
 
-(* A merged entry stands for every origin it absorbed. *)
-let entries_of_origins t sel = select_by_meta t (fun m -> parts_meet sel m.parts)
+let entries_of_origins t sel = select_by_meta t (fun m -> sel m.origin)
 
 (* Migration cleanup: evict cache entries spliced from a retired (or
    rolled-back) partition.  They report [Replaced] — the same signal a
@@ -873,13 +794,12 @@ let cache_occupancy t = Tcam.occupancy t.cache
 let cache_meta_of_rule t cid = Int_table.find_opt t.cache_origin cid
 
 let origin_of_cache_rule t cid =
-  Option.map meta_primary_origin (Int_table.find_opt t.cache_origin cid)
+  Option.map (fun m -> m.origin) (Int_table.find_opt t.cache_origin cid)
 
-(* Targeted invalidation: a merged entry stands for several policy
-   rules, so it goes if ANY of its absorbed origins matches — the
-   conservative direction; survivors re-splice on their next miss.
-   Removing one cover-set member must take its whole group: the broad
-   member alone would answer packets its dependencies own. *)
+(* Targeted invalidation: the selected origins' entries go; the next
+   miss re-splices.  Removing one cover-set member must take its whole
+   group: the broad member alone would answer packets its dependencies
+   own. *)
 let invalidate_origins t ~now origins =
   let victims = entries_of_origins t origins in
   List.iter

@@ -153,29 +153,18 @@ val process : t -> now:float -> Header.t -> verdict
 (** {1 Cache-entry provenance}
 
     Every installed cache entry carries a {!cache_meta}: the serving
-    partition, the entry kind, and one {!cache_part} per policy rule the
-    entry stands for.  Plain spliced fragments and cover rules have a
-    single part; entries produced by buddy-merging ({!Aggregate}) carry
-    one part per absorbed origin, each remembering the sub-predicate that
-    origin contributed — so a cache hit is attributed to the origin whose
-    region the packet actually fell in, exactly, even after merging. *)
+    partition, the entry kind, and the one policy rule the entry stands
+    for, to which each of its cache hits is attributed. *)
 
 type cache_kind =
   | Fragment  (** a spliced independent piece (DIFANE's default) *)
   | Cover  (** a whole rule installed as part of a CacheFlow cover set *)
   | Exact  (** a fully specified entry (microflow / degraded fallback) *)
 
-type cache_part = {
-  part_origin : int;  (** policy rule id *)
-  part_rank : int;  (** that rule's cache priority ({!Splice.rank}) *)
-  part_pred : Pred.t;  (** the sub-region this origin contributed *)
-}
-
 type cache_meta = {
   pid : int;  (** serving partition id; [-1] when unknown *)
   kind : cache_kind;
-  parts : cache_part list;  (** descending rank; never empty for
-                                installer-known provenance *)
+  origin : int;  (** the policy rule id the entry stands for *)
   group : (int * int list) option;
       (** cover-set atomicity tag: [(group id, member cache-rule ids)]
           shared by every member of one installed cover set, [None] for
@@ -226,35 +215,19 @@ val serve_miss :
     what a miss needs on first use and keeps it, so a warm table serves
     a miss without walking the table. *)
 
-val install_cache_rule :
-  ?idle_timeout:float -> ?hard_timeout:float -> ?origin_id:int -> ?pid:int -> t ->
-  now:float -> Rule.t -> Rule.t list
-(** Install a (spliced) cache rule, evicting LRU entries when full;
-    returns evictions.  Every displaced entry — LRU victim or a same-id
-    entry replaced by the reinstall — is reported through
-    {!drain_notifications} with its final counters ([Evicted] or
-    [Replaced] reason), so provenance accounting never loses packets to
-    churn.  [origin_id] keeps counters attributable; [pid]
-    (the serving partition from {!miss_reply}) additionally attributes
-    the entry's future hits to its flowspace region (default [-1] =
-    unknown, e.g. degraded exact-match fallbacks).  A hard timeout bounds
-    how long a stale entry can survive a policy change (hits keep
-    postponing an idle timeout indefinitely). *)
-
 val install_cache_meta :
   ?idle_timeout:float -> ?hard_timeout:float -> t -> now:float -> Rule.t ->
   cache_meta option -> Rule.t list
-(** The meta-carrying core of {!install_cache_rule}: install a cache
-    entry recording the given provenance (possibly multi-part, from
-    aggregation or a cover set).  [None] installs without provenance.
-    Same eviction/notification contract as {!install_cache_rule}. *)
-
-val absorb_cache_rule : t -> now:float -> int -> bool
-(** Remove a cache entry that aggregation absorbed into a broader merged
-    rule.  The entry reports [Replaced] through {!drain_notifications}
-    with its final counters — the same provenance-remap signal a same-id
-    reinstall emits — so attribution survives the coalescing.  Returns
-    [false] if no live entry has that id. *)
+(** Install a cache entry recording the given provenance ([None]:
+    without provenance), evicting LRU entries when full; returns
+    evictions.  Every displaced entry — LRU victim or a same-id entry
+    replaced by the reinstall — is reported through
+    {!drain_notifications} with its final counters ([Evicted] or
+    [Replaced] reason), so provenance accounting never loses packets to
+    churn.  A hard timeout bounds how long a stale entry can survive a
+    policy change (hits keep postponing an idle timeout indefinitely).
+    A cover group an eviction breaks is left for the caller's
+    {!drop_cover_orphans} at the batch boundary. *)
 
 val expire_cache : t -> now:float -> Rule.t list
 
@@ -263,10 +236,9 @@ val drop_cover_orphans : t -> now:float -> int
     complete (see {!cache_meta.group}): a broad cover rule left without
     its higher-rank dependencies would answer packets those dependencies
     must decide.  Every internal removal path (expiry, invalidation,
-    explicit delete, plain installs' evictions) already calls this;
-    batch installers ({!Aggregate.install}, the dataplane miss path)
-    call it at batch boundaries, where a mid-batch eviction may have
-    broken a group.  Scrubbed entries report [Replaced] with final
+    explicit delete) already calls this; installers
+    ({!Aggregate.install}, the controller's fallback) call it at batch
+    boundaries, where an eviction may have broken a group.  Scrubbed entries report [Replaced] with final
     counters, like other displacements, in {!Rule.compare_priority}
     order.  Returns entries removed.
 
@@ -278,16 +250,15 @@ val drop_cover_orphans : t -> now:float -> int
     when it returns, every cover set in the bank is complete. *)
 
 val entries_of_origins : t -> (int -> bool) -> Tcam.entry list
-(** The live cache entries standing for some origin the selector picks
-    (a merged entry stands for every origin it absorbed), in table
-    order.  One walk over the switch's provenance table finds them: the
+(** The live cache entries standing for some origin the selector picks,
+    in table order.  One walk over the switch's provenance table finds them: the
     test allocates nothing per entry, and only the selected entries are
     looked up in the bank and sorted.  Entries without provenance stand
     for no origin. *)
 
 val invalidate_origins : t -> now:float -> (int -> bool) -> int
-(** Remove every cache entry whose origin set (the [parts] of its
-    {!cache_meta}) meets the selector, with its provenance, then
+(** Remove every cache entry whose origin the selector picks, with its
+    provenance, then
     {!drop_cover_orphans}.  No notification is queued for the selected
     entries.  Returns entries removed, orphans included. *)
 
@@ -324,11 +295,10 @@ val cache_occupancy : t -> int
 val origin_of_cache_rule : t -> int -> int option
 (** Map a cache-rule id back to the policy rule it was spliced from —
     how flow counters stay attributable to original rules
-    (transparency).  For a merged entry this is the {e primary}
-    (highest-ranked) origin; {!cache_meta_of_rule} has the set. *)
+    (transparency). *)
 
 val cache_meta_of_rule : t -> int -> cache_meta option
-(** Full provenance of a cache entry, parts included. *)
+(** Full provenance of a cache entry. *)
 
 val aggregate_counters : t -> (int * int64) list
 (** Per-origin-rule packet counts accumulated by this switch's cache bank

@@ -181,17 +181,14 @@ let lru_touch t n =
    which keep the per-field scan. *)
 let packed t = t.use_index && t.unpacked = 0
 
-(* Aggregation's probes ask the kernel's groups for a predicate's equal
-   entries and buddies.  An unpacked bank makes every entry a candidate,
-   as lookup scans them; so does a predicate the kernel cannot pack,
-   which an empty bank (still packed) meets on its first wide install. *)
-let fold_probe probe t pred f acc =
+(* Cover sharing asks the kernel's groups for a predicate's equal
+   entries.  An unpacked bank makes every entry a candidate, as lookup
+   scans them; so does a predicate the kernel cannot pack, which an
+   empty bank (still packed) meets on its first wide install. *)
+let fold_equal t pred f acc =
   if packed t && Header.lanes_exact (Pred.schema pred) then
-    probe t.index pred (fun acc n -> f acc n.e) acc
+    Tuple_space.fold_equal t.index pred (fun acc n -> f acc n.e) acc
   else fold_nodes t (fun acc n -> f acc n.e) acc
-
-let fold_equal t = fold_probe Tuple_space.fold_equal t
-let fold_buddies t = fold_probe Tuple_space.fold_buddies t
 
 let index_groups t = Tuple_space.groups t.index
 let index_degenerate t = (not (packed t)) || Tuple_space.degenerate t.index
@@ -298,11 +295,6 @@ let insert_or_evict_entries ?idle_timeout ?hard_timeout t ~now rule =
     in
     { evicted = List.rev !evicted; replaced; bounced = false }
   end
-
-let insert_or_evict ?idle_timeout ?hard_timeout t ~now rule =
-  let d = insert_or_evict_entries ?idle_timeout ?hard_timeout t ~now rule in
-  let evicted = List.map (fun e -> e.rule) d.evicted in
-  if d.bounced then evicted @ [ rule ] else evicted
 
 let remove t id =
   match Int_table.find_opt t.by_id id with

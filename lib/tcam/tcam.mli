@@ -67,12 +67,6 @@ val fold_equal : t -> Pred.t -> ('a -> entry -> 'a) -> 'a -> 'a
     packed (a schema over 126 bits, or a table from {!create_linear}),
     every entry. *)
 
-val fold_buddies : t -> Pred.t -> ('a -> entry -> 'a) -> 'a -> 'a
-(** Fold over the entries whose lanes differ from the given predicate's
-    in one masked bit ({!Tuple_space.fold_buddies}), in no particular
-    order: every buddy ({!Pred.buddy_union}), and perhaps others.  When
-    the bank or the predicate is not packed, every entry. *)
-
 (** {1 Index introspection} *)
 
 val index_groups : t -> int
@@ -102,20 +96,14 @@ type displaced = {
   bounced : bool;  (** capacity 0: the rule itself did not fit *)
 }
 
-val insert_or_evict :
-  ?idle_timeout:float -> ?hard_timeout:float -> t -> now:float -> Rule.t ->
-  Rule.t list
-(** Install, evicting least-recently-hit entries as needed to make room.
-    Returns the evicted rules (empty when none; the incoming rule itself
-    when it bounced off a zero-capacity table).  This is the reactive
-    cache-install path of DIFANE ingress switches. *)
-
 val insert_or_evict_entries :
   ?idle_timeout:float -> ?hard_timeout:float -> t -> now:float -> Rule.t ->
   displaced
-(** Like {!insert_or_evict} but returning the full displaced entries —
-    LRU victims and any same-id replaced entry — so callers can report
-    final counters (flow-removed notifications). *)
+(** Install, evicting least-recently-hit entries as needed to make room:
+    the reactive cache-install path of DIFANE ingress switches.  Returns
+    the displaced entries — LRU victims and any same-id replaced entry —
+    so callers can report final counters (flow-removed notifications);
+    [bounced] when the rule did not fit a zero-capacity table. *)
 
 val remove : t -> int -> bool
 (** Remove by rule id; [false] if absent.  Not counted as an eviction. *)

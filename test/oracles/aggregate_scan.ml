@@ -1,28 +1,8 @@
-(* Whole-bank walks answering the aggregation queries and the orphan
+(* Whole-bank walks answering the cover-sharing query and the orphan
    scrub.  Each reads the bank in [Tcam.entries] order
    ([Rule.compare_priority]) and every entry's provenance; the
    differential property in test_aggregate holds the index-backed
    versions to these answers. *)
-
-let ranks_compatible (k : Switch.cache_kind) pa pb =
-  match k with Switch.Fragment -> true | Switch.Cover | Switch.Exact -> pa = pb
-
-let find_merge sw ~pid ~kind ~group ~priority ~action pred =
-  List.find_map
-    (fun (e : Tcam.entry) ->
-      let r = e.Tcam.rule in
-      if not (Action.equal r.Rule.action action) then None
-      else
-        match Switch.cache_meta_of_rule sw r.Rule.id with
-        | Some m
-          when m.Switch.pid = pid && m.Switch.kind = kind
-               && m.Switch.group = group
-               && ranks_compatible kind r.Rule.priority priority -> (
-            match Pred.buddy_union pred r.Rule.pred with
-            | Some u -> Some (r, m, u)
-            | None -> None)
-        | Some _ | None -> None)
-    (Tcam.entries (Switch.cache sw))
 
 let equivalent_live_cover sw (rule : Rule.t) (meta : Switch.cache_meta) =
   List.find_map

@@ -1,8 +1,5 @@
 let origins sw cid =
-  match Switch.cache_meta_of_rule sw cid with
-  | None -> []
-  | Some m ->
-      List.sort_uniq Int.compare (List.map (fun (p : Switch.cache_part) -> p.part_origin) m.parts)
+  match Switch.cache_meta_of_rule sw cid with None -> [] | Some m -> [ m.Switch.origin ]
 
 let deletes switches ~live ids =
   List.concat_map

@@ -51,9 +51,6 @@ let serve_miss ?(mode = `Spliced) ?cover_limit ~next_id partitions h =
       | None -> None
       | Some piece ->
           let pid = p.pid in
-          let part_of (r : Rule.t) rank =
-            { Switch.part_origin = r.id; part_rank = rank; part_pred = r.pred }
-          in
           let cache_rule, installs =
             match mode with
             | `Spliced -> (
@@ -63,14 +60,14 @@ let serve_miss ?(mode = `Spliced) ?cover_limit ~next_id partitions h =
                       List.map
                         (fun (r : Rule.t) ->
                           let rank = cache_priority p.table r in
-                          (Rule.make ~id:(next_id ()) ~priority:rank r.pred r.action, r, rank))
+                          (Rule.make ~id:(next_id ()) ~priority:rank r.pred r.action, r))
                         (cover_set p.table piece.origin)
                     in
-                    let group = Some (next_id (), List.map (fun (cr, _, _) -> cr.Rule.id) members) in
+                    let group = Some (next_id (), List.map (fun ((cr : Rule.t), _) -> cr.id) members) in
                     let covers =
                       List.map
-                        (fun (cr, r, rank) ->
-                          (cr, { Switch.pid; kind = Switch.Cover; group; parts = [ part_of r rank ] }))
+                        (fun (cr, (r : Rule.t)) ->
+                          (cr, { Switch.pid; kind = Switch.Cover; origin = r.id; group }))
                         members
                     in
                     (fst (List.hd (List.rev covers)), covers)
@@ -78,15 +75,15 @@ let serve_miss ?(mode = `Spliced) ?cover_limit ~next_id partitions h =
                     let r = cache_rule ~next_id p.table piece in
                     ( r,
                       [ ( r,
-                          { Switch.pid; kind = Switch.Fragment; group = None;
-                            parts = [ { (part_of piece.origin r.priority) with part_pred = piece.pred } ] } ) ] ))
+                          { Switch.pid; kind = Switch.Fragment; origin = piece.origin.id;
+                            group = None } ) ] ))
             | `Microflow ->
                 let pr = Pred.exact (Classifier.schema p.table) h in
                 let r = Rule.make ~id:(next_id ()) ~priority:0 pr piece.origin.action in
                 ( r,
                   [ ( r,
-                      { Switch.pid; kind = Switch.Exact; group = None;
-                        parts = [ { (part_of piece.origin 0) with part_pred = pr } ] } ) ] )
+                      { Switch.pid; kind = Switch.Exact; origin = piece.origin.id;
+                        group = None } ) ] )
           in
           Some
             { Switch.action = piece.origin.action; cache_rule; origin_id = piece.origin.id; pid;

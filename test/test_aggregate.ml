@@ -1,4 +1,4 @@
-(* Cache-rule aggregation: merge legality, cover-set dependency safety,
+(* Cache-rule aggregation: suppression, cover-set dependency safety,
    the rank-priority, expiry-heap and scrub-cascade regressions, and the
    property the whole layer rests on — with aggregation on or off, the
    exact oracle finds no header the network decides against the
@@ -10,113 +10,57 @@ let s2 = Schema.tiny2
 let h a b = Header.make s2 [| Int64.of_int a; Int64.of_int b |]
 let p f1 = Pred.of_strings s2 [ ("f1", f1) ]
 
-let frag_meta ?(pid = 0) ~origin ~rank pred =
-  {
-    Switch.pid;
-    kind = Switch.Fragment;
-    group = None;
-    parts = [ { Switch.part_origin = origin; part_rank = rank; part_pred = pred } ];
-  }
+let frag_meta ?(pid = 0) origin = { Switch.pid; kind = Switch.Fragment; origin; group = None }
 
-(* ---- buddy_union: the merge's algebraic core ---- *)
+(* a single-member cover group *)
+let cover_meta gid id =
+  { Switch.pid = 0; kind = Switch.Cover; origin = id; group = Some (gid, [ id ]) }
 
-let test_buddy_union () =
-  (* adjacent on one field: exact union *)
-  (match Pred.buddy_union (p "00000000") (p "00000001") with
-  | Some u -> check pred "one-bit buddies" (p "0000000x") u
-  | None -> Alcotest.fail "buddies did not merge");
-  (* two bits apart: union is not a rectangle *)
-  check Alcotest.bool "two bits apart" true
-    (Pred.buddy_union (p "00000000") (p "00000011") = None);
-  (* identical predicates are not buddies (zero differing fields) *)
-  check Alcotest.bool "identical" true
-    (Pred.buddy_union (p "0000000x") (p "0000000x") = None);
-  (* differing on two fields: no exact union *)
-  let a = Pred.of_strings s2 [ ("f1", "00000000"); ("f2", "00000000") ] in
-  let b = Pred.of_strings s2 [ ("f1", "00000001"); ("f2", "00000001") ] in
-  check Alcotest.bool "two fields differ" true (Pred.buddy_union a b = None)
-
-(* ---- merge legality at the install layer ---- *)
+(* ---- suppression at the install layer ---- *)
 
 let fresh ?(capacity = 8) ?(config = Aggregate.enabled_default) () =
   (Switch.create ~id:0 ~cache_capacity:capacity, Aggregate.create config)
 
 let install1 t sw ~now rule meta = ignore (Aggregate.install t sw ~now [ (rule, meta) ])
 
-let test_fragments_merge () =
-  let sw, t = fresh () in
-  let r1 = Rule.make ~id:100 ~priority:1 (p "00000000") (Action.Forward 1) in
-  let r2 = Rule.make ~id:101 ~priority:1 (p "00000001") (Action.Forward 1) in
-  install1 t sw ~now:0. r1 (frag_meta ~origin:10 ~rank:1 r1.Rule.pred);
-  install1 t sw ~now:0. r2 (frag_meta ~origin:11 ~rank:1 r2.Rule.pred);
-  check Alcotest.int "one resident entry" 1 (Tcam.occupancy (Switch.cache sw));
-  check Alcotest.int "one merge" 1 (Aggregate.stats t).Aggregate.merges;
-  (* the merged entry covers both operands and keeps both origins *)
-  let e = List.hd (Tcam.entries (Switch.cache sw)) in
-  check pred "union pred" (p "0000000x") e.Tcam.rule.Rule.pred;
-  check (Alcotest.list Alcotest.int) "origin set" [ 10; 11 ]
-    (Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id)
-
-let test_no_merge_across_actions () =
-  let sw, t = fresh () in
-  let r1 = Rule.make ~id:100 ~priority:1 (p "00000000") (Action.Forward 1) in
-  let r2 = Rule.make ~id:101 ~priority:1 (p "00000001") (Action.Drop) in
-  install1 t sw ~now:0. r1 (frag_meta ~origin:10 ~rank:1 r1.Rule.pred);
-  install1 t sw ~now:0. r2 (frag_meta ~origin:11 ~rank:1 r2.Rule.pred);
-  check Alcotest.int "both resident" 2 (Tcam.occupancy (Switch.cache sw));
-  check Alcotest.int "no merges" 0 (Aggregate.stats t).Aggregate.merges
-
-let test_no_merge_across_pids () =
-  let sw, t = fresh () in
-  let r1 = Rule.make ~id:100 ~priority:1 (p "00000000") (Action.Forward 1) in
-  let r2 = Rule.make ~id:101 ~priority:1 (p "00000001") (Action.Forward 1) in
-  install1 t sw ~now:0. r1 (frag_meta ~pid:0 ~origin:10 ~rank:1 r1.Rule.pred);
-  install1 t sw ~now:0. r2 (frag_meta ~pid:1 ~origin:11 ~rank:1 r2.Rule.pred);
-  check Alcotest.int "both resident" 2 (Tcam.occupancy (Switch.cache sw))
-
-let test_fragment_merge_takes_max_rank () =
-  let sw, t = fresh () in
-  let r1 = Rule.make ~id:100 ~priority:1 (p "00000000") (Action.Forward 1) in
-  let r2 = Rule.make ~id:101 ~priority:3 (p "00000001") (Action.Forward 1) in
-  install1 t sw ~now:0. r1 (frag_meta ~origin:10 ~rank:1 r1.Rule.pred);
-  install1 t sw ~now:0. r2 (frag_meta ~origin:11 ~rank:3 r2.Rule.pred);
-  let e = List.hd (Tcam.entries (Switch.cache sw)) in
-  check Alcotest.int "merged at max rank" 3 e.Tcam.rule.Rule.priority
-
-let test_covers_never_merge_across_groups () =
-  (* two cover-set members from different groups, equal rank, buddy
-     predicates: merging would entangle two atomically-evicted sets *)
-  let sw, t = fresh () in
-  let meta gid id pred =
-    {
-      Switch.pid = 0;
-      kind = Switch.Cover;
-      group = Some (gid, [ id ]);
-      parts = [ { Switch.part_origin = id; part_rank = 2; part_pred = pred } ];
-    }
-  in
-  let r1 = Rule.make ~id:100 ~priority:2 (p "00000000") (Action.Forward 1) in
-  let r2 = Rule.make ~id:101 ~priority:2 (p "00000001") (Action.Forward 1) in
-  install1 t sw ~now:0. r1 (meta 900 100 r1.Rule.pred);
-  install1 t sw ~now:0. r2 (meta 901 101 r2.Rule.pred);
-  check Alcotest.int "both resident" 2 (Tcam.occupancy (Switch.cache sw));
-  check Alcotest.int "no merges" 0 (Aggregate.stats t).Aggregate.merges
-
 let test_subsumed_install_suppressed () =
   let sw, t = fresh () in
   let broad = Rule.make ~id:100 ~priority:2 (p "0000000x") (Action.Forward 1) in
   let narrow = Rule.make ~id:101 ~priority:1 (p "00000000") (Action.Forward 1) in
-  install1 t sw ~now:0. broad (frag_meta ~origin:10 ~rank:2 broad.Rule.pred);
-  install1 t sw ~now:0. narrow (frag_meta ~origin:10 ~rank:1 narrow.Rule.pred);
+  install1 t sw ~now:0. broad (frag_meta 10);
+  install1 t sw ~now:0. narrow (frag_meta 10);
   check Alcotest.int "one resident entry" 1 (Tcam.occupancy (Switch.cache sw));
-  check Alcotest.int "suppressed" 1 (Aggregate.stats t).Aggregate.suppressed
+  check Alcotest.int "suppressed" 1 (Aggregate.stats t).Aggregate.suppressed;
+  (* an entry no live entry subsumes installs as it came, whatever lies
+     beside it: an adjacent entry with the same action, or one with
+     another action, partition or cover group *)
+  let beside id f1 action meta =
+    install1 t sw ~now:0. (Rule.make ~id ~priority:1 (p f1) action) meta
+  in
+  beside 102 "00000010" (Action.Forward 1) (frag_meta 11);
+  beside 103 "00000011" (Action.Forward 1) (frag_meta 12);
+  beside 104 "00000100" Action.Drop (frag_meta 13);
+  beside 105 "00000101" (Action.Forward 1) (frag_meta ~pid:1 14);
+  beside 106 "00000110" (Action.Forward 1) (cover_meta 900 106);
+  beside 107 "00000111" (Action.Forward 1) (cover_meta 901 107);
+  check (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.option Alcotest.int)))
+    "neighbours coexist, each with its own origin"
+    [ (100, Some 10); (102, Some 11); (103, Some 12); (104, Some 13); (105, Some 14);
+      (106, Some 106); (107, Some 107) ]
+    (List.sort compare
+       (List.map
+          (fun (e : Tcam.entry) ->
+            let id = e.Tcam.rule.Rule.id in
+            (id, Switch.origin_of_cache_rule sw id))
+          (Tcam.entries (Switch.cache sw))));
+  check Alcotest.int "no merges" 0 (Aggregate.stats t).Aggregate.merges
 
 let test_disabled_installs_plainly () =
   let sw, t = fresh ~config:Aggregate.default () in
   let r1 = Rule.make ~id:100 ~priority:1 (p "00000000") (Action.Forward 1) in
   let r2 = Rule.make ~id:101 ~priority:1 (p "00000001") (Action.Forward 1) in
-  install1 t sw ~now:0. r1 (frag_meta ~origin:10 ~rank:1 r1.Rule.pred);
-  install1 t sw ~now:0. r2 (frag_meta ~origin:11 ~rank:1 r2.Rule.pred);
+  install1 t sw ~now:0. r1 (frag_meta 10);
+  install1 t sw ~now:0. r2 (frag_meta 11);
   check Alcotest.int "both resident" 2 (Tcam.occupancy (Switch.cache sw));
   check Alcotest.int "no merges" 0 (Aggregate.stats t).Aggregate.merges
 
@@ -150,10 +94,10 @@ let test_rank_priorities_pick_the_winner () =
   let sw = Switch.create ~id:0 ~cache_capacity:8 in
   (* broad first => lower cache id => the old tie-break favoured it *)
   ignore
-    (Switch.install_cache_rule ~origin_id:broad.Rule.id sw ~now:0.
+    (Switch.install_origin ~origin:broad.Rule.id sw ~now:0.
        (Rule.make ~id:1 ~priority:rank_broad broad.Rule.pred broad.Rule.action));
   ignore
-    (Switch.install_cache_rule ~origin_id:top.Rule.id sw ~now:0.
+    (Switch.install_origin ~origin:top.Rule.id sw ~now:0.
        (Rule.make ~id:2 ~priority:rank_top top.Rule.pred top.Rule.action));
   match Switch.process sw ~now:1. (h 1 0) with
   | Switch.Local (a, Switch.Cache_bank) ->
@@ -293,25 +237,6 @@ let gen_case =
   triple gen_policy (int_range 2 8)
     (list_size (int_range 10 40) (pair gen_header_tiny2 (int_bound 15)))
 
-(* [Aggregate.install] skips the buddy search for cover entries, which
-   is exact only while [find_merge] has no answer for them: every live
-   cover entry, asked about with its own provenance, finds no partner. *)
-let cover_entries_unmergeable d =
-  Array.for_all
-    (fun sw ->
-      List.for_all
-        (fun (e : Tcam.entry) ->
-          let r = e.Tcam.rule in
-          match Switch.cache_meta_of_rule sw r.Rule.id with
-          | Some ({ Switch.kind = Switch.Cover; _ } as m) ->
-              Option.is_none
-                (Aggregate.find_merge sw ~pid:m.Switch.pid ~kind:Switch.Cover
-                   ~group:m.Switch.group ~priority:r.Rule.priority ~action:r.Rule.action
-                   r.Rule.pred)
-          | Some _ | None -> true)
-        (Tcam.entries (Switch.cache sw)))
-    (Deployment.switches d)
-
 let tiny_deployment ~capacity aggregation policy =
   let config =
     {
@@ -340,8 +265,7 @@ let replay_case aggregation (policy, capacity, stream) =
         | _ -> ());
         let got = (Deployment.inject d ~now ~ingress:0 hdr).Deployment.action in
         Classifier.action policy hdr = Some got
-        && Deployment.counterexample d = None
-        && cover_entries_unmergeable d)
+        && Deployment.counterexample d = None)
       (List.mapi (fun i x -> (i, x)) stream)
   in
   (d, ok)
@@ -431,9 +355,7 @@ let test_cover_scrub_cascades () =
     ignore
       (Switch.install_cache_meta sw ~now:0. r
          (Some
-            { Switch.pid = 0; kind = Switch.Cover; group = Some (gid, members);
-              parts = [ { Switch.part_origin = id; part_rank = rank; part_pred = r.Rule.pred } ]
-            }));
+            { Switch.pid = 0; kind = Switch.Cover; origin = id; group = Some (gid, members) }));
     r
   in
   ignore (cover 900 [ 1; 2 ] 1 ~rank:3 "0000000x" Action.Drop);
@@ -451,12 +373,11 @@ let test_cover_scrub_cascades () =
 
 (* ---- the cache-bank probes against the scan oracles ---- *)
 
-(* Predicates from a small pool so that equal predicates and buddies
-   are common: field 1 takes three masks — exact, a middle-wildcard
-   (bits 3 and 4 free) and a /4 prefix — over values that differ in bit
-   1 or bit 5, so buddies differ in a middle bit, not only as prefix
-   siblings; field 2 is one of two exact values a bit-5 flip apart, or
-   a wildcard.  All 16 bits sit in the low lane. *)
+(* Predicates from a small pool so that equal predicates are common:
+   field 1 takes three masks — exact, a middle-wildcard (bits 3 and 4
+   free) and a /4 prefix — over values that differ in bit 1 or bit 5;
+   field 2 is one of two exact values a bit-5 flip apart, or a
+   wildcard.  All 16 bits sit in the low lane. *)
 let gen_pool_pred_tiny2 =
   let open QCheck2.Gen in
   let* mask = oneofl [ 0xff; 0xe7; 0xf0 ] in
@@ -469,12 +390,11 @@ let gen_pool_pred_tiny2 =
   return (Pred.make s2 [ t1; t2 ])
 
 (* The same kind of pool over the named fields of a wide schema.  Each
-   shape fixes its fields and lets each one take one of two buddy
-   values.  In acl_5tuple, dst_ip's top bit is bit 0 of the high lane,
-   and the ports and proto lie wholly in the high lane, so these buddies
-   differ in a high-lane bit; 10.0.0.0/32 and 10.0.0.128/32 differ in a
-   middle bit.  An openflow_basic bank (136 bits) cannot be packed, so
-   its probes fall back to every entry. *)
+   shape fixes its fields and lets each one take one of two values a
+   bit apart.  In acl_5tuple, dst_ip's top bit is bit 0 of the high
+   lane, and the ports and proto lie wholly in the high lane.  An
+   openflow_basic bank (136 bits) cannot be packed, so its probes fall
+   back to every entry. *)
 let gen_pool_pred_wide schema =
   let open QCheck2.Gen in
   let ip = Ternary.of_ipv4 in
@@ -529,9 +449,10 @@ let gen_spec schema =
 
 type op =
   | Install of { specs : spec list; cover : bool; exact : bool; pid : int;
-                 idle : bool; aggregate : bool }
+                 idle : bool; via : [ `Aggregated | `Plain | `Unscrubbed ] }
+      (* [`Unscrubbed]: each rule through [Switch.install_cache_meta]
+         alone, leaving the batch-boundary scrub to the check *)
   | Expire of float  (* advance the clock, then run idle expiry *)
-  | Absorb of int  (* the [n mod occupancy]-th live entry *)
   | Invalidate of int  (* origins [o] with [o mod 3 = n] *)
   | Flush
   | Delete of int  (* controller Delete flow-mod of the n-th live entry *)
@@ -547,10 +468,9 @@ let gen_index_op schema =
         let* exact = bool in
         let* pid = frequencyl [ (4, 0); (1, 1) ] in
         let* idle = bool in
-        let* aggregate = frequencyl [ (4, true); (1, false) ] in
-        return (Install { specs; cover; exact; pid; idle; aggregate }) );
+        let* via = frequencyl [ (2, `Aggregated); (1, `Plain); (2, `Unscrubbed) ] in
+        return (Install { specs; cover; exact; pid; idle; via }) );
       (2, map (fun n -> Expire (float_of_int n *. 0.02)) (int_range 1 4));
-      (1, map (fun n -> Absorb n) nat);
       (1, map (fun n -> Invalidate n) (int_bound 2));
       (1, return Flush);
       (1, map (fun n -> Delete n) nat);
@@ -564,7 +484,6 @@ let gen_index_case =
 
 (* What a case exercised, for the coverage floor below. *)
 type index_cov = {
-  mutable merge_hits : int;  (* index-backed find_merge answers Some *)
   mutable duplicates : int;  (* equivalent_live_cover names another entry *)
   mutable orphans : int;  (* entries the checked scrubs removed *)
   mutable shared : bool;  (* a cover member was shared through subst *)
@@ -580,18 +499,11 @@ let removed_ids msgs =
     (function Message.Flow_removed f -> Some f.Message.removed_rule | _ -> None)
     msgs
 
-(* Every (field, bit) position of a predicate's schema. *)
-let field_bits pred =
-  List.concat
-    (List.init (Pred.arity pred) (fun f ->
-         List.init (Ternary.width (Pred.field pred f)) (fun b -> (f, b))))
-
-(* After every step: each live entry's exact and one-bit-flipped
-   predicates, queried with its own provenance, get the same answer from
-   the bank's probes as from the scan; then the orphan scrub removes
-   exactly the entries the scan finds incomplete, in its order. *)
+(* After every step: each live entry, queried with its own provenance,
+   gets the same equal live cover from the bank's probe as from the
+   scan; then the orphan scrub removes exactly the entries the scan
+   finds incomplete, in its order. *)
 let index_agrees_with_scan cov sw ~now =
-  let merge_sig = Option.map (fun ((r : Rule.t), _, u) -> (r.Rule.id, Pred.to_string u)) in
   let queries_agree =
     List.for_all
       (fun (e : Tcam.entry) ->
@@ -601,27 +513,7 @@ let index_agrees_with_scan cov sw ~now =
         | Some m ->
             let eq = Aggregate.equivalent_live_cover sw r m in
             if eq <> None && eq <> Some r.Rule.id then cov.duplicates <- cov.duplicates + 1;
-            eq = Aggregate_scan.equivalent_live_cover sw r m
-            && List.for_all
-                 (fun (f, b) ->
-                   let t = Pred.field r.Rule.pred f in
-                   match Ternary.bit t b with
-                   | `Any -> true
-                   | `Zero | `One ->
-                       let flipped =
-                         Ternary.make ~width:(Ternary.width t)
-                           ~value:(Int64.logxor (Ternary.value t) (Int64.shift_left 1L b))
-                           ~mask:(Ternary.mask t)
-                       in
-                       let q = Pred.with_field r.Rule.pred f flipped in
-                       let ask find =
-                         find sw ~pid:m.Switch.pid ~kind:m.Switch.kind ~group:m.Switch.group
-                           ~priority:r.Rule.priority ~action:r.Rule.action q
-                       in
-                       let got = merge_sig (ask Aggregate.find_merge) in
-                       if got <> None then cov.merge_hits <- cov.merge_hits + 1;
-                       got = merge_sig (ask Aggregate_scan.find_merge))
-                 (field_bits r.Rule.pred))
+            eq = Aggregate_scan.equivalent_live_cover sw r m)
       (Tcam.entries (Switch.cache sw))
   in
   let expected = Aggregate_scan.cover_orphans sw in
@@ -631,7 +523,7 @@ let index_agrees_with_scan cov sw ~now =
   cov.orphans <- cov.orphans + n;
   queries_agree && removed = expected && n = List.length expected
 
-let fresh_cov () = { merge_hits = 0; duplicates = 0; orphans = 0; shared = false }
+let fresh_cov () = { duplicates = 0; orphans = 0; shared = false }
 
 let run_index_case ?(cov = fresh_cov ()) (_schema, capacity, ops) =
   let sw = Switch.create ~id:0 ~cache_capacity:capacity in
@@ -643,7 +535,7 @@ let run_index_case ?(cov = fresh_cov ()) (_schema, capacity, ops) =
     (fun op ->
       let now = !clock in
       (match op with
-      | Install { specs; cover; exact; pid; idle; aggregate } ->
+      | Install { specs; cover; exact; pid; idle; via } ->
           let rules =
             List.map
               (fun sp ->
@@ -660,25 +552,22 @@ let run_index_case ?(cov = fresh_cov ()) (_schema, capacity, ops) =
           let kind = if cover then Switch.Cover else if exact then Switch.Exact else Switch.Fragment in
           let batch =
             List.map
-              (fun ((r : Rule.t), sp) ->
-                ( r,
-                  { Switch.pid; kind; group;
-                    parts = [ { Switch.part_origin = sp.sp_origin; part_rank = r.Rule.priority;
-                                part_pred = r.Rule.pred } ] } ))
+              (fun (r, sp) -> (r, { Switch.pid; kind; origin = sp.sp_origin; group }))
               rules
           in
-          let t = if aggregate then agg else plain in
+          let idle_timeout = if idle then Some 0.05 else None in
           let before = (Aggregate.stats agg).Aggregate.suppressed in
-          ignore
-            (Aggregate.install ?idle_timeout:(if idle then Some 0.05 else None) t sw ~now batch);
+          (match via with
+          | `Aggregated -> ignore (Aggregate.install ?idle_timeout agg sw ~now batch)
+          | `Plain -> ignore (Aggregate.install ?idle_timeout plain sw ~now batch)
+          | `Unscrubbed ->
+              List.iter
+                (fun (r, m) -> ignore (Switch.install_cache_meta ?idle_timeout sw ~now r (Some m)))
+                batch);
           if cover && (Aggregate.stats agg).Aggregate.suppressed > before then cov.shared <- true
       | Expire dt ->
           clock := !clock +. dt;
           ignore (Switch.expire_cache sw ~now:!clock)
-      | Absorb n ->
-          Option.iter
-            (fun (e : Tcam.entry) -> ignore (Switch.absorb_cache_rule sw ~now e.Tcam.rule.Rule.id))
-            (nth_live sw n)
       | Invalidate n -> ignore (Switch.invalidate_origins sw ~now (fun o -> o mod 3 = n))
       | Flush -> Switch.flush_cache sw
       | Delete n ->
@@ -699,33 +588,23 @@ let prop_index_matches_scan =
     (fun case -> run_index_case case)
 
 (* Of 300 generated cases (fixed seed), enough must reach each path the
-   property compares — buddy hits on every kind of bank, a second live
-   cover entry with an equal predicate (the tie rule), orphan scrubs and
-   cover members shared through subst — that a generator change starving
-   one fails here instead of thinning the property. *)
+   property compares — a second live cover entry with an equal
+   predicate (the tie rule), orphan scrubs and cover members shared
+   through subst — that a generator change starving one fails here
+   instead of thinning the property. *)
 let test_index_case_coverage () =
   let cases =
     QCheck2.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:300 gen_index_case
   in
   let covs =
     List.map
-      (fun ((schema, _, _) as c) ->
+      (fun c ->
         let cov = fresh_cov () in
-        (run_index_case ~cov c, schema, cov))
+        (run_index_case ~cov c, cov))
       cases
   in
-  check Alcotest.bool "index agrees with scan" true (List.for_all (fun (ok, _, _) -> ok) covs);
-  let share_of covs f =
-    List.length (List.filter (fun (_, _, c) -> f c) covs) * 100 / max 1 (List.length covs)
-  in
-  let share = share_of covs in
-  check Alcotest.bool "buddy hits" true (share (fun c -> c.merge_hits > 0) >= 80);
-  List.iter
-    (fun schema ->
-      let own = List.filter (fun (_, s, _) -> Schema.equal s schema) covs in
-      check Alcotest.bool "buddy hits on each bank" true
-        (List.length own >= 50 && share_of own (fun c -> c.merge_hits > 0) >= 80))
-    [ s2; Schema.acl_5tuple; Schema.openflow_basic ];
+  check Alcotest.bool "index agrees with scan" true (List.for_all fst covs);
+  let share f = List.length (List.filter (fun (_, c) -> f c) covs) * 100 / List.length covs in
   check Alcotest.bool "duplicate covers" true (share (fun c -> c.duplicates > 0) >= 10);
   check Alcotest.bool "orphan scrubs" true (share (fun c -> c.orphans > 0) >= 20);
   check Alcotest.bool "shared members" true (share (fun c -> c.shared) >= 8)
@@ -734,12 +613,6 @@ let suite =
   [
     ( "aggregate",
       [
-        tc "buddy_union algebra" test_buddy_union;
-        tc "adjacent same-action fragments merge" test_fragments_merge;
-        tc "no merge across actions" test_no_merge_across_actions;
-        tc "no merge across partitions" test_no_merge_across_pids;
-        tc "fragment merge takes the max rank" test_fragment_merge_takes_max_rank;
-        tc "covers never merge across groups" test_covers_never_merge_across_groups;
         tc "subsumed install suppressed" test_subsumed_install_suppressed;
         tc "disabled config installs plainly" test_disabled_installs_plainly;
         tc "rank priorities pick the winner (regression)"

@@ -67,7 +67,9 @@ let check_invariants cl =
   check Alcotest.int "no stale-epoch frames accepted" 0 (Cluster.stale_accepted cl);
   check Alcotest.int "nothing pending" 0 (Cluster.pending_requests cl);
   check Alcotest.bool "deployment = policy" true
-    (Deployment.semantically_equal (Cluster.deployment cl) probes)
+    (Deployment.semantically_equal (Cluster.deployment cl) probes);
+  check Alcotest.bool "exact oracle agrees" true
+    (Deployment.counterexample (Cluster.deployment cl) = None)
 
 let test_steady_state_no_takeover () =
   let cl = mk () in

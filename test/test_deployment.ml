@@ -62,7 +62,8 @@ let test_semantics_random_probes () =
     List.init 300 (fun _ -> h (Prng.int rng 256) (Prng.int rng 256))
   in
   check Alcotest.bool "all probes agree with policy" true
-    (Deployment.semantically_equal d probes)
+    (Deployment.semantically_equal d probes);
+  check Alcotest.bool "exact oracle agrees" true (Deployment.counterexample d = None)
 
 let test_cache_timeout_expiry () =
   let config =
@@ -101,6 +102,7 @@ let test_failover () =
   let rng = Prng.create 5 in
   let probes = List.init 100 (fun _ -> h (Prng.int rng 256) (Prng.int rng 256)) in
   check Alcotest.bool "still correct" true (Deployment.semantically_equal d' probes);
+  check Alcotest.bool "exact oracle agrees" true (Deployment.counterexample d' = None);
   (* and every miss goes to switch 3 *)
   Deployment.flush_caches d';
   let o = Deployment.inject d' ~now:0. ~ingress:0 (h 2 0) in

@@ -145,7 +145,7 @@ let pinned =
     ("paths-chaos", `Fingerprint "c555d74b005e65c61928d4aa6347cbe3");
     ("paths-rebalance", `Fingerprint "e9871d50be508e200776af88d0e5803a");
     ("paths-scale", `Fingerprint "aa38f3884953ca55e1dd158c306fee22");
-    ("aggregate", `Fingerprint "ad44f99d63f1cbf933a3814f0c50a699");
+    ("aggregate", `Fingerprint "fcf2a7770b75640caf362eaafbc228fb");
     ("monitor", `Fingerprint "0fcb6dbb908ccd54b1cab4a12078ebb9");
   ]
 

@@ -190,7 +190,7 @@ let test_notifications_on_expiry () =
   let sw = Switch.create ~id:0 ~cache_capacity:4 in
   Switch.attach sw;
   let r = Rule.make ~id:9 ~priority:1 (Pred.any s2) (Action.Forward 1) in
-  ignore (Switch.install_cache_rule ~hard_timeout:1.0 ~origin_id:5 sw ~now:0. r);
+  ignore (Switch.install_origin ~hard_timeout:1.0 ~origin:5 sw ~now:0. r);
   ignore (Switch.process sw ~now:0.5 (h 1 1));
   ignore (Switch.expire_cache sw ~now:2.0);
   match Switch.drain_notifications sw with
@@ -208,8 +208,8 @@ let test_notifications_on_eviction () =
   let mk id v =
     Rule.make ~id ~priority:1 (Pred.of_strings s2 [ ("f1", v) ]) Action.Drop
   in
-  ignore (Switch.install_cache_rule ~origin_id:1 sw ~now:0. (mk 100 "00000001"));
-  ignore (Switch.install_cache_rule ~origin_id:2 sw ~now:1. (mk 101 "00000010"));
+  ignore (Switch.install_origin ~origin:1 sw ~now:0. (mk 100 "00000001"));
+  ignore (Switch.install_origin ~origin:2 sw ~now:1. (mk 101 "00000010"));
   match Switch.drain_notifications sw with
   | [ Message.Flow_removed f ] ->
       check Alcotest.int "evicted rule" 100 f.Message.removed_rule;

@@ -92,7 +92,8 @@ let test_rebalance_moves_hot_partition () =
   (* semantics survive the move *)
   let rng = Prng.create 3 in
   let probes = List.init 200 (fun _ -> h (Prng.int rng 256) (Prng.int rng 256)) in
-  check Alcotest.bool "still correct" true (Deployment.semantically_equal d' probes)
+  check Alcotest.bool "still correct" true (Deployment.semantically_equal d' probes);
+  check Alcotest.bool "exact oracle agrees" true (Deployment.counterexample d' = None)
 
 let test_rebalance_keeps_partitions () =
   let d = build () in
@@ -242,7 +243,9 @@ let check_cluster_invariants cl =
   check Alcotest.int "no stale-epoch frames accepted" 0 (Cluster.stale_accepted cl);
   check Alcotest.int "nothing pending" 0 (Cluster.pending_requests cl);
   check Alcotest.bool "deployment = policy" true
-    (Deployment.semantically_equal (Cluster.deployment cl) acl_probes)
+    (Deployment.semantically_equal (Cluster.deployment cl) acl_probes);
+  check Alcotest.bool "exact oracle agrees" true
+    (Deployment.counterexample (Cluster.deployment cl) = None)
 
 let test_hotspot_triggers_staged_migration () =
   let cl = adaptive_mk () in

@@ -63,7 +63,8 @@ let test_failover_no_new_installs () =
   (* semantics intact after failover *)
   let rng = Prng.create 7 in
   let probes = List.init 200 (fun _ -> h (Prng.int rng 256) (Prng.int rng 256)) in
-  check Alcotest.bool "still correct" true (Deployment.semantically_equal d' probes)
+  check Alcotest.bool "still correct" true (Deployment.semantically_equal d' probes);
+  check Alcotest.bool "exact oracle agrees" true (Deployment.counterexample d' = None)
 
 let test_failover_without_replication_needs_installs () =
   let d = build ~replication:1 () in
@@ -92,7 +93,8 @@ let test_failover_without_replication_replaces_correctly () =
   let rng = Prng.create 11 in
   let probes = List.init 200 (fun _ -> h (Prng.int rng 256) (Prng.int rng 256)) in
   check Alcotest.bool "semantics preserved" true
-    (Deployment.semantically_equal d' probes)
+    (Deployment.semantically_equal d' probes);
+  check Alcotest.bool "exact oracle agrees" true (Deployment.counterexample d' = None)
 
 let test_promote_prefers_backup () =
   let part = Partitioner.compute policy ~k:4 in

@@ -40,7 +40,7 @@ let test_serve_miss_and_cache () =
   check action "action" (Action.Forward 1) reply.Switch.action;
   check Alcotest.int "origin" 1 reply.Switch.origin_id;
   ignore
-    (Switch.install_cache_rule ~origin_id:reply.Switch.origin_id ingress ~now:0.
+    (Switch.install_origin ~origin:reply.Switch.origin_id ingress ~now:0.
        reply.Switch.cache_rule);
   (* second packet of the flow hits the cache *)
   (match Switch.process ingress ~now:1. (h 2 0) with
@@ -62,7 +62,7 @@ let test_counters_and_origins () =
   let ingress, auth = setup () in
   let reply = Option.get (Switch.serve_miss auth ~now:0. (h 2 0)) in
   ignore
-    (Switch.install_cache_rule ~origin_id:reply.Switch.origin_id ingress ~now:0.
+    (Switch.install_origin ~origin:reply.Switch.origin_id ingress ~now:0.
        reply.Switch.cache_rule);
   ignore (Switch.process ingress ~now:1. (h 2 0));
   ignore (Switch.process ingress ~now:2. (h 2 0));
@@ -78,7 +78,7 @@ let test_cache_expiry () =
   let ingress, auth = setup () in
   let reply = Option.get (Switch.serve_miss auth ~now:0. (h 2 0)) in
   ignore
-    (Switch.install_cache_rule ~idle_timeout:5. ~origin_id:reply.Switch.origin_id ingress
+    (Switch.install_origin ~idle_timeout:5. ~origin:reply.Switch.origin_id ingress
        ~now:0. reply.Switch.cache_rule);
   check Alcotest.int "cached" 1 (Switch.cache_occupancy ingress);
   ignore (Switch.expire_cache ingress ~now:10.);
@@ -142,8 +142,7 @@ let test_flow_mod_add_drops_provenance () =
   let sw = Switch.create ~id:0 ~cache_capacity:4 in
   let pred = Pred.of_strings s2 [ ("f1", "00000000") ] in
   let meta =
-    { Switch.pid = 0; kind = Switch.Cover; group = None;
-      parts = [ { Switch.part_origin = 3; part_rank = 1; part_pred = pred } ] }
+    { Switch.pid = 0; kind = Switch.Cover; origin = 3; group = None }
   in
   let spliced = Rule.make ~id:5 ~priority:1 pred Action.Drop in
   ignore (Switch.install_cache_meta sw ~now:0. spliced (Some meta));
@@ -173,12 +172,12 @@ let test_replace_notification () =
   let sw = Switch.create ~id:0 ~cache_capacity:4 in
   Switch.attach sw;
   let r = Rule.make ~id:50 ~priority:1 (Pred.of_strings s2 [ ("f1", "0000_0010") ]) (Action.Forward 1) in
-  ignore (Switch.install_cache_rule ~origin_id:42 sw ~now:0. r);
+  ignore (Switch.install_origin ~origin:42 sw ~now:0. r);
   ignore (Switch.process sw ~now:1. (h 2 0));
   ignore (Switch.process sw ~now:2. (h 2 0));
   ignore (Switch.drain_notifications sw);
   let r' = Rule.make ~id:50 ~priority:2 (Pred.of_strings s2 [ ("f1", "0000_001x") ]) (Action.Forward 1) in
-  ignore (Switch.install_cache_rule ~origin_id:43 sw ~now:3. r');
+  ignore (Switch.install_origin ~origin:43 sw ~now:3. r');
   (match Switch.drain_notifications sw with
   | [ Message.Flow_removed fr ] ->
       check Alcotest.int "removed rule" 50 fr.Message.removed_rule;
@@ -246,25 +245,21 @@ let prop_cache_never_lies =
               | None -> false
               | Some reply ->
                   ignore
-                    (Switch.install_cache_rule ~origin_id:reply.Switch.origin_id ingress
+                    (Switch.install_origin ~origin:reply.Switch.origin_id ingress
                        ~now:0. reply.Switch.cache_rule);
                   Action.equal reply.Switch.action expected))
         headers)
 
 (* ---- plan-served misses against from-scratch splicing ---- *)
 
-let part_equal (a : Switch.cache_part) (b : Switch.cache_part) =
-  a.part_origin = b.part_origin && a.part_rank = b.part_rank && Pred.equal a.part_pred b.part_pred
-
-let meta_equal (a : Switch.cache_meta) (b : Switch.cache_meta) =
-  a.pid = b.pid && a.kind = b.kind && a.group = b.group && List.equal part_equal a.parts b.parts
-
 (* action, origin, pid, the primary rule, and every install's rule and
    meta — the group tag carries the member ids in install order *)
 let reply_equal (a : Switch.miss_reply) (b : Switch.miss_reply) =
   Action.equal a.action b.action && a.origin_id = b.origin_id && a.pid = b.pid
   && Rule.equal a.cache_rule b.cache_rule
-  && List.equal (fun (r, m) (r', m') -> Rule.equal r r' && meta_equal m m') a.installs b.installs
+  && List.equal
+       (fun (r, m) (r', m') -> Rule.equal r r' && (m : Switch.cache_meta) = m')
+       a.installs b.installs
 
 let modes = [ (`Spliced, None); (`Spliced, Some 4); (`Microflow, None) ]
 

@@ -40,8 +40,8 @@ let test_zero_capacity () =
   let t = Tcam.create ~capacity:0 in
   let r = rule 1 [] Action.Drop in
   check Alcotest.bool "always full" true (Tcam.insert t ~now:0. r = `Full);
-  check (Alcotest.list Alcotest.int) "insert_or_evict bounces" [ 1 ]
-    (List.map (fun (x : Rule.t) -> x.id) (Tcam.insert_or_evict t ~now:0. r))
+  check Alcotest.bool "insert_or_evict bounces" true
+    (Tcam.insert_or_evict_entries t ~now:0. r).Tcam.bounced
 
 let test_lru_eviction () =
   let t = Tcam.create ~capacity:2 in
@@ -49,9 +49,9 @@ let test_lru_eviction () =
   ignore (Tcam.insert t ~now:1. (rule 2 [ ("f1", "0000_0010") ] Action.Drop));
   (* touch rule 1 so rule 2 is LRU *)
   ignore (Tcam.lookup t ~now:5. (h 1 0));
-  let evicted = Tcam.insert_or_evict t ~now:6. (rule 3 [ ("f1", "0000_0011") ] Action.Drop) in
+  let d = Tcam.insert_or_evict_entries t ~now:6. (rule 3 [ ("f1", "0000_0011") ] Action.Drop) in
   check (Alcotest.list Alcotest.int) "evicts LRU" [ 2 ]
-    (List.map (fun (x : Rule.t) -> x.id) evicted);
+    (List.map (fun (e : Tcam.entry) -> e.Tcam.rule.Rule.id) d.Tcam.evicted);
   check Alcotest.bool "rule1 kept" true (Tcam.mem t 1);
   check Alcotest.bool "rule3 inserted" true (Tcam.mem t 3)
 
@@ -133,7 +133,7 @@ let prop_never_exceeds_capacity =
       List.iteri
         (fun i (pd, pr) ->
           ignore
-            (Tcam.insert_or_evict t ~now:(float_of_int i)
+            (Tcam.insert_or_evict_entries t ~now:(float_of_int i)
                (Rule.make ~id:i ~priority:pr pd Action.Drop)))
         ops;
       Tcam.occupancy t <= 5)

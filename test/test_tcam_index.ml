@@ -426,7 +426,7 @@ let test_expirations_split_from_evictions () =
   check Alcotest.int "one expired" 1 (List.length (Tcam.expire t ~now:2.));
   (* rule 3 squeezes rule 2 out: an eviction, not an expiration *)
   ignore (Tcam.insert t ~now:3. (rule 3 "0000_0011"));
-  ignore (Tcam.insert_or_evict t ~now:4. (rule 4 "0000_0100"));
+  ignore (Tcam.insert_or_evict_entries t ~now:4. (rule 4 "0000_0100"));
   let s = Tcam.stats t in
   check Alcotest.int64 "expirations" 1L s.Tcam.expirations;
   check Alcotest.int64 "evictions" 1L s.Tcam.evictions;

@@ -81,10 +81,16 @@ module Switch = struct
 
   let origins_of_cache_rule = Invalidate_scan.origins
 
+  (* A plain fragment standing for one origin, from an unknown
+     partition. *)
+  let install_origin ?idle_timeout ?hard_timeout t ~now ~origin rule =
+    install_cache_meta ?idle_timeout ?hard_timeout t ~now rule
+      (Some { pid = -1; kind = Fragment; origin; group = None })
+
   (* [(primary origin, serving partition)] of a cache rule. *)
   let provenance_of_cache_rule t cid =
     Option.map
-      (fun m -> ((match m.parts with p :: _ -> p.part_origin | [] -> -1), m.pid))
+      (fun m -> (m.origin, m.pid))
       (cache_meta_of_rule t cid)
 end
 
@@ -116,6 +122,10 @@ end
 
 module Pred = struct
   include Pred
+
+  (* [log2 (size t)]: total wildcard bits. *)
+  let size_log2 t =
+    List.fold_left ( + ) 0 (List.init (arity t) (fun i -> Ternary.wildcard_bits (field t i)))
 
   (* Concrete headers of [t], up to [limit]. *)
   let enumerate ?(limit = 256) t =
